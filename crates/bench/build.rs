@@ -5,8 +5,10 @@
 //! before measurement.
 //!
 //! ELF and DNS use parent-referencing local rules (supported by the
-//! interpreter only), so their benches run interpreted; the gap is
-//! discussed in EXPERIMENTS.md.
+//! interpreter only), so no compiled parser is generated for them and
+//! their Fig. 13 benches measure the VM alone against the baselines. Those
+//! two rows therefore understate what a compiled IPG parser would reach,
+//! unlike the paper, whose generator compiles every format.
 
 use std::path::Path;
 

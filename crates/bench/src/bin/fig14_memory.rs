@@ -52,7 +52,7 @@ fn main() {
     println!();
     println!(
         "(paper: IPG parsers consume less heap than Nail parsers on both formats; \n\
-         here the IPG side is a tree-building parser, so the shape holds only where \n\
-         zero-copy dominates — large payloads — see EXPERIMENTS.md)"
+         here the IPG side is a tree-building parser that records a node per \n\
+         field, so the shape holds only where zero-copy dominates — large payloads)"
     );
 }

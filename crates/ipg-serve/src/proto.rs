@@ -33,6 +33,12 @@
 //! error and a close; a draining server seals idle connections with an
 //! unsolicited `GOAWAY` frame, so no client ever observes a torn frame.
 //!
+//! Frame I/O costs one syscall per frame where it can. A frame is built
+//! with its length prefix reserved up front and leaves in one `write`;
+//! both the server's connections and [`Client`] read through a small
+//! per-connection buffer, so a frame that has wholly arrived is taken in
+//! one `read`, and bytes of the next frame stay buffered for it.
+//!
 //! The same [`Server`] backs both front ends, so a session opened over
 //! the socket is serviced by the same pinned worker as an in-process one.
 
@@ -87,80 +93,160 @@ pub const ST_GOAWAY: u8 = 0x06;
 /// Prometheus metrics text.
 pub const ST_METRICS: u8 = 0x07;
 
-/// Writes one length-framed payload.
+/// Bytes in a frame's length prefix.
+const PREFIX: usize = 4;
+
+/// Capacity of a connection's receive buffer: one `read` takes a whole
+/// 4 KiB `FEED` frame together with any small frames queued behind it.
+const RECV_BUF: usize = 8 << 10;
+
+/// An empty outgoing frame: the length prefix is reserved up front, the
+/// payload is appended after it, and [`send_frame`] fills the prefix in,
+/// so the payload is copied once and the frame leaves in one `write`.
+fn frame_buf(payload_capacity: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(PREFIX + payload_capacity);
+    frame.extend_from_slice(&[0; PREFIX]);
+    frame
+}
+
+/// Fills in the length prefix of a [`frame_buf`] frame and writes the
+/// whole frame with one `write_all`.
+fn send_frame(w: &mut impl Write, frame: &mut [u8]) -> io::Result<()> {
+    let len = u32::try_from(frame.len() - PREFIX)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
+    frame[..PREFIX].copy_from_slice(&len.to_le_bytes());
+    w.write_all(frame)?;
+    w.flush()
+}
+
+/// Writes one length-framed payload: prefix and payload go out in one
+/// `write`.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    let mut frame = frame_buf(payload.len());
+    frame.extend_from_slice(payload);
+    send_frame(w, &mut frame)
 }
 
 /// Reads one length-framed payload; `Ok(None)` on clean EOF before the
-/// length prefix. This is the blocking client-side reader; the server
-/// uses [`read_request`]'s polled, deadline-guarded variant.
+/// length prefix. This is the blocking, unbuffered client-side reader (it
+/// never reads past the frame, so it keeps no state between calls); the
+/// server uses [`read_request`]'s polled, deadline-guarded variant and
+/// [`Client`] a buffered one.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error; oversized frames are
 /// `InvalidData`.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame exceeds MAX_FRAME"));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    RecvBuf::with_capacity(PREFIX).read_frame(r)
 }
 
-fn bad_request(msg: &str) -> Vec<u8> {
-    let mut out = vec![ST_ERROR];
+/// A connection's receive buffer. One `read` takes as much as the socket
+/// has ready (up to the capacity), so a frame that has wholly arrived
+/// costs one syscall, and bytes that belong to the next frame wait here
+/// for the next call. Payload bytes beyond the buffered ones are read
+/// straight into the payload, never past the frame.
+struct RecvBuf {
+    buf: Box<[u8]>,
+    start: usize,
+    end: usize,
+}
+
+impl RecvBuf {
+    fn with_capacity(cap: usize) -> RecvBuf {
+        debug_assert!(cap >= PREFIX);
+        RecvBuf { buf: vec![0; cap].into_boxed_slice(), start: 0, end: 0 }
+    }
+
+    fn buffered(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// One `read` into the free space, after moving any buffered bytes to
+    /// the front. Only called with less than a length prefix buffered, so
+    /// there is always room and `Ok(0)` means EOF.
+    fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Consumes the buffered length prefix.
+    fn take_len(&mut self) -> usize {
+        let len = &self.buf[self.start..self.start + PREFIX];
+        self.start += PREFIX;
+        u32::from_le_bytes(len.try_into().expect("prefix is 4 bytes")) as usize
+    }
+
+    /// Moves buffered bytes into the front of `payload`; returns how many.
+    fn take(&mut self, payload: &mut [u8]) -> usize {
+        let n = payload.len().min(self.buffered());
+        payload[..n].copy_from_slice(&self.buf[self.start..self.start + n]);
+        self.start += n;
+        n
+    }
+
+    /// The blocking reader behind [`read_frame`] and [`Client`].
+    fn read_frame(&mut self, r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+        while self.buffered() < PREFIX {
+            match self.fill(r) {
+                Ok(0) => return Ok(None),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let len = self.take_len();
+        if len > MAX_FRAME {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "frame exceeds MAX_FRAME"));
+        }
+        let mut payload = vec![0u8; len];
+        let got = self.take(&mut payload);
+        r.read_exact(&mut payload[got..])?;
+        Ok(Some(payload))
+    }
+}
+
+fn bad_request(out: &mut Vec<u8>, msg: &str) {
+    out.push(ST_ERROR);
     out.extend_from_slice(msg.as_bytes());
-    out
 }
 
-fn encode_response(resp: &Response) -> Vec<u8> {
+/// Appends the payload encoding `resp` to `out`.
+fn encode_response(resp: &Response, out: &mut Vec<u8>) {
     match resp {
         Response::Done(s) => {
-            let mut out = vec![ST_DONE];
+            out.push(ST_DONE);
             out.extend_from_slice(&s.steps.to_le_bytes());
             out.extend_from_slice(&s.suspends.to_le_bytes());
             out.extend_from_slice(&(s.nodes as u32).to_le_bytes());
             out.extend_from_slice(&(s.bytes as u64).to_le_bytes());
-            out
         }
         Response::Opened { id } => {
-            let mut out = vec![ST_OPENED];
+            out.push(ST_OPENED);
             out.extend_from_slice(&id.to_le_bytes());
-            out
         }
         Response::NeedInput { hint } => {
             let (kind, n) = match hint {
                 Hint::Bytes(n) => (0u8, *n as u64),
                 Hint::UntilEnd => (1u8, 0u64),
             };
-            let mut out = vec![ST_NEED_INPUT, kind];
+            out.extend_from_slice(&[ST_NEED_INPUT, kind]);
             out.extend_from_slice(&n.to_le_bytes());
-            out
         }
-        Response::Error(e) => bad_request(&e.to_string()),
+        Response::Error(e) => bad_request(out, &e.to_string()),
         Response::Busy { retry_after_ms } => {
-            let mut out = vec![ST_BUSY];
+            out.push(ST_BUSY);
             out.extend_from_slice(&retry_after_ms.to_le_bytes());
-            out
         }
-        Response::GoAway => vec![ST_GOAWAY],
+        Response::GoAway => out.push(ST_GOAWAY),
     }
 }
 
@@ -174,68 +260,66 @@ pub struct ConnState {
 }
 
 /// Executes one request payload against `server` for one connection and
-/// returns the response payload. Shared by the Unix-socket front end and
-/// any future transport (the framing stays at the edges; `conn` carries
-/// the transport's per-client session ownership). Every malformed
-/// request body maps to a typed error frame.
-pub fn handle_request(server: &Server, conn: &mut ConnState, payload: &[u8]) -> Vec<u8> {
+/// appends the response payload to `out`. Shared by the Unix-socket front
+/// end and any future transport (the framing stays at the edges: the
+/// socket front end passes a frame with its length prefix reserved;
+/// `conn` carries the transport's per-client session ownership). Every
+/// malformed request body maps to a typed error frame.
+pub fn handle_request(server: &Server, conn: &mut ConnState, payload: &[u8], out: &mut Vec<u8>) {
     let Some((&op, body)) = payload.split_first() else {
-        return bad_request("empty frame");
+        return bad_request(out, "empty frame");
     };
     match op {
         OP_PARSE => {
             let Some((name, input)) = split_name(body) else {
-                return bad_request("malformed PARSE frame");
+                return bad_request(out, "malformed PARSE frame");
             };
-            encode_response(&server.parse_response(name, input.to_vec()))
+            encode_response(&server.parse_response(name, input.to_vec()), out);
         }
         OP_OPEN => {
             let Some((name, rest)) = split_name(body) else {
-                return bad_request("malformed OPEN frame");
+                return bad_request(out, "malformed OPEN frame");
             };
             if !rest.is_empty() {
-                return bad_request("trailing bytes in OPEN frame");
+                return bad_request(out, "trailing bytes in OPEN frame");
             }
             let resp = server.open_response(name);
             if let Response::Opened { id } = resp {
                 conn.owned.insert(id);
             }
-            encode_response(&resp)
+            encode_response(&resp, out);
         }
         OP_FEED => {
             let Some((id, chunk)) = split_id(body) else {
-                return bad_request("malformed FEED frame");
+                return bad_request(out, "malformed FEED frame");
             };
             if !conn.owned.contains(&id) {
-                return bad_request(&foreign_session(id));
+                return bad_request(out, &foreign_session(id));
             }
-            encode_response(
-                &server.session_request(id, JobKind::Feed { id, bytes: chunk.to_vec() }),
-            )
+            let resp = server.session_request(id, JobKind::Feed { id, bytes: chunk.to_vec() });
+            encode_response(&resp, out);
         }
         OP_FINISH => {
             let Some((id, rest)) = split_id(body) else {
-                return bad_request("malformed FINISH frame");
+                return bad_request(out, "malformed FINISH frame");
             };
             if !rest.is_empty() {
-                return bad_request("trailing bytes in FINISH frame");
+                return bad_request(out, "trailing bytes in FINISH frame");
             }
             if !conn.owned.remove(&id) {
-                return bad_request(&foreign_session(id));
+                return bad_request(out, &foreign_session(id));
             }
-            encode_response(&server.session_request(id, JobKind::Finish { id }))
+            encode_response(&server.session_request(id, JobKind::Finish { id }), out);
         }
         OP_STATS => {
-            let mut out = vec![ST_STATS];
+            out.push(ST_STATS);
             out.extend_from_slice(server.stats().to_json().as_bytes());
-            out
         }
         OP_METRICS => {
-            let mut out = vec![ST_METRICS];
+            out.push(ST_METRICS);
             out.extend_from_slice(server.metrics_text().as_bytes());
-            out
         }
-        other => bad_request(&format!("unknown op 0x{other:02x}")),
+        other => bad_request(out, &format!("unknown op 0x{other:02x}")),
     }
 }
 
@@ -343,24 +427,23 @@ fn is_timeout(e: &io::Error) -> bool {
 /// Reads one frame with a short poll timeout so the connection thread
 /// stays responsive to drain, and a whole-frame deadline so a client
 /// dripping bytes (slow loris) cannot hold the thread hostage: once the
-/// first byte of a frame arrives, the rest must follow within
-/// `io_timeout` total.
+/// first byte of a frame arrives (or is found already buffered), the rest
+/// must follow within `io_timeout` total. Reads go through the
+/// connection's `rx` buffer, which keeps any bytes of the next frame.
 fn read_request(
-    stream: &mut UnixStream,
+    stream: &mut impl Read,
+    rx: &mut RecvBuf,
     cap: usize,
     io_timeout: Duration,
     draining: impl Fn() -> bool,
 ) -> Req {
-    let mut len = [0u8; 4];
-    let mut got = 0usize;
-    let mut frame_start: Option<Instant> = None;
-    while got < 4 {
-        match stream.read(&mut len[got..]) {
+    let mut frame_start = (rx.buffered() > 0).then(Instant::now);
+    while rx.buffered() < PREFIX {
+        match rx.fill(stream) {
             Ok(0) => return Req::Closed,
-            Ok(n) => {
+            Ok(_) => {
                 let start = *frame_start.get_or_insert_with(Instant::now);
-                got += n;
-                if got < 4 && start.elapsed() >= io_timeout {
+                if rx.buffered() < PREFIX && start.elapsed() >= io_timeout {
                     return Req::Stalled;
                 }
             }
@@ -374,13 +457,13 @@ fn read_request(
             Err(_) => return Req::IoError,
         }
     }
-    let n = u32::from_le_bytes(len) as usize;
+    let n = rx.take_len();
     if n > cap {
         return Req::Oversized(n as u64);
     }
     let start = frame_start.unwrap_or_else(Instant::now);
     let mut payload = vec![0u8; n];
-    let mut got = 0usize;
+    let mut got = rx.take(&mut payload);
     while got < n {
         if start.elapsed() >= io_timeout {
             return Req::Stalled;
@@ -423,18 +506,22 @@ fn serve_connection(server: &Server, mut stream: UnixStream) {
         return;
     }
     let mut conn = ConnState::default();
+    let mut rx = RecvBuf::with_capacity(RECV_BUF);
     loop {
-        let req =
-            read_request(&mut stream, shared.max_frame, shared.io_timeout, || shared.is_draining());
+        let req = read_request(&mut stream, &mut rx, shared.max_frame, shared.io_timeout, || {
+            shared.is_draining()
+        });
+        // Room for every fixed-size reply (DONE, the largest, is 29 bytes).
+        let mut reply = frame_buf(32);
         match req {
             Req::Frame(payload) => {
-                let mut resp = handle_request(server, &mut conn, &payload);
+                handle_request(server, &mut conn, &payload, &mut reply);
                 if let Some(plan) = &shared.faults {
                     if plan.corrupt_next_reply() {
-                        corrupt_payload(&mut resp);
+                        corrupt_payload(&mut reply[PREFIX..]);
                     }
                 }
-                if write_frame(&mut stream, &resp).is_err() {
+                if send_frame(&mut stream, &mut reply).is_err() {
                     return;
                 }
             }
@@ -443,23 +530,19 @@ fn serve_connection(server: &Server, mut stream: UnixStream) {
                 return;
             }
             Req::Oversized(n) => {
-                let _ = write_frame(
-                    &mut stream,
-                    &bad_request(&format!(
-                        "frame length {n} exceeds the {}-byte max frame",
-                        shared.max_frame
-                    )),
-                );
+                let msg =
+                    format!("frame length {n} exceeds the {}-byte max frame", shared.max_frame);
+                bad_request(&mut reply, &msg);
+                let _ = send_frame(&mut stream, &mut reply);
                 return;
             }
             Req::Stalled => {
-                let _ = write_frame(
-                    &mut stream,
-                    &bad_request(&format!(
-                        "frame stalled past the {:?} io timeout (slow-loris guard)",
-                        shared.io_timeout
-                    )),
+                let msg = format!(
+                    "frame stalled past the {:?} io timeout (slow-loris guard)",
+                    shared.io_timeout
                 );
+                bad_request(&mut reply, &msg);
+                let _ = send_frame(&mut stream, &mut reply);
                 return;
             }
             Req::Closed | Req::IoError => return,
@@ -564,6 +647,7 @@ impl RetryPolicy {
 /// benchmark's chunked-wire lane).
 pub struct Client {
     stream: UnixStream,
+    rx: RecvBuf,
     retries: u64,
 }
 
@@ -574,7 +658,8 @@ impl Client {
     ///
     /// Propagates connection failures.
     pub fn connect(path: impl AsRef<Path>) -> io::Result<Client> {
-        Ok(Client { stream: UnixStream::connect(path)?, retries: 0 })
+        let stream = UnixStream::connect(path)?;
+        Ok(Client { stream, rx: RecvBuf::with_capacity(RECV_BUF), retries: 0 })
     }
 
     /// Connects with bounded, jittered retry — rides out a server that is
@@ -622,7 +707,7 @@ impl Client {
     ///
     /// I/O errors, or `InvalidData` for an undecodable frame.
     pub fn recv(&mut self) -> io::Result<Option<Wire>> {
-        match read_frame(&mut self.stream)? {
+        match self.rx.read_frame(&mut self.stream)? {
             None => Ok(None),
             Some(p) => decode_wire(&p)
                 .map(Some)
@@ -630,9 +715,17 @@ impl Client {
         }
     }
 
-    fn round_trip(&mut self, payload: &[u8]) -> io::Result<Wire> {
-        write_frame(&mut self.stream, payload)?;
-        let resp = read_frame(&mut self.stream)?
+    /// Sends one request frame, the concatenation of `parts` built in
+    /// one buffer behind its length prefix, and reads the reply.
+    fn round_trip(&mut self, parts: &[&[u8]]) -> io::Result<Wire> {
+        let mut frame = frame_buf(parts.iter().map(|p| p.len()).sum());
+        for part in parts {
+            frame.extend_from_slice(part);
+        }
+        send_frame(&mut self.stream, &mut frame)?;
+        let resp = self
+            .rx
+            .read_frame(&mut self.stream)?
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
         decode_wire(&resp)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed response"))
@@ -653,10 +746,7 @@ impl Client {
     ///
     /// I/O errors only; parse failures come back as [`Wire::Error`].
     pub fn parse(&mut self, grammar: &str, input: &[u8]) -> io::Result<Wire> {
-        let mut p = vec![OP_PARSE, Self::name_len(grammar)?];
-        p.extend_from_slice(grammar.as_bytes());
-        p.extend_from_slice(input);
-        self.round_trip(&p)
+        self.round_trip(&[&[OP_PARSE, Self::name_len(grammar)?], grammar.as_bytes(), input])
     }
 
     /// One-shot parse that rides out `BUSY` sheds with the policy's
@@ -692,9 +782,7 @@ impl Client {
     ///
     /// I/O errors only.
     pub fn open(&mut self, grammar: &str) -> io::Result<Wire> {
-        let mut p = vec![OP_OPEN, Self::name_len(grammar)?];
-        p.extend_from_slice(grammar.as_bytes());
-        self.round_trip(&p)
+        self.round_trip(&[&[OP_OPEN, Self::name_len(grammar)?], grammar.as_bytes()])
     }
 
     /// Feeds a chunk to session `id`.
@@ -703,10 +791,7 @@ impl Client {
     ///
     /// I/O errors only.
     pub fn feed(&mut self, id: u64, chunk: &[u8]) -> io::Result<Wire> {
-        let mut p = vec![OP_FEED];
-        p.extend_from_slice(&id.to_le_bytes());
-        p.extend_from_slice(chunk);
-        self.round_trip(&p)
+        self.round_trip(&[&[OP_FEED], &id.to_le_bytes(), chunk])
     }
 
     /// Finishes session `id`.
@@ -715,9 +800,7 @@ impl Client {
     ///
     /// I/O errors only.
     pub fn finish(&mut self, id: u64) -> io::Result<Wire> {
-        let mut p = vec![OP_FINISH];
-        p.extend_from_slice(&id.to_le_bytes());
-        self.round_trip(&p)
+        self.round_trip(&[&[OP_FINISH], &id.to_le_bytes()])
     }
 
     /// Fetches a stats snapshot (JSON).
@@ -726,7 +809,7 @@ impl Client {
     ///
     /// I/O errors only.
     pub fn stats(&mut self) -> io::Result<Wire> {
-        self.round_trip(&[OP_STATS])
+        self.round_trip(&[&[OP_STATS]])
     }
 
     /// Fetches a Prometheus metrics scrape over the framed protocol (the
@@ -736,7 +819,7 @@ impl Client {
     ///
     /// I/O errors only.
     pub fn metrics(&mut self) -> io::Result<Wire> {
-        self.round_trip(&[OP_METRICS])
+        self.round_trip(&[&[OP_METRICS]])
     }
 }
 
@@ -782,6 +865,175 @@ pub fn decode_wire(payload: &[u8]) -> Option<Wire> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+    use std::io::Cursor;
+
+    /// Counts `read` and `write` calls on the wrapped stream.
+    struct Counting<T> {
+        inner: T,
+        calls: usize,
+    }
+
+    impl<T> Counting<T> {
+        fn new(inner: T) -> Self {
+            Counting { inner, calls: 0 }
+        }
+    }
+
+    impl<T: Read> Read for Counting<T> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    impl<T: Write> Write for Counting<T> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.inner.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    thread_local! {
+        static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Delegates to `System` and records the largest allocation each
+    /// thread requests, so a test can show that an oversized length prefix
+    /// never reaches the payload allocation.
+    struct LargestAlloc;
+
+    fn note_alloc(size: usize) {
+        let _ = LARGEST_ALLOC.try_with(|l| l.set(l.get().max(size)));
+    }
+
+    // SAFETY: delegates directly to `System`; the bookkeeping has no effect
+    // on the returned memory.
+    unsafe impl GlobalAlloc for LargestAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note_alloc(layout.size());
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note_alloc(layout.size());
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note_alloc(new_size);
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: LargestAlloc = LargestAlloc;
+
+    /// Runs `f` and returns its result with the largest allocation it made.
+    fn largest_alloc_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        LARGEST_ALLOC.with(|l| l.set(0));
+        let out = f();
+        (out, LARGEST_ALLOC.with(Cell::get))
+    }
+
+    fn framed(payloads: &[&[u8]]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for p in payloads {
+            wire.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            wire.extend_from_slice(p);
+        }
+        wire
+    }
+
+    fn encoded(resp: &Response) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_response(resp, &mut out);
+        out
+    }
+
+    fn read_req(r: &mut impl Read, rx: &mut RecvBuf, cap: usize) -> Req {
+        read_request(r, rx, cap, Duration::from_secs(5), || false)
+    }
+
+    #[test]
+    fn write_frame_is_one_write_call() {
+        for payload in [&b""[..], b"\x05", &[7u8; 5000]] {
+            let mut w = Counting::new(Vec::new());
+            write_frame(&mut w, payload).expect("write");
+            assert_eq!(w.calls, 1, "{} payload bytes", payload.len());
+            assert_eq!(w.inner, framed(&[payload]), "wire format unchanged");
+        }
+    }
+
+    #[test]
+    fn a_wholly_arrived_frame_costs_one_read() {
+        // Server side: the second frame arrived with the first, so it is
+        // served from the buffer without another read.
+        let mut r = Counting::new(Cursor::new(framed(&[b"\x05", &[9u8; 4096]])));
+        let mut rx = RecvBuf::with_capacity(RECV_BUF);
+        assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), Req::Frame(p) if p == b"\x05"));
+        assert_eq!(r.calls, 1);
+        assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), Req::Frame(p) if p == [9u8; 4096]));
+        assert_eq!(r.calls, 1, "the buffered next frame costs no read");
+        assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), Req::Closed));
+
+        // Client side, the same through the blocking reader.
+        let mut r = Counting::new(Cursor::new(framed(&[b"ab", b"cde"])));
+        let mut rx = RecvBuf::with_capacity(RECV_BUF);
+        assert_eq!(rx.read_frame(&mut r).expect("io"), Some(b"ab".to_vec()));
+        assert_eq!(r.calls, 1);
+        assert_eq!(rx.read_frame(&mut r).expect("io"), Some(b"cde".to_vec()));
+        assert_eq!(r.calls, 1);
+        assert_eq!(rx.read_frame(&mut r).expect("io"), None, "clean EOF");
+    }
+
+    #[test]
+    fn frames_larger_than_the_buffer_and_torn_reads_reassemble() {
+        let big = vec![3u8; 3 * RECV_BUF + 5];
+        let wire = framed(&[&big, b"tail"]);
+        // A reader that hands out at most 7 bytes per call.
+        struct Dribble(Cursor<Vec<u8>>);
+        impl Read for Dribble {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = buf.len().min(7);
+                self.0.read(&mut buf[..n])
+            }
+        }
+        let readers: [Box<dyn Read>; 2] =
+            [Box::new(Cursor::new(wire.clone())), Box::new(Dribble(Cursor::new(wire)))];
+        for mut r in readers {
+            let mut rx = RecvBuf::with_capacity(RECV_BUF);
+            assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), Req::Frame(p) if p == big));
+            assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), Req::Frame(p) if p == b"tail"));
+            assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), Req::Closed));
+        }
+    }
+
+    #[test]
+    fn oversized_prefix_is_rejected_before_the_payload_is_allocated() {
+        // Only the prefix arrives: a reader that allocated and waited for
+        // the payload would fail differently, and the allocation shows.
+        let cap = 1 << 20;
+        let prefix = (cap as u32 + 1).to_le_bytes();
+        let mut rx = RecvBuf::with_capacity(RECV_BUF);
+        let (req, largest) = largest_alloc_in(|| read_req(&mut Cursor::new(prefix), &mut rx, cap));
+        assert!(matches!(req, Req::Oversized(n) if n == cap as u64 + 1));
+        assert!(largest < cap, "allocated {largest} bytes for a rejected frame");
+
+        let prefix = u32::MAX.to_le_bytes();
+        let (res, largest) = largest_alloc_in(|| read_frame(&mut Cursor::new(prefix)));
+        assert_eq!(res.expect_err("oversized").kind(), io::ErrorKind::InvalidData);
+        assert!(largest < MAX_FRAME, "allocated {largest} bytes for a rejected frame");
+    }
 
     #[test]
     fn backoff_grows_caps_and_jitters_deterministically() {
@@ -803,16 +1055,16 @@ mod tests {
 
     #[test]
     fn busy_and_goaway_round_trip_the_wire_codec() {
-        let busy = encode_response(&Response::Busy { retry_after_ms: 40 });
+        let busy = encoded(&Response::Busy { retry_after_ms: 40 });
         assert_eq!(decode_wire(&busy), Some(Wire::Busy { retry_after_ms: 40 }));
-        let goaway = encode_response(&Response::GoAway);
+        let goaway = encoded(&Response::GoAway);
         assert_eq!(decode_wire(&goaway), Some(Wire::GoAway));
         assert_eq!(decode_wire(&[ST_GOAWAY, 0xff]), None, "GOAWAY carries no payload");
     }
 
     #[test]
     fn corrupt_payload_keeps_length_but_breaks_decode() {
-        let mut frame = encode_response(&Response::GoAway);
+        let mut frame = encoded(&Response::GoAway);
         let before = frame.len();
         corrupt_payload(&mut frame);
         assert_eq!(frame.len(), before, "framing must stay intact");

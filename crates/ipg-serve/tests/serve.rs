@@ -245,6 +245,60 @@ fn unix_socket_front_end_round_trips() {
 }
 
 #[test]
+fn pipelined_frames_in_one_write_are_answered_in_order() {
+    use ipg_serve::proto::{decode_wire, read_frame, OP_FEED, OP_FINISH, OP_OPEN, OP_PARSE};
+    use std::io::Write;
+
+    let server = Arc::new(Server::start(Config { workers: 1, ..Config::default() }));
+    let path = std::env::temp_dir().join(format!("ipg-serve-pipe-{}.sock", std::process::id()));
+    let front = server.serve_unix(&path).expect("bind socket");
+    let mut raw = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+
+    // Session ids are sequential from 0, so the FEED can name the session
+    // its own OPEN creates before any reply has been read.
+    let input = corpus_input("dns");
+    let mut parse = vec![OP_PARSE, 3];
+    parse.extend_from_slice(b"dns");
+    parse.extend_from_slice(&input);
+    let mut feed = vec![OP_FEED];
+    feed.extend_from_slice(&0u64.to_le_bytes());
+    feed.extend_from_slice(&input);
+    let mut wire = Vec::new();
+    for payload in [&parse[..], &[OP_OPEN, 3, b'd', b'n', b's'], &feed] {
+        wire.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+        wire.extend_from_slice(payload);
+    }
+    raw.write_all(&wire).expect("one write carries all three frames");
+
+    let reply = |raw: &mut std::os::unix::net::UnixStream| {
+        let frame = read_frame(raw).expect("io: a dropped frame times out here");
+        decode_wire(&frame.expect("a reply, not EOF")).expect("well-formed reply")
+    };
+    match reply(&mut raw) {
+        Wire::Done { bytes, .. } => assert_eq!(bytes, input.len() as u64),
+        other => panic!("PARSE: expected Done, got {other:?}"),
+    }
+    assert_eq!(reply(&mut raw), Wire::Opened { id: 0 });
+    match reply(&mut raw) {
+        Wire::NeedInput { .. } => {}
+        other => panic!("FEED: expected NeedInput, got {other:?}"),
+    }
+
+    // The session saw the fed bytes in full.
+    let mut finish = vec![OP_FINISH];
+    finish.extend_from_slice(&0u64.to_le_bytes());
+    ipg_serve::proto::write_frame(&mut raw, &finish).expect("io");
+    match reply(&mut raw) {
+        Wire::Done { bytes, .. } => assert_eq!(bytes, input.len() as u64),
+        other => panic!("FINISH: expected Done, got {other:?}"),
+    }
+    drop(raw);
+    drop(front);
+    server.drain();
+}
+
+#[test]
 fn worker_panics_are_isolated_and_typed() {
     // Every job panics (injected at the catch_unwind boundary); each one
     // must come back as a typed WorkerPanic reply and the worker must
