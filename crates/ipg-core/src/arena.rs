@@ -163,19 +163,38 @@ impl TreeArena {
         }
     }
 
-    /// An arena pre-sized from compile-time program statistics
-    /// ([`crate::bytecode::Program::size_hints`]) instead of the default
-    /// small capacities.
-    pub(crate) fn with_hints(table: Arc<NtTable>, hints: &crate::bytecode::SizeHints) -> Self {
-        TreeArena {
-            nodes: Vec::with_capacity(hints.nodes),
-            arrays: Vec::new(),
-            leaves: Vec::with_capacity(hints.leaves),
-            blackboxes: Vec::new(),
-            shifts: Vec::with_capacity(hints.shifts),
-            children: Vec::with_capacity(hints.children),
-            table,
-        }
+    /// Readies an empty (or [`TreeArena::clear`]ed) arena for a parse of
+    /// the program owning `table`: the pools keep their allocations and
+    /// grow to at least the capacities pre-sized from compile-time
+    /// program statistics ([`crate::bytecode::Program::size_hints`]).
+    pub(crate) fn reset(&mut self, table: Arc<NtTable>, hints: &crate::bytecode::SizeHints) {
+        debug_assert!(self.is_empty(), "reset of an arena still holding records");
+        self.table = table;
+        self.nodes.reserve(hints.nodes);
+        self.leaves.reserve(hints.leaves);
+        self.shifts.reserve(hints.shifts);
+        self.children.reserve(hints.children);
+    }
+
+    /// Drops every record, keeping the pools' allocations.
+    pub(crate) fn clear(&mut self) {
+        self.nodes.clear();
+        self.arrays.clear();
+        self.leaves.clear();
+        self.blackboxes.clear();
+        self.shifts.clear();
+        self.children.clear();
+    }
+
+    /// The largest capacity of any pool, in records.
+    pub(crate) fn capacity(&self) -> usize {
+        self.nodes
+            .capacity()
+            .max(self.arrays.capacity())
+            .max(self.leaves.capacity())
+            .max(self.blackboxes.capacity())
+            .max(self.shifts.capacity())
+            .max(self.children.capacity())
     }
 
     /// Dispatch view of `id`. Shifted references resolve to their inner

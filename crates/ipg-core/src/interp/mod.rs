@@ -487,7 +487,8 @@ impl Session<'_, '_> {
                 };
                 let mut elems = Vec::new();
                 if j > i {
-                    elems.reserve((j - i).min(len as i64 + 1) as usize);
+                    // `abs_diff`: the bounds may be more than `i64::MAX` apart.
+                    elems.reserve(j.abs_diff(i).min(len as u64 + 1) as usize);
                 }
                 let mut k = i;
                 ctx.env.push_scope(*var, k);

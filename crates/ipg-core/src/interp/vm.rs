@@ -14,7 +14,13 @@
 //! * **Explicit work stack**: nonterminal calls push [`Frame`]s onto a
 //!   `Vec` instead of recursing, so deeply nested inputs cannot overflow
 //!   the native stack and frame storage (environments, result slots) is
-//!   recycled across calls.
+//!   recycled across calls — and across parses: the frame stack, memo
+//!   table, scratch buffers and a failed parse's arena live in a
+//!   per-thread `Workspace` that each parse borrows and hands back
+//!   cleared. The deepest failure is kept as an unrendered `Reason` and
+//!   becomes a [`ParseError`] only when a parse returns it. A failing
+//!   parse thus allocates only its error and the element lists of the
+//!   `for`/`star` terms it runs.
 //! * **Arena trees**: results go into a [`TreeArena`] — one bump
 //!   allocation per node, children as contiguous `u32` ranges, memoized
 //!   subtrees shared by id (see [`crate::arena`]).
@@ -62,6 +68,7 @@ use crate::intern::Sym;
 use crate::profile::{ProfSink, ProfileReport, Profiler};
 use crate::syntax::Builtin;
 use fxhash::{FxHashMap, FxHashSet};
+use std::cell::Cell;
 
 /// A configured bytecode parser for one grammar. The API mirrors
 /// [`crate::interp::Parser`]; results come back as arena-backed
@@ -246,14 +253,12 @@ impl<'g> VmParser<'g> {
         let result = match sess.run_root(nt) {
             Ok(Some(root)) => {
                 let stats = sess.stats();
-                return (Ok(ParseTree { arena: sess.arena, root }), stats);
+                return (Ok(ParseTree { arena: sess.take_arena(), root }), stats);
             }
-            Ok(None) => Err(Error::Parse(sess.deepest.clone())),
-            Err(Abort::FuelExhausted) => Err(Error::Parse(ParseError {
-                offset: sess.deepest.offset,
-                nonterminal: sess.deepest.nonterminal.clone(),
-                msg: fuel_msg.render(sess.max_steps),
-            })),
+            Ok(None) => Err(Error::Parse(sess.deepest.render(sess.g, sess.p))),
+            Err(Abort::FuelExhausted) => {
+                Err(Error::Parse(sess.deepest.render_with(sess.g, fuel_msg.render(sess.max_steps))))
+            }
             Err(Abort::Suspend) => unreachable!("one-shot sessions never suspend"),
         };
         let stats = sess.stats();
@@ -269,25 +274,36 @@ impl<'g> VmParser<'g> {
         input: I,
         prof: PS,
     ) -> VmSession<'_, I, PS> {
+        // The working storage comes from this thread's previous parse.
         // Memo mirror of the interpreter's pre-sizing heuristic; arena and
         // frame stack are pre-sized from compile-time program statistics
-        // (instruction counts, static call-graph nesting).
-        let memo_capacity = if self.memoize { 8 * self.grammar.nt_count() } else { 0 };
+        // (instruction counts, static call-graph nesting). Buffers
+        // recycled from a parse of the same grammar are already that
+        // large. The frame stack keeps its dead slots, hence its reserve
+        // counts from its length.
+        let mut ws = Workspace::take();
+        if self.memoize {
+            ws.memo.reserve(8 * self.grammar.nt_count());
+        }
+        ws.frames.reserve(self.hints.frames.saturating_sub(ws.frames.len()));
+        let mut arena =
+            ws.arena.take().unwrap_or_else(|| TreeArena::empty(self.program.nt_table()));
+        arena.reset(self.program.nt_table(), &self.hints);
         VmSession {
             g: self.grammar,
             p: &self.program,
             input,
-            arena: TreeArena::with_hints(self.program.nt_table(), &self.hints),
-            memo: FxHashMap::with_capacity_and_hasher(memo_capacity, Default::default()),
-            builtin_failures: FxHashSet::default(),
+            arena,
+            memo: ws.memo,
+            builtin_failures: ws.builtin_failures,
             memoize: self.memoize,
             steps: 0,
             memo_hits: 0,
             max_steps: self.max_steps.unwrap_or(u64::MAX),
-            deepest: ParseError { offset: 0, nonterminal: None, msg: "no progress".into() },
-            frames: Vec::with_capacity(self.hints.frames),
+            deepest: Deepest { offset: 0, nt: None, reason: Reason::NoProgress },
+            frames: ws.frames,
             depth: 0,
-            scratch: Vec::new(),
+            scratch: ws.scratch,
             complete: true,
             root_open: false,
             suspend: None,
@@ -316,6 +332,139 @@ impl FuelMsg {
             }
             FuelMsg::Short => "step limit exhausted".into(),
         }
+    }
+}
+
+/// Why the deepest failure so far failed, kept unrendered: its message
+/// (the interpreter's wording, byte for byte) is only built by
+/// [`Deepest::render`] when a parse returns the error.
+#[derive(Debug)]
+enum Reason {
+    NoProgress,
+    Builtin(Builtin),
+    Blackbox(String),
+    TerminalInterval,
+    /// The interval is shorter than the terminal of this length.
+    TerminalTooShort(u32),
+    TerminalMismatch(LitSpan),
+    /// Evaluating this attribute was undefined.
+    Attr(Sym),
+    Predicate,
+    PredicateEval,
+    /// The interval of a call of this nonterminal is invalid.
+    Interval(NtId),
+    ArrayBounds,
+    StarInterval,
+    /// A star matched no repetition of this nonterminal.
+    StarEmpty(NtId),
+    SwitchGuard,
+}
+
+/// The deepest failure observed so far (mirror of the interpreter's
+/// `deepest: ParseError`).
+#[derive(Debug)]
+struct Deepest {
+    offset: usize,
+    /// The rule being parsed (`None` only before the first failure).
+    nt: Option<NtId>,
+    reason: Reason,
+}
+
+impl Deepest {
+    /// The [`ParseError`] this failure reports.
+    fn render(&self, g: &Grammar, p: &Program) -> ParseError {
+        let msg = match &self.reason {
+            Reason::NoProgress => "no progress".into(),
+            Reason::Builtin(b) => format!("builtin `{b}` failed"),
+            Reason::Blackbox(msg) => format!("blackbox failed: {msg}"),
+            Reason::TerminalInterval => "invalid terminal interval".into(),
+            Reason::TerminalTooShort(blen) => {
+                format!("interval too short for terminal of length {blen}")
+            }
+            Reason::TerminalMismatch(lit) => {
+                let bytes = &p.lits[lit.start as usize..lit.start as usize + lit.len as usize];
+                format!("terminal mismatch (expected {})", super::preview(bytes))
+            }
+            Reason::Attr(attr) => format!("attribute `{}` evaluation failed", g.attr_name(*attr)),
+            Reason::Predicate => "predicate failed".into(),
+            Reason::PredicateEval => "predicate evaluation failed".into(),
+            Reason::Interval(callee) => format!("invalid interval for `{}`", g.nt_name(*callee)),
+            Reason::ArrayBounds => "array bounds evaluation failed".into(),
+            Reason::StarInterval => "invalid star interval".into(),
+            Reason::StarEmpty(nt) => format!("star needs at least one `{}`", g.nt_name(*nt)),
+            Reason::SwitchGuard => "switch guard evaluation failed".into(),
+        };
+        self.render_with(g, msg)
+    }
+
+    /// This failure's position with another message (the fuel-exhaustion
+    /// error reports where the parse had got to, not why).
+    fn render_with(&self, g: &Grammar, msg: String) -> ParseError {
+        ParseError {
+            offset: self.offset,
+            nonterminal: self.nt.map(|nt| g.nt_name(nt).to_owned()),
+            msg,
+        }
+    }
+}
+
+/// Largest buffer, in elements or entries, that a [`Workspace`] keeps for
+/// the next parse. A bigger one is dropped instead, so one huge parse
+/// neither pins its memory on the thread nor makes every later `clear`
+/// pay for its capacity.
+const RETAIN_MAX: usize = 4096;
+
+/// The working storage of a VM parse that does not leave with its result.
+/// Each thread keeps one: [`VmParser::fresh_session_with`] takes it and a
+/// [`VmSession`]'s drop hands it back cleared, so a parse reuses the
+/// allocations of the thread's previous parse instead of making its own.
+/// A parse that finds it taken (a session still open on the same thread)
+/// starts from an empty one; whichever is handed back last is kept.
+#[derive(Default)]
+struct Workspace {
+    /// Dead frames, each keeping its result-slot and environment storage.
+    frames: Vec<Frame>,
+    memo: FxHashMap<(NtId, usize, usize), Option<TreeId>>,
+    builtin_failures: FxHashSet<(NtId, usize, usize)>,
+    scratch: Vec<TreeId>,
+    /// A failed parse's cleared arena (a successful one leaves with its
+    /// [`ParseTree`]).
+    arena: Option<TreeArena>,
+}
+
+thread_local! {
+    static WORKSPACE: Cell<Workspace> = Cell::default();
+}
+
+impl Workspace {
+    fn take() -> Workspace {
+        WORKSPACE.try_with(Cell::take).unwrap_or_default()
+    }
+
+    /// Clears every buffer, drops those over [`RETAIN_MAX`], and parks the
+    /// rest for the thread's next parse.
+    fn give_back(mut self) {
+        if self.frames.capacity() > RETAIN_MAX {
+            self.frames = Vec::new();
+        }
+        if self.memo.capacity() > RETAIN_MAX {
+            self.memo = FxHashMap::default();
+        }
+        self.memo.clear();
+        if self.builtin_failures.capacity() > RETAIN_MAX {
+            self.builtin_failures = FxHashSet::default();
+        }
+        self.builtin_failures.clear();
+        if self.scratch.capacity() > RETAIN_MAX {
+            self.scratch = Vec::new();
+        }
+        self.scratch.clear();
+        self.arena = self.arena.filter(|arena| arena.capacity() <= RETAIN_MAX);
+        if let Some(arena) = &mut self.arena {
+            arena.clear();
+        }
+        // Unavailable only while the thread's locals are being torn down.
+        let _ = WORKSPACE.try_with(|w| w.set(self));
     }
 }
 
@@ -466,7 +615,7 @@ struct VmSession<'p, I, PS: ProfSink = ()> {
     steps: u64,
     memo_hits: u64,
     max_steps: u64,
-    deepest: ParseError,
+    deepest: Deepest,
     /// The frame stack: `frames[..depth]` are live. Slots above `depth`
     /// are dead but keep their allocations (result vectors, environment
     /// spill) for reuse, so pushing a frame never moves one by value.
@@ -519,11 +668,9 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         }
     }
 
-    fn record_failure(&mut self, offset: usize, nt: NtId, msg: impl FnOnce(&Grammar) -> String) {
+    fn record_failure(&mut self, offset: usize, nt: NtId, reason: Reason) {
         if offset >= self.deepest.offset {
-            let g = self.g;
-            self.deepest =
-                ParseError { offset, nonterminal: Some(g.nt_name(nt).to_owned()), msg: msg(g) };
+            self.deepest = Deepest { offset, nt: Some(nt), reason };
         }
     }
 
@@ -706,7 +853,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 // failure a silent hit, suppress the duplicate recording
                 // so the deepest-failure error stays identical.
                 if !memoizable || self.builtin_failures.insert((nt, base, len)) {
-                    self.record_failure(base, nt, |_| format!("builtin `{b}` failed"));
+                    self.record_failure(base, nt, Reason::Builtin(b));
                 }
                 None
             }
@@ -730,7 +877,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 Some(self.arena.alloc_blackbox(nt, env, res.data.into(), base, len))
             }
             Err(msg) => {
-                self.record_failure(base, nt, |_| format!("blackbox failed: {msg}"));
+                self.record_failure(base, nt, Reason::Blackbox(msg));
                 None
             }
         }
@@ -917,23 +1064,19 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             if self.suspend.is_some() {
                 return self.suspend_instr();
             }
-            self.record_failure(base, nt, |_| "invalid terminal interval".into());
+            self.record_failure(base, nt, Reason::TerminalInterval);
             return Ok(self.fail_alt(fi));
         };
         let blen = lit.len as usize;
         // T-Ter: 0 ≤ l ≤ r ≤ |s|, r − l ≥ |s1|, s[l, l+|s1|] = s1.
         if r - l < blen as i64 {
-            self.record_failure(base + l as usize, nt, |_| {
-                format!("interval too short for terminal of length {blen}")
-            });
+            self.record_failure(base + l as usize, nt, Reason::TerminalTooShort(lit.len));
             return Ok(self.fail_alt(fi));
         }
         let al = base + l as usize;
         let bytes = &self.p.lits[lit.start as usize..lit.start as usize + blen];
         if self.bytes()[al..al + blen] != *bytes {
-            self.record_failure(al, nt, |_| {
-                format!("terminal mismatch (expected {})", super::preview(bytes))
-            });
+            self.record_failure(al, nt, Reason::TerminalMismatch(lit));
             return Ok(self.fail_alt(fi));
         }
         let leaf = self.arena.alloc_leaf(al, al + blen);
@@ -960,9 +1103,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                     let f = &self.frames[fi];
                     (f.base, f.nt)
                 };
-                self.record_failure(base, nt, |g| {
-                    format!("attribute `{}` evaluation failed", g.attr_name(attr))
-                });
+                self.record_failure(base, nt, Reason::Attr(attr));
                 Ok(self.fail_alt(fi))
             }
         }
@@ -979,14 +1120,14 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 Ok(Flow::Exec)
             }
             Some(_) => {
-                self.record_failure(base, nt, |_| "predicate failed".into());
+                self.record_failure(base, nt, Reason::Predicate);
                 Ok(self.fail_alt(fi))
             }
             None => {
                 if self.suspend.is_some() {
                     return self.suspend_instr();
                 }
-                self.record_failure(base, nt, |_| "predicate evaluation failed".into());
+                self.record_failure(base, nt, Reason::PredicateEval);
                 Ok(self.fail_alt(fi))
             }
         }
@@ -1010,9 +1151,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             if self.suspend.is_some() {
                 return self.suspend_instr();
             }
-            self.record_failure(base, nt, |g| {
-                format!("invalid interval for `{}`", g.nt_name(callee))
-            });
+            self.record_failure(base, nt, Reason::Interval(callee));
             return Ok(self.fail_alt(fi));
         };
         let parent = if self.p.rules[callee.0 as usize].is_local { fi as u32 } else { NO_PARENT };
@@ -1064,13 +1203,14 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 if self.suspend.is_some() {
                     return self.suspend_instr();
                 }
-                self.record_failure(base, caller, |_| "array bounds evaluation failed".into());
+                self.record_failure(base, caller, Reason::ArrayBounds);
                 return Ok(self.fail_alt(fi));
             }
         };
         let mut elems = Vec::new();
         if j > i {
-            elems.reserve((j - i).min(len as i64 + 1) as usize);
+            // `abs_diff`: the bounds may be more than `i64::MAX` apart.
+            elems.reserve(j.abs_diff(i).min(len as u64 + 1) as usize);
         }
         self.frames[fi].env.push_scope(var, i);
         self.loop_next(fi, LoopSt { slot, var, k: i, j, nt, lo, hi, l: 0, elems })
@@ -1102,9 +1242,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                     self.frames[fi].pending = Pending::Loop(st);
                     return Err(self.suspend_here(1, ResumeKind::LoopIter));
                 }
-                self.record_failure(base, caller, |g| {
-                    format!("invalid interval for `{}`", g.nt_name(st.nt))
-                });
+                self.record_failure(base, caller, Reason::Interval(st.nt));
                 self.frames[fi].env.pop_scope();
                 return Ok(self.fail_alt(fi));
             };
@@ -1152,7 +1290,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             if self.suspend.is_some() {
                 return self.suspend_instr();
             }
-            self.record_failure(base, caller, |_| "invalid star interval".into());
+            self.record_failure(base, caller, Reason::StarInterval);
             return Ok(self.fail_alt(fi));
         };
         let st = StarSt {
@@ -1208,9 +1346,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     fn finish_star(&mut self, fi: usize, st: StarSt) -> Flow {
         let caller = self.frames[fi].nt;
         if st.elems.is_empty() {
-            self.record_failure(st.star_base, caller, |g| {
-                format!("star needs at least one `{}`", g.nt_name(st.nt))
-            });
+            self.record_failure(st.star_base, caller, Reason::StarEmpty(st.nt));
             return self.fail_alt(fi);
         }
         let id = self.arena.alloc_array(st.nt, &st.elems);
@@ -1250,7 +1386,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 if self.suspend.is_some() {
                     return self.suspend_instr();
                 }
-                self.record_failure(base, nt, |_| "switch guard evaluation failed".into());
+                self.record_failure(base, nt, Reason::SwitchGuard);
                 Ok(self.fail_alt(fi))
             }
         }
@@ -1481,6 +1617,32 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     }
 }
 
+impl<I, PS: ProfSink> VmSession<'_, I, PS> {
+    /// Moves the arena out (to a [`ParseTree`], or back to the
+    /// [`Workspace`]), leaving an empty one.
+    fn take_arena(&mut self) -> TreeArena {
+        std::mem::replace(&mut self.arena, TreeArena::empty(self.p.nt_table()))
+    }
+}
+
+impl<I, PS: ProfSink> Drop for VmSession<'_, I, PS> {
+    fn drop(&mut self) {
+        // Frames still live (an abort or an abandoned streaming session)
+        // may hold in-flight loop or star state.
+        for f in &mut self.frames[..self.depth] {
+            f.pending = Pending::None;
+        }
+        Workspace {
+            frames: std::mem::take(&mut self.frames),
+            memo: std::mem::take(&mut self.memo),
+            builtin_failures: std::mem::take(&mut self.builtin_failures),
+            scratch: std::mem::take(&mut self.scratch),
+            arena: Some(self.take_arena()),
+        }
+        .give_back();
+    }
+}
+
 /// What a suspended [`Session`] is waiting for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Hint {
@@ -1693,23 +1855,19 @@ impl<'p> Session<'p> {
         let step = self.step_machine();
         match step {
             Ok(Some(root)) => {
-                let arena =
-                    std::mem::replace(&mut self.vm.arena, TreeArena::empty(self.vm.p.nt_table()));
+                let arena = self.vm.take_arena();
                 // `err` stays `None`: the misuse error for feeding a
                 // delivered session is built lazily in `closed_error`.
                 self.phase = Phase::Closed;
                 Outcome::Done(ParseTree { arena, root })
             }
             Ok(None) => {
-                let e = Error::Parse(self.vm.deepest.clone());
+                let e = Error::Parse(self.vm.deepest.render(self.vm.g, self.vm.p));
                 self.poison(e)
             }
             Err(Abort::FuelExhausted) => {
-                let e = Error::Parse(ParseError {
-                    offset: self.vm.deepest.offset,
-                    nonterminal: self.vm.deepest.nonterminal.clone(),
-                    msg: FuelMsg::Verbose.render(self.vm.max_steps),
-                });
+                let msg = FuelMsg::Verbose.render(self.vm.max_steps);
+                let e = Error::Parse(self.vm.deepest.render_with(self.vm.g, msg));
                 self.poison(e)
             }
             Err(Abort::Suspend) => {

@@ -213,3 +213,30 @@ fn regression_mutation_sweep_is_not_a_noop() {
     }
     assert!(changed >= 48, "only {changed}/64 mutants differed from the base input");
 }
+
+/// Regression (hostile input): a `for` loop whose bounds lie more than
+/// `i64::MAX` apart overflowed the element-vector reservation of both
+/// engines into a "capacity overflow" panic. Under a step limit both must
+/// now report the same clean step-limit error.
+#[test]
+fn for_loop_bounds_beyond_i64_range_hit_the_step_limit_cleanly() {
+    use ipg_core::interp::{vm::VmParser, Parser};
+    let g = ipg_core::frontend::parse_grammar(
+        r#"
+        S -> A[0, 8] B[8, 16] for i = A.val to B.val do X[16, 16];
+        A := u64le;
+        B := u64le;
+        X := bytes;
+        "#,
+    )
+    .unwrap();
+    let mut input = (i64::MIN + 1).to_le_bytes().to_vec();
+    input.extend_from_slice(&i64::MAX.to_le_bytes());
+    let interp = Parser::new(&g).max_steps(1000).parse(&input).unwrap_err();
+    let vm = VmParser::new(&g).max_steps(1000).parse(&input).unwrap_err();
+    assert_eq!(interp, vm);
+    assert!(
+        matches!(&vm, ipg_core::Error::Parse(pe) if pe.msg.contains("step limit of 1000")),
+        "expected a step-limit error, got {vm}"
+    );
+}
