@@ -90,8 +90,19 @@ mod tests {
     // Note: the test binary does not install the allocator, so only the
     // bookkeeping arithmetic is testable here; end-to-end behaviour is
     // exercised by the fig14 binary.
+
+    /// Serializes the tests that touch the process-global counters: a
+    /// `fetch_sub` landing inside `measure`'s window would show up as a
+    /// spurious count (or underflow its `u64` subtraction).
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock_counters() -> std::sync::MutexGuard<'static, ()> {
+        COUNTERS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn measure_without_installed_allocator_reads_zero() {
+        let _guard = lock_counters();
         let (v, stats) = measure(|| vec![0u8; 1024].len());
         assert_eq!(v, 1024);
         assert_eq!(stats.allocations, 0);
@@ -99,6 +110,7 @@ mod tests {
 
     #[test]
     fn record_alloc_updates_peak() {
+        let _guard = lock_counters();
         let live0 = LIVE_BYTES.load(Ordering::Relaxed);
         PEAK_BYTES.store(live0, Ordering::Relaxed);
         record_alloc(100);

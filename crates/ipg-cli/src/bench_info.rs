@@ -1,36 +1,24 @@
-//! `ipg bench-info` — the corpus registry and artifact-cache summary:
-//! per grammar, how its program was obtained this process (cache hit,
-//! miss, or in-memory), its streaming classification, and the sizes the
-//! bench suite's workloads are built around.
+//! `ipg bench-info` — the corpus registry summary: per grammar, how its
+//! program was obtained this process, its streaming classification, and
+//! the sizes the bench suite's workloads are built around.
 
 use crate::{CmdResult, Failure};
-use ipg_core::ipgc::{Cache, MissReason};
 use ipg_formats::{Origin, Registry};
 
 pub fn run(args: &[String]) -> CmdResult {
     if !args.is_empty() {
         return Err(Failure::usage("usage: ipg bench-info"));
     }
-    match Cache::from_env() {
-        Some(cache) => println!("artifact cache: {}", cache.dir().display()),
-        None => println!("artifact cache: disabled (IPG_NO_CACHE)"),
-    }
     let registry = Registry::corpus();
-    println!("{:<12} {:>6} {:>9} {:<20} anchor", "grammar", "rules", "listing", "origin");
+    println!("{:<12} {:>6} {:>9} {:<13} anchor", "grammar", "rules", "listing", "origin");
     for e in registry.entries() {
         let listing = e.vm().program().disassemble(e.grammar());
-        let origin = match &e.origin {
-            Origin::CacheHit => "cache hit".to_owned(),
-            Origin::CacheMiss(MissReason::Absent) => "cache miss (absent)".to_owned(),
-            Origin::CacheMiss(MissReason::Invalid(why)) => format!("cache miss (invalid: {why})"),
-            Origin::CacheMiss(MissReason::Quarantined(why)) => {
-                format!("cache miss (quarantined: {why})")
-            }
-            Origin::Memory => "memory".to_owned(),
-            Origin::ArtifactFile => "artifact file".to_owned(),
+        let origin = match e.origin {
+            Origin::Memory => "memory",
+            Origin::ArtifactFile => "artifact file",
         };
         println!(
-            "{:<12} {:>6} {:>8}L {:<20} {}",
+            "{:<12} {:>6} {:>8}L {:<13} {}",
             e.name,
             e.grammar().rules().len(),
             listing.lines().count(),

@@ -1,17 +1,13 @@
-//! `ipg compile` — compile a grammar through the `.ipgc` artifact cache,
-//! optionally writing a standalone artifact (signed with `--sign`) and
-//! reporting the cache outcome (the `--cache-stats` flag CI uses to
-//! assert warm-cache hits).
+//! `ipg compile` — compile a grammar in memory and report the result,
+//! optionally writing it as a standalone `.ipgc` artifact (signed with
+//! `--sign`).
 
 use crate::{resolve, CmdResult, Failure};
-use ipg_core::ipgc::{
-    artifact_key_from_env, encode, encode_signed, Cache, CacheOutcome, CachedProgram, MissReason,
-};
+use ipg_core::ipgc::{artifact_key_from_env, encode, encode_signed, CachedProgram};
 
 pub fn run(args: &[String]) -> CmdResult {
     let mut grammar_arg = None;
     let mut out = None;
-    let mut cache_stats = false;
     let mut sign = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -21,32 +17,23 @@ pub fn run(args: &[String]) -> CmdResult {
                     it.next().cloned().ok_or_else(|| Failure::usage("-o needs an output path"))?,
                 );
             }
-            "--cache-stats" => cache_stats = true,
             "--sign" => sign = true,
             other if grammar_arg.is_none() => grammar_arg = Some(other.to_owned()),
             other => return Err(Failure::usage(format!("unexpected argument `{other}`"))),
         }
     }
     let Some(grammar_arg) = grammar_arg else {
-        return Err(Failure::usage(
-            "usage: ipg compile <grammar> [-o OUT.ipgc] [--sign] [--cache-stats]",
-        ));
+        return Err(Failure::usage("usage: ipg compile <grammar> [-o OUT.ipgc [--sign]]"));
     };
-    let key = artifact_key_from_env();
+    if sign && out.is_none() {
+        return Err(Failure::usage("--sign signs the artifact written by -o OUT.ipgc; pass -o"));
+    }
+    let key = if sign { artifact_key_from_env() } else { None };
     if sign && key.is_none() {
         return Err(Failure::usage("--sign needs IPG_ARTIFACT_KEY in the environment"));
     }
     let (name, spec, blackboxes) = resolve::source(&grammar_arg)?;
-
-    let cache = Cache::from_env();
-    let (cached, outcome) = match &cache {
-        Some(cache) => {
-            let (cached, outcome) =
-                cache.load_or_compile(&name, &spec, blackboxes).map_err(Failure::runtime)?;
-            (cached, Some(outcome))
-        }
-        None => (CachedProgram::compile(&spec, blackboxes).map_err(Failure::runtime)?, None),
-    };
+    let cached = CachedProgram::compile(&spec, blackboxes).map_err(Failure::runtime)?;
 
     println!(
         "{name}: compiled (source hash {:016x}, anchor {}, start `{}`)",
@@ -54,30 +41,10 @@ pub fn run(args: &[String]) -> CmdResult {
         cached.anchor,
         cached.grammar.start_nt_name()
     );
-    if cache_stats {
-        match (&cache, outcome) {
-            (Some(cache), Some(outcome)) => {
-                println!("cache dir: {}", cache.dir().display());
-                println!("artifact: {}", cache.path_for(&name, cached.source_hash).display());
-                println!(
-                    "cache: {}",
-                    match outcome {
-                        CacheOutcome::Hit => "hit".to_owned(),
-                        CacheOutcome::Miss(MissReason::Absent) => "miss (absent)".to_owned(),
-                        CacheOutcome::Miss(MissReason::Invalid(why)) =>
-                            format!("miss (invalid: {why})"),
-                        CacheOutcome::Miss(MissReason::Quarantined(why)) =>
-                            format!("miss (quarantined: {why})"),
-                    }
-                );
-            }
-            _ => println!("cache: disabled (IPG_NO_CACHE)"),
-        }
-    }
 
     if let Some(out) = out {
-        let bytes = match (sign, &key) {
-            (true, Some(key)) => encode_signed(
+        let bytes = match &key {
+            Some(key) => encode_signed(
                 &spec,
                 &cached.grammar,
                 &cached.program,
@@ -85,7 +52,7 @@ pub fn run(args: &[String]) -> CmdResult {
                 cached.hints,
                 key,
             ),
-            _ => encode(&spec, &cached.grammar, &cached.program, cached.anchor, cached.hints),
+            None => encode(&spec, &cached.grammar, &cached.program, cached.anchor, cached.hints),
         };
         std::fs::write(&out, &bytes)
             .map_err(|e| Failure::runtime(format!("cannot write {out}: {e}")))?;

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! ipg check <spec.ipg> [--emit-rust OUT.rs]     # frontend + §5 termination
-//! ipg compile <grammar> [-o OUT.ipgc] [--sign] [--cache-stats]
+//! ipg compile <grammar> [-o OUT.ipgc [--sign]]
 //! ipg verify <artifact.ipgc>                    # staged artifact audit
 //! ipg disasm <grammar>                          # bytecode listing
 //! ipg parse <grammar> [FILE | -] [--depth N] [--extract [DIR]]
@@ -15,19 +15,17 @@
 //! ipg gen <grammar> [--seed N] [--count N] [--out DIR]
 //! ipg serve --socket PATH [--workers N] [--watch DIR] [--metrics-addr HOST:PORT]
 //!           [--trace-log PATH] [--grammar PATH]...
-//! ipg cache gc [--max-bytes N] [--max-age-secs N]
-//! ipg bench-info                                # corpus/artifact summary
+//! ipg bench-info                                # corpus summary
 //! ```
 //!
 //! `<grammar>` is a corpus name (`ipg bench-info` lists them), a path to
-//! an `.ipg` source, or a path to an `.ipgc` artifact. Compiled programs
-//! are persisted to and reloaded from the artifact cache (see
-//! [`ipg_core::ipgc`]); `IPG_CACHE_DIR` overrides the location,
-//! `IPG_NO_CACHE` disables it, and `IPG_ARTIFACT_KEY` arms artifact
-//! signing and provenance enforcement.
+//! an `.ipg` source, or a path to an `.ipgc` artifact. Grammars are
+//! compiled from source in memory on every run; nothing is written to
+//! disk unless a command is asked to (`compile -o`, `gen --out`, ...).
+//! `IPG_ARTIFACT_KEY` arms artifact signing and provenance enforcement
+//! (see [`ipg_core::ipgc`]).
 
 mod bench_info;
-mod cache;
 mod check;
 mod compile;
 mod disasm;
@@ -48,10 +46,10 @@ commands:
   check <spec.ipg> [--emit-rust OUT.rs]
       Parse a grammar, run attribute checking, the termination checker,
       and the streamability analysis; optionally emit a Rust parser.
-  compile <grammar> [-o OUT.ipgc] [--sign] [--cache-stats]
-      Compile through the .ipgc artifact cache; -o also writes a
-      standalone artifact (--sign adds the keyed provenance MAC, needs
-      IPG_ARTIFACT_KEY), --cache-stats reports the cache outcome.
+  compile <grammar> [-o OUT.ipgc [--sign]]
+      Compile a grammar and report its source hash, anchor and start
+      rule; -o writes a standalone .ipgc artifact (--sign adds the keyed
+      provenance MAC, needs IPG_ARTIFACT_KEY).
   verify <artifact.ipgc>
       Audit an artifact end to end. Exit codes are stable: 0 valid,
       3 structural, 4 version skew, 5 provenance, 6 grammar mismatch.
@@ -73,15 +71,13 @@ commands:
       reloads grammars from DIR, quarantining invalid artifacts;
       --metrics-addr exposes a Prometheus scrape endpoint over HTTP;
       --trace-log streams per-request span events as JSON lines.
-  cache gc [--max-bytes N] [--max-age-secs N]
-      Garbage-collect the artifact cache: junk and superseded artifacts
-      always go; bounds evict stale/oldest ones. Reports bytes reclaimed.
   bench-info
-      Summarize the corpus registry and its artifact cache state.
+      Summarize the corpus registry.
 
 <grammar> is a corpus name, a .ipg source path, or a .ipgc artifact path.
-Environment: IPG_CACHE_DIR sets the artifact cache, IPG_NO_CACHE disables
-it, IPG_ARTIFACT_KEY signs written artifacts and enforces provenance.";
+Grammars are compiled from source in memory; nothing is cached on disk.
+Environment: IPG_ARTIFACT_KEY signs written artifacts and enforces
+provenance.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -99,7 +95,6 @@ fn main() -> ExitCode {
         "profile" => profile::run(rest),
         "gen" => gen::run(rest),
         "serve" => serve::run(rest),
-        "cache" => cache::run(rest),
         "bench-info" => bench_info::run(rest),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");

@@ -10,7 +10,7 @@ use ipg_formats::{corpus_descriptors, Entry, Registry};
 use std::path::Path;
 
 /// Resolves `arg` to a registry entry: a known corpus name is served from
-/// the shared per-process corpus (artifact-cache backed); anything that
+/// the shared per-process corpus (compiled once from source); anything that
 /// looks like a path is loaded through [`Registry::load_path`].
 pub fn entry(arg: &str) -> Result<Entry, Failure> {
     let corpus = Registry::corpus();

@@ -33,10 +33,11 @@ fn exit_code(err: &VerifyError) -> u8 {
     }
 }
 
-/// Blackbox bindings for reconstruction: cache artifacts are named
-/// `<grammar>-<hash>.ipgc`, so a corpus grammar's bindings can be
-/// recovered from the file stem. Unknown stems get none (correct for
-/// user grammars, which cannot name blackboxes we don't ship).
+/// Blackbox bindings for reconstruction: artifacts are named
+/// `<grammar>.ipgc` or `<grammar>-<suffix>.ipgc`, so a corpus grammar's
+/// bindings can be recovered from the file stem. Unknown stems get none
+/// (correct for user grammars, which cannot name blackboxes we don't
+/// ship).
 fn blackboxes_for(path: &Path) -> Vec<ipg_core::blackbox::Blackbox> {
     let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
         return Vec::new();

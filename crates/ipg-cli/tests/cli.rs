@@ -1,8 +1,8 @@
 //! End-to-end tests of the `ipg` binary: every subcommand runs against
 //! the built executable (`CARGO_BIN_EXE_ipg`), deterministic outputs are
 //! pinned as expect-files under `tests/expect/` (blessed with the same
-//! `UPDATE_SNAPSHOTS=1` flow as the bytecode snapshots), and the
-//! cold-then-warm cache behavior CI gates on is asserted here too.
+//! `UPDATE_SNAPSHOTS=1` flow as the bytecode snapshots), and loading a
+//! grammar is checked to leave nothing on disk.
 
 #[path = "../../../tests/common/mod.rs"]
 mod common;
@@ -84,23 +84,40 @@ fn bench_info_lists_all_nine_corpus_grammars() {
     for name in ["zip", "zip_inflate", "dns", "png", "gif", "elf", "ipv4udp", "pe", "pdf"] {
         assert!(stdout.contains(name), "bench-info is missing `{name}`:\n{stdout}");
     }
-    assert!(stdout.contains("artifact cache:"), "{stdout}");
 }
 
 #[test]
-fn compile_reports_a_cold_miss_then_a_warm_hit() {
-    let scratch = Scratch::new("cache");
-    let env = [("IPG_CACHE_DIR", scratch.str())];
-    let cold = ok_stdout(&["compile", "dns", "--cache-stats"], &env);
-    assert!(cold.contains("cache: miss (absent)"), "first compile must miss:\n{cold}");
-    let warm = ok_stdout(&["compile", "dns", "--cache-stats"], &env);
-    assert!(warm.contains("cache: hit"), "second compile must hit:\n{warm}");
+fn loading_grammars_writes_nothing_to_disk() {
+    // HOME, XDG_CACHE_HOME and IPG_CACHE_DIR all point into one scratch
+    // dir; an artifact planted where a cache would look must be neither
+    // read nor renamed, and nothing else may appear.
+    let scratch = Scratch::new("no-disk");
+    let cache_dir = scratch.path().join("ipg");
+    std::fs::create_dir_all(&cache_dir).unwrap();
+    let d = ipg_formats::corpus_descriptors().into_iter().find(|d| d.name == "dns").unwrap();
+    let hash = ipg_core::ipgc::source_hash(d.spec, &(d.blackboxes)());
+    let planted = cache_dir.join(format!("dns-{hash:016x}.ipgc"));
+    std::fs::write(&planted, b"not an artifact").unwrap();
+    let env = [
+        ("HOME", scratch.str()),
+        ("XDG_CACHE_HOME", scratch.str()),
+        ("IPG_CACHE_DIR", cache_dir.to_str().unwrap()),
+    ];
+    ok_stdout(&["compile", "dns"], &env);
+    ok_stdout(&["parse", "dns"], &env);
+    ok_stdout(&["bench-info"], &env);
+    let now = std::fs::read(&planted).expect("the planted artifact must not be renamed");
+    assert!(now == b"not an artifact", "the planted artifact was rewritten ({} bytes)", now.len());
+    std::fs::remove_file(&planted).unwrap();
+    std::fs::remove_dir(&cache_dir).expect("nothing besides the planted file");
+    let left: Vec<_> = std::fs::read_dir(scratch.path()).unwrap().flatten().collect();
+    assert!(left.is_empty(), "loading wrote {left:?}");
 }
 
 #[test]
 fn disasm_matches_the_pinned_bytecode_snapshot() {
     // The same golden the `bytecode_snapshot` suite pins: the CLI listing
-    // for a cache-loaded program must be byte-identical to it.
+    // for a registry-loaded program must be byte-identical to it.
     let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/snapshots");
     let stdout = ok_stdout(&["disasm", "dns"], &[]);
     common::check_snapshot(&golden_dir, "dns.bc.txt", &stdout);
@@ -290,6 +307,11 @@ fn compile_sign_embeds_a_mac_that_verify_checks_per_key() {
     let out = ipg(&["compile", "gif", "--sign", "-o", path], &[]);
     assert_eq!(out.status.code(), Some(2));
 
+    // So is --sign without -o: there is no artifact to sign.
+    let out = ipg(&["compile", "gif", "--sign"], &key);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("-o"), "{out:?}");
+
     let stdout = ok_stdout(&["compile", "gif", "--sign", "-o", path], &key);
     assert!(stdout.contains("signed"), "{stdout}");
 
@@ -302,28 +324,6 @@ fn compile_sign_embeds_a_mac_that_verify_checks_per_key() {
     // The wrong key is a provenance failure (exit 5), not a quiet pass.
     let out = ipg(&["verify", path], &[("IPG_ARTIFACT_KEY", "some-other-key")]);
     assert_eq!(out.status.code(), Some(5), "a wrong key must fail closed");
-}
-
-#[test]
-fn cache_gc_reclaims_stale_artifacts_and_keeps_the_newest() {
-    let scratch = Scratch::new("cache-gc");
-    let env = [("IPG_CACHE_DIR", scratch.str())];
-    ok_stdout(&["compile", "dns"], &env);
-    ok_stdout(&["compile", "gif"], &env);
-    // Junk the gc must sweep: a stale tmp file and a quarantined artifact.
-    std::fs::write(scratch.path().join("dns-feedbeef.ipgc.tmp.99"), b"junk").unwrap();
-    std::fs::write(scratch.path().join("old.ipgc.bad"), b"quarantined").unwrap();
-
-    let stdout = ok_stdout(&["cache", "gc"], &env);
-    assert!(stdout.contains("scanned 4"), "{stdout}");
-    assert!(stdout.contains("removed 2"), "{stdout}");
-    assert!(stdout.contains("kept 2"), "{stdout}");
-
-    // Both live artifacts survived; a zero-byte budget evicts them all.
-    let stdout = ok_stdout(&["cache", "gc", "--max-bytes", "0"], &env);
-    assert!(stdout.contains("kept 0"), "{stdout}");
-    let warm = ok_stdout(&["compile", "dns", "--cache-stats"], &env);
-    assert!(warm.contains("cache: miss (absent)"), "gc must leave a recompilable cache:\n{warm}");
 }
 
 #[test]

@@ -1,13 +1,15 @@
-//! Persisted compiled grammars: the `.ipgc` artifact format and its
-//! content-hash cache.
+//! Persisted compiled grammars: the `.ipgc` artifact format.
 //!
 //! Everything downstream of [`crate::bytecode::compile`] — the flat
 //! [`Program`] pools, the [`AnchorRequirement`] streaming classification,
 //! the [`SizeHints`] pre-sizing — is a pure function of the grammar
 //! source and the blackbox declarations it was checked against. This
-//! module makes that function's output a *build artifact*: a versioned,
-//! self-describing binary file that a serve worker, test binary, or CLI
-//! invocation loads instead of recompiling.
+//! module makes that function's output an explicit *build artifact*: a
+//! versioned, self-describing binary file written by `ipg compile -o`
+//! and loaded by path (`ipg disasm`, `ipg verify`, the serve watcher).
+//! Ordinary loads do not go through it: [`CachedProgram::compile`]
+//! compiles a spec in memory, which is faster than decoding an artifact
+//! because decoding must re-check the embedded source anyway.
 //!
 //! ## Artifact layout
 //!
@@ -17,7 +19,7 @@
 //! offset  size  field
 //!      0     4  magic  b"IPGC"
 //!      4     4  format version (u32) — see [`FORMAT_VERSION`]
-//!      8     8  source hash (u64)   — cache key, see [`source_hash`]
+//!      8     8  source hash (u64)   — see [`source_hash`]
 //!     16     8  payload length (u64)
 //!     24     8  payload hash (u64)  — FNV-1a over the payload bytes
 //!     32     …  payload
@@ -43,13 +45,12 @@
 //!                                  `IPG_ARTIFACT_KEY`
 //! ```
 //!
-//! The digest makes corruption of a cached artifact cryptographically
+//! The digest makes corruption of a stored artifact cryptographically
 //! evident (FNV is a checksum, not a collision-resistant hash); the
-//! optional MAC makes a *shared or untrusted* cache directory
+//! optional MAC makes artifacts from a shared or untrusted directory
 //! tamper-evident: with a key configured, loaders refuse unsigned or
-//! wrongly-signed artifacts with a provenance error, and the cache
-//! quarantines + recompiles them. See [`verify`] for the staged check and
-//! `docs/ipgc-spec.md` for the normative layout.
+//! wrongly-signed artifacts with a provenance error. See [`verify`] for
+//! the staged check and `docs/ipgc-spec.md` for the normative layout.
 //!
 //! ## Versioning policy
 //!
@@ -58,10 +59,9 @@
 //! variants, changed operand widths, …). Loaders decode any version in
 //! `MIN_FORMAT_VERSION..=FORMAT_VERSION` (v1 artifacts simply have no
 //! trailer); newer or unknown versions fail with a typed
-//! [`Error::Artifact`] and the cache recompiles and rewrites them. Cache
-//! file names embed the source hash, and the hash input includes the
-//! format version, so artifacts from different toolchain versions never
-//! collide in one cache directory.
+//! [`Error::Artifact`]. The source hash input includes the format
+//! version, so artifacts from different toolchain versions never share a
+//! source hash.
 //!
 //! ## Integrity
 //!
@@ -85,10 +85,7 @@ use crate::intern::Sym;
 use crate::interp::vm::VmParser;
 use crate::sha256::{ct_eq32, hmac_sha256, sha256};
 use crate::syntax::{BinOp, Builtin};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The artifact magic bytes.
 pub const MAGIC: [u8; 4] = *b"IPGC";
@@ -136,7 +133,7 @@ pub fn artifact_key_from_env() -> Option<Vec<u8>> {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Streaming FNV-1a hasher used for both the cache key and the payload
+/// Streaming FNV-1a hasher used for both the source hash and the payload
 /// checksum.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv1a(u64);
@@ -174,10 +171,10 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// The artifact cache key: a digest of everything the compiled program is
-/// a function of — the format version, the grammar source, and the
-/// blackbox declarations (name and attribute list; the *implementations*
-/// are runtime-bound and do not affect compilation).
+/// The artifact's source hash: a digest of everything the compiled
+/// program is a function of — the format version, the grammar source,
+/// and the blackbox declarations (name and attribute list; the
+/// *implementations* are runtime-bound and do not affect compilation).
 pub fn source_hash(spec: &str, blackboxes: &[Blackbox]) -> u64 {
     source_hash_v(FORMAT_VERSION, spec, blackboxes)
 }
@@ -616,7 +613,7 @@ pub fn encode(
 
 /// [`encode`], appending a keyed MAC to the provenance trailer so loaders
 /// configured with the same key (via `IPG_ARTIFACT_KEY`) accept the
-/// artifact from an untrusted cache directory.
+/// artifact from an untrusted directory.
 pub fn encode_signed(
     spec: &str,
     grammar: &Grammar,
@@ -842,7 +839,7 @@ pub struct Artifact {
     pub anchor: AnchorRequirement,
     /// The persisted VM pre-sizing hints.
     pub hints: SizeHints,
-    /// The cache key recorded in the header.
+    /// The source hash recorded in the header.
     pub source_hash: u64,
     /// The interner's symbol table at compile time, in [`Sym`] order.
     pub symbols: Vec<String>,
@@ -863,9 +860,9 @@ pub fn decode(bytes: &[u8]) -> Result<Artifact> {
 
 /// [`decode`] with an explicit provenance policy. With `key` set, the
 /// artifact must be v2+, signed, and carry a valid MAC — unsigned or v1
-/// files are rejected with a provenance error (the cache then
-/// quarantines and recompiles them). Without a key, signatures are
-/// ignored and only the digest/checksum integrity checks apply.
+/// files are rejected with a provenance error (the serve watcher then
+/// quarantines them). Without a key, signatures are ignored and only the
+/// digest/checksum integrity checks apply.
 pub fn decode_with_key(bytes: &[u8], key: Option<&[u8]>) -> Result<Artifact> {
     let parts = split(bytes, key)?;
     decode_parts(parts)
@@ -1060,7 +1057,7 @@ fn decode_parts(parts: RawParts<'_>) -> Result<Artifact> {
 pub struct VerifyReport {
     /// Format version from the header.
     pub version: u32,
-    /// Cache key from the header.
+    /// Source hash from the header.
     pub source_hash: u64,
     /// Decoded payload size in bytes.
     pub payload_len: usize,
@@ -1273,7 +1270,7 @@ impl Artifact {
     }
 
     /// Verifies the artifact against an already-checked grammar: same
-    /// cache key, same symbol table, same nonterminal table, same start
+    /// source hash, same symbol table, same nonterminal table, same start
     /// id, and in-range blackbox indices.
     pub fn validate_against(&self, grammar: &Grammar) -> Result<()> {
         // Recompute with the version the artifact was written at: the
@@ -1352,35 +1349,11 @@ impl Artifact {
 }
 
 // ---------------------------------------------------------------------------
-// The on-disk cache
+// In-memory compilation
 // ---------------------------------------------------------------------------
 
-/// Why a cache lookup compiled from source instead of loading.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MissReason {
-    /// No artifact file for this cache key.
-    Absent,
-    /// An artifact existed but failed to load (version skew, corruption,
-    /// or a grammar mismatch); it was recompiled and rewritten.
-    Invalid(String),
-    /// An invalid artifact was additionally quarantined: renamed to
-    /// `*.ipgc.bad` (preserving the evidence for inspection) before the
-    /// recompiled replacement was written.
-    Quarantined(String),
-}
-
-/// The outcome of one [`Cache::load_or_compile`] call.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// The program was deserialized from a fresh artifact.
-    Hit,
-    /// The program was compiled from source (and the artifact rewritten).
-    Miss(MissReason),
-}
-
-/// A compiled grammar as handed out by the cache: the checked grammar
-/// plus the program and precomputed analyses, ready for
-/// [`VmParser::from_compiled`].
+/// A compiled grammar: the checked grammar plus the program and
+/// precomputed analyses, ready for [`VmParser::from_compiled`].
 #[derive(Debug)]
 pub struct CachedProgram {
     /// The checked grammar (reconstructed or freshly checked).
@@ -1391,12 +1364,12 @@ pub struct CachedProgram {
     pub anchor: AnchorRequirement,
     /// VM pre-sizing hints.
     pub hints: SizeHints,
-    /// The artifact cache key.
+    /// The source hash an artifact of this program carries in its header.
     pub source_hash: u64,
 }
 
 impl CachedProgram {
-    /// Compiles `spec` in memory, bypassing any artifact I/O.
+    /// Compiles `spec` in memory.
     pub fn compile(spec: &str, blackboxes: Vec<Blackbox>) -> Result<CachedProgram> {
         let grammar = crate::frontend::parse_grammar_with(spec, blackboxes)?;
         let program = compile(&grammar);
@@ -1407,406 +1380,20 @@ impl CachedProgram {
     }
 }
 
-/// What one [`Cache::gc`] pass did.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GcReport {
-    /// Directory entries examined.
-    pub scanned: usize,
-    /// Files deleted.
-    pub removed: usize,
-    /// Artifacts surviving the pass.
-    pub kept: usize,
-    /// Total size of the deleted files.
-    pub bytes_reclaimed: u64,
-}
-
-/// Process-wide artifact-cache telemetry, aggregated across every
-/// [`Cache`] instance. Caches are created per load (each
-/// [`Cache::from_env`] call builds a fresh instance), so the
-/// per-instance counters alone cannot describe the process — every
-/// instance mirrors its increments here, and a metrics exporter
-/// registers these shared cells once instead of chasing instances.
+/// Hit and miss counts of the former on-disk artifact cache. Grammars
+/// are compiled from source in memory, so both always read 0; they
+/// remain only for the benchmark's registry layer, which still reports
+/// `registry.cache_hits`/`registry.cache_misses`, until the benchmark
+/// drops those columns.
 pub mod cache_totals {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, OnceLock};
-
-    fn cell(slot: &OnceLock<Arc<AtomicU64>>) -> &Arc<AtomicU64> {
-        slot.get_or_init(|| Arc::new(AtomicU64::new(0)))
-    }
-
-    static HITS: OnceLock<Arc<AtomicU64>> = OnceLock::new();
-    static MISSES: OnceLock<Arc<AtomicU64>> = OnceLock::new();
-    static QUARANTINED: OnceLock<Arc<AtomicU64>> = OnceLock::new();
-
-    /// The three shared cells, cloned for registration in a metrics
-    /// registry (the producer keeps incrementing; the registry reads).
-    pub struct Totals {
-        /// Loads answered from a fresh artifact.
-        pub hits: Arc<AtomicU64>,
-        /// Loads that fell back to compiling from source.
-        pub misses: Arc<AtomicU64>,
-        /// Invalid artifacts renamed to `*.ipgc.bad`.
-        pub quarantined: Arc<AtomicU64>,
-    }
-
-    /// Clones the shared counter cells.
-    pub fn counters() -> Totals {
-        Totals {
-            hits: Arc::clone(cell(&HITS)),
-            misses: Arc::clone(cell(&MISSES)),
-            quarantined: Arc::clone(cell(&QUARANTINED)),
-        }
-    }
-
-    /// Cache hits across every instance since process start.
+    /// Always 0 (there is no artifact cache).
     pub fn hits() -> u64 {
-        cell(&HITS).load(Ordering::Relaxed)
+        0
     }
 
-    /// Cache misses across every instance since process start.
+    /// Always 0 (there is no artifact cache).
     pub fn misses() -> u64 {
-        cell(&MISSES).load(Ordering::Relaxed)
-    }
-
-    /// Quarantines across every instance since process start.
-    pub fn quarantined() -> u64 {
-        cell(&QUARANTINED).load(Ordering::Relaxed)
-    }
-
-    pub(super) fn record_hit() {
-        cell(&HITS).fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(super) fn record_miss() {
-        cell(&MISSES).fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(super) fn record_quarantine() {
-        cell(&QUARANTINED).fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// A directory of `.ipgc` artifacts keyed by [`source_hash`].
-///
-/// File names are `<name>-<hash:016x>.ipgc`; writes go through a unique
-/// temporary file plus an atomic rename, so concurrent processes warming
-/// the same cache never observe partial artifacts.
-///
-/// Loading is *self-healing*: an invalid hit (corrupt, version-skewed,
-/// tampered, or mismatched) is quarantined — renamed to `*.ipgc.bad` and
-/// counted — and the grammar is transparently recompiled from source and
-/// rewritten. With a signing key configured ([`Cache::with_key`] or
-/// `IPG_ARTIFACT_KEY` via [`Cache::from_env`]), written artifacts are
-/// signed and unsigned/wrongly-signed hits are treated as invalid.
-#[derive(Clone, Debug)]
-pub struct Cache {
-    dir: PathBuf,
-    key: Option<Arc<Vec<u8>>>,
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
-    quarantined: Arc<AtomicU64>,
-}
-
-impl Cache {
-    /// A cache rooted at `dir` (created lazily on first write), with no
-    /// signing key.
-    pub fn at(dir: impl Into<PathBuf>) -> Cache {
-        Cache {
-            dir: dir.into(),
-            key: None,
-            hits: Arc::new(AtomicU64::new(0)),
-            misses: Arc::new(AtomicU64::new(0)),
-            quarantined: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// The cache honoring the environment: `IPG_CACHE_DIR` if set,
-    /// otherwise `$XDG_CACHE_HOME/ipg`, otherwise `~/.cache/ipg`, falling
-    /// back to `<tmp>/ipg-cache`; signed when `IPG_ARTIFACT_KEY` is set.
-    /// Returns `None` when `IPG_NO_CACHE` is set (callers then compile in
-    /// memory).
-    pub fn from_env() -> Option<Cache> {
-        if std::env::var_os("IPG_NO_CACHE").is_some() {
-            return None;
-        }
-        let cache = if let Some(dir) = std::env::var_os("IPG_CACHE_DIR") {
-            Cache::at(PathBuf::from(dir))
-        } else if let Some(xdg) = std::env::var_os("XDG_CACHE_HOME") {
-            Cache::at(PathBuf::from(xdg).join("ipg"))
-        } else if let Some(home) = std::env::var_os("HOME") {
-            Cache::at(PathBuf::from(home).join(".cache").join("ipg"))
-        } else {
-            Cache::at(std::env::temp_dir().join("ipg-cache"))
-        };
-        Some(cache.with_key(artifact_key_from_env()))
-    }
-
-    /// Replaces the signing key. `Some` makes writes signed and demands a
-    /// valid MAC on every hit; `None` disables the provenance policy.
-    pub fn with_key(mut self, key: Option<Vec<u8>>) -> Cache {
-        self.key = key.map(Arc::new);
-        self
-    }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// How many invalid artifacts this cache (including clones sharing
-    /// its counter) has quarantined to `*.ipgc.bad`.
-    pub fn quarantined(&self) -> u64 {
-        self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// How many [`Cache::load_or_compile`] calls loaded a fresh
-    /// artifact (shared across clones, like [`Cache::quarantined`]).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// How many [`Cache::load_or_compile`] calls fell back to
-    /// compiling from source.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// The shared hit counter, for registration in a metrics registry.
-    pub fn hits_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.hits)
-    }
-
-    /// The shared miss counter, for registration in a metrics registry.
-    pub fn misses_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.misses)
-    }
-
-    /// The shared quarantine counter, for registration in a metrics
-    /// registry.
-    pub fn quarantined_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.quarantined)
-    }
-
-    /// The artifact path for grammar `name` with the given cache key.
-    pub fn path_for(&self, name: &str, hash: u64) -> PathBuf {
-        // Grammar names come from module names or file stems; sanitize so
-        // a hostile name cannot escape the cache directory.
-        let safe: String = name
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-            .collect();
-        self.dir.join(format!("{safe}-{hash:016x}.ipgc"))
-    }
-
-    /// Loads the artifact for (`name`, `spec`, `blackboxes`) if a fresh
-    /// one exists, otherwise compiles from source and (re)writes it.
-    ///
-    /// Loading is self-healing: any load failure — missing file, version
-    /// skew, corruption, grammar mismatch — falls back to compiling, and
-    /// the reason is reported in the [`CacheOutcome`].
-    ///
-    /// # Errors
-    ///
-    /// Only compilation errors (bad spec) are fatal; artifact and I/O
-    /// problems degrade to a miss.
-    pub fn load_or_compile(
-        &self,
-        name: &str,
-        spec: &str,
-        blackboxes: Vec<Blackbox>,
-    ) -> Result<(CachedProgram, CacheOutcome)> {
-        let hash = source_hash(spec, &blackboxes);
-        let path = self.path_for(name, hash);
-        let reason = match std::fs::read(&path) {
-            Ok(bytes) => match self.try_load(&bytes, spec, blackboxes.clone()) {
-                Ok(cached) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    cache_totals::record_hit();
-                    return Ok((cached, CacheOutcome::Hit));
-                }
-                Err(e) => self.quarantine(&path, e.to_string()),
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => MissReason::Absent,
-            Err(e) => MissReason::Invalid(format!("cannot read {}: {e}", path.display())),
-        };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        cache_totals::record_miss();
-        let cached = CachedProgram::compile(spec, blackboxes)?;
-        let bytes = self.encode_for_write(spec, &cached);
-        // Cache writes are best-effort: a read-only cache dir must not
-        // break parsing.
-        let _ = self.write_atomic(&path, &bytes);
-        Ok((cached, CacheOutcome::Miss(reason)))
-    }
-
-    /// Moves an invalid artifact out of the lookup path, to
-    /// `<file>.ipgc.bad`, so the corrupt bytes stay inspectable but can
-    /// never be hit again. Falls back to a plain invalid miss when the
-    /// rename fails (e.g. a read-only cache dir).
-    fn quarantine(&self, path: &Path, why: String) -> MissReason {
-        let mut bad = path.as_os_str().to_owned();
-        bad.push(".bad");
-        match std::fs::rename(path, PathBuf::from(bad)) {
-            Ok(()) => {
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
-                cache_totals::record_quarantine();
-                MissReason::Quarantined(why)
-            }
-            Err(_) => MissReason::Invalid(why),
-        }
-    }
-
-    fn encode_for_write(&self, spec: &str, cached: &CachedProgram) -> Vec<u8> {
-        match &self.key {
-            Some(key) => encode_signed(
-                spec,
-                &cached.grammar,
-                &cached.program,
-                cached.anchor,
-                cached.hints,
-                key,
-            ),
-            None => encode(spec, &cached.grammar, &cached.program, cached.anchor, cached.hints),
-        }
-    }
-
-    fn try_load(
-        &self,
-        bytes: &[u8],
-        spec: &str,
-        blackboxes: Vec<Blackbox>,
-    ) -> Result<CachedProgram> {
-        let artifact = decode_with_key(bytes, self.key.as_ref().map(|k| k.as_slice()))?;
-        if artifact.spec != spec {
-            return Err(Error::Artifact("embedded source differs from requested spec".into()));
-        }
-        let grammar = artifact.reconstruct_grammar(blackboxes)?;
-        let Artifact { program, anchor, hints, source_hash, .. } = artifact;
-        Ok(CachedProgram { grammar, program, anchor, hints, source_hash })
-    }
-
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        // The temp name must be unique per *writer*, not just per process:
-        // two threads racing a cold miss on the same grammar would
-        // otherwise interleave writes into one shared temp file and
-        // rename torn bytes into place.
-        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        std::fs::create_dir_all(&self.dir)?;
-        let tmp = path.with_extension(format!(
-            "ipgc.tmp.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, bytes)?;
-        match std::fs::rename(&tmp, path) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(e)
-            }
-        }
-    }
-
-    /// Garbage-collects the cache directory. Policy, in order:
-    ///
-    /// 1. Leftover `*.tmp` files and quarantined `*.ipgc.bad` files are
-    ///    always deleted.
-    /// 2. For each `{name}` prefix, only the newest artifact is current;
-    ///    older same-name artifacts (stale cache keys from edited sources
-    ///    or older toolchains) are always deleted.
-    /// 3. With `max_age`, current artifacts not modified within the
-    ///    window are deleted too — the cache is derived state, anything
-    ///    evicted is recompiled on next use.
-    /// 4. With `max_bytes`, surviving artifacts are deleted oldest-first
-    ///    until the directory total fits the budget.
-    ///
-    /// A missing directory is an empty report, not an error; individual
-    /// unreadable/undeletable entries are skipped.
-    pub fn gc(
-        &self,
-        max_bytes: Option<u64>,
-        max_age: Option<Duration>,
-    ) -> std::io::Result<GcReport> {
-        let mut report = GcReport::default();
-        let entries = match std::fs::read_dir(&self.dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(report),
-            Err(e) => return Err(e),
-        };
-        // (path, len, mtime) for live artifacts; junk removed on sight.
-        let mut artifacts: Vec<(PathBuf, u64, std::time::SystemTime)> = Vec::new();
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let name = match path.file_name().and_then(|n| n.to_str()) {
-                Some(n) => n.to_owned(),
-                None => continue,
-            };
-            let meta = match entry.metadata() {
-                Ok(m) if m.is_file() => m,
-                _ => continue,
-            };
-            report.scanned += 1;
-            let is_junk = name.ends_with(".bad") || name.contains(".ipgc.tmp");
-            if is_junk {
-                remove(&mut report, &path, meta.len());
-                continue;
-            }
-            if name.ends_with(".ipgc") {
-                let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-                artifacts.push((path, meta.len(), mtime));
-            }
-        }
-
-        // Newest-first within each name prefix, then newest-first overall
-        // so the size budget evicts the oldest survivors.
-        artifacts.sort_by_key(|a| std::cmp::Reverse(a.2));
-        let mut seen = std::collections::HashSet::new();
-        let now = std::time::SystemTime::now();
-        let mut survivors: Vec<(PathBuf, u64, std::time::SystemTime)> = Vec::new();
-        for (path, len, mtime) in artifacts {
-            let prefix = name_prefix(&path);
-            if !seen.insert(prefix) {
-                remove(&mut report, &path, len);
-                continue;
-            }
-            let expired = max_age.is_some_and(|limit| {
-                now.duration_since(mtime).map(|age| age > limit).unwrap_or(false)
-            });
-            if expired {
-                remove(&mut report, &path, len);
-            } else {
-                survivors.push((path, len, mtime));
-            }
-        }
-        if let Some(budget) = max_bytes {
-            let mut total: u64 = survivors.iter().map(|(_, len, _)| len).sum();
-            while total > budget {
-                let Some((path, len, _)) = survivors.pop() else { break };
-                remove(&mut report, &path, len);
-                total -= len;
-            }
-        }
-        report.kept = survivors.len();
-        Ok(report)
-    }
-}
-
-/// The `{name}` portion of a cache file name (everything before the
-/// trailing `-{hash:016x}.ipgc`), or the whole stem for foreign names.
-fn name_prefix(path: &Path) -> String {
-    let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or_default();
-    match stem.rsplit_once('-') {
-        Some((name, hash)) if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) => {
-            name.to_owned()
-        }
-        _ => stem.to_owned(),
-    }
-}
-
-fn remove(report: &mut GcReport, path: &Path, len: u64) {
-    if std::fs::remove_file(path).is_ok() {
-        report.removed += 1;
-        report.bytes_reclaimed += len;
+        0
     }
 }
 
@@ -1934,48 +1521,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_misses_then_hits() {
-        let dir = std::env::temp_dir().join(format!("ipgc-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = Cache::at(&dir);
-        let (_, outcome) = cache.load_or_compile("fig2", FIG2, Vec::new()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Miss(MissReason::Absent));
-        let (cached, outcome) = cache.load_or_compile("fig2", FIG2, Vec::new()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Hit);
-        assert_eq!(cached.program.disassemble(&cached.grammar), {
-            let g = parse_grammar(FIG2).unwrap();
-            compile(&g).disassemble(&g)
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_self_heals_corrupt_artifacts() {
-        let dir = std::env::temp_dir().join(format!("ipgc-heal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = Cache::at(&dir);
-        let (_, _) = cache.load_or_compile("fig2", FIG2, Vec::new()).unwrap();
-        let path = cache.path_for("fig2", source_hash(FIG2, &[]));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let (_, outcome) = cache.load_or_compile("fig2", FIG2, Vec::new()).unwrap();
-        assert!(
-            matches!(outcome, CacheOutcome::Miss(MissReason::Quarantined(_))),
-            "corruption must quarantine and rewrite, got {outcome:?}"
-        );
-        assert_eq!(cache.quarantined(), 1);
-        let mut bad = path.clone().into_os_string();
-        bad.push(".bad");
-        assert!(PathBuf::from(bad).exists(), "quarantined artifact must be preserved as .ipgc.bad");
-        let (_, outcome) = cache.load_or_compile("fig2", FIG2, Vec::new()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Hit, "rewrite must restore the artifact");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn spec_change_changes_the_cache_key() {
+    fn spec_or_blackbox_change_changes_the_source_hash() {
         let a = source_hash(FIG2, &[]);
         let b = source_hash(r#"S -> "x"[0, 1];"#, &[]);
         assert_ne!(a, b);
@@ -2085,70 +1631,5 @@ mod tests {
         let mismatched =
             encode(other_spec, &g, &program, anchor_requirement(&g), program.size_hints());
         assert!(matches!(verify(&mismatched, None, Vec::new()), Err(VerifyError::Mismatch(_))));
-    }
-
-    #[test]
-    fn keyed_cache_signs_writes_and_quarantines_unsigned_hits() {
-        let dir = std::env::temp_dir().join(format!("ipgc-key-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let plain = Cache::at(&dir);
-        let keyed = Cache::at(&dir).with_key(Some(b"cache-key".to_vec()));
-
-        // A keyless writer leaves an unsigned artifact; the keyed reader
-        // refuses it, quarantines it, and rewrites it signed.
-        plain.load_or_compile("fig2", FIG2, Vec::new()).unwrap();
-        let (_, outcome) = keyed.load_or_compile("fig2", FIG2, Vec::new()).unwrap();
-        assert!(
-            matches!(outcome, CacheOutcome::Miss(MissReason::Quarantined(_))),
-            "unsigned hit under a key must quarantine, got {outcome:?}"
-        );
-        assert_eq!(keyed.quarantined(), 1);
-        let (_, outcome) = keyed.load_or_compile("fig2", FIG2, Vec::new()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Hit, "rewritten artifact is signed now");
-
-        // A keyless reader accepts the signed artifact (digest intact,
-        // MAC ignored).
-        let (_, outcome) = plain.load_or_compile("fig2", FIG2, Vec::new()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Hit);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn gc_keeps_newest_per_name_and_reports_bytes() {
-        let dir = std::env::temp_dir().join(format!("ipgc-gc-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let cache = Cache::at(&dir);
-
-        // Two generations of "fig2" (distinct cache keys), junk files,
-        // and an unrelated current artifact.
-        let old = dir.join("fig2-00000000deadbeef.ipgc");
-        std::fs::write(&old, b"old-generation").unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        cache.load_or_compile("fig2", FIG2, Vec::new()).unwrap();
-        cache.load_or_compile("other", r#"S -> "x"[0, 1];"#, Vec::new()).unwrap();
-        std::fs::write(dir.join("fig2-0123456789abcdef.ipgc.tmp.7"), b"torn write").unwrap();
-        std::fs::write(dir.join("fig2-0123456789abcdef.ipgc.bad"), b"quarantined").unwrap();
-
-        let report = cache.gc(None, None).unwrap();
-        assert_eq!(report.scanned, 5);
-        assert_eq!(report.removed, 3, "junk + superseded generation go");
-        assert_eq!(report.kept, 2);
-        assert!(report.bytes_reclaimed >= (b"old-generation".len() + b"torn write".len()) as u64);
-        assert!(!old.exists());
-        let (_, outcome) = cache.load_or_compile("fig2", FIG2, Vec::new()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Hit, "current artifacts survive gc");
-
-        // A zero-byte budget evicts everything that remains.
-        let report = cache.gc(Some(0), None).unwrap();
-        assert_eq!(report.kept, 0);
-        assert_eq!(report.removed, 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn gc_of_a_missing_directory_is_empty_not_an_error() {
-        let cache = Cache::at("/nonexistent/ipg-gc-test");
-        assert_eq!(cache.gc(None, None).unwrap(), GcReport::default());
     }
 }

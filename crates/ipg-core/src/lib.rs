@@ -37,8 +37,9 @@
 //!   zero-copy views mirroring the [`tree`] accessors.
 //! * [`ipgc`] — persisted compiled grammars: a versioned, self-describing
 //!   `.ipgc` binary artifact (program pools, anchor classification, size
-//!   hints, embedded source) plus a content-hash cache directory, so serve
-//!   workers and CLI runs load bytecode instead of recompiling.
+//!   hints, embedded source) written by `ipg compile -o` and loaded by
+//!   path, plus [`ipgc::CachedProgram::compile`], the in-memory compile
+//!   every registry load uses.
 //! * [`profile`] — grammar-level VM profiling: per-rule cycle
 //!   attribution, memo hit/miss counts, pc-indexed instruction hits,
 //!   and a folded-stack export keyed by the static call graph. Disabled

@@ -4,11 +4,10 @@
 //! The repository's offline-build constraint rules out a crypto crate, so
 //! this is a straightforward, allocation-free implementation of the
 //! standard algorithm — about as small as a correct SHA-256 gets. It is
-//! used for *tamper evidence* on artifacts in untrusted cache
-//! directories, not for secrecy: the payload digest catches corruption
-//! and casual tampering, and the keyed MAC makes forging an artifact
-//! without `IPG_ARTIFACT_KEY` a preimage problem instead of a checksum
-//! fixup.
+//! used for *tamper evidence* on artifacts in untrusted directories, not
+//! for secrecy: the payload digest catches corruption and casual
+//! tampering, and the keyed MAC makes forging an artifact without
+//! `IPG_ARTIFACT_KEY` a preimage problem instead of a checksum fixup.
 
 /// SHA-256 round constants (fractional parts of the cube roots of the
 /// first 64 primes).

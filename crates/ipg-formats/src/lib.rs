@@ -17,10 +17,9 @@
 //!
 //! All grammar resolution goes through [`registry::Registry`]: the
 //! per-module `grammar()`/`vm()` statics are views of the shared corpus
-//! registry, whose entries are loaded from the versioned `.ipgc` artifact
-//! cache ([`ipg_core::ipgc`]) — or compiled and persisted on a miss — so
-//! every consumer (tests, benches, `ipg-serve`, the `ipg` CLI) exercises
-//! the same load-from-artifact pipeline as user-supplied grammars.
+//! registry, whose entries are compiled from their `.ipg` source in
+//! memory, so every consumer (tests, benches, `ipg-serve`, the `ipg` CLI)
+//! exercises the same load pipeline as user-supplied grammars.
 //!
 //! ```
 //! let file = ipg_corpus::elf::generate(&ipg_corpus::elf::Config::default());

@@ -3,13 +3,12 @@
 //! The differential test suites, the conformance fuzzing harness, the
 //! bench binaries, `ipg-serve`, and the `ipg` CLI all resolve grammars
 //! through a [`Registry`]: a name → (checked grammar, compiled VM) table
-//! whose entries are loaded through the [`ipg_core::ipgc`] artifact
-//! pipeline. The built-in corpus ([`Registry::corpus`]) is materialized
-//! once per process — each grammar is fetched from the on-disk `.ipgc`
-//! cache (or compiled and persisted on a miss) — and user-supplied
-//! grammars (`.ipg` sources or `.ipgc` artifacts named on a command line)
-//! flow through [`Registry::load_ipg_path`] / [`Registry::load_artifact_path`]
-//! into the exact same table, so "built-in" and "user-supplied" are
+//! whose entries are compiled from `.ipg` source in memory
+//! ([`CachedProgram::compile`]). The built-in corpus ([`Registry::corpus`])
+//! is materialized once per process, and user-supplied grammars (`.ipg`
+//! sources or `.ipgc` artifacts named on a command line) flow through
+//! [`Registry::load_ipg_path`] / [`Registry::load_artifact_path`] into the
+//! exact same table, so "built-in" and "user-supplied" are
 //! indistinguishable downstream.
 //!
 //! ## Generations, not leaks
@@ -36,7 +35,7 @@ use ipg_core::check::Grammar;
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
 use ipg_core::interp::Parser;
-use ipg_core::ipgc::{Cache, CacheOutcome, CachedProgram, MissReason};
+use ipg_core::ipgc::CachedProgram;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
@@ -44,32 +43,11 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// How a registry entry's compiled program was obtained.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Origin {
-    /// Deserialized from a fresh `.ipgc` artifact in the cache directory.
-    CacheHit,
-    /// Compiled from source; the cache artifact was (re)written. The
-    /// reason records whether the artifact was absent or invalid
-    /// (version skew, corruption, grammar mismatch) — and whether the
-    /// invalid file was quarantined.
-    CacheMiss(MissReason),
-    /// Compiled in memory with the cache disabled (`IPG_NO_CACHE`), or
-    /// registered directly from a pre-built generation.
+    /// Compiled from `.ipg` source in memory, or registered directly from
+    /// a pre-built generation.
     Memory,
-    /// Loaded from an explicit `.ipgc` file path (no cache involved).
+    /// Loaded from an explicit `.ipgc` file path.
     ArtifactFile,
-}
-
-impl Origin {
-    fn from_outcome(outcome: CacheOutcome) -> Origin {
-        match outcome {
-            CacheOutcome::Hit => Origin::CacheHit,
-            CacheOutcome::Miss(reason) => Origin::CacheMiss(reason),
-        }
-    }
-
-    /// Whether the entry's program was deserialized rather than compiled.
-    pub fn is_cache_hit(&self) -> bool {
-        matches!(self, Origin::CacheHit)
-    }
 }
 
 /// One compiled grammar generation: the checked [`Grammar`] and the
@@ -95,7 +73,7 @@ unsafe impl Send for Compiled {}
 unsafe impl Sync for Compiled {}
 
 impl Compiled {
-    /// Packages a cache-loaded (or freshly compiled) program as one
+    /// Packages a freshly compiled (or artifact-loaded) program as one
     /// refcounted generation.
     pub fn from_cached(cached: CachedProgram) -> Arc<Compiled> {
         let CachedProgram { grammar, program, anchor, hints, source_hash } = cached;
@@ -122,7 +100,7 @@ impl Compiled {
         &self.vm
     }
 
-    /// The artifact cache key this generation was built from.
+    /// The source hash of the spec this generation was compiled from.
     pub fn source_hash(&self) -> u64 {
         self.source_hash
     }
@@ -263,20 +241,13 @@ pub fn corpus_descriptors() -> [FormatDescriptor; 9] {
     ]
 }
 
-/// Loads one spec through the environment's cache (or compiles in memory
-/// when the cache is disabled).
+/// Compiles one spec in memory into an entry.
 fn load_entry(name: &str, spec: &str, blackboxes: Vec<Blackbox>) -> Result<Entry> {
-    let (cached, origin) = match Cache::from_env() {
-        Some(cache) => {
-            let (cached, outcome) = cache.load_or_compile(name, spec, blackboxes)?;
-            (cached, Origin::from_outcome(outcome))
-        }
-        None => (CachedProgram::compile(spec, blackboxes)?, Origin::Memory),
-    };
-    Ok(Entry::new(name.to_owned(), origin, Compiled::from_cached(cached)))
+    let cached = CachedProgram::compile(spec, blackboxes)?;
+    Ok(Entry::new(name.to_owned(), Origin::Memory, Compiled::from_cached(cached)))
 }
 
-/// Loads a `.ipgc` artifact file into an entry (no cache lookup). The
+/// Loads a `.ipgc` artifact file into an entry. The
 /// embedded source is re-checked and verified against the artifact
 /// before the program is accepted; `IPG_ARTIFACT_KEY` governs the
 /// provenance policy as in [`ipg_core::ipgc::decode`].
@@ -297,8 +268,7 @@ fn load_artifact_entry(path: &Path) -> Result<Entry> {
     Ok(Entry::new(name, Origin::ArtifactFile, Compiled::from_cached(cached)))
 }
 
-/// Loads a `.ipg` source file into an entry, through the environment's
-/// cache.
+/// Loads a `.ipg` source file into an entry, compiled in memory.
 fn load_ipg_entry(path: &Path) -> Result<Entry> {
     let name = stem_of(path)?;
     let spec = std::fs::read_to_string(path)
@@ -316,8 +286,7 @@ fn load_path_entry(path: &Path) -> Result<Entry> {
     }
 }
 
-/// The per-process corpus table, loaded once through the artifact cache
-/// and pinned for the process lifetime (this is what backs the format
+/// The per-process corpus table, compiled once from source and pinned for the process lifetime (this is what backs the format
 /// modules' `grammar()`/`vm()` statics — one bounded promotion, not a
 /// per-load leak).
 pub fn pinned_corpus() -> &'static [Entry] {
@@ -359,8 +328,8 @@ impl Registry {
     }
 
     /// A fresh registry pre-populated with the nine-grammar corpus. The
-    /// underlying generations are shared with [`pinned_corpus`] (loaded
-    /// through the `.ipgc` cache once per process); each call returns an
+    /// underlying generations are shared with [`pinned_corpus`] (compiled
+    /// once per process); each call returns an
     /// independent table, so mutations and reloads stay local to it.
     pub fn corpus() -> Registry {
         let slots = pinned_corpus()
@@ -418,13 +387,11 @@ impl Registry {
         self.insert(Entry::new(name.to_owned(), Origin::Memory, handle), None)
     }
 
-    /// Loads `.ipg` source under `name` through the environment's cache
-    /// (compiling and persisting on a miss) and registers it.
+    /// Compiles `.ipg` source in memory under `name` and registers it.
     ///
     /// # Errors
     ///
-    /// Frontend/check errors when the spec is invalid. Cache problems
-    /// degrade to in-memory compilation, not errors.
+    /// Frontend/check errors when the spec is invalid.
     pub fn load_spec(&self, name: &str, spec: &str, blackboxes: Vec<Blackbox>) -> Result<Entry> {
         let entry = load_entry(name, spec, blackboxes.clone())?;
         let source = ReloadSource::Spec { spec: spec.to_owned(), blackboxes };
@@ -432,8 +399,7 @@ impl Registry {
     }
 
     /// Loads a user-supplied grammar from a `.ipg` source file, registered
-    /// under the file stem. Flows through the same cache pipeline as the
-    /// corpus.
+    /// under the file stem. Compiled in memory, like the corpus.
     ///
     /// # Errors
     ///
@@ -444,8 +410,8 @@ impl Registry {
         Ok(self.insert(entry, Some(ReloadSource::Path(path.to_owned()))))
     }
 
-    /// Loads a persisted `.ipgc` artifact from an explicit path (no cache
-    /// lookup), registered under the file stem. The embedded source is
+    /// Loads a persisted `.ipgc` artifact from an explicit path,
+    /// registered under the file stem. The embedded source is
     /// re-checked and verified against the artifact before the program is
     /// accepted.
     ///
@@ -619,13 +585,11 @@ mod tests {
     }
 
     #[test]
-    fn corpus_entries_come_from_the_artifact_pipeline() {
-        // With the cache enabled the origin is Hit or Miss; with
-        // IPG_NO_CACHE it is Memory. Either way it is never ArtifactFile,
-        // and every entry's VM parses its own corpus input elsewhere in
-        // the suite.
+    fn corpus_entries_are_compiled_from_source() {
+        // Every entry's VM parses its own corpus input elsewhere in the
+        // suite.
         for e in Registry::corpus().entries() {
-            assert_ne!(e.origin, Origin::ArtifactFile, "{}", e.name);
+            assert_eq!(e.origin, Origin::Memory, "{}", e.name);
         }
     }
 

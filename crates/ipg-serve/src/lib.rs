@@ -3,12 +3,12 @@
 //!
 //! Architecture (bottom up):
 //!
-//! * **Program cache** — the shared [`ipg_formats::Registry`] maps
+//! * **Program registry** — the shared [`ipg_formats::Registry`] maps
 //!   grammar names to refcounted [`Compiled`] *generations*.
-//!   [`Registry::corpus`] pre-loads all nine corpus grammars through the
-//!   versioned `.ipgc` artifact cache ([`ipg_core::ipgc`]) — workers load
-//!   persisted bytecode instead of recompiling, and user-supplied
-//!   grammars ([`Registry::load_path`]) flow through the same pipeline.
+//!   [`Registry::corpus`] pre-loads all nine corpus grammars, compiled
+//!   from source in memory, and user-supplied grammars
+//!   ([`Registry::load_path`]: `.ipg` sources or `.ipgc` artifacts) land
+//!   in the same table.
 //! * **Hot reload** — [`Server::watch_dir`] polls a grammar directory
 //!   ([`watch`]) and atomically swaps changed grammars into the live
 //!   registry; every admitted job pins the generation it resolved, so
@@ -204,12 +204,12 @@ fn install_quiet_worker_panics() {
 
 /// Builds the server's metrics registry: every stats counter, the
 /// admission ledger with its scrape-time in-flight derivation, the
-/// reload/quarantine counters, the process-wide artifact-cache totals,
-/// the shared-bucket latency histogram, per-worker queue depths, and —
-/// when tracing is on — the trace ring's emit/drop counters. This is
-/// the single exposition point: a counter that exists but is not
-/// registered here is invisible to every scraper, so the registration
-/// list is deliberately exhaustive over [`stats::Counters`].
+/// reload/quarantine counters, the shared-bucket latency histogram,
+/// per-worker queue depths, and — when tracing is on — the trace ring's
+/// emit/drop counters. This is the single exposition point: a counter
+/// that exists but is not registered here is invisible to every scraper,
+/// so the registration list is deliberately exhaustive over
+/// [`stats::Counters`].
 /// One registration row: metric name, help text, and the accessor
 /// picking the backing cell out of [`stats::Counters`].
 type CounterSpec = (&'static str, &'static str, fn(&stats::Counters) -> &AtomicU64);
@@ -288,25 +288,6 @@ fn build_metrics(shared: &Arc<Shared>) -> Arc<metrics::Registry> {
         move || {
             s.shards.iter().enumerate().map(|(w, sh)| (w.to_string(), sh.depth() as u64)).collect()
         },
-    );
-    // Artifact-cache totals are process-wide (Cache instances are
-    // created per load), owned by ipg-core and registered here as shared
-    // atomics — the producer's hot path is untouched.
-    let totals = ipg_core::ipgc::cache_totals::counters();
-    reg.register_counter_shared(
-        "ipg_cache_hits_total",
-        "Artifact-cache hits (program deserialized, not compiled).",
-        totals.hits,
-    );
-    reg.register_counter_shared(
-        "ipg_cache_misses_total",
-        "Artifact-cache misses (program compiled, artifact rewritten).",
-        totals.misses,
-    );
-    reg.register_counter_shared(
-        "ipg_cache_quarantined_total",
-        "Invalid artifacts quarantined by the cache itself.",
-        totals.quarantined,
     );
     if let Some(t) = &shared.trace {
         let tl = Arc::clone(t);

@@ -1,18 +1,13 @@
 //! The central metrics registry: every counter the service maintains —
 //! request ledger, parse/session telemetry, reload/quarantine counts,
-//! artifact-cache totals, latency histogram, queue depths — registered
-//! once under a stable name and exposed in Prometheus text format
-//! (version 0.0.4).
+//! latency histogram, queue depths — registered once under a stable name
+//! and exposed in Prometheus text format (version 0.0.4).
 //!
-//! Three registration shapes cover every producer in the tree:
+//! Two registration shapes cover every producer in the tree:
 //!
 //! * **owned handles** ([`Registry::counter`], [`Registry::gauge`]) —
 //!   new metrics created by the registry itself (the trace subsystem
 //!   uses these);
-//! * **shared atomics** ([`Registry::register_counter_shared`]) — an
-//!   existing `Arc<AtomicU64>` maintained elsewhere (e.g.
-//!   [`ipg_core::ipgc::Cache`] counters) is registered without moving
-//!   ownership, so the producer's hot path is untouched;
 //! * **closures** ([`Registry::counter_fn`] / [`Registry::gauge_fn`] /
 //!   [`Registry::histogram_fn`] / [`Registry::gauge_vec_fn`]) — values
 //!   computed at scrape time from state the registry cannot own (the
@@ -142,12 +137,6 @@ impl Registry {
         Counter(cell)
     }
 
-    /// Registers an existing shared atomic as a counter — the producer
-    /// keeps incrementing it exactly as before; the registry only reads.
-    pub fn register_counter_shared(&self, name: &str, help: &str, cell: Arc<AtomicU64>) {
-        self.register(name, help, Source::Counter(cell));
-    }
-
     /// Registers a counter whose value is computed at scrape time.
     pub fn counter_fn(
         &self,
@@ -275,10 +264,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_and_fn_sources_read_live_values() {
+    fn fn_sources_read_live_values() {
         let r = Registry::new();
         let cell = Arc::new(AtomicU64::new(0));
-        r.register_counter_shared("t_shared_total", "Shared cell.", Arc::clone(&cell));
+        let c = Arc::clone(&cell);
+        r.counter_fn("t_shared_total", "Shared cell.", move || c.load(Ordering::Relaxed));
         r.counter_fn("t_derived_total", "Derived.", || 42);
         cell.fetch_add(5, Ordering::Relaxed);
         let text = r.gather();

@@ -171,9 +171,6 @@ const EXPECTED: &[&str] = &[
     "ipg_reloads_ok_total",
     "ipg_reloads_rejected_total",
     "ipg_artifacts_quarantined_total",
-    "ipg_cache_hits_total",
-    "ipg_cache_misses_total",
-    "ipg_cache_quarantined_total",
 ];
 
 #[test]

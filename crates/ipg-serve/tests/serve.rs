@@ -541,31 +541,3 @@ fn watcher_quarantines_corrupt_artifacts_and_heals_from_source() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn workers_run_programs_loaded_from_the_artifact_cache() {
-    // Warm the cache in a scratch directory, then verify a second
-    // process-like load round-trips through `.ipgc` artifacts: every
-    // corpus entry reports a cache hit and its VM still parses.
-    let dir = std::env::temp_dir().join(format!("ipg-serve-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = ipg_core::ipgc::Cache::at(&dir);
-    for d in ipg_formats::registry::corpus_descriptors() {
-        let (_, outcome) = cache.load_or_compile(d.name, d.spec, (d.blackboxes)()).unwrap();
-        assert!(matches!(outcome, ipg_core::ipgc::CacheOutcome::Miss(_)), "{}", d.name);
-    }
-    let registry = Registry::new();
-    for d in ipg_formats::registry::corpus_descriptors() {
-        let (cached, outcome) = cache.load_or_compile(d.name, d.spec, (d.blackboxes)()).unwrap();
-        assert_eq!(outcome, ipg_core::ipgc::CacheOutcome::Hit, "{}: warm load must hit", d.name);
-        drop(cached);
-        registry.load_spec(d.name, d.spec, (d.blackboxes)()).unwrap();
-    }
-    let server = Server::with_registry(Config { workers: 2, ..Config::default() }, registry);
-    for name in ["zip", "zip_inflate", "dns", "png", "gif", "elf", "ipv4udp", "pe", "pdf"] {
-        let summary = server.parse(name, corpus_input(name)).expect("artifact-loaded VM parses");
-        assert!(summary.nodes > 0, "{name}");
-    }
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}

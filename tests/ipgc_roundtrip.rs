@@ -13,10 +13,10 @@ mod common;
 
 use ipg_core::error::Error;
 use ipg_core::interp::Parser;
-use ipg_core::ipgc::{decode, encode, Cache, CachedProgram, FORMAT_VERSION, HEADER_LEN};
+use ipg_core::ipgc::{decode, encode, CachedProgram, FORMAT_VERSION, HEADER_LEN};
 use ipg_formats::{corpus_descriptors, Registry};
 
-/// Compile a corpus descriptor in memory (no cache I/O).
+/// Compile a corpus descriptor in memory.
 fn compiled(name: &str) -> (CachedProgram, &'static str) {
     let d = corpus_descriptors().into_iter().find(|d| d.name == name).expect("corpus name");
     (CachedProgram::compile(d.spec, (d.blackboxes)()).expect("corpus spec compiles"), d.spec)
@@ -60,63 +60,6 @@ fn loaded_programs_agree_with_the_interpreter_on_corpus_inputs() {
             Err(msg) => panic!("{}: loaded VM diverges from the interpreter: {msg}", d.name),
         }
     }
-}
-
-#[test]
-fn racing_cache_writers_leave_exactly_one_valid_artifact() {
-    let d = corpus_descriptors().into_iter().find(|d| d.name == "dns").expect("dns descriptor");
-    let dir = std::env::temp_dir().join(format!("ipgc-race-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // Eight threads race the same cold miss: every one compiles, writes
-    // its own temp file, and renames over the same final path. The
-    // invariant under test is that no interleaving can ever tear the
-    // published artifact.
-    const WRITERS: usize = 8;
-    let barrier = std::sync::Barrier::new(WRITERS);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..WRITERS)
-            .map(|_| {
-                let (barrier, dir) = (&barrier, &dir);
-                scope.spawn(move || {
-                    let cache = Cache::at(dir.clone());
-                    barrier.wait();
-                    cache
-                        .load_or_compile(d.name, d.spec, (d.blackboxes)())
-                        .expect("racing writer compiles")
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("racing writer panics");
-        }
-    });
-
-    // Exactly one visible artifact, no leftover temp files, and the
-    // survivor must verify end to end (digest and grammar cross-check).
-    let names: Vec<String> = std::fs::read_dir(&dir)
-        .expect("cache dir exists")
-        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
-        .collect();
-    let artifacts: Vec<&String> = names.iter().filter(|n| n.ends_with(".ipgc")).collect();
-    assert_eq!(artifacts.len(), 1, "expected one artifact, found {names:?}");
-    assert!(
-        !names.iter().any(|n| n.contains(".ipgc.tmp")),
-        "temp files must not outlive their rename: {names:?}"
-    );
-    let bytes = std::fs::read(dir.join(artifacts[0])).expect("read survivor");
-    ipg_core::ipgc::verify(&bytes, None, (d.blackboxes)())
-        .unwrap_or_else(|e| panic!("survivor fails verification: {e}"));
-
-    // And the next load is a clean hit — nothing was quarantined.
-    let cache = Cache::at(dir.clone());
-    let (_, outcome) = cache.load_or_compile(d.name, d.spec, (d.blackboxes)()).expect("reload");
-    assert!(
-        matches!(outcome, ipg_core::ipgc::CacheOutcome::Hit),
-        "post-race load must hit: {outcome:?}"
-    );
-    assert_eq!(cache.quarantined(), 0);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
