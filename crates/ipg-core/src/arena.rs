@@ -1,11 +1,27 @@
 //! Bump-allocated parse trees for the bytecode VM.
 //!
 //! The tree-walking interpreter allocates one `Rc<Tree>` (plus a children
-//! `Vec`) per node, which dominates its hot loop. The VM instead appends
-//! every node to a [`TreeArena`]: nodes are addressed by dense `u32`
-//! [`TreeId`]s and children live as contiguous index ranges in one shared
-//! vector, so building a node is two `Vec` pushes and *sharing* a memoized
-//! subtree is copying a `u32`.
+//! `Vec` and an attribute [`crate::env::Env`]) per node, which dominates
+//! its hot loop. The VM instead appends every node to a [`TreeArena`]:
+//! records are addressed by dense `u32` [`TreeId`]s, children live as
+//! contiguous index ranges in one shared vector, and attribute values in
+//! one shared attribute pool, so building a node is three `Vec` appends
+//! and *sharing* a memoized subtree is copying a `u32`.
+//!
+//! ## Node layout and the attribute pool
+//!
+//! A node record (`ANode`, 32 bytes) holds its nonterminal, the index of
+//! the alternative that built it, its children range, its base offset, and
+//! a `u32` offset into the attribute pool. From that offset the pool holds
+//! the node's attribute values in its rule's slot order (see
+//! `ipg_core::layout`): `EOI` (the node's input length), `start`, `end`,
+//! then the rule's own attributes. A node stores values only; the names
+//! and the order in which the interpreter's environment lists them come
+//! from the `(nonterminal, alternative)` shape in the program's
+//! `Layouts`, which every arena shares. [`TreeRef::to_tree`],
+//! [`NodeRef::attr`] and [`NodeRef::attr_by_sym`] map slots back to names
+//! through it; [`NodeRef::get`] reads a pre-resolved [`AttrSlot`] with one
+//! indexed load. Blackbox records store their attributes the same way.
 //!
 //! The memoizing semantics reuse a cached result at several call sites
 //! (the O(n²) bound of §3.3 of the paper relies on it). Arena nodes are
@@ -21,9 +37,10 @@
 //! `Rc`-based [`Tree`] — the differential tests use it to require
 //! node-for-node equality between the two engines.
 
+use crate::bytecode::NO_SLOT;
 use crate::check::NtId;
-use crate::env::{wellknown, Env};
 use crate::intern::Sym;
+use crate::layout::{Binding, Layouts, END_SLOT, EOI_SLOT, START_SLOT};
 use crate::tree::{ArrayNode, BlackboxNode, Leaf, Node, Tree};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -85,16 +102,32 @@ pub(crate) struct ChildRange {
     pub(crate) len: u32,
 }
 
-impl ChildRange {
-    const EMPTY: ChildRange = ChildRange { start: 0, len: 0 };
-}
-
 /// Nonterminal name table shared between a program and the arenas of its
 /// parses, so views can resolve names without the grammar in hand.
 #[derive(Debug)]
 pub(crate) struct NtTable {
     pub(crate) names: Vec<Arc<str>>,
     pub(crate) syms: Vec<Sym>,
+}
+
+/// An attribute that every node of one nonterminal stores, resolved to its
+/// slot once ([`crate::interp::vm::VmParser::attr_slot`]). Reading it from
+/// a node ([`NodeRef::get`]) is one indexed load: no symbol, no string.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AttrSlot {
+    pub(crate) nt: NtId,
+    pub(crate) slot: u16,
+}
+
+/// Adds a shifted reference's delta to `start`/`end` (rule T-NTSucc's
+/// re-basing); every other attribute is shared unchanged.
+#[inline]
+fn shifted(v: i64, slot: u16, delta: i64) -> i64 {
+    if slot == START_SLOT || slot == END_SLOT {
+        v + delta
+    } else {
+        v
+    }
 }
 
 /// A borrowed tree record — the arena-side mirror of [`Tree`]. Records
@@ -107,15 +140,16 @@ pub(crate) enum Entry<'a> {
     Blackbox(&'a ABlackbox),
 }
 
-/// Arena mirror of [`crate::tree::Node`].
+/// Arena mirror of [`crate::tree::Node`]. Its input length is its `EOI`
+/// attribute.
 #[derive(Clone, Debug)]
 pub(crate) struct ANode {
     pub(crate) nt: NtId,
-    pub(crate) env: Env,
+    pub(crate) alt_index: u32,
+    /// Offset of the node's values in the attribute pool.
+    pub(crate) attrs: u32,
     pub(crate) children: ChildRange,
     pub(crate) base: usize,
-    pub(crate) input_len: usize,
-    pub(crate) alt_index: u32,
 }
 
 /// Arena mirror of [`crate::tree::ArrayNode`].
@@ -125,15 +159,20 @@ pub(crate) struct AArray {
     pub(crate) elems: ChildRange,
 }
 
-/// Arena mirror of [`crate::tree::BlackboxNode`].
+/// Arena mirror of [`crate::tree::BlackboxNode`]. Its input length is its
+/// `EOI` attribute.
 #[derive(Clone, Debug)]
 pub(crate) struct ABlackbox {
     pub(crate) nt: NtId,
-    pub(crate) env: Env,
+    /// Offset of the record's values in the attribute pool.
+    pub(crate) attrs: u32,
     pub(crate) data: Arc<[u8]>,
     pub(crate) base: usize,
-    pub(crate) input_len: usize,
 }
+
+/// Attribute-pool values reserved per reserved node, and the unit in which
+/// the pool counts towards [`TreeArena::capacity`].
+const ATTRS_PER_NODE: usize = 4;
 
 /// All parse-tree records of one VM parse, stored per kind.
 #[derive(Debug)]
@@ -145,13 +184,15 @@ pub struct TreeArena {
     /// Lazy re-basings: `(inner node/blackbox id, start/end delta)`.
     shifts: Vec<(TreeId, i64)>,
     children: Vec<TreeId>,
-    table: Arc<NtTable>,
+    /// The attribute pool: every node's and blackbox's values.
+    attrs: Vec<i64>,
+    layouts: Arc<Layouts>,
 }
 
 impl TreeArena {
     /// An allocation-free placeholder (what a finished streaming session
     /// swaps in when handing its arena over).
-    pub(crate) fn empty(table: Arc<NtTable>) -> Self {
+    pub(crate) fn empty(layouts: Arc<Layouts>) -> Self {
         TreeArena {
             nodes: Vec::new(),
             arrays: Vec::new(),
@@ -159,21 +200,29 @@ impl TreeArena {
             blackboxes: Vec::new(),
             shifts: Vec::new(),
             children: Vec::new(),
-            table,
+            attrs: Vec::new(),
+            layouts,
         }
     }
 
     /// Readies an empty (or [`TreeArena::clear`]ed) arena for a parse of
-    /// the program owning `table`: the pools keep their allocations and
+    /// the program with `layouts`: the pools keep their allocations and
     /// grow to at least the capacities pre-sized from compile-time
     /// program statistics ([`crate::bytecode::Program::size_hints`]).
-    pub(crate) fn reset(&mut self, table: Arc<NtTable>, hints: &crate::bytecode::SizeHints) {
+    pub(crate) fn reset(&mut self, layouts: Arc<Layouts>, hints: &crate::bytecode::SizeHints) {
         debug_assert!(self.is_empty(), "reset of an arena still holding records");
-        self.table = table;
+        self.layouts = layouts;
         self.nodes.reserve(hints.nodes);
         self.leaves.reserve(hints.leaves);
         self.shifts.reserve(hints.shifts);
         self.children.reserve(hints.children);
+        self.attrs.reserve(hints.nodes * ATTRS_PER_NODE);
+    }
+
+    /// Moves the records out, leaving an empty arena of the same program.
+    pub(crate) fn take(&mut self) -> TreeArena {
+        let empty = TreeArena::empty(self.layouts.clone());
+        std::mem::replace(self, empty)
     }
 
     /// Drops every record, keeping the pools' allocations.
@@ -184,9 +233,11 @@ impl TreeArena {
         self.blackboxes.clear();
         self.shifts.clear();
         self.children.clear();
+        self.attrs.clear();
     }
 
-    /// The largest capacity of any pool, in records.
+    /// The largest capacity of any pool, in records (the attribute pool
+    /// in runs of [`ATTRS_PER_NODE`] values).
     pub(crate) fn capacity(&self) -> usize {
         self.nodes
             .capacity()
@@ -195,20 +246,33 @@ impl TreeArena {
             .max(self.blackboxes.capacity())
             .max(self.shifts.capacity())
             .max(self.children.capacity())
+            .max(self.attrs.capacity() / ATTRS_PER_NODE)
+    }
+
+    /// The value in `slot` of the record whose values start at `attrs`.
+    #[inline]
+    fn attr(&self, attrs: u32, slot: u16) -> i64 {
+        self.attrs[attrs as usize + slot as usize]
+    }
+
+    /// Appends a record's values to the pool, returning their offset.
+    fn push_attrs(&mut self, values: &[i64]) -> u32 {
+        let at = u32::try_from(self.attrs.len()).expect("attribute pool overflow");
+        self.attrs.extend_from_slice(values);
+        at
     }
 
     /// Dispatch view of `id`. Shifted references resolve to their inner
     /// record; use [`TreeArena::resolve`] when the delta matters.
+    #[inline]
     pub(crate) fn entry(&self, id: TreeId) -> Entry<'_> {
+        // A shift's inner record is never itself a shift.
+        let (id, _) = self.resolve(id);
         match id.tag() {
             TAG_NODE => Entry::Node(&self.nodes[id.index()]),
             TAG_ARRAY => Entry::Array(&self.arrays[id.index()]),
             TAG_LEAF => Entry::Leaf(&self.leaves[id.index()]),
-            TAG_BLACKBOX => Entry::Blackbox(&self.blackboxes[id.index()]),
-            _ => {
-                let (inner, _) = self.shifts[id.index()];
-                self.entry(inner)
-            }
+            _ => Entry::Blackbox(&self.blackboxes[id.index()]),
         }
     }
 
@@ -226,13 +290,10 @@ impl TreeArena {
         &self.children[range.start as usize..(range.start + range.len) as usize]
     }
 
-    fn push_children(&mut self, ids: &[TreeId]) -> ChildRange {
-        if ids.is_empty() {
-            return ChildRange::EMPTY;
-        }
-        let start = self.children.len() as u32;
-        self.children.extend_from_slice(ids);
-        ChildRange { start, len: ids.len() as u32 }
+    fn push_children(&mut self, ids: impl IntoIterator<Item = TreeId>) -> ChildRange {
+        let start = self.children.len();
+        self.children.extend(ids);
+        ChildRange { start: start as u32, len: (self.children.len() - start) as u32 }
     }
 
     pub(crate) fn alloc_leaf(&mut self, start: usize, end: usize) -> TreeId {
@@ -241,38 +302,50 @@ impl TreeArena {
         id
     }
 
+    /// Allocates a node of `nt` built by its alternative `alt_index`;
+    /// `attrs` are its values in the rule's slot order.
     pub(crate) fn alloc_node(
         &mut self,
         nt: NtId,
-        env: Env,
-        children: &[TreeId],
-        base: usize,
-        input_len: usize,
         alt_index: u32,
+        attrs: &[i64],
+        children: impl IntoIterator<Item = TreeId>,
+        base: usize,
     ) -> TreeId {
         let children = self.push_children(children);
+        let attrs = self.push_attrs(attrs);
         let id = TreeId::new(TAG_NODE, self.nodes.len());
-        self.nodes.push(ANode { nt, env, children, base, input_len, alt_index });
+        self.nodes.push(ANode { nt, alt_index, attrs, children, base });
         id
     }
 
-    pub(crate) fn alloc_array(&mut self, nt: NtId, elems: &[TreeId]) -> TreeId {
+    pub(crate) fn alloc_array(
+        &mut self,
+        nt: NtId,
+        elems: impl IntoIterator<Item = TreeId>,
+    ) -> TreeId {
         let elems = self.push_children(elems);
         let id = TreeId::new(TAG_ARRAY, self.arrays.len());
         self.arrays.push(AArray { nt, elems });
         id
     }
 
+    /// Allocates a blackbox record of `nt` with `width` attribute values,
+    /// zeroed and then written by `fill` in the rule's slot order.
     pub(crate) fn alloc_blackbox(
         &mut self,
         nt: NtId,
-        env: Env,
+        width: usize,
+        fill: impl FnOnce(&mut [i64]),
         data: Arc<[u8]>,
         base: usize,
-        input_len: usize,
     ) -> TreeId {
+        let start = self.attrs.len();
+        let attrs = u32::try_from(start).expect("attribute pool overflow");
+        self.attrs.resize(start + width, 0);
+        fill(&mut self.attrs[start..]);
         let id = TreeId::new(TAG_BLACKBOX, self.blackboxes.len());
-        self.blackboxes.push(ABlackbox { nt, env, data, base, input_len });
+        self.blackboxes.push(ABlackbox { nt, attrs, data, base });
         id
     }
 
@@ -281,17 +354,12 @@ impl TreeArena {
     /// rule invocation, which are never shifted references.
     pub(crate) fn start_end(&self, id: TreeId) -> (i64, i64) {
         debug_assert_ne!(id.tag(), TAG_SHIFT, "start_end on an adjusted tree");
-        match id.tag() {
-            TAG_NODE => {
-                let env = &self.nodes[id.index()].env;
-                (env.fast_start(), env.fast_end())
-            }
-            TAG_BLACKBOX => {
-                let env = &self.blackboxes[id.index()].env;
-                (env.fast_start(), env.fast_end())
-            }
-            _ => (0, 0),
-        }
+        let attrs = match id.tag() {
+            TAG_NODE => self.nodes[id.index()].attrs,
+            TAG_BLACKBOX => self.blackboxes[id.index()].attrs,
+            _ => return (0, 0),
+        };
+        (self.attr(attrs, START_SLOT), self.attr(attrs, END_SLOT))
     }
 
     /// Rule T-NTSucc's re-basing, observably identical to the
@@ -313,34 +381,50 @@ impl TreeArena {
         }
     }
 
-    /// Attribute lookup on a node-like tree, checking the nonterminal
-    /// (mirror of the interpreter's `node_attr`; arrays read the *last*
-    /// element's attribute).
-    pub(crate) fn node_attr(&self, id: TreeId, nt: NtId, attr: Sym) -> Option<i64> {
-        let (id, delta) = self.resolve(id);
-        let v = match self.entry(id) {
-            Entry::Node(n) if n.nt == nt => n.env.get(attr),
-            Entry::Blackbox(b) if b.nt == nt => b.env.get(attr),
-            Entry::Array(a) if a.nt == nt => {
-                let last = *self.child_ids(a.elems).last()?;
-                return self.node_attr(last, nt, attr);
-            }
-            _ => None,
-        };
-        // A shifted reference reads like the interpreter's adjusted copy:
-        // `start`/`end` carry the delta, every other attribute is shared.
-        if delta != 0
-            && (attr == crate::env::wellknown::START || attr == crate::env::wellknown::END)
-        {
-            v.map(|v| v + delta)
-        } else {
-            v
+    /// Attribute lookup on a node-like tree by its slot in `nt`'s nodes,
+    /// checking the nonterminal (mirror of the interpreter's `node_attr`;
+    /// arrays read the *last* element's attribute).
+    #[inline]
+    pub(crate) fn node_attr(&self, id: TreeId, nt: NtId, slot: u16) -> Option<i64> {
+        if slot == NO_SLOT {
+            return None;
         }
+        let (mut id, mut delta) = self.resolve(id);
+        if let Entry::Array(a) = self.entry(id) {
+            if a.nt != nt {
+                return None;
+            }
+            (id, delta) = self.resolve(*self.child_ids(a.elems).last()?);
+        }
+        let attrs = match self.entry(id) {
+            Entry::Node(n) if n.nt == nt => n.attrs,
+            Entry::Blackbox(b) if b.nt == nt => b.attrs,
+            _ => return None,
+        };
+        Some(shifted(self.attr(attrs, slot), slot, delta))
+    }
+
+    /// The value of `sym` in a record with values at `attrs` and `shape`,
+    /// read through a reference shifted by `delta`.
+    fn attr_by_sym(&self, shape: &[Binding], attrs: u32, delta: i64, sym: Sym) -> Option<i64> {
+        let b = shape.iter().find(|b| b.sym == sym)?;
+        Some(shifted(self.attr(attrs, b.slot), b.slot, delta))
+    }
+
+    /// A record's bindings in the order the interpreter's environment
+    /// lists them (its shape's), `start`/`end` shifted by `delta`.
+    fn bindings<'s>(
+        &'s self,
+        shape: &'s [Binding],
+        attrs: u32,
+        delta: i64,
+    ) -> impl Iterator<Item = (Sym, i64)> + 's {
+        shape.iter().map(move |b| (b.sym, shifted(self.attr(attrs, b.slot), b.slot, delta)))
     }
 
     /// The name of nonterminal `nt`.
     pub fn nt_name(&self, nt: NtId) -> &str {
-        &self.table.names[nt.0 as usize]
+        &self.layouts.table.names[nt.0 as usize]
     }
 
     /// A view of tree `id`.
@@ -483,7 +567,8 @@ impl<'a> TreeRef<'a> {
     /// duplicated by value). The differential tests compare the result
     /// against the reference interpreter's output with `==`.
     pub fn to_tree(&self) -> Rc<Tree> {
-        let table = &self.arena.table;
+        let layouts = &self.arena.layouts;
+        let table = &layouts.table;
         let (id, delta) = self.arena.resolve(self.id);
         match self.arena.entry(id) {
             Entry::Leaf(l) => Rc::new(Tree::Leaf(*l)),
@@ -494,18 +579,16 @@ impl<'a> TreeRef<'a> {
                     .iter()
                     .map(|c| self.arena.view(*c).to_tree())
                     .collect();
-                let mut env = n.env.clone();
-                if delta != 0 {
-                    env.fast_shift_start_end(delta);
-                }
                 Rc::new(Tree::Node(Node {
                     nt: n.nt,
                     name: table.names[n.nt.0 as usize].clone(),
                     name_sym: table.syms[n.nt.0 as usize],
-                    env,
+                    env: (self.arena)
+                        .bindings(layouts.node_shape(n.nt, n.alt_index), n.attrs, delta)
+                        .collect(),
                     children,
                     base: n.base,
-                    input_len: n.input_len,
+                    input_len: self.arena.attr(n.attrs, EOI_SLOT) as usize,
                     alt_index: n.alt_index as usize,
                 }))
             }
@@ -523,21 +606,15 @@ impl<'a> TreeRef<'a> {
                     elems,
                 }))
             }
-            Entry::Blackbox(b) => {
-                let mut env = b.env.clone();
-                if delta != 0 {
-                    env.fast_shift_start_end(delta);
-                }
-                Rc::new(Tree::Blackbox(BlackboxNode {
-                    nt: b.nt,
-                    name: table.names[b.nt.0 as usize].clone(),
-                    name_sym: table.syms[b.nt.0 as usize],
-                    env,
-                    data: b.data.clone(),
-                    base: b.base,
-                    input_len: b.input_len,
-                }))
-            }
+            Entry::Blackbox(b) => Rc::new(Tree::Blackbox(BlackboxNode {
+                nt: b.nt,
+                name: table.names[b.nt.0 as usize].clone(),
+                name_sym: table.syms[b.nt.0 as usize],
+                env: self.arena.bindings(layouts.node_shape(b.nt, 0), b.attrs, delta).collect(),
+                data: b.data.clone(),
+                base: b.base,
+                input_len: self.arena.attr(b.attrs, EOI_SLOT) as usize,
+            })),
         }
     }
 }
@@ -560,30 +637,36 @@ impl<'a> NodeRef<'a> {
         self.attr_by_sym(sym)
     }
 
-    /// Looks up an attribute by pre-resolved symbol.
+    /// Looks up an attribute by pre-resolved symbol (a search of the
+    /// node's shape; [`NodeRef::get`] reads a resolved slot directly).
     pub fn attr_by_sym(&self, sym: Sym) -> Option<i64> {
-        let v = self.node.env.get(sym)?;
-        if self.delta != 0 && (sym == wellknown::START || sym == wellknown::END) {
-            Some(v + self.delta)
-        } else {
-            Some(v)
-        }
+        let n = self.node;
+        let shape = self.arena.layouts.node_shape(n.nt, n.alt_index);
+        self.arena.attr_by_sym(shape, n.attrs, self.delta, sym)
+    }
+
+    /// Reads a pre-resolved attribute; `None` if this node is not of the
+    /// slot's nonterminal.
+    #[inline]
+    pub fn get(&self, attr: AttrSlot) -> Option<i64> {
+        (attr.nt == self.node.nt)
+            .then(|| shifted(self.arena.attr(self.node.attrs, attr.slot), attr.slot, self.delta))
     }
 
     /// The node's `start` special attribute, as in [`Node::touched_start`].
     pub fn touched_start(&self) -> i64 {
-        self.node.env.fast_start() + self.delta
+        self.arena.attr(self.node.attrs, START_SLOT) + self.delta
     }
 
     /// The node's `end` special attribute.
     pub fn touched_end(&self) -> i64 {
-        self.node.env.fast_end() + self.delta
+        self.arena.attr(self.node.attrs, END_SLOT) + self.delta
     }
 
     /// The absolute input span `[base, base + input_len)` this node was
     /// asked to describe.
     pub fn span(&self) -> (usize, usize) {
-        (self.node.base, self.node.base + self.node.input_len)
+        (self.node.base, self.node.base + self.input_len())
     }
 
     /// Absolute offset of this node's local input slice.
@@ -593,7 +676,7 @@ impl<'a> NodeRef<'a> {
 
     /// Length of this node's local input slice (`EOI`).
     pub fn input_len(&self) -> usize {
-        self.node.input_len
+        self.arena.attr(self.node.attrs, EOI_SLOT) as usize
     }
 
     /// Index of the alternative that succeeded (0-based).
@@ -682,16 +765,25 @@ impl<'a> BlackboxRef<'a> {
     /// Looks up a declared attribute by name.
     pub fn attr(&self, grammar: &crate::check::Grammar, name: &str) -> Option<i64> {
         let sym = grammar.attr_sym(name)?;
-        let v = self.bb.env.get(sym)?;
-        if self.delta != 0 && (sym == wellknown::START || sym == wellknown::END) {
-            Some(v + self.delta)
-        } else {
-            Some(v)
-        }
+        let shape = self.arena.layouts.node_shape(self.bb.nt, 0);
+        self.arena.attr_by_sym(shape, self.bb.attrs, self.delta, sym)
     }
 
     /// The absolute input span the blackbox was confined to.
     pub fn span(&self) -> (usize, usize) {
-        (self.bb.base, self.bb.base + self.bb.input_len)
+        let len = self.arena.attr(self.bb.attrs, EOI_SLOT) as usize;
+        (self.bb.base, self.bb.base + len)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ANode;
+
+    #[test]
+    fn node_records_stay_small() {
+        // Every parsed nonterminal costs one record; attribute values live
+        // in the shared pool, not in the record.
+        assert!(std::mem::size_of::<ANode>() <= 48, "{} bytes", std::mem::size_of::<ANode>());
     }
 }

@@ -17,6 +17,12 @@
 //!   `(offset, len)` spans;
 //! * switch cases in one shared case pool.
 //!
+//! Attribute operands keep their [`Sym`] and carry a frame or node slot
+//! besides, which [`compile`] leaves at [`NO_SLOT`]: the slots are filled
+//! in by the `layout` module when a [`crate::interp::vm::VmParser`] is built
+//! from the program, so neither the listing nor a persisted artifact
+//! depends on them.
+//!
 //! The program is executed by [`crate::interp::vm`]. Its shape is pinned
 //! by snapshot tests over [`Program::disassemble`] so that codegen changes
 //! show up as reviewable listing diffs.
@@ -27,6 +33,12 @@ use crate::intern::Sym;
 use crate::syntax::{BinOp, Builtin};
 use std::fmt::Write as _;
 use std::sync::Arc;
+
+/// An attribute slot that is not resolved: what [`compile`] emits before
+/// layout resolution, and what resolution leaves for a local read the
+/// frame does not hold (it is read from the invoking alternative) or an
+/// attribute the nonterminal does not store.
+pub const NO_SLOT: u16 = u16::MAX;
 
 /// Index of an expression in [`Program`]'s flat expression pool.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -117,6 +129,8 @@ pub enum Instr {
     Set {
         /// Attribute symbol.
         attr: Sym,
+        /// Frame slot the attribute is stored in.
+        attr_slot: u16,
         /// Defining expression.
         expr: ExprId,
     },
@@ -129,6 +143,8 @@ pub enum Instr {
     Loop {
         /// Loop variable symbol.
         var: Sym,
+        /// Frame slot of the loop variable.
+        var_slot: u16,
         /// Inclusive lower bound.
         from: ExprId,
         /// Exclusive upper bound.
@@ -192,7 +208,14 @@ pub enum BExpr {
     /// `EOI` of the current rule's input.
     Eoi,
     /// A local attribute or loop variable.
-    Local(Sym),
+    Local {
+        /// Its symbol.
+        sym: Sym,
+        /// The frame slot holding it at this read, or [`NO_SLOT`] when the
+        /// frame does not bind it yet and it is inherited from the
+        /// invoking alternative.
+        slot: u16,
+    },
     /// `B.id` resolved to a sibling slot.
     NtAttr {
         /// Sibling result slot.
@@ -201,6 +224,8 @@ pub enum BExpr {
         nt: NtId,
         /// Attribute symbol.
         attr: Sym,
+        /// The attribute's slot in `nt`'s nodes.
+        attr_slot: u16,
     },
     /// `B(e).id` resolved to a sibling array slot.
     ElemAttr {
@@ -212,6 +237,8 @@ pub enum BExpr {
         index: ExprId,
         /// Attribute symbol.
         attr: Sym,
+        /// The attribute's slot in `nt`'s nodes.
+        attr_slot: u16,
     },
     /// `B.id` resolved through the invoking-alternative chain.
     OuterAttr {
@@ -219,6 +246,8 @@ pub enum BExpr {
         nt: NtId,
         /// Attribute symbol.
         attr: Sym,
+        /// The attribute's slot in `nt`'s nodes.
+        attr_slot: u16,
     },
     /// `B(e).id` resolved through the invoking-alternative chain.
     OuterElem {
@@ -228,12 +257,16 @@ pub enum BExpr {
         index: ExprId,
         /// Attribute symbol.
         attr: Sym,
+        /// The attribute's slot in `nt`'s nodes.
+        attr_slot: u16,
     },
     /// Existential scan over a sibling array slot (or the parent chain
     /// when `slot` is `None`).
     Exists {
         /// Bound variable.
         var: Sym,
+        /// Frame slot of the bound variable.
+        var_slot: u16,
         /// Sibling array slot, if the array is a sibling.
         slot: Option<u16>,
         /// Element nonterminal.
@@ -334,14 +367,14 @@ impl Compiler {
                     Instr::Call { nt: *nt, lo, hi, slot }
                 }
                 CTermKind::AttrDef { attr, expr } => {
-                    Instr::Set { attr: *attr, expr: self.expr(expr) }
+                    Instr::Set { attr: *attr, attr_slot: NO_SLOT, expr: self.expr(expr) }
                 }
                 CTermKind::Predicate { expr } => Instr::Guard { expr: self.expr(expr) },
                 CTermKind::Array { var, from, to, nt, interval } => {
                     let from = self.expr(from);
                     let to = self.expr(to);
                     let (lo, hi) = self.interval(interval);
-                    Instr::Loop { var: *var, from, to, nt: *nt, lo, hi, slot }
+                    Instr::Loop { var: *var, var_slot: NO_SLOT, from, to, nt: *nt, lo, hi, slot }
                 }
                 CTermKind::Star { nt, interval } => {
                     let (lo, hi) = self.interval(interval);
@@ -390,7 +423,7 @@ impl Compiler {
         let lowered = match e {
             CExpr::Num(n) => BExpr::Num(*n),
             CExpr::Eoi => BExpr::Eoi,
-            CExpr::Local(sym) => BExpr::Local(*sym),
+            CExpr::Local(sym) => BExpr::Local { sym: *sym, slot: NO_SLOT },
             CExpr::Bin(op, a, b) => {
                 let a = self.expr(a);
                 let b = self.expr(b);
@@ -403,22 +436,38 @@ impl Compiler {
                 BExpr::Cond(c, t, f)
             }
             CExpr::NtAttr { term, nt, attr } => {
-                BExpr::NtAttr { slot: *term as u16, nt: *nt, attr: *attr }
+                BExpr::NtAttr { slot: *term as u16, nt: *nt, attr: *attr, attr_slot: NO_SLOT }
             }
             CExpr::ElemAttr { term, nt, index, attr } => {
                 let index = self.expr(index);
-                BExpr::ElemAttr { slot: *term as u16, nt: *nt, index, attr: *attr }
+                BExpr::ElemAttr {
+                    slot: *term as u16,
+                    nt: *nt,
+                    index,
+                    attr: *attr,
+                    attr_slot: NO_SLOT,
+                }
             }
-            CExpr::OuterAttr { nt, attr } => BExpr::OuterAttr { nt: *nt, attr: *attr },
+            CExpr::OuterAttr { nt, attr } => {
+                BExpr::OuterAttr { nt: *nt, attr: *attr, attr_slot: NO_SLOT }
+            }
             CExpr::OuterElem { nt, index, attr } => {
                 let index = self.expr(index);
-                BExpr::OuterElem { nt: *nt, index, attr: *attr }
+                BExpr::OuterElem { nt: *nt, index, attr: *attr, attr_slot: NO_SLOT }
             }
             CExpr::Exists { var, term, nt, cond, then, els } => {
                 let cond = self.expr(cond);
                 let then = self.expr(then);
                 let els = self.expr(els);
-                BExpr::Exists { var: *var, slot: term.map(|t| t as u16), nt: *nt, cond, then, els }
+                BExpr::Exists {
+                    var: *var,
+                    var_slot: NO_SLOT,
+                    slot: term.map(|t| t as u16),
+                    nt: *nt,
+                    cond,
+                    then,
+                    els,
+                }
             }
         };
         self.push_expr(lowered)
@@ -581,11 +630,11 @@ impl Program {
                 self.render_expr(g, lo),
                 self.render_expr(g, hi)
             ),
-            Instr::Set { attr, expr } => {
+            Instr::Set { attr, expr, .. } => {
                 format!("set {} = {}", g.attr_name(attr), self.render_expr(g, expr))
             }
             Instr::Guard { expr } => format!("guard {}", self.render_expr(g, expr)),
-            Instr::Loop { var, from, to, nt, lo, hi, slot } => format!(
+            Instr::Loop { var, from, to, nt, lo, hi, slot, .. } => format!(
                 "loop {} = {} to {} do {}[{}, {}] -> s{slot}",
                 g.attr_name(var),
                 self.render_expr(g, from),
@@ -631,7 +680,7 @@ impl Program {
         match self.exprs[e.0 as usize] {
             BExpr::Num(n) => n.to_string(),
             BExpr::Eoi => "EOI".into(),
-            BExpr::Local(sym) => g.attr_name(sym).to_owned(),
+            BExpr::Local { sym, .. } => g.attr_name(sym).to_owned(),
             BExpr::Bin(op, a, b) => {
                 format!("({} {op} {})", self.render_expr(g, a), self.render_expr(g, b))
             }
@@ -641,25 +690,25 @@ impl Program {
                 self.render_expr(g, t),
                 self.render_expr(g, f)
             ),
-            BExpr::NtAttr { slot, nt, attr } => {
+            BExpr::NtAttr { slot, nt, attr, .. } => {
                 format!("s{slot}:{}.{}", self.nt_name(nt), g.attr_name(attr))
             }
-            BExpr::ElemAttr { slot, nt, index, attr } => format!(
+            BExpr::ElemAttr { slot, nt, index, attr, .. } => format!(
                 "s{slot}:{}({}).{}",
                 self.nt_name(nt),
                 self.render_expr(g, index),
                 g.attr_name(attr)
             ),
-            BExpr::OuterAttr { nt, attr } => {
+            BExpr::OuterAttr { nt, attr, .. } => {
                 format!("outer:{}.{}", self.nt_name(nt), g.attr_name(attr))
             }
-            BExpr::OuterElem { nt, index, attr } => format!(
+            BExpr::OuterElem { nt, index, attr, .. } => format!(
                 "outer:{}({}).{}",
                 self.nt_name(nt),
                 self.render_expr(g, index),
                 g.attr_name(attr)
             ),
-            BExpr::Exists { var, slot, nt, cond, then, els } => {
+            BExpr::Exists { var, slot, nt, cond, then, els, .. } => {
                 let arr = match slot {
                     Some(sl) => format!("s{sl}:{}", self.nt_name(nt)),
                     None => format!("outer:{}", self.nt_name(nt)),

@@ -1,14 +1,20 @@
-//! Attribute environments.
+//! Attribute environments of the reference interpreter.
 //!
 //! The parsing semantics (Fig. 8) threads an environment `E` mapping
-//! attribute ids to integer values through every alternative. Environments
-//! are small (a handful of attributes per rule), so they are flat sequences
-//! with linear lookup, which is faster than hashing at these sizes and keeps
-//! parse trees compact. The first [`INLINE`] bindings live inline in the
-//! struct: the interpreter builds (and clones) an environment for every
-//! alternative it tries, and keeping `EOI`/`start`/`end` plus typical
-//! attribute counts out of the heap removes an allocation from that hot
-//! loop. Bindings beyond the inline capacity spill to a `Vec`.
+//! attribute ids to integer values through every alternative. [`Env`] is
+//! that environment, literally: an insertion-ordered sequence of
+//! `(symbol, value)` bindings with linear lookup, in which the most recent
+//! binding of a symbol wins. The tree-walking interpreter
+//! ([`crate::interp`]) builds one per alternative it tries and stores it in
+//! every [`crate::tree::Node`]; the first [`INLINE`] bindings live inline
+//! so that `EOI`/`start`/`end` plus a few attributes stay off the heap,
+//! and the rest spill to a `Vec`.
+//!
+//! The bytecode VM does not use `Env`. It resolves every attribute to a
+//! fixed slot when a parser is built (`layout`) and keeps values
+//! in `i64` slots; [`crate::arena::TreeRef::to_tree`] rebuilds an `Env`,
+//! binding for binding, only to compare its trees with the interpreter's.
+//! The well-known symbols below are shared by both engines.
 
 use crate::intern::Sym;
 
@@ -169,90 +175,6 @@ impl Env {
         self.set(wellknown::END, e + delta);
     }
 
-    /// The initial environment of an alternative whose input length is not
-    /// known yet (a streaming session's root before end-of-input). `EOI`
-    /// and `start` hold [`Env::OPEN_LEN`] placeholders; [`Env::seal`]
-    /// patches them once the length is known. The placeholders are safe
-    /// because `start` only ever shrinks via `min` (so sealing with the
-    /// real length commutes with every update made in between) and the VM
-    /// suspends instead of reading `EOI`/`start` from an unsealed frame.
-    #[inline]
-    pub(crate) fn initial_open() -> Self {
-        let mut env = Env::default();
-        env.inline[0] = (wellknown::EOI, Self::OPEN_LEN);
-        env.inline[1] = (wellknown::START, Self::OPEN_LEN);
-        env.inline[2] = (wellknown::END, 0);
-        env.inline_len = 3;
-        env
-    }
-
-    /// Placeholder value of `EOI`/`start` in an unsealed open environment.
-    pub(crate) const OPEN_LEN: i64 = i64::MAX;
-
-    /// Seals an environment built with [`Env::initial_open`] once the true
-    /// input length is known: `EOI` becomes `len`, and `start` takes the
-    /// `min` with `len` it would have started from (a no-op if any term
-    /// already shrank it below `len`).
-    #[inline]
-    pub(crate) fn seal(&mut self, len: i64) {
-        debug_assert_eq!(self.inline[0].0, wellknown::EOI);
-        debug_assert_eq!(self.inline[1].0, wellknown::START);
-        self.inline[0].1 = len;
-        let s = &mut self.inline[1].1;
-        *s = (*s).min(len);
-    }
-
-    /// O(1) accessors for the three well-known bindings, used by the
-    /// bytecode VM. Environments built with [`Env::initial`] keep
-    /// `EOI`/`start`/`end` at inline slots 0/1/2 forever: `set` updates in
-    /// place, scoped pushes and pops are balanced on top of them, and the
-    /// checker rejects loop variables named after reserved attributes, so
-    /// nothing can shadow or displace the first three slots. The
-    /// tree-walking interpreter deliberately keeps using the generic
-    /// scanning accessors — it is the frozen reference implementation.
-    #[inline]
-    pub(crate) fn fast_eoi(&self) -> i64 {
-        debug_assert_eq!(self.inline[0].0, wellknown::EOI);
-        self.inline[0].1
-    }
-
-    /// O(1) `start` (see [`Env::fast_eoi`] for the layout invariant).
-    #[inline]
-    pub(crate) fn fast_start(&self) -> i64 {
-        debug_assert_eq!(self.inline[1].0, wellknown::START);
-        self.inline[1].1
-    }
-
-    /// O(1) `end`.
-    #[inline]
-    pub(crate) fn fast_end(&self) -> i64 {
-        debug_assert_eq!(self.inline[2].0, wellknown::END);
-        self.inline[2].1
-    }
-
-    /// O(1) `updStartEnd` (identical observable effect to
-    /// [`Env::upd_start_end`] under the [`Env::fast_eoi`] invariant).
-    #[inline]
-    pub(crate) fn fast_upd_start_end(&mut self, l: i64, r: i64, b: bool) {
-        debug_assert_eq!(self.inline[1].0, wellknown::START);
-        debug_assert_eq!(self.inline[2].0, wellknown::END);
-        if b {
-            let s = &mut self.inline[1].1;
-            *s = (*s).min(l);
-            let e = &mut self.inline[2].1;
-            *e = (*e).max(r);
-        }
-    }
-
-    /// O(1) `shift_start_end`.
-    #[inline]
-    pub(crate) fn fast_shift_start_end(&mut self, delta: i64) {
-        debug_assert_eq!(self.inline[1].0, wellknown::START);
-        debug_assert_eq!(self.inline[2].0, wellknown::END);
-        self.inline[1].1 += delta;
-        self.inline[2].1 += delta;
-    }
-
     /// Iterates over `(sym, value)` bindings in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (Sym, i64)> + '_ {
         self.inline_entries().iter().chain(self.spill.iter()).copied()
@@ -270,6 +192,18 @@ impl Env {
     /// Whether the environment is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl FromIterator<(Sym, i64)> for Env {
+    /// Builds an environment binding each pair in order (no overwriting:
+    /// the pairs are expected to have distinct symbols).
+    fn from_iter<T: IntoIterator<Item = (Sym, i64)>>(iter: T) -> Self {
+        let mut env = Env::new();
+        for (sym, v) in iter {
+            env.push_scope(sym, v);
+        }
+        env
     }
 }
 

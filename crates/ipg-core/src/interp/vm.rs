@@ -13,14 +13,18 @@
 //!   `Rc<Expr>` pointers and never hashes a name.
 //! * **Explicit work stack**: nonterminal calls push [`Frame`]s onto a
 //!   `Vec` instead of recursing, so deeply nested inputs cannot overflow
-//!   the native stack and frame storage (environments, result slots) is
+//!   the native stack and frame storage (attribute and result slots) is
 //!   recycled across calls — and across parses: the frame stack, memo
-//!   table, scratch buffers and a failed parse's arena live in a
-//!   per-thread `Workspace` that each parse borrows and hands back
-//!   cleared. The deepest failure is kept as an unrendered `Reason` and
-//!   becomes a [`ParseError`] only when a parse returns it. A failing
-//!   parse thus allocates only its error and the element lists of the
-//!   `for`/`star` terms it runs.
+//!   tables and a failed parse's arena live in a per-thread `Workspace`
+//!   that each parse borrows and hands back cleared. The deepest failure
+//!   is kept as an unrendered `Reason` and becomes a [`ParseError`] only
+//!   when a parse returns it. A failing parse thus allocates only its
+//!   error and the element lists of the `for`/`star` terms it runs.
+//! * **Slot-resolved attributes**: a frame keeps its attributes in `i64`
+//!   slots fixed per rule when the parser is built (`layout`), so
+//!   an attribute read or write is an indexed access, not a search by
+//!   symbol; only a local rule's read of its invoking alternative walks
+//!   the parent chain, over the parents' layouts.
 //! * **Arena trees**: results go into a [`TreeArena`] — one bump
 //!   allocation per node, children as contiguous `u32` ranges, memoized
 //!   subtrees shared by id (see [`crate::arena`]).
@@ -58,17 +62,20 @@
 
 use super::{eval_binop, ParseStats};
 use crate::analysis::{anchor_requirement, AnchorRequirement};
-use crate::arena::{Entry, TreeArena, TreeId, TreeRef};
+use crate::arena::{AttrSlot, Entry, TreeArena, TreeId, TreeRef};
 use crate::builtin::run_builtin;
-use crate::bytecode::{compile, BExpr, ExprId, Instr, LitSpan, PRuleKind, Program, SizeHints};
+use crate::bytecode::{
+    compile, BExpr, ExprId, Instr, LitSpan, PRuleKind, Program, SizeHints, NO_SLOT,
+};
 use crate::check::{Grammar, NtId};
-use crate::env::{wellknown, Env};
 use crate::error::{Error, ParseError, Result};
 use crate::intern::Sym;
+use crate::layout::{self, Layouts, END_SLOT, EOI_SLOT, START_SLOT};
 use crate::profile::{ProfSink, ProfileReport, Profiler};
 use crate::syntax::Builtin;
 use fxhash::{FxHashMap, FxHashSet};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// A configured bytecode parser for one grammar. The API mirrors
 /// [`crate::interp::Parser`]; results come back as arena-backed
@@ -77,6 +84,8 @@ use std::cell::Cell;
 pub struct VmParser<'g> {
     grammar: &'g Grammar,
     program: Program,
+    /// The program's attribute layouts, shared with every arena it fills.
+    layouts: Arc<Layouts>,
     /// Pre-sizing hints derived from the program (frame nesting, pool
     /// sizes), computed once at compile time.
     hints: SizeHints,
@@ -118,8 +127,7 @@ impl<'g> VmParser<'g> {
     pub fn new(grammar: &'g Grammar) -> Self {
         let program = compile(grammar);
         let hints = program.size_hints();
-        let anchor = anchor_requirement(grammar);
-        VmParser { program, hints, anchor, grammar, memoize: true, max_steps: None }
+        Self::from_compiled(grammar, program, anchor_requirement(grammar), hints)
     }
 
     /// Wraps an already-compiled program — typically one deserialized from
@@ -127,14 +135,27 @@ impl<'g> VmParser<'g> {
     /// anchor classification and size hints — skipping the compile step.
     /// `grammar` must be the grammar the program was compiled from (the
     /// artifact loader verifies this; see
-    /// [`crate::ipgc::Artifact::into_parser`]).
+    /// [`crate::ipgc::Artifact::into_parser`]). Either way the program's
+    /// attribute layouts are derived here (`layout`).
     pub fn from_compiled(
         grammar: &'g Grammar,
-        program: Program,
+        mut program: Program,
         anchor: AnchorRequirement,
         hints: SizeHints,
     ) -> Self {
-        VmParser { program, hints, anchor, grammar, memoize: true, max_steps: None }
+        let layouts = Arc::new(layout::resolve(&mut program, grammar));
+        VmParser { program, layouts, hints, anchor, grammar, memoize: true, max_steps: None }
+    }
+
+    /// Resolves attribute `attr` of nonterminal `nt` to its slot, for
+    /// reading with [`crate::arena::NodeRef::get`]. `None` unless every
+    /// node of `nt` carries the attribute: `start`, `end` and `EOI` always,
+    /// an attribute of a rule with alternatives when every alternative
+    /// sets it, `val` of a builtin, a blackbox's declared attributes.
+    pub fn attr_slot(&self, nt: NtId, attr: &str) -> Option<AttrSlot> {
+        let sym = self.grammar.attr_sym(attr)?;
+        let slot = self.layouts.total_slot(nt, sym)?;
+        Some(AttrSlot { nt, slot })
     }
 
     /// The compiled program (e.g. for [`Program::disassemble`]).
@@ -253,7 +274,7 @@ impl<'g> VmParser<'g> {
         let result = match sess.run_root(nt) {
             Ok(Some(root)) => {
                 let stats = sess.stats();
-                return (Ok(ParseTree { arena: sess.take_arena(), root }), stats);
+                return (Ok(ParseTree { arena: sess.arena.take(), root }), stats);
             }
             Ok(None) => Err(Error::Parse(sess.deepest.render(sess.g, sess.p))),
             Err(Abort::FuelExhausted) => {
@@ -286,12 +307,12 @@ impl<'g> VmParser<'g> {
             ws.memo.reserve(8 * self.grammar.nt_count());
         }
         ws.frames.reserve(self.hints.frames.saturating_sub(ws.frames.len()));
-        let mut arena =
-            ws.arena.take().unwrap_or_else(|| TreeArena::empty(self.program.nt_table()));
-        arena.reset(self.program.nt_table(), &self.hints);
+        let mut arena = ws.arena.take().unwrap_or_else(|| TreeArena::empty(self.layouts.clone()));
+        arena.reset(self.layouts.clone(), &self.hints);
         VmSession {
             g: self.grammar,
             p: &self.program,
+            layouts: &self.layouts,
             input,
             arena,
             memo: ws.memo,
@@ -303,7 +324,6 @@ impl<'g> VmParser<'g> {
             deepest: Deepest { offset: 0, nt: None, reason: Reason::NoProgress },
             frames: ws.frames,
             depth: 0,
-            scratch: ws.scratch,
             complete: true,
             root_open: false,
             suspend: None,
@@ -422,11 +442,10 @@ const RETAIN_MAX: usize = 4096;
 /// starts from an empty one; whichever is handed back last is kept.
 #[derive(Default)]
 struct Workspace {
-    /// Dead frames, each keeping its result-slot and environment storage.
+    /// Dead frames, each keeping its attribute- and result-slot storage.
     frames: Vec<Frame>,
     memo: FxHashMap<(NtId, usize, usize), Option<TreeId>>,
     builtin_failures: FxHashSet<(NtId, usize, usize)>,
-    scratch: Vec<TreeId>,
     /// A failed parse's cleared arena (a successful one leaves with its
     /// [`ParseTree`]).
     arena: Option<TreeArena>,
@@ -455,10 +474,6 @@ impl Workspace {
             self.builtin_failures = FxHashSet::default();
         }
         self.builtin_failures.clear();
-        if self.scratch.capacity() > RETAIN_MAX {
-            self.scratch = Vec::new();
-        }
-        self.scratch.clear();
         self.arena = self.arena.filter(|arena| arena.capacity() <= RETAIN_MAX);
         if let Some(arena) = &mut self.arena {
             arena.clear();
@@ -518,7 +533,8 @@ enum CallOutcome {
 /// array loop locals).
 struct LoopSt {
     slot: u16,
-    var: Sym,
+    /// Frame slot of the loop variable.
+    var_slot: u16,
     k: i64,
     j: i64,
     nt: NtId,
@@ -567,7 +583,10 @@ struct Frame {
     /// Next instruction, and one past the current alternative's last.
     ip: u32,
     ip_end: u32,
-    env: Env,
+    /// Attribute and scoped-variable slots (`layout`): `EOI`,
+    /// `start` and `end` first. A slot is written before it is read; the
+    /// values a failed alternative left behind are never read.
+    slots: Vec<i64>,
     /// Result slots, indexed by written term position.
     results: Vec<Option<TreeId>>,
     /// Frame index of the invoking alternative (local rules only);
@@ -588,7 +607,7 @@ impl Default for Frame {
             alt_cursor: 0,
             ip: 0,
             ip_end: 0,
-            env: Env::default(),
+            slots: Vec::new(),
             results: Vec::new(),
             parent: NO_PARENT,
             memoizable: false,
@@ -600,6 +619,7 @@ impl Default for Frame {
 struct VmSession<'p, I, PS: ProfSink = ()> {
     g: &'p Grammar,
     p: &'p Program,
+    layouts: &'p Layouts,
     /// The input bytes: a borrowed slice for one-shot parses, an owned
     /// growing buffer for streaming [`Session`]s.
     input: I,
@@ -617,12 +637,10 @@ struct VmSession<'p, I, PS: ProfSink = ()> {
     max_steps: u64,
     deepest: Deepest,
     /// The frame stack: `frames[..depth]` are live. Slots above `depth`
-    /// are dead but keep their allocations (result vectors, environment
-    /// spill) for reuse, so pushing a frame never moves one by value.
+    /// are dead but keep their allocations (attribute and result slots)
+    /// for reuse, so pushing a frame never moves one by value.
     frames: Vec<Frame>,
     depth: usize,
-    /// Scratch buffer for collecting a completing frame's children.
-    scratch: Vec<TreeId>,
     /// Whether the whole input is present. One-shot parses are always
     /// complete; a streaming session flips this in `finish`. While
     /// `false`, operations that read past the buffered prefix or consult
@@ -630,8 +648,8 @@ struct VmSession<'p, I, PS: ProfSink = ()> {
     complete: bool,
     /// Whether the root frame's input length is still open (streaming
     /// session over an alternatives rule, before end-of-input). The root
-    /// frame then carries `len == 0` and an [`Env::initial_open`]
-    /// placeholder environment until sealed.
+    /// frame then carries `len == 0` and [`OPEN_LEN`] placeholders for
+    /// `EOI` and `start` until sealed.
     root_open: bool,
     /// Parked suspension hint: set by a gated evaluation just before it
     /// returns "undefined", examined by the instruction handlers to
@@ -723,7 +741,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         f.alt_cursor = first;
         f.ip = alt.first;
         f.ip_end = alt.first + alt.count;
-        f.env = Env::initial_open();
+        init_slots(&mut f.slots, self.layouts.rules[nt.0 as usize].frame_width, OPEN_LEN);
         f.results.clear();
         f.results.resize(alt.n_slots as usize, None);
         f.parent = NO_PARENT;
@@ -736,7 +754,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     }
 
     /// Seals the open root frame once the total input length is known:
-    /// the placeholder length and environment become real, and every
+    /// the placeholder length, `EOI` and `start` become real, and every
     /// suspension gate turns off (`complete` flips in the caller).
     fn seal_root(&mut self) {
         if !self.root_open || self.depth == 0 {
@@ -745,7 +763,11 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         let len = self.bytes().len();
         let f = &mut self.frames[0];
         f.len = len;
-        f.env.seal(len as i64);
+        // `start` only ever shrinks via `min`, so taking the `min` with the
+        // real length now commutes with every update made while open.
+        f.slots[EOI_SLOT as usize] = len as i64;
+        let start = &mut f.slots[START_SLOT as usize];
+        *start = (*start).min(len as i64);
     }
 
     /// `s ⊢ A ⇓ R` at `(base, len)`: memo lookup, then direct evaluation
@@ -816,7 +838,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 f.alt_cursor = first;
                 f.ip = alt.first;
                 f.ip_end = alt.first + alt.count;
-                f.env = Env::initial(len);
+                init_slots(&mut f.slots, self.layouts.rules[nt.0 as usize].frame_width, len as i64);
                 f.results.clear();
                 f.results.resize(alt.n_slots as usize, None);
                 f.parent = parent;
@@ -840,13 +862,11 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         let local = &self.input.as_ref()[base..base + len];
         match run_builtin(b, local) {
             Some((val, consumed)) => {
-                let mut env = Env::initial(len);
-                env.fast_upd_start_end(0, consumed as i64, consumed > 0);
-                // `val` is absent from the fresh environment; append it
-                // without the membership scan `set` would do.
-                env.push_scope(wellknown::VAL, val);
+                // `EOI`, `start`, `end`, `val`: the builtin layout.
+                let mut attrs = [len as i64, len as i64, 0, val];
+                upd_start_end(&mut attrs, 0, consumed as i64, consumed > 0);
                 let leaf = self.arena.alloc_leaf(base, base + consumed);
-                Some(self.arena.alloc_node(nt, env, &[leaf], base, len, 0))
+                Some(self.arena.alloc_node(nt, 0, &attrs, [leaf], base))
             }
             None => {
                 // Where the interpreter's memo would make a repeated
@@ -866,15 +886,21 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         let local = &self.input.as_ref()[base..base + len];
         match (bb.run)(local) {
             Ok(res) => {
-                let mut env = Env::initial(len);
+                let shape = self.layouts.node_shape(nt, 0);
                 let consumed = res.consumed.min(len);
-                env.fast_upd_start_end(0, consumed as i64, consumed > 0);
-                for (name, value) in bb.attrs.iter().zip(&res.attr_values) {
-                    if let Some(sym) = g.attr_sym(name) {
-                        env.set(sym, *value);
+                let fill = |attrs: &mut [i64]| {
+                    attrs[..3].copy_from_slice(&[len as i64, len as i64, 0]);
+                    upd_start_end(attrs, 0, consumed as i64, consumed > 0);
+                    // A blackbox returning fewer values than it declares
+                    // breaks its contract; the missing values read as 0.
+                    for (name, value) in bb.attrs.iter().zip(&res.attr_values) {
+                        let sym = g.attr_sym(name);
+                        if let Some(b) = shape.iter().find(|b| Some(b.sym) == sym) {
+                            attrs[b.slot as usize] = *value;
+                        }
                     }
-                }
-                Some(self.arena.alloc_blackbox(nt, env, res.data.into(), base, len))
+                };
+                Some(self.arena.alloc_blackbox(nt, shape.len(), fill, res.data.into(), base))
             }
             Err(msg) => {
                 self.record_failure(base, nt, Reason::Blackbox(msg));
@@ -900,10 +926,12 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 match self.p.code[ip as usize] {
                     Instr::Match { lit, lo, hi, slot } => self.exec_match(fi, lit, lo, hi, slot)?,
                     Instr::Call { nt, lo, hi, slot } => self.dispatch_call(fi, nt, lo, hi, slot)?,
-                    Instr::Set { attr, expr } => self.exec_set(fi, attr, expr)?,
+                    Instr::Set { attr, attr_slot, expr } => {
+                        self.exec_set(fi, attr, attr_slot, expr)?
+                    }
                     Instr::Guard { expr } => self.exec_guard(fi, expr)?,
-                    Instr::Loop { var, from, to, nt, lo, hi, slot } => {
-                        self.exec_loop(fi, var, from, to, nt, lo, hi, slot)?
+                    Instr::Loop { var_slot, from, to, nt, lo, hi, slot, .. } => {
+                        self.exec_loop(fi, var_slot, from, to, nt, lo, hi, slot)?
                     }
                     Instr::Star { nt, lo, hi, slot } => self.exec_star(fi, nt, lo, hi, slot)?,
                     Instr::Switch { first, count, slot } => {
@@ -931,7 +959,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             let alt = p.alts[f.alt_cursor as usize];
             f.ip = alt.first;
             f.ip_end = alt.first + alt.count;
-            f.env = if open { Env::initial_open() } else { Env::initial(f.len) };
+            let len = if open { OPEN_LEN } else { f.len as i64 };
+            f.slots[..3].copy_from_slice(&[len, len, 0]);
             f.results.clear();
             f.results.resize(alt.n_slots as usize, None);
             f.pending = Pending::None;
@@ -966,16 +995,15 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         }
         self.depth -= 1;
         let f = &mut self.frames[self.depth];
-        let env = std::mem::take(&mut f.env);
         let (nt, base, len) = (f.nt, f.base, f.len);
         let alt_index = f.alt_cursor - f.alts_first;
         let memoizable = f.memoizable;
         f.pending = Pending::None;
         self.prof.exit(nt, true);
-        self.scratch.clear();
         let f = &self.frames[self.depth];
-        self.scratch.extend(f.results.iter().flatten().copied());
-        let id = self.arena.alloc_node(nt, env, &self.scratch, base, len, alt_index);
+        let width = self.layouts.rules[nt.0 as usize].width as usize;
+        let children = f.results.iter().flatten().copied();
+        let id = self.arena.alloc_node(nt, alt_index, &f.slots[..width], children, base);
         if memoizable {
             self.memo.insert((nt, base, len), Some(id));
         }
@@ -1029,10 +1057,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                     self.loop_push(fi, &mut st, sub);
                     self.loop_next(fi, st)
                 }
-                None => {
-                    self.frames[fi].env.pop_scope();
-                    Ok(self.fail_alt(fi))
-                }
+                None => Ok(self.fail_alt(fi)),
             },
             Pending::Star(mut st) => match ret {
                 Some(sub) => {
@@ -1081,17 +1106,17 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         }
         let leaf = self.arena.alloc_leaf(al, al + blen);
         let f = &mut self.frames[fi];
-        f.env.fast_upd_start_end(l, r, blen != 0);
+        upd_start_end(&mut f.slots, l, r, blen != 0);
         f.results[slot as usize] = Some(leaf);
         f.ip += 1;
         Ok(Flow::Exec)
     }
 
-    fn exec_set(&mut self, fi: usize, attr: Sym, expr: ExprId) -> PResult<Flow> {
+    fn exec_set(&mut self, fi: usize, attr: Sym, attr_slot: u16, expr: ExprId) -> PResult<Flow> {
         match self.eval(expr, fi) {
             Some(v) => {
                 let f = &mut self.frames[fi];
-                f.env.set(attr, v);
+                f.slots[attr_slot as usize] = v;
                 f.ip += 1;
                 Ok(Flow::Exec)
             }
@@ -1172,7 +1197,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 let (cs, ce) = self.arena.start_end(sub);
                 let adjusted = self.arena.adjust(sub, l);
                 let f = &mut self.frames[fi];
-                f.env.fast_upd_start_end(l + cs, l + ce, ce != 0);
+                upd_start_end(&mut f.slots, l + cs, l + ce, ce != 0);
                 f.results[slot as usize] = Some(adjusted);
                 f.ip += 1;
                 Ok(Flow::Exec)
@@ -1185,7 +1210,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     fn exec_loop(
         &mut self,
         fi: usize,
-        var: Sym,
+        var_slot: u16,
         from: ExprId,
         to: ExprId,
         nt: NtId,
@@ -1212,8 +1237,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             // `abs_diff`: the bounds may be more than `i64::MAX` apart.
             elems.reserve(j.abs_diff(i).min(len as u64 + 1) as usize);
         }
-        self.frames[fi].env.push_scope(var, i);
-        self.loop_next(fi, LoopSt { slot, var, k: i, j, nt, lo, hi, l: 0, elems })
+        self.frames[fi].slots[var_slot as usize] = i;
+        self.loop_next(fi, LoopSt { slot, var_slot, k: i, j, nt, lo, hi, l: 0, elems })
     }
 
     /// One iteration step of a `for` term (entered fresh and after every
@@ -1221,15 +1246,14 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     fn loop_next(&mut self, fi: usize, mut st: LoopSt) -> PResult<Flow> {
         loop {
             if st.k >= st.j {
-                self.frames[fi].env.pop_scope();
-                let id = self.arena.alloc_array(st.nt, &st.elems);
+                let id = self.arena.alloc_array(st.nt, st.elems.iter().copied());
                 let f = &mut self.frames[fi];
                 f.results[st.slot as usize] = Some(id);
                 f.ip += 1;
                 return Ok(Flow::Exec);
             }
             self.tick()?;
-            self.frames[fi].env.set_top(st.var, st.k);
+            self.frames[fi].slots[st.var_slot as usize] = st.k;
             let (base, caller) = {
                 let f = &self.frames[fi];
                 (f.base, f.nt)
@@ -1238,12 +1262,11 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 if self.suspend.is_some() {
                     // Stash the iteration state; resume re-enters this
                     // loop step (re-paying the iteration tick rewound
-                    // here). The pushed loop-variable scope stays.
+                    // here). The loop variable keeps its slot.
                     self.frames[fi].pending = Pending::Loop(st);
                     return Err(self.suspend_here(1, ResumeKind::LoopIter));
                 }
                 self.record_failure(base, caller, Reason::Interval(st.nt));
-                self.frames[fi].env.pop_scope();
                 return Ok(self.fail_alt(fi));
             };
             st.l = l;
@@ -1255,10 +1278,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                     return Ok(Flow::Exec);
                 }
                 CallOutcome::Done(Some(sub)) => self.loop_push(fi, &mut st, sub),
-                CallOutcome::Done(None) => {
-                    self.frames[fi].env.pop_scope();
-                    return Ok(self.fail_alt(fi));
-                }
+                CallOutcome::Done(None) => return Ok(self.fail_alt(fi)),
             }
         }
     }
@@ -1269,7 +1289,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         let (cs, ce) = self.arena.start_end(sub);
         let adjusted = self.arena.adjust(sub, st.l);
         let f = &mut self.frames[fi];
-        f.env.fast_upd_start_end(st.l + cs, st.l + ce, ce != 0);
+        upd_start_end(&mut f.slots, st.l + cs, st.l + ce, ce != 0);
         st.elems.push(adjusted);
         st.k += 1;
     }
@@ -1349,9 +1369,9 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             self.record_failure(st.star_base, caller, Reason::StarEmpty(st.nt));
             return self.fail_alt(fi);
         }
-        let id = self.arena.alloc_array(st.nt, &st.elems);
+        let id = self.arena.alloc_array(st.nt, st.elems.iter().copied());
         let f = &mut self.frames[fi];
-        f.env.fast_upd_start_end(st.l, st.l + st.pos as i64, st.pos > 0);
+        upd_start_end(&mut f.slots, st.l, st.l + st.pos as i64, st.pos > 0);
         f.results[st.slot as usize] = Some(id);
         f.ip += 1;
         Flow::Exec
@@ -1425,25 +1445,26 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     /// `σ(E, Tr, e)` over the flat expression pool; `None` when undefined.
     /// The leaf cases inline into the interval-evaluation hot path; the
     /// recursive cases live in [`VmSession::eval_complex`].
-    #[inline]
+    #[inline(always)]
     fn eval(&mut self, e: ExprId, fi: usize) -> Option<i64> {
         match self.p.exprs[e.0 as usize] {
             BExpr::Num(n) => Some(n),
             BExpr::Eoi => self.eval_eoi(fi),
-            BExpr::Local(sym) => self.lookup_local(fi, sym),
-            BExpr::NtAttr { slot, nt, attr } => {
+            BExpr::Local { sym, slot } => self.read_local(fi, sym, slot),
+            BExpr::NtAttr { slot, nt, attr_slot, .. } => {
                 let id = self.frames[fi].results[slot as usize]?;
-                self.arena.node_attr(id, nt, attr)
+                self.arena.node_attr(id, nt, attr_slot)
             }
-            other => self.eval_complex(other, fi),
+            _ => self.eval_complex(e, fi),
         }
     }
 
-    fn eval_complex(&mut self, e: BExpr, fi: usize) -> Option<i64> {
-        match e {
+    #[inline(never)]
+    fn eval_complex(&mut self, e: ExprId, fi: usize) -> Option<i64> {
+        match self.p.exprs[e.0 as usize] {
             BExpr::Num(n) => Some(n),
             BExpr::Eoi => self.eval_eoi(fi),
-            BExpr::Local(sym) => self.lookup_local(fi, sym),
+            BExpr::Local { sym, slot } => self.read_local(fi, sym, slot),
             BExpr::Bin(op, a, b) => {
                 let a = self.eval(a, fi)?;
                 let b = self.eval(b, fi)?;
@@ -1456,11 +1477,11 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                     self.eval(f, fi)
                 }
             }
-            BExpr::NtAttr { slot, nt, attr } => {
+            BExpr::NtAttr { slot, nt, attr_slot, .. } => {
                 let id = self.frames[fi].results[slot as usize]?;
-                self.arena.node_attr(id, nt, attr)
+                self.arena.node_attr(id, nt, attr_slot)
             }
-            BExpr::ElemAttr { slot, nt, index, attr } => {
+            BExpr::ElemAttr { slot, nt, index, attr_slot, .. } => {
                 let k = self.eval(index, fi)?;
                 let id = self.frames[fi].results[slot as usize]?;
                 let Entry::Array(a) = self.arena.entry(id) else { return None };
@@ -1468,13 +1489,13 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                     return None;
                 }
                 let elem = *self.arena.child_ids(a.elems).get(k as usize)?;
-                self.arena.node_attr(elem, nt, attr)
+                self.arena.node_attr(elem, nt, attr_slot)
             }
-            BExpr::OuterAttr { nt, attr } => {
+            BExpr::OuterAttr { nt, attr_slot, .. } => {
                 let id = self.lookup_outer_node(fi, nt)?;
-                self.arena.node_attr(id, nt, attr)
+                self.arena.node_attr(id, nt, attr_slot)
             }
-            BExpr::OuterElem { nt, index, attr } => {
+            BExpr::OuterElem { nt, index, attr_slot, .. } => {
                 let k = self.eval(index, fi)?;
                 if k < 0 {
                     return None;
@@ -1482,9 +1503,9 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 let arr = self.lookup_outer_array(fi, nt)?;
                 let Entry::Array(a) = self.arena.entry(arr) else { return None };
                 let elem = *self.arena.child_ids(a.elems).get(k as usize)?;
-                self.arena.node_attr(elem, nt, attr)
+                self.arena.node_attr(elem, nt, attr_slot)
             }
-            BExpr::Exists { var, slot, nt, cond, then, els } => {
+            BExpr::Exists { var_slot, slot, nt, cond, then, els, .. } => {
                 // Only the element *count* is needed up front, as in the
                 // interpreter.
                 let n = match slot {
@@ -1503,33 +1524,25 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                         }
                     }
                 };
+                // The variable's slot is in scope for `cond` and `then`
+                // only; `els` cannot read it.
                 let mut found: Option<i64> = None;
-                self.frames[fi].env.push_scope(var, 0);
                 for k in 0..n {
-                    self.frames[fi].env.set_top(var, k as i64);
-                    match self.eval(cond, fi) {
-                        Some(0) => continue,
-                        Some(_) => {
+                    self.frames[fi].slots[var_slot as usize] = k as i64;
+                    match self.eval(cond, fi)? {
+                        0 => continue,
+                        _ => {
                             found = Some(k as i64);
                             break;
-                        }
-                        None => {
-                            self.frames[fi].env.pop_scope();
-                            return None;
                         }
                     }
                 }
                 match found {
                     Some(k) => {
-                        self.frames[fi].env.set_top(var, k);
-                        let v = self.eval(then, fi);
-                        self.frames[fi].env.pop_scope();
-                        v
+                        self.frames[fi].slots[var_slot as usize] = k;
+                        self.eval(then, fi)
                     }
-                    None => {
-                        self.frames[fi].env.pop_scope();
-                        self.eval(els, fi)
-                    }
+                    None => self.eval(els, fi),
                 }
             }
         }
@@ -1544,37 +1557,49 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             self.suspend = Some(Hint::UntilEnd);
             return None;
         }
-        Some(self.frames[fi].env.fast_eoi())
+        Some(self.frames[fi].slots[EOI_SLOT as usize])
     }
 
-    /// Current environment, falling through to the invoking alternative's
-    /// environment for local rules (mirror of `AltCtx::lookup_local`).
+    /// A plain attribute or variable read (mirror of
+    /// `AltCtx::lookup_local`): the frame's own slot when it binds `sym`
+    /// at this read, else the invoking alternatives' bindings.
     ///
-    /// Every frame's environment carries its own `EOI`/`start`, so those
-    /// two symbols never fall through to an outer frame — which means the
-    /// open-root gate below can only fire for the root's own terms
-    /// (`fi == 0`), where the placeholders must not be read before
-    /// sealing.
-    fn lookup_local(&mut self, fi: usize, sym: Sym) -> Option<i64> {
-        if fi == 0
-            && self.root_open
-            && !self.complete
-            && (sym == wellknown::EOI || sym == wellknown::START)
-        {
+    /// Every frame binds its own `EOI`/`start`, so those two never fall
+    /// through to an outer frame — which means the open-root gate below
+    /// can only fire for the root's own terms (`fi == 0`), where the
+    /// placeholders must not be read before sealing.
+    #[inline]
+    fn read_local(&mut self, fi: usize, sym: Sym, slot: u16) -> Option<i64> {
+        if slot == NO_SLOT {
+            return self.lookup_inherited(fi, sym);
+        }
+        if slot <= START_SLOT && fi == 0 && self.root_open && !self.complete {
             self.suspend = Some(Hint::UntilEnd);
             return None;
         }
-        let mut i = fi as u32;
-        loop {
+        Some(self.frames[fi].slots[slot as usize])
+    }
+
+    /// `sym` as bound in the invoking alternatives of frame `fi`, nearest
+    /// first. A parent is suspended at the instruction that called down
+    /// the chain: a `for` variable is in scope while that instruction is
+    /// its loop, and an attribute once its first `Set` lies before it.
+    fn lookup_inherited(&self, fi: usize, sym: Sym) -> Option<i64> {
+        let mut i = self.frames[fi].parent;
+        while i != NO_PARENT {
             let f = &self.frames[i as usize];
-            if let Some(v) = f.env.get(sym) {
-                return Some(v);
+            if let Instr::Loop { var, var_slot, .. } = self.p.code[f.ip as usize] {
+                if var == sym {
+                    return Some(f.slots[var_slot as usize]);
+                }
             }
-            if f.parent == NO_PARENT {
-                return None;
+            let shape = self.layouts.shape(f.alt_cursor);
+            if let Some(b) = shape.iter().find(|b| b.sym == sym && b.bound_from <= f.ip) {
+                return Some(f.slots[b.slot as usize]);
             }
             i = f.parent;
         }
+        None
     }
 
     /// Most recently written completed node/blackbox of `nt` in the
@@ -1617,11 +1642,30 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     }
 }
 
-impl<I, PS: ProfSink> VmSession<'_, I, PS> {
-    /// Moves the arena out (to a [`ParseTree`], or back to the
-    /// [`Workspace`]), leaving an empty one.
-    fn take_arena(&mut self) -> TreeArena {
-        std::mem::replace(&mut self.arena, TreeArena::empty(self.p.nt_table()))
+/// Placeholder value of `EOI`/`start` in the root frame of a streaming
+/// session before end-of-input (see [`VmSession::seal_root`]).
+const OPEN_LEN: i64 = i64::MAX;
+
+/// Readies a frame's slots for an alternative over an input of length
+/// `len`: `{EOI ↦ len, start ↦ len, end ↦ 0}` (rule R-AltSucc), the other
+/// slots left for the alternative to write.
+#[inline]
+fn init_slots(slots: &mut Vec<i64>, frame_width: u16, len: i64) {
+    if slots.len() < frame_width as usize {
+        slots.resize(frame_width as usize, 0);
+    }
+    slots[..3].copy_from_slice(&[len, len, 0]);
+}
+
+/// `updStartEnd(E, l, r, b)` on slots: when `b` holds, widen the touched
+/// region to include `[l, r)`.
+#[inline]
+fn upd_start_end(slots: &mut [i64], l: i64, r: i64, b: bool) {
+    if b {
+        let s = &mut slots[START_SLOT as usize];
+        *s = (*s).min(l);
+        let e = &mut slots[END_SLOT as usize];
+        *e = (*e).max(r);
     }
 }
 
@@ -1636,8 +1680,7 @@ impl<I, PS: ProfSink> Drop for VmSession<'_, I, PS> {
             frames: std::mem::take(&mut self.frames),
             memo: std::mem::take(&mut self.memo),
             builtin_failures: std::mem::take(&mut self.builtin_failures),
-            scratch: std::mem::take(&mut self.scratch),
-            arena: Some(self.take_arena()),
+            arena: Some(self.arena.take()),
         }
         .give_back();
     }
@@ -1855,7 +1898,7 @@ impl<'p> Session<'p> {
         let step = self.step_machine();
         match step {
             Ok(Some(root)) => {
-                let arena = self.vm.take_arena();
+                let arena = self.vm.arena.take();
                 // `err` stays `None`: the misuse error for feeding a
                 // delivered session is built lazily in `closed_error`.
                 self.phase = Phase::Closed;

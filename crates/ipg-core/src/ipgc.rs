@@ -78,6 +78,7 @@ use crate::arena::NtTable;
 use crate::blackbox::Blackbox;
 use crate::bytecode::{
     compile, BExpr, ExprId, Instr, LitSpan, PAlt, PCase, PRule, PRuleKind, Program, SizeHints,
+    NO_SLOT,
 };
 use crate::check::{Grammar, NtId};
 use crate::error::{Error, Result};
@@ -463,7 +464,7 @@ pub fn encode(
                 w.u32(hi.0);
                 w.u16(slot);
             }
-            Instr::Set { attr, expr } => {
+            Instr::Set { attr, expr, .. } => {
                 w.u8(2);
                 w.u32(attr.0);
                 w.u32(expr.0);
@@ -472,7 +473,7 @@ pub fn encode(
                 w.u8(3);
                 w.u32(expr.0);
             }
-            Instr::Loop { var, from, to, nt, lo, hi, slot } => {
+            Instr::Loop { var, from, to, nt, lo, hi, slot, .. } => {
                 w.u8(4);
                 w.u32(var.0);
                 w.u32(from.0);
@@ -519,35 +520,35 @@ pub fn encode(
                 w.u32(f.0);
             }
             BExpr::Eoi => w.u8(3),
-            BExpr::Local(sym) => {
+            BExpr::Local { sym, .. } => {
                 w.u8(4);
                 w.u32(sym.0);
             }
-            BExpr::NtAttr { slot, nt, attr } => {
+            BExpr::NtAttr { slot, nt, attr, .. } => {
                 w.u8(5);
                 w.u16(slot);
                 w.u32(nt.0);
                 w.u32(attr.0);
             }
-            BExpr::ElemAttr { slot, nt, index, attr } => {
+            BExpr::ElemAttr { slot, nt, index, attr, .. } => {
                 w.u8(6);
                 w.u16(slot);
                 w.u32(nt.0);
                 w.u32(index.0);
                 w.u32(attr.0);
             }
-            BExpr::OuterAttr { nt, attr } => {
+            BExpr::OuterAttr { nt, attr, .. } => {
                 w.u8(7);
                 w.u32(nt.0);
                 w.u32(attr.0);
             }
-            BExpr::OuterElem { nt, index, attr } => {
+            BExpr::OuterElem { nt, index, attr, .. } => {
                 w.u8(8);
                 w.u32(nt.0);
                 w.u32(index.0);
                 w.u32(attr.0);
             }
-            BExpr::Exists { var, slot, nt, cond, then, els } => {
+            BExpr::Exists { var, slot, nt, cond, then, els, .. } => {
                 w.u8(9);
                 w.u32(var.0);
                 match slot {
@@ -924,10 +925,11 @@ fn decode_parts(parts: RawParts<'_>) -> Result<Artifact> {
                 hi: ExprId(r.u32()?),
                 slot: r.u16()?,
             },
-            2 => Instr::Set { attr: Sym(r.u32()?), expr: ExprId(r.u32()?) },
+            2 => Instr::Set { attr: Sym(r.u32()?), attr_slot: NO_SLOT, expr: ExprId(r.u32()?) },
             3 => Instr::Guard { expr: ExprId(r.u32()?) },
             4 => Instr::Loop {
                 var: Sym(r.u32()?),
+                var_slot: NO_SLOT,
                 from: ExprId(r.u32()?),
                 to: ExprId(r.u32()?),
                 nt: NtId(r.u32()?),
@@ -956,19 +958,26 @@ fn decode_parts(parts: RawParts<'_>) -> Result<Artifact> {
             1 => BExpr::Bin(binop_of(r.u8()?)?, ExprId(r.u32()?), ExprId(r.u32()?)),
             2 => BExpr::Cond(ExprId(r.u32()?), ExprId(r.u32()?), ExprId(r.u32()?)),
             3 => BExpr::Eoi,
-            4 => BExpr::Local(Sym(r.u32()?)),
-            5 => BExpr::NtAttr { slot: r.u16()?, nt: NtId(r.u32()?), attr: Sym(r.u32()?) },
+            4 => BExpr::Local { sym: Sym(r.u32()?), slot: NO_SLOT },
+            5 => BExpr::NtAttr {
+                slot: r.u16()?,
+                nt: NtId(r.u32()?),
+                attr: Sym(r.u32()?),
+                attr_slot: NO_SLOT,
+            },
             6 => BExpr::ElemAttr {
                 slot: r.u16()?,
                 nt: NtId(r.u32()?),
                 index: ExprId(r.u32()?),
                 attr: Sym(r.u32()?),
+                attr_slot: NO_SLOT,
             },
-            7 => BExpr::OuterAttr { nt: NtId(r.u32()?), attr: Sym(r.u32()?) },
+            7 => BExpr::OuterAttr { nt: NtId(r.u32()?), attr: Sym(r.u32()?), attr_slot: NO_SLOT },
             8 => BExpr::OuterElem {
                 nt: NtId(r.u32()?),
                 index: ExprId(r.u32()?),
                 attr: Sym(r.u32()?),
+                attr_slot: NO_SLOT,
             },
             9 => {
                 let var = Sym(r.u32()?);
@@ -981,6 +990,7 @@ fn decode_parts(parts: RawParts<'_>) -> Result<Artifact> {
                 };
                 BExpr::Exists {
                     var,
+                    var_slot: NO_SLOT,
                     slot,
                     nt: NtId(r.u32()?),
                     cond: ExprId(r.u32()?),
@@ -1176,7 +1186,7 @@ impl Artifact {
                     ex(lo)?;
                     ex(hi)?;
                 }
-                Instr::Set { attr, expr } => {
+                Instr::Set { attr, expr, .. } => {
                     sym(attr)?;
                     ex(expr)?;
                 }
@@ -1215,7 +1225,7 @@ impl Artifact {
                     ex(t)?;
                     ex(f)?;
                 }
-                BExpr::Local(s) => sym(s)?,
+                BExpr::Local { sym: s, .. } => sym(s)?,
                 BExpr::NtAttr { nt: n, attr, .. } => {
                     nt(n)?;
                     sym(attr)?;
@@ -1225,11 +1235,11 @@ impl Artifact {
                     ex(index)?;
                     sym(attr)?;
                 }
-                BExpr::OuterAttr { nt: n, attr } => {
+                BExpr::OuterAttr { nt: n, attr, .. } => {
                     nt(n)?;
                     sym(attr)?;
                 }
-                BExpr::OuterElem { nt: n, index, attr } => {
+                BExpr::OuterElem { nt: n, index, attr, .. } => {
                     nt(n)?;
                     ex(index)?;
                     sym(attr)?;

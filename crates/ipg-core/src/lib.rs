@@ -33,8 +33,12 @@
 //!   instead of recursion, parse trees bump-allocated into an
 //!   [`arena::TreeArena`], observably identical to [`interp`] (same trees,
 //!   step counts, and errors — enforced by differential tests).
-//! * [`arena`] — arena parse trees (`u32` ids, contiguous child ranges) with
-//!   zero-copy views mirroring the [`tree`] accessors.
+//! * `layout` — static attribute layouts: every attribute resolved to a
+//!   fixed per-rule slot when a VM parser is built, so VM frames and arena
+//!   nodes hold `i64` slots instead of an [`env::Env`].
+//! * [`arena`] — arena parse trees (`u32` ids, contiguous child ranges, one
+//!   shared attribute pool) with zero-copy views mirroring the [`tree`]
+//!   accessors.
 //! * [`ipgc`] — persisted compiled grammars: a versioned, self-describing
 //!   `.ipgc` binary artifact (program pools, anchor classification, size
 //!   hints, embedded source) written by `ipg compile -o` and loaded by
@@ -95,6 +99,7 @@ pub mod frontend;
 pub mod intern;
 pub mod interp;
 pub mod ipgc;
+pub(crate) mod layout;
 pub mod profile;
 pub mod sha256;
 pub mod solver;

@@ -2,11 +2,12 @@
 //! *recognized* by the grammar and *resolved* here — name decompression is
 //! a semantic property, like the paper's post-parse validation passes.
 
-use crate::{flatten_chain, need, nt_of};
-use ipg_core::arena::NodeRef;
+use crate::{field_table, flatten_chain, need, Names};
+use ipg_core::arena::{AttrSlot, NodeRef};
 use ipg_core::check::{Grammar, NtId};
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
+use std::sync::OnceLock;
 
 /// The embedded `.ipg` specification.
 pub const SPEC: &str = include_str!("../specs/dns.ipg");
@@ -58,6 +59,54 @@ pub struct DnsRecord {
     pub rdata: (usize, usize),
 }
 
+/// What the extractor reads of the grammar's trees.
+struct Fields {
+    hdr: NtId,
+    qs: NtId,
+    q: NtId,
+    answers: NtId,
+    answer: NtId,
+    rdata: NtId,
+    ptr: NtId,
+    label: NtId,
+    text: NtId,
+    name: NtId,
+    id: AttrSlot,
+    flags: AttrSlot,
+    qtype: AttrSlot,
+    qclass: AttrSlot,
+    atype: AttrSlot,
+    ttl: AttrSlot,
+    target: AttrSlot,
+}
+
+impl Fields {
+    fn get() -> Result<&'static Fields> {
+        static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
+        field_table(&TABLE, "dns", |r: &Names<'_>| {
+            Ok(Fields {
+                hdr: r.nt("Hdr")?,
+                qs: r.nt("Qs")?,
+                q: r.nt("Q")?,
+                answers: r.nt("As")?,
+                answer: r.nt("A")?,
+                rdata: r.nt("RData")?,
+                ptr: r.nt("Ptr")?,
+                label: r.nt("Label")?,
+                text: r.nt("Text")?,
+                name: r.nt("Name")?,
+                id: r.attr("Hdr", "id")?,
+                flags: r.attr("Hdr", "flags")?,
+                qtype: r.attr("Q", "qtype")?,
+                qclass: r.attr("Q", "qclass")?,
+                atype: r.attr("A", "atype")?,
+                ttl: r.attr("A", "ttl")?,
+                target: r.attr("Ptr", "target")?,
+            })
+        })
+    }
+}
+
 /// Parses a message with the IPG grammar and extracts a typed view.
 ///
 /// # Errors
@@ -65,93 +114,71 @@ pub struct DnsRecord {
 /// [`Error::Parse`] on malformed messages; [`Error::Grammar`] on
 /// unresolvable compression pointers.
 pub fn parse(input: &[u8]) -> Result<DnsMessage> {
-    let g = grammar();
+    let f = Fields::get()?;
     let tree = vm().parse(input)?;
     let root = tree.root();
     let hdr = root
-        .child_node_nt(nt_of(g, "Hdr")?)
+        .child_node_nt(f.hdr)
         .ok_or_else(|| Error::Grammar("extractor: missing header".into()))?;
-    let name_nts = NameNts::resolve(g)?;
 
     let mut questions = Vec::new();
-    if let Some(qs) = root.child_node_nt(nt_of(g, "Qs")?) {
-        for q in flatten_chain(qs, nt_of(g, "Qs")?, nt_of(g, "Q")?) {
+    if let Some(qs) = root.child_node_nt(f.qs) {
+        for q in flatten_chain(qs, f.qs, f.q) {
             let name_node = q
-                .child_node_nt(name_nts.name)
+                .child_node_nt(f.name)
                 .ok_or_else(|| Error::Grammar("extractor: question without name".into()))?;
             questions.push(DnsQuestion {
-                name: resolve_name(g, &name_nts, input, name_node)?,
-                qtype: need(g, q, "qtype")? as u16,
-                qclass: need(g, q, "qclass")? as u16,
+                name: resolve_name(f, input, name_node)?,
+                qtype: need(q, f.qtype)? as u16,
+                qclass: need(q, f.qclass)? as u16,
             });
         }
     }
 
     let mut answers = Vec::new();
-    if let Some(asx) = root.child_node_nt(nt_of(g, "As")?) {
-        let nt_rdata = nt_of(g, "RData")?;
-        for a in flatten_chain(asx, nt_of(g, "As")?, nt_of(g, "A")?) {
+    if let Some(asx) = root.child_node_nt(f.answers) {
+        for a in flatten_chain(asx, f.answers, f.answer) {
             let name_node = a
-                .child_node_nt(name_nts.name)
+                .child_node_nt(f.name)
                 .ok_or_else(|| Error::Grammar("extractor: answer without name".into()))?;
             let rdata = a
-                .child_node_nt(nt_rdata)
+                .child_node_nt(f.rdata)
                 .ok_or_else(|| Error::Grammar("extractor: answer without rdata".into()))?;
             answers.push(DnsRecord {
-                name: resolve_name(g, &name_nts, input, name_node)?,
-                rtype: need(g, a, "atype")? as u16,
-                ttl: need(g, a, "ttl")? as u32,
+                name: resolve_name(f, input, name_node)?,
+                rtype: need(a, f.atype)? as u16,
+                ttl: need(a, f.ttl)? as u32,
                 rdata: rdata.span(),
             });
         }
     }
 
     Ok(DnsMessage {
-        id: need(g, hdr, "id")? as u16,
-        flags: need(g, hdr, "flags")? as u16,
+        id: need(hdr, f.id)? as u16,
+        flags: need(hdr, f.flags)? as u16,
         questions,
         answers,
     })
 }
 
-/// The `Name`-walk nonterminals, resolved once per parse instead of once
-/// per record.
-struct NameNts {
-    ptr: NtId,
-    label: NtId,
-    text: NtId,
-    name: NtId,
-}
-
-impl NameNts {
-    fn resolve(g: &Grammar) -> Result<Self> {
-        Ok(NameNts {
-            ptr: nt_of(g, "Ptr")?,
-            label: nt_of(g, "Label")?,
-            text: nt_of(g, "Text")?,
-            name: nt_of(g, "Name")?,
-        })
-    }
-}
-
 /// Resolves a parsed `Name` node to a dotted string, chasing compression
 /// pointers through the raw message (with a hop limit against pointer
 /// loops — the semantic check the grammar itself cannot express).
-fn resolve_name(g: &Grammar, nts: &NameNts, input: &[u8], name: NodeRef<'_>) -> Result<String> {
+fn resolve_name(f: &Fields, input: &[u8], name: NodeRef<'_>) -> Result<String> {
     let mut labels: Vec<String> = Vec::new();
     // Walk the in-tree part: Label children chain until NUL or pointer.
     let mut cur = name;
     let pointer_target: Option<usize> = loop {
-        if let Some(ptr) = cur.child_node_nt(nts.ptr) {
-            break Some(need(g, ptr, "target")? as usize);
+        if let Some(ptr) = cur.child_node_nt(f.ptr) {
+            break Some(need(ptr, f.target)? as usize);
         }
-        if let Some(label) = cur.child_node_nt(nts.label) {
+        if let Some(label) = cur.child_node_nt(f.label) {
             let text = label
-                .child_node_nt(nts.text)
+                .child_node_nt(f.text)
                 .ok_or_else(|| Error::Grammar("extractor: label without text".into()))?;
             let (lo, hi) = text.span();
             labels.push(String::from_utf8_lossy(&input[lo..hi]).into_owned());
-            match cur.child_node_nt(nts.name) {
+            match cur.child_node_nt(f.name) {
                 Some(next) => cur = next,
                 None => break None,
             }

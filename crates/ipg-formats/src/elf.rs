@@ -1,10 +1,11 @@
 //! ELF: grammar access and typed extraction (§4.1 case study).
 
-use crate::{cstr_at, need, nt_of};
-use ipg_core::arena::{ArrayRef, NodeRef};
+use crate::{cstr_at, field_table, flatten_chain, need, Names};
+use ipg_core::arena::{ArrayRef, AttrSlot, NodeRef};
 use ipg_core::check::{Grammar, NtId};
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
+use std::sync::OnceLock;
 
 /// The embedded `.ipg` specification.
 pub const SPEC: &str = include_str!("../specs/elf.ipg");
@@ -78,45 +79,104 @@ pub struct ElfSymbol {
     pub size: u64,
 }
 
+/// What the extractor reads of the grammar's trees.
+struct Fields {
+    h: NtId,
+    sh: NtId,
+    sec: NtId,
+    dyn_sec: NtId,
+    dyn_entry: NtId,
+    sym_sec: NtId,
+    sym: NtId,
+    str_sec: NtId,
+    strings: NtId,
+    str_: NtId,
+    shoff: AttrSlot,
+    shnum: AttrSlot,
+    shstrndx: AttrSlot,
+    sh_name: AttrSlot,
+    sh_type: AttrSlot,
+    sh_ofs: AttrSlot,
+    sh_sz: AttrSlot,
+    sh_link: AttrSlot,
+    dyn_tag: AttrSlot,
+    dyn_value: AttrSlot,
+    sym_name: AttrSlot,
+    sym_value: AttrSlot,
+    sym_size: AttrSlot,
+    str_len: AttrSlot,
+}
+
+impl Fields {
+    fn get() -> Result<&'static Fields> {
+        static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
+        field_table(&TABLE, "elf", |r: &Names<'_>| {
+            Ok(Fields {
+                h: r.nt("H")?,
+                sh: r.nt("SH")?,
+                sec: r.nt("Sec")?,
+                dyn_sec: r.nt("DynSec")?,
+                dyn_entry: r.nt("DynEntry")?,
+                sym_sec: r.nt("SymSec")?,
+                sym: r.nt("Sym")?,
+                str_sec: r.nt("StrSec")?,
+                strings: r.nt("Strings")?,
+                str_: r.nt("Str")?,
+                shoff: r.attr("H", "shoff")?,
+                shnum: r.attr("H", "shnum")?,
+                shstrndx: r.attr("H", "shstrndx")?,
+                sh_name: r.attr("SH", "name")?,
+                sh_type: r.attr("SH", "type")?,
+                sh_ofs: r.attr("SH", "ofs")?,
+                sh_sz: r.attr("SH", "sz")?,
+                sh_link: r.attr("SH", "link")?,
+                dyn_tag: r.attr("DynEntry", "tag")?,
+                dyn_value: r.attr("DynEntry", "value")?,
+                sym_name: r.attr("Sym", "name")?,
+                sym_value: r.attr("Sym", "value")?,
+                sym_size: r.attr("Sym", "size")?,
+                str_len: r.attr("Str", "len")?,
+            })
+        })
+    }
+}
+
 /// Parses an ELF file with the IPG grammar and extracts a typed view.
 ///
 /// # Errors
 ///
 /// [`Error::Parse`] when the input is not valid ELF per the grammar.
 pub fn parse(input: &[u8]) -> Result<ElfFile> {
-    let g = grammar();
+    let f = Fields::get()?;
     let tree = vm().parse(input)?;
-    extract(g, input, tree.root().as_node().expect("root is a node"))
+    extract(f, input, tree.root().as_node().expect("root is a node"))
 }
 
-fn extract(g: &Grammar, input: &[u8], root: NodeRef<'_>) -> Result<ElfFile> {
+fn extract(f: &Fields, input: &[u8], root: NodeRef<'_>) -> Result<ElfFile> {
     let h = root
-        .child_node_nt(nt_of(g, "H")?)
+        .child_node_nt(f.h)
         .ok_or_else(|| Error::Grammar("extractor: missing ELF header".into()))?;
-    let shoff = need(g, h, "shoff")? as u64;
-    let shnum = need(g, h, "shnum")? as u64;
-    let shstrndx = need(g, h, "shstrndx")? as u64;
+    let shoff = need(h, f.shoff)? as u64;
+    let shnum = need(h, f.shnum)? as u64;
+    let shstrndx = need(h, f.shstrndx)? as u64;
 
     let sh = root
-        .child_array_nt(nt_of(g, "SH")?)
+        .child_array_nt(f.sh)
         .ok_or_else(|| Error::Grammar("extractor: missing section header table".into()))?;
     let secs = root
-        .child_array_nt(nt_of(g, "Sec")?)
+        .child_array_nt(f.sec)
         .ok_or_else(|| Error::Grammar("extractor: missing sections".into()))?;
 
     // Locate .shstrtab to resolve section names.
-    let shstr = sh
-        .node(shstrndx as usize)
-        .map(|n| (need(g, n, "ofs").unwrap_or(0) as usize, need(g, n, "sz").unwrap_or(0) as usize));
+    let shstr = sh.node(shstrndx as usize).map(|n| table_span(f, n));
 
-    let sec_nts = SectionNts::resolve(g)?;
     let mut sections = Vec::with_capacity(sh.len());
     for (i, hdr) in sh.nodes().enumerate() {
-        let sh_type = need(g, hdr, "type")? as u32;
-        let offset = need(g, hdr, "ofs")? as u64;
-        let size = need(g, hdr, "sz")? as u64;
-        let link = need(g, hdr, "link")? as u32;
-        let name_off = need(g, hdr, "name")? as usize;
+        let sh_type = need(hdr, f.sh_type)? as u32;
+        let offset = need(hdr, f.sh_ofs)? as u64;
+        let size = need(hdr, f.sh_sz)? as u64;
+        let link = need(hdr, f.sh_link)? as u32;
+        let name_off = need(hdr, f.sh_name)? as usize;
         let name =
             shstr.and_then(
                 |(ofs, sz)| {
@@ -135,7 +195,7 @@ fn extract(g: &Grammar, input: &[u8], root: NodeRef<'_>) -> Result<ElfFile> {
             let sec = secs.node(i - 1).ok_or_else(|| {
                 Error::Grammar(format!("extractor: missing Sec node for section {i}"))
             })?;
-            extract_section_kind(g, &sec_nts, input, sh, sec, link, offset, size)?
+            extract_section_kind(f, input, sh, sec, link, offset, size)?
         };
         sections.push(ElfSection { name, sh_type, offset, size, link, kind });
     }
@@ -143,36 +203,13 @@ fn extract(g: &Grammar, input: &[u8], root: NodeRef<'_>) -> Result<ElfFile> {
     Ok(ElfFile { shoff, shnum, shstrndx, sections })
 }
 
-/// The section-content nonterminals, resolved once per parse instead of
-/// once per section.
-struct SectionNts {
-    dyn_sec: NtId,
-    dyn_entry: NtId,
-    sym_sec: NtId,
-    sym: NtId,
-    str_sec: NtId,
-    strings: NtId,
-    str_: NtId,
+/// The `(offset, size)` of the string table a section header describes.
+fn table_span(f: &Fields, hdr: NodeRef<'_>) -> (usize, usize) {
+    (hdr.get(f.sh_ofs).unwrap_or(0) as usize, hdr.get(f.sh_sz).unwrap_or(0) as usize)
 }
 
-impl SectionNts {
-    fn resolve(g: &Grammar) -> Result<Self> {
-        Ok(SectionNts {
-            dyn_sec: nt_of(g, "DynSec")?,
-            dyn_entry: nt_of(g, "DynEntry")?,
-            sym_sec: nt_of(g, "SymSec")?,
-            sym: nt_of(g, "Sym")?,
-            str_sec: nt_of(g, "StrSec")?,
-            strings: nt_of(g, "Strings")?,
-            str_: nt_of(g, "Str")?,
-        })
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn extract_section_kind(
-    g: &Grammar,
-    nts: &SectionNts,
+    f: &Fields,
     input: &[u8],
     sh: ArrayRef<'_>,
     sec: NodeRef<'_>,
@@ -180,15 +217,15 @@ fn extract_section_kind(
     offset: u64,
     size: u64,
 ) -> Result<SectionKind> {
-    if let Some(dyn_sec) = sec.child_node_nt(nts.dyn_sec) {
+    if let Some(dyn_sec) = sec.child_node_nt(f.dyn_sec) {
         let entries = dyn_sec
-            .child_array_nt(nts.dyn_entry)
+            .child_array_nt(f.dyn_entry)
             .map(|arr| {
                 arr.nodes()
                     .map(|e| {
                         (
-                            need(g, e, "tag").unwrap_or(0) as u64,
-                            need(g, e, "value").unwrap_or(0) as u64,
+                            e.get(f.dyn_tag).unwrap_or(0) as u64,
+                            e.get(f.dyn_value).unwrap_or(0) as u64,
                         )
                     })
                     .collect()
@@ -196,17 +233,15 @@ fn extract_section_kind(
             .unwrap_or_default();
         return Ok(SectionKind::Dynamic(entries));
     }
-    if let Some(sym_sec) = sec.child_node_nt(nts.sym_sec) {
+    if let Some(sym_sec) = sec.child_node_nt(f.sym_sec) {
         // The linked string table resolves symbol names.
-        let strtab = sh.node(link as usize).map(|n| {
-            (need(g, n, "ofs").unwrap_or(0) as usize, need(g, n, "sz").unwrap_or(0) as usize)
-        });
+        let strtab = sh.node(link as usize).map(|n| table_span(f, n));
         let symbols = sym_sec
-            .child_array_nt(nts.sym)
+            .child_array_nt(f.sym)
             .map(|arr| {
                 arr.nodes()
                     .map(|s| {
-                        let name_offset = need(g, s, "name").unwrap_or(0) as u32;
+                        let name_offset = s.get(f.sym_name).unwrap_or(0) as u32;
                         let name = strtab.and_then(|(ofs, sz)| {
                             if (name_offset as usize) < sz {
                                 cstr_at(input, ofs + name_offset as usize)
@@ -217,8 +252,8 @@ fn extract_section_kind(
                         ElfSymbol {
                             name_offset,
                             name,
-                            value: need(g, s, "value").unwrap_or(0) as u64,
-                            size: need(g, s, "size").unwrap_or(0) as u64,
+                            value: s.get(f.sym_value).unwrap_or(0) as u64,
+                            size: s.get(f.sym_size).unwrap_or(0) as u64,
                         }
                     })
                     .collect()
@@ -226,13 +261,13 @@ fn extract_section_kind(
             .unwrap_or_default();
         return Ok(SectionKind::Symbols(symbols));
     }
-    if let Some(str_sec) = sec.child_node_nt(nts.str_sec) {
+    if let Some(str_sec) = sec.child_node_nt(f.str_sec) {
         // Collect Str nodes from the recursive Strings chain.
         let mut strings = Vec::new();
-        if let Some(top) = str_sec.child_node_nt(nts.strings) {
-            for s in crate::flatten_chain(top, nts.strings, nts.str_) {
+        if let Some(top) = str_sec.child_node_nt(f.strings) {
+            for s in flatten_chain(top, f.strings, f.str_) {
                 let (lo, _) = s.span();
-                let len = need(g, s, "len")? as usize;
+                let len = need(s, f.str_len)? as usize;
                 strings.push(String::from_utf8_lossy(&input[lo..lo + len]).into_owned());
             }
         }

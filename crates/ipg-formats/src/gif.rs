@@ -1,10 +1,11 @@
 //! GIF: grammar access and typed extraction (§4.2 case study).
 
-use crate::{flatten_chain, need, nt_of};
-use ipg_core::arena::NodeRef;
+use crate::{field_table, flatten_chain, need, Names};
+use ipg_core::arena::{AttrSlot, NodeRef};
 use ipg_core::check::{Grammar, NtId};
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
+use std::sync::OnceLock;
 
 /// The embedded `.ipg` specification.
 pub const SPEC: &str = include_str!("../specs/gif.ipg");
@@ -62,38 +63,79 @@ pub enum GifBlock {
     },
 }
 
+/// What the extractor reads of the grammar's trees.
+struct Fields {
+    lsd: NtId,
+    blocks: NtId,
+    block: NtId,
+    ext: NtId,
+    image: NtId,
+    sub_blocks: NtId,
+    sb: NtId,
+    w: AttrSlot,
+    h: AttrSlot,
+    gctflag: AttrSlot,
+    gctsize: AttrSlot,
+    label: AttrSlot,
+    image_w: AttrSlot,
+    image_h: AttrSlot,
+    sb_len: AttrSlot,
+}
+
+impl Fields {
+    fn get() -> Result<&'static Fields> {
+        static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
+        field_table(&TABLE, "gif", |r: &Names<'_>| {
+            Ok(Fields {
+                lsd: r.nt("LSD")?,
+                blocks: r.nt("Blocks")?,
+                block: r.nt("Block")?,
+                ext: r.nt("Ext")?,
+                image: r.nt("Image")?,
+                sub_blocks: r.nt("SubBlocks")?,
+                sb: r.nt("SB")?,
+                w: r.attr("LSD", "w")?,
+                h: r.attr("LSD", "h")?,
+                gctflag: r.attr("LSD", "gctflag")?,
+                gctsize: r.attr("LSD", "gctsize")?,
+                label: r.attr("Ext", "label")?,
+                image_w: r.attr("Image", "w")?,
+                image_h: r.attr("Image", "h")?,
+                sb_len: r.attr("SB", "len")?,
+            })
+        })
+    }
+}
+
 /// Parses a GIF with the IPG grammar and extracts a typed view.
 ///
 /// # Errors
 ///
 /// [`Error::Parse`] when the input is not valid GIF per the grammar.
 pub fn parse(input: &[u8]) -> Result<GifImage> {
-    let g = grammar();
+    let f = Fields::get()?;
     let tree = vm().parse(input)?;
     let root = tree.root();
-    let lsd = root
-        .child_node_nt(nt_of(g, "LSD")?)
-        .ok_or_else(|| Error::Grammar("extractor: missing LSD".into()))?;
-    let width = need(g, lsd, "w")? as u16;
-    let height = need(g, lsd, "h")? as u16;
-    let has_gct = need(g, lsd, "gctflag")? == 1;
-    let gct_len = if has_gct { need(g, lsd, "gctsize")? as usize } else { 0 };
+    let lsd =
+        root.child_node_nt(f.lsd).ok_or_else(|| Error::Grammar("extractor: missing LSD".into()))?;
+    let width = need(lsd, f.w)? as u16;
+    let height = need(lsd, f.h)? as u16;
+    let has_gct = need(lsd, f.gctflag)? == 1;
+    let gct_len = if has_gct { need(lsd, f.gctsize)? as usize } else { 0 };
 
     let mut blocks = Vec::new();
-    if let Some(chain) = root.child_node_nt(nt_of(g, "Blocks")?) {
-        let (nt_ext, nt_img) = (nt_of(g, "Ext")?, nt_of(g, "Image")?);
-        let (nt_subs, nt_sb) = (nt_of(g, "SubBlocks")?, nt_of(g, "SB")?);
-        for block in flatten_chain(chain, nt_of(g, "Blocks")?, nt_of(g, "Block")?) {
-            if let Some(ext) = block.child_node_nt(nt_ext) {
+    if let Some(chain) = root.child_node_nt(f.blocks) {
+        for block in flatten_chain(chain, f.blocks, f.block) {
+            if let Some(ext) = block.child_node_nt(f.ext) {
                 blocks.push(GifBlock::Extension {
-                    label: need(g, ext, "label")? as u8,
-                    data_len: sub_blocks_len(g, nt_subs, nt_sb, ext)?,
+                    label: need(ext, f.label)? as u8,
+                    data_len: sub_blocks_len(f, ext)?,
                 });
-            } else if let Some(img) = block.child_node_nt(nt_img) {
+            } else if let Some(img) = block.child_node_nt(f.image) {
                 blocks.push(GifBlock::Image {
-                    width: need(g, img, "w")? as u16,
-                    height: need(g, img, "h")? as u16,
-                    data_len: sub_blocks_len(g, nt_subs, nt_sb, img)?,
+                    width: need(img, f.image_w)? as u16,
+                    height: need(img, f.image_h)? as u16,
+                    data_len: sub_blocks_len(f, img)?,
                 });
             }
         }
@@ -101,13 +143,12 @@ pub fn parse(input: &[u8]) -> Result<GifImage> {
     Ok(GifImage { width, height, has_gct, gct_len, blocks })
 }
 
-/// Sums the data lengths over a `SubBlocks` chain (`nt_subs`/`nt_sb`
-/// resolved once by the caller).
-fn sub_blocks_len(g: &Grammar, nt_subs: NtId, nt_sb: NtId, parent: NodeRef<'_>) -> Result<usize> {
+/// Sums the data lengths over a `SubBlocks` chain.
+fn sub_blocks_len(f: &Fields, parent: NodeRef<'_>) -> Result<usize> {
     let mut total = 0;
-    if let Some(top) = parent.child_node_nt(nt_subs) {
-        for sb in flatten_chain(top, nt_subs, nt_sb) {
-            total += need(g, sb, "len")? as usize;
+    if let Some(top) = parent.child_node_nt(f.sub_blocks) {
+        for sb in flatten_chain(top, f.sub_blocks, f.sb) {
+            total += need(sb, f.sb_len)? as usize;
         }
     }
     Ok(total)

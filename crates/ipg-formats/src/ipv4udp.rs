@@ -1,9 +1,11 @@
 //! IPv4+UDP: grammar access and typed extraction.
 
-use crate::{need, nt_of};
-use ipg_core::check::Grammar;
+use crate::{field_table, need, Names};
+use ipg_core::arena::AttrSlot;
+use ipg_core::check::{Grammar, NtId};
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
+use std::sync::OnceLock;
 
 /// The embedded `.ipg` specification.
 pub const SPEC: &str = include_str!("../specs/ipv4udp.ipg");
@@ -39,6 +41,38 @@ pub struct Ipv4UdpPacket {
     pub payload: (usize, usize),
 }
 
+/// What the extractor reads of the grammar's trees.
+struct Fields {
+    udp: NtId,
+    payload: NtId,
+    src: NtId,
+    dst: NtId,
+    ihl: AttrSlot,
+    tot: AttrSlot,
+    sport: AttrSlot,
+    dport: AttrSlot,
+    len: AttrSlot,
+}
+
+impl Fields {
+    fn get() -> Result<&'static Fields> {
+        static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
+        field_table(&TABLE, "ipv4udp", |r: &Names<'_>| {
+            Ok(Fields {
+                udp: r.nt("UDP")?,
+                payload: r.nt("Payload")?,
+                src: r.nt("Src")?,
+                dst: r.nt("Dst")?,
+                ihl: r.attr("Pkt", "ihl")?,
+                tot: r.attr("Pkt", "tot")?,
+                sport: r.attr("UDP", "sport")?,
+                dport: r.attr("UDP", "dport")?,
+                len: r.attr("UDP", "len")?,
+            })
+        })
+    }
+}
+
 /// Parses a datagram with the IPG grammar and extracts a typed view.
 ///
 /// # Errors
@@ -46,31 +80,31 @@ pub struct Ipv4UdpPacket {
 /// [`Error::Parse`] when the input is not an IPv4+UDP datagram per the
 /// grammar (wrong version, non-UDP protocol, inconsistent lengths).
 pub fn parse(input: &[u8]) -> Result<Ipv4UdpPacket> {
-    let g = grammar();
+    let f = Fields::get()?;
     let tree = vm().parse(input)?;
     let root = tree.root().as_node().expect("root is a node");
     let udp = root
-        .child_node_nt(nt_of(g, "UDP")?)
+        .child_node_nt(f.udp)
         .ok_or_else(|| Error::Grammar("extractor: missing UDP header".into()))?;
     let payload = udp
-        .child_node_nt(nt_of(g, "Payload")?)
+        .child_node_nt(f.payload)
         .ok_or_else(|| Error::Grammar("extractor: missing payload".into()))?;
     let src_node = root
-        .child_node_nt(nt_of(g, "Src")?)
+        .child_node_nt(f.src)
         .ok_or_else(|| Error::Grammar("extractor: missing source address".into()))?;
     let dst_node = root
-        .child_node_nt(nt_of(g, "Dst")?)
+        .child_node_nt(f.dst)
         .ok_or_else(|| Error::Grammar("extractor: missing destination address".into()))?;
     let src: [u8; 4] = input[src_node.span().0..src_node.span().1].try_into().expect("4 bytes");
     let dst: [u8; 4] = input[dst_node.span().0..dst_node.span().1].try_into().expect("4 bytes");
     Ok(Ipv4UdpPacket {
-        ihl: need(g, root, "ihl")? as usize,
-        total_len: need(g, root, "tot")? as u16,
+        ihl: need(root, f.ihl)? as usize,
+        total_len: need(root, f.tot)? as u16,
         src,
         dst,
-        sport: need(g, udp, "sport")? as u16,
-        dport: need(g, udp, "dport")? as u16,
-        udp_len: need(g, udp, "len")? as u16,
+        sport: need(udp, f.sport)? as u16,
+        dport: need(udp, f.dport)? as u16,
+        udp_len: need(udp, f.len)? as u16,
         payload: payload.span(),
     })
 }

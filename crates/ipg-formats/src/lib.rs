@@ -9,11 +9,12 @@
 //!
 //! Extraction runs on the bytecode VM ([`ipg_core::interp::vm`]): each
 //! module also exposes its compiled parser as a `vm()` static, and the
-//! extractors read arena-backed [`NodeRef`] views with nonterminal ids
-//! resolved once per parse instead of name-compared per child. The
-//! tree-walking interpreter remains available through the `grammar()`
-//! statics and is held to byte-identical behavior by the repository's
-//! differential tests.
+//! extractors read arena-backed [`NodeRef`] views through a *field
+//! table*: the nonterminal ids and attribute slots ([`AttrSlot`]) they
+//! read, resolved once per corpus entry on first use. A parse then does
+//! no name lookup and no string hashing. The tree-walking interpreter
+//! remains available through the `grammar()` statics and is held to
+//! byte-identical behavior by the repository's differential tests.
 //!
 //! All grammar resolution goes through [`registry::Registry`]: the
 //! per-module `grammar()`/`vm()` statics are views of the shared corpus
@@ -44,9 +45,10 @@ pub use registry::{
     Origin, Registry,
 };
 
-use ipg_core::arena::NodeRef;
-use ipg_core::check::{Grammar, NtId};
+use ipg_core::arena::{AttrSlot, NodeRef};
+use ipg_core::check::NtId;
 use ipg_core::error::{Error, Result};
+use std::sync::OnceLock;
 
 /// All embedded specifications, as `(format name, spec source)` — the
 /// input to the Table 1 and Table 2 harnesses. PNG is kept out of this
@@ -65,23 +67,16 @@ pub fn all_specs() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// Flattens the chunk-style recursion `List -> Item List / Item` into the
+/// Iterates the chunk-style recursion `List -> Item List / Item` as its
 /// item nodes, in order. `list` is the outermost list node; `item_nt` is
-/// the item nonterminal and `list_nt` the list's own (resolve both once
-/// with [`nt_of`]).
-pub(crate) fn flatten_chain(list: NodeRef<'_>, list_nt: NtId, item_nt: NtId) -> Vec<NodeRef<'_>> {
-    let mut out = Vec::new();
-    let mut cur = list;
-    loop {
-        if let Some(it) = cur.child_node_nt(item_nt) {
-            out.push(it);
-        }
-        match cur.child_node_nt(list_nt) {
-            Some(next) => cur = next,
-            None => break,
-        }
-    }
-    out
+/// the item nonterminal and `list_nt` the list's own.
+pub(crate) fn flatten_chain(
+    list: NodeRef<'_>,
+    list_nt: NtId,
+    item_nt: NtId,
+) -> impl Iterator<Item = NodeRef<'_>> {
+    std::iter::successors(Some(list), move |cur| cur.child_node_nt(list_nt))
+        .filter_map(move |cur| cur.child_node_nt(item_nt))
 }
 
 /// Reads a NUL-terminated string out of `bytes` starting at `offset`.
@@ -91,20 +86,50 @@ pub(crate) fn cstr_at(bytes: &[u8], offset: usize) -> Option<String> {
     Some(String::from_utf8_lossy(&rest[..len]).into_owned())
 }
 
-/// Fetches a required attribute from a node, reporting a structured error
-/// when the tree does not have the expected shape (which would be a bug in
-/// the spec or extractor, not in user input).
-pub(crate) fn need(g: &Grammar, node: NodeRef<'_>, attr: &str) -> Result<i64> {
-    node.attr(g, attr).ok_or_else(|| {
-        Error::Grammar(format!("extractor: node `{}` lacks attribute `{attr}`", node.name()))
+/// Fetches a field-table attribute from a node, reporting a structured
+/// error when the node is not of the attribute's nonterminal (which would
+/// be a bug in the extractor, not in user input).
+pub(crate) fn need(node: NodeRef<'_>, attr: AttrSlot) -> Result<i64> {
+    node.get(attr).ok_or_else(|| {
+        Error::Grammar(format!("extractor: node `{}` lacks attribute {attr:?}", node.name()))
     })
 }
 
-/// Resolves a nonterminal the extractor depends on, reporting a structured
-/// error if the spec no longer defines it.
-pub(crate) fn nt_of(g: &Grammar, name: &str) -> Result<NtId> {
-    g.nt_id(name)
-        .ok_or_else(|| Error::Grammar(format!("extractor: grammar lacks nonterminal `{name}`")))
+/// Resolves the names an extractor reads against its registry entry:
+/// nonterminals to [`NtId`]s, attributes to [`AttrSlot`]s. Each fails with
+/// a structured error if the spec no longer defines the name.
+pub(crate) struct Names<'a> {
+    entry: &'a Entry,
+}
+
+impl Names<'_> {
+    /// The nonterminal `name`.
+    pub(crate) fn nt(&self, name: &str) -> Result<NtId> {
+        self.entry
+            .grammar()
+            .nt_id(name)
+            .ok_or_else(|| Error::Grammar(format!("extractor: grammar lacks nonterminal `{name}`")))
+    }
+
+    /// Attribute `attr` of nonterminal `nt`, which every `nt` node must
+    /// carry.
+    pub(crate) fn attr(&self, nt: &str, attr: &str) -> Result<AttrSlot> {
+        self.entry.vm().attr_slot(self.nt(nt)?, attr).ok_or_else(|| {
+            Error::Grammar(format!("extractor: not every `{nt}` node carries attribute `{attr}`"))
+        })
+    }
+}
+
+/// A format module's field table: resolved by `resolve` against the
+/// corpus entry `format` on first use, then shared by every parse.
+pub(crate) fn field_table<T>(
+    cell: &'static OnceLock<Result<T>>,
+    format: &str,
+    resolve: fn(&Names<'_>) -> Result<T>,
+) -> Result<&'static T> {
+    cell.get_or_init(|| resolve(&Names { entry: corpus_entry(format) }))
+        .as_ref()
+        .map_err(Clone::clone)
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! PDF subset: grammar access and typed extraction (§4.3 case study:
 //! backward parsing + xref random access + /Length-driven streams).
 
-use crate::{need, nt_of};
-use ipg_core::check::Grammar;
+use crate::{field_table, need, Names};
+use ipg_core::arena::AttrSlot;
+use ipg_core::check::{Grammar, NtId};
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
+use std::sync::OnceLock;
 
 /// The embedded `.ipg` specification.
 pub const SPEC: &str = include_str!("../specs/pdf.ipg");
@@ -43,32 +45,56 @@ pub struct PdfObject {
     pub stream: (usize, usize),
 }
 
+/// What the extractor reads of the grammar's trees.
+struct Fields {
+    obj: NtId,
+    stream: NtId,
+    xref: AttrSlot,
+    n: AttrSlot,
+    id: AttrSlot,
+    len: AttrSlot,
+}
+
+impl Fields {
+    fn get() -> Result<&'static Fields> {
+        static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
+        field_table(&TABLE, "pdf", |r: &Names<'_>| {
+            Ok(Fields {
+                obj: r.nt("Obj")?,
+                stream: r.nt("Stream")?,
+                xref: r.attr("PDF", "xref")?,
+                n: r.attr("PDF", "n")?,
+                id: r.attr("Obj", "id")?,
+                len: r.attr("Obj", "len")?,
+            })
+        })
+    }
+}
+
 /// Parses a document with the IPG grammar and extracts a typed view.
 ///
 /// # Errors
 ///
 /// [`Error::Parse`] when the input is not in the supported PDF subset.
 pub fn parse(input: &[u8]) -> Result<PdfDocument> {
-    let g = grammar();
+    let f = Fields::get()?;
     let tree = vm().parse(input)?;
     let root = tree.root().as_node().expect("root is a node");
-    let xref_offset = need(g, root, "xref")? as usize;
-    let xref_count = need(g, root, "n")? as usize;
-    let objs = tree
-        .root()
-        .child_array_nt(nt_of(g, "Obj")?)
+    let xref_offset = need(root, f.xref)? as usize;
+    let xref_count = need(root, f.n)? as usize;
+    let objs = root
+        .child_array_nt(f.obj)
         .ok_or_else(|| Error::Grammar("extractor: missing objects".into()))?;
-    let nt_stream = nt_of(g, "Stream")?;
     let objects = objs
         .nodes()
         .map(|o| {
             let stream = o
-                .child_node_nt(nt_stream)
+                .child_node_nt(f.stream)
                 .ok_or_else(|| Error::Grammar("extractor: object without stream".into()))?;
             Ok(PdfObject {
-                id: need(g, o, "id")? as usize,
+                id: need(o, f.id)? as usize,
                 offset: o.span().0,
-                stream_len: need(g, o, "len")? as usize,
+                stream_len: need(o, f.len)? as usize,
                 stream: stream.span(),
             })
         })

@@ -1,9 +1,11 @@
 //! PE: grammar access and typed extraction.
 
-use crate::{need, nt_of};
-use ipg_core::check::Grammar;
+use crate::{field_table, need, Names};
+use ipg_core::arena::AttrSlot;
+use ipg_core::check::{Grammar, NtId};
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
+use std::sync::OnceLock;
 
 /// The embedded `.ipg` specification.
 pub const SPEC: &str = include_str!("../specs/pe.ipg");
@@ -31,41 +33,71 @@ pub struct PeFile {
     pub sections: Vec<(u32, u32, u32)>,
 }
 
+/// What the extractor reads of the grammar's trees.
+struct Fields {
+    dos: NtId,
+    coff: NtId,
+    opt: NtId,
+    sec_hdr: NtId,
+    lfanew: AttrSlot,
+    machine: AttrSlot,
+    magic: AttrSlot,
+    vaddr: AttrSlot,
+    rawptr: AttrSlot,
+    rawsize: AttrSlot,
+}
+
+impl Fields {
+    fn get() -> Result<&'static Fields> {
+        static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
+        field_table(&TABLE, "pe", |r: &Names<'_>| {
+            Ok(Fields {
+                dos: r.nt("DOS")?,
+                coff: r.nt("COFF")?,
+                opt: r.nt("OPT")?,
+                sec_hdr: r.nt("SecHdr")?,
+                lfanew: r.attr("DOS", "lfanew")?,
+                machine: r.attr("COFF", "machine")?,
+                magic: r.attr("OPT", "magic")?,
+                vaddr: r.attr("SecHdr", "vaddr")?,
+                rawptr: r.attr("SecHdr", "rawptr")?,
+                rawsize: r.attr("SecHdr", "rawsize")?,
+            })
+        })
+    }
+}
+
 /// Parses a PE file with the IPG grammar and extracts a typed view.
 ///
 /// # Errors
 ///
 /// [`Error::Parse`] when the input is not valid PE per the grammar.
 pub fn parse(input: &[u8]) -> Result<PeFile> {
-    let g = grammar();
+    let f = Fields::get()?;
     let tree = vm().parse(input)?;
     let root = tree.root();
     let dos = root
-        .child_node_nt(nt_of(g, "DOS")?)
+        .child_node_nt(f.dos)
         .ok_or_else(|| Error::Grammar("extractor: missing DOS header".into()))?;
     let coff = root
-        .child_node_nt(nt_of(g, "COFF")?)
+        .child_node_nt(f.coff)
         .ok_or_else(|| Error::Grammar("extractor: missing COFF header".into()))?;
     let opt = root
-        .child_node_nt(nt_of(g, "OPT")?)
+        .child_node_nt(f.opt)
         .ok_or_else(|| Error::Grammar("extractor: missing optional header".into()))?;
     let hdrs = root
-        .child_array_nt(nt_of(g, "SecHdr")?)
+        .child_array_nt(f.sec_hdr)
         .ok_or_else(|| Error::Grammar("extractor: missing section table".into()))?;
     let sections = hdrs
         .nodes()
         .map(|h| {
-            Ok((
-                need(g, h, "vaddr")? as u32,
-                need(g, h, "rawptr")? as u32,
-                need(g, h, "rawsize")? as u32,
-            ))
+            Ok((need(h, f.vaddr)? as u32, need(h, f.rawptr)? as u32, need(h, f.rawsize)? as u32))
         })
         .collect::<Result<Vec<_>>>()?;
     Ok(PeFile {
-        pe_offset: need(g, dos, "lfanew")? as u32,
-        machine: need(g, coff, "machine")? as u16,
-        opt_magic: need(g, opt, "magic")? as u16,
+        pe_offset: need(dos, f.lfanew)? as u32,
+        machine: need(coff, f.machine)? as u16,
+        opt_magic: need(opt, f.magic)? as u16,
         sections,
     })
 }

@@ -2,10 +2,12 @@
 //! study (the paper names PNG alongside GIF in §4) whose chunk list uses
 //! the `star` repetition extension instead of the recursive list idiom.
 
-use crate::{need, nt_of};
-use ipg_core::check::Grammar;
+use crate::{field_table, need, Names};
+use ipg_core::arena::AttrSlot;
+use ipg_core::check::{Grammar, NtId};
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
+use std::sync::OnceLock;
 
 /// The embedded `.ipg` specification.
 pub const SPEC: &str = include_str!("../specs/png.ipg");
@@ -33,38 +35,65 @@ pub struct PngImage {
     pub chunks: Vec<(String, (usize, usize))>,
 }
 
+/// What the extractor reads of the grammar's trees.
+struct Fields {
+    ihdr: NtId,
+    chunk: NtId,
+    ty: NtId,
+    data: NtId,
+    w: AttrSlot,
+    h: AttrSlot,
+    depth: AttrSlot,
+}
+
+impl Fields {
+    fn get() -> Result<&'static Fields> {
+        static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
+        field_table(&TABLE, "png", |r: &Names<'_>| {
+            Ok(Fields {
+                ihdr: r.nt("IHDR")?,
+                chunk: r.nt("Chunk")?,
+                ty: r.nt("Type")?,
+                data: r.nt("Data")?,
+                w: r.attr("IHDR", "w")?,
+                h: r.attr("IHDR", "h")?,
+                depth: r.attr("IHDR", "depth")?,
+            })
+        })
+    }
+}
+
 /// Parses a PNG with the IPG grammar and extracts a typed view.
 ///
 /// # Errors
 ///
 /// [`Error::Parse`] when the input is not valid PNG per the grammar.
 pub fn parse(input: &[u8]) -> Result<PngImage> {
-    let g = grammar();
+    let f = Fields::get()?;
     let tree = vm().parse(input)?;
     let root = tree.root();
     let ihdr = root
-        .child_node_nt(nt_of(g, "IHDR")?)
+        .child_node_nt(f.ihdr)
         .ok_or_else(|| Error::Grammar("extractor: missing IHDR".into()))?;
 
     let mut chunks = Vec::new();
-    if let Some(arr) = root.child_array_nt(nt_of(g, "Chunk")?) {
-        let (nt_type, nt_data) = (nt_of(g, "Type")?, nt_of(g, "Data")?);
+    if let Some(arr) = root.child_array_nt(f.chunk) {
         for chunk in arr.nodes() {
             let ty = chunk
-                .child_node_nt(nt_type)
+                .child_node_nt(f.ty)
                 .ok_or_else(|| Error::Grammar("extractor: chunk without type".into()))?;
             let fourcc = String::from_utf8_lossy(&input[ty.span().0..ty.span().1]).into_owned();
             let data = chunk
-                .child_node_nt(nt_data)
+                .child_node_nt(f.data)
                 .ok_or_else(|| Error::Grammar("extractor: chunk without data".into()))?;
             chunks.push((fourcc, data.span()));
         }
     }
 
     Ok(PngImage {
-        width: need(g, ihdr, "w")? as u32,
-        height: need(g, ihdr, "h")? as u32,
-        bit_depth: need(g, ihdr, "depth")? as u8,
+        width: need(ihdr, f.w)? as u32,
+        height: need(ihdr, f.h)? as u32,
+        bit_depth: need(ihdr, f.depth)? as u8,
         chunks,
     })
 }

@@ -1,11 +1,13 @@
 //! ZIP: grammar access, typed extraction, and blackbox-driven extraction
 //! (the paper's zlib-as-blackbox pattern, §3.4/§7).
 
-use crate::{flatten_chain, need, nt_of};
+use crate::{field_table, flatten_chain, need, Names};
+use ipg_core::arena::AttrSlot;
 use ipg_core::blackbox::{Blackbox, BlackboxResult};
-use ipg_core::check::Grammar;
+use ipg_core::check::{Grammar, NtId};
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
+use std::sync::OnceLock;
 
 /// The zero-copy ZIP specification (entry bodies stay raw byte spans).
 pub const SPEC: &str = include_str!("../specs/zip.ipg");
@@ -74,39 +76,100 @@ pub struct ZipEntry {
     pub body: (usize, usize),
 }
 
+/// What [`parse`] reads of the zero-copy grammar's trees.
+struct Fields {
+    eocd: NtId,
+    lfhs: NtId,
+    lfh: NtId,
+    name: NtId,
+    body: NtId,
+    cdofs: AttrSlot,
+    n: AttrSlot,
+    method: AttrSlot,
+    crc: AttrSlot,
+    csize: AttrSlot,
+    usize: AttrSlot,
+}
+
+impl Fields {
+    fn get() -> Result<&'static Fields> {
+        static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
+        field_table(&TABLE, "zip", |r: &Names<'_>| {
+            Ok(Fields {
+                eocd: r.nt("EOCD")?,
+                lfhs: r.nt("LFHs")?,
+                lfh: r.nt("LFH")?,
+                name: r.nt("Name")?,
+                body: r.nt("Body")?,
+                cdofs: r.attr("EOCD", "cdofs")?,
+                n: r.attr("EOCD", "n")?,
+                method: r.attr("LFH", "method")?,
+                crc: r.attr("LFH", "crc")?,
+                csize: r.attr("LFH", "csize")?,
+                usize: r.attr("LFH", "usize")?,
+            })
+        })
+    }
+}
+
+/// What [`extract`] reads of the decompressing grammar's trees.
+struct InflateFields {
+    lfhs: NtId,
+    lfh: NtId,
+    name: NtId,
+    deflated: NtId,
+    stored: NtId,
+    crc: AttrSlot,
+}
+
+impl InflateFields {
+    fn get() -> Result<&'static InflateFields> {
+        static TABLE: OnceLock<Result<InflateFields>> = OnceLock::new();
+        field_table(&TABLE, "zip_inflate", |r: &Names<'_>| {
+            Ok(InflateFields {
+                lfhs: r.nt("LFHs")?,
+                lfh: r.nt("LFH")?,
+                name: r.nt("Name")?,
+                deflated: r.nt("Deflated")?,
+                stored: r.nt("Stored")?,
+                crc: r.attr("LFH", "crc")?,
+            })
+        })
+    }
+}
+
 /// Parses an archive zero-copy.
 ///
 /// # Errors
 ///
 /// [`Error::Parse`] when the input is not a valid archive per the grammar.
 pub fn parse(input: &[u8]) -> Result<ZipArchive> {
-    let g = grammar();
+    let f = Fields::get()?;
     let tree = vm().parse(input)?;
     let root = tree.root();
     let eocd = root
-        .child_node_nt(nt_of(g, "EOCD")?)
+        .child_node_nt(f.eocd)
         .ok_or_else(|| Error::Grammar("extractor: missing end record".into()))?;
-    let cd_offset = need(g, eocd, "cdofs")? as u32;
-    let entry_count = need(g, eocd, "n")? as u16;
-    let (nt_name, nt_body) = (nt_of(g, "Name")?, nt_of(g, "Body")?);
+    let cd_offset = need(eocd, f.cdofs)? as u32;
+    let entry_count = need(eocd, f.n)? as u16;
 
-    let mut entries = Vec::new();
-    if let Some(lfhs) = root.child_node_nt(nt_of(g, "LFHs")?) {
-        for lfh in flatten_chain(lfhs, nt_of(g, "LFHs")?, nt_of(g, "LFH")?) {
+    let mut entries = Vec::with_capacity(usize::from(entry_count));
+    if let Some(lfhs) = root.child_node_nt(f.lfhs) {
+        for lfh in flatten_chain(lfhs, f.lfhs, f.lfh) {
             let name_node = lfh
-                .child_node_nt(nt_name)
+                .child_node_nt(f.name)
                 .ok_or_else(|| Error::Grammar("extractor: missing entry name".into()))?;
             let name = String::from_utf8_lossy(&input[name_node.span().0..name_node.span().1])
                 .into_owned();
             let body = lfh
-                .child_node_nt(nt_body)
+                .child_node_nt(f.body)
                 .ok_or_else(|| Error::Grammar("extractor: missing entry body".into()))?;
             entries.push(ZipEntry {
                 name,
-                method: need(g, lfh, "method")? as u16,
-                crc32: need(g, lfh, "crc")? as u32,
-                compressed_size: need(g, lfh, "csize")? as u32,
-                uncompressed_size: need(g, lfh, "usize")? as u32,
+                method: need(lfh, f.method)? as u16,
+                crc32: need(lfh, f.crc)? as u32,
+                compressed_size: need(lfh, f.csize)? as u32,
+                uncompressed_size: need(lfh, f.usize)? as u32,
                 body: body.span(),
             });
         }
@@ -122,28 +185,26 @@ pub fn parse(input: &[u8]) -> Result<ZipArchive> {
 /// [`Error::Parse`] on malformed archives; [`Error::Blackbox`] when a
 /// body fails to decompress; [`Error::Grammar`] on CRC mismatch.
 pub fn extract(input: &[u8]) -> Result<Vec<(String, Vec<u8>)>> {
-    let g = grammar_inflate();
+    let f = InflateFields::get()?;
     let tree = vm_inflate().parse(input)?;
     let root = tree.root();
-    let (nt_name, nt_deflated, nt_stored) =
-        (nt_of(g, "Name")?, nt_of(g, "Deflated")?, nt_of(g, "Stored")?);
     let mut out = Vec::new();
-    if let Some(lfhs) = root.child_node_nt(nt_of(g, "LFHs")?) {
-        for lfh in flatten_chain(lfhs, nt_of(g, "LFHs")?, nt_of(g, "LFH")?) {
+    if let Some(lfhs) = root.child_node_nt(f.lfhs) {
+        for lfh in flatten_chain(lfhs, f.lfhs, f.lfh) {
             let name_node = lfh
-                .child_node_nt(nt_name)
+                .child_node_nt(f.name)
                 .ok_or_else(|| Error::Grammar("extractor: missing entry name".into()))?;
             let name = String::from_utf8_lossy(&input[name_node.span().0..name_node.span().1])
                 .into_owned();
-            let data: Vec<u8> = if let Some(bb) = lfh.child_blackbox_nt(nt_deflated) {
+            let data: Vec<u8> = if let Some(bb) = lfh.child_blackbox_nt(f.deflated) {
                 bb.data().to_vec()
-            } else if let Some(stored) = lfh.child_node_nt(nt_stored) {
+            } else if let Some(stored) = lfh.child_node_nt(f.stored) {
                 let (lo, hi) = stored.span();
                 input[lo..hi].to_vec()
             } else {
                 return Err(Error::Grammar("extractor: entry has no body".into()));
             };
-            let expected = need(g, lfh, "crc")? as u32;
+            let expected = need(lfh, f.crc)? as u32;
             if ipg_flate::crc32(&data) != expected {
                 return Err(Error::Grammar(format!("crc mismatch for `{name}`")));
             }

@@ -240,3 +240,162 @@ fn for_loop_bounds_beyond_i64_range_hit_the_step_limit_cleanly() {
         "expected a step-limit error, got {vm}"
     );
 }
+
+/// Static attribute layouts: the VM keeps attributes in slots fixed per
+/// rule when a parser is built, not in a per-alternative environment.
+/// Each case below is an edge of that layout; on every input the VM's
+/// `to_tree` must equal the interpreter's tree (environments compared in
+/// order), with identical steps and deepest error, one-shot and streamed
+/// in 1-byte and whole-input chunks.
+mod attribute_layouts {
+    use ipg_core::frontend::parse_grammar;
+    use ipg_core::interp::vm::{Outcome, VmParser};
+    use ipg_core::tree::Tree;
+
+    /// Checks `spec` on `inputs`; returns how many inputs it accepted.
+    fn assert_layout_agrees(spec: &str, inputs: &[&[u8]]) -> usize {
+        let g = parse_grammar(spec).unwrap();
+        let vm = VmParser::new(&g);
+        let mut accepted = 0;
+        for &input in inputs {
+            if super::common::assert_engines_agree("layout", &g, &vm, input) {
+                accepted += 1;
+            }
+            let (one_shot, stats) = vm.parse_with_stats(input);
+            let one_shot = one_shot.map(|t| t.root().to_tree());
+            for chunk in [1, input.len().max(1)] {
+                let mut session = vm.streaming();
+                let mut early = None;
+                for piece in input.chunks(chunk) {
+                    if let Outcome::Error(e) = session.feed(piece) {
+                        early = Some(e);
+                        break;
+                    }
+                }
+                let streamed = match (early, session.finish()) {
+                    (Some(e), _) | (None, Outcome::Error(e)) => Err(e),
+                    (None, Outcome::Done(tree)) => Ok(tree.root().to_tree()),
+                    (None, Outcome::NeedInput { .. }) => panic!("finish never needs input"),
+                };
+                assert_eq!(session.stats().steps, stats.steps, "steps, {chunk}-byte chunks");
+                assert_eq!(streamed, one_shot, "{input:?} streamed in {chunk}-byte chunks");
+            }
+        }
+        accepted
+    }
+
+    /// The attribute names of `tree`'s first node of `nt`, in env order.
+    fn env_order(g: &ipg_core::check::Grammar, tree: &Tree, nt: &str) -> Option<Vec<String>> {
+        match tree {
+            Tree::Node(n) if &*n.name == nt => {
+                Some(n.env.iter().map(|(s, _)| g.attr_name(s).to_owned()).collect())
+            }
+            Tree::Node(n) => n.children.iter().find_map(|c| env_order(g, c, nt)),
+            Tree::Array(a) => a.elems.iter().find_map(|c| env_order(g, c, nt)),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn alternatives_setting_the_same_attributes_in_different_orders() {
+        // `x` and `y` share a slot across both alternatives; `z` is set by
+        // the first only, so the second's nodes must not list it.
+        let spec = r#"
+            S -> A[0, EOI] {s = A.x * 10 + A.y};
+            A -> U8[0, 1] assert(U8.val = 0) {x = 1} {y = 2} {z = 3}
+               / U8[0, 1] {y = 3} {x = 4};
+            U8 := u8;
+        "#;
+        assert_eq!(assert_layout_agrees(spec, &[&[0], &[1], &[]]), 2);
+        let g = parse_grammar(spec).unwrap();
+        let first = VmParser::new(&g).parse(&[0]).unwrap().root().to_tree();
+        let second = VmParser::new(&g).parse(&[1]).unwrap().root().to_tree();
+        let names = |v: &[&str]| Some(v.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        assert_eq!(env_order(&g, &first, "A"), names(&["EOI", "start", "end", "x", "y", "z"]));
+        assert_eq!(env_order(&g, &second, "A"), names(&["EOI", "start", "end", "y", "x"]));
+    }
+
+    #[test]
+    fn one_alternative_binding_a_name_twice() {
+        // A second `Set` of one attribute in one alternative is a check
+        // error, for both engines alike.
+        let err = parse_grammar("S -> {x = 1} {x = 2};").unwrap_err();
+        assert!(err.to_string().contains("defined twice"), "{err}");
+        // What one alternative can do is bind a name twice over: as an
+        // attribute and as a `for` or `exists` variable. Inside its term
+        // the variable shadows the attribute; after it, the attribute is
+        // back.
+        let spec = r#"
+            S -> {i = 7} for i = 0 to 3 do B[i, i + 1] {j = i}
+                 {k = exists i in B . B(i).val = 2 ? i : i};
+            B := u8;
+        "#;
+        assert_eq!(assert_layout_agrees(spec, &[&[0, 2, 0], &[1, 1, 1], &[1]]), 2);
+    }
+
+    #[test]
+    fn local_rule_reading_what_it_sets_itself_later() {
+        // `L` reads `x` before binding its own: the read is the invoking
+        // alternative's `x`, the later reads (and `M`, invoked by `L`) see
+        // `L`'s own.
+        let spec = r#"
+            S -> U8[0, 1] {x = U8.val} L[1, EOI];
+            local L -> U8[0, 1] {x = x + U8.val} {y = x} M[1, EOI];
+            local M -> U8[0, 1] {z = x * 100 + U8.val};
+            U8 := u8;
+        "#;
+        assert_eq!(assert_layout_agrees(spec, &[&[3, 4, 5], &[3, 4], &[]]), 1);
+        // An attribute the invoking alternative binds only after the call
+        // is not visible to it: `T`'s first alternative fails and the
+        // second, which binds `x` first, succeeds.
+        let spec = r#"
+            S -> T[0, EOI];
+            T -> L[0, EOI] {x = 9}
+               / {x = 1} L[0, EOI];
+            local L -> U8[0, 1] {y = x + U8.val};
+            U8 := u8;
+        "#;
+        assert_eq!(assert_layout_agrees(spec, &[&[5], &[]]), 1);
+    }
+
+    #[test]
+    fn for_and_exists_variables_read_inside_their_terms() {
+        // The loop variable is read by the element intervals and by a
+        // local element rule; the `exists` variable by its condition and
+        // its `then` branch, never by `else`.
+        let spec = r#"
+            S -> N[0, 1] for j = 0 to N.val do E[1 + j, 2 + j]
+                 for k = 0 to N.val do L[1 + k, 2 + k]
+                 {hit = exists m in E . E(m).val = N.val ? m * 10 : 99};
+            local L -> U8[0, 1] {pos = k} {sum = k + U8.val};
+            E := u8;
+            N := u8;
+            U8 := u8;
+        "#;
+        assert_eq!(assert_layout_agrees(spec, &[&[2, 5, 2], &[2, 5, 6], &[3, 1, 2], &[0]]), 3);
+    }
+
+    #[test]
+    fn streamed_open_root_reads_eoi_before_it_is_sealed() {
+        // The root reads `EOI` and a local rule of the root reads `start`
+        // and its own `EOI`; streamed, the root's reads wait for the end
+        // of input, after which its `EOI`/`start` slots are sealed.
+        let spec = r#"
+            S -> U8[0, 1] {n = EOI - 1} Body[1, EOI] L[EOI - 1, EOI];
+            local L -> U8[0, 1] {s = start} {e = EOI + n};
+            U8 := u8;
+            Body := bytes;
+        "#;
+        assert_eq!(assert_layout_agrees(spec, &[&[1, 2, 3, 4], &[9], &[]]), 2);
+        // A local start rule reads its own `start` as a plain attribute
+        // before any term has touched the input: the unsealed placeholder
+        // must not leak into the value.
+        let spec = r#"
+            start S;
+            local S -> {s = start} U8[0, 1] {t = start} Body[1, EOI];
+            U8 := u8;
+            Body := bytes;
+        "#;
+        assert_eq!(assert_layout_agrees(spec, &[&[1, 2, 3], &[]]), 1);
+    }
+}
