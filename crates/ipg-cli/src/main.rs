@@ -86,6 +86,12 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let rest = &args[1..];
+    // `ipg <command> --help` asks for the usage; no command takes `--help`
+    // or `-h` as an argument.
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let result = match cmd.as_str() {
         "check" => check::run(rest),
         "compile" => compile::run(rest),

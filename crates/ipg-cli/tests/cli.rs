@@ -70,6 +70,26 @@ fn no_arguments_prints_usage_and_exits_2() {
 }
 
 #[test]
+fn help_after_a_command_prints_usage_and_exits_0() {
+    for cmd in ["check", "compile", "verify", "disasm", "parse", "profile", "gen", "serve"] {
+        for flag in ["--help", "-h"] {
+            let out = ipg(&[cmd, flag], &[]);
+            assert_eq!(out.status.code(), Some(0), "ipg {cmd} {flag}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(stdout.contains("usage: ipg <command>"), "ipg {cmd} {flag}: {stdout}");
+            assert!(
+                out.stderr.is_empty(),
+                "ipg {cmd} {flag}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
+    // Also after the command's own arguments.
+    let out = ipg(&["parse", "zip", "--help"], &[]);
+    assert_eq!(out.status.code(), Some(0));
+}
+
+#[test]
 fn unknown_grammars_are_usage_errors_that_list_the_corpus() {
     let out = ipg(&["disasm", "no-such-grammar"], &[]);
     assert_eq!(out.status.code(), Some(2));

@@ -26,9 +26,13 @@
 //! The memoizing semantics reuse a cached result at several call sites
 //! (the O(n²) bound of §3.3 of the paper relies on it). Arena nodes are
 //! therefore immutable once allocated: the caller-side `start`/`end`
-//! re-basing of rule T-NTSucc ([`TreeArena::adjust`]) allocates a fresh
-//! root record that *shares* the original children range, exactly like the
-//! interpreter's `Rc`-sharing `adjust_tree`.
+//! re-basing of rule T-NTSucc ([`TreeArena::adjust`]) allocates a 16-byte
+//! shift record that *shares* the original record, observably like the
+//! interpreter's `Rc`-sharing `adjust_tree`. Shift records come only from
+//! the results of rules with alternatives and of blackboxes, which the VM
+//! may memoize. It never memoizes or shares a builtin's result, so a
+//! builtin's node is born re-based: its `start`/`end` are written in the
+//! caller's coordinates when it is allocated ([`TreeArena::alloc_builtin`]).
 //!
 //! Read access goes through the zero-copy views [`TreeRef`], [`NodeRef`],
 //! [`ArrayRef`], and [`BlackboxRef`], which mirror the accessors of
@@ -256,6 +260,7 @@ impl TreeArena {
     }
 
     /// Appends a record's values to the pool, returning their offset.
+    #[inline]
     fn push_attrs(&mut self, values: &[i64]) -> u32 {
         let at = u32::try_from(self.attrs.len()).expect("attribute pool overflow");
         self.attrs.extend_from_slice(values);
@@ -316,6 +321,26 @@ impl TreeArena {
         let attrs = self.push_attrs(attrs);
         let id = TreeId::new(TAG_NODE, self.nodes.len());
         self.nodes.push(ANode { nt, alt_index, attrs, children, base });
+        id
+    }
+
+    /// Allocates the node of a builtin `nt` that read `[base, base +
+    /// consumed)`, with that span as its one leaf child; `attrs` are its
+    /// `EOI`, `start`, `end` and `val`.
+    #[inline]
+    pub(crate) fn alloc_builtin(
+        &mut self,
+        nt: NtId,
+        base: usize,
+        consumed: usize,
+        attrs: [i64; 4],
+    ) -> TreeId {
+        let leaf = self.alloc_leaf(base, base + consumed);
+        let children = ChildRange { start: self.children.len() as u32, len: 1 };
+        self.children.push(leaf);
+        let attrs = self.push_attrs(&attrs);
+        let id = TreeId::new(TAG_NODE, self.nodes.len());
+        self.nodes.push(ANode { nt, alt_index: 0, attrs, children, base });
         id
     }
 

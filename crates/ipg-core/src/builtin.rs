@@ -14,6 +14,7 @@ use crate::syntax::Builtin;
 /// input is shorter than their width; [`Builtin::AsciiInt`] fails when the
 /// input does not start with an ASCII digit (or the value overflows `i64`);
 /// [`Builtin::Bytes`] always succeeds, consuming everything.
+#[inline]
 pub fn run_builtin(b: Builtin, input: &[u8]) -> Option<(i64, usize)> {
     match b {
         Builtin::U8 => input.first().map(|&v| (v as i64, 1)),

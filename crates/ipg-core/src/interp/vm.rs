@@ -15,11 +15,17 @@
 //!   `Vec` instead of recursing, so deeply nested inputs cannot overflow
 //!   the native stack and frame storage (attribute and result slots) is
 //!   recycled across calls — and across parses: the frame stack, memo
-//!   tables and a failed parse's arena live in a per-thread `Workspace`
-//!   that each parse borrows and hands back cleared. The deepest failure
-//!   is kept as an unrendered `Reason` and becomes a [`ParseError`] only
-//!   when a parse returns it. A failing parse thus allocates only its
-//!   error and the element lists of the `for`/`star` terms it runs.
+//!   tables and an arena live in a per-thread `Workspace` that each parse
+//!   borrows and hands back cleared. A successful parse's arena leaves
+//!   with its [`ParseTree`] and comes back when the tree drops. The
+//!   deepest failure is kept as an unrendered `Reason` and becomes a
+//!   [`ParseError`] only when a parse returns it. A failing parse thus
+//!   allocates only its error and the element lists of the `for`/`star`
+//!   terms it runs, and so does a successful one that follows a dropped
+//!   tree.
+//! * **Leaf calls**: a builtin callee runs inside the calling instruction
+//!   — no frame, no memo entry — and its node is allocated already
+//!   re-based into the caller's coordinates, so it needs no shift record.
 //! * **Slot-resolved attributes**: a frame keeps its attributes in `i64`
 //!   slots fixed per rule when the parser is built (`layout`), so
 //!   an attribute read or write is an indexed access, not a search by
@@ -97,6 +103,8 @@ pub struct VmParser<'g> {
 }
 
 /// The result of a successful VM parse: the arena plus the root id.
+/// Dropping it hands the arena back to the dropping thread's workspace
+/// for that thread's next parse.
 #[derive(Debug)]
 pub struct ParseTree {
     arena: TreeArena,
@@ -118,6 +126,15 @@ impl ParseTree {
     /// The root's arena id.
     pub fn root_id(&self) -> TreeId {
         self.root
+    }
+}
+
+impl Drop for ParseTree {
+    /// Hands the arena back, cleared, to the dropping thread's
+    /// [`Workspace`], so that thread's next parse refills it instead of
+    /// regrowing its pools.
+    fn drop(&mut self) {
+        Workspace::give_back_arena(self.arena.take());
     }
 }
 
@@ -434,20 +451,22 @@ impl Deepest {
 /// pay for its capacity.
 const RETAIN_MAX: usize = 4096;
 
-/// The working storage of a VM parse that does not leave with its result.
-/// Each thread keeps one: [`VmParser::fresh_session_with`] takes it and a
-/// [`VmSession`]'s drop hands it back cleared, so a parse reuses the
-/// allocations of the thread's previous parse instead of making its own.
-/// A parse that finds it taken (a session still open on the same thread)
-/// starts from an empty one; whichever is handed back last is kept.
+/// The working storage of a VM parse, recycled per thread.
+/// [`VmParser::fresh_session_with`] takes it and a [`VmSession`]'s drop
+/// hands it back cleared, so a parse reuses the allocations of the
+/// thread's previous parse instead of making its own. The arena of a
+/// successful parse leaves with its [`ParseTree`] and comes back when the
+/// tree drops, on whichever thread drops it. A parse that finds the
+/// workspace taken (a session still open on the same thread) starts from
+/// an empty one; whichever is handed back last is kept, except that a
+/// session without an arena keeps the one parked meanwhile.
 #[derive(Default)]
 struct Workspace {
     /// Dead frames, each keeping its attribute- and result-slot storage.
     frames: Vec<Frame>,
     memo: FxHashMap<(NtId, usize, usize), Option<TreeId>>,
     builtin_failures: FxHashSet<(NtId, usize, usize)>,
-    /// A failed parse's cleared arena (a successful one leaves with its
-    /// [`ParseTree`]).
+    /// A cleared arena: a failed parse's, or a dropped tree's.
     arena: Option<TreeArena>,
 }
 
@@ -474,13 +493,35 @@ impl Workspace {
             self.builtin_failures = FxHashSet::default();
         }
         self.builtin_failures.clear();
-        self.arena = self.arena.filter(|arena| arena.capacity() <= RETAIN_MAX);
-        if let Some(arena) = &mut self.arena {
-            arena.clear();
-        }
+        self.arena = self.arena.and_then(retained);
         // Unavailable only while the thread's locals are being torn down.
-        let _ = WORKSPACE.try_with(|w| w.set(self));
+        let _ = WORKSPACE.try_with(|w| {
+            if self.arena.is_none() {
+                // Keep the arena a tree dropped while this parse ran.
+                self.arena = w.take().arena;
+            }
+            w.set(self);
+        });
     }
+
+    /// Parks a dropped tree's arena, cleared, for the thread's next parse,
+    /// unless it is over [`RETAIN_MAX`].
+    fn give_back_arena(arena: TreeArena) {
+        let Some(arena) = retained(arena) else { return };
+        let _ = WORKSPACE.try_with(|w| {
+            let mut ws = w.take();
+            ws.arena = Some(arena);
+            w.set(ws);
+        });
+    }
+}
+
+/// `arena`, cleared, if it is small enough to keep (see [`RETAIN_MAX`]).
+fn retained(mut arena: TreeArena) -> Option<TreeArena> {
+    (arena.capacity() <= RETAIN_MAX).then(|| {
+        arena.clear();
+        arena
+    })
 }
 
 /// Hard abort of the whole parse (mirror of the interpreter's `Abort`),
@@ -521,12 +562,23 @@ enum Flow {
     Done(Option<TreeId>),
 }
 
-/// Outcome of [`VmSession::begin_call`].
+/// Outcome of [`VmSession::call`].
 enum CallOutcome {
-    /// The result is already available (memo hit, builtin, or blackbox).
-    Done(Option<TreeId>),
+    /// The result is already available (builtin, memo hit, blackbox, or a
+    /// rule without alternatives), in the caller's coordinates.
+    Done(Option<Ret>),
     /// A frame was pushed; the result will arrive via [`Flow::Deliver`].
     Pushed,
+}
+
+/// A callee's successful result as its caller sees it: the tree re-based
+/// by the caller's offset `l` (rule T-NTSucc), and the callee-relative
+/// `start`/`end` the caller widens its touched region with.
+#[derive(Clone, Copy)]
+struct Ret {
+    id: TreeId,
+    start: i64,
+    end: i64,
 }
 
 /// In-flight state of a `for` term (the VM analogue of the interpreter's
@@ -554,6 +606,19 @@ struct StarSt {
     star_len: usize,
     pos: usize,
     elems: Vec<TreeId>,
+}
+
+impl StarSt {
+    /// Accept one delivered repetition; returns `false` when the
+    /// repetition made no progress (which ends the star after it).
+    fn push(&mut self, ret: Ret) -> bool {
+        self.elems.push(ret.id);
+        if ret.end == 0 {
+            return false;
+        }
+        self.pos += ret.end as usize;
+        true
+    }
 }
 
 /// A term whose nonterminal call is waiting for a child frame.
@@ -695,8 +760,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     /// Drives the machine from a root invocation of `nt` to completion.
     fn run_root(&mut self, nt: NtId) -> PResult<Option<TreeId>> {
         let len = self.bytes().len();
-        let flow = match self.begin_call(nt, 0, len, NO_PARENT)? {
-            CallOutcome::Done(r) => return Ok(r),
+        let flow = match self.call(nt, 0, len, 0, NO_PARENT)? {
+            CallOutcome::Done(r) => return Ok(r.map(|r| r.id)),
             CallOutcome::Pushed => Flow::Exec,
         };
         self.drive(flow)
@@ -770,43 +835,106 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         *start = (*start).min(len as i64);
     }
 
-    /// `s ⊢ A ⇓ R` at `(base, len)`: memo lookup, then direct evaluation
-    /// (builtin/blackbox) or a frame push (rules with alternatives).
+    /// `s ⊢ A ⇓ R` at `(base, len)`, which lies at offset `l` in the
+    /// caller's interval: every call site (symbol term, switch case, `for`
+    /// and `star` element, and the root) invokes its callee here. A
+    /// builtin runs in place ([`VmSession::leaf_call`]); any other rule
+    /// goes through [`VmSession::begin_call`].
+    ///
+    /// The leaf path is inlined into every call site and the frame path
+    /// kept out of line: a zip parse makes far more builtin calls than
+    /// rule calls.
+    #[inline(always)]
+    fn call(
+        &mut self,
+        nt: NtId,
+        base: usize,
+        len: usize,
+        l: i64,
+        parent: u32,
+    ) -> PResult<CallOutcome> {
+        match self.p.rules[nt.0 as usize].kind {
+            PRuleKind::Builtin(b) => self.leaf_call(nt, b, base, len, l).map(CallOutcome::Done),
+            _ => self.begin_call(nt, base, len, l, parent),
+        }
+    }
+
+    /// A builtin leaf call, run inside the calling instruction: no frame,
+    /// no memo entry. Builtins are never memoized by the VM: re-decoding a
+    /// fixed-width integer costs less than a memo insert, hits are rare,
+    /// and the step count is identical either way (a builtin has no
+    /// internal ticks). The interpreter memoizes them; only the two
+    /// engines' memo statistics differ, never steps, trees, or errors.
+    ///
+    /// Since no memo entry or other call site can share the node, it is
+    /// born re-based by the caller's offset `l` (no shift record), and its
+    /// callee-relative `start`/`end` come from the decode.
+    #[inline(always)]
+    fn leaf_call(
+        &mut self,
+        nt: NtId,
+        b: Builtin,
+        base: usize,
+        len: usize,
+        l: i64,
+    ) -> PResult<Option<Ret>> {
+        self.tick()?;
+        self.prof.call(nt);
+        self.prof.enter(nt);
+        let ret = match run_builtin(b, &self.input.as_ref()[base..base + len]) {
+            Some((val, consumed)) => {
+                // `{start ↦ len, end ↦ 0}` widened by `[0, consumed)` when
+                // the builtin consumed anything.
+                let (start, end) =
+                    if consumed > 0 { (0, consumed as i64) } else { (len as i64, 0) };
+                // `EOI`, `start`, `end`, `val`: the builtin layout.
+                let attrs = [len as i64, start + l, end + l, val];
+                let id = self.arena.alloc_builtin(nt, base, consumed, attrs);
+                Some(Ret { id, start, end })
+            }
+            None => {
+                // Where the interpreter's memo would make a repeated
+                // failure a silent hit, suppress the duplicate recording
+                // so the deepest-failure error stays identical.
+                let memoizable = self.memoize && !self.p.rules[nt.0 as usize].is_local;
+                if !memoizable || self.builtin_failures.insert((nt, base, len)) {
+                    self.record_failure(base, nt, Reason::Builtin(b));
+                }
+                None
+            }
+        };
+        self.prof.exit(nt, ret.is_some());
+        Ok(ret)
+    }
+
+    /// [`VmSession::call`] of any rule but a builtin: memo lookup, then
+    /// direct evaluation (blackbox, rule without alternatives) or a frame
+    /// push (rule with alternatives).
+    #[inline(never)]
     fn begin_call(
         &mut self,
         nt: NtId,
         base: usize,
         len: usize,
+        l: i64,
         parent: u32,
     ) -> PResult<CallOutcome> {
         self.tick()?;
         self.prof.call(nt);
         let p = self.p;
         let rule = &p.rules[nt.0 as usize];
-        // Builtins are never memoized by the VM: re-decoding a fixed-width
-        // integer costs less than a memo insert, hits are rare, and the
-        // step count is identical either way (a builtin has no internal
-        // ticks). The interpreter memoizes them; only the two engines'
-        // memo statistics differ, never steps, trees, or errors.
-        if let PRuleKind::Builtin(b) = rule.kind {
-            let memoizable = self.memoize && !rule.is_local;
-            self.prof.enter(nt);
-            let r = self.builtin_result(nt, b, base, len, memoizable);
-            self.prof.exit(nt, r.is_some());
-            return Ok(CallOutcome::Done(r));
-        }
         let memoizable = self.memoize && !rule.is_local;
         if memoizable {
             if let Some(cached) = self.memo.get(&(nt, base, len)) {
                 let cached = *cached;
                 self.memo_hits += 1;
                 self.prof.memo(nt, true);
-                return Ok(CallOutcome::Done(cached));
+                return Ok(CallOutcome::Done(cached.map(|id| self.rebase(id, l))));
             }
             self.prof.memo(nt, false);
         }
         match rule.kind {
-            PRuleKind::Builtin(_) => unreachable!("handled above"),
+            PRuleKind::Builtin(_) => unreachable!("builtins run in place (`leaf_call`)"),
             PRuleKind::Blackbox(idx) => {
                 self.prof.enter(nt);
                 let r = self.blackbox_result(nt, idx as usize, base, len);
@@ -814,7 +942,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 if memoizable {
                     self.memo.insert((nt, base, len), r);
                 }
-                Ok(CallOutcome::Done(r))
+                Ok(CallOutcome::Done(r.map(|id| self.rebase(id, l))))
             }
             PRuleKind::Alts { first, count } => {
                 if count == 0 {
@@ -851,33 +979,12 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         }
     }
 
-    fn builtin_result(
-        &mut self,
-        nt: NtId,
-        b: Builtin,
-        base: usize,
-        len: usize,
-        memoizable: bool,
-    ) -> Option<TreeId> {
-        let local = &self.input.as_ref()[base..base + len];
-        match run_builtin(b, local) {
-            Some((val, consumed)) => {
-                // `EOI`, `start`, `end`, `val`: the builtin layout.
-                let mut attrs = [len as i64, len as i64, 0, val];
-                upd_start_end(&mut attrs, 0, consumed as i64, consumed > 0);
-                let leaf = self.arena.alloc_leaf(base, base + consumed);
-                Some(self.arena.alloc_node(nt, 0, &attrs, [leaf], base))
-            }
-            None => {
-                // Where the interpreter's memo would make a repeated
-                // failure a silent hit, suppress the duplicate recording
-                // so the deepest-failure error stays identical.
-                if !memoizable || self.builtin_failures.insert((nt, base, len)) {
-                    self.record_failure(base, nt, Reason::Builtin(b));
-                }
-                None
-            }
-        }
+    /// A rule's result in its caller's coordinates: its callee-relative
+    /// `start`/`end`, read back from the record, and the record re-based
+    /// by `l` — a shift record, since a memoized result may be shared.
+    fn rebase(&mut self, id: TreeId, l: i64) -> Ret {
+        let (start, end) = self.arena.start_end(id);
+        Ret { id: self.arena.adjust(id, l), start, end }
     }
 
     fn blackbox_result(&mut self, nt: NtId, idx: usize, base: usize, len: usize) -> Option<TreeId> {
@@ -1051,17 +1158,22 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     fn resolve_top(&mut self, ret: Option<TreeId>) -> PResult<Flow> {
         let fi = self.depth - 1;
         match std::mem::replace(&mut self.frames[fi].pending, Pending::None) {
-            Pending::Call { slot, l } => self.finish_call(fi, slot, l, ret),
+            Pending::Call { slot, l } => {
+                let ret = ret.map(|sub| self.rebase(sub, l));
+                Ok(self.finish_call(fi, slot, l, ret))
+            }
             Pending::Loop(mut st) => match ret {
                 Some(sub) => {
-                    self.loop_push(fi, &mut st, sub);
+                    let ret = self.rebase(sub, st.l);
+                    self.loop_push(fi, &mut st, ret);
                     self.loop_next(fi, st)
                 }
                 None => Ok(self.fail_alt(fi)),
             },
             Pending::Star(mut st) => match ret {
                 Some(sub) => {
-                    if self.star_push(&mut st, sub) {
+                    let ret = self.rebase(sub, st.l + st.pos as i64);
+                    if st.push(ret) {
                         self.star_next(fi, st)
                     } else {
                         Ok(self.finish_star(fi, st))
@@ -1180,29 +1292,27 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             return Ok(self.fail_alt(fi));
         };
         let parent = if self.p.rules[callee.0 as usize].is_local { fi as u32 } else { NO_PARENT };
-        match self.begin_call(callee, base + l as usize, (r - l) as usize, parent)? {
+        match self.call(callee, base + l as usize, (r - l) as usize, l, parent)? {
             CallOutcome::Pushed => {
                 self.frames[fi].pending = Pending::Call { slot, l };
                 Ok(Flow::Exec)
             }
-            CallOutcome::Done(res) => self.finish_call(fi, slot, l, res),
+            CallOutcome::Done(ret) => Ok(self.finish_call(fi, slot, l, ret)),
         }
     }
 
-    /// Caller-side completion of a symbol/switch call: re-base the
-    /// callee's `start`/`end` and widen the caller's touched region.
-    fn finish_call(&mut self, fi: usize, slot: u16, l: i64, ret: Option<TreeId>) -> PResult<Flow> {
+    /// Caller-side completion of a symbol/switch call at offset `l`: keep
+    /// the re-based result and widen the caller's touched region.
+    fn finish_call(&mut self, fi: usize, slot: u16, l: i64, ret: Option<Ret>) -> Flow {
         match ret {
-            Some(sub) => {
-                let (cs, ce) = self.arena.start_end(sub);
-                let adjusted = self.arena.adjust(sub, l);
+            Some(ret) => {
                 let f = &mut self.frames[fi];
-                upd_start_end(&mut f.slots, l + cs, l + ce, ce != 0);
-                f.results[slot as usize] = Some(adjusted);
+                upd_start_end(&mut f.slots, l + ret.start, l + ret.end, ret.end != 0);
+                f.results[slot as usize] = Some(ret.id);
                 f.ip += 1;
-                Ok(Flow::Exec)
+                Flow::Exec
             }
-            None => Ok(self.fail_alt(fi)),
+            None => self.fail_alt(fi),
         }
     }
 
@@ -1272,12 +1382,12 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             st.l = l;
             let parent =
                 if self.p.rules[st.nt.0 as usize].is_local { fi as u32 } else { NO_PARENT };
-            match self.begin_call(st.nt, base + l as usize, (r - l) as usize, parent)? {
+            match self.call(st.nt, base + l as usize, (r - l) as usize, l, parent)? {
                 CallOutcome::Pushed => {
                     self.frames[fi].pending = Pending::Loop(st);
                     return Ok(Flow::Exec);
                 }
-                CallOutcome::Done(Some(sub)) => self.loop_push(fi, &mut st, sub),
+                CallOutcome::Done(Some(ret)) => self.loop_push(fi, &mut st, ret),
                 CallOutcome::Done(None) => return Ok(self.fail_alt(fi)),
             }
         }
@@ -1285,12 +1395,10 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
 
     /// Accept one delivered loop element (mirror of the interpreter's
     /// per-iteration `call_nt_on_interval` tail).
-    fn loop_push(&mut self, fi: usize, st: &mut LoopSt, sub: TreeId) {
-        let (cs, ce) = self.arena.start_end(sub);
-        let adjusted = self.arena.adjust(sub, st.l);
+    fn loop_push(&mut self, fi: usize, st: &mut LoopSt, ret: Ret) {
         let f = &mut self.frames[fi];
-        upd_start_end(&mut f.slots, st.l + cs, st.l + ce, ce != 0);
-        st.elems.push(adjusted);
+        upd_start_end(&mut f.slots, st.l + ret.start, st.l + ret.end, ret.end != 0);
+        st.elems.push(ret.id);
         st.k += 1;
     }
 
@@ -1335,32 +1443,21 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             }
             let parent =
                 if self.p.rules[st.nt.0 as usize].is_local { fi as u32 } else { NO_PARENT };
-            match self.begin_call(st.nt, st.star_base + st.pos, st.star_len - st.pos, parent)? {
+            let (base, len, l) =
+                (st.star_base + st.pos, st.star_len - st.pos, st.l + st.pos as i64);
+            match self.call(st.nt, base, len, l, parent)? {
                 CallOutcome::Pushed => {
                     self.frames[fi].pending = Pending::Star(st);
                     return Ok(Flow::Exec);
                 }
-                CallOutcome::Done(Some(sub)) => {
-                    if !self.star_push(&mut st, sub) {
+                CallOutcome::Done(Some(ret)) => {
+                    if !st.push(ret) {
                         return Ok(self.finish_star(fi, st));
                     }
                 }
                 CallOutcome::Done(None) => return Ok(self.finish_star(fi, st)),
             }
         }
-    }
-
-    /// Accept one delivered repetition; returns `false` when the
-    /// repetition made no progress (which ends the star after it).
-    fn star_push(&mut self, st: &mut StarSt, sub: TreeId) -> bool {
-        let (_, ce) = self.arena.start_end(sub);
-        let adjusted = self.arena.adjust(sub, st.pos as i64 + st.l);
-        st.elems.push(adjusted);
-        if ce == 0 {
-            return false;
-        }
-        st.pos += ce as usize;
-        true
     }
 
     fn finish_star(&mut self, fi: usize, st: StarSt) -> Flow {
@@ -1676,11 +1773,13 @@ impl<I, PS: ProfSink> Drop for VmSession<'_, I, PS> {
         for f in &mut self.frames[..self.depth] {
             f.pending = Pending::None;
         }
+        // A successful parse's arena left with its tree.
+        let arena = self.arena.take();
         Workspace {
             frames: std::mem::take(&mut self.frames),
             memo: std::mem::take(&mut self.memo),
             builtin_failures: std::mem::take(&mut self.builtin_failures),
-            arena: Some(self.arena.take()),
+            arena: (arena.capacity() > 0).then_some(arena),
         }
         .give_back();
     }

@@ -1,13 +1,15 @@
 //! A successful VM parse allocates its tree's arena pools and the element
 //! lists of its `for`/`star` terms, nothing per node: attribute values go
 //! to the arena's shared attribute pool, and every other piece of working
-//! storage is recycled from the thread's previous parse.
+//! storage is recycled from the thread's previous parse. When a tree
+//! drops, its arena goes back to the dropping thread too, so a parse that
+//! follows a dropped tree does not allocate arena pools either.
 //!
 //! The counting allocator below counts per thread, so the test harness's
 //! own threads cannot disturb the counts.
 
 use ipg_core::frontend::parse_grammar;
-use ipg_core::interp::vm::VmParser;
+use ipg_core::interp::vm::{Outcome, VmParser};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -51,17 +53,31 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// One successful parse of `input` on a warm thread (the same parse runs
-/// once first to fill the thread's workspace): the allocations it made,
-/// and the bytes it holds while its tree is alive — the tree's footprint
-/// plus whatever working storage the parse kept growing.
+/// One successful parse of `input` on a warm thread that has no arena to
+/// recycle (the same parse runs once first to fill the thread's workspace,
+/// and its tree stays alive): the allocations it made, and the bytes it
+/// holds while its tree is alive — the tree's footprint plus whatever
+/// working storage the parse kept growing.
 fn warm_parse_allocations(parser: &VmParser<'_>, input: &[u8]) -> (usize, isize) {
-    drop(parser.parse(input).expect("warm-up parse succeeds"));
+    let warm_up = parser.parse(input).expect("warm-up parse succeeds");
+    let measured = measure(|| parser.parse(input).expect("parse succeeds"));
+    drop(warm_up);
+    measured
+}
+
+/// The allocations `f` makes on this thread, and the bytes it leaves
+/// allocated while what it returns is alive.
+fn measure<T>(f: impl FnOnce() -> T) -> (usize, isize) {
     let (n0, b0) = ALLOCATED.with(Cell::get);
-    let tree = parser.parse(input).expect("parse succeeds");
+    let kept = f();
     let (n1, b1) = ALLOCATED.with(Cell::get);
-    drop(tree);
+    drop(kept);
     (n1 - n0, b1 - b0)
+}
+
+fn zip_archive(n_entries: usize) -> Vec<u8> {
+    let config = ipg_corpus::zip::Config { n_entries, payload_len: 64, ..Default::default() };
+    ipg_corpus::zip::generate(&config).bytes
 }
 
 /// The arena's record pools: nodes, arrays, leaves, blackboxes, shifts,
@@ -72,12 +88,8 @@ const ARENA_POOLS: usize = 7;
 fn a_zip_parse_does_not_allocate_per_entry() {
     let g = parse_grammar(include_str!("../../ipg-formats/specs/zip.ipg")).unwrap();
     let parser = VmParser::new(&g);
-    let archive = |n_entries| {
-        let config = ipg_corpus::zip::Config { n_entries, payload_len: 64, ..Default::default() };
-        ipg_corpus::zip::generate(&config).bytes
-    };
-    let (small, _) = warm_parse_allocations(&parser, &archive(16));
-    let (large, _) = warm_parse_allocations(&parser, &archive(64));
+    let (small, _) = warm_parse_allocations(&parser, &zip_archive(16));
+    let (large, _) = warm_parse_allocations(&parser, &zip_archive(64));
     // Four times the records is two doublings of each arena pool at most.
     assert!(
         large <= small + 2 * ARENA_POOLS,
@@ -98,4 +110,92 @@ fn an_elf_parse_holds_less_than_150_kb() {
         "a {}-byte elf parse made {allocations} allocations and holds {bytes} bytes",
         file.len()
     );
+}
+
+#[test]
+fn a_zip_parse_after_a_dropped_tree_allocates_no_arena_pools() {
+    let g = parse_grammar(include_str!("../../ipg-formats/specs/zip.ipg")).unwrap();
+    let parser = VmParser::new(&g);
+    let archive = zip_archive(64);
+    let (fresh, _) = warm_parse_allocations(&parser, &archive);
+    // The tree of the warm-up parse above has dropped: its arena is the
+    // one the next parse fills.
+    let (recycled, bytes) = measure(|| parser.parse(&archive).expect("parse succeeds"));
+    // A parse with no arena to recycle allocates each pool a zip tree uses
+    // (all but arrays and blackboxes) at least once; one after a dropped
+    // tree allocates none, and since the zip grammar has no `for` or
+    // `star` term, nothing else either.
+    assert!(fresh >= ARENA_POOLS - 2, "fresh arena: {fresh} allocations");
+    assert_eq!((recycled, bytes), (0, 0), "allocations and bytes after a dropped tree");
+}
+
+#[test]
+fn a_tree_dropped_before_its_session_is_recycled_too() {
+    let g = parse_grammar(include_str!("../../ipg-formats/specs/zip.ipg")).unwrap();
+    let parser = VmParser::new(&g);
+    let archive = zip_archive(16);
+    drop(parser.parse(&archive).expect("warm-up parse succeeds"));
+    let mut session = parser.streaming();
+    assert!(session.feed(&archive).err().is_none());
+    let Outcome::Done(tree) = session.finish() else { panic!("streamed parse fails") };
+    // The tree's arena is parked while the session still holds the rest
+    // of the workspace; the session hands that back without an arena.
+    drop(tree);
+    drop(session);
+    let (allocations, bytes) = measure(|| parser.parse(&archive).expect("parse succeeds"));
+    assert_eq!((allocations, bytes), (0, 0), "allocations and bytes after the session");
+}
+
+#[test]
+fn an_arena_over_the_retention_bound_is_freed_on_drop() {
+    let g = parse_grammar("S -> star B[0, EOI]; B := u8;").unwrap();
+    let parser = VmParser::new(&g).memoize(false);
+    let small = vec![7u8; 16];
+    let huge = vec![7u8; 64 * 1024];
+    drop(parser.parse(&small).expect("warm-up parse succeeds"));
+    // A tree under the bound parks its arena: the bytes stay allocated.
+    let parked = {
+        let (_, before) = ALLOCATED.with(Cell::get);
+        drop(parser.parse(&vec![7u8; 512]).expect("parse succeeds"));
+        let (_, after) = ALLOCATED.with(Cell::get);
+        after - before
+    };
+    assert!(parked > 0, "a small tree's arena was not kept");
+    // 64 Ki nodes are far over the bound: dropping the tree frees its
+    // arena rather than parking megabytes on the thread.
+    let (_, before) = ALLOCATED.with(Cell::get);
+    let tree = parser.parse(&huge).expect("parse succeeds");
+    let (_, held) = ALLOCATED.with(Cell::get);
+    drop(tree);
+    let (_, after) = ALLOCATED.with(Cell::get);
+    assert!(held - before > 1024 * 1024, "the huge tree holds only {} B", held - before);
+    assert!(after - before <= 0, "{} B stayed allocated after the drop", after - before);
+    assert!(parser.parse(&small).is_ok());
+}
+
+#[test]
+fn a_tree_dropped_on_another_thread_recycles_there() {
+    let g = parse_grammar(include_str!("../../ipg-formats/specs/zip.ipg")).unwrap();
+    let parser = VmParser::new(&g);
+    let archive = zip_archive(16);
+    let dump = |tree: &ipg_core::interp::vm::ParseTree| format!("{:?}", tree.root().to_tree());
+    let tree = parser.parse(&archive).expect("parse succeeds");
+    let expected = dump(&tree);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // Warm this thread's workspace, keeping its tree alive.
+            let own = parser.parse(&archive).expect("parse succeeds");
+            drop(tree);
+            // The arena parked on this thread serves its next parse.
+            let (_, bytes) = measure(|| {
+                let tree = parser.parse(&archive).expect("parse succeeds");
+                assert_eq!(dump(&tree), expected);
+                tree
+            });
+            assert_eq!(bytes, 0, "the parse after the drop holds new memory");
+            assert_eq!(dump(&own), expected);
+        });
+    });
+    // The parsing thread has no arena to recycle, and still parses.
+    assert_eq!(dump(&parser.parse(&archive).expect("parse succeeds")), expected);
 }

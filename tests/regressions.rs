@@ -399,3 +399,186 @@ mod attribute_layouts {
         assert_eq!(assert_layout_agrees(spec, &[&[1, 2, 3], &[]]), 1);
     }
 }
+
+/// Builtin leaf calls run in place inside the calling instruction. Each
+/// case below puts a builtin at one kind of call site (symbol term, switch
+/// case, `for` element, `star` element) and at zero and non-zero offsets;
+/// on every input the VM must agree with the interpreter on `to_tree`,
+/// steps and deepest error, with memoization on and off, one-shot and
+/// streamed in 1-byte chunks.
+mod leaf_calls {
+    use ipg_core::check::CRuleBody;
+    use ipg_core::frontend::parse_grammar;
+    use ipg_core::interp::vm::{Outcome, VmParser};
+    use ipg_core::interp::Parser;
+    use std::path::Path;
+
+    /// Checks `spec` on `inputs`; returns how many inputs it accepted.
+    fn assert_leaf_calls_agree(spec: &str, inputs: &[&[u8]]) -> usize {
+        let g = parse_grammar(spec).unwrap();
+        let mut accepted = 0;
+        for memoize in [true, false] {
+            let parser = Parser::new(&g).memoize(memoize);
+            let vm = VmParser::new(&g).memoize(memoize);
+            accepted = 0;
+            for &input in inputs {
+                let (reference, ref_stats) = parser.parse_with_stats(input);
+                let (one_shot, stats) = vm.parse_with_stats(input);
+                let one_shot = one_shot.map(|t| t.root().to_tree());
+                let ctx = format!("{input:?}, memoize {memoize}");
+                assert_eq!(stats.steps, ref_stats.steps, "steps, {ctx}");
+                assert_eq!(one_shot, reference, "one-shot, {ctx}");
+                accepted += usize::from(reference.is_ok());
+
+                let mut session = vm.streaming();
+                let mut early = None;
+                for piece in input.chunks(1) {
+                    if let Outcome::Error(e) = session.feed(piece) {
+                        early = Some(e);
+                        break;
+                    }
+                }
+                let streamed = match (early, session.finish()) {
+                    (Some(e), _) | (None, Outcome::Error(e)) => Err(e),
+                    (None, Outcome::Done(tree)) => Ok(tree.root().to_tree()),
+                    (None, Outcome::NeedInput { .. }) => panic!("finish never needs input"),
+                };
+                assert_eq!(session.stats().steps, stats.steps, "streamed steps, {ctx}");
+                assert_eq!(streamed, reference, "streamed in 1-byte chunks, {ctx}");
+            }
+        }
+        accepted
+    }
+
+    #[test]
+    fn builtin_symbol_terms_at_zero_and_non_zero_offsets() {
+        // `A` sits at offset 0 (its node needs no re-basing), `B` and `C`
+        // at non-zero offsets; the caller reads their re-based
+        // `start`/`end` as well as their values.
+        let spec = r#"
+            S -> A[0, 2] B[2, 4] C[4, EOI]
+                 {v = A.val + B.val} {s = B.start * 100 + B.end} {c = C.start - C.end};
+            A := u16le;
+            B := u16be;
+            C := u8;
+        "#;
+        let inputs: [&[u8]; 4] = [&[1, 0, 0, 2, 9], &[1, 0, 0, 2, 9, 9], &[1, 0, 0, 2], &[1, 0]];
+        assert_eq!(assert_leaf_calls_agree(spec, &inputs), 2);
+    }
+
+    #[test]
+    fn builtin_switch_cases() {
+        let spec = r#"
+            S -> K[0, 1]
+                 switch(K.val = 1 : A[1, 3] / K.val = 2 : B[2, EOI] / C[0, 1])
+                 {k = K.val};
+            A := u16le;
+            B := u32be;
+            C := u8;
+            K := u8;
+        "#;
+        let inputs: [&[u8]; 5] = [&[1, 7, 0], &[2, 0, 0, 0, 0, 5], &[2, 0, 0], &[3], &[1, 7]];
+        assert_eq!(assert_leaf_calls_agree(spec, &inputs), 3);
+    }
+
+    #[test]
+    fn builtin_for_elements() {
+        // The first element is at offset 1, so every element is re-based;
+        // `E.val` reads the last element.
+        let spec = r#"
+            S -> N[0, 1] for i = 0 to N.val do E[1 + 2 * i, 3 + 2 * i]
+                 {last = E.val} {first = E(0).start};
+            E := u16le;
+            N := u8;
+        "#;
+        let inputs: [&[u8]; 4] = [&[2, 1, 0, 2, 0], &[1, 5, 0], &[2, 1, 0, 2], &[0]];
+        assert_eq!(assert_leaf_calls_agree(spec, &inputs), 2);
+    }
+
+    #[test]
+    fn builtin_star_elements() {
+        // A star at offset 0 and one at offset 1: each repetition starts
+        // where the previous one ended.
+        let spec = r#"
+            S -> star B[0, EOI] {n = B.end};
+            B := u16be;
+        "#;
+        let inputs: [&[u8]; 4] = [&[0, 1, 0, 2], &[0, 1, 0], &[0], &[]];
+        assert_eq!(assert_leaf_calls_agree(spec, &inputs), 2);
+        let spec = r#"
+            S -> H[0, 1] star D[1, EOI] {last = D.val} {at = D.start};
+            H := u8;
+            D := ascii_int;
+        "#;
+        let inputs: [&[u8]; 3] = [b"x12", b"x", b"xab"];
+        assert_eq!(assert_leaf_calls_agree(spec, &inputs), 1);
+    }
+
+    #[test]
+    fn builtin_on_an_empty_interval() {
+        // `bytes` on an empty interval consumes nothing: its `start` is
+        // its `EOI` (0), re-based by the caller's offset, and it does not
+        // widen the caller's touched region. As a star element it ends the
+        // star after one repetition.
+        let spec = r#"
+            S -> N[0, 1] Body[1, 1 + N.val] {s = Body.start} {e = Body.end}
+                 Tail[EOI, EOI] {t = Tail.start};
+            N := u8;
+            Body := bytes;
+            Tail := bytes;
+        "#;
+        let inputs: [&[u8]; 4] = [&[0], &[0, 5], &[2, 5, 6], &[3, 5]];
+        assert_eq!(assert_leaf_calls_agree(spec, &inputs), 3);
+        let spec = r#"
+            S -> star Body[0, EOI] {n = Body.end};
+            Body := bytes;
+        "#;
+        assert_eq!(assert_leaf_calls_agree(spec, &[&[], &[1, 2]]), 2);
+    }
+
+    #[test]
+    fn failing_builtin_retried_at_the_same_key() {
+        // `Int` fails at `(0, 2)` three times over: directly, under `A`
+        // and under `B`. With memoization on, the interpreter's repeats
+        // are silent memo hits, so `T`'s terminal failure (recorded in
+        // between, at the same offset) is the deepest error; with it off,
+        // every repeat records again.
+        let spec = r#"
+            S -> Int[0, EOI] / A[0, EOI] / T[0, EOI] / B[0, EOI] / Int[0, EOI];
+            A -> Int[0, EOI];
+            T -> "abc"[0, EOI];
+            B -> Int[0, EOI];
+            Int := u32le;
+        "#;
+        assert_eq!(assert_leaf_calls_agree(spec, &[&[0, 1], &[], &[1, 2, 3, 4]]), 1);
+    }
+
+    /// Per-rule calls, completions and failures of every builtin rule in
+    /// one profiled parse of each corpus file. Running builtins in place
+    /// must not move them.
+    #[test]
+    fn builtin_profile_counts_on_the_corpus_are_pinned() {
+        let mut out = String::new();
+        for f in super::common::formats() {
+            let input = super::common::default_corpus_input(f.name);
+            let (result, _, report) = f.vm.parse_profiled(&input);
+            assert!(result.is_ok(), "{}: corpus file rejected", f.name);
+            let mut rows: Vec<_> = report
+                .rules
+                .iter()
+                .filter(|r| matches!(f.grammar.rule(r.nt).body, CRuleBody::Builtin(_)))
+                .map(|r| {
+                    let c = r.counters;
+                    format!(
+                        "{} {}: calls {} ok {} fail {}\n",
+                        f.name, r.name, c.calls, c.completions, c.failures
+                    )
+                })
+                .collect();
+            rows.sort();
+            out.extend(rows);
+        }
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots");
+        super::common::check_snapshot(&dir, "builtin_profile.txt", &out);
+    }
+}
