@@ -130,14 +130,14 @@ fn chaos_run(quick: bool, workloads: &[(&'static str, Vec<u8>)]) -> String {
     server.shutdown();
     // Full reconciliation: the admission ledger, every injected panic
     // recovered, AND the watcher counters — no watcher runs here, so any
-    // nonzero reload/quarantine count means a counter leaked.
+    // nonzero reload count means a counter leaked.
     let reconciled = stats.reconciles()
         && stats.panics_recovered == plan.panics_injected()
-        && stats.reconciles_reloads(0, 0, 0);
+        && stats.reconciles_reloads(0, 0);
     println!(
         "chaos x{rounds}: {} submitted = {} completed + {} shed + {} failed; \
          {} panics recovered, {} faults injected, reloads ok/rejected {}/{}, \
-         quarantined {}, reconciled: {reconciled}",
+         reconciled: {reconciled}",
         stats.submitted,
         stats.completed,
         stats.shed,
@@ -146,13 +146,12 @@ fn chaos_run(quick: bool, workloads: &[(&'static str, Vec<u8>)]) -> String {
         plan.injected(),
         stats.reloads_ok,
         stats.reloads_rejected,
-        stats.artifacts_quarantined,
     );
     if !reconciled {
         eprintln!(
             "ERROR: chaos ledger failed to reconcile \
              ({} != {} + {} + {}, panics {} vs injected {}, \
-             reloads {}/{}, quarantined {})",
+             reloads {}/{})",
             stats.submitted,
             stats.completed,
             stats.shed,
@@ -161,14 +160,13 @@ fn chaos_run(quick: bool, workloads: &[(&'static str, Vec<u8>)]) -> String {
             plan.panics_injected(),
             stats.reloads_ok,
             stats.reloads_rejected,
-            stats.artifacts_quarantined,
         );
         std::process::exit(1);
     }
     format!(
         "{{\"submitted\": {}, \"completed\": {}, \"shed\": {}, \"failed\": {}, \
          \"panics_recovered\": {}, \"faults_injected\": {}, \"reloads_ok\": {}, \
-         \"reloads_rejected\": {}, \"artifacts_quarantined\": {}, \"reconciled\": {}}}",
+         \"reloads_rejected\": {}, \"reconciled\": {}}}",
         stats.submitted,
         stats.completed,
         stats.shed,
@@ -177,7 +175,6 @@ fn chaos_run(quick: bool, workloads: &[(&'static str, Vec<u8>)]) -> String {
         plan.injected(),
         stats.reloads_ok,
         stats.reloads_rejected,
-        stats.artifacts_quarantined,
         reconciled,
     )
 }

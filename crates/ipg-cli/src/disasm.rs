@@ -1,7 +1,6 @@
 //! `ipg disasm` — print the compiled bytecode listing for a grammar (the
 //! same [`ipg_core::bytecode::Program::disassemble`] output the snapshot
-//! suite pins, so a listing loaded from an `.ipgc` artifact is
-//! byte-identical to one compiled from source).
+//! suite pins).
 
 use crate::{resolve, CmdResult};
 

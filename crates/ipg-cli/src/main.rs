@@ -2,13 +2,12 @@
 //!
 //! One binary fronts every workflow the repository's former examples
 //! covered, routed through the shared [`ipg_formats::Registry`] so
-//! built-in corpus grammars, user `.ipg` sources, and persisted `.ipgc`
-//! artifacts are interchangeable everywhere a `<grammar>` is accepted:
+//! built-in corpus grammars and user `.ipg` sources are interchangeable
+//! everywhere a `<grammar>` is accepted:
 //!
 //! ```text
 //! ipg check <spec.ipg> [--emit-rust OUT.rs]     # frontend + §5 termination
-//! ipg compile <grammar> [-o OUT.ipgc [--sign]]
-//! ipg verify <artifact.ipgc>                    # staged artifact audit
+//! ipg compile <grammar>                         # source hash, anchor, start
 //! ipg disasm <grammar>                          # bytecode listing
 //! ipg parse <grammar> [FILE | -] [--depth N] [--extract [DIR]]
 //! ipg profile <grammar> [FILE | -] [--top N] [--folded]
@@ -18,12 +17,10 @@
 //! ipg bench-info                                # corpus summary
 //! ```
 //!
-//! `<grammar>` is a corpus name (`ipg bench-info` lists them), a path to
-//! an `.ipg` source, or a path to an `.ipgc` artifact. Grammars are
-//! compiled from source in memory on every run; nothing is written to
-//! disk unless a command is asked to (`compile -o`, `gen --out`, ...).
-//! `IPG_ARTIFACT_KEY` arms artifact signing and provenance enforcement
-//! (see [`ipg_core::ipgc`]).
+//! `<grammar>` is a corpus name (`ipg bench-info` lists them) or a path
+//! to an `.ipg` source. Grammars are compiled from source in memory on
+//! every run; nothing is written to disk unless a command is asked to
+//! (`gen --out`, `parse --extract DIR`, ...).
 
 mod bench_info;
 mod check;
@@ -35,7 +32,6 @@ mod parse;
 mod profile;
 mod resolve;
 mod serve;
-mod verify;
 
 use std::process::ExitCode;
 
@@ -46,13 +42,9 @@ commands:
   check <spec.ipg> [--emit-rust OUT.rs]
       Parse a grammar, run attribute checking, the termination checker,
       and the streamability analysis; optionally emit a Rust parser.
-  compile <grammar> [-o OUT.ipgc [--sign]]
+  compile <grammar>
       Compile a grammar and report its source hash, anchor and start
-      rule; -o writes a standalone .ipgc artifact (--sign adds the keyed
-      provenance MAC, needs IPG_ARTIFACT_KEY).
-  verify <artifact.ipgc>
-      Audit an artifact end to end. Exit codes are stable: 0 valid,
-      3 structural, 4 version skew, 5 provenance, 6 grammar mismatch.
+      rule.
   disasm <grammar>
       Print the compiled bytecode listing.
   parse <grammar> [FILE | -] [--depth N] [--extract [DIR]]
@@ -68,16 +60,15 @@ commands:
   serve --socket PATH [--workers N] [--watch DIR] [--metrics-addr HOST:PORT]
         [--trace-log PATH] [--grammar PATH]...
       Serve the framed parse protocol on a Unix socket; --watch hot
-      reloads grammars from DIR, quarantining invalid artifacts;
+      reloads the .ipg sources in DIR, keeping the last good generation
+      of any that stops compiling;
       --metrics-addr exposes a Prometheus scrape endpoint over HTTP;
       --trace-log streams per-request span events as JSON lines.
   bench-info
       Summarize the corpus registry.
 
-<grammar> is a corpus name, a .ipg source path, or a .ipgc artifact path.
-Grammars are compiled from source in memory; nothing is cached on disk.
-Environment: IPG_ARTIFACT_KEY signs written artifacts and enforces
-provenance.";
+<grammar> is a corpus name or a .ipg source path. Grammars are
+compiled from source in memory; nothing is cached on disk.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -95,7 +86,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "check" => check::run(rest),
         "compile" => compile::run(rest),
-        "verify" => verify::run(rest),
         "disasm" => disasm::run(rest),
         "parse" => parse::run(rest),
         "profile" => profile::run(rest),
@@ -121,24 +111,15 @@ fn main() -> ExitCode {
             eprintln!("ipg {cmd}: {msg}");
             ExitCode::FAILURE
         }
-        Err(Failure::Coded(code, msg)) => {
-            eprintln!("ipg {cmd}: {msg}");
-            ExitCode::from(code)
-        }
     }
 }
 
-/// A command failure: usage errors exit 2, everything else exits 1 —
-/// except commands with documented per-failure exit codes (`ipg verify`),
-/// which carry theirs explicitly.
+/// A command failure: usage errors exit 2, everything else exits 1.
 pub enum Failure {
     /// Bad invocation (wrong arguments); reported with exit code 2.
     Usage(String),
     /// The command ran and failed; reported with exit code 1.
     Runtime(String),
-    /// The command ran and failed with a command-specific, stable exit
-    /// code (scripts branch on these; see the command's usage text).
-    Coded(u8, String),
 }
 
 impl Failure {

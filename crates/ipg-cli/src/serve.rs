@@ -160,7 +160,7 @@ pub fn run(args: &[String]) -> CmdResult {
         server
             .watch_dir(Path::new(dir), ipg_serve::watch::DEFAULT_POLL_INTERVAL)
             .map_err(|e| Failure::runtime(format!("cannot watch {dir}: {e}")))?;
-        println!("hot reloading grammars from {dir} (invalid artifacts are quarantined)");
+        println!("hot reloading grammars from {dir} (a source that fails to compile is rejected)");
     }
     let front = server
         .serve_unix(&socket)
@@ -188,41 +188,30 @@ pub fn run(args: &[String]) -> CmdResult {
         println!("trace: {written} events written to {path} ({dropped} dropped under pressure)");
     }
     // The drain summary *checks* the ledger, it does not just print it:
-    // every admitted request must be classified (completed/shed/failed),
-    // and the reload/quarantine counters must agree with themselves as a
-    // snapshot (reconciles_reloads compares against the watcher-reported
-    // totals — here the final snapshot is the ground truth the chaos
-    // harness and CI greps assert against).
-    let reconciled = stats.reconciles()
-        && stats.reconciles_reloads(
-            stats.reloads_ok,
-            stats.reloads_rejected,
-            stats.artifacts_quarantined,
-        );
-    if !reconciled {
+    // every admitted request must be classified (completed/shed/failed).
+    // The reload counters are reported for the CI greps to assert on.
+    if !stats.reconciles() {
         return Err(Failure::runtime(format!(
             "LEDGER MISMATCH after drain: {} submitted != {} completed + {} shed + {} failed \
-             (reloads ok/rejected: {}/{}; artifacts quarantined: {})",
+             (reloads ok/rejected: {}/{})",
             stats.submitted,
             stats.completed,
             stats.shed,
             stats.failed,
             stats.reloads_ok,
-            stats.reloads_rejected,
-            stats.artifacts_quarantined
+            stats.reloads_rejected
         )));
     }
     println!(
         "drained: {} submitted = {} completed + {} shed + {} failed [ledger reconciled] \
-         (sessions sealed: {}; reloads ok/rejected: {}/{}; artifacts quarantined: {}); exiting 0",
+         (sessions sealed: {}; reloads ok/rejected: {}/{}); exiting 0",
         stats.submitted,
         stats.completed,
         stats.shed,
         stats.failed,
         stats.sessions_sealed,
         stats.reloads_ok,
-        stats.reloads_rejected,
-        stats.artifacts_quarantined
+        stats.reloads_rejected
     );
     // Give connection threads a beat to deliver their GOAWAYs before the
     // socket file disappears with `front`.

@@ -71,7 +71,7 @@ fn no_arguments_prints_usage_and_exits_2() {
 
 #[test]
 fn help_after_a_command_prints_usage_and_exits_0() {
-    for cmd in ["check", "compile", "verify", "disasm", "parse", "profile", "gen", "serve"] {
+    for cmd in ["check", "compile", "disasm", "parse", "profile", "gen", "serve"] {
         for flag in ["--help", "-h"] {
             let out = ipg(&[cmd, flag], &[]);
             assert_eq!(out.status.code(), Some(0), "ipg {cmd} {flag}");
@@ -96,6 +96,22 @@ fn unknown_grammars_are_usage_errors_that_list_the_corpus() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("neither a corpus grammar nor an existing file"), "{stderr}");
     assert!(stderr.contains("zip_inflate"), "should list the corpus: {stderr}");
+}
+
+#[test]
+fn the_artifact_commands_are_gone() {
+    // `.ipg` sources are the only deploy unit: there is no `verify`
+    // command, and `compile` writes nothing.
+    for args in [&["verify", "dns.ipgc"][..], &["compile", "dns", "-o", "dns.ipgc"]] {
+        let out = ipg(args, &[]);
+        assert_eq!(out.status.code(), Some(2), "ipg {args:?}");
+        assert!(
+            out.stdout.is_empty(),
+            "ipg {args:?} wrote {:?}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+    assert!(!Path::new("dns.ipgc").exists());
 }
 
 #[test]
@@ -141,31 +157,6 @@ fn disasm_matches_the_pinned_bytecode_snapshot() {
     let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/snapshots");
     let stdout = ok_stdout(&["disasm", "dns"], &[]);
     common::check_snapshot(&golden_dir, "dns.bc.txt", &stdout);
-}
-
-#[test]
-fn disasm_of_a_written_artifact_is_identical_to_the_corpus_listing() {
-    let scratch = Scratch::new("artifact");
-    let artifact = scratch.path().join("gif.ipgc");
-    let artifact = artifact.to_str().expect("utf-8 path");
-    ok_stdout(&["compile", "gif", "-o", artifact], &[]);
-    let from_file = ok_stdout(&["disasm", artifact], &[]);
-    let from_corpus = ok_stdout(&["disasm", "gif"], &[]);
-    assert_eq!(from_file, from_corpus, "artifact listing drifted from the corpus listing");
-}
-
-#[test]
-fn corrupted_artifacts_are_reported_not_panics() {
-    let scratch = Scratch::new("corrupt");
-    let artifact = scratch.path().join("pe.ipgc");
-    ok_stdout(&["compile", "pe", "-o", artifact.to_str().unwrap()], &[]);
-    let mut bytes = std::fs::read(&artifact).expect("artifact written");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xff;
-    std::fs::write(&artifact, &bytes).expect("rewrite");
-    let out = ipg(&["disasm", artifact.to_str().unwrap()], &[]);
-    assert_eq!(out.status.code(), Some(1), "corruption must be an error, not a panic");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("artifact error"));
 }
 
 #[test]
@@ -279,71 +270,6 @@ fn serve_drains_gracefully_on_sigterm() {
     assert!(stdout.contains("draining"), "missing drain notice:\n{stdout}");
     assert!(stdout.contains("drained:"), "missing reconciliation line:\n{stdout}");
     assert!(stdout.contains("exiting 0"), "missing exit notice:\n{stdout}");
-}
-
-#[test]
-fn verify_reports_each_failure_stage_with_its_stable_exit_code() {
-    let scratch = Scratch::new("verify");
-    let artifact = scratch.path().join("dns.ipgc");
-    let path = artifact.to_str().unwrap();
-    ok_stdout(&["compile", "dns", "-o", path], &[]);
-    let pristine = std::fs::read(&artifact).expect("read artifact");
-
-    // Exit 0: a fresh unsigned artifact verifies end to end.
-    let valid = ok_stdout(&["verify", path], &[]);
-    assert!(valid.contains("valid"), "{valid}");
-    assert!(valid.contains("unsigned, digest verified"), "{valid}");
-
-    // Exit 3: structurally broken (truncated mid-header).
-    std::fs::write(&artifact, &pristine[..16]).expect("truncate");
-    assert_eq!(ipg(&["verify", path], &[]).status.code(), Some(3), "structural failures exit 3");
-
-    // Exit 4: format version skew (header version patched to 99).
-    let mut skewed = pristine.clone();
-    skewed[4..8].copy_from_slice(&99u32.to_le_bytes());
-    std::fs::write(&artifact, &skewed).expect("rewrite");
-    let out = ipg(&["verify", path], &[]);
-    assert_eq!(out.status.code(), Some(4), "version skew exits 4");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("version skew"));
-
-    // Exit 5: provenance failure (payload bit flip breaks the digest).
-    let mut corrupt = pristine.clone();
-    let mid = corrupt.len() / 2;
-    corrupt[mid] ^= 0xff;
-    std::fs::write(&artifact, &corrupt).expect("rewrite");
-    let out = ipg(&["verify", path], &[]);
-    assert_eq!(out.status.code(), Some(5), "provenance failures exit 5");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("provenance"));
-}
-
-#[test]
-fn compile_sign_embeds_a_mac_that_verify_checks_per_key() {
-    let scratch = Scratch::new("sign");
-    let artifact = scratch.path().join("gif.ipgc");
-    let path = artifact.to_str().unwrap();
-    let key = [("IPG_ARTIFACT_KEY", "e2e-signing-key")];
-
-    // --sign without a key in the environment is a usage error.
-    let out = ipg(&["compile", "gif", "--sign", "-o", path], &[]);
-    assert_eq!(out.status.code(), Some(2));
-
-    // So is --sign without -o: there is no artifact to sign.
-    let out = ipg(&["compile", "gif", "--sign"], &key);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("-o"), "{out:?}");
-
-    let stdout = ok_stdout(&["compile", "gif", "--sign", "-o", path], &key);
-    assert!(stdout.contains("signed"), "{stdout}");
-
-    // The right key verifies the MAC; no key still verifies the digest.
-    let verified = ok_stdout(&["verify", path], &key);
-    assert!(verified.contains("MAC verified"), "{verified}");
-    let unchecked = ok_stdout(&["verify", path], &[]);
-    assert!(unchecked.contains("MAC not checked"), "{unchecked}");
-
-    // The wrong key is a provenance failure (exit 5), not a quiet pass.
-    let out = ipg(&["verify", path], &[("IPG_ARTIFACT_KEY", "some-other-key")]);
-    assert_eq!(out.status.code(), Some(5), "a wrong key must fail closed");
 }
 
 #[test]

@@ -321,14 +321,6 @@ impl Grammar {
         &self.blackboxes
     }
 
-    /// The grammar's string interner (symbol table). Symbols are assigned
-    /// deterministically during checking, which is what lets a persisted
-    /// `.ipgc` artifact reuse pre-resolved [`Sym`]s — the artifact loader
-    /// verifies the table entry by entry.
-    pub fn interner(&self) -> &Interner {
-        &self.interner
-    }
-
     /// The surface grammar this checked grammar was lowered from.
     pub fn surface(&self) -> &crate::syntax::Grammar {
         &self.surface

@@ -32,11 +32,6 @@ pub enum Error {
     /// A streaming session was misused (input after completion, byte
     /// budget exceeded, …) or evicted by its host.
     Session(String),
-    /// A persisted `.ipgc` artifact could not be loaded: bad magic,
-    /// format-version skew, checksum mismatch, truncation, or an
-    /// inconsistency between the artifact and the grammar it claims to
-    /// have been compiled from. Loading never panics on malformed bytes.
-    Artifact(String),
     /// A service worker panicked while executing this job. The panic was
     /// caught at the job boundary: the job is lost, the worker recovered
     /// and keeps serving, and the payload message is preserved here so
@@ -68,7 +63,6 @@ impl fmt::Display for Error {
             Error::Termination(msg) => write!(f, "termination check failed: {msg}"),
             Error::Blackbox(msg) => write!(f, "blackbox parser failed: {msg}"),
             Error::Session(msg) => write!(f, "session error: {msg}"),
-            Error::Artifact(msg) => write!(f, "artifact error: {msg}"),
             Error::WorkerPanic(msg) => write!(f, "worker panicked: {msg}"),
         }
     }

@@ -147,13 +147,11 @@ impl<'g> VmParser<'g> {
         Self::from_compiled(grammar, program, anchor_requirement(grammar), hints)
     }
 
-    /// Wraps an already-compiled program — typically one deserialized from
-    /// a persisted [`crate::ipgc`] artifact together with its precomputed
-    /// anchor classification and size hints — skipping the compile step.
-    /// `grammar` must be the grammar the program was compiled from (the
-    /// artifact loader verifies this; see
-    /// [`crate::ipgc::Artifact::into_parser`]). Either way the program's
-    /// attribute layouts are derived here (`layout`).
+    /// Wraps an already-compiled program — typically a
+    /// [`crate::ipgc::CachedProgram`] with its precomputed anchor
+    /// classification and size hints — skipping the compile step.
+    /// `grammar` must be the grammar the program was compiled from. The
+    /// program's attribute layouts are derived here (`layout`).
     pub fn from_compiled(
         grammar: &'g Grammar,
         mut program: Program,

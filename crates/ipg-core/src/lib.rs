@@ -39,11 +39,9 @@
 //! * [`arena`] — arena parse trees (`u32` ids, contiguous child ranges, one
 //!   shared attribute pool) with zero-copy views mirroring the [`tree`]
 //!   accessors.
-//! * [`ipgc`] — persisted compiled grammars: a versioned, self-describing
-//!   `.ipgc` binary artifact (program pools, anchor classification, size
-//!   hints, embedded source) written by `ipg compile -o` and loaded by
-//!   path, plus [`ipgc::CachedProgram::compile`], the in-memory compile
-//!   every registry load uses.
+//! * [`ipgc`] — [`ipgc::CachedProgram::compile`], the in-memory compile
+//!   every registry load uses (grammar, program, anchor classification,
+//!   size hints), and the [`ipgc::source_hash`] that identifies its input.
 //! * [`profile`] — grammar-level VM profiling: per-rule cycle
 //!   attribution, memo hit/miss counts, pc-indexed instruction hits,
 //!   and a folded-stack export keyed by the static call graph. Disabled
@@ -101,7 +99,6 @@ pub mod interp;
 pub mod ipgc;
 pub(crate) mod layout;
 pub mod profile;
-pub mod sha256;
 pub mod solver;
 pub mod syntax;
 pub mod termination;

@@ -41,8 +41,7 @@ pub mod registry;
 pub mod zip;
 
 pub use registry::{
-    corpus_descriptors, corpus_entry, pinned_corpus, Compiled, DirReload, Entry, FormatDescriptor,
-    Origin, Registry,
+    corpus_descriptors, corpus_entry, pinned_corpus, Compiled, Entry, FormatDescriptor, Registry,
 };
 
 use ipg_core::arena::{AttrSlot, NodeRef};

@@ -5,9 +5,8 @@
 //! through a [`Registry`]: a name → (checked grammar, compiled VM) table
 //! whose entries are compiled from `.ipg` source in memory
 //! ([`CachedProgram::compile`]). The built-in corpus ([`Registry::corpus`])
-//! is materialized once per process, and user-supplied grammars (`.ipg`
-//! sources or `.ipgc` artifacts named on a command line) flow through
-//! [`Registry::load_ipg_path`] / [`Registry::load_artifact_path`] into the
+//! is materialized once per process, and user-supplied `.ipg` sources
+//! named on a command line flow through [`Registry::load_path`] into the
 //! exact same table, so "built-in" and "user-supplied" are
 //! indistinguishable downstream.
 //!
@@ -16,7 +15,7 @@
 //! Each loaded grammar lives in an [`Arc`]-counted [`Compiled`]
 //! *generation*: the checked grammar and the bytecode parser borrowing
 //! it, packaged as one refcounted unit. [`Registry::reload`] and
-//! [`Registry::reload_dir`] swap a name to a new generation atomically —
+//! [`Registry::load_path`] swap a name to a new generation atomically —
 //! holders of the old [`Arc`] (in-flight parse sessions, pinned entries)
 //! keep using the generation they started with until they drop it, new
 //! lookups observe the new one, and a failed load leaves the table
@@ -39,16 +38,6 @@ use ipg_core::ipgc::CachedProgram;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
-
-/// How a registry entry's compiled program was obtained.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Origin {
-    /// Compiled from `.ipg` source in memory, or registered directly from
-    /// a pre-built generation.
-    Memory,
-    /// Loaded from an explicit `.ipgc` file path.
-    ArtifactFile,
-}
 
 /// One compiled grammar generation: the checked [`Grammar`] and the
 /// [`VmParser`] compiled against it, owned together so the pair can be
@@ -73,8 +62,7 @@ unsafe impl Send for Compiled {}
 unsafe impl Sync for Compiled {}
 
 impl Compiled {
-    /// Packages a freshly compiled (or artifact-loaded) program as one
-    /// refcounted generation.
+    /// Packages a compiled program as one refcounted generation.
     pub fn from_cached(cached: CachedProgram) -> Arc<Compiled> {
         let CachedProgram { grammar, program, anchor, hints, source_hash } = cached;
         let grammar = Box::new(grammar);
@@ -133,16 +121,13 @@ fn next_generation() -> u64 {
     GENERATION.fetch_add(1, Ordering::Relaxed)
 }
 
-/// One registered grammar: a name bound to a [`Compiled`] generation,
-/// plus how the program was obtained. Cloning an entry clones the
-/// *handle* — the generation itself is shared and stays alive as long as
-/// any clone does.
+/// One registered grammar: a name bound to a [`Compiled`] generation.
+/// Cloning an entry clones the *handle* — the generation itself is
+/// shared and stays alive as long as any clone does.
 #[derive(Clone, Debug)]
 pub struct Entry {
     /// Registry name (corpus module name, or a file stem for loaded paths).
     pub name: String,
-    /// Where the compiled program came from.
-    pub origin: Origin,
     /// The generation id: strictly increasing across reloads, so a
     /// changed id is proof a swap happened.
     pub generation: u64,
@@ -150,8 +135,8 @@ pub struct Entry {
 }
 
 impl Entry {
-    fn new(name: String, origin: Origin, handle: Arc<Compiled>) -> Entry {
-        Entry { name, origin, generation: next_generation(), handle }
+    fn new(name: String, handle: Arc<Compiled>) -> Entry {
+        Entry { name, generation: next_generation(), handle }
     }
 
     /// The checked grammar of this entry's generation.
@@ -177,7 +162,7 @@ enum ReloadSource {
     /// Recompile from an in-memory spec (corpus grammars and
     /// [`Registry::load_spec`] registrations).
     Spec { spec: String, blackboxes: Vec<Blackbox> },
-    /// Re-read a file path (`.ipg` source or `.ipgc` artifact).
+    /// Re-read a `.ipg` source file.
     Path(PathBuf),
 }
 
@@ -203,8 +188,7 @@ impl std::fmt::Debug for Registry {
 
 /// An embedded corpus format: everything needed to (re)compile it —
 /// name, spec source, and a constructor for its blackbox bindings
-/// (blackboxes are runtime function pointers, so artifacts store only
-/// their declarations and the registry re-binds them by name on load).
+/// (blackboxes are runtime function pointers, bound anew on every load).
 #[derive(Clone, Copy)]
 pub struct FormatDescriptor {
     /// Registry name (`ipg-formats` module name).
@@ -244,46 +228,16 @@ pub fn corpus_descriptors() -> [FormatDescriptor; 9] {
 /// Compiles one spec in memory into an entry.
 fn load_entry(name: &str, spec: &str, blackboxes: Vec<Blackbox>) -> Result<Entry> {
     let cached = CachedProgram::compile(spec, blackboxes)?;
-    Ok(Entry::new(name.to_owned(), Origin::Memory, Compiled::from_cached(cached)))
+    Ok(Entry::new(name.to_owned(), Compiled::from_cached(cached)))
 }
 
-/// Loads a `.ipgc` artifact file into an entry. The
-/// embedded source is re-checked and verified against the artifact
-/// before the program is accepted; `IPG_ARTIFACT_KEY` governs the
-/// provenance policy as in [`ipg_core::ipgc::decode`].
-fn load_artifact_entry(path: &Path) -> Result<Entry> {
-    let name = stem_of(path)?;
-    let bytes = std::fs::read(path)
-        .map_err(|e| Error::Artifact(format!("cannot read {}: {e}", path.display())))?;
-    let artifact = ipg_core::ipgc::decode(&bytes)?;
-    let grammar = artifact.reconstruct_grammar(Vec::new())?;
-    artifact.validate_against(&grammar)?;
-    let cached = CachedProgram {
-        grammar,
-        program: artifact.program,
-        anchor: artifact.anchor,
-        hints: artifact.hints,
-        source_hash: artifact.source_hash,
-    };
-    Ok(Entry::new(name, Origin::ArtifactFile, Compiled::from_cached(cached)))
-}
-
-/// Loads a `.ipg` source file into an entry, compiled in memory.
-fn load_ipg_entry(path: &Path) -> Result<Entry> {
+/// Loads a `.ipg` source file into an entry named after its file stem,
+/// compiled in memory.
+fn load_path_entry(path: &Path) -> Result<Entry> {
     let name = stem_of(path)?;
     let spec = std::fs::read_to_string(path)
         .map_err(|e| Error::Grammar(format!("cannot read {}: {e}", path.display())))?;
     load_entry(&name, &spec, Vec::new())
-}
-
-/// Path dispatch shared by [`Registry::load_path`] and reloads: `.ipgc`
-/// means artifact, anything else means source.
-fn load_path_entry(path: &Path) -> Result<Entry> {
-    if path.extension().is_some_and(|e| e == "ipgc") {
-        load_artifact_entry(path)
-    } else {
-        load_ipg_entry(path)
-    }
 }
 
 /// The per-process corpus table, compiled once from source and pinned for the process lifetime (this is what backs the format
@@ -309,16 +263,6 @@ pub fn corpus_entry(name: &str) -> &'static Entry {
         .iter()
         .find(|e| e.name == name)
         .unwrap_or_else(|| panic!("`{name}` is not a corpus grammar"))
-}
-
-/// One [`Registry::reload_dir`] pass: what swapped and what was refused.
-#[derive(Debug, Default)]
-pub struct DirReload {
-    /// Entries that loaded, validated, and swapped in, in path order.
-    pub loaded: Vec<Entry>,
-    /// Files that failed to load; the table keeps the previous
-    /// generation for these names.
-    pub failed: Vec<(PathBuf, Error)>,
 }
 
 impl Registry {
@@ -384,7 +328,7 @@ impl Registry {
     /// no reload source: [`Registry::reload`] reports a typed error for
     /// them.
     pub fn register(&self, name: &str, handle: Arc<Compiled>) -> Entry {
-        self.insert(Entry::new(name.to_owned(), Origin::Memory, handle), None)
+        self.insert(Entry::new(name.to_owned(), handle), None)
     }
 
     /// Compiles `.ipg` source in memory under `name` and registers it.
@@ -399,34 +343,13 @@ impl Registry {
     }
 
     /// Loads a user-supplied grammar from a `.ipg` source file, registered
-    /// under the file stem. Compiled in memory, like the corpus.
+    /// under the file stem. Compiled in memory, like the corpus; loading a
+    /// name that is already registered swaps its generation.
     ///
     /// # Errors
     ///
     /// I/O errors reading the file (as [`Error::Grammar`]) and
     /// frontend/check errors in the spec.
-    pub fn load_ipg_path(&self, path: &Path) -> Result<Entry> {
-        let entry = load_ipg_entry(path)?;
-        Ok(self.insert(entry, Some(ReloadSource::Path(path.to_owned()))))
-    }
-
-    /// Loads a persisted `.ipgc` artifact from an explicit path,
-    /// registered under the file stem. The embedded source is
-    /// re-checked and verified against the artifact before the program is
-    /// accepted.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Artifact`] on corrupt/truncated/version-skewed bytes, a
-    /// provenance violation under `IPG_ARTIFACT_KEY`, or an
-    /// artifact/grammar mismatch; I/O errors as [`Error::Artifact`].
-    pub fn load_artifact_path(&self, path: &Path) -> Result<Entry> {
-        let entry = load_artifact_entry(path)?;
-        Ok(self.insert(entry, Some(ReloadSource::Path(path.to_owned()))))
-    }
-
-    /// Loads a grammar from a path, dispatching on the `.ipgc` extension
-    /// (artifact) versus anything else (`.ipg` source).
     pub fn load_path(&self, path: &Path) -> Result<Entry> {
         let entry = load_path_entry(path)?;
         Ok(self.insert(entry, Some(ReloadSource::Path(path.to_owned()))))
@@ -471,33 +394,6 @@ impl Registry {
             }
         };
         Ok(self.insert(entry, Some(source)))
-    }
-
-    /// Loads every `*.ipg` / `*.ipgc` file in `dir` (sorted by file
-    /// name), swapping in each grammar that validates and keeping the
-    /// previous generation for each one that does not. Per-file failures
-    /// are reported, not fatal.
-    ///
-    /// # Errors
-    ///
-    /// Only on failing to read the directory itself.
-    pub fn reload_dir(&self, dir: &Path) -> Result<DirReload> {
-        let entries = std::fs::read_dir(dir)
-            .map_err(|e| Error::Grammar(format!("cannot read {}: {e}", dir.display())))?;
-        let mut paths: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "ipg" || e == "ipgc"))
-            .collect();
-        paths.sort();
-        let mut report = DirReload::default();
-        for path in paths {
-            match self.load_path(&path) {
-                Ok(entry) => report.loaded.push(entry),
-                Err(e) => report.failed.push((path, e)),
-            }
-        }
-        Ok(report)
     }
 
     fn insert(&self, entry: Entry, reload: Option<ReloadSource>) -> Entry {
@@ -585,15 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn corpus_entries_are_compiled_from_source() {
-        // Every entry's VM parses its own corpus input elsewhere in the
-        // suite.
-        for e in Registry::corpus().entries() {
-            assert_eq!(e.origin, Origin::Memory, "{}", e.name);
-        }
-    }
-
-    #[test]
     fn clones_share_one_table() {
         let a = Registry::new();
         let b = a.clone();
@@ -656,26 +543,6 @@ mod tests {
         assert!(swapped.generation > first.generation);
         swapped.vm().parse(b"b").expect("new grammar parses the new input");
         assert!(swapped.vm().parse(b"a").is_err(), "old input now rejected");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reload_dir_reports_per_file_outcomes() {
-        let dir = std::env::temp_dir().join(format!("ipg-reloaddir-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("good.ipg"), r#"S -> "g"[0, 1];"#).unwrap();
-        std::fs::write(dir.join("bad.ipg"), "NOT A GRAMMAR ->").unwrap();
-        std::fs::write(dir.join("ignored.txt"), "not a grammar file").unwrap();
-
-        let reg = Registry::new();
-        let report = reg.reload_dir(&dir).unwrap();
-        assert_eq!(report.loaded.len(), 1);
-        assert_eq!(report.loaded[0].name, "good");
-        assert_eq!(report.failed.len(), 1);
-        assert!(report.failed[0].0.ends_with("bad.ipg"));
-        assert!(reg.get("good").is_some());
-        assert!(reg.get("bad").is_none(), "failed file must not register");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

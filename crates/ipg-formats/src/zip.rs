@@ -16,9 +16,9 @@ pub const SPEC: &str = include_str!("../specs/zip.ipg");
 pub const SPEC_INFLATE: &str = include_str!("../specs/zip_inflate.ipg");
 
 /// The blackbox bindings of the decompressing grammar: `ipg-flate` as the
-/// `inflate` blackbox. Blackboxes are runtime function pointers, so
-/// `.ipgc` artifacts persist only their declarations and the registry
-/// re-binds the implementations through this constructor on every load.
+/// `inflate` blackbox. Blackboxes are runtime function pointers, so the
+/// registry binds the implementations through this constructor on every
+/// load of the grammar.
 pub fn inflate_blackboxes() -> Vec<Blackbox> {
     vec![Blackbox::new("inflate", |input| {
         let (data, consumed) =

@@ -6,16 +6,15 @@
 //! * **Program registry** — the shared [`ipg_formats::Registry`] maps
 //!   grammar names to refcounted [`Compiled`] *generations*.
 //!   [`Registry::corpus`] pre-loads all nine corpus grammars, compiled
-//!   from source in memory, and user-supplied grammars
-//!   ([`Registry::load_path`]: `.ipg` sources or `.ipgc` artifacts) land
-//!   in the same table.
+//!   from source in memory, and user-supplied `.ipg` sources
+//!   ([`Registry::load_path`]) land in the same table.
 //! * **Hot reload** — [`Server::watch_dir`] polls a grammar directory
 //!   ([`watch`]) and atomically swaps changed grammars into the live
 //!   registry; every admitted job pins the generation it resolved, so
-//!   in-flight parses and sessions are never torn by a swap. Invalid
-//!   artifacts are quarantined (`*.bad`), healed from sibling `.ipg`
-//!   source when possible, and counted in the stats snapshot
-//!   (`reloads_ok` / `reloads_rejected` / `artifacts_quarantined`).
+//!   in-flight parses and sessions are never torn by a swap. A source
+//!   that stops compiling is refused and the last good generation keeps
+//!   serving; both outcomes are counted in the stats snapshot
+//!   (`reloads_ok` / `reloads_rejected`).
 //! * **Sharded worker pool** — one queue per worker plus work stealing
 //!   for one-shot jobs ([`pool`]); streaming sessions are pinned to their
 //!   owning worker so the suspended frame stack never crosses threads.
@@ -204,7 +203,7 @@ fn install_quiet_worker_panics() {
 
 /// Builds the server's metrics registry: every stats counter, the
 /// admission ledger with its scrape-time in-flight derivation, the
-/// reload/quarantine counters, the shared-bucket latency histogram,
+/// reload counters, the shared-bucket latency histogram,
 /// per-worker queue depths, and — when tracing is on — the trace ring's
 /// emit/drop counters. This is the single exposition point: a counter
 /// that exists but is not registered here is invisible to every scraper,
@@ -216,7 +215,7 @@ type CounterSpec = (&'static str, &'static str, fn(&stats::Counters) -> &AtomicU
 
 fn build_metrics(shared: &Arc<Shared>) -> Arc<metrics::Registry> {
     let reg = metrics::Registry::new();
-    let counters: [CounterSpec; 18] = [
+    let counters: [CounterSpec; 17] = [
         ("ipg_parses_ok_total", "Completed parses.", |c| &c.parses_ok),
         ("ipg_parses_err_total", "Failed parses.", |c| &c.parses_err),
         ("ipg_sessions_opened_total", "Streaming sessions opened.", |c| &c.sessions_opened),
@@ -247,9 +246,6 @@ fn build_metrics(shared: &Arc<Shared>) -> Arc<metrics::Registry> {
         ("ipg_reloads_ok_total", "Hot reloads that swapped a generation in.", |c| &c.reloads_ok),
         ("ipg_reloads_rejected_total", "Hot reloads refused (previous generation kept).", |c| {
             &c.reloads_rejected
-        }),
-        ("ipg_artifacts_quarantined_total", "Invalid artifacts quarantined by the watcher.", |c| {
-            &c.artifacts_quarantined
         }),
     ];
     for (name, help, read) in counters {
@@ -358,13 +354,13 @@ impl Server {
         }
     }
 
-    /// Starts hot reloading: scans `dir` synchronously (every `.ipg` /
-    /// `.ipgc` grammar it holds is loaded into the registry before this
-    /// returns), then spawns a polling watcher thread that swaps changed
-    /// grammars in atomically under live traffic. Invalid artifacts are
-    /// quarantined (`*.bad`) and, when a sibling `.ipg` source exists,
-    /// rebuilt from source — see [`watch`] for the full failure policy.
-    /// The watcher seals itself on [`Server::drain`] / shutdown.
+    /// Starts hot reloading: scans `dir` synchronously (every `.ipg`
+    /// source it holds that compiles is loaded into the registry before
+    /// this returns), then spawns a polling watcher thread that swaps
+    /// changed grammars in atomically under live traffic. A source that
+    /// does not compile is counted in `reloads_rejected` and the last good
+    /// generation keeps serving — see [`watch`] for the full failure
+    /// policy. The watcher seals itself on [`Server::drain`] / shutdown.
     ///
     /// # Errors
     ///

@@ -1,5 +1,5 @@
 //! The central metrics registry: every counter the service maintains —
-//! request ledger, parse/session telemetry, reload/quarantine counts,
+//! request ledger, parse/session telemetry, reload counts,
 //! latency histogram, queue depths — registered once under a stable name
 //! and exposed in Prometheus text format (version 0.0.4).
 //!

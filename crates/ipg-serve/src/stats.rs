@@ -45,12 +45,9 @@ pub(crate) struct Counters {
     pub panics_recovered: AtomicU64,
     /// Hot reloads that validated and swapped a new grammar generation in.
     pub reloads_ok: AtomicU64,
-    /// Hot reloads refused (bad source or artifact); the previous
-    /// generation remained current.
+    /// Hot reloads refused (a source that does not compile); the
+    /// previous generation remained current.
     pub reloads_rejected: AtomicU64,
-    /// Invalid `.ipgc` artifacts quarantined (renamed `*.bad`) by the
-    /// watcher instead of being served.
-    pub artifacts_quarantined: AtomicU64,
     /// Admission→reply latency (shared log₂ bucketing; see
     /// [`crate::histo`]).
     pub latency: LogHistogram,
@@ -103,8 +100,6 @@ pub struct StatsSnapshot {
     pub reloads_ok: u64,
     /// Hot reloads refused with the previous generation kept current.
     pub reloads_rejected: u64,
-    /// Invalid artifacts quarantined by the watcher.
-    pub artifacts_quarantined: u64,
     /// Median admission→reply latency, microseconds (log-bucketed).
     pub latency_p50_us: u64,
     /// 99th-percentile admission→reply latency, microseconds.
@@ -144,7 +139,6 @@ impl StatsSnapshot {
             panics_recovered: c.panics_recovered.load(Ordering::Relaxed),
             reloads_ok: c.reloads_ok.load(Ordering::Relaxed),
             reloads_rejected: c.reloads_rejected.load(Ordering::Relaxed),
-            artifacts_quarantined: c.artifacts_quarantined.load(Ordering::Relaxed),
             latency_p50_us: c.latency.percentile(0.50),
             latency_p99_us: c.latency.percentile(0.99),
             elapsed_s,
@@ -184,11 +178,10 @@ impl StatsSnapshot {
             suspends: _,
             steals: _,
             panics_recovered: _,
-            // Reload/quarantine counters: checked against the watcher's
-            // ground truth by [`StatsSnapshot::reconciles_reloads`].
+            // Reload counters: checked against the watcher's ground
+            // truth by [`StatsSnapshot::reconciles_reloads`].
             reloads_ok: _,
             reloads_rejected: _,
-            artifacts_quarantined: _,
             // Derived/latency fields.
             latency_p50_us: _,
             latency_p99_us: _,
@@ -200,20 +193,12 @@ impl StatsSnapshot {
         *submitted == completed + shed + failed
     }
 
-    /// `true` when the reload/quarantine counters match the expected
-    /// ground truth (e.g. the number of artifact swaps a test actually
-    /// performed). Split from [`StatsSnapshot::reconciles`] because
-    /// reloads are watcher events, not admission-ledger entries — but
-    /// drain summaries and the chaos harness check both.
-    pub fn reconciles_reloads(
-        &self,
-        expected_ok: u64,
-        expected_rejected: u64,
-        expected_quarantined: u64,
-    ) -> bool {
-        self.reloads_ok == expected_ok
-            && self.reloads_rejected == expected_rejected
-            && self.artifacts_quarantined == expected_quarantined
+    /// `true` when the reload counters match the expected ground truth
+    /// (e.g. the number of source rewrites a test actually performed).
+    /// Split from [`StatsSnapshot::reconciles`] because reloads are
+    /// watcher events, not admission-ledger entries.
+    pub fn reconciles_reloads(&self, expected_ok: u64, expected_rejected: u64) -> bool {
+        self.reloads_ok == expected_ok && self.reloads_rejected == expected_rejected
     }
 
     /// Renders the snapshot as a single JSON object (the wire format of
@@ -226,8 +211,7 @@ impl StatsSnapshot {
              \"live_sessions\": {}, \"bytes_in\": {}, \"steps\": {}, \"suspends\": {}, \
              \"steals\": {}, \"submitted\": {}, \"completed\": {}, \"shed\": {}, \
              \"failed\": {}, \"panics_recovered\": {}, \"reloads_ok\": {}, \
-             \"reloads_rejected\": {}, \"artifacts_quarantined\": {}, \
-             \"latency_p50_us\": {}, \"latency_p99_us\": {}, \"elapsed_s\": {:.3}, \
+             \"reloads_rejected\": {}, \"latency_p50_us\": {}, \"latency_p99_us\": {}, \"elapsed_s\": {:.3}, \
              \"parses_per_s\": {:.1}, \"bytes_per_s\": {:.0}, \"queue_depths\": [{}]}}",
             self.parses_ok,
             self.parses_err,
@@ -247,7 +231,6 @@ impl StatsSnapshot {
             self.panics_recovered,
             self.reloads_ok,
             self.reloads_rejected,
-            self.artifacts_quarantined,
             self.latency_p50_us,
             self.latency_p99_us,
             self.elapsed_s,
@@ -287,27 +270,17 @@ mod tests {
         let mut s = snapshot();
         s.reloads_ok = 2;
         s.reloads_rejected = 1;
-        s.artifacts_quarantined = 1;
-        assert!(s.reconciles_reloads(2, 1, 1));
-        // A mismatch in any single counter fails the check — none of the
-        // three can be silently ignored.
-        assert!(!s.reconciles_reloads(3, 1, 1));
-        assert!(!s.reconciles_reloads(2, 0, 1));
-        assert!(!s.reconciles_reloads(2, 1, 0));
+        assert!(s.reconciles_reloads(2, 1));
+        // A mismatch in either counter fails the check — neither can be
+        // silently ignored.
+        assert!(!s.reconciles_reloads(3, 1));
+        assert!(!s.reconciles_reloads(2, 0));
     }
 
     #[test]
     fn json_snapshot_names_every_reconciled_counter() {
         let j = snapshot().to_json();
-        for key in [
-            "submitted",
-            "completed",
-            "shed",
-            "failed",
-            "reloads_ok",
-            "reloads_rejected",
-            "artifacts_quarantined",
-        ] {
+        for key in ["submitted", "completed", "shed", "failed", "reloads_ok", "reloads_rejected"] {
             assert!(j.contains(&format!("\"{key}\"")), "missing {key} in {j}");
         }
     }

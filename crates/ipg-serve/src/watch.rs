@@ -1,9 +1,8 @@
 //! The grammar-directory watcher: polls a directory of `.ipg` sources
-//! and `.ipgc` artifacts and drives [`Registry`] hot reloads under live
-//! traffic.
+//! and drives [`Registry`] hot reloads under live traffic.
 //!
 //! No filesystem-notification dependency is available offline, so the
-//! watcher polls: each tick it stats every grammar file in the watched
+//! watcher polls: each tick it stats every `.ipg` file in the watched
 //! directory and compares `(mtime, len)` against what it last saw. A
 //! change is *confirmed* by content hash before any reload runs —
 //! editors and atomic-rename writers touch mtimes without necessarily
@@ -12,19 +11,19 @@
 //!
 //! Failure policy (the self-healing contract):
 //!
-//! * a changed file that loads and validates swaps its generation in
-//!   atomically (`reloads_ok`); in-flight sessions keep the generation
-//!   they pinned at admission;
-//! * a `.ipg` source that no longer compiles is refused
-//!   (`reloads_rejected`) and the previous generation stays current;
-//! * a `.ipgc` artifact that fails structural, version, provenance, or
-//!   digest checks is **quarantined** — renamed to `*.bad` so the next
-//!   scan cannot trip over it (`artifacts_quarantined`) — and if a
-//!   sibling `.ipg` source exists the grammar is rebuilt from source
-//!   instead (counted as a successful reload);
+//! * a changed source that compiles swaps its generation in atomically
+//!   (`reloads_ok`); in-flight sessions keep the generation they pinned
+//!   at admission;
+//! * a source that no longer compiles is refused (`reloads_rejected`,
+//!   once per distinct content) and the previous generation stays
+//!   current;
 //! * a vanished file keeps its last good generation: the watcher only
 //!   ever adds or replaces, never removes, so a half-finished
 //!   atomic-rename window cannot unload a grammar.
+//!
+//! The counters are the report: a sweep returns nothing, so a rejected
+//! file is visible in the stats snapshot and on the metrics endpoint,
+//! not as an error from [`crate::Server::watch_dir`].
 //!
 //! The watcher thread seals itself when the server shuts down or starts
 //! draining; [`crate::Server::drain`] joins it before returning, so no
@@ -34,6 +33,7 @@ use crate::pool::Shared;
 use crate::stats::Counters;
 use crate::Registry;
 use ipg_core::error::{Error, Result};
+use ipg_core::ipgc::Fnv1a;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -54,49 +54,19 @@ struct Observed {
     content: u64,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Is this a file the watcher manages? Quarantined `*.bad` files and
-/// temporaries are deliberately outside the set.
+/// Is this a file the watcher manages? Only `.ipg` sources; temporaries
+/// and anything else in the directory are ignored.
 fn is_grammar_file(path: &Path) -> bool {
-    path.extension().is_some_and(|e| e == "ipg" || e == "ipgc")
-}
-
-fn is_artifact(path: &Path) -> bool {
-    path.extension().is_some_and(|e| e == "ipgc")
-}
-
-/// Renames an invalid artifact to `<name>.bad` so subsequent scans skip
-/// it; best-effort (the file may have vanished mid-rename).
-fn quarantine(path: &Path) -> bool {
-    let mut bad = path.as_os_str().to_owned();
-    bad.push(".bad");
-    std::fs::rename(path, &bad).is_ok()
+    path.extension().is_some_and(|e| e == "ipg")
 }
 
 /// One watcher pass over `dir`: detect confirmed changes, reload them,
-/// count the outcomes. Returns the per-path errors of this pass (the
-/// initial synchronous scan surfaces them; the background thread only
-/// counts).
-fn sweep(
-    registry: &Registry,
-    shared: &Shared,
-    dir: &Path,
-    seen: &mut HashMap<PathBuf, Observed>,
-) -> Vec<(PathBuf, Error)> {
-    let mut failures = Vec::new();
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
+/// and count the outcomes in `reloads_ok` / `reloads_rejected`.
+fn sweep(registry: &Registry, shared: &Shared, dir: &Path, seen: &mut HashMap<PathBuf, Observed>) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
         // A transiently unreadable directory (or one removed mid-run) is
         // not fatal: keep serving the generations we have.
-        Err(_) => return failures,
+        return;
     };
     for path in entries.flatten().map(|e| e.path()).filter(|p| is_grammar_file(p)) {
         let Ok(meta) = std::fs::metadata(&path) else { continue };
@@ -117,43 +87,22 @@ fn sweep(
         // The cheap fingerprint moved (or the file is new): confirm with
         // a content hash before reloading.
         let Ok(bytes) = std::fs::read(&path) else { continue };
-        let observed = Observed { mtime, len, content: fnv1a(&bytes) };
+        let mut content = Fnv1a::new();
+        content.update(&bytes);
+        let observed = Observed { mtime, len, content: content.finish() };
         if seen.get(&path).is_some_and(|o| o.content == observed.content) {
             seen.insert(path, observed);
             continue;
         }
-        match registry.load_path(&path) {
-            Ok(_) => {
-                Counters::add(&shared.counters.reloads_ok, 1);
-                seen.insert(path, observed);
-            }
-            Err(e) if is_artifact(&path) => {
-                // A bad artifact is quarantined so it cannot be retried
-                // (or served) forever; a sibling `.ipg` source, if
-                // present, heals the grammar from source.
-                if quarantine(&path) {
-                    Counters::add(&shared.counters.artifacts_quarantined, 1);
-                }
-                seen.remove(&path);
-                let sibling = path.with_extension("ipg");
-                let healed = sibling.is_file() && registry.load_path(&sibling).is_ok();
-                if healed {
-                    Counters::add(&shared.counters.reloads_ok, 1);
-                } else {
-                    Counters::add(&shared.counters.reloads_rejected, 1);
-                    failures.push((path, e));
-                }
-            }
-            Err(e) => {
-                Counters::add(&shared.counters.reloads_rejected, 1);
-                // Remember the bad content so an unchanged broken file is
-                // not re-rejected (and re-counted) every tick.
-                seen.insert(path.clone(), observed);
-                failures.push((path, e));
-            }
-        }
+        let outcome = match registry.load_path(&path) {
+            Ok(_) => &shared.counters.reloads_ok,
+            Err(_) => &shared.counters.reloads_rejected,
+        };
+        Counters::add(outcome, 1);
+        // Remember the content either way, so an unchanged broken file is
+        // not re-rejected (and re-counted) every tick.
+        seen.insert(path, observed);
     }
-    failures
 }
 
 /// A running directory watcher; joined by [`Watcher::seal`].
@@ -170,9 +119,8 @@ impl Watcher {
     ///
     /// [`Error::Grammar`] when `dir` is not a readable directory. Per-file
     /// load failures in the initial scan are *not* fatal — they are
-    /// counted and the files quarantined exactly as for a live change —
-    /// matching the self-healing contract: one corrupt artifact must not
-    /// keep the service down.
+    /// counted exactly as for a live change — matching the self-healing
+    /// contract: one broken source must not keep the service down.
     pub(crate) fn spawn(
         registry: Registry,
         shared: Arc<Shared>,
@@ -207,17 +155,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv1a_matches_known_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
-    fn grammar_file_filter_skips_quarantined_and_foreign_files() {
+    fn grammar_file_filter_takes_only_sources() {
         assert!(is_grammar_file(Path::new("/x/a.ipg")));
-        assert!(is_grammar_file(Path::new("/x/a.ipgc")));
-        assert!(!is_grammar_file(Path::new("/x/a.ipgc.bad")));
-        assert!(!is_grammar_file(Path::new("/x/a.tmp")));
+        assert!(!is_grammar_file(Path::new("/x/a.ipgc")));
+        assert!(!is_grammar_file(Path::new("/x/a.ipg.tmp")));
         assert!(!is_grammar_file(Path::new("/x/README.md")));
     }
 }

@@ -11,9 +11,9 @@
 //!   `submitted = completed + shed + failed`,
 //! * every injected panic is recovered (`panics_recovered` matches the
 //!   plan), and every injected reply corruption is detected client-side,
-//! * every corrupt `.ipgc` artifact dropped into the watched grammar
-//!   directory mid-run is quarantined exactly once, healed from its
-//!   sibling source, and never costs a reply.
+//! * every broken `.ipg` source dropped into the watched grammar
+//!   directory mid-run is rejected exactly once, the last good generation
+//!   keeps answering through it, and a valid rewrite swaps back in.
 //!
 //! `IPG_CHAOS_QUICK=1` shrinks the round count for CI smoke; the fault
 //! schedule stays seeded either way, so a failure reproduces.
@@ -65,16 +65,31 @@ fn chaos_soak_survives_injected_faults_with_exact_reconciliation() {
     let front = server.serve_unix(&path).expect("bind socket");
 
     // Lane E setup: a watched grammar directory under hot reload. The
-    // soak drops corrupt artifacts into it mid-run; each must be
-    // quarantined exactly once and healed from the sibling source while
-    // traffic keeps flowing.
+    // soak breaks the source mid-run; each broken version must be
+    // rejected exactly once while the last good generation keeps serving,
+    // and each valid rewrite must swap back in.
     let watch_dir =
         std::env::temp_dir().join(format!("ipg-serve-chaos-watch-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&watch_dir);
     std::fs::create_dir_all(&watch_dir).expect("mkdir watch dir");
-    std::fs::write(watch_dir.join("hot.ipg"), r#"S -> "h"[0, 1];"#).expect("write hot.ipg");
+    const HOT: &str = r#"S -> "h"[0, 1];"#;
+    // Writes `hot.ipg` the way a deploy should: a temporary file renamed
+    // into place, so the watcher never reads a half-written source.
+    let deploy = |text: &str| {
+        let tmp = watch_dir.join("hot.ipg.tmp");
+        std::fs::write(&tmp, text).expect("write hot.ipg.tmp");
+        std::fs::rename(&tmp, watch_dir.join("hot.ipg")).expect("rename into hot.ipg");
+    };
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "watcher never {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    deploy(HOT);
     server.watch_dir(&watch_dir, Duration::from_millis(5)).expect("watch");
-    let mut corrupt_dropped = 0u64;
+    let mut broken_dropped = 0u64;
 
     let inputs: Vec<(&str, Vec<u8>)> = GRAMMARS.iter().map(|g| (*g, corpus_input(g))).collect();
     let dns = inputs.iter().find(|(n, _)| *n == "dns").expect("dns input").1.clone();
@@ -173,23 +188,21 @@ fn chaos_soak_survives_injected_faults_with_exact_reconciliation() {
             None => corrupt_seen += 1,
         }
 
-        // Lane E: every fourth round, drop a corrupt artifact into the
-        // watched directory and wait for the watcher to quarantine it
-        // (rename to `.bad`) and heal the grammar from source. The
-        // hot-reloaded grammar must answer a parse right through it.
+        // Lane E: every fourth round, break the watched source and wait
+        // for the watcher to reject it: exactly one more rejection, no
+        // swap, and the hot grammar answers from its last good generation.
+        // Then a valid rewrite must swap back in.
         if round % 4 == 0 {
-            let mut bad = b"IPGC chaos corrupt artifact ".to_vec();
-            bad.extend_from_slice(&(round as u64).to_le_bytes());
-            std::fs::write(watch_dir.join("hot.ipgc"), &bad).expect("drop corrupt artifact");
-            corrupt_dropped += 1;
-            let deadline = std::time::Instant::now() + Duration::from_secs(30);
-            while server.stats().artifacts_quarantined < corrupt_dropped {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "corrupt artifact {corrupt_dropped} never quarantined"
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            let good = server.registry().get("hot").expect("hot is loaded").generation;
+            deploy(&format!("BROKEN {round} ->"));
+            broken_dropped += 1;
+            wait_for("rejected the broken source", &|| {
+                server.stats().reloads_rejected >= broken_dropped
+            });
+            let stats = server.stats();
+            assert_eq!(stats.reloads_rejected, broken_dropped, "one rejection per drop: {stats:?}");
+            assert_eq!(stats.reloads_ok, broken_dropped, "a rejection swaps nothing: {stats:?}");
+            assert_eq!(server.registry().get("hot").unwrap().generation, good);
             match server.parse_response("hot", b"h".to_vec()) {
                 Response::Done(_) => done += 1,
                 Response::Busy { .. } => busy += 1,
@@ -197,9 +210,12 @@ fn chaos_soak_survives_injected_faults_with_exact_reconciliation() {
                     failed += 1;
                     panics_seen += 1;
                 }
-                Response::Error(e) => panic!("hot grammar must survive quarantine: {e}"),
+                Response::Error(e) => panic!("hot grammar must survive a broken source: {e}"),
                 other => panic!("unexpected hot-lane reply: {other:?}"),
             }
+            deploy(HOT);
+            wait_for("swapped the rewrite in", &|| server.stats().reloads_ok > broken_dropped);
+            assert!(server.registry().get("hot").unwrap().generation > good);
         }
 
         // Lane A (collect): every burst job owes exactly one reply.
@@ -277,20 +293,11 @@ fn chaos_soak_survives_injected_faults_with_exact_reconciliation() {
     assert!(busy > 0, "BUSY replies must reach callers");
     assert!(stats.completed > 0 && stats.failed > 0, "mixed outcomes expected: {stats:?}");
     assert!(stats.sessions_sealed >= 1, "the held session must be sealed: {stats:?}");
-    assert_eq!(
-        stats.artifacts_quarantined, corrupt_dropped,
-        "every corrupt artifact must be quarantined exactly once"
-    );
-    assert!(corrupt_dropped > 0, "the soak must have dropped corrupt artifacts");
+    assert!(broken_dropped > 0, "the soak must have dropped broken sources");
     assert!(
-        watch_dir.join("hot.ipgc.bad").exists(),
-        "quarantine must leave the renamed evidence on disk"
+        stats.reconciles_reloads(1 + broken_dropped, broken_dropped),
+        "initial load plus one swap per rewrite, one rejection per broken source: {stats:?}"
     );
-    assert!(
-        stats.reloads_ok > corrupt_dropped,
-        "initial load plus one heal per quarantine: {stats:?}"
-    );
-    assert_eq!(stats.reloads_rejected, 0, "every quarantine had a sibling source: {stats:?}");
     assert!(
         stats.latency_p50_us > 0 && stats.latency_p99_us >= stats.latency_p50_us,
         "latency percentiles must be recorded and ordered: {stats:?}"

@@ -170,7 +170,6 @@ const EXPECTED: &[&str] = &[
     "ipg_panics_recovered_total",
     "ipg_reloads_ok_total",
     "ipg_reloads_rejected_total",
-    "ipg_artifacts_quarantined_total",
 ];
 
 #[test]

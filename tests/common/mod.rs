@@ -33,8 +33,7 @@ pub struct Format {
 }
 
 /// Fuel-bounded VM per grammar, compiled once per test binary (grammars
-/// come from the shared pinned corpus, i.e. through the `.ipgc`
-/// artifact pipeline).
+/// come from the shared pinned corpus, compiled from source in memory).
 fn fueled_vms() -> &'static [(String, &'static Grammar, VmParser<'static>)] {
     static VMS: OnceLock<Vec<(String, &'static Grammar, VmParser<'static>)>> = OnceLock::new();
     VMS.get_or_init(|| {
@@ -121,9 +120,9 @@ pub fn assert_engines_agree(name: &str, g: &Grammar, vm: &VmParser<'_>, input: &
 
 /// The one expect-file helper every snapshot suite shares: compares
 /// `actual` against the golden file at `dir/name`, or rewrites it when
-/// `UPDATE_SNAPSHOTS=1` is set. Used by the bytecode-listing snapshots,
-/// the `.ipgc` disasm round-trip gate, and the CLI stdout/stderr
-/// expect-tests — one blessing flow for all of them:
+/// `UPDATE_SNAPSHOTS=1` is set. Used by the bytecode-listing snapshots
+/// and the CLI stdout/stderr expect-tests — one blessing flow for all of
+/// them:
 ///
 /// ```text
 /// UPDATE_SNAPSHOTS=1 cargo test --workspace
