@@ -26,7 +26,6 @@
 //! the wall-clock ratio on the same work.
 
 use bench::harness::{measure, Cli, Report};
-use ipg_core::interp::vm::VmParser;
 use ipg_core::interp::Parser;
 
 struct Row {
@@ -57,9 +56,9 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for (name, input) in &workloads {
-        let g = ipg_formats::corpus_entry(name).grammar();
-        let interp = Parser::new(g);
-        let vm = VmParser::new(g);
+        let entry = ipg_formats::corpus_entry(name);
+        let interp = Parser::new(entry.grammar());
+        let vm = entry.vm();
         let (ri, si) = interp.parse_with_stats(input);
         ri.unwrap_or_else(|e| panic!("{name}: interpreter rejects its workload: {e}"));
         let (rv, sv) = vm.parse_with_stats(input);

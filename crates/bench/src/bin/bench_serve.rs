@@ -40,7 +40,7 @@ struct GrammarRow {
 }
 
 /// Streams every input through a fresh session in `chunk`-byte pieces.
-fn parse_chunked(vm: &VmParser<'_>, input: &[u8], chunk: usize) -> u64 {
+fn parse_chunked(vm: &VmParser, input: &[u8], chunk: usize) -> u64 {
     let mut session = vm.streaming();
     for piece in input.chunks(chunk.max(1)) {
         match session.feed(piece) {

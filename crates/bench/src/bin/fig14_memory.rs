@@ -41,9 +41,7 @@ fn main() {
         let pkt = bench::udp_with_payload(n);
         println!("payload = {n} ({} bytes)", pkt.len());
         let (_, ipg) = measure(|| ipg_formats::ipv4udp::parse(&pkt).expect("valid packet"));
-        report("IPG (interpreter)", &ipg);
-        let (_, gen) = measure(|| bench::generated::ipv4udp::parse(&pkt).expect("valid packet"));
-        report("IPG (generated)", &gen);
+        report("IPG", &ipg);
         let (_, nail) =
             measure(|| ipg_baselines::nail_style::parse_ipv4_udp(&pkt).expect("valid packet"));
         report("Nail-style", &nail);

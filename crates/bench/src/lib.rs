@@ -15,41 +15,14 @@
 //! | Inflate fast-path throughput      | `cargo bench -p bench --bench inflate_throughput` |
 //! | `BENCH_inflate.json` perf record  | `cargo run --release -p bench --bin bench_inflate` |
 //! | `BENCH_interp.json` perf record   | `cargo run --release -p bench --bin bench_interp` |
+//!
+//! Every IPG series runs the bytecode VM behind `ipg_formats` (the
+//! paper's generator emits compiled C++ instead; this repository has no
+//! generated-code engine).
 
 use ipg_corpus::{dns, elf, gif, ipv4udp, pdf, pe, zip};
 
 pub mod harness;
-
-/// Compiled recursive-descent parsers emitted by `build.rs` through
-/// `ipg-core::codegen` — the paper's generated-C++ analogue. Each module
-/// exposes `parse(input) -> Option<Node>`.
-pub mod generated {
-    /// Generated ZIP parser (zero-copy variant).
-    #[allow(dead_code, unused_variables, unused_mut, unused_parens, clippy::all)]
-    pub mod zip {
-        include!(concat!(env!("OUT_DIR"), "/gen_zip.rs"));
-    }
-    /// Generated GIF parser.
-    #[allow(dead_code, unused_variables, unused_mut, unused_parens, clippy::all)]
-    pub mod gif {
-        include!(concat!(env!("OUT_DIR"), "/gen_gif.rs"));
-    }
-    /// Generated PE parser.
-    #[allow(dead_code, unused_variables, unused_mut, unused_parens, clippy::all)]
-    pub mod pe {
-        include!(concat!(env!("OUT_DIR"), "/gen_pe.rs"));
-    }
-    /// Generated IPv4+UDP parser.
-    #[allow(dead_code, unused_variables, unused_mut, unused_parens, clippy::all)]
-    pub mod ipv4udp {
-        include!(concat!(env!("OUT_DIR"), "/gen_ipv4udp.rs"));
-    }
-    /// Generated PNG parser (exercises the compiled `star` term).
-    #[allow(dead_code, unused_variables, unused_mut, unused_parens, clippy::all)]
-    pub mod png {
-        include!(concat!(env!("OUT_DIR"), "/gen_png.rs"));
-    }
-}
 
 /// Entry-count sweep for the ZIP workloads (the paper archives 1..K
 /// copies of the same file).
@@ -200,43 +173,5 @@ mod tests {
         assert!(ipg_formats::dns::parse(&dns_with_answers(2)).is_ok());
         assert!(ipg_formats::ipv4udp::parse(&udp_with_payload(64)).is_ok());
         assert!(ipg_formats::pdf::parse(&pdf_with_objects(2)).is_ok());
-    }
-
-    #[test]
-    fn generated_parsers_accept_the_workloads() {
-        assert!(generated::zip::parse(&zip_with_entries(2)).is_some());
-        assert!(generated::gif::parse(&gif_with_frames(2)).is_some());
-        assert!(generated::pe::parse(&pe_with_sections(2)).is_some());
-        assert!(generated::ipv4udp::parse(&udp_with_payload(64)).is_some());
-        assert!(generated::zip::parse(b"not a zip").is_none());
-    }
-
-    #[test]
-    fn generated_star_term_parses_png_chunk_lists() {
-        let f =
-            ipg_corpus::png::generate(&ipg_corpus::png::Config { n_idat: 5, ..Default::default() });
-        let node = generated::png::parse(&f.bytes).expect("valid PNG");
-        let chunks = node.child_array("Chunk").expect("chunk array");
-        // tEXt + 5 IDAT (IHDR and IEND are separate).
-        assert_eq!(chunks.len(), 6);
-        let interp = ipg_formats::png::parse(&f.bytes).expect("valid PNG");
-        assert_eq!(chunks.len(), interp.chunks.len());
-        assert!(generated::png::parse(&f.bytes[..f.bytes.len() - 4]).is_none());
-    }
-
-    #[test]
-    fn generated_parsers_agree_with_the_interpreter_on_attributes() {
-        let data = udp_with_payload(256);
-        let gen = generated::ipv4udp::parse(&data).expect("valid packet");
-        let interp = ipg_formats::ipv4udp::parse(&data).expect("valid packet");
-        assert_eq!(gen.attr("ihl"), Some(interp.ihl as i64));
-        assert_eq!(gen.attr("tot"), Some(interp.total_len as i64));
-
-        let data = zip_with_entries(3);
-        let gen = generated::zip::parse(&data).expect("valid archive");
-        let interp = ipg_formats::zip::parse(&data).expect("valid archive");
-        let eocd = gen.child_node("EOCD").expect("EOCD child");
-        assert_eq!(eocd.attr("cdofs"), Some(interp.cd_offset as i64));
-        assert_eq!(eocd.attr("n"), Some(interp.entry_count as i64));
     }
 }

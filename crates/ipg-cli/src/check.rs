@@ -1,29 +1,17 @@
 //! `ipg check` — the grammar toolchain driver: frontend, attribute
-//! checking, the §5 termination checker, the streamability analysis, and
-//! optionally the §7 Rust parser generator.
+//! checking, the §5 termination checker and the streamability analysis.
 
 use crate::{CmdResult, Failure};
 use ipg_core::frontend::{interval_stats, parse_grammar, parse_surface};
 use ipg_core::termination::check_termination;
 
 pub fn run(args: &[String]) -> CmdResult {
-    let mut path = None;
-    let mut emit_rust = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--emit-rust" => {
-                emit_rust =
-                    Some(it.next().cloned().unwrap_or_else(|| "generated_parser.rs".to_owned()));
-            }
-            other if path.is_none() => path = Some(other.to_owned()),
-            other => return Err(Failure::usage(format!("unexpected argument `{other}`"))),
-        }
-    }
-    let Some(path) = path else {
-        return Err(Failure::usage("usage: ipg check <spec.ipg> [--emit-rust OUT.rs]"));
+    let path = match args {
+        [path] => path,
+        [_, other, ..] => return Err(Failure::usage(format!("unexpected argument `{other}`"))),
+        [] => return Err(Failure::usage("usage: ipg check <spec.ipg>")),
     };
-    let src = std::fs::read_to_string(&path)
+    let src = std::fs::read_to_string(path)
         .map_err(|e| Failure::runtime(format!("cannot read {path}: {e}")))?;
 
     let surface = parse_surface(&src).map_err(Failure::runtime)?;
@@ -64,14 +52,5 @@ pub fn run(args: &[String]) -> CmdResult {
         println!("  {} blocked: {}", rule.name, rule.blockers.join("; "));
     }
 
-    if let Some(out) = emit_rust {
-        let code = ipg_core::codegen::generate_rust(&grammar).map_err(Failure::runtime)?;
-        std::fs::write(&out, &code)
-            .map_err(|e| Failure::runtime(format!("cannot write {out}: {e}")))?;
-        println!(
-            "wrote generated recursive-descent parser to {out} ({} lines)",
-            code.lines().count()
-        );
-    }
     Ok(())
 }

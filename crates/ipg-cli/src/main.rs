@@ -6,7 +6,7 @@
 //! everywhere a `<grammar>` is accepted:
 //!
 //! ```text
-//! ipg check <spec.ipg> [--emit-rust OUT.rs]     # frontend + §5 termination
+//! ipg check <spec.ipg>                          # frontend + §5 termination
 //! ipg compile <grammar>                         # source hash, anchor, start
 //! ipg disasm <grammar>                          # bytecode listing
 //! ipg parse <grammar> [FILE | -] [--depth N] [--extract [DIR]]
@@ -39,9 +39,9 @@ const USAGE: &str = "\
 usage: ipg <command> [args]
 
 commands:
-  check <spec.ipg> [--emit-rust OUT.rs]
+  check <spec.ipg>
       Parse a grammar, run attribute checking, the termination checker,
-      and the streamability analysis; optionally emit a Rust parser.
+      and the streamability analysis.
   compile <grammar>
       Compile a grammar and report its source hash, anchor and start
       rule.

@@ -118,7 +118,7 @@ fn read_input(name: &str, input_arg: Option<&str>) -> Result<Vec<u8>, Failure> {
     }
 }
 
-fn one_shot(vm: &VmParser<'_>, input: &[u8]) -> Result<Rc<Tree>, Failure> {
+fn one_shot(vm: &VmParser, input: &[u8]) -> Result<Rc<Tree>, Failure> {
     match vm.parse(input) {
         Ok(tree) => Ok(tree.root().to_tree()),
         Err(e) => Err(Failure::runtime(format!("parse failed: {e}"))),
@@ -127,7 +127,7 @@ fn one_shot(vm: &VmParser<'_>, input: &[u8]) -> Result<Rc<Tree>, Failure> {
 
 /// Streams stdin through a [`ipg_core::interp::vm::Session`] in 4 KiB
 /// chunks, reporting the suspension count the parse accumulated.
-fn parse_stdin(vm: &VmParser<'_>) -> Result<(Rc<Tree>, u64, usize), Failure> {
+fn parse_stdin(vm: &VmParser) -> Result<(Rc<Tree>, u64, usize), Failure> {
     let mut session = vm.streaming();
     let mut stdin = std::io::stdin().lock();
     let mut buf = [0u8; 4096];

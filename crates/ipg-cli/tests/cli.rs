@@ -99,10 +99,15 @@ fn unknown_grammars_are_usage_errors_that_list_the_corpus() {
 }
 
 #[test]
-fn the_artifact_commands_are_gone() {
+fn retired_commands_are_usage_errors() {
     // `.ipg` sources are the only deploy unit: there is no `verify`
-    // command, and `compile` writes nothing.
-    for args in [&["verify", "dns.ipgc"][..], &["compile", "dns", "-o", "dns.ipgc"]] {
+    // command, `compile` writes nothing, and `check` emits no generated
+    // parser (the bytecode VM is the only engine).
+    let scratch = Scratch::new("retired");
+    let spec = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../ipg-formats/specs/gif.ipg");
+    let emitted = scratch.path().join("out.rs");
+    let check = ["check", spec.to_str().unwrap(), "--emit-rust", emitted.to_str().unwrap()];
+    for args in [&["verify", "dns.ipgc"][..], &["compile", "dns", "-o", "dns.ipgc"], &check] {
         let out = ipg(args, &[]);
         assert_eq!(out.status.code(), Some(2), "ipg {args:?}");
         assert!(
@@ -112,6 +117,7 @@ fn the_artifact_commands_are_gone() {
         );
     }
     assert!(!Path::new("dns.ipgc").exists());
+    assert!(!emitted.exists(), "check wrote a generated parser");
 }
 
 #[test]

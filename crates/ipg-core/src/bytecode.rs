@@ -20,11 +20,10 @@
 //! Attribute operands keep their [`Sym`] and carry a frame or node slot
 //! besides, which [`compile`] leaves at [`NO_SLOT`]: the slots are filled
 //! in by the `layout` module when a [`crate::interp::vm::VmParser`] is built
-//! from the program, so neither the listing nor a persisted artifact
-//! depends on them.
+//! from the program, so the listing does not depend on them.
 //!
 //! The program is executed by [`crate::interp::vm`]. Its shape is pinned
-//! by snapshot tests over [`Program::disassemble`] so that codegen changes
+//! by snapshot tests over [`Program::disassemble`] so that compiler changes
 //! show up as reviewable listing diffs.
 
 use crate::arena::NtTable;

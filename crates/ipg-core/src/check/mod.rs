@@ -50,8 +50,8 @@ pub struct Grammar {
     pub(crate) interner: Interner,
     pub(crate) start: NtId,
     pub(crate) blackboxes: Vec<Blackbox>,
-    /// The surface grammar this was lowered from (kept for pretty-printing,
-    /// code generation comments, and the Table 2 interval statistics).
+    /// The surface grammar this was lowered from (kept for pretty-printing
+    /// and the Table 2 interval statistics).
     pub(crate) surface: crate::syntax::Grammar,
 }
 

@@ -12,7 +12,7 @@ use std::fmt;
 ///
 /// `Sym`s are only meaningful relative to the [`Interner`] that produced
 /// them; comparing symbols from different interners is a logic error (but
-/// not unsafe).
+/// memory-safe).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(pub u32);
 

@@ -86,9 +86,23 @@ use std::sync::Arc;
 /// A configured bytecode parser for one grammar. The API mirrors
 /// [`crate::interp::Parser`]; results come back as arena-backed
 /// [`ParseTree`]s instead of `Rc<Tree>`.
+///
+/// The parser owns its grammar and program behind one [`Arc`], so it is
+/// cheap to clone, has no lifetime, and can be shared across threads;
+/// every clone and every [`Session`] it opens shares that one image.
+#[derive(Clone, Debug)]
+pub struct VmParser {
+    img: Arc<Image>,
+    memoize: bool,
+    max_steps: Option<u64>,
+}
+
+/// Everything a parse reads and never writes, built once per grammar.
 #[derive(Debug)]
-pub struct VmParser<'g> {
-    grammar: &'g Grammar,
+struct Image {
+    /// Nonterminal and attribute names (errors, `attr_slot`), blackbox
+    /// bindings and the profiler's call graph.
+    grammar: Grammar,
     program: Program,
     /// The program's attribute layouts, shared with every arena it fills.
     layouts: Arc<Layouts>,
@@ -98,8 +112,6 @@ pub struct VmParser<'g> {
     /// What a streaming [`Session`] must hold back (see
     /// [`crate::analysis::anchor_requirement`]).
     anchor: AnchorRequirement,
-    memoize: bool,
-    max_steps: Option<u64>,
 }
 
 /// The result of a successful VM parse: the arena plus the root id.
@@ -138,13 +150,13 @@ impl Drop for ParseTree {
     }
 }
 
-impl<'g> VmParser<'g> {
+impl VmParser {
     /// Compiles `grammar` and creates a parser with memoization enabled
-    /// and no step limit.
-    pub fn new(grammar: &'g Grammar) -> Self {
+    /// and no step limit. The parser keeps its own copy of the grammar.
+    pub fn new(grammar: &Grammar) -> Self {
         let program = compile(grammar);
         let hints = program.size_hints();
-        Self::from_compiled(grammar, program, anchor_requirement(grammar), hints)
+        Self::from_compiled(grammar.clone(), program, anchor_requirement(grammar), hints)
     }
 
     /// Wraps an already-compiled program — typically a
@@ -153,13 +165,19 @@ impl<'g> VmParser<'g> {
     /// `grammar` must be the grammar the program was compiled from. The
     /// program's attribute layouts are derived here (`layout`).
     pub fn from_compiled(
-        grammar: &'g Grammar,
+        grammar: Grammar,
         mut program: Program,
         anchor: AnchorRequirement,
         hints: SizeHints,
     ) -> Self {
-        let layouts = Arc::new(layout::resolve(&mut program, grammar));
-        VmParser { program, layouts, hints, anchor, grammar, memoize: true, max_steps: None }
+        let layouts = Arc::new(layout::resolve(&mut program, &grammar));
+        let img = Image { grammar, program, layouts, hints, anchor };
+        VmParser { img: Arc::new(img), memoize: true, max_steps: None }
+    }
+
+    /// The grammar this parser was built from.
+    pub fn grammar(&self) -> &Grammar {
+        &self.img.grammar
     }
 
     /// Resolves attribute `attr` of nonterminal `nt` to its slot, for
@@ -168,20 +186,20 @@ impl<'g> VmParser<'g> {
     /// an attribute of a rule with alternatives when every alternative
     /// sets it, `val` of a builtin, a blackbox's declared attributes.
     pub fn attr_slot(&self, nt: NtId, attr: &str) -> Option<AttrSlot> {
-        let sym = self.grammar.attr_sym(attr)?;
-        let slot = self.layouts.total_slot(nt, sym)?;
+        let sym = self.img.grammar.attr_sym(attr)?;
+        let slot = self.img.layouts.total_slot(nt, sym)?;
         Some(AttrSlot { nt, slot })
     }
 
     /// The compiled program (e.g. for [`Program::disassemble`]).
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.img.program
     }
 
     /// The grammar's [`AnchorRequirement`]: what a [`Session`] must hold
     /// back before the parse can run to completion.
     pub fn anchor(&self) -> AnchorRequirement {
-        self.anchor
+        self.img.anchor
     }
 
     /// Enables or disables memoization (mirror of
@@ -206,7 +224,7 @@ impl<'g> VmParser<'g> {
     /// input does not match — the same error the reference interpreter
     /// reports.
     pub fn parse(&self, input: &[u8]) -> Result<ParseTree> {
-        self.parse_from(self.program.start_nt(), input)
+        self.parse_from(self.img.program.start_nt(), input)
     }
 
     /// Parses `input` from an explicit start nonterminal.
@@ -217,6 +235,7 @@ impl<'g> VmParser<'g> {
     /// is not a nonterminal of the grammar.
     pub fn parse_from_name(&self, name: &str, input: &[u8]) -> Result<ParseTree> {
         let nt = self
+            .img
             .grammar
             .nt_id(name)
             .ok_or_else(|| Error::Grammar(format!("unknown nonterminal `{name}`")))?;
@@ -239,13 +258,13 @@ impl<'g> VmParser<'g> {
     /// reflect each engine's own policy — the VM does not memoize builtin
     /// leaf rules.
     pub fn parse_with_stats(&self, input: &[u8]) -> (Result<ParseTree>, ParseStats) {
-        self.run_one_shot(self.fresh_session(input), self.program.start_nt(), FuelMsg::Short)
+        self.run_one_shot(self.fresh_session(input), self.img.program.start_nt(), FuelMsg::Short)
     }
 
     /// Opens a streaming [`Session`]: input arrives incrementally via
     /// [`Session::feed`], the parse runs as far as the buffered prefix
     /// allows, and [`Session::finish`] signals end-of-input.
-    pub fn streaming(&self) -> Session<'_> {
+    pub fn streaming(&self) -> Session {
         Session::new(self)
     }
 
@@ -256,7 +275,7 @@ impl<'g> VmParser<'g> {
     pub fn parse_bounded(&self, input: &[u8], max_steps: u64) -> (Result<ParseTree>, ParseStats) {
         let mut sess = self.fresh_session(input);
         sess.max_steps = max_steps;
-        self.run_one_shot(sess, self.program.start_nt(), FuelMsg::Verbose)
+        self.run_one_shot(sess, self.img.program.start_nt(), FuelMsg::Verbose)
     }
 
     /// Like [`VmParser::parse`], but runs with the [`crate::profile`]
@@ -268,10 +287,11 @@ impl<'g> VmParser<'g> {
     /// `parse*` family monomorphizes with the no-op sink and is
     /// unaffected.
     pub fn parse_profiled(&self, input: &[u8]) -> (Result<ParseTree>, ParseStats, ProfileReport) {
-        let mut prof = Profiler::new(self.program.rule_count(), self.program.instr_count());
+        let p = &self.img.program;
+        let mut prof = Profiler::new(p.rule_count(), p.instr_count());
         let sess = self.fresh_session_with(input, &mut prof);
-        let (result, stats) = self.run_one_shot(sess, self.program.start_nt(), FuelMsg::Verbose);
-        let report = ProfileReport::build(self.grammar, &self.program, prof);
+        let (result, stats) = self.run_one_shot(sess, p.start_nt(), FuelMsg::Verbose);
+        let report = ProfileReport::build(&self.img.grammar, p, prof);
         (result, stats, report)
     }
 
@@ -282,7 +302,7 @@ impl<'g> VmParser<'g> {
     /// point (the differential tests compare errors per entry point).
     fn run_one_shot<I: AsRef<[u8]>, PS: ProfSink>(
         &self,
-        mut sess: VmSession<'_, I, PS>,
+        mut sess: VmSession<I, PS>,
         nt: NtId,
         fuel_msg: FuelMsg,
     ) -> (Result<ParseTree>, ParseStats) {
@@ -291,9 +311,12 @@ impl<'g> VmParser<'g> {
                 let stats = sess.stats();
                 return (Ok(ParseTree { arena: sess.arena.take(), root }), stats);
             }
-            Ok(None) => Err(Error::Parse(sess.deepest.render(sess.g, sess.p))),
+            Ok(None) => {
+                Err(Error::Parse(sess.deepest.render(&sess.img.grammar, &sess.img.program)))
+            }
             Err(Abort::FuelExhausted) => {
-                Err(Error::Parse(sess.deepest.render_with(sess.g, fuel_msg.render(sess.max_steps))))
+                let msg = fuel_msg.render(sess.max_steps);
+                Err(Error::Parse(sess.deepest.render_with(&sess.img.grammar, msg)))
             }
             Err(Abort::Suspend) => unreachable!("one-shot sessions never suspend"),
         };
@@ -301,7 +324,7 @@ impl<'g> VmParser<'g> {
         (result, stats)
     }
 
-    fn fresh_session<I: AsRef<[u8]>>(&self, input: I) -> VmSession<'_, I> {
+    fn fresh_session<I: AsRef<[u8]>>(&self, input: I) -> VmSession<I> {
         self.fresh_session_with(input, ())
     }
 
@@ -309,7 +332,7 @@ impl<'g> VmParser<'g> {
         &self,
         input: I,
         prof: PS,
-    ) -> VmSession<'_, I, PS> {
+    ) -> VmSession<I, PS> {
         // The working storage comes from this thread's previous parse.
         // Memo mirror of the interpreter's pre-sizing heuristic; arena and
         // frame stack are pre-sized from compile-time program statistics
@@ -317,17 +340,16 @@ impl<'g> VmParser<'g> {
         // recycled from a parse of the same grammar are already that
         // large. The frame stack keeps its dead slots, hence its reserve
         // counts from its length.
+        let img = &self.img;
         let mut ws = Workspace::take();
         if self.memoize {
-            ws.memo.reserve(8 * self.grammar.nt_count());
+            ws.memo.reserve(8 * img.grammar.nt_count());
         }
-        ws.frames.reserve(self.hints.frames.saturating_sub(ws.frames.len()));
-        let mut arena = ws.arena.take().unwrap_or_else(|| TreeArena::empty(self.layouts.clone()));
-        arena.reset(self.layouts.clone(), &self.hints);
+        ws.frames.reserve(img.hints.frames.saturating_sub(ws.frames.len()));
+        let mut arena = ws.arena.take().unwrap_or_else(|| TreeArena::empty(img.layouts.clone()));
+        arena.reset(img.layouts.clone(), &img.hints);
         VmSession {
-            g: self.grammar,
-            p: &self.program,
-            layouts: &self.layouts,
+            img: Arc::clone(img),
             input,
             arena,
             memo: ws.memo,
@@ -679,10 +701,9 @@ impl Default for Frame {
     }
 }
 
-struct VmSession<'p, I, PS: ProfSink = ()> {
-    g: &'p Grammar,
-    p: &'p Program,
-    layouts: &'p Layouts,
+struct VmSession<I, PS: ProfSink = ()> {
+    /// The parser's image, held for the session's lifetime.
+    img: Arc<Image>,
     /// The input bytes: a borrowed slice for one-shot parses, an owned
     /// growing buffer for streaming [`Session`]s.
     input: I,
@@ -728,7 +749,7 @@ struct VmSession<'p, I, PS: ProfSink = ()> {
     prof: PS,
 }
 
-impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
+impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     fn stats(&self) -> ParseStats {
         ParseStats { steps: self.steps, memo_hits: self.memo_hits, memo_entries: self.memo.len() }
     }
@@ -746,6 +767,16 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             Err(Abort::FuelExhausted)
         } else {
             Ok(())
+        }
+    }
+
+    /// The frame a call of `callee` from frame `fi` inherits attributes
+    /// from: `fi` for a local rule, none otherwise.
+    fn parent_for(&self, callee: NtId, fi: usize) -> u32 {
+        if self.img.program.rules[callee.0 as usize].is_local {
+            fi as u32
+        } else {
+            NO_PARENT
         }
     }
 
@@ -784,7 +815,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     /// matching the one-shot machine's behavior after its initial tick).
     fn push_open_root(&mut self, nt: NtId) -> PResult<bool> {
         self.tick()?;
-        let p = self.p;
+        let p = &self.img.program;
         let PRuleKind::Alts { first, count } = p.rules[nt.0 as usize].kind else {
             unreachable!("open roots are only pushed for alternatives rules")
         };
@@ -804,7 +835,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         f.alt_cursor = first;
         f.ip = alt.first;
         f.ip_end = alt.first + alt.count;
-        init_slots(&mut f.slots, self.layouts.rules[nt.0 as usize].frame_width, OPEN_LEN);
+        init_slots(&mut f.slots, self.img.layouts.rules[nt.0 as usize].frame_width, OPEN_LEN);
         f.results.clear();
         f.results.resize(alt.n_slots as usize, None);
         f.parent = NO_PARENT;
@@ -851,7 +882,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         l: i64,
         parent: u32,
     ) -> PResult<CallOutcome> {
-        match self.p.rules[nt.0 as usize].kind {
+        match self.img.program.rules[nt.0 as usize].kind {
             PRuleKind::Builtin(b) => self.leaf_call(nt, b, base, len, l).map(CallOutcome::Done),
             _ => self.begin_call(nt, base, len, l, parent),
         }
@@ -894,7 +925,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 // Where the interpreter's memo would make a repeated
                 // failure a silent hit, suppress the duplicate recording
                 // so the deepest-failure error stays identical.
-                let memoizable = self.memoize && !self.p.rules[nt.0 as usize].is_local;
+                let memoizable = self.memoize && !self.img.program.rules[nt.0 as usize].is_local;
                 if !memoizable || self.builtin_failures.insert((nt, base, len)) {
                     self.record_failure(base, nt, Reason::Builtin(b));
                 }
@@ -919,7 +950,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     ) -> PResult<CallOutcome> {
         self.tick()?;
         self.prof.call(nt);
-        let p = self.p;
+        let p = &self.img.program;
         let rule = &p.rules[nt.0 as usize];
         let memoizable = self.memoize && !rule.is_local;
         if memoizable {
@@ -955,6 +986,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 if self.depth == self.frames.len() {
                     self.frames.push(Frame::default());
                 }
+                let width = self.img.layouts.rules[nt.0 as usize].frame_width;
                 let f = &mut self.frames[self.depth];
                 f.nt = nt;
                 f.base = base;
@@ -964,7 +996,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 f.alt_cursor = first;
                 f.ip = alt.first;
                 f.ip_end = alt.first + alt.count;
-                init_slots(&mut f.slots, self.layouts.rules[nt.0 as usize].frame_width, len as i64);
+                init_slots(&mut f.slots, width, len as i64);
                 f.results.clear();
                 f.results.resize(alt.n_slots as usize, None);
                 f.parent = parent;
@@ -986,12 +1018,12 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     }
 
     fn blackbox_result(&mut self, nt: NtId, idx: usize, base: usize, len: usize) -> Option<TreeId> {
-        let g = self.g;
+        let g = &self.img.grammar;
         let bb = &g.blackboxes()[idx];
         let local = &self.input.as_ref()[base..base + len];
         match (bb.run)(local) {
             Ok(res) => {
-                let shape = self.layouts.node_shape(nt, 0);
+                let shape = self.img.layouts.node_shape(nt, 0);
                 let consumed = res.consumed.min(len);
                 let fill = |attrs: &mut [i64]| {
                     attrs[..3].copy_from_slice(&[len as i64, len as i64, 0]);
@@ -1028,7 +1060,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             } else {
                 self.tick()?;
                 self.prof.instr(ip);
-                match self.p.code[ip as usize] {
+                match self.img.program.code[ip as usize] {
                     Instr::Match { lit, lo, hi, slot } => self.exec_match(fi, lit, lo, hi, slot)?,
                     Instr::Call { nt, lo, hi, slot } => self.dispatch_call(fi, nt, lo, hi, slot)?,
                     Instr::Set { attr, attr_slot, expr } => {
@@ -1056,7 +1088,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
 
     /// The current alternative failed: try the next one, or fail the rule.
     fn fail_alt(&mut self, fi: usize) -> Flow {
-        let p = self.p;
+        let p = &self.img.program;
         let open = fi == 0 && self.root_open && !self.complete;
         let f = &mut self.frames[fi];
         f.alt_cursor += 1;
@@ -1106,7 +1138,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         f.pending = Pending::None;
         self.prof.exit(nt, true);
         let f = &self.frames[self.depth];
-        let width = self.layouts.rules[nt.0 as usize].width as usize;
+        let width = self.img.layouts.rules[nt.0 as usize].width as usize;
         let children = f.results.iter().flatten().copied();
         let id = self.arena.alloc_node(nt, alt_index, &f.slots[..width], children, base);
         if memoizable {
@@ -1209,7 +1241,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             return Ok(self.fail_alt(fi));
         }
         let al = base + l as usize;
-        let bytes = &self.p.lits[lit.start as usize..lit.start as usize + blen];
+        let bytes = &self.img.program.lits[lit.start as usize..lit.start as usize + blen];
         if self.bytes()[al..al + blen] != *bytes {
             self.record_failure(al, nt, Reason::TerminalMismatch(lit));
             return Ok(self.fail_alt(fi));
@@ -1289,7 +1321,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             self.record_failure(base, nt, Reason::Interval(callee));
             return Ok(self.fail_alt(fi));
         };
-        let parent = if self.p.rules[callee.0 as usize].is_local { fi as u32 } else { NO_PARENT };
+        let parent = self.parent_for(callee, fi);
         match self.call(callee, base + l as usize, (r - l) as usize, l, parent)? {
             CallOutcome::Pushed => {
                 self.frames[fi].pending = Pending::Call { slot, l };
@@ -1378,8 +1410,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
                 return Ok(self.fail_alt(fi));
             };
             st.l = l;
-            let parent =
-                if self.p.rules[st.nt.0 as usize].is_local { fi as u32 } else { NO_PARENT };
+            let parent = self.parent_for(st.nt, fi);
             match self.call(st.nt, base + l as usize, (r - l) as usize, l, parent)? {
                 CallOutcome::Pushed => {
                     self.frames[fi].pending = Pending::Loop(st);
@@ -1439,8 +1470,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             if st.pos > st.star_len {
                 return Ok(self.finish_star(fi, st));
             }
-            let parent =
-                if self.p.rules[st.nt.0 as usize].is_local { fi as u32 } else { NO_PARENT };
+            let parent = self.parent_for(st.nt, fi);
             let (base, len, l) =
                 (st.star_base + st.pos, st.star_len - st.pos, st.l + st.pos as i64);
             match self.call(st.nt, base, len, l, parent)? {
@@ -1477,20 +1507,20 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
             let f = &self.frames[fi];
             (f.base, f.nt)
         };
-        let p = self.p;
         let mut selected = None;
-        for case in &p.cases[first as usize..first as usize + count as usize] {
+        for i in first as usize..first as usize + count as usize {
+            let case = self.img.program.cases[i];
             match case.cond {
                 Some(c) => match self.eval(c, fi) {
                     Some(0) => continue,
                     Some(_) => {
-                        selected = Some(*case);
+                        selected = Some(case);
                         break;
                     }
                     None => break,
                 },
                 None => {
-                    selected = Some(*case);
+                    selected = Some(case);
                     break;
                 }
             }
@@ -1542,7 +1572,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
     /// recursive cases live in [`VmSession::eval_complex`].
     #[inline(always)]
     fn eval(&mut self, e: ExprId, fi: usize) -> Option<i64> {
-        match self.p.exprs[e.0 as usize] {
+        match self.img.program.exprs[e.0 as usize] {
             BExpr::Num(n) => Some(n),
             BExpr::Eoi => self.eval_eoi(fi),
             BExpr::Local { sym, slot } => self.read_local(fi, sym, slot),
@@ -1556,7 +1586,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
 
     #[inline(never)]
     fn eval_complex(&mut self, e: ExprId, fi: usize) -> Option<i64> {
-        match self.p.exprs[e.0 as usize] {
+        match self.img.program.exprs[e.0 as usize] {
             BExpr::Num(n) => Some(n),
             BExpr::Eoi => self.eval_eoi(fi),
             BExpr::Local { sym, slot } => self.read_local(fi, sym, slot),
@@ -1683,12 +1713,12 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<'_, I, PS> {
         let mut i = self.frames[fi].parent;
         while i != NO_PARENT {
             let f = &self.frames[i as usize];
-            if let Instr::Loop { var, var_slot, .. } = self.p.code[f.ip as usize] {
+            if let Instr::Loop { var, var_slot, .. } = self.img.program.code[f.ip as usize] {
                 if var == sym {
                     return Some(f.slots[var_slot as usize]);
                 }
             }
-            let shape = self.layouts.shape(f.alt_cursor);
+            let shape = self.img.layouts.shape(f.alt_cursor);
             if let Some(b) = shape.iter().find(|b| b.sym == sym && b.bound_from <= f.ip) {
                 return Some(f.slots[b.slot as usize]);
             }
@@ -1764,7 +1794,7 @@ fn upd_start_end(slots: &mut [i64], l: i64, r: i64, b: bool) {
     }
 }
 
-impl<I, PS: ProfSink> Drop for VmSession<'_, I, PS> {
+impl<I, PS: ProfSink> Drop for VmSession<I, PS> {
     fn drop(&mut self) {
         // Frames still live (an abort or an abandoned streaming session)
         // may hold in-flight loop or star state.
@@ -1873,10 +1903,9 @@ enum Phase {
 /// assert_eq!(tree.root().child_node_nt(g.nt_id("Body").unwrap()).unwrap().span(), (2, 6));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub struct Session<'p> {
-    vm: VmSession<'p, Vec<u8>>,
+pub struct Session {
+    vm: VmSession<Vec<u8>>,
     phase: Phase,
-    anchor: AnchorRequirement,
     start_nt: NtId,
     /// Whether the machine has a live frame stack to resume.
     started: bool,
@@ -1885,20 +1914,21 @@ pub struct Session<'p> {
     err: Option<Error>,
 }
 
-impl<'p> Session<'p> {
+impl Session {
     /// Opens a session on `parser` (see also [`VmParser::streaming`]).
-    pub fn new(parser: &'p VmParser<'_>) -> Self {
+    /// The session shares the parser's compiled image and may outlive
+    /// the parser itself.
+    pub fn new(parser: &VmParser) -> Self {
         let mut vm = parser.fresh_session(Vec::new());
         vm.complete = false;
-        let start_nt = parser.program.start_nt();
-        let phase = match parser.program.rules[start_nt.0 as usize].kind {
+        let start_nt = parser.img.program.start_nt();
+        let phase = match parser.img.program.rules[start_nt.0 as usize].kind {
             PRuleKind::Alts { .. } => Phase::Fresh,
             // A builtin/blackbox root consumes "its interval" — the whole
             // input — so nothing can run early.
             _ => Phase::Deferred,
         };
-        let anchor = parser.anchor;
-        Session { vm, phase, anchor, start_nt, started: false, max_bytes: None, err: None }
+        Session { vm, phase, start_nt, started: false, max_bytes: None, err: None }
     }
 
     /// Caps the total buffered bytes; exceeding the cap poisons the
@@ -1916,7 +1946,7 @@ impl<'p> Session<'p> {
 
     /// The grammar's anchor requirement (copied from [`VmParser::anchor`]).
     pub fn anchor(&self) -> AnchorRequirement {
-        self.anchor
+        self.vm.img.anchor
     }
 
     /// Bytes buffered so far.
@@ -2002,12 +2032,13 @@ impl<'p> Session<'p> {
                 Outcome::Done(ParseTree { arena, root })
             }
             Ok(None) => {
-                let e = Error::Parse(self.vm.deepest.render(self.vm.g, self.vm.p));
+                let img = &self.vm.img;
+                let e = Error::Parse(self.vm.deepest.render(&img.grammar, &img.program));
                 self.poison(e)
             }
             Err(Abort::FuelExhausted) => {
                 let msg = FuelMsg::Verbose.render(self.vm.max_steps);
-                let e = Error::Parse(self.vm.deepest.render_with(self.vm.g, msg));
+                let e = Error::Parse(self.vm.deepest.render_with(&self.vm.img.grammar, msg));
                 self.poison(e)
             }
             Err(Abort::Suspend) => {

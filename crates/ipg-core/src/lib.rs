@@ -46,8 +46,6 @@
 //!   attribution, memo hit/miss counts, pc-indexed instruction hits,
 //!   and a folded-stack export keyed by the static call graph. Disabled
 //!   parses pay nothing (the hooks monomorphize away).
-//! * [`codegen`] — the parser generator: emits a self-contained Rust
-//!   recursive-descent parser from a checked grammar.
 //! * [`termination`] — the static termination checker of §5: elementary
 //!   cycles of the nonterminal dependency graph are refuted with a small
 //!   built-in linear-arithmetic solver ([`solver`]) standing in for Z3.
@@ -83,13 +81,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod arena;
 pub mod blackbox;
 pub mod builtin;
 pub mod bytecode;
 pub mod check;
-pub mod codegen;
 pub mod combinators;
 pub mod env;
 pub mod error;

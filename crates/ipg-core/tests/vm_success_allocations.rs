@@ -58,7 +58,7 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// and its tree stays alive): the allocations it made, and the bytes it
 /// holds while its tree is alive — the tree's footprint plus whatever
 /// working storage the parse kept growing.
-fn warm_parse_allocations(parser: &VmParser<'_>, input: &[u8]) -> (usize, isize) {
+fn warm_parse_allocations(parser: &VmParser, input: &[u8]) -> (usize, isize) {
     let warm_up = parser.parse(input).expect("warm-up parse succeeds");
     let measured = measure(|| parser.parse(input).expect("parse succeeds"));
     drop(warm_up);

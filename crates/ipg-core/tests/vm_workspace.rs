@@ -48,11 +48,11 @@ struct Case {
 /// (node names, spans, attributes) or the error, plus the VM's statistics.
 type Observed = (Result<String, Error>, ParseStats);
 
-fn vm_parser<'g>(g: &'g ipg_core::check::Grammar, case: &Case) -> VmParser<'g> {
+fn vm_parser(g: &ipg_core::check::Grammar, case: &Case) -> VmParser {
     VmParser::new(g).memoize(case.memoize)
 }
 
-fn run_vm(parser: &VmParser<'_>, case: &Case) -> Observed {
+fn run_vm(parser: &VmParser, case: &Case) -> Observed {
     let (result, stats) = match case.max_steps {
         Some(n) => parser.parse_bounded(&case.input, n),
         None => parser.parse_with_stats(&case.input),
@@ -84,7 +84,7 @@ fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
 }
 
 /// Feeds `input` in `chunks` to a session of `parser` and finishes it.
-fn stream(parser: &VmParser<'_>, input: &[u8], chunk: usize) -> Observed {
+fn stream(parser: &VmParser, input: &[u8], chunk: usize) -> Observed {
     let mut session = parser.streaming();
     for c in input.chunks(chunk) {
         session.feed(c);

@@ -17,6 +17,8 @@
 //! CRC-32 is provided in [`mod@crc32`] since both the corpus generator and
 //! the `unzip` baselines need it for ZIP.
 
+#![forbid(unsafe_code)]
+
 pub mod bits;
 pub mod crc32;
 pub mod deflate;

@@ -29,6 +29,8 @@
 //! # Ok::<(), ipg_core::Error>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod combinator_impls;
 pub mod dns;
 pub mod elf;

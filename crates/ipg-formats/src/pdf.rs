@@ -17,7 +17,7 @@ pub fn grammar() -> &'static Grammar {
 }
 
 /// The compiled bytecode parser.
-pub fn vm() -> &'static VmParser<'static> {
+pub fn vm() -> &'static VmParser {
     crate::registry::corpus_entry("pdf").vm()
 }
 

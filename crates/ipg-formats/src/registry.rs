@@ -13,16 +13,16 @@
 //! ## Generations, not leaks
 //!
 //! Each loaded grammar lives in an [`Arc`]-counted [`Compiled`]
-//! *generation*: the checked grammar and the bytecode parser borrowing
-//! it, packaged as one refcounted unit. [`Registry::reload`] and
-//! [`Registry::load_path`] swap a name to a new generation atomically —
-//! holders of the old [`Arc`] (in-flight parse sessions, pinned entries)
-//! keep using the generation they started with until they drop it, new
-//! lookups observe the new one, and a failed load leaves the table
-//! untouched (rollback is the absence of a swap, never a half-updated
-//! entry). A registry handle is cheap to clone and *shared*: clones see
-//! each other's reloads, which is what lets a filesystem watcher thread
-//! feed a live server.
+//! *generation*: the bytecode parser, which owns the checked grammar it
+//! was compiled from, packaged as one refcounted unit.
+//! [`Registry::reload`] and [`Registry::load_path`] swap a name to a new
+//! generation atomically — holders of the old [`Arc`] (in-flight parse
+//! sessions, pinned entries) keep using the generation they started
+//! with until they drop it, new lookups observe the new one, and a
+//! failed load leaves the table untouched (rollback is the absence of a
+//! swap, never a half-updated entry). A registry handle is cheap to
+//! clone and *shared*: clones see each other's reloads, which is what
+//! lets a filesystem watcher thread feed a live server.
 //!
 //! The per-process corpus table ([`pinned_corpus`]) is still pinned for
 //! the process lifetime — that one intentional, bounded promotion gives
@@ -39,52 +39,30 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-/// One compiled grammar generation: the checked [`Grammar`] and the
-/// [`VmParser`] compiled against it, owned together so the pair can be
+/// One compiled grammar generation: the [`VmParser`] (which owns the
+/// checked [`Grammar`] it was compiled from) and the hash of its source,
 /// handed out behind a single [`Arc`].
-///
-/// The parser borrows the grammar, so the struct is self-referential:
-/// the grammar is boxed (stable heap address), the parser's lifetime is
-/// erased internally, and the public accessors re-tie every borrow to
-/// `&self` — safe Rust callers can never observe the erased lifetime.
 pub struct Compiled {
-    // Declared before `grammar`: struct fields drop in declaration
-    // order, and the parser must drop before the grammar it borrows.
-    vm: VmParser<'static>,
-    grammar: Box<Grammar>,
+    vm: VmParser,
     source_hash: u64,
 }
-
-// SAFETY: the erased-lifetime reference inside `vm` points into
-// `grammar`, which is owned by the same struct; the pair is as
-// Send/Sync as its components (Grammar and VmParser are both Sync).
-unsafe impl Send for Compiled {}
-unsafe impl Sync for Compiled {}
 
 impl Compiled {
     /// Packages a compiled program as one refcounted generation.
     pub fn from_cached(cached: CachedProgram) -> Arc<Compiled> {
         let CachedProgram { grammar, program, anchor, hints, source_hash } = cached;
-        let grammar = Box::new(grammar);
-        // SAFETY: the Box's heap allocation never moves, `Compiled` is
-        // never dismantled (no fields are taken out), and field order
-        // guarantees `vm` drops first — so the reference outlives every
-        // use. The 'static lifetime is a private fiction; accessors
-        // shrink it back to the lifetime of `&self`.
-        let g: &'static Grammar = unsafe { &*(&*grammar as *const Grammar) };
-        let vm = VmParser::from_compiled(g, program, anchor, hints);
-        Arc::new(Compiled { vm, grammar, source_hash })
+        let vm = VmParser::from_compiled(grammar, program, anchor, hints);
+        Arc::new(Compiled { vm, source_hash })
     }
 
     /// The checked grammar (tree-walking interpreter side).
     pub fn grammar(&self) -> &Grammar {
-        &self.grammar
+        self.vm.grammar()
     }
 
     /// The compiled bytecode parser (fuel-free; bound work per parse with
     /// [`ipg_core::interp::vm::Session::max_steps`] or a fueled wrapper).
-    pub fn vm(&self) -> &VmParser<'_> {
-        // Covariance shrinks the erased 'static to the borrow of self.
+    pub fn vm(&self) -> &VmParser {
         &self.vm
     }
 
@@ -92,24 +70,12 @@ impl Compiled {
     pub fn source_hash(&self) -> u64 {
         self.source_hash
     }
-
-    /// The parser with the generation's lifetime erased, for holders
-    /// that pin the generation alongside the borrow (serve sessions).
-    ///
-    /// # Safety
-    ///
-    /// The caller must keep (a clone of) `this` alive for as long as the
-    /// returned reference — or anything derived from it, such as a
-    /// streaming session — is used.
-    pub unsafe fn vm_pinned(this: &Arc<Compiled>) -> &'static VmParser<'static> {
-        unsafe { &*(&this.vm as *const VmParser<'static>) }
-    }
 }
 
 impl std::fmt::Debug for Compiled {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Compiled")
-            .field("start", &self.grammar.start_nt_name())
+            .field("start", &self.grammar().start_nt_name())
             .field("source_hash", &format_args!("{:016x}", self.source_hash))
             .finish_non_exhaustive()
     }
@@ -145,7 +111,7 @@ impl Entry {
     }
 
     /// The compiled bytecode parser of this entry's generation.
-    pub fn vm(&self) -> &VmParser<'_> {
+    pub fn vm(&self) -> &VmParser {
         self.handle.vm()
     }
 
@@ -421,7 +387,7 @@ impl Registry {
     /// A human-readable description of the first divergence found.
     pub fn compare_engines(
         parser: &Parser<'_>,
-        vm: &VmParser<'_>,
+        vm: &VmParser,
         input: &[u8],
     ) -> std::result::Result<bool, String> {
         let (ri, si) = parser.parse_with_stats(input);
@@ -459,6 +425,7 @@ fn stem_of(path: &Path) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipg_core::interp::vm::Outcome;
 
     #[test]
     fn corpus_has_all_nine_grammars_in_order() {
@@ -491,8 +458,13 @@ mod tests {
     #[test]
     fn reload_swaps_generation_and_pins_survive() {
         let reg = Registry::corpus();
+        // Start from a reloaded generation, which only this table owns
+        // (the corpus generations are pinned for the process lifetime).
+        reg.reload("dns").unwrap();
         let before = reg.get("dns").unwrap();
         let pinned = reg.pin("dns").unwrap();
+        let old_generation = Arc::downgrade(&pinned);
+        let mut session = pinned.vm().streaming();
         let after = reg.reload("dns").unwrap();
         assert!(after.generation > before.generation, "reload must advance the generation");
         assert!(
@@ -504,6 +476,24 @@ mod tests {
         let input = ipg_corpus::dns::generate(&Default::default()).bytes;
         pinned.vm().parse(&input).expect("old generation stays usable");
         reg.get("dns").unwrap().vm().parse(&input).expect("new generation parses");
+
+        // A session outlives every handle on the generation it was
+        // opened from, and still parses exactly like a one-shot parse.
+        drop((reg, before, after, pinned));
+        assert!(old_generation.upgrade().is_none(), "the old generation is gone");
+        for chunk in input.chunks(7) {
+            if let Some(e) = session.feed(chunk).err() {
+                panic!("session rejected a valid prefix: {e}");
+            }
+        }
+        let Outcome::Done(tree) = session.finish() else { panic!("session must complete") };
+        let (one_shot, one_shot_stats) = corpus_entry("dns").vm().parse_with_stats(&input);
+        assert_eq!(
+            session.stats().steps,
+            one_shot_stats.steps,
+            "steps must equal a one-shot parse"
+        );
+        assert_eq!(tree.arena().len(), one_shot.unwrap().arena().len(), "node counts must match");
     }
 
     #[test]

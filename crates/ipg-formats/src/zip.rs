@@ -39,12 +39,12 @@ pub fn grammar_inflate() -> &'static Grammar {
 }
 
 /// The compiled bytecode parser for the zero-copy grammar.
-pub fn vm() -> &'static VmParser<'static> {
+pub fn vm() -> &'static VmParser {
     crate::registry::corpus_entry("zip").vm()
 }
 
 /// The compiled bytecode parser for the decompressing grammar.
-pub fn vm_inflate() -> &'static VmParser<'static> {
+pub fn vm_inflate() -> &'static VmParser {
     crate::registry::corpus_entry("zip_inflate").vm()
 }
 

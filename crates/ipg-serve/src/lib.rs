@@ -51,6 +51,8 @@
 //! # let _ = outcome;
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod fault;
 pub mod histo;
 pub mod metrics;

@@ -266,15 +266,11 @@ pub(crate) fn outcome_name(resp: &Response) -> &'static str {
     }
 }
 
-/// A live streaming session pinned to one worker. The session borrows
-/// the generation's parser, so the generation handle rides along:
-/// `session` is declared first and therefore drops first, and the pin
-/// keeps the old generation alive across hot reloads until the session
-/// ends.
+/// A live streaming session pinned to one worker. The session holds its
+/// generation's compiled program, so a hot reload never pulls the
+/// program out from under it.
 struct Active {
-    session: Session<'static>,
-    /// Pins the [`Compiled`] generation `session` borrows from.
-    _generation: Arc<Compiled>,
+    session: Session,
     deadline: Instant,
 }
 
@@ -461,14 +457,10 @@ fn execute(kind: JobKind, shared: &Arc<Shared>, sessions: &mut HashMap<u64, Acti
             }
         }
         JobKind::Open { id, vm } => {
-            // SAFETY: `vm_pinned` erases the generation's lifetime; the
-            // `Active` below stores the same `Arc` alongside the session
-            // (dropping session-first), so the borrow outlives its use.
-            let parser = unsafe { Compiled::vm_pinned(&vm) };
             let session =
-                parser.streaming().max_steps(shared.max_steps).max_bytes(shared.max_bytes);
+                vm.vm().streaming().max_steps(shared.max_steps).max_bytes(shared.max_bytes);
             let deadline = Instant::now() + shared.session_deadline;
-            sessions.insert(id, Active { session, _generation: vm, deadline });
+            sessions.insert(id, Active { session, deadline });
             Counters::add(&c.sessions_opened, 1);
             Counters::add(&c.live_sessions, 1);
             Response::Opened { id }

@@ -914,6 +914,7 @@ mod tests {
 
     // SAFETY: delegates directly to `System`; the bookkeeping has no effect
     // on the returned memory.
+    #[allow(unsafe_code)]
     unsafe impl GlobalAlloc for LargestAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             note_alloc(layout.size());

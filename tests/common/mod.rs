@@ -29,19 +29,17 @@ pub struct Format {
     /// The checked grammar (tree-walking interpreter side).
     pub grammar: &'static Grammar,
     /// The compiled bytecode parser.
-    pub vm: &'static VmParser<'static>,
+    pub vm: &'static VmParser,
 }
 
 /// Fuel-bounded VM per grammar, compiled once per test binary (grammars
 /// come from the shared pinned corpus, compiled from source in memory).
-fn fueled_vms() -> &'static [(String, &'static Grammar, VmParser<'static>)] {
-    static VMS: OnceLock<Vec<(String, &'static Grammar, VmParser<'static>)>> = OnceLock::new();
+fn fueled_vms() -> &'static [(String, &'static Grammar, VmParser)] {
+    static VMS: OnceLock<Vec<(String, &'static Grammar, VmParser)>> = OnceLock::new();
     VMS.get_or_init(|| {
         ipg_formats::pinned_corpus()
             .iter()
-            .map(|e| {
-                (e.name.clone(), e.grammar(), VmParser::new(e.grammar()).max_steps(AGREE_FUEL))
-            })
+            .map(|e| (e.name.clone(), e.grammar(), e.vm().clone().max_steps(AGREE_FUEL)))
             .collect()
     })
 }
@@ -110,7 +108,7 @@ pub fn mutate(bytes: &mut Vec<u8>, kind: u8, pos: usize, value: u8) {
 ///   failure (offset, nonterminal, message).
 ///
 /// Returns whether the input was accepted.
-pub fn assert_engines_agree(name: &str, g: &Grammar, vm: &VmParser<'_>, input: &[u8]) -> bool {
+pub fn assert_engines_agree(name: &str, g: &Grammar, vm: &VmParser, input: &[u8]) -> bool {
     let parser = Parser::new(g).max_steps(AGREE_FUEL);
     match Registry::compare_engines(&parser, vm, input) {
         Ok(accepted) => accepted,

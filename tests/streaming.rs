@@ -36,11 +36,7 @@ fn mix(mut x: u64) -> u64 {
 
 /// Feeds `input` to a fresh session in the given chunk pattern and
 /// finishes. Returns the final outcome plus the session's step count.
-fn run_chunked(
-    vm: &VmParser<'_>,
-    input: &[u8],
-    chunks: &[usize],
-) -> (Result<Rc<Tree>, Error>, u64) {
+fn run_chunked(vm: &VmParser, input: &[u8], chunks: &[usize]) -> (Result<Rc<Tree>, Error>, u64) {
     let mut session = vm.streaming();
     let mut off = 0;
     let mut early: Option<Error> = None;
