@@ -1,7 +1,7 @@
 //! Shared plumbing for the `bench_*` report binaries: the
 //! `--quick`/`--out` command line, the warmup-then-batch timing loop, and
 //! the `BENCH_*.json` report envelope. Every report binary
-//! (`bench_inflate`, `bench_interp`, `bench_conform`, `bench_serve`)
+//! (`bench_inflate`, `bench_interp`, `bench_conform`)
 //! parses the same flags and emits the same envelope shape:
 //!
 //! ```json

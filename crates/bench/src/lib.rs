@@ -99,8 +99,9 @@ pub fn zip_many_small_entries(n: usize) -> Vec<u8> {
 /// One engine-bound workload per corpus grammar, keyed by the
 /// `ipg_formats::Registry::corpus` entry names. Sized so grammar
 /// evaluation (not fixture setup) dominates; shared by `bench_interp`
-/// (engine-vs-engine) and `bench_serve` (streaming overhead and pool
-/// scaling) so their numbers describe the same work.
+/// (engine-vs-engine) and the streaming-overhead test
+/// (`tests/streaming_overhead.rs`) so their numbers describe the same
+/// work.
 pub fn grammar_workloads() -> Vec<(&'static str, Vec<u8>)> {
     vec![
         ("zip", zip_with_entries(16)),

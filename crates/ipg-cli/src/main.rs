@@ -12,7 +12,7 @@
 //! ipg parse <grammar> [FILE | -] [--depth N] [--extract [DIR]]
 //! ipg profile <grammar> [FILE | -] [--top N] [--folded]
 //! ipg gen <grammar> [--seed N] [--count N] [--out DIR]
-//! ipg serve --socket PATH [--workers N] [--watch DIR] [--metrics-addr HOST:PORT]
+//! ipg serve --socket PATH [--max-queue N] [--watch DIR] [--metrics-addr HOST:PORT]
 //!           [--trace-log PATH] [--grammar PATH]...
 //! ipg bench-info                                # corpus summary
 //! ```
@@ -57,7 +57,7 @@ commands:
       stacks keyed by the grammar's static call graph.
   gen <grammar> [--seed N] [--count N] [--out DIR]
       Generate grammar-valid inputs (VM-verified); --out writes them.
-  serve --socket PATH [--workers N] [--watch DIR] [--metrics-addr HOST:PORT]
+  serve --socket PATH [--max-queue N] [--watch DIR] [--metrics-addr HOST:PORT]
         [--trace-log PATH] [--grammar PATH]...
       Serve the framed parse protocol on a Unix socket; --watch hot
       reloads the .ipg sources in DIR, keeping the last good generation

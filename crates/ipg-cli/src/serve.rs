@@ -3,9 +3,9 @@
 //! line (all loaded through the same artifact pipeline).
 //!
 //! SIGTERM and ctrl-c (SIGINT) trigger a graceful drain instead of an
-//! abrupt exit: the acceptor stops, queued one-shot jobs flush, open
-//! sessions are sealed and their connections answered `GOAWAY`, and the
-//! process exits 0 — so a rolling restart never tears a frame.
+//! abrupt exit: the acceptor stops, requests already running finish,
+//! open sessions are sealed and their connections answered `GOAWAY`, and
+//! the process exits 0 — so a rolling restart never tears a frame.
 
 use crate::{CmdResult, Failure};
 use ipg_formats::Registry;
@@ -53,7 +53,6 @@ mod sig {
 
 pub fn run(args: &[String]) -> CmdResult {
     let mut socket = None;
-    let mut workers = None;
     let mut max_queue = None;
     let mut watch = None;
     let mut metrics_addr = None;
@@ -86,13 +85,6 @@ pub fn run(args: &[String]) -> CmdResult {
                         .ok_or_else(|| Failure::usage("--watch needs a directory"))?,
                 );
             }
-            "--workers" => {
-                workers = Some(
-                    it.next()
-                        .and_then(|v| v.parse::<usize>().ok())
-                        .ok_or_else(|| Failure::usage("--workers needs a number"))?,
-                );
-            }
             "--max-queue" => {
                 max_queue = Some(
                     it.next()
@@ -110,7 +102,7 @@ pub fn run(args: &[String]) -> CmdResult {
     }
     let Some(socket) = socket else {
         return Err(Failure::usage(
-            "usage: ipg serve --socket PATH [--workers N] [--max-queue N] [--watch DIR] \
+            "usage: ipg serve --socket PATH [--max-queue N] [--watch DIR] \
              [--metrics-addr HOST:PORT] [--trace-log PATH] [--grammar PATH]...",
         ));
     };
@@ -122,9 +114,6 @@ pub fn run(args: &[String]) -> CmdResult {
     }
 
     let mut cfg = Config::default();
-    if let Some(workers) = workers {
-        cfg.workers = workers;
-    }
     if let Some(bound) = max_queue {
         cfg.max_queue = bound;
     }
@@ -166,17 +155,17 @@ pub fn run(args: &[String]) -> CmdResult {
         .serve_unix(&socket)
         .map_err(|e| Failure::runtime(format!("cannot bind {socket}: {e}")))?;
     println!(
-        "serving {} grammars on {socket} with {} workers (SIGTERM/ctrl-c drains)",
-        server.registry().entries().len(),
-        server.workers()
+        "serving {} grammars on {socket} (SIGTERM/ctrl-c drains)",
+        server.registry().entries().len()
     );
     // The acceptor runs on its own thread; poll for a shutdown signal.
     while !sig::requested() {
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    // Graceful drain: stop accepting, refuse new work with GOAWAY, flush
-    // queued jobs, seal open sessions, answer idle connections GOAWAY.
+    // Graceful drain: stop accepting, refuse new work with GOAWAY, let
+    // running requests finish, seal open sessions, answer idle
+    // connections GOAWAY.
     println!("signal received; draining…");
     front.stop_accepting();
     server.drain();

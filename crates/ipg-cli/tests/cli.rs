@@ -121,6 +121,20 @@ fn retired_commands_are_usage_errors() {
 }
 
 #[test]
+fn serve_workers_flag_is_a_usage_error() {
+    // Requests run on the thread that receives them, so there is no
+    // worker count to set; the flag is refused before anything binds.
+    let scratch = Scratch::new("serve-workers");
+    let sock = scratch.path().join("serve.sock");
+    let out = ipg(&["serve", "--socket", sock.to_str().unwrap(), "--workers", "2"], &[]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "{:?}", String::from_utf8_lossy(&out.stdout));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unexpected argument `--workers`"), "{stderr}");
+    assert!(!sock.exists(), "serve bound its socket");
+}
+
+#[test]
 fn bench_info_lists_all_nine_corpus_grammars() {
     let stdout = ok_stdout(&["bench-info"], &[]);
     for name in ["zip", "zip_inflate", "dns", "png", "gif", "elf", "ipv4udp", "pe", "pdf"] {
@@ -226,7 +240,7 @@ fn serve_drains_gracefully_on_sigterm() {
     let scratch = Scratch::new("serve-drain");
     let sock = scratch.path().join("serve.sock");
     let mut child = Command::new(env!("CARGO_BIN_EXE_ipg"))
-        .args(["serve", "--socket", sock.to_str().unwrap(), "--workers", "2"])
+        .args(["serve", "--socket", sock.to_str().unwrap()])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()

@@ -1,18 +1,18 @@
 //! Deterministic fault injection for the chaos harness.
 //!
 //! A [`FaultPlan`] is a seeded, rate-based schedule of failures the
-//! service must survive: worker panics (exercising the `catch_unwind`
-//! job boundary), artificial stalls (exercising queue bounds, deadlines,
-//! and shedding), and corrupt reply frames (exercising client-side frame
-//! validation). Each injection decision is a pure function of
-//! `(seed, draw-counter)` — a SplitMix64 stream — so a given plan injects
-//! the *same multiset of faults* for a given number of draws regardless
-//! of how worker threads interleave, and a failing soak reproduces from
-//! its seed alone.
+//! service must survive: request panics (exercising the `catch_unwind`
+//! request boundary), artificial stalls (exercising the in-flight bound,
+//! deadlines, and shedding), and corrupt reply frames (exercising
+//! client-side frame validation). Each injection decision is a pure
+//! function of `(seed, draw-counter)` — a SplitMix64 stream — so a given
+//! plan injects the *same multiset of faults* for a given number of draws
+//! regardless of how the serving threads interleave, and a failing soak
+//! reproduces from its seed alone.
 //!
 //! The plan is wired into [`crate::Config::faults`]; production servers
-//! run with `None` and pay a single `Option` check per job. Tests and the
-//! chaos soak build plans with [`FaultPlan::new`] + rate setters, or from
+//! run with `None` and pay a single `Option` check per request. Tests and
+//! the chaos soak build plans with [`FaultPlan::new`] + rate setters, or from
 //! the environment via [`FaultPlan::from_env`] (`IPG_FAULT_SEED`,
 //! `IPG_FAULT_PANIC_PM`, `IPG_FAULT_STALL_PM`, `IPG_FAULT_CORRUPT_PM`,
 //! all rates in per-mille).
@@ -20,19 +20,20 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// What to inject before executing one job.
+/// What to inject before executing one request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
     /// Execute normally.
     None,
-    /// Panic inside the job (must be caught, typed, and survived).
+    /// Panic inside the request (must be caught, typed, and survived).
     Panic,
-    /// Sleep for the given duration first (queue pressure / latency).
+    /// Sleep for the given duration first (in-flight pressure / latency).
     Stall(Duration),
 }
 
 /// A seeded fault schedule. Rates are per-mille (0–1000) per draw; the
-/// worker draws once per job, the transport draws once per reply frame.
+/// server draws once per admitted request, the transport once per reply
+/// frame.
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
@@ -69,7 +70,7 @@ impl FaultPlan {
         }
     }
 
-    /// Per-mille rate of injected worker panics.
+    /// Per-mille rate of injected request panics.
     #[must_use]
     pub fn panic_per_mille(mut self, pm: u32) -> Self {
         self.panic_pm = pm.min(1000);
@@ -123,8 +124,8 @@ impl FaultPlan {
         splitmix64(self.seed ^ splitmix64(n))
     }
 
-    /// The worker-side decision for the next job.
-    pub fn next_job_fault(&self) -> Fault {
+    /// The decision for the next admitted request.
+    pub fn next_request_fault(&self) -> Fault {
         let r = self.draw();
         let roll = (r % 1000) as u32;
         if roll < self.panic_pm {
@@ -178,7 +179,7 @@ mod tests {
         let counts = |seed: u64| {
             let plan = FaultPlan::new(seed).panic_per_mille(100).stall_per_mille(100, 3);
             for _ in 0..2000 {
-                let _ = plan.next_job_fault();
+                let _ = plan.next_request_fault();
             }
             (plan.panics_injected(), plan.stalls_injected())
         };
@@ -195,7 +196,7 @@ mod tests {
     fn zero_rate_plan_injects_nothing() {
         let plan = FaultPlan::new(7);
         for _ in 0..500 {
-            assert_eq!(plan.next_job_fault(), Fault::None);
+            assert_eq!(plan.next_request_fault(), Fault::None);
             assert!(!plan.corrupt_next_reply());
         }
         assert_eq!(plan.injected(), 0);

@@ -10,28 +10,32 @@
 //!   ([`Registry::load_path`]) land in the same table.
 //! * **Hot reload** — [`Server::watch_dir`] polls a grammar directory
 //!   ([`watch`]) and atomically swaps changed grammars into the live
-//!   registry; every admitted job pins the generation it resolved, so
+//!   registry; every admitted request pins the generation it resolved, so
 //!   in-flight parses and sessions are never torn by a swap. A source
 //!   that stops compiling is refused and the last good generation keeps
 //!   serving; both outcomes are counted in the stats snapshot
 //!   (`reloads_ok` / `reloads_rejected`).
-//! * **Sharded worker pool** — one queue per worker plus work stealing
-//!   for one-shot jobs ([`pool`]); streaming sessions are pinned to their
-//!   owning worker so the suspended frame stack never crosses threads.
+//! * **Run to completion** — every request runs on the thread that
+//!   received it: a wire request on its connection thread, an in-process
+//!   one on the caller's thread. A streaming session belongs to whoever
+//!   opened it — the connection, or the [`StreamHandle`] — so its
+//!   suspended frame stack never crosses threads. There are no worker
+//!   threads and no queues; what requests share is admission and panic
+//!   isolation (`pool.rs`).
 //! * **Isolation** — every parse carries a step budget, every session a
 //!   byte budget and a rolling deadline; an input that stalls, balloons,
-//!   or loops is killed with a clean error and the worker moves on. Every
-//!   job body runs under `catch_unwind`: a panicking parse (or an
-//!   injected fault, [`fault`]) costs exactly that job — answered with a
-//!   typed [`ipg_core::Error::WorkerPanic`] — never the worker.
-//! * **Admission control** — one-shot queues are bounded; over the bound
-//!   new jobs are shed immediately with [`Response::Busy`] (a typed
-//!   `BUSY { retry_after_ms }` on the wire) instead of queued, while
-//!   pinned session traffic degrades last.
+//!   or loops is killed with a clean error. Every request body runs
+//!   under `catch_unwind`: a panicking parse (or an injected fault,
+//!   [`fault`]) costs exactly that request — answered with a typed
+//!   [`ipg_core::Error::WorkerPanic`] — never the thread serving it.
+//! * **Admission control** — requests in flight are bounded; a one-shot
+//!   parse over the bound is shed immediately with [`Response::Busy`] (a
+//!   typed `BUSY { retry_after_ms }` on the wire), while session traffic
+//!   degrades last.
 //! * **Drain** — [`Server::drain`] (wired to SIGTERM/ctrl-c in
-//!   `ipg serve`) stops admitting, flushes queued one-shot work, seals
-//!   open sessions, and answers everything else `GOAWAY`, so a restart
-//!   never tears a frame mid-connection.
+//!   `ipg serve`) stops admitting, lets requests already running finish,
+//!   seals open sessions, and answers everything else `GOAWAY`, so a
+//!   restart never tears a frame mid-connection.
 //! * **Front ends** — an in-process API ([`Server::parse`],
 //!   [`Server::open`]) and a length-framed Unix-socket protocol
 //!   ([`proto`], [`Server::serve_unix`]).
@@ -39,9 +43,9 @@
 //! ```no_run
 //! use ipg_serve::{Config, Server};
 //!
-//! let server = Server::start(Config { workers: 4, ..Config::default() });
+//! let server = Server::start(Config::default());
 //! let archive = ipg_corpus::zip::generate(&Default::default()).bytes;
-//! let summary = server.parse("zip", archive).expect("valid archive");
+//! let summary = server.parse("zip", &archive).expect("valid archive");
 //! assert!(summary.nodes > 0);
 //!
 //! // Streaming: bytes arrive as they come off the wire.
@@ -56,8 +60,9 @@
 pub mod fault;
 pub mod histo;
 pub mod metrics;
-pub mod pool;
+mod pool;
 pub mod proto;
+mod session;
 pub mod stats;
 pub mod trace;
 pub mod watch;
@@ -65,23 +70,22 @@ pub mod watch;
 use fault::FaultPlan;
 use ipg_core::interp::vm::Hint;
 use ipg_core::Error;
-use pool::{Job, JobKind, Shard, Shared};
+use pool::Shared;
+use session::Active;
 use stats::{Counters, StatsSnapshot};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
-use std::sync::{Arc, Mutex, Once, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Service configuration. The defaults are production-lean: parallelism
-/// from the machine, 50M-step fuel (the repo's standard "pathological
-/// loop" bound), 64 MiB per-session buffers, 30 s session deadlines,
-/// 1024-deep one-shot queues with BUSY shedding beyond that, and a 10 s
-/// per-request reply deadline.
+/// Service configuration. The defaults are production-lean: 50M-step
+/// fuel (the repo's standard "pathological loop" bound), 64 MiB
+/// per-session buffers, 30 s session deadlines, and at most 1024
+/// requests in flight, with one-shot parses beyond that shed with BUSY.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Worker threads (0 = `std::thread::available_parallelism`).
+    /// No effect: requests run on the receiving thread. Removed once
+    /// perfbench stops naming it.
     pub workers: usize,
     /// Step budget per parse/session.
     pub max_steps: u64,
@@ -89,14 +93,11 @@ pub struct Config {
     pub max_bytes: usize,
     /// Rolling inactivity deadline after which a session is evicted.
     pub session_deadline: Duration,
-    /// Per-shard bound on queued one-shot jobs; beyond it new jobs are
-    /// shed with `BUSY { retry_after_ms }` instead of queued.
+    /// Bound on requests in flight; a one-shot parse that would pass it
+    /// is shed with `BUSY { retry_after_ms }` instead of run.
     pub max_queue: usize,
     /// The retry hint carried in BUSY responses.
     pub retry_after: Duration,
-    /// How long a caller waits for its reply before receiving a typed
-    /// deadline error (the job itself still completes server-side).
-    pub request_deadline: Duration,
     /// Hard cap on a wire frame payload (see [`proto::MAX_FRAME`]).
     pub max_frame: usize,
     /// Wire inactivity timeout and whole-frame deadline: a connection
@@ -120,7 +121,6 @@ impl Default for Config {
             session_deadline: Duration::from_secs(30),
             max_queue: 1024,
             retry_after: Duration::from_millis(25),
-            request_deadline: Duration::from_secs(10),
             max_frame: proto::MAX_FRAME,
             io_timeout: Duration::from_secs(5),
             faults: None,
@@ -138,7 +138,7 @@ pub use ipg_formats::{Compiled, Registry};
 pub struct ParseSummary {
     /// VM steps executed.
     pub steps: u64,
-    /// Suspensions taken (0 for one-shot jobs).
+    /// Suspensions taken (0 for one-shot parses).
     pub suspends: u64,
     /// Parse-tree records allocated.
     pub nodes: usize,
@@ -146,7 +146,7 @@ pub struct ParseSummary {
     pub bytes: usize,
 }
 
-/// A worker's answer to one job.
+/// The answer to one request.
 #[derive(Debug)]
 pub enum Response {
     /// Parse completed.
@@ -163,8 +163,8 @@ pub enum Response {
     },
     /// The parse failed or the request was invalid.
     Error(Error),
-    /// Shed at admission: the one-shot queue is over its bound. The job
-    /// was never queued; retry after the hinted delay.
+    /// Shed at admission: too many requests are in flight. The parse
+    /// never ran; retry after the hinted delay.
     Busy {
         /// Suggested client backoff before retrying.
         retry_after_ms: u64,
@@ -174,50 +174,33 @@ pub enum Response {
     GoAway,
 }
 
-/// The running service: worker threads plus the shared state. Dropping
-/// the server shuts the pool down (abandoning live sessions).
+/// The running service: the grammar registry plus the state every
+/// request shares. Dropping the server stops its watcher and metrics
+/// endpoint; requests run on their callers' threads, so there is nothing
+/// else to stop.
 pub struct Server {
     shared: Arc<Shared>,
     registry: Registry,
     metrics: Arc<metrics::Registry>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
     watcher: Mutex<Option<watch::Watcher>>,
     started: Instant,
-    rr: AtomicU64,
 }
 
-/// Suppresses default panic-hook spew (message + backtrace) for panics
-/// that the worker pool catches and converts to typed replies. Installed
-/// once per process; panics on any non-`ipg-serve-` thread still reach
-/// the previous hook untouched.
-fn install_quiet_worker_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let caught = std::thread::current().name().is_some_and(|n| n.starts_with("ipg-serve-"));
-            if !caught {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// Builds the server's metrics registry: every stats counter, the
-/// admission ledger with its scrape-time in-flight derivation, the
-/// reload counters, the shared-bucket latency histogram,
-/// per-worker queue depths, and — when tracing is on — the trace ring's
-/// emit/drop counters. This is the single exposition point: a counter
-/// that exists but is not registered here is invisible to every scraper,
-/// so the registration list is deliberately exhaustive over
-/// [`stats::Counters`].
 /// One registration row: metric name, help text, and the accessor
 /// picking the backing cell out of [`stats::Counters`].
 type CounterSpec = (&'static str, &'static str, fn(&stats::Counters) -> &AtomicU64);
 
+/// Builds the server's metrics registry: every stats counter, the
+/// admission ledger read as one group (so its in-flight gap reconciles
+/// on every scrape), the reload counters, the shared-bucket latency
+/// histogram, and — when tracing is on — the trace ring's emit/drop
+/// counters. This is the single exposition point: a counter that exists
+/// but is not registered here is invisible to every scraper, so the
+/// registration list is deliberately exhaustive over
+/// [`stats::Counters`].
 fn build_metrics(shared: &Arc<Shared>) -> Arc<metrics::Registry> {
     let reg = metrics::Registry::new();
-    let counters: [CounterSpec; 17] = [
+    let counters: [CounterSpec; 12] = [
         ("ipg_parses_ok_total", "Completed parses.", |c| &c.parses_ok),
         ("ipg_parses_err_total", "Failed parses.", |c| &c.parses_err),
         ("ipg_sessions_opened_total", "Streaming sessions opened.", |c| &c.sessions_opened),
@@ -231,18 +214,7 @@ fn build_metrics(shared: &Arc<Shared>) -> Arc<metrics::Registry> {
         ("ipg_bytes_in_total", "Input bytes accepted.", |c| &c.bytes_in),
         ("ipg_vm_steps_total", "VM steps executed by completed work.", |c| &c.steps),
         ("ipg_suspends_total", "Suspensions taken by streaming sessions.", |c| &c.suspends),
-        ("ipg_steals_total", "Jobs taken from another worker's queue.", |c| &c.steals),
-        ("ipg_requests_submitted_total", "Requests admitted (the ledger domain).", |c| {
-            &c.requests_submitted
-        }),
-        ("ipg_requests_completed_total", "Requests answered successfully.", |c| {
-            &c.requests_completed
-        }),
-        ("ipg_requests_shed_total", "Requests shed with BUSY/GOAWAY.", |c| &c.requests_shed),
-        ("ipg_requests_failed_total", "Requests answered with a typed error.", |c| {
-            &c.requests_failed
-        }),
-        ("ipg_panics_recovered_total", "Worker panics converted to typed replies.", |c| {
+        ("ipg_panics_recovered_total", "Request panics converted to typed replies.", |c| {
             &c.panics_recovered
         }),
         ("ipg_reloads_ok_total", "Hot reloads that swapped a generation in.", |c| &c.reloads_ok),
@@ -255,37 +227,29 @@ fn build_metrics(shared: &Arc<Shared>) -> Arc<metrics::Registry> {
         reg.counter_fn(name, help, move || read(&s.counters).load(Ordering::Relaxed));
     }
     let s = Arc::clone(shared);
-    reg.gauge_fn("ipg_live_sessions", "Sessions currently live across all workers.", move || {
+    reg.group_fn(
+        [
+            ("ipg_requests_submitted_total", "Requests submitted (the ledger domain).", "counter"),
+            ("ipg_requests_completed_total", "Requests answered successfully.", "counter"),
+            ("ipg_requests_shed_total", "Requests shed with BUSY/GOAWAY.", "counter"),
+            ("ipg_requests_failed_total", "Requests answered with a typed error.", "counter"),
+            (
+                "ipg_requests_in_flight",
+                "Submitted requests not yet classified (the live reconciliation gap).",
+                "gauge",
+            ),
+        ],
+        move || s.counters.ledger(),
+    );
+    let s = Arc::clone(shared);
+    reg.gauge_fn("ipg_live_sessions", "Sessions currently live.", move || {
         s.counters.live_sessions.load(Ordering::Relaxed)
     });
-    // The scrape-time ledger: `submitted == completed + shed + failed +
-    // in_flight` holds on every scrape by construction of this gauge.
-    let s = Arc::clone(shared);
-    reg.gauge_fn(
-        "ipg_requests_in_flight",
-        "Admitted requests not yet classified (the live reconciliation gap).",
-        move || {
-            let c = &s.counters;
-            let terminal = c.requests_completed.load(Ordering::Relaxed)
-                + c.requests_shed.load(Ordering::Relaxed)
-                + c.requests_failed.load(Ordering::Relaxed);
-            c.requests_submitted.load(Ordering::Relaxed).saturating_sub(terminal)
-        },
-    );
     let s = Arc::clone(shared);
     reg.histogram_fn(
         "ipg_request_latency_us",
         "Admission-to-reply latency, microseconds (shared log2 buckets).",
         move || (s.counters.latency.counts(), s.counters.latency.sum_us()),
-    );
-    let s = Arc::clone(shared);
-    reg.gauge_vec_fn(
-        "ipg_queue_depth",
-        "Queued jobs (pinned + stealable) per worker.",
-        "worker",
-        move || {
-            s.shards.iter().enumerate().map(|(w, sh)| (w.to_string(), sh.depth() as u64)).collect()
-        },
     );
     if let Some(t) = &shared.trace {
         let tl = Arc::clone(t);
@@ -305,54 +269,21 @@ fn build_metrics(shared: &Arc<Shared>) -> Arc<metrics::Registry> {
 }
 
 impl Server {
-    /// Starts the pool over the corpus registry.
+    /// Starts a server over the corpus registry.
     pub fn start(cfg: Config) -> Server {
         Server::with_registry(cfg, Registry::corpus())
     }
 
-    /// Starts the pool over an explicit registry.
+    /// Starts a server over an explicit registry.
     pub fn with_registry(cfg: Config, registry: Registry) -> Server {
-        install_quiet_worker_panics();
-        let workers = if cfg.workers == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            cfg.workers
-        };
-        let shared = Arc::new(Shared {
-            shards: (0..workers).map(|_| Shard::new()).collect(),
-            counters: Counters::default(),
-            shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            next_session: AtomicU64::new(0),
-            max_steps: cfg.max_steps,
-            max_bytes: cfg.max_bytes,
-            session_deadline: cfg.session_deadline,
-            max_queue: cfg.max_queue.max(1),
-            retry_after_ms: cfg.retry_after.as_millis().max(1) as u64,
-            request_deadline: cfg.request_deadline,
-            max_frame: cfg.max_frame,
-            io_timeout: cfg.io_timeout,
-            faults: cfg.faults,
-            trace: cfg.trace,
-        });
-        let metrics = build_metrics(&shared);
-        let handles = (0..workers)
-            .map(|w| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("ipg-serve-{w}"))
-                    .spawn(move || pool::worker_loop(w, shared))
-                    .expect("spawn worker")
-            })
-            .collect();
+        pool::install_quiet_request_panics();
+        let shared = Arc::new(Shared::new(cfg));
         Server {
+            metrics: build_metrics(&shared),
             shared,
             registry,
-            metrics,
-            workers: Mutex::new(handles),
             watcher: Mutex::new(None),
             started: Instant::now(),
-            rr: AtomicU64::new(0),
         }
     }
 
@@ -382,11 +313,6 @@ impl Server {
         Ok(())
     }
 
-    /// Number of workers in the pool.
-    pub fn workers(&self) -> usize {
-        self.shared.shards.len()
-    }
-
     /// The registry backing this server.
     pub fn registry(&self) -> &Registry {
         &self.registry
@@ -397,17 +323,15 @@ impl Server {
         self.shared.is_draining()
     }
 
-    /// Parses `input` under the named grammar, blocking until a worker
-    /// picks it up and finishes.
+    /// Parses `input` under the named grammar on the calling thread.
     ///
     /// # Errors
     ///
     /// [`Error::Grammar`] for unknown grammar names; [`Error::Session`]
-    /// when shed (BUSY), refused (GOAWAY), or past the request deadline;
-    /// [`Error::WorkerPanic`] if the executing worker panicked; the
-    /// parse's own error otherwise.
-    pub fn parse(&self, grammar: &str, input: Vec<u8>) -> Result<ParseSummary, Error> {
-        match self.parse_response(grammar, input) {
+    /// when shed (BUSY) or refused (GOAWAY); [`Error::WorkerPanic`] if
+    /// the parse panicked; the parse's own error otherwise.
+    pub fn parse(&self, grammar: &str, input: impl AsRef<[u8]>) -> Result<ParseSummary, Error> {
+        match self.parse_response(grammar, input.as_ref()) {
             Response::Done(s) => Ok(s),
             Response::Error(e) => Err(e),
             Response::Busy { retry_after_ms } => {
@@ -421,141 +345,65 @@ impl Server {
     /// Parses `input` and returns the raw typed [`Response`] — what the
     /// wire front end forwards verbatim, so BUSY/GOAWAY stay typed frames
     /// instead of collapsing into error strings.
-    pub fn parse_response(&self, grammar: &str, input: Vec<u8>) -> Response {
+    pub fn parse_response(&self, grammar: &str, input: &[u8]) -> Response {
         let vm = match self.lookup(grammar) {
             Ok(vm) => vm,
             Err(e) => return Response::Error(e),
         };
-        let (tx, rx) = channel();
-        let job = Job::new(JobKind::Parse { vm, input }, tx);
-        match self.admit_oneshot(job) {
-            Ok(()) => self.await_reply(rx),
-            Err(resp) => resp,
-        }
-    }
-
-    /// Submits a parse without waiting: the returned receiver yields the
-    /// single [`Response`] when a worker completes it — immediately
-    /// [`Response::Busy`]/[`Response::GoAway`] if the job was shed at
-    /// admission. This is the fan-in primitive the batch benchmark
-    /// saturates the pool with.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Grammar`] for unknown grammar names.
-    pub fn parse_async(&self, grammar: &str, input: Vec<u8>) -> Result<Receiver<Response>, Error> {
-        let vm = self.lookup(grammar)?;
-        let (tx, rx) = channel();
-        let job = Job::new(JobKind::Parse { vm, input }, tx);
-        // On shed, admission already sent the BUSY/GOAWAY into the
-        // channel, so the receiver contract (exactly one response) holds.
-        let _ = self.admit_oneshot(job);
-        Ok(rx)
-    }
-
-    /// Admission control for one-shot jobs: refused with GOAWAY while
-    /// draining, shed with BUSY when the target shard's one-shot queue is
-    /// at its bound. Counted into the request ledger either way.
-    fn admit_oneshot(&self, job: Job) -> Result<(), Response> {
         let shared = &self.shared;
-        Counters::add(&shared.counters.requests_submitted, 1);
-        if shared.is_draining() {
-            let resp = Response::GoAway;
-            if let Some(t) = &shared.trace {
-                t.admit(job.span, "parse", true);
-            }
-            shared.classify(&resp, job.accepted);
-            if let Some(t) = &shared.trace {
-                t.done(job.span, pool::outcome_name(&resp), job.accepted.elapsed());
-            }
-            let _ = job.reply.send(Response::GoAway);
-            return Err(resp);
-        }
-        if let Some(t) = &shared.trace {
-            t.admit(job.span, "parse", false);
-        }
-        let w = (self.rr.fetch_add(1, Ordering::Relaxed) as usize) % self.workers();
-        match shared.shards[w].try_push_shared(job, shared.max_queue) {
-            Ok(()) => Ok(()),
-            Err(job) => {
-                let resp = Response::Busy { retry_after_ms: shared.retry_after_ms };
-                shared.classify(&resp, job.accepted);
-                if let Some(t) = &shared.trace {
-                    t.done(job.span, pool::outcome_name(&resp), job.accepted.elapsed());
+        shared.run("parse", true, || {
+            let c = &shared.counters;
+            Counters::add(&c.bytes_in, input.len() as u64);
+            let (result, stats) = vm.vm().parse_bounded(input, shared.max_steps);
+            Counters::add(&c.steps, stats.steps);
+            match result {
+                Ok(tree) => {
+                    Counters::add(&c.parses_ok, 1);
+                    Response::Done(ParseSummary {
+                        steps: stats.steps,
+                        suspends: 0,
+                        nodes: tree.arena().len(),
+                        bytes: input.len(),
+                    })
                 }
-                let _ = job.reply.send(Response::Busy { retry_after_ms: shared.retry_after_ms });
-                Err(resp)
+                Err(e) => {
+                    Counters::add(&c.parses_err, 1);
+                    Response::Error(e)
+                }
             }
-        }
+        })
     }
 
-    /// Blocks on the reply with the per-request deadline. On expiry the
-    /// caller gets a typed error; the job still runs to completion and is
-    /// classified server-side by its worker.
-    fn await_reply(&self, rx: Receiver<Response>) -> Response {
-        match rx.recv_timeout(self.shared.request_deadline) {
-            Ok(resp) => resp,
-            Err(RecvTimeoutError::Timeout) => Response::Error(Error::Session(format!(
-                "request deadline of {:?} exceeded (job still runs server-side)",
-                self.shared.request_deadline
-            ))),
-            Err(RecvTimeoutError::Disconnected) => {
-                Response::Error(Error::Session("worker dropped the request".into()))
-            }
-        }
-    }
-
-    /// Opens a streaming session on the named grammar. The session is
-    /// pinned to one worker; the handle routes chunks to it.
+    /// Opens a streaming session on the named grammar. The handle owns
+    /// the session; its requests run on the thread that makes them.
     ///
     /// # Errors
     ///
     /// [`Error::Grammar`] for unknown grammar names; [`Error::Session`]
-    /// if the pool is draining or shutting down.
+    /// if the server is draining; [`Error::WorkerPanic`] if opening
+    /// panicked.
     pub fn open(&self, grammar: &str) -> Result<StreamHandle<'_>, Error> {
-        match self.open_response(grammar) {
-            Response::Opened { id } => Ok(StreamHandle { server: self, id }),
-            Response::Error(e) => Err(e),
-            Response::GoAway => Err(Error::Session("server is draining (GOAWAY)".into())),
-            _ => Err(Error::Session("worker dropped the open request".into())),
+        match self.open_session(grammar) {
+            (Response::Opened { id }, active) => Ok(StreamHandle { server: self, id, active }),
+            (Response::Error(e), _) => Err(e),
+            (Response::GoAway, _) => Err(Error::Session("server is draining (GOAWAY)".into())),
+            _ => Err(Error::Session("protocol violation: unexpected response".into())),
         }
     }
 
-    /// Opens a session and returns the raw typed [`Response`] (the wire
-    /// front end's entry point).
-    pub fn open_response(&self, grammar: &str) -> Response {
-        let vm = match self.lookup(grammar) {
-            Ok(vm) => vm,
-            Err(e) => return Response::Error(e),
-        };
-        let shared = &self.shared;
-        Counters::add(&shared.counters.requests_submitted, 1);
-        if shared.is_draining() {
-            let resp = Response::GoAway;
-            if let Some(t) = &shared.trace {
-                let span = trace::next_span();
-                t.admit(span, "open", true);
-                t.done(span, pool::outcome_name(&resp), Duration::ZERO);
-            }
-            shared.classify(&resp, Instant::now());
-            return resp;
+    /// Opens a session: the typed reply, and the session the caller owns
+    /// when the reply is `Opened`.
+    pub(crate) fn open_session(&self, grammar: &str) -> (Response, Option<Active>) {
+        match self.lookup(grammar) {
+            Ok(vm) => self.shared.open(&vm),
+            Err(e) => (Response::Error(e), None),
         }
-        let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-        let w = shared.owner_of(id);
-        let (tx, rx) = channel();
-        let job = Job::new(JobKind::Open { id, vm }, tx);
-        if let Some(t) = &shared.trace {
-            t.admit(job.span, "open", false);
-        }
-        shared.shards[w].push_pinned(job);
-        self.await_reply(rx)
     }
 
     /// A point-in-time stats snapshot (parses/s, bytes/s, suspend counts,
-    /// queue depths, shed/panic counters, latency percentiles).
+    /// shed/panic counters, latency percentiles).
     pub fn stats(&self) -> StatsSnapshot {
-        let depths = self.shared.shards.iter().map(|s| s.depth()).collect();
-        StatsSnapshot::collect(&self.shared.counters, self.started, depths)
+        StatsSnapshot::collect(&self.shared.counters, self.started)
     }
 
     /// The metrics registry backing this server's Prometheus exposition.
@@ -624,51 +472,29 @@ impl Server {
         Ok(local)
     }
 
-    /// Stops the workers after the queues drain and joins them. Live
-    /// streaming sessions are dropped (counted as evictions). For a
-    /// graceful restart use [`Server::drain`] instead.
-    pub fn shutdown(self) {
-        self.stop_workers();
-    }
+    /// Stops the watcher and the metrics endpoint; the same as dropping
+    /// the server. For a graceful restart use [`Server::drain`] first.
+    pub fn shutdown(self) {}
 
-    /// Graceful drain: stop admitting (new requests get GOAWAY), flush
-    /// queued one-shot jobs, seal open sessions (their next request gets
-    /// GOAWAY; remaining ones are sealed at worker exit), then join the
-    /// workers. Safe to call from any thread holding the server; calling
-    /// it twice is a no-op for the second caller.
+    /// Graceful drain: stop admitting (new requests get GOAWAY), wait for
+    /// the requests already running to finish, and seal open sessions
+    /// (each is sealed at its next request, or when its idle connection
+    /// is answered GOAWAY). Safe to call from any thread holding the
+    /// server; calling it twice is a no-op for the second caller.
     pub fn drain(&self) {
-        self.shared.draining.store(true, Ordering::Release);
-        self.stop_workers();
-        // Epilogue: anything that raced past admission after the workers
-        // exited would otherwise never be answered — answer it GOAWAY so
-        // no caller is left holding a dead reply channel.
-        for shard in &self.shared.shards {
-            for job in shard.drain_all() {
-                pool::send_reply(
-                    &self.shared,
-                    &job.reply,
-                    job.accepted,
-                    job.span,
-                    Response::GoAway,
-                );
-            }
+        self.shared.draining.store(true, Ordering::SeqCst);
+        self.stop_watcher();
+        while self.shared.in_flight() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 
-    fn stop_workers(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Seal the watcher first: once the shutdown/draining flag is up
-        // it exits within one poll interval, and joining it here means
-        // no reload can race the queue epilogue that follows.
+    /// Seals the watcher: once the shutdown or draining flag is up it
+    /// exits within one poll interval, and joining it here means no
+    /// reload can race what follows.
+    fn stop_watcher(&self) {
         if let Some(w) = self.watcher.lock().unwrap_or_else(PoisonError::into_inner).take() {
             w.seal();
-        }
-        for shard in &self.shared.shards {
-            shard.notify();
-        }
-        let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
-        for h in workers.drain(..) {
-            let _ = h.join();
         }
     }
 
@@ -680,61 +506,43 @@ impl Server {
             .pin(grammar)
             .ok_or_else(|| Error::Grammar(format!("unknown grammar `{grammar}`")))
     }
-
-    pub(crate) fn session_request(&self, id: u64, kind: JobKind) -> Response {
-        let shared = &self.shared;
-        Counters::add(&shared.counters.requests_submitted, 1);
-        let kind_name = if matches!(kind, JobKind::Finish { .. }) { "finish" } else { "feed" };
-        if shared.is_draining() {
-            let resp = Response::GoAway;
-            if let Some(t) = &shared.trace {
-                let span = trace::next_span();
-                t.admit(span, kind_name, true);
-                t.done(span, pool::outcome_name(&resp), Duration::ZERO);
-            }
-            shared.classify(&resp, Instant::now());
-            return resp;
-        }
-        let w = shared.owner_of(id);
-        let (tx, rx) = channel();
-        let job = Job::new(kind, tx);
-        if let Some(t) = &shared.trace {
-            t.admit(job.span, kind_name, false);
-        }
-        shared.shards[w].push_pinned(job);
-        self.await_reply(rx)
-    }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
-        let pending = !self.workers.lock().unwrap_or_else(PoisonError::into_inner).is_empty();
-        if pending {
-            self.stop_workers();
-        }
+        self.shared.shutdown.store(true, Ordering::Release);
+        self.stop_watcher();
     }
 }
 
-/// In-process handle to a streaming session (the Unix-socket front end
-/// speaks to the same sessions by id).
+/// In-process handle to a streaming session. The handle owns the session
+/// outright: each call runs on the caller's thread, and a session left
+/// idle past its deadline is evicted at the handle's next call.
 pub struct StreamHandle<'s> {
     server: &'s Server,
     id: u64,
+    active: Option<Active>,
 }
 
 impl StreamHandle<'_> {
-    /// The session id (what the framed protocol carries).
+    /// The session id.
     pub fn id(&self) -> u64 {
         self.id
     }
 
-    /// Routes a chunk to the owning worker and waits for its answer.
+    /// Feeds a chunk to the session.
     pub fn feed(&mut self, bytes: &[u8]) -> Response {
-        self.server.session_request(self.id, JobKind::Feed { id: self.id, bytes: bytes.to_vec() })
+        self.server.shared.session_request(self.id, &mut self.active, Some(bytes))
     }
 
-    /// Signals end-of-input and waits for the final verdict.
-    pub fn finish(self) -> Response {
-        self.server.session_request(self.id, JobKind::Finish { id: self.id })
+    /// Signals end-of-input and returns the final verdict.
+    pub fn finish(mut self) -> Response {
+        self.server.shared.session_request(self.id, &mut self.active, None)
+    }
+}
+
+impl Drop for StreamHandle<'_> {
+    fn drop(&mut self) {
+        self.server.shared.release(self.active.take());
     }
 }

@@ -1,6 +1,6 @@
 //! The central metrics registry: every counter the service maintains —
 //! request ledger, parse/session telemetry, reload counts,
-//! latency histogram, queue depths — registered once under a stable name
+//! latency histogram — registered once under a stable name
 //! and exposed in Prometheus text format (version 0.0.4).
 //!
 //! Two registration shapes cover every producer in the tree:
@@ -9,19 +9,19 @@
 //!   new metrics created by the registry itself (the trace subsystem
 //!   uses these);
 //! * **closures** ([`Registry::counter_fn`] / [`Registry::gauge_fn`] /
-//!   [`Registry::histogram_fn`] / [`Registry::gauge_vec_fn`]) — values
+//!   [`Registry::histogram_fn`] / [`Registry::group_fn`]) — values
 //!   computed at scrape time from state the registry cannot own (the
-//!   pool's [`crate::stats::Counters`], per-worker queue depths, the
-//!   in-flight derivation `submitted − completed − shed − failed`).
+//!   server's [`crate::stats::Counters`], the in-flight derivation
+//!   `submitted − completed − shed − failed`).
 //!
 //! Scraping never takes a producer-side lock: counters are relaxed
 //! atomic loads and the histogram is copied bucket-by-bucket, so a
 //! scrape under full traffic observes a consistent-enough snapshot
-//! without stalling a single request. The admission-ledger identity is
-//! checked *at scrape time* by [`Registry::gather`]'s callers: the
+//! without stalling a single request. The admission ledger is one
+//! [`Registry::group_fn`] registration, read once per scrape: the
 //! exported `ipg_requests_in_flight` gauge is exactly the reconciliation
-//! gap, so `submitted == completed + shed + failed + in_flight` holds on
-//! every scrape, not just at quiescence.
+//! gap of the values exported beside it, so `submitted == completed +
+//! shed + failed + in_flight` holds on every scrape, mid-traffic too.
 
 use crate::histo::{self, BUCKET_COUNT};
 use std::fmt::Write as _;
@@ -74,26 +74,22 @@ enum Source {
     /// Bucket counts (exclusive log₂ upper bounds per [`crate::histo`])
     /// plus the running sum of observed values.
     HistogramFn(Box<dyn Fn() -> ([u64; BUCKET_COUNT], u64) + Send + Sync>),
-    /// One gauge sample per label value (e.g. per-worker queue depth).
-    GaugeVecFn {
-        label: &'static str,
-        read: Box<dyn Fn() -> Vec<(String, u64)> + Send + Sync>,
-    },
-}
-
-impl Source {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Source::Counter(_) | Source::CounterFn(_) => "counter",
-            Source::Gauge(_) | Source::GaugeFn(_) | Source::GaugeVecFn { .. } => "gauge",
-            Source::HistogramFn(_) => "histogram",
-        }
-    }
+    /// Single-sample families read together: one call per scrape
+    /// returns every member's value, in registration order.
+    Group(Box<dyn Fn() -> Vec<u64> + Send + Sync>),
 }
 
 struct Family {
     name: String,
     help: String,
+    /// `counter`, `gauge` or `histogram`.
+    kind: &'static str,
+}
+
+/// One registration: the families it exposes (one, except for a
+/// group) and where their samples come from.
+struct Entry {
+    families: Vec<Family>,
     source: Source,
 }
 
@@ -103,7 +99,7 @@ struct Family {
 /// than producing an invalid exposition later.
 #[derive(Default)]
 pub struct Registry {
-    families: Mutex<Vec<Family>>,
+    entries: Mutex<Vec<Entry>>,
 }
 
 /// `true` for a valid Prometheus metric name
@@ -123,17 +119,24 @@ impl Registry {
         Registry::default()
     }
 
-    fn register(&self, name: &str, help: &str, source: Source) {
-        assert!(valid_name(name), "invalid metric name `{name}`");
-        let mut families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
-        assert!(!families.iter().any(|f| f.name == name), "metric `{name}` registered twice");
-        families.push(Family { name: name.to_owned(), help: help.to_owned(), source });
+    fn register(&self, families: &[(&str, &str, &'static str)], source: Source) {
+        let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        for &(name, _, _) in families {
+            assert!(valid_name(name), "invalid metric name `{name}`");
+            let taken = entries.iter().flat_map(|e| &e.families).any(|f| f.name == name);
+            assert!(!taken, "metric `{name}` registered twice");
+        }
+        let families = families
+            .iter()
+            .map(|&(name, help, kind)| Family { name: name.into(), help: help.into(), kind })
+            .collect();
+        entries.push(Entry { families, source });
     }
 
     /// Creates and registers a new counter, returning its handle.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
         let cell = Arc::new(AtomicU64::new(0));
-        self.register(name, help, Source::Counter(Arc::clone(&cell)));
+        self.register(&[(name, help, "counter")], Source::Counter(Arc::clone(&cell)));
         Counter(cell)
     }
 
@@ -144,32 +147,38 @@ impl Registry {
         help: &str,
         read: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
-        self.register(name, help, Source::CounterFn(Box::new(read)));
+        self.register(&[(name, help, "counter")], Source::CounterFn(Box::new(read)));
     }
 
     /// Creates and registers a new gauge, returning its handle.
     pub fn gauge(&self, name: &str, help: &str) -> Gauge {
         let cell = Arc::new(AtomicU64::new(0));
-        self.register(name, help, Source::Gauge(Arc::clone(&cell)));
+        self.register(&[(name, help, "gauge")], Source::Gauge(Arc::clone(&cell)));
         Gauge(cell)
     }
 
     /// Registers a gauge whose value is computed at scrape time.
     pub fn gauge_fn(&self, name: &str, help: &str, read: impl Fn() -> u64 + Send + Sync + 'static) {
-        self.register(name, help, Source::GaugeFn(Box::new(read)));
+        self.register(&[(name, help, "gauge")], Source::GaugeFn(Box::new(read)));
     }
 
-    /// Registers a labeled gauge family: `read` returns one
-    /// `(label_value, sample)` pair per series, re-evaluated every
-    /// scrape.
-    pub fn gauge_vec_fn(
+    /// Registers single-sample families whose values are read together:
+    /// each member is `(name, help, "counter" | "gauge")`, and `read`
+    /// runs once per scrape and returns one value per member, in order.
+    /// Members that must agree with each other (the admission ledger and
+    /// its in-flight gap) are never torn by traffic between their reads.
+    pub fn group_fn<const N: usize>(
         &self,
-        name: &str,
-        help: &str,
-        label: &'static str,
-        read: impl Fn() -> Vec<(String, u64)> + Send + Sync + 'static,
+        members: [(&str, &str, &'static str); N],
+        read: impl Fn() -> [u64; N] + Send + Sync + 'static,
     ) {
-        self.register(name, help, Source::GaugeVecFn { label, read: Box::new(read) });
+        for (name, _, kind) in members {
+            assert!(
+                matches!(kind, "counter" | "gauge"),
+                "`{name}`: a group holds counters and gauges"
+            );
+        }
+        self.register(&members, Source::Group(Box::new(move || read().to_vec())));
     }
 
     /// Registers a histogram over the shared log₂ buckets
@@ -182,31 +191,27 @@ impl Registry {
         help: &str,
         read: impl Fn() -> ([u64; BUCKET_COUNT], u64) + Send + Sync + 'static,
     ) {
-        self.register(name, help, Source::HistogramFn(Box::new(read)));
+        self.register(&[(name, help, "histogram")], Source::HistogramFn(Box::new(read)));
     }
 
     /// Renders every family as Prometheus text format 0.0.4: `# HELP` /
     /// `# TYPE` headers followed by the samples, histograms as
     /// cumulative `_bucket{le="..."}` series plus `_sum` / `_count`.
     pub fn gather(&self) -> String {
-        let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
+        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = String::new();
-        for f in families.iter() {
+        let header = |out: &mut String, f: &Family| {
             let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
-            let _ = writeln!(out, "# TYPE {} {}", f.name, f.source.type_name());
-            match &f.source {
-                Source::Counter(cell) | Source::Gauge(cell) => {
-                    let _ = writeln!(out, "{} {}", f.name, cell.load(Ordering::Relaxed));
-                }
-                Source::CounterFn(read) | Source::GaugeFn(read) => {
-                    let _ = writeln!(out, "{} {}", f.name, read());
-                }
-                Source::GaugeVecFn { label, read } => {
-                    for (value, sample) in read() {
-                        let _ = writeln!(out, "{}{{{}=\"{}\"}} {}", f.name, label, value, sample);
-                    }
-                }
+            let _ = writeln!(out, "# TYPE {} {}", f.name, f.kind);
+        };
+        for e in entries.iter() {
+            let values = match &e.source {
+                Source::Counter(cell) | Source::Gauge(cell) => vec![cell.load(Ordering::Relaxed)],
+                Source::CounterFn(read) | Source::GaugeFn(read) => vec![read()],
+                Source::Group(read) => read(),
                 Source::HistogramFn(read) => {
+                    let f = &e.families[0];
+                    header(&mut out, f);
                     let (counts, sum) = read();
                     let mut cumulative = 0u64;
                     for (i, n) in counts.iter().enumerate() {
@@ -227,7 +232,12 @@ impl Registry {
                     let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", f.name, cumulative);
                     let _ = writeln!(out, "{}_sum {}", f.name, sum);
                     let _ = writeln!(out, "{}_count {}", f.name, cumulative);
+                    continue;
                 }
+            };
+            for (f, value) in e.families.iter().zip(values) {
+                header(&mut out, f);
+                let _ = writeln!(out, "{} {}", f.name, value);
             }
         }
         out
@@ -236,8 +246,9 @@ impl Registry {
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
-        f.debug_struct("Registry").field("families", &families.len()).finish()
+        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        let families = entries.iter().map(|e| e.families.len()).sum::<usize>();
+        f.debug_struct("Registry").field("families", &families).finish()
     }
 }
 
@@ -300,14 +311,26 @@ mod tests {
     }
 
     #[test]
-    fn gauge_vec_emits_one_series_per_label_value() {
+    fn group_members_render_as_families_from_one_read() {
         let r = Registry::new();
-        r.gauge_vec_fn("t_queue_depth", "Depth per worker.", "worker", || {
-            vec![("0".into(), 4), ("1".into(), 9)]
+        let reads = Arc::new(AtomicU64::new(0));
+        let n = Arc::clone(&reads);
+        r.group_fn([("t_a_total", "A.", "counter"), ("t_gap", "Gap.", "gauge")], move || {
+            n.fetch_add(1, Ordering::Relaxed);
+            [3, 1]
         });
         let text = r.gather();
-        assert!(text.contains("t_queue_depth{worker=\"0\"} 4\n"));
-        assert!(text.contains("t_queue_depth{worker=\"1\"} 9\n"));
+        assert!(text.contains("# TYPE t_a_total counter\nt_a_total 3\n"), "{text}");
+        assert!(text.contains("# TYPE t_gap gauge\nt_gap 1\n"), "{text}");
+        assert_eq!(reads.load(Ordering::Relaxed), 1, "one read per scrape");
+    }
+
+    #[test]
+    #[should_panic(expected = "registered twice")]
+    fn group_members_share_the_name_space() {
+        let r = Registry::new();
+        r.counter("t_dup_total", "First.");
+        r.group_fn([("t_dup_total", "Second.", "counter")], || [0]);
     }
 
     #[test]

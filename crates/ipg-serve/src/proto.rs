@@ -39,13 +39,19 @@
 //! per-connection buffer, so a frame that has wholly arrived is taken in
 //! one `read`, and bytes of the next frame stay buffered for it.
 //!
-//! The same [`Server`] backs both front ends, so a session opened over
-//! the socket is serviced by the same pinned worker as an in-process one.
+//! Each connection runs on its own thread, and every request it reads
+//! runs to completion there: a PARSE is parsed straight out of the frame
+//! payload, and the connection owns the sessions it opened. The
+//! connection's idle wake-up (every [`POLL`]) evicts those sessions once
+//! they pass their deadline and, when the server drains, seals them and
+//! answers `GOAWAY`.
 
 use crate::fault::splitmix64;
-use crate::pool::JobKind;
+use crate::pool::Shared;
+use crate::session::Active;
 use crate::{Response, Server};
 use ipg_core::interp::vm::Hint;
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -60,7 +66,7 @@ use std::time::{Duration, Instant};
 pub const MAX_FRAME: usize = 64 << 20;
 
 /// How often a connection thread wakes from a blocked read to check the
-/// drain flag and the slow-loris deadline.
+/// drain flag, its sessions' deadlines and the slow-loris deadline.
 const POLL: Duration = Duration::from_millis(25);
 
 /// Request ops.
@@ -250,22 +256,43 @@ fn encode_response(resp: &Response, out: &mut Vec<u8>) {
     }
 }
 
-/// Per-connection protocol state. Session ids are global and sequential,
-/// so without an ownership check any client could `FEED`/`FINISH` (and
-/// thereby corrupt or kill) another client's session just by guessing
-/// ids; each connection may only touch sessions it opened itself.
-#[derive(Default)]
-pub struct ConnState {
-    owned: std::collections::HashSet<u64>,
+/// Per-connection protocol state: the sessions this connection opened,
+/// each `None` once it has ended (finished with an error, evicted, or
+/// torn by a panic) until its FINISH. Session ids are global and
+/// sequential, so owning them per connection is also the access check:
+/// no client can `FEED`/`FINISH` (and thereby corrupt or kill) another
+/// client's session by guessing ids. Sessions still open when the
+/// connection goes away are sealed (draining) or evicted.
+struct ConnState<'s> {
+    shared: &'s Shared,
+    sessions: HashMap<u64, Option<Active>>,
 }
 
-/// Executes one request payload against `server` for one connection and
-/// appends the response payload to `out`. Shared by the Unix-socket front
-/// end and any future transport (the framing stays at the edges: the
-/// socket front end passes a frame with its length prefix reserved;
-/// `conn` carries the transport's per-client session ownership). Every
-/// malformed request body maps to a typed error frame.
-pub fn handle_request(server: &Server, conn: &mut ConnState, payload: &[u8], out: &mut Vec<u8>) {
+impl ConnState<'_> {
+    /// Evicts every session past its deadline (the idle wake-up).
+    fn evict_expired(&mut self) {
+        let now = Instant::now();
+        for slot in self.sessions.values_mut() {
+            if slot.as_ref().is_some_and(|a| a.expired(now)) {
+                self.shared.evict(slot.take());
+            }
+        }
+    }
+}
+
+impl Drop for ConnState<'_> {
+    fn drop(&mut self) {
+        for (_, slot) in self.sessions.drain() {
+            self.shared.release(slot);
+        }
+    }
+}
+
+/// Executes one request payload for one connection and appends the
+/// response payload to `out` (the socket front end passes a frame with
+/// its length prefix reserved). Every malformed request body maps to a
+/// typed error frame.
+fn handle_request(server: &Server, conn: &mut ConnState<'_>, payload: &[u8], out: &mut Vec<u8>) {
     let Some((&op, body)) = payload.split_first() else {
         return bad_request(out, "empty frame");
     };
@@ -274,7 +301,7 @@ pub fn handle_request(server: &Server, conn: &mut ConnState, payload: &[u8], out
             let Some((name, input)) = split_name(body) else {
                 return bad_request(out, "malformed PARSE frame");
             };
-            encode_response(&server.parse_response(name, input.to_vec()), out);
+            encode_response(&server.parse_response(name, input), out);
         }
         OP_OPEN => {
             let Some((name, rest)) = split_name(body) else {
@@ -283,9 +310,9 @@ pub fn handle_request(server: &Server, conn: &mut ConnState, payload: &[u8], out
             if !rest.is_empty() {
                 return bad_request(out, "trailing bytes in OPEN frame");
             }
-            let resp = server.open_response(name);
+            let (resp, active) = server.open_session(name);
             if let Response::Opened { id } = resp {
-                conn.owned.insert(id);
+                conn.sessions.insert(id, active);
             }
             encode_response(&resp, out);
         }
@@ -293,11 +320,10 @@ pub fn handle_request(server: &Server, conn: &mut ConnState, payload: &[u8], out
             let Some((id, chunk)) = split_id(body) else {
                 return bad_request(out, "malformed FEED frame");
             };
-            if !conn.owned.contains(&id) {
+            let Some(slot) = conn.sessions.get_mut(&id) else {
                 return bad_request(out, &foreign_session(id));
-            }
-            let resp = server.session_request(id, JobKind::Feed { id, bytes: chunk.to_vec() });
-            encode_response(&resp, out);
+            };
+            encode_response(&conn.shared.session_request(id, slot, Some(chunk)), out);
         }
         OP_FINISH => {
             let Some((id, rest)) = split_id(body) else {
@@ -306,10 +332,10 @@ pub fn handle_request(server: &Server, conn: &mut ConnState, payload: &[u8], out
             if !rest.is_empty() {
                 return bad_request(out, "trailing bytes in FINISH frame");
             }
-            if !conn.owned.remove(&id) {
+            let Some(mut slot) = conn.sessions.remove(&id) else {
                 return bad_request(out, &foreign_session(id));
-            }
-            encode_response(&server.session_request(id, JobKind::Finish { id }), out);
+            };
+            encode_response(&conn.shared.session_request(id, &mut slot, None), out);
         }
         OP_STATS => {
             out.push(ST_STATS);
@@ -409,7 +435,7 @@ enum Req {
     /// Clean close (EOF before a length prefix, or torn by the client).
     Closed,
     /// The server began draining while the connection sat idle between
-    /// frames — time to seal it with GOAWAY.
+    /// frames — time to seal its sessions and answer GOAWAY.
     DrainIdle,
     /// The length prefix exceeds the configured cap (rejected before any
     /// allocation).
@@ -425,17 +451,20 @@ fn is_timeout(e: &io::Error) -> bool {
 }
 
 /// Reads one frame with a short poll timeout so the connection thread
-/// stays responsive to drain, and a whole-frame deadline so a client
+/// stays responsive while idle, and a whole-frame deadline so a client
 /// dripping bytes (slow loris) cannot hold the thread hostage: once the
 /// first byte of a frame arrives (or is found already buffered), the rest
-/// must follow within `io_timeout` total. Reads go through the
-/// connection's `rx` buffer, which keeps any bytes of the next frame.
+/// must follow within `io_timeout` total. Each poll that finds the
+/// connection idle between frames calls `idle`, which does the
+/// connection's housekeeping and says whether the server is draining.
+/// Reads go through the connection's `rx` buffer, which keeps any bytes
+/// of the next frame.
 fn read_request(
     stream: &mut impl Read,
     rx: &mut RecvBuf,
     cap: usize,
     io_timeout: Duration,
-    draining: impl Fn() -> bool,
+    mut idle: impl FnMut() -> bool,
 ) -> Req {
     let mut frame_start = (rx.buffered() > 0).then(Instant::now);
     while rx.buffered() < PREFIX {
@@ -448,7 +477,7 @@ fn read_request(
                 }
             }
             Err(e) if is_timeout(&e) => match frame_start {
-                None if draining() => return Req::DrainIdle,
+                None if idle() => return Req::DrainIdle,
                 None => {}
                 Some(start) if start.elapsed() >= io_timeout => return Req::Stalled,
                 Some(_) => {}
@@ -493,11 +522,11 @@ fn corrupt_payload(payload: &mut [u8]) {
     }
 }
 
-/// Sessions orphaned by a disconnect (ownership is per-connection, so a
-/// reconnecting client cannot resume them) are reclaimed by the workers'
-/// deadline eviction. Framing violations are answered with typed error
-/// frames before the connection closes; a drain seals the connection
-/// with GOAWAY.
+/// Serves one connection until it closes. Sessions it leaves open
+/// (ownership is per-connection, so a reconnecting client cannot resume
+/// them) are released when it does. Framing violations are answered with
+/// typed error frames before the connection closes; a drain seals the
+/// connection's sessions, then the connection, with GOAWAY.
 fn serve_connection(server: &Server, mut stream: UnixStream) {
     let shared = &server.shared;
     if stream.set_read_timeout(Some(POLL)).is_err()
@@ -505,10 +534,11 @@ fn serve_connection(server: &Server, mut stream: UnixStream) {
     {
         return;
     }
-    let mut conn = ConnState::default();
+    let mut conn = ConnState { shared, sessions: HashMap::new() };
     let mut rx = RecvBuf::with_capacity(RECV_BUF);
     loop {
         let req = read_request(&mut stream, &mut rx, shared.max_frame, shared.io_timeout, || {
+            conn.evict_expired();
             shared.is_draining()
         });
         // Room for every fixed-size reply (DONE, the largest, is 29 bytes).
@@ -526,6 +556,7 @@ fn serve_connection(server: &Server, mut stream: UnixStream) {
                 }
             }
             Req::DrainIdle => {
+                drop(conn);
                 let _ = write_frame(&mut stream, &[ST_GOAWAY]);
                 return;
             }

@@ -1,5 +1,6 @@
-//! Service telemetry: lock-free counters bumped by the workers, read as a
-//! consistent-enough snapshot by [`crate::Server::stats`].
+//! Service telemetry: lock-free counters bumped by whichever thread runs
+//! a request, read as a consistent-enough snapshot by
+//! [`crate::Server::stats`].
 //!
 //! Two counter families coexist:
 //!
@@ -16,8 +17,9 @@ use crate::histo::LogHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Monotonic counters shared by every worker. All increments use relaxed
-/// ordering: the snapshot is observational, not a synchronization point.
+/// Monotonic counters shared by every request. Increments are relaxed —
+/// the snapshot is observational, not a synchronization point — except
+/// the ledger's terminal buckets (see [`Counters::ledger`]).
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
     pub parses_ok: AtomicU64,
@@ -30,17 +32,16 @@ pub(crate) struct Counters {
     pub bytes_in: AtomicU64,
     pub steps: AtomicU64,
     pub suspends: AtomicU64,
-    pub steals: AtomicU64,
     pub live_sessions: AtomicU64,
     /// Requests admitted past grammar lookup (the reconciliation domain).
     pub requests_submitted: AtomicU64,
     /// Requests answered Done/Opened/NeedInput.
     pub requests_completed: AtomicU64,
-    /// Requests answered BUSY (queue bound) or GOAWAY (draining).
+    /// Requests answered BUSY (in-flight bound) or GOAWAY (draining).
     pub requests_shed: AtomicU64,
-    /// Requests answered with a typed error (including worker panics).
+    /// Requests answered with a typed error (including caught panics).
     pub requests_failed: AtomicU64,
-    /// Worker panics caught at the job boundary and converted to
+    /// Panics caught at the request boundary and converted to
     /// [`ipg_core::Error::WorkerPanic`] replies.
     pub panics_recovered: AtomicU64,
     /// Hot reloads that validated and swapped a new grammar generation in.
@@ -58,13 +59,26 @@ impl Counters {
     pub(crate) fn add(field: &AtomicU64, n: u64) {
         field.fetch_add(n, Ordering::Relaxed);
     }
+
+    /// The admission ledger `[submitted, completed, shed, failed,
+    /// in_flight]`, read so that it balances exactly even under traffic:
+    /// the terminal buckets are bumped with `Release` after `submitted`,
+    /// and are read here (`Acquire`) before it, so `submitted` never
+    /// trails the answers it read; `in_flight` is the gap.
+    pub(crate) fn ledger(&self) -> [u64; 5] {
+        let completed = self.requests_completed.load(Ordering::Acquire);
+        let shed = self.requests_shed.load(Ordering::Acquire);
+        let failed = self.requests_failed.load(Ordering::Acquire);
+        let submitted = self.requests_submitted.load(Ordering::Acquire);
+        [submitted, completed, shed, failed, submitted.saturating_sub(completed + shed + failed)]
+    }
 }
 
 /// A point-in-time view of the service (the `STATS` protocol op returns
 /// this as JSON; see the README for the field meanings).
 #[derive(Clone, Debug)]
 pub struct StatsSnapshot {
-    /// Completed parses (one-shot jobs plus finished sessions).
+    /// Completed parses (one-shot parses plus finished sessions).
     pub parses_ok: u64,
     /// Failed parses (rejections, fuel/byte-budget kills, misuse).
     pub parses_err: u64,
@@ -76,7 +90,7 @@ pub struct StatsSnapshot {
     pub sessions_evicted: u64,
     /// Sessions sealed with GOAWAY during drain.
     pub sessions_sealed: u64,
-    /// Sessions currently live across all workers.
+    /// Sessions currently live across all connections and handles.
     pub live_sessions: u64,
     /// Input bytes accepted (one-shot inputs plus streamed chunks).
     pub bytes_in: u64,
@@ -84,17 +98,15 @@ pub struct StatsSnapshot {
     pub steps: u64,
     /// Suspensions taken by streaming sessions.
     pub suspends: u64,
-    /// Jobs taken from another worker's queue.
-    pub steals: u64,
-    /// Requests admitted to the pool (or shed at admission).
+    /// Requests submitted (run, or refused at admission).
     pub submitted: u64,
     /// Requests answered successfully.
     pub completed: u64,
-    /// Requests shed with BUSY/GOAWAY instead of queued.
+    /// Requests refused at admission with BUSY/GOAWAY.
     pub shed: u64,
     /// Requests answered with a typed error.
     pub failed: u64,
-    /// Worker panics caught and converted to typed error replies.
+    /// Request panics caught and converted to typed error replies.
     pub panics_recovered: u64,
     /// Hot reloads that swapped a new grammar generation in.
     pub reloads_ok: u64,
@@ -110,13 +122,10 @@ pub struct StatsSnapshot {
     pub parses_per_s: f64,
     /// Input bytes per second since start.
     pub bytes_per_s: f64,
-    /// Total queue depth (pinned session jobs + stealable one-shot jobs)
-    /// per worker at snapshot time.
-    pub queue_depths: Vec<usize>,
 }
 
 impl StatsSnapshot {
-    pub(crate) fn collect(c: &Counters, started: Instant, queue_depths: Vec<usize>) -> Self {
+    pub(crate) fn collect(c: &Counters, started: Instant) -> Self {
         let elapsed_s = started.elapsed().as_secs_f64().max(1e-9);
         let parses_ok = c.parses_ok.load(Ordering::Relaxed);
         let bytes_in = c.bytes_in.load(Ordering::Relaxed);
@@ -131,7 +140,6 @@ impl StatsSnapshot {
             bytes_in,
             steps: c.steps.load(Ordering::Relaxed),
             suspends: c.suspends.load(Ordering::Relaxed),
-            steals: c.steals.load(Ordering::Relaxed),
             submitted: c.requests_submitted.load(Ordering::Relaxed),
             completed: c.requests_completed.load(Ordering::Relaxed),
             shed: c.requests_shed.load(Ordering::Relaxed),
@@ -144,7 +152,6 @@ impl StatsSnapshot {
             elapsed_s,
             parses_per_s: parses_ok as f64 / elapsed_s,
             bytes_per_s: bytes_in as f64 / elapsed_s,
-            queue_depths,
         }
     }
 
@@ -176,7 +183,6 @@ impl StatsSnapshot {
             bytes_in: _,
             steps: _,
             suspends: _,
-            steals: _,
             panics_recovered: _,
             // Reload counters: checked against the watcher's ground
             // truth by [`StatsSnapshot::reconciles_reloads`].
@@ -188,7 +194,6 @@ impl StatsSnapshot {
             elapsed_s: _,
             parses_per_s: _,
             bytes_per_s: _,
-            queue_depths: _,
         } = self;
         *submitted == completed + shed + failed
     }
@@ -204,15 +209,14 @@ impl StatsSnapshot {
     /// Renders the snapshot as a single JSON object (the wire format of
     /// the `STATS` op).
     pub fn to_json(&self) -> String {
-        let depths: Vec<String> = self.queue_depths.iter().map(|d| d.to_string()).collect();
         format!(
             "{{\"parses_ok\": {}, \"parses_err\": {}, \"sessions_opened\": {}, \
              \"sessions_closed\": {}, \"sessions_evicted\": {}, \"sessions_sealed\": {}, \
              \"live_sessions\": {}, \"bytes_in\": {}, \"steps\": {}, \"suspends\": {}, \
-             \"steals\": {}, \"submitted\": {}, \"completed\": {}, \"shed\": {}, \
-             \"failed\": {}, \"panics_recovered\": {}, \"reloads_ok\": {}, \
-             \"reloads_rejected\": {}, \"latency_p50_us\": {}, \"latency_p99_us\": {}, \"elapsed_s\": {:.3}, \
-             \"parses_per_s\": {:.1}, \"bytes_per_s\": {:.0}, \"queue_depths\": [{}]}}",
+             \"submitted\": {}, \"completed\": {}, \"shed\": {}, \"failed\": {}, \
+             \"panics_recovered\": {}, \"reloads_ok\": {}, \"reloads_rejected\": {}, \
+             \"latency_p50_us\": {}, \"latency_p99_us\": {}, \"elapsed_s\": {:.3}, \
+             \"parses_per_s\": {:.1}, \"bytes_per_s\": {:.0}}}",
             self.parses_ok,
             self.parses_err,
             self.sessions_opened,
@@ -223,7 +227,6 @@ impl StatsSnapshot {
             self.bytes_in,
             self.steps,
             self.suspends,
-            self.steals,
             self.submitted,
             self.completed,
             self.shed,
@@ -236,7 +239,6 @@ impl StatsSnapshot {
             self.elapsed_s,
             self.parses_per_s,
             self.bytes_per_s,
-            depths.join(", ")
         )
     }
 }
@@ -247,7 +249,7 @@ mod tests {
 
     fn snapshot() -> StatsSnapshot {
         let c = Counters::default();
-        StatsSnapshot::collect(&c, Instant::now(), vec![0, 0])
+        StatsSnapshot::collect(&c, Instant::now())
     }
 
     #[test]

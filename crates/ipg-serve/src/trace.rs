@@ -1,17 +1,16 @@
 //! The structured trace log: one JSON-lines event stream covering every
-//! request from protocol admission through pool dispatch to completion.
+//! request from admission to its reply.
 //!
-//! Every admitted request is assigned a process-unique **span id** at
-//! admission ([`next_span`]); the id rides on the [`crate::pool::Job`]
-//! through queueing, stealing, fault injection, and reply delivery, so
-//! the events of one request can be joined back together from the log
-//! with nothing but `span`. Event shape (one JSON object per line):
+//! Every request is assigned a process-unique **span id** at admission
+//! ([`next_span`]); the id rides with the request through fault
+//! injection, execution and classification on the thread that received
+//! it, so the events of one request can be joined back together from the
+//! log with nothing but `span`. Event shape (one JSON object per line):
 //!
 //! ```text
 //! {"ts_us":123,"span":7,"event":"admit","kind":"parse"}
-//! {"ts_us":130,"span":7,"event":"dispatch","worker":2}
-//! {"ts_us":131,"span":7,"event":"fault","fault":"panic"}
-//! {"ts_us":140,"span":7,"event":"done","outcome":"error","latency_us":17}
+//! {"ts_us":124,"span":7,"event":"fault","fault":"panic"}
+//! {"ts_us":131,"span":7,"event":"done","outcome":"error","latency_us":8}
 //! ```
 //!
 //! The log is a **bounded ring buffer** that never blocks the hot path:
@@ -100,27 +99,16 @@ impl TraceLog {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Emits an `admit` event: the request was assigned `span` and
-    /// either queued or shed at admission.
-    pub(crate) fn admit(&self, span: u64, kind: &str, shed: bool) {
-        let ts = self.now_us();
-        let queued = if shed { "false" } else { "true" };
-        self.push(format!(
-            "{{\"ts_us\":{ts},\"span\":{span},\"event\":\"admit\",\"kind\":\"{kind}\",\"queued\":{queued}}}"
-        ));
-    }
-
-    /// Emits a `dispatch` event: worker `worker` began executing the
-    /// span's job.
-    pub(crate) fn dispatch(&self, span: u64, worker: usize) {
+    /// Emits an `admit` event: a request of `kind` was assigned `span`.
+    pub(crate) fn admit(&self, span: u64, kind: &str) {
         let ts = self.now_us();
         self.push(format!(
-            "{{\"ts_us\":{ts},\"span\":{span},\"event\":\"dispatch\",\"worker\":{worker}}}"
+            "{{\"ts_us\":{ts},\"span\":{span},\"event\":\"admit\",\"kind\":\"{kind}\"}}"
         ));
     }
 
     /// Emits a `fault` event: the chaos schedule injected `fault` into
-    /// this span's job.
+    /// this span's request.
     pub(crate) fn fault(&self, span: u64, fault: &str) {
         let ts = self.now_us();
         self.push(format!(
@@ -215,24 +203,22 @@ mod tests {
     #[test]
     fn events_render_as_json_lines_in_order() {
         let log = TraceLog::new(16);
-        log.admit(7, "parse", false);
-        log.dispatch(7, 2);
+        log.admit(7, "parse");
         log.fault(7, "panic");
         log.done(7, "error", Duration::from_micros(17));
         let lines = log.drain();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"event\":\"admit\"") && lines[0].contains("\"span\":7"));
-        assert!(lines[0].contains("\"kind\":\"parse\"") && lines[0].contains("\"queued\":true"));
-        assert!(lines[1].contains("\"event\":\"dispatch\"") && lines[1].contains("\"worker\":2"));
+        assert!(lines[0].contains("\"kind\":\"parse\""));
         assert!(
-            lines[2].contains("\"event\":\"fault\"") && lines[2].contains("\"fault\":\"panic\"")
+            lines[1].contains("\"event\":\"fault\"") && lines[1].contains("\"fault\":\"panic\"")
         );
-        assert!(lines[3].contains("\"event\":\"done\"") && lines[3].contains("\"latency_us\":17"));
+        assert!(lines[2].contains("\"event\":\"done\"") && lines[2].contains("\"latency_us\":17"));
         // Every line is a single JSON object.
         for l in &lines {
             assert!(l.starts_with('{') && l.ends_with('}'), "{l}");
         }
-        assert_eq!(log.emitted(), 4);
+        assert_eq!(log.emitted(), 3);
         assert_eq!(log.dropped(), 0);
     }
 
@@ -255,7 +241,7 @@ mod tests {
         let path = dir.join("trace.jsonl");
         let log = Arc::new(TraceLog::new(64));
         let writer = TraceWriter::spawn(Arc::clone(&log), &path).unwrap();
-        log.admit(1, "parse", false);
+        log.admit(1, "parse");
         log.done(1, "done", Duration::from_micros(5));
         let written = writer.finish();
         assert_eq!(written, 2);

@@ -2,8 +2,9 @@
 //! parser round-trips every metric the server exposes (names, labels,
 //! `_bucket`/`_sum`/`_count` triplets, duplicate-series rejection), the
 //! scrape reconciles the admission ledger, the `METRICS` protocol frame
-//! and the HTTP endpoint agree with the in-process gather, and the trace
-//! log captures admit → dispatch → done spans for real traffic.
+//! and the HTTP endpoint agree with the in-process gather, a scrape taken
+//! while other threads parse reconciles too, and the trace log captures
+//! admit → done spans for real traffic.
 
 use ipg_serve::proto::Wire;
 use ipg_serve::trace::TraceLog;
@@ -161,7 +162,6 @@ const EXPECTED: &[&str] = &[
     "ipg_bytes_in_total",
     "ipg_vm_steps_total",
     "ipg_suspends_total",
-    "ipg_steals_total",
     "ipg_requests_submitted_total",
     "ipg_requests_completed_total",
     "ipg_requests_shed_total",
@@ -174,12 +174,12 @@ const EXPECTED: &[&str] = &[
 
 #[test]
 fn scrape_round_trips_every_metric_and_reconciles() {
-    let server = Server::start(Config { workers: 2, ..Config::default() });
+    let server = Server::start(Config::default());
     let input = dns_input();
     for _ in 0..10 {
         server.parse("dns", input.clone()).expect("dns parses");
     }
-    server.parse("zip", b"junk".to_vec()).expect_err("junk fails");
+    server.parse("zip", b"junk").expect_err("junk fails");
 
     let exp = parse_exposition(&server.metrics_text());
     for name in EXPECTED {
@@ -191,22 +191,7 @@ fn scrape_round_trips_every_metric_and_reconciles() {
         assert!(exp.helps.contains_key(*name), "metric `{name}` has no HELP text");
     }
     exp.check_histogram("ipg_request_latency_us");
-    // Per-worker queue depth: one labeled series per worker.
-    let depths: Vec<&Sample> = exp.samples.iter().filter(|s| s.name == "ipg_queue_depth").collect();
-    assert_eq!(depths.len(), 2, "one queue-depth series per worker");
-    for (w, d) in depths.iter().enumerate() {
-        assert_eq!(d.labels.get("worker").map(String::as_str), Some(w.to_string().as_str()));
-    }
-    // Scrape-time ledger: the identity holds on every scrape because
-    // in_flight is defined as the gap.
-    assert_eq!(
-        exp.value("ipg_requests_submitted_total"),
-        exp.value("ipg_requests_completed_total")
-            + exp.value("ipg_requests_shed_total")
-            + exp.value("ipg_requests_failed_total")
-            + exp.value("ipg_requests_in_flight"),
-        "ledger must reconcile at scrape time"
-    );
+    assert_ledger_reconciles(&exp);
     assert_eq!(exp.value("ipg_parses_ok_total"), 10.0);
     assert_eq!(exp.value("ipg_parses_err_total"), 1.0);
     assert_eq!(
@@ -217,9 +202,65 @@ fn scrape_round_trips_every_metric_and_reconciles() {
     server.shutdown();
 }
 
+/// The scrape-time ledger: the identity holds on every scrape because
+/// the ledger is read as one group and in_flight is defined as its gap.
+fn assert_ledger_reconciles(exp: &Exposition) {
+    assert_eq!(
+        exp.value("ipg_requests_submitted_total"),
+        exp.value("ipg_requests_completed_total")
+            + exp.value("ipg_requests_shed_total")
+            + exp.value("ipg_requests_failed_total")
+            + exp.value("ipg_requests_in_flight"),
+        "ledger must reconcile at scrape time"
+    );
+}
+
+#[test]
+fn scrapes_reconcile_while_other_threads_parse() {
+    // Four threads parse (some inputs fail, a tight in-flight bound
+    // sheds some) while this thread scrapes as fast as it can; every
+    // scrape must reconcile, and some must catch requests in flight.
+    let server = Server::start(Config { max_queue: 2, ..Config::default() });
+    let input = dns_input();
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let mut scrapes = 0u64;
+    let mut caught_in_flight = 0u64;
+    std::thread::scope(|s| {
+        let callers: Vec<_> = (0..4)
+            .map(|t| {
+                let (server, input, stop) = (&server, &input, &stop);
+                s.spawn(move || {
+                    let mut n = 0u64;
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) || n < 50 {
+                        let bytes: &[u8] = if (n + t) % 5 == 0 { b"junk" } else { input };
+                        let _ = server.parse("dns", bytes);
+                        n += 1;
+                    }
+                })
+            })
+            .collect();
+        while scrapes < 400 || (caught_in_flight == 0 && scrapes < 100_000) {
+            let exp = parse_exposition(&server.metrics_text());
+            assert_ledger_reconciles(&exp);
+            if exp.value("ipg_requests_in_flight") > 0.0 {
+                caught_in_flight += 1;
+            }
+            scrapes += 1;
+        }
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        for c in callers {
+            c.join().expect("caller thread");
+        }
+    });
+    assert!(caught_in_flight > 0, "{scrapes} scrapes never caught a request in flight");
+    let stats = server.stats();
+    assert!(stats.reconciles(), "and at quiescence: {stats:?}");
+    assert!(stats.parses_ok > 0 && stats.parses_err > 0, "{stats:?}");
+}
+
 #[test]
 fn metrics_protocol_frame_matches_in_process_gather() {
-    let server = Arc::new(Server::start(Config { workers: 1, ..Config::default() }));
+    let server = Arc::new(Server::start(Config::default()));
     let dir = std::env::temp_dir().join(format!("ipg-metrics-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -245,7 +286,7 @@ fn metrics_protocol_frame_matches_in_process_gather() {
 #[test]
 fn http_endpoint_serves_a_parseable_scrape() {
     use std::io::{Read, Write};
-    let server = Server::start(Config { workers: 1, ..Config::default() });
+    let server = Server::start(Config::default());
     server.parse("dns", dns_input()).expect("dns parses");
     let addr = server.serve_metrics("127.0.0.1:0").expect("bind metrics");
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
@@ -277,24 +318,19 @@ fn duplicate_series_are_rejected_by_the_strict_parser() {
 #[test]
 fn trace_log_threads_spans_from_admission_to_completion() {
     let trace = Arc::new(TraceLog::new(4096));
-    let server =
-        Server::start(Config { workers: 2, trace: Some(Arc::clone(&trace)), ..Config::default() });
+    let server = Server::start(Config { trace: Some(Arc::clone(&trace)), ..Config::default() });
     server.parse("dns", dns_input()).expect("dns parses");
-    server.parse("zip", b"junk".to_vec()).expect_err("junk fails");
+    server.parse("zip", b"junk").expect_err("junk fails");
     let lines = trace.drain();
-    // Each of the two requests produced admit + dispatch + done.
-    assert_eq!(lines.len(), 6, "{lines:?}");
+    // Each of the two requests produced admit + done.
+    assert_eq!(lines.len(), 4, "{lines:?}");
     let admits: Vec<&String> = lines.iter().filter(|l| l.contains("\"event\":\"admit\"")).collect();
     assert_eq!(admits.len(), 2);
-    // Every admit's span also has a dispatch and a terminal done.
+    // Every admit's span also has a terminal done.
     for admit in admits {
         let span_field =
             admit.split("\"span\":").nth(1).and_then(|r| r.split(',').next()).expect("span field");
         let span = format!("\"span\":{span_field}");
-        assert!(
-            lines.iter().any(|l| l.contains(&span) && l.contains("\"event\":\"dispatch\"")),
-            "span {span_field} never dispatched: {lines:?}"
-        );
         assert!(
             lines.iter().any(|l| l.contains(&span) && l.contains("\"event\":\"done\"")),
             "span {span_field} never completed: {lines:?}"

@@ -20,7 +20,6 @@ use std::time::Duration;
 /// so the oversized and slow-loris edges are cheap to reach.
 fn start(tag: &str) -> (Arc<Server>, proto::UnixFront, std::path::PathBuf) {
     let server = Arc::new(Server::start(Config {
-        workers: 1,
         max_frame: 4096,
         io_timeout: Duration::from_millis(400),
         ..Config::default()

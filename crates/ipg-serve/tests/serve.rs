@@ -1,13 +1,13 @@
 //! Integration tests for the parse service: batch jobs, streaming
 //! sessions, isolation (fuel, byte budgets, deadlines), the Unix-socket
-//! front end, pool mechanics under load, and the fault-tolerance layer
-//! (panic isolation, BUSY shedding, graceful drain).
+//! front end, concurrent callers, and the fault-tolerance layer (panic
+//! isolation, BUSY shedding, graceful drain).
 
 use ipg_core::Error;
 use ipg_serve::fault::FaultPlan;
 use ipg_serve::proto::Wire;
 use ipg_serve::{Config, Registry, Response, Server};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn corpus_input(name: &str) -> Vec<u8> {
@@ -26,7 +26,7 @@ fn corpus_input(name: &str) -> Vec<u8> {
 
 #[test]
 fn batch_parse_matches_the_direct_vm() {
-    let server = Server::start(Config { workers: 2, ..Config::default() });
+    let server = Server::start(Config::default());
     for entry in ipg_formats::Registry::corpus().entries() {
         let (name, vm) = (entry.name.as_str(), entry.vm());
         let input = corpus_input(name);
@@ -45,7 +45,7 @@ fn batch_parse_matches_the_direct_vm() {
 
 #[test]
 fn streaming_session_matches_one_shot() {
-    let server = Server::start(Config { workers: 2, ..Config::default() });
+    let server = Server::start(Config::default());
     let input = corpus_input("dns");
     let (_, one_shot) = ipg_formats::dns::vm().parse_with_stats(&input);
 
@@ -72,28 +72,28 @@ fn streaming_session_matches_one_shot() {
 
 #[test]
 fn rejections_and_unknown_grammars_are_clean_errors() {
-    let server = Server::start(Config { workers: 1, ..Config::default() });
+    let server = Server::start(Config::default());
     assert!(server.parse("nope", vec![1, 2, 3]).is_err());
-    assert!(server.parse("zip", b"not a zip at all".to_vec()).is_err());
-    // The worker survives failures and keeps serving.
+    assert!(server.parse("zip", b"not a zip at all").is_err());
+    // The server survives failures and keeps serving.
     assert!(server.parse("dns", corpus_input("dns")).is_ok());
     server.shutdown();
 }
 
 #[test]
-fn step_fuel_kills_hostile_work_without_killing_the_worker() {
-    let server = Server::start(Config { workers: 1, max_steps: 10, ..Config::default() });
+fn step_fuel_kills_hostile_work_without_killing_the_server() {
+    let server = Server::start(Config { max_steps: 10, ..Config::default() });
     let err = server.parse("zip", corpus_input("zip")).expect_err("10 steps is not enough");
     assert!(err.to_string().contains("step limit"), "unexpected error: {err}");
-    // Same pool, normal work still impossible under the tiny global fuel,
-    // but the worker is alive and answering.
+    // Normal work is still impossible under the tiny global fuel, but the
+    // server is alive and answering.
     assert!(server.parse("zip", corpus_input("zip")).is_err());
     server.shutdown();
 }
 
 #[test]
 fn session_byte_budget_is_enforced() {
-    let server = Server::start(Config { workers: 1, max_bytes: 16, ..Config::default() });
+    let server = Server::start(Config { max_bytes: 16, ..Config::default() });
     let mut stream = server.open("dns").expect("open");
     let resp = stream.feed(&[0u8; 64]);
     match resp {
@@ -102,19 +102,17 @@ fn session_byte_budget_is_enforced() {
         }
         other => panic!("expected a byte-budget error, got {other:?}"),
     }
+    drop(stream);
     server.shutdown();
 }
 
 #[test]
 fn deadline_eviction_reclaims_stalled_sessions() {
-    let server = Server::start(Config {
-        workers: 1,
-        session_deadline: Duration::from_millis(30),
-        ..Config::default()
-    });
+    let server =
+        Server::start(Config { session_deadline: Duration::from_millis(30), ..Config::default() });
     let mut stream = server.open("dns").expect("open");
     let _ = stream.feed(&[0x12]);
-    // Stall past the deadline; the worker's idle sweep evicts the session.
+    // Stall past the deadline; the handle's next call evicts the session.
     std::thread::sleep(Duration::from_millis(200));
     match stream.feed(&[0x34]) {
         Response::Error(e) => {
@@ -125,32 +123,43 @@ fn deadline_eviction_reclaims_stalled_sessions() {
     let stats = server.stats();
     assert_eq!(stats.sessions_evicted, 1);
     assert_eq!(stats.live_sessions, 0);
+    drop(stream);
     server.shutdown();
 }
 
+/// Runs `f(i)` for `i` in `0..n` on `n` threads released together, and
+/// returns the results in `i` order.
+fn burst<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let start = Barrier::new(n);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                let (start, f) = (&start, &f);
+                s.spawn(move || {
+                    start.wait();
+                    f(i)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("caller thread")).collect()
+    })
+}
+
 #[test]
-fn many_batch_jobs_complete_across_workers() {
-    let server = Server::start(Config { workers: 4, ..Config::default() });
+fn many_batch_jobs_complete_across_threads() {
+    let server = Server::start(Config::default());
     let input = corpus_input("gif");
-    let pending: Vec<_> =
-        (0..64).map(|_| server.parse_async("gif", input.clone()).expect("submit")).collect();
-    let mut ok = 0;
-    for rx in pending {
-        match rx.recv().expect("worker answers") {
-            Response::Done(_) => ok += 1,
-            other => panic!("unexpected response: {other:?}"),
-        }
-    }
-    assert_eq!(ok, 64);
+    let oks = burst(8, |_| (0..8).filter(|_| server.parse("gif", &input).is_ok()).count());
+    assert_eq!(oks.iter().sum::<usize>(), 64);
     let stats = server.stats();
     assert_eq!(stats.parses_ok, 64);
-    assert!(stats.queue_depths.iter().all(|&d| d == 0), "queues drained");
+    assert!(stats.reconciles(), "nothing left in flight: {stats:?}");
     server.shutdown();
 }
 
 #[test]
 fn unix_socket_front_end_round_trips() {
-    let server = Arc::new(Server::start(Config { workers: 2, ..Config::default() }));
+    let server = Arc::new(Server::start(Config::default()));
     let path = std::env::temp_dir().join(format!("ipg-serve-test-{}.sock", std::process::id()));
     let front = server.serve_unix(&path).expect("bind socket");
     let mut client = ipg_serve::proto::Client::connect(&path).expect("connect");
@@ -249,7 +258,7 @@ fn pipelined_frames_in_one_write_are_answered_in_order() {
     use ipg_serve::proto::{decode_wire, read_frame, OP_FEED, OP_FINISH, OP_OPEN, OP_PARSE};
     use std::io::Write;
 
-    let server = Arc::new(Server::start(Config { workers: 1, ..Config::default() }));
+    let server = Arc::new(Server::start(Config::default()));
     let path = std::env::temp_dir().join(format!("ipg-serve-pipe-{}.sock", std::process::id()));
     let front = server.serve_unix(&path).expect("bind socket");
     let mut raw = std::os::unix::net::UnixStream::connect(&path).expect("connect");
@@ -300,12 +309,11 @@ fn pipelined_frames_in_one_write_are_answered_in_order() {
 
 #[test]
 fn worker_panics_are_isolated_and_typed() {
-    // Every job panics (injected at the catch_unwind boundary); each one
-    // must come back as a typed WorkerPanic reply and the worker must
+    // Every request panics (injected at the catch_unwind boundary); each
+    // one must come back as a typed WorkerPanic reply and the server must
     // keep serving afterwards.
     let plan = Arc::new(FaultPlan::new(0xBAD).panic_per_mille(1000));
-    let server =
-        Server::start(Config { workers: 1, faults: Some(plan.clone()), ..Config::default() });
+    let server = Server::start(Config { faults: Some(plan.clone()), ..Config::default() });
     for _ in 0..3 {
         let err = server.parse("dns", corpus_input("dns")).expect_err("injected panic");
         assert!(matches!(err, Error::WorkerPanic(_)), "expected WorkerPanic, got {err:?}");
@@ -323,11 +331,10 @@ fn worker_panics_are_isolated_and_typed() {
 #[test]
 fn panicking_jobs_do_not_starve_healthy_ones() {
     // A fractional panic rate: some of the 40 parses die, the rest
-    // complete on the same (surviving) workers, and the ledger still
+    // complete on the same (surviving) thread, and the ledger still
     // reconciles exactly.
     let plan = Arc::new(FaultPlan::new(0x5EED).panic_per_mille(300));
-    let server =
-        Server::start(Config { workers: 2, faults: Some(plan.clone()), ..Config::default() });
+    let server = Server::start(Config { faults: Some(plan.clone()), ..Config::default() });
     let input = corpus_input("dns");
     let mut ok = 0u64;
     let mut panicked = 0u64;
@@ -352,24 +359,21 @@ fn panicking_jobs_do_not_starve_healthy_ones() {
 
 #[test]
 fn over_bound_jobs_are_shed_with_busy() {
-    // One worker, every job stalled 1–20ms, a 2-deep one-shot queue: a
-    // burst of 16 must see at least one BUSY shed and at least one
+    // Every parse stalled 1–20ms and at most 2 in flight: a burst of 16
+    // callers must see at least one BUSY shed and at least one
     // completion, with the ledger reconciling to exactly 16.
     let plan = Arc::new(FaultPlan::new(0xB0B).stall_per_mille(1000, 20));
     let server = Server::start(Config {
-        workers: 1,
         max_queue: 2,
         retry_after: Duration::from_millis(7),
         faults: Some(plan),
         ..Config::default()
     });
     let input = corpus_input("gif");
-    let pending: Vec<_> =
-        (0..16).map(|_| server.parse_async("gif", input.clone()).expect("submit")).collect();
     let mut done = 0u64;
     let mut busy = 0u64;
-    for rx in pending {
-        match rx.recv_timeout(Duration::from_secs(30)).expect("every job gets one reply") {
+    for resp in burst(16, |_| server.parse_response("gif", &input)) {
+        match resp {
             Response::Done(_) => done += 1,
             Response::Busy { retry_after_ms } => {
                 assert_eq!(retry_after_ms, 7, "BUSY must carry the configured hint");
@@ -378,7 +382,7 @@ fn over_bound_jobs_are_shed_with_busy() {
             other => panic!("unexpected response: {other:?}"),
         }
     }
-    assert!(busy > 0, "a 2-deep queue under a 16-burst must shed");
+    assert!(busy > 0, "a bound of 2 under a 16-burst must shed");
     assert!(done > 0, "admitted jobs must still complete");
     assert_eq!(done + busy, 16);
     let stats = server.stats();
@@ -394,7 +398,7 @@ fn over_bound_jobs_are_shed_with_busy() {
 
 #[test]
 fn drain_refuses_new_work_and_seals_sessions() {
-    let server = Server::start(Config { workers: 2, ..Config::default() });
+    let server = Server::start(Config::default());
     let mut stream = server.open("dns").expect("open");
     assert!(matches!(stream.feed(&[0x12]), Response::NeedInput { .. }));
 
@@ -414,12 +418,13 @@ fn drain_refuses_new_work_and_seals_sessions() {
 
     // Drain is idempotent.
     server.drain();
+    drop(stream);
     server.shutdown();
 }
 
 #[test]
 fn drain_sends_goaway_over_the_wire() {
-    let server = Arc::new(Server::start(Config { workers: 2, ..Config::default() }));
+    let server = Arc::new(Server::start(Config::default()));
     let path = std::env::temp_dir().join(format!("ipg-serve-drain-{}.sock", std::process::id()));
     let front = server.serve_unix(&path).expect("bind socket");
 
@@ -441,7 +446,7 @@ fn drain_sends_goaway_over_the_wire() {
     // Both connections sit idle between frames, so each is sealed with an
     // unsolicited GOAWAY and a clean EOF — never a torn frame, never a
     // silent hangup (the session holder included: its session was sealed
-    // server-side at worker exit).
+    // when its idle connection was answered GOAWAY).
     assert_eq!(client.recv().expect("io"), Some(Wire::GoAway));
     assert_eq!(client.recv().expect("io"), None, "clean EOF after GOAWAY");
     let frame = ipg_serve::proto::read_frame(&mut idle).expect("io").expect("sealed, not torn");
@@ -460,7 +465,7 @@ fn drain_sends_goaway_over_the_wire() {
 fn custom_registry_rejects_everything_else() {
     let registry = Registry::new();
     registry.register("only-dns", ipg_formats::registry::corpus_entry("dns").handle());
-    let server = Server::with_registry(Config { workers: 1, ..Config::default() }, registry);
+    let server = Server::with_registry(Config::default(), registry);
     assert!(server.parse("zip", corpus_input("zip")).is_err());
     assert!(server.parse("only-dns", corpus_input("dns")).is_ok());
     assert_eq!(server.registry().names(), vec!["only-dns"]);
@@ -474,21 +479,21 @@ fn watch_dir_hot_reloads_grammars_without_tearing_live_sessions() {
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("tiny.ipg"), r#"S -> "a"[0, 1];"#).unwrap();
 
-    let server = Server::with_registry(Config { workers: 2, ..Config::default() }, Registry::new());
+    let server = Server::with_registry(Config::default(), Registry::new());
     server.watch_dir(&dir, Duration::from_millis(5)).expect("watch");
     // The initial scan is synchronous: the grammar serves immediately.
-    assert!(server.parse("tiny", b"a".to_vec()).is_ok());
+    assert!(server.parse("tiny", b"a").is_ok());
 
     // Pin a live session to the current generation, then swap the
     // grammar on disk underneath it.
     let mut stream = server.open("tiny").expect("open");
     std::fs::write(dir.join("tiny.ipg"), r#"S -> "b"[0, 1];"#).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while server.parse("tiny", b"b".to_vec()).is_err() {
+    while server.parse("tiny", b"b").is_err() {
         assert!(std::time::Instant::now() < deadline, "watcher never swapped the grammar");
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(server.parse("tiny", b"a".to_vec()).is_err(), "new generation rejects old input");
+    assert!(server.parse("tiny", b"a").is_err(), "new generation rejects old input");
 
     // The session opened before the swap still speaks the old grammar:
     // its generation was pinned at admission.
@@ -503,7 +508,7 @@ fn watch_dir_hot_reloads_grammars_without_tearing_live_sessions() {
         assert!(std::time::Instant::now() < deadline, "watcher never saw the broken source");
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(server.parse("tiny", b"b".to_vec()).is_ok(), "rollback keeps the previous grammar");
+    assert!(server.parse("tiny", b"b").is_ok(), "rollback keeps the previous grammar");
 
     let stats = server.stats();
     assert!(stats.reloads_ok >= 2, "initial load plus one swap: {stats:?}");
@@ -523,9 +528,9 @@ fn watcher_counts_a_broken_source_once_and_ignores_stray_artifacts() {
 
     // A broken source present at the initial scan does not stop the
     // watcher: the good grammar serves, the broken one is counted.
-    let server = Server::with_registry(Config { workers: 1, ..Config::default() }, Registry::new());
+    let server = Server::with_registry(Config::default(), Registry::new());
     server.watch_dir(&dir, Duration::from_millis(5)).expect("a broken source is not fatal");
-    assert!(server.parse("good", b"a".to_vec()).is_ok());
+    assert!(server.parse("good", b"a").is_ok());
     let stats = server.stats();
     assert_eq!((stats.reloads_ok, stats.reloads_rejected), (1, 1), "{stats:?}");
 
