@@ -1,7 +1,7 @@
 //! Shared plumbing for the `bench_*` report binaries: the
 //! `--quick`/`--out` command line, the warmup-then-batch timing loop, and
 //! the `BENCH_*.json` report envelope. Every report binary
-//! (`bench_inflate`, `bench_interp`, `bench_conform`)
+//! (`bench_inflate`, `bench_conform`)
 //! parses the same flags and emits the same envelope shape:
 //!
 //! ```json
@@ -25,7 +25,6 @@ pub struct Cli {
     /// Report path (each binary supplies its default).
     pub out: String,
     values: Vec<(&'static str, String)>,
-    switches: Vec<&'static str>,
 }
 
 impl Cli {
@@ -33,42 +32,22 @@ impl Cli {
     /// take one value (e.g. `&["--seed", "--corpus-dir"]`); unknown flags
     /// exit with status 2 and a usage hint.
     pub fn parse(default_out: &str, value_flags: &'static [&'static str]) -> Cli {
-        Cli::parse_with_switches(default_out, value_flags, &[])
-    }
-
-    /// [`Cli::parse`], additionally accepting valueless boolean
-    /// `switch_flags` (e.g. `&["--profile"]`); query them with
-    /// [`Cli::switch`].
-    pub fn parse_with_switches(
-        default_out: &str,
-        value_flags: &'static [&'static str],
-        switch_flags: &'static [&'static str],
-    ) -> Cli {
-        let mut cli = Cli {
-            quick: false,
-            out: default_out.to_owned(),
-            values: Vec::new(),
-            switches: Vec::new(),
-        };
+        let mut cli = Cli { quick: false, out: default_out.to_owned(), values: Vec::new() };
         let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--quick" => cli.quick = true,
                 "--out" => cli.out = it.next().expect("--out requires a path"),
                 flag => {
-                    if let Some(f) = switch_flags.iter().find(|f| **f == flag) {
-                        cli.switches.push(f);
-                    } else if let Some(f) = value_flags.iter().find(|f| **f == flag) {
+                    if let Some(f) = value_flags.iter().find(|f| **f == flag) {
                         let v = it.next().unwrap_or_else(|| panic!("{f} requires a value"));
                         cli.values.push((f, v));
                     } else {
-                        let mut extras: Vec<String> =
-                            value_flags.iter().map(|f| format!("{f} VALUE")).collect();
-                        extras.extend(switch_flags.iter().map(|f| f.to_string()));
+                        let extras: Vec<String> =
+                            value_flags.iter().map(|f| format!(" / {f} VALUE")).collect();
                         eprintln!(
-                            "unknown flag `{flag}` (expected --quick / --out PATH{}{})",
-                            if extras.is_empty() { "" } else { " / " },
-                            extras.join(" / "),
+                            "unknown flag `{flag}` (expected --quick / --out PATH{})",
+                            extras.concat()
                         );
                         std::process::exit(2);
                     }
@@ -81,11 +60,6 @@ impl Cli {
     /// The value of a declared extra flag, if it was passed.
     pub fn value(&self, flag: &str) -> Option<&str> {
         self.values.iter().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
-    }
-
-    /// Whether a declared boolean switch was passed.
-    pub fn switch(&self, flag: &str) -> bool {
-        self.switches.contains(&flag)
     }
 
     /// A measurement budget: `quick_ms` in quick mode, `full_ms`

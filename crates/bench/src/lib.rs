@@ -14,7 +14,7 @@
 //! | Design-choice ablations           | `cargo bench -p bench --bench ablations` |
 //! | Inflate fast-path throughput      | `cargo bench -p bench --bench inflate_throughput` |
 //! | `BENCH_inflate.json` perf record  | `cargo run --release -p bench --bin bench_inflate` |
-//! | `BENCH_interp.json` perf record   | `cargo run --release -p bench --bin bench_interp` |
+//! | VM ÷ interpreter ≥ 3x gate        | `cargo test --release -p bench --test vm_speedup -- --ignored` |
 //!
 //! Every IPG series runs the bytecode VM behind `ipg_formats` (the
 //! paper's generator emits compiled C++ instead; this repository has no
@@ -89,7 +89,7 @@ pub fn png_with_chunks(n: usize) -> Vec<u8> {
 }
 
 /// A ZIP archive of many small deflated entries — the interpreter-bound
-/// `zip_inflate` workload for `bench_interp`: grammar evaluation (headers,
+/// `zip_inflate` workload of the engine gate: grammar evaluation (headers,
 /// chains, attribute arithmetic) dominates and the DEFLATE blackbox is a
 /// small fixed cost per entry.
 pub fn zip_many_small_entries(n: usize) -> Vec<u8> {
@@ -98,8 +98,8 @@ pub fn zip_many_small_entries(n: usize) -> Vec<u8> {
 
 /// One engine-bound workload per corpus grammar, keyed by the
 /// `ipg_formats::Registry::corpus` entry names. Sized so grammar
-/// evaluation (not fixture setup) dominates; shared by `bench_interp`
-/// (engine-vs-engine) and the streaming-overhead test
+/// evaluation (not fixture setup) dominates; shared by the engine gate
+/// (`tests/vm_speedup.rs`) and the streaming-overhead test
 /// (`tests/streaming_overhead.rs`) so their numbers describe the same
 /// work.
 pub fn grammar_workloads() -> Vec<(&'static str, Vec<u8>)> {

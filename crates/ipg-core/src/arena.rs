@@ -5,8 +5,9 @@
 //! its hot loop. The VM instead appends every node to a [`TreeArena`]:
 //! records are addressed by dense `u32` [`TreeId`]s, children live as
 //! contiguous index ranges in one shared vector, and attribute values in
-//! one shared attribute pool, so building a node is three `Vec` appends
-//! and *sharing* a memoized subtree is copying a `u32`.
+//! one shared attribute pool, so building a rule's node is three `Vec`
+//! appends, building a builtin's result is one, and *sharing* a memoized
+//! subtree is copying a `u32`.
 //!
 //! ## Node layout and the attribute pool
 //!
@@ -23,6 +24,21 @@
 //! through it; [`NodeRef::get`] reads a pre-resolved [`AttrSlot`] with one
 //! indexed load. Blackbox records store their attributes the same way.
 //!
+//! ## Builtin records
+//!
+//! Builtin leaves are most of a format's tree, and a builtin's node always
+//! has the same shape: the builtin layout's `EOI`, `start`, `end` and
+//! `val`, and one leaf child over the bytes it read. So a builtin result
+//! is one 40-byte `ABuiltin` record in a vector of its own
+//! ([`TreeArena::alloc_builtin`]), holding the interval (absolute base,
+//! length, offset in the caller's interval), the bytes consumed and the
+//! value; `EOI`, `start`, `end` and the leaf's span are derived from them.
+//! Two [`TreeId`] tags index the same record: one is the node, the other
+//! its leaf child. The views, `TreeArena::node_attr` and
+//! [`TreeRef::to_tree`] expand the record, so trees, attribute reads and
+//! extractors see the node and leaf a rule's node would have, and
+//! [`TreeArena::len`] counts the record as both.
+//!
 //! The memoizing semantics reuse a cached result at several call sites
 //! (the O(n²) bound of §3.3 of the paper relies on it). Arena nodes are
 //! therefore immutable once allocated: the caller-side `start`/`end`
@@ -31,8 +47,9 @@
 //! interpreter's `Rc`-sharing `adjust_tree`. Shift records come only from
 //! the results of rules with alternatives and of blackboxes, which the VM
 //! may memoize. It never memoizes or shares a builtin's result, so a
-//! builtin's node is born re-based: its `start`/`end` are written in the
-//! caller's coordinates when it is allocated ([`TreeArena::alloc_builtin`]).
+//! builtin's record is born re-based: it stores its offset in the
+//! caller's interval, and its `start`/`end` read in the caller's
+//! coordinates.
 //!
 //! Read access goes through the zero-copy views [`TreeRef`], [`NodeRef`],
 //! [`ArrayRef`], and [`BlackboxRef`], which mirror the accessors of
@@ -65,6 +82,10 @@ const TAG_BLACKBOX: u32 = 3;
 /// cloning the record with shifted `start`/`end`, the arena stores a
 /// 16-byte `(inner id, delta)` pair and readers apply the delta lazily.
 const TAG_SHIFT: u32 = 4;
+/// A builtin's result ([`ABuiltin`]) viewed as its node.
+const TAG_BUILTIN: u32 = 5;
+/// The same record viewed as the node's one leaf child.
+const TAG_BUILTIN_LEAF: u32 = 6;
 
 impl TreeId {
     #[inline]
@@ -93,7 +114,9 @@ impl std::fmt::Debug for TreeId {
             TAG_ARRAY => "array",
             TAG_LEAF => "leaf",
             TAG_BLACKBOX => "blackbox",
-            _ => "shift",
+            TAG_SHIFT => "shift",
+            TAG_BUILTIN => "builtin",
+            _ => "builtin leaf",
         };
         write!(f, "TreeId({kind} {})", self.index())
     }
@@ -139,8 +162,11 @@ fn shifted(v: i64, slot: u16, delta: i64) -> i64 {
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Entry<'a> {
     Node(&'a ANode),
+    /// A builtin's node.
+    Builtin(&'a ABuiltin),
     Array(&'a AArray),
-    Leaf(&'a Leaf),
+    /// A terminal's leaf, or a builtin's leaf child.
+    Leaf(Leaf),
     Blackbox(&'a ABlackbox),
 }
 
@@ -154,6 +180,42 @@ pub(crate) struct ANode {
     pub(crate) attrs: u32,
     pub(crate) children: ChildRange,
     pub(crate) base: usize,
+}
+
+/// The result of a builtin over `[base, base + len)`, which lies at offset
+/// `at` in its caller's interval: the node of the builtin's rule and its
+/// leaf over the `consumed` bytes read, as one record.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ABuiltin {
+    pub(crate) nt: NtId,
+    consumed: u32,
+    base: usize,
+    /// The node's input length: its `EOI`.
+    len: usize,
+    at: i64,
+    val: i64,
+}
+
+impl ABuiltin {
+    /// The value in `slot` of the builtin layout (`EOI`, `start`, `end`,
+    /// `val`), `start`/`end` in the caller's coordinates: the builtin
+    /// touched `[0, consumed)` of its interval, or nothing.
+    #[inline]
+    fn attr(&self, slot: u16) -> i64 {
+        match slot {
+            EOI_SLOT => self.len as i64,
+            START_SLOT if self.consumed > 0 => self.at,
+            START_SLOT => self.at + self.len as i64,
+            END_SLOT => self.at + i64::from(self.consumed),
+            _ => self.val,
+        }
+    }
+
+    /// The leaf child: the bytes the builtin read.
+    #[inline]
+    fn leaf(&self) -> Leaf {
+        Leaf { start: self.base, end: self.base + self.consumed as usize }
+    }
 }
 
 /// Arena mirror of [`crate::tree::ArrayNode`].
@@ -182,6 +244,7 @@ const ATTRS_PER_NODE: usize = 4;
 #[derive(Debug)]
 pub struct TreeArena {
     nodes: Vec<ANode>,
+    builtins: Vec<ABuiltin>,
     arrays: Vec<AArray>,
     leaves: Vec<Leaf>,
     blackboxes: Vec<ABlackbox>,
@@ -199,6 +262,7 @@ impl TreeArena {
     pub(crate) fn empty(layouts: Arc<Layouts>) -> Self {
         TreeArena {
             nodes: Vec::new(),
+            builtins: Vec::new(),
             arrays: Vec::new(),
             leaves: Vec::new(),
             blackboxes: Vec::new(),
@@ -217,6 +281,7 @@ impl TreeArena {
         debug_assert!(self.is_empty(), "reset of an arena still holding records");
         self.layouts = layouts;
         self.nodes.reserve(hints.nodes);
+        self.builtins.reserve(hints.builtins);
         self.leaves.reserve(hints.leaves);
         self.shifts.reserve(hints.shifts);
         self.children.reserve(hints.children);
@@ -232,6 +297,7 @@ impl TreeArena {
     /// Drops every record, keeping the pools' allocations.
     pub(crate) fn clear(&mut self) {
         self.nodes.clear();
+        self.builtins.clear();
         self.arrays.clear();
         self.leaves.clear();
         self.blackboxes.clear();
@@ -245,6 +311,7 @@ impl TreeArena {
     pub(crate) fn capacity(&self) -> usize {
         self.nodes
             .capacity()
+            .max(self.builtins.capacity())
             .max(self.arrays.capacity())
             .max(self.leaves.capacity())
             .max(self.blackboxes.capacity())
@@ -275,8 +342,10 @@ impl TreeArena {
         let (id, _) = self.resolve(id);
         match id.tag() {
             TAG_NODE => Entry::Node(&self.nodes[id.index()]),
+            TAG_BUILTIN => Entry::Builtin(&self.builtins[id.index()]),
             TAG_ARRAY => Entry::Array(&self.arrays[id.index()]),
-            TAG_LEAF => Entry::Leaf(&self.leaves[id.index()]),
+            TAG_LEAF => Entry::Leaf(self.leaves[id.index()]),
+            TAG_BUILTIN_LEAF => Entry::Leaf(self.builtins[id.index()].leaf()),
             _ => Entry::Blackbox(&self.blackboxes[id.index()]),
         }
     }
@@ -324,23 +393,27 @@ impl TreeArena {
         id
     }
 
-    /// Allocates the node of a builtin `nt` that read `[base, base +
-    /// consumed)`, with that span as its one leaf child; `attrs` are its
-    /// `EOI`, `start`, `end` and `val`.
+    /// Allocates the result of a builtin `nt` that read `consumed` bytes of
+    /// `[base, base + len)`, an interval at offset `at` in its caller's, and
+    /// decoded `val`: one [`ABuiltin`] record.
     #[inline]
     pub(crate) fn alloc_builtin(
         &mut self,
         nt: NtId,
         base: usize,
+        len: usize,
         consumed: usize,
-        attrs: [i64; 4],
+        at: i64,
+        val: i64,
     ) -> TreeId {
-        let leaf = self.alloc_leaf(base, base + consumed);
-        let children = ChildRange { start: self.children.len() as u32, len: 1 };
-        self.children.push(leaf);
-        let attrs = self.push_attrs(&attrs);
-        let id = TreeId::new(TAG_NODE, self.nodes.len());
-        self.nodes.push(ANode { nt, alt_index: 0, attrs, children, base });
+        let Ok(consumed32) = u32::try_from(consumed) else {
+            // 4 GiB or more read: the general node and leaf.
+            let (start, end) = if consumed > 0 { (0, consumed as i64) } else { (len as i64, 0) };
+            let leaf = self.alloc_leaf(base, base + consumed);
+            return self.alloc_node(nt, 0, &[len as i64, start + at, end + at, val], [leaf], base);
+        };
+        let id = TreeId::new(TAG_BUILTIN, self.builtins.len());
+        self.builtins.push(ABuiltin { nt, consumed: consumed32, base, len, at, val });
         id
     }
 
@@ -382,6 +455,10 @@ impl TreeArena {
         let attrs = match id.tag() {
             TAG_NODE => self.nodes[id.index()].attrs,
             TAG_BLACKBOX => self.blackboxes[id.index()].attrs,
+            TAG_BUILTIN => {
+                let b = &self.builtins[id.index()];
+                return (b.attr(START_SLOT) - b.at, b.attr(END_SLOT) - b.at);
+            }
             _ => return (0, 0),
         };
         (self.attr(attrs, START_SLOT), self.attr(attrs, END_SLOT))
@@ -393,6 +470,7 @@ impl TreeArena {
     /// shifted reference instead of a cloned record.
     pub(crate) fn adjust(&mut self, id: TreeId, l: i64) -> TreeId {
         debug_assert_ne!(id.tag(), TAG_SHIFT, "adjust of an already-adjusted tree");
+        debug_assert_ne!(id.tag(), TAG_BUILTIN, "builtin results are born re-based");
         if l == 0 {
             return id;
         }
@@ -423,6 +501,7 @@ impl TreeArena {
         }
         let attrs = match self.entry(id) {
             Entry::Node(n) if n.nt == nt => n.attrs,
+            Entry::Builtin(b) if b.nt == nt => return Some(b.attr(slot)),
             Entry::Blackbox(b) if b.nt == nt => b.attrs,
             _ => return None,
         };
@@ -452,15 +531,24 @@ impl TreeArena {
         &self.layouts.table.names[nt.0 as usize]
     }
 
+    /// Tree `id` as a nonterminal node, if it is one.
+    #[inline]
+    fn node_ref(&self, id: TreeId) -> Option<NodeRef<'_>> {
+        let (id, delta) = self.resolve(id);
+        matches!(id.tag(), TAG_NODE | TAG_BUILTIN).then_some(NodeRef { arena: self, id, delta })
+    }
+
     /// A view of tree `id`.
     pub fn view(&self, id: TreeId) -> TreeRef<'_> {
         TreeRef { arena: self, id }
     }
 
     /// Number of allocated tree records (nodes created for memo-shared
-    /// subtrees and re-based copies included).
+    /// subtrees and re-based copies included; a builtin's result counts as
+    /// its node and its leaf).
     pub fn len(&self) -> usize {
         self.nodes.len()
+            + 2 * self.builtins.len()
             + self.arrays.len()
             + self.leaves.len()
             + self.blackboxes.len()
@@ -487,8 +575,15 @@ pub struct TreeRef<'a> {
 #[derive(Clone, Copy)]
 pub struct NodeRef<'a> {
     arena: &'a TreeArena,
-    node: &'a ANode,
+    /// The node's record: a rule's node or a builtin's, never a shift.
+    id: TreeId,
     delta: i64,
+}
+
+/// The record behind a [`NodeRef`].
+enum NodeRec<'a> {
+    Rule(&'a ANode),
+    Builtin(&'a ABuiltin),
 }
 
 /// A borrowed array — the arena-side analogue of
@@ -516,11 +611,7 @@ impl<'a> TreeRef<'a> {
 
     /// This tree as a nonterminal node, if it is one.
     pub fn as_node(&self) -> Option<NodeRef<'a>> {
-        let (id, delta) = self.arena.resolve(self.id);
-        match self.arena.entry(id) {
-            Entry::Node(node) => Some(NodeRef { arena: self.arena, node, delta }),
-            _ => None,
-        }
+        self.arena.node_ref(self.id)
     }
 
     /// This tree as an array, if it is one.
@@ -534,7 +625,7 @@ impl<'a> TreeRef<'a> {
     /// This tree as a terminal leaf, if it is one.
     pub fn as_leaf(&self) -> Option<Leaf> {
         match self.arena.entry(self.id) {
-            Entry::Leaf(l) => Some(*l),
+            Entry::Leaf(l) => Some(l),
             _ => None,
         }
     }
@@ -584,6 +675,7 @@ impl<'a> TreeRef<'a> {
                     .map(|c| self.arena.view(*c).size())
                     .sum::<usize>()
             }
+            Entry::Builtin(_) => 2,
             Entry::Leaf(_) | Entry::Blackbox(_) => 1,
         }
     }
@@ -596,7 +688,17 @@ impl<'a> TreeRef<'a> {
         let table = &layouts.table;
         let (id, delta) = self.arena.resolve(self.id);
         match self.arena.entry(id) {
-            Entry::Leaf(l) => Rc::new(Tree::Leaf(*l)),
+            Entry::Leaf(l) => Rc::new(Tree::Leaf(l)),
+            Entry::Builtin(b) => Rc::new(Tree::Node(Node {
+                nt: b.nt,
+                name: table.names[b.nt.0 as usize].clone(),
+                name_sym: table.syms[b.nt.0 as usize],
+                env: layouts.node_shape(b.nt, 0).iter().map(|s| (s.sym, b.attr(s.slot))).collect(),
+                children: vec![Rc::new(Tree::Leaf(b.leaf()))],
+                base: b.base,
+                input_len: b.len,
+                alt_index: 0,
+            })),
             Entry::Node(n) => {
                 let children = self
                     .arena
@@ -645,14 +747,38 @@ impl<'a> TreeRef<'a> {
 }
 
 impl<'a> NodeRef<'a> {
+    #[inline]
+    fn rec(&self) -> NodeRec<'a> {
+        let arena = self.arena;
+        match self.id.tag() {
+            TAG_NODE => NodeRec::Rule(&arena.nodes[self.id.index()]),
+            _ => NodeRec::Builtin(&arena.builtins[self.id.index()]),
+        }
+    }
+
     /// The nonterminal this node was parsed with.
+    #[inline]
     pub fn nt(&self) -> NtId {
-        self.node.nt
+        match self.rec() {
+            NodeRec::Rule(n) => n.nt,
+            NodeRec::Builtin(b) => b.nt,
+        }
     }
 
     /// The nonterminal's name.
     pub fn name(&self) -> &'a str {
-        self.arena.nt_name(self.node.nt)
+        self.arena.nt_name(self.nt())
+    }
+
+    /// The value in `slot` of the node's rule, `start`/`end` shifted by
+    /// the reference's delta.
+    #[inline]
+    fn value(&self, slot: u16) -> i64 {
+        let v = match self.rec() {
+            NodeRec::Rule(n) => self.arena.attr(n.attrs, slot),
+            NodeRec::Builtin(b) => b.attr(slot),
+        };
+        shifted(v, slot, self.delta)
     }
 
     /// Looks up a user attribute by name (requires the grammar for symbol
@@ -665,60 +791,74 @@ impl<'a> NodeRef<'a> {
     /// Looks up an attribute by pre-resolved symbol (a search of the
     /// node's shape; [`NodeRef::get`] reads a resolved slot directly).
     pub fn attr_by_sym(&self, sym: Sym) -> Option<i64> {
-        let n = self.node;
-        let shape = self.arena.layouts.node_shape(n.nt, n.alt_index);
-        self.arena.attr_by_sym(shape, n.attrs, self.delta, sym)
+        let shape = self.arena.layouts.node_shape(self.nt(), self.alt_index() as u32);
+        shape.iter().find(|b| b.sym == sym).map(|b| self.value(b.slot))
     }
 
     /// Reads a pre-resolved attribute; `None` if this node is not of the
     /// slot's nonterminal.
     #[inline]
     pub fn get(&self, attr: AttrSlot) -> Option<i64> {
-        (attr.nt == self.node.nt)
-            .then(|| shifted(self.arena.attr(self.node.attrs, attr.slot), attr.slot, self.delta))
+        (attr.nt == self.nt()).then(|| self.value(attr.slot))
     }
 
     /// The node's `start` special attribute, as in [`Node::touched_start`].
     pub fn touched_start(&self) -> i64 {
-        self.arena.attr(self.node.attrs, START_SLOT) + self.delta
+        self.value(START_SLOT)
     }
 
     /// The node's `end` special attribute.
     pub fn touched_end(&self) -> i64 {
-        self.arena.attr(self.node.attrs, END_SLOT) + self.delta
+        self.value(END_SLOT)
     }
 
     /// The absolute input span `[base, base + input_len)` this node was
     /// asked to describe.
     pub fn span(&self) -> (usize, usize) {
-        (self.node.base, self.node.base + self.input_len())
+        (self.base(), self.base() + self.input_len())
     }
 
     /// Absolute offset of this node's local input slice.
     pub fn base(&self) -> usize {
-        self.node.base
+        match self.rec() {
+            NodeRec::Rule(n) => n.base,
+            NodeRec::Builtin(b) => b.base,
+        }
     }
 
     /// Length of this node's local input slice (`EOI`).
     pub fn input_len(&self) -> usize {
-        self.arena.attr(self.node.attrs, EOI_SLOT) as usize
+        self.value(EOI_SLOT) as usize
     }
 
     /// Index of the alternative that succeeded (0-based).
     pub fn alt_index(&self) -> usize {
-        self.node.alt_index as usize
+        match self.rec() {
+            NodeRec::Rule(n) => n.alt_index as usize,
+            NodeRec::Builtin(_) => 0,
+        }
     }
 
     /// Children in written term order.
     pub fn children(&self) -> impl Iterator<Item = TreeRef<'a>> + use<'a> {
         let arena = self.arena;
-        arena.child_ids(self.node.children).iter().map(move |id| arena.view(*id))
+        let (ids, leaf) = match self.rec() {
+            NodeRec::Rule(n) => (arena.child_ids(n.children), None),
+            NodeRec::Builtin(_) => (&[][..], Some(TreeId::new(TAG_BUILTIN_LEAF, self.id.index()))),
+        };
+        ids.iter().copied().chain(leaf).map(move |id| arena.view(id))
     }
 
     /// The first direct child node parsed with nonterminal `nt` (the
     /// pre-resolved fast path; see [`crate::check::Grammar::nt_id`]).
     pub fn child_node_nt(&self, nt: NtId) -> Option<NodeRef<'a>> {
-        self.children().find_map(|c| c.as_node().filter(|n| n.node.nt == nt))
+        // A builtin's one child is its leaf.
+        let NodeRec::Rule(n) = self.rec() else { return None };
+        let arena = self.arena;
+        arena
+            .child_ids(n.children)
+            .iter()
+            .find_map(|&id| arena.node_ref(id).filter(|c| c.nt() == nt))
     }
 
     /// The first direct child array of `nt` elements.
@@ -803,12 +943,15 @@ impl<'a> BlackboxRef<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::ANode;
+    use super::{ABuiltin, ANode};
 
     #[test]
     fn node_records_stay_small() {
         // Every parsed nonterminal costs one record; attribute values live
         // in the shared pool, not in the record.
         assert!(std::mem::size_of::<ANode>() <= 48, "{} bytes", std::mem::size_of::<ANode>());
+        // A builtin's node, its leaf and its four values in one record.
+        let builtin = std::mem::size_of::<ABuiltin>();
+        assert!(builtin <= 40, "{builtin} bytes");
     }
 }

@@ -15,7 +15,12 @@
 //!   [`ExprId`] — operands are `u32` ids, not `Box` pointers;
 //! * terminal literals concatenated into one byte pool addressed by
 //!   `(offset, len)` spans;
-//! * switch cases in one shared case pool.
+//! * switch cases in one shared case pool;
+//! * field runs: each maximal run of fixed-width builtin fields
+//!   (`B[lo, hi] {x = B.val}` pairs, optionally after a literal) whose
+//!   endpoints fold to constants, or to offsets from the run's first
+//!   endpoint, is also compiled to one [`Instr::Fields`] at its head's pc
+//!   (see [`compile`]).
 //!
 //! Attribute operands keep their [`Sym`] and carry a frame or node slot
 //! besides, which [`compile`] leaves at [`NO_SLOT`]: the slots are filled
@@ -28,6 +33,7 @@
 
 use crate::arena::NtTable;
 use crate::check::{CAlt, CExpr, CInterval, CRuleBody, CSwitchCase, CTermKind, Grammar, NtId};
+use crate::env::wellknown;
 use crate::intern::Sym;
 use crate::syntax::{BinOp, Builtin};
 use std::fmt::Write as _;
@@ -178,6 +184,75 @@ pub enum Instr {
         /// Result slot.
         slot: u16,
     },
+    /// A field run (`FieldRun`) in place of its head, the run's first
+    /// instruction: decodes every field of the run at once when the whole
+    /// run is in bounds, else runs the head it replaced. The instructions
+    /// the run covers follow it unchanged, for that case.
+    Fields {
+        /// Index of the run in the program's run pool.
+        run: u32,
+    },
+}
+
+/// A run of builtin fields that one [`Instr::Fields`] decodes: an optional
+/// literal, then fields in program order, each a call of a fixed-width
+/// builtin over a statically known interval and the `Set` that binds its
+/// `val`. Executed in full it has the effect of the instructions it
+/// covers, and it charges their steps.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FieldRun {
+    /// The general instruction the run's head replaced.
+    pub(crate) head: Instr,
+    /// `None` when every endpoint is a constant; else endpoints are
+    /// offsets from this expression (the first field's left endpoint),
+    /// evaluated once.
+    pub(crate) base: Option<ExprId>,
+    /// A leading literal match.
+    pub(crate) lit: Option<RunLit>,
+    /// The run's fields: `Program::fields[first..first + count]`.
+    pub(crate) first: u32,
+    pub(crate) count: u32,
+    /// The largest right endpoint: the run is in bounds when `base + reach`
+    /// is at most the frame's length.
+    pub(crate) reach: i64,
+    /// Instructions the run covers, its head included.
+    pub(crate) instrs: u32,
+}
+
+impl FieldRun {
+    /// The steps the covered instructions charge: one per instruction,
+    /// and one more per field for the builtin's call.
+    pub(crate) fn steps(&self) -> u64 {
+        u64::from(self.instrs) + u64::from(self.count)
+    }
+}
+
+/// The literal at the head of a [`FieldRun`], at constant offsets.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RunLit {
+    pub(crate) lit: LitSpan,
+    pub(crate) lo: i64,
+    pub(crate) hi: i64,
+    /// Result slot.
+    pub(crate) slot: u16,
+}
+
+/// One field of a [`FieldRun`]: `nt[lo, hi] {attr = nt.val}`, the
+/// endpoints relative to the run's base.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Field {
+    pub(crate) nt: NtId,
+    pub(crate) builtin: Builtin,
+    /// Bytes the builtin reads: its fixed width.
+    pub(crate) width: u32,
+    pub(crate) lo: i64,
+    pub(crate) hi: i64,
+    /// Result slot of the call.
+    pub(crate) slot: u16,
+    /// The attribute the `Set` binds, and its frame slot (filled in by
+    /// the `layout` module, like the `Set`'s own).
+    pub(crate) attr: Sym,
+    pub(crate) attr_slot: u16,
 }
 
 /// One case of a compiled switch.
@@ -287,6 +362,8 @@ pub struct SizeHints {
     pub frames: usize,
     /// Arena node-pool capacity.
     pub nodes: usize,
+    /// Arena builtin-record capacity.
+    pub builtins: usize,
     /// Arena leaf-pool capacity.
     pub leaves: usize,
     /// Arena child-id pool capacity.
@@ -305,13 +382,26 @@ pub struct Program {
     pub(crate) exprs: Vec<BExpr>,
     pub(crate) cases: Vec<PCase>,
     pub(crate) lits: Vec<u8>,
+    pub(crate) runs: Vec<FieldRun>,
+    pub(crate) fields: Vec<Field>,
     pub(crate) nt_table: Arc<NtTable>,
     pub(crate) start: NtId,
 }
 
 /// Lowers a checked grammar into a flat bytecode [`Program`].
+///
+/// Every term becomes one instruction. Then each maximal run of builtin
+/// fields in an alternative becomes an [`Instr::Fields`] as well: a run
+/// is an optional literal at constant offsets followed by at least one
+/// `B[lo, hi] {x = B.val}` pair, where `B` is a fixed-width builtin and
+/// each endpoint folds to a constant `c` or to `base + c`. `base` is the
+/// first field's left endpoint; `B.end` of an earlier field of the run
+/// folds too, which covers the `B[n]` sequential sugar. Each field's
+/// interval must hold the builtin's width, so once the run is in bounds
+/// every field decodes.
 pub fn compile(g: &Grammar) -> Program {
     let mut c = Compiler {
+        g,
         out: Program {
             rules: Vec::with_capacity(g.nt_count()),
             alts: Vec::new(),
@@ -319,6 +409,8 @@ pub fn compile(g: &Grammar) -> Program {
             exprs: Vec::new(),
             cases: Vec::new(),
             lits: Vec::new(),
+            runs: Vec::new(),
+            fields: Vec::new(),
             nt_table: Arc::new(NtTable {
                 names: g.rules().iter().map(|r| r.name.clone()).collect(),
                 syms: g.rules().iter().map(|r| r.name_sym).collect(),
@@ -343,11 +435,16 @@ pub fn compile(g: &Grammar) -> Program {
     c.out
 }
 
-struct Compiler {
+struct Compiler<'g> {
+    g: &'g Grammar,
     out: Program,
 }
 
-impl Compiler {
+/// An interval endpoint folded at compile time: `(based, c)` is
+/// `base + c` when `based`, else the constant `c`.
+type Folded = (bool, i64);
+
+impl Compiler<'_> {
     fn compile_alt(&mut self, alt: &CAlt) {
         // Lower the terms into a scratch vector first: expression lowering
         // appends to the shared pools, so instruction emission must not be
@@ -390,10 +487,146 @@ impl Compiler {
             };
             instrs.push(instr);
         }
+        let mut i = 0;
+        while i < instrs.len() {
+            match self.field_run(&instrs[i..]) {
+                Some(run) => {
+                    let id = self.out.runs.len() as u32;
+                    self.out.runs.push(run);
+                    instrs[i] = Instr::Fields { run: id };
+                    i += run.instrs as usize;
+                }
+                None => i += 1,
+            }
+        }
         let first = self.out.code.len() as u32;
         let count = instrs.len() as u32;
         self.out.code.extend(instrs);
         self.out.alts.push(PAlt { first, count, n_slots: alt.n_terms as u16 });
+    }
+
+    /// The longest field run at the start of `code`, if there is one (see
+    /// [`compile`]); its fields are appended to the field pool.
+    fn field_run(&mut self, code: &[Instr]) -> Option<FieldRun> {
+        let mut at = 0;
+        let mut lit = None;
+        if let Instr::Match { lit: span, lo, hi, slot } = code[0] {
+            let ((false, lo), (false, hi)) = (self.fold(lo, None, &[])?, self.fold(hi, None, &[])?)
+            else {
+                return None;
+            };
+            if lo < 0 || hi.checked_sub(lo)? < i64::from(span.len) {
+                return None;
+            }
+            lit = Some(RunLit { lit: span, lo, hi, slot });
+            at = 1;
+        }
+        let mut base = None;
+        let mut fields: Vec<Field> = Vec::new();
+        while let Some(field) = self.field(code, at, lit.is_some(), &mut base, &fields) {
+            fields.push(field);
+            at += 2;
+        }
+        if fields.is_empty() {
+            return None;
+        }
+        let reach = fields.iter().map(|f| f.hi).chain(lit.map(|l| l.hi)).max()?;
+        let first = self.out.fields.len() as u32;
+        self.out.fields.extend_from_slice(&fields);
+        Some(FieldRun {
+            head: code[0],
+            base,
+            lit,
+            first,
+            count: fields.len() as u32,
+            reach,
+            instrs: at as u32,
+        })
+    }
+
+    /// The field at `code[at..]` that extends a run of `fields`, if the
+    /// instructions there are one. The first field of a run without a
+    /// literal fixes its `base`: none if its left endpoint is a constant,
+    /// else that endpoint.
+    fn field(
+        &self,
+        code: &[Instr],
+        at: usize,
+        has_lit: bool,
+        base: &mut Option<ExprId>,
+        fields: &[Field],
+    ) -> Option<Field> {
+        let Instr::Call { nt, lo, hi, slot } = *code.get(at)? else { return None };
+        let CRuleBody::Builtin(builtin) = self.g.rule(nt).body else { return None };
+        let width = builtin.fixed_width()? as i64;
+        let Instr::Set { attr, expr, .. } = *code.get(at + 1)? else { return None };
+        let BExpr::NtAttr { slot: read, nt: of, attr: wellknown::VAL, .. } =
+            self.out.exprs[expr.0 as usize]
+        else {
+            return None;
+        };
+        if (read, of) != (slot, nt) {
+            return None;
+        }
+        if fields.is_empty() && !has_lit && self.fold(lo, None, fields).is_none() {
+            *base = Some(lo);
+        }
+        let based = base.is_some();
+        let (lo, hi) = match (self.fold(lo, *base, fields)?, self.fold(hi, *base, fields)?) {
+            ((lb, lo), (hb, hi)) if lb == based && hb == based => (lo, hi),
+            _ => return None,
+        };
+        if lo < 0 || hi.checked_sub(lo)? < width {
+            return None;
+        }
+        let width = width as u32;
+        Some(Field { nt, builtin, width, lo, hi, slot, attr, attr_slot: NO_SLOT })
+    }
+
+    /// Folds endpoint `e` of a field run with `base` that extends
+    /// `fields` (see [`Folded`]): constants, sums, differences with a
+    /// constant, `B.end` of one of `fields` (its left endpoint plus its
+    /// width), and, in the first field, the base expression itself. Later
+    /// fields may not read the base again: a `Set` of the run may have
+    /// changed what it reads.
+    fn fold(&self, e: ExprId, base: Option<ExprId>, fields: &[Field]) -> Option<Folded> {
+        if fields.is_empty() && base.is_some_and(|b| self.same_expr(e, b)) {
+            return Some((true, 0));
+        }
+        match self.out.exprs[e.0 as usize] {
+            BExpr::Num(n) => Some((false, n)),
+            BExpr::Bin(op @ (BinOp::Add | BinOp::Sub), a, b) => {
+                let ((ab, a), (bb, b)) = (self.fold(a, base, fields)?, self.fold(b, base, fields)?);
+                match op {
+                    BinOp::Add if !(ab && bb) => Some((ab || bb, a.checked_add(b)?)),
+                    BinOp::Sub if !bb => Some((ab, a.checked_sub(b)?)),
+                    _ => None,
+                }
+            }
+            BExpr::NtAttr { slot, nt, attr: wellknown::END, .. } => {
+                let f = fields.iter().find(|f| (f.slot, f.nt) == (slot, nt))?;
+                Some((base.is_some(), f.lo + i64::from(f.width)))
+            }
+            _ => None,
+        }
+    }
+
+    /// Whether `a` and `b` are the same expression (structurally; only the
+    /// forms an endpoint repeats are compared).
+    fn same_expr(&self, a: ExprId, b: ExprId) -> bool {
+        match (self.out.exprs[a.0 as usize], self.out.exprs[b.0 as usize]) {
+            (BExpr::Num(x), BExpr::Num(y)) => x == y,
+            (BExpr::Eoi, BExpr::Eoi) => true,
+            (BExpr::Local { sym: x, .. }, BExpr::Local { sym: y, .. }) => x == y,
+            (BExpr::Bin(o1, a1, b1), BExpr::Bin(o2, a2, b2)) => {
+                o1 == o2 && self.same_expr(a1, a2) && self.same_expr(b1, b2)
+            }
+            (
+                BExpr::NtAttr { slot: s1, nt: n1, attr: a1, .. },
+                BExpr::NtAttr { slot: s2, nt: n2, attr: a2, .. },
+            ) => (s1, n1, a1) == (s2, n2, a2),
+            _ => false,
+        }
     }
 
     fn case(&mut self, case: &CSwitchCase) -> PCase {
@@ -501,6 +734,7 @@ impl Program {
         SizeHints {
             frames: (nesting + 8).min(128),
             nodes: instrs.clamp(32, 512),
+            builtins: instrs.clamp(32, 512),
             leaves: instrs.clamp(32, 512),
             children: (2 * instrs).clamp(64, 1024),
             shifts: instrs.clamp(32, 512),
@@ -522,7 +756,7 @@ impl Program {
             if let PRuleKind::Alts { first, count } = p.rules[nt].kind {
                 for alt in &p.alts[first as usize..(first + count) as usize] {
                     for instr in &p.code[alt.first as usize..(alt.first + alt.count) as usize] {
-                        match *instr {
+                        match p.unfused(*instr) {
                             Instr::Call { nt: c, .. }
                             | Instr::Loop { nt: c, .. }
                             | Instr::Star { nt: c, .. } => {
@@ -548,6 +782,15 @@ impl Program {
         let mut memo = vec![u32::MAX; self.rules.len()];
         let mut on_path = vec![false; self.rules.len()];
         1 + depth_of(self, self.start.0 as usize, &mut memo, &mut on_path) as usize
+    }
+
+    /// `instr` with a field run's head in place of the run: the term the
+    /// instruction at its pc was compiled from.
+    pub(crate) fn unfused(&self, instr: Instr) -> Instr {
+        match instr {
+            Instr::Fields { run } => self.runs[run as usize].head,
+            other => other,
+        }
     }
 
     /// The shared nonterminal name table (also carried by every
@@ -669,6 +912,27 @@ impl Program {
                             let _ = write!(s, "\n            default => {target}");
                         }
                     }
+                }
+                s
+            }
+            Instr::Fields { run } => {
+                let r = self.runs[run as usize];
+                let mut s = String::from("fields");
+                if let Some(base) = r.base {
+                    let _ = write!(s, " from {}:", self.render_expr(g, base));
+                }
+                let mut sep = " ";
+                if let Some(l) = r.lit {
+                    let bytes =
+                        &self.lits[l.lit.start as usize..(l.lit.start + l.lit.len) as usize];
+                    let lit = crate::interp::preview(bytes);
+                    let _ = write!(s, " {lit}[{}, {}] -> s{}", l.lo, l.hi, l.slot);
+                    sep = ", ";
+                }
+                for f in &self.fields[r.first as usize..(r.first + r.count) as usize] {
+                    let (nt, attr) = (self.nt_name(f.nt), g.attr_name(f.attr));
+                    let _ = write!(s, "{sep}{nt}[{}, {}]->{attr}", f.lo, f.hi);
+                    sep = ", ";
                 }
                 s
             }

@@ -24,8 +24,16 @@
 //!   terms it runs, and so does a successful one that follows a dropped
 //!   tree.
 //! * **Leaf calls**: a builtin callee runs inside the calling instruction
-//!   — no frame, no memo entry — and its node is allocated already
-//!   re-based into the caller's coordinates, so it needs no shift record.
+//!   — no frame, no memo entry — and its result is one compact arena
+//!   record, born re-based into the caller's coordinates, so it needs no
+//!   shift record.
+//! * **Field runs**: a run of fixed-width builtin fields at statically
+//!   known offsets (a header: an optional literal, then `B[lo, hi] {x =
+//!   B.val}` pairs) is one [`Instr::Fields`] at its head's pc. When the
+//!   whole record is in bounds, the fuel lasts and the literal matches, it
+//!   decodes every field after that one check and charges the steps and
+//!   profile hooks of the instructions it covers; otherwise the general
+//!   instructions, left in place after it, run unchanged.
 //! * **Slot-resolved attributes**: a frame keeps its attributes in `i64`
 //!   slots fixed per rule when the parser is built (`layout`), so
 //!   an attribute read or write is an indexed access, not a search by
@@ -916,9 +924,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                 // the builtin consumed anything.
                 let (start, end) =
                     if consumed > 0 { (0, consumed as i64) } else { (len as i64, 0) };
-                // `EOI`, `start`, `end`, `val`: the builtin layout.
-                let attrs = [len as i64, start + l, end + l, val];
-                let id = self.arena.alloc_builtin(nt, base, consumed, attrs);
+                let id = self.arena.alloc_builtin(nt, base, len, consumed, l, val);
                 Some(Ret { id, start, end })
             }
             None => {
@@ -1074,6 +1080,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                     Instr::Switch { first, count, slot } => {
                         self.exec_switch(fi, first, count, slot)?
                     }
+                    Instr::Fields { run } => self.exec_fields(fi, run)?,
                 }
             };
             match flow {
@@ -1252,6 +1259,88 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         f.results[slot as usize] = Some(leaf);
         f.ip += 1;
         Ok(Flow::Exec)
+    }
+
+    /// A field run (`FieldRun`): when the whole run is in bounds, the
+    /// fuel lasts to its end and its literal matches, every covered
+    /// instruction would succeed, so the run does their work in one pass
+    /// — the literal's leaf, each field's builtin record, result slot and
+    /// attribute, the touched region widened in program order — and
+    /// charges their steps and profile hooks. Otherwise the head it
+    /// replaced runs, followed by the covered instructions, so failures,
+    /// fuel exhaustion and suspensions happen exactly where they would.
+    /// The open root of a streaming session always takes that path: its
+    /// length reads 0 until it is sealed, and a run reaches at least one
+    /// byte.
+    fn exec_fields(&mut self, fi: usize, run: u32) -> PResult<Flow> {
+        let r = self.img.program.runs[run as usize];
+        let base = match r.base {
+            None => 0,
+            Some(e) => match self.eval(e, fi) {
+                Some(base) => base,
+                None => return self.exec_unfused(fi, r.head),
+            },
+        };
+        let (frame_base, frame_len, head_pc) = {
+            let f = &self.frames[fi];
+            (f.base, f.len, f.ip)
+        };
+        // The head's step is paid.
+        let steps = r.steps() - 1;
+        if base < 0
+            || base.checked_add(r.reach).is_none_or(|reach| reach > frame_len as i64)
+            || self.steps.saturating_add(steps) > self.max_steps
+        {
+            return self.exec_unfused(fi, r.head);
+        }
+        let at = frame_base + base as usize;
+        let p = &self.img.program;
+        let input = self.input.as_ref();
+        let mut pc = head_pc;
+        if let Some(lit) = r.lit {
+            let bytes = &p.lits[lit.lit.start as usize..(lit.lit.start + lit.lit.len) as usize];
+            let al = at + lit.lo as usize;
+            if input[al..al + bytes.len()] != *bytes {
+                return self.exec_unfused(fi, r.head);
+            }
+            let leaf = self.arena.alloc_leaf(al, al + bytes.len());
+            let f = &mut self.frames[fi];
+            upd_start_end(&mut f.slots, base + lit.lo, base + lit.hi, !bytes.is_empty());
+            f.results[lit.slot as usize] = Some(leaf);
+            pc += 1;
+        }
+        self.steps += steps;
+        for field in &p.fields[r.first as usize..(r.first + r.count) as usize] {
+            if pc != head_pc {
+                self.prof.instr(pc);
+            }
+            let (nt, width) = (field.nt, field.width as usize);
+            self.prof.call(nt);
+            self.prof.enter(nt);
+            let l = base + field.lo;
+            let a = frame_base + l as usize;
+            let val = decode_fixed(field.builtin, &input[a..a + width]);
+            let len = (field.hi - field.lo) as usize;
+            let id = self.arena.alloc_builtin(nt, a, len, width, l, val);
+            self.prof.exit(nt, true);
+            let f = &mut self.frames[fi];
+            upd_start_end(&mut f.slots, l, l + width as i64, true);
+            f.results[field.slot as usize] = Some(id);
+            self.prof.instr(pc + 1);
+            f.slots[field.attr_slot as usize] = val;
+            pc += 2;
+        }
+        self.frames[fi].ip += r.instrs;
+        Ok(Flow::Exec)
+    }
+
+    /// Runs the general instruction a field run's head replaced.
+    fn exec_unfused(&mut self, fi: usize, head: Instr) -> PResult<Flow> {
+        match head {
+            Instr::Match { lit, lo, hi, slot } => self.exec_match(fi, lit, lo, hi, slot),
+            Instr::Call { nt, lo, hi, slot } => self.dispatch_call(fi, nt, lo, hi, slot),
+            _ => unreachable!("a field run starts with a match or a call"),
+        }
     }
 
     fn exec_set(&mut self, fi: usize, attr: Sym, attr_slot: u16, expr: ExprId) -> PResult<Flow> {
@@ -1736,6 +1825,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             for id in f.results.iter().rev().flatten() {
                 match self.arena.entry(*id) {
                     Entry::Node(n) if n.nt == nt => return Some(*id),
+                    Entry::Builtin(b) if b.nt == nt => return Some(*id),
                     Entry::Blackbox(b) if b.nt == nt => return Some(*id),
                     _ => {}
                 }
@@ -1764,6 +1854,15 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             }
             i = f.parent;
         }
+    }
+}
+
+/// The value of fixed-width builtin `b` over exactly its width of bytes.
+#[inline]
+fn decode_fixed(b: Builtin, bytes: &[u8]) -> i64 {
+    match run_builtin(b, bytes) {
+        Some((val, _)) => val,
+        None => unreachable!("a field's bytes hold its builtin's width"),
     }
 }
 

@@ -225,7 +225,14 @@ pub(crate) fn resolve(program: &mut Program, grammar: &Grammar) -> Layouts {
                     };
                     for pc in alt.first..alt.first + alt.count {
                         r.pc = pc;
-                        r.instr(&mut program.code[pc as usize], &program.cases);
+                        let instr = &mut program.code[pc as usize];
+                        if let Instr::Fields { run } = *instr {
+                            // The covered instructions follow and resolve
+                            // as usual; the head's operands resolve here.
+                            r.instr(&mut program.runs[run as usize].head, &program.cases);
+                        } else {
+                            r.instr(instr, &program.cases);
+                        }
                     }
                     let frame_width = slot_count(r.next);
                     let rule = &mut layouts.rules[nt.0 as usize];
@@ -236,6 +243,21 @@ pub(crate) fn resolve(program: &mut Program, grammar: &Grammar) -> Layouts {
         };
         let rule = &mut layouts.rules[nt.0 as usize];
         (rule.first_shape, rule.n_shapes) = (first_shape, n_shapes);
+    }
+    // A field run writes its fields' attributes itself: each field takes
+    // the frame slot of the `Set` that follows its call.
+    for (pc, instr) in program.code.iter().enumerate() {
+        if let Instr::Fields { run } = *instr {
+            let r = program.runs[run as usize];
+            let mut set = pc + usize::from(r.lit.is_some()) + 1;
+            for field in &mut program.fields[r.first as usize..(r.first + r.count) as usize] {
+                let Instr::Set { attr_slot, .. } = program.code[set] else {
+                    unreachable!("a field's call is followed by its `Set`")
+                };
+                field.attr_slot = attr_slot;
+                set += 2;
+            }
+        }
     }
     layouts
 }
@@ -288,6 +310,7 @@ impl OperandResolver<'_> {
                     self.expr(case.hi);
                 }
             }
+            Instr::Fields { .. } => unreachable!("field runs resolve through their head"),
         }
     }
 

@@ -354,7 +354,7 @@ fn static_paths(p: &Program) -> Vec<Option<Vec<NtId>>> {
         if let PRuleKind::Alts { first, count } = p.rules[nt].kind {
             for alt in &p.alts[first as usize..(first + count) as usize] {
                 for instr in &p.code[alt.first as usize..(alt.first + alt.count) as usize] {
-                    match *instr {
+                    match p.unfused(*instr) {
                         Instr::Call { nt: c, .. }
                         | Instr::Loop { nt: c, .. }
                         | Instr::Star { nt: c, .. } => visit(c, &mut queue),

@@ -80,9 +80,9 @@ fn zip_archive(n_entries: usize) -> Vec<u8> {
     ipg_corpus::zip::generate(&config).bytes
 }
 
-/// The arena's record pools: nodes, arrays, leaves, blackboxes, shifts,
-/// children and attribute values.
-const ARENA_POOLS: usize = 7;
+/// The arena's record pools: nodes, builtin records, arrays, leaves,
+/// blackboxes, shifts, children and attribute values.
+const ARENA_POOLS: usize = 8;
 
 #[test]
 fn a_zip_parse_does_not_allocate_per_entry() {
@@ -95,6 +95,22 @@ fn a_zip_parse_does_not_allocate_per_entry() {
         large <= small + 2 * ARENA_POOLS,
         "16 entries: {small} allocations, 64 entries: {large}"
     );
+}
+
+#[test]
+fn a_warm_zip_parse_holds_no_more_than_with_four_records_per_builtin() {
+    let g = parse_grammar(include_str!("../../ipg-formats/specs/zip.ipg")).unwrap();
+    let parser = VmParser::new(&g);
+    // What the parse held when a builtin result was a node, a leaf, a
+    // child id and four pooled values (29,520 and 118,080 bytes); one
+    // 40-byte record per builtin holds 23,616 and 94,464.
+    for (entries, before) in [(16, 29_520), (64, 118_080)] {
+        let (allocations, bytes) = warm_parse_allocations(&parser, &zip_archive(entries));
+        assert!(
+            bytes <= before,
+            "{entries} entries: {allocations} allocations hold {bytes} bytes (was {before})"
+        );
+    }
 }
 
 #[test]

@@ -106,16 +106,30 @@ const PREFIX: usize = 4;
 /// 4 KiB `FEED` frame together with any small frames queued behind it.
 const RECV_BUF: usize = 8 << 10;
 
-/// An empty outgoing frame: the length prefix is reserved up front, the
-/// payload is appended after it, and [`send_frame`] fills the prefix in,
-/// so the payload is copied once and the frame leaves in one `write`.
-fn frame_buf(payload_capacity: usize) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(PREFIX + payload_capacity);
-    frame.extend_from_slice(&[0; PREFIX]);
-    frame
+/// Largest capacity a connection's or a client's frame buffers keep
+/// between frames: a buffer an unusually large frame grew shrinks back to
+/// this when it is next reused.
+const KEEP_FRAME: usize = 64 << 10;
+
+/// Readies `buf`, a buffer kept across frames, for its next frame: empty,
+/// and no larger than [`KEEP_FRAME`].
+fn reuse(buf: &mut Vec<u8>) {
+    buf.clear();
+    if buf.capacity() > KEEP_FRAME {
+        buf.shrink_to(KEEP_FRAME);
+    }
 }
 
-/// Fills in the length prefix of a [`frame_buf`] frame and writes the
+/// Starts an outgoing frame in `frame`: the length prefix is reserved up
+/// front, the payload is appended after it, and [`send_frame`] fills the
+/// prefix in, so the payload is copied once and the frame leaves in one
+/// `write`.
+fn start_frame(frame: &mut Vec<u8>) {
+    reuse(frame);
+    frame.extend_from_slice(&[0; PREFIX]);
+}
+
+/// Fills in the length prefix of a [`start_frame`] frame and writes the
 /// whole frame with one `write_all`.
 fn send_frame(w: &mut impl Write, frame: &mut [u8]) -> io::Result<()> {
     let len = u32::try_from(frame.len() - PREFIX)
@@ -132,7 +146,8 @@ fn send_frame(w: &mut impl Write, frame: &mut [u8]) -> io::Result<()> {
 ///
 /// Propagates the underlying I/O error.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut frame = frame_buf(payload.len());
+    let mut frame = Vec::with_capacity(PREFIX + payload.len());
+    start_frame(&mut frame);
     frame.extend_from_slice(payload);
     send_frame(w, &mut frame)
 }
@@ -148,7 +163,9 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Propagates the underlying I/O error; oversized frames are
 /// `InvalidData`.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    RecvBuf::with_capacity(PREFIX).read_frame(r)
+    let mut payload = Vec::new();
+    let got = RecvBuf::with_capacity(PREFIX).read_frame(r, &mut payload)?;
+    Ok(got.then_some(payload))
 }
 
 /// A connection's receive buffer. One `read` takes as much as the socket
@@ -199,11 +216,13 @@ impl RecvBuf {
         n
     }
 
-    /// The blocking reader behind [`read_frame`] and [`Client`].
-    fn read_frame(&mut self, r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    /// The blocking reader behind [`read_frame`] and [`Client`]: reads the
+    /// next payload into `payload`; `Ok(false)` on clean EOF before the
+    /// length prefix.
+    fn read_frame(&mut self, r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<bool> {
         while self.buffered() < PREFIX {
             match self.fill(r) {
-                Ok(0) => return Ok(None),
+                Ok(0) => return Ok(false),
                 Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -213,10 +232,11 @@ impl RecvBuf {
         if len > MAX_FRAME {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "frame exceeds MAX_FRAME"));
         }
-        let mut payload = vec![0u8; len];
-        let got = self.take(&mut payload);
+        reuse(payload);
+        payload.resize(len, 0);
+        let got = self.take(payload);
         r.read_exact(&mut payload[got..])?;
-        Ok(Some(payload))
+        Ok(true)
     }
 }
 
@@ -430,8 +450,8 @@ impl Server {
 
 /// What one polled frame-read attempt produced.
 enum Req {
-    /// A complete frame payload.
-    Frame(Vec<u8>),
+    /// A complete frame; its payload is in the buffer passed in.
+    Frame,
     /// Clean close (EOF before a length prefix, or torn by the client).
     Closed,
     /// The server began draining while the connection sat idle between
@@ -458,10 +478,12 @@ fn is_timeout(e: &io::Error) -> bool {
 /// connection idle between frames calls `idle`, which does the
 /// connection's housekeeping and says whether the server is draining.
 /// Reads go through the connection's `rx` buffer, which keeps any bytes
-/// of the next frame.
+/// of the next frame, and the payload goes to `payload`, the buffer the
+/// connection keeps for it.
 fn read_request(
     stream: &mut impl Read,
     rx: &mut RecvBuf,
+    payload: &mut Vec<u8>,
     cap: usize,
     io_timeout: Duration,
     mut idle: impl FnMut() -> bool,
@@ -491,8 +513,9 @@ fn read_request(
         return Req::Oversized(n as u64);
     }
     let start = frame_start.unwrap_or_else(Instant::now);
-    let mut payload = vec![0u8; n];
-    let mut got = rx.take(&mut payload);
+    reuse(payload);
+    payload.resize(n, 0);
+    let mut got = rx.take(payload);
     while got < n {
         if start.elapsed() >= io_timeout {
             return Req::Stalled;
@@ -505,7 +528,7 @@ fn read_request(
             Err(_) => return Req::IoError,
         }
     }
-    Req::Frame(payload)
+    Req::Frame
 }
 
 /// Deterministically corrupts a reply payload in place (chaos harness:
@@ -536,16 +559,18 @@ fn serve_connection(server: &Server, mut stream: UnixStream) {
     }
     let mut conn = ConnState { shared, sessions: HashMap::new() };
     let mut rx = RecvBuf::with_capacity(RECV_BUF);
+    // The request and reply buffers serve every frame of the connection.
+    let (mut request, mut reply) = (Vec::new(), Vec::new());
     loop {
-        let req = read_request(&mut stream, &mut rx, shared.max_frame, shared.io_timeout, || {
+        let (cap, io_timeout) = (shared.max_frame, shared.io_timeout);
+        let req = read_request(&mut stream, &mut rx, &mut request, cap, io_timeout, || {
             conn.evict_expired();
             shared.is_draining()
         });
-        // Room for every fixed-size reply (DONE, the largest, is 29 bytes).
-        let mut reply = frame_buf(32);
+        start_frame(&mut reply);
         match req {
-            Req::Frame(payload) => {
-                handle_request(server, &mut conn, &payload, &mut reply);
+            Req::Frame => {
+                handle_request(server, &mut conn, &request, &mut reply);
                 if let Some(plan) = &shared.faults {
                     if plan.corrupt_next_reply() {
                         corrupt_payload(&mut reply[PREFIX..]);
@@ -679,6 +704,9 @@ impl RetryPolicy {
 pub struct Client {
     stream: UnixStream,
     rx: RecvBuf,
+    /// The request and reply buffers, reused by every round trip.
+    tx: Vec<u8>,
+    reply: Vec<u8>,
     retries: u64,
 }
 
@@ -690,7 +718,13 @@ impl Client {
     /// Propagates connection failures.
     pub fn connect(path: impl AsRef<Path>) -> io::Result<Client> {
         let stream = UnixStream::connect(path)?;
-        Ok(Client { stream, rx: RecvBuf::with_capacity(RECV_BUF), retries: 0 })
+        Ok(Client {
+            stream,
+            rx: RecvBuf::with_capacity(RECV_BUF),
+            tx: Vec::new(),
+            reply: Vec::new(),
+            retries: 0,
+        })
     }
 
     /// Connects with bounded, jittered retry — rides out a server that is
@@ -738,27 +772,28 @@ impl Client {
     ///
     /// I/O errors, or `InvalidData` for an undecodable frame.
     pub fn recv(&mut self) -> io::Result<Option<Wire>> {
-        match self.rx.read_frame(&mut self.stream)? {
-            None => Ok(None),
-            Some(p) => decode_wire(&p)
-                .map(Some)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed response")),
+        if !self.rx.read_frame(&mut self.stream, &mut self.reply)? {
+            return Ok(None);
         }
+        self.decode_reply().map(Some)
     }
 
     /// Sends one request frame, the concatenation of `parts` built in
     /// one buffer behind its length prefix, and reads the reply.
     fn round_trip(&mut self, parts: &[&[u8]]) -> io::Result<Wire> {
-        let mut frame = frame_buf(parts.iter().map(|p| p.len()).sum());
+        start_frame(&mut self.tx);
         for part in parts {
-            frame.extend_from_slice(part);
+            self.tx.extend_from_slice(part);
         }
-        send_frame(&mut self.stream, &mut frame)?;
-        let resp = self
-            .rx
-            .read_frame(&mut self.stream)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
-        decode_wire(&resp)
+        send_frame(&mut self.stream, &mut self.tx)?;
+        if !self.rx.read_frame(&mut self.stream, &mut self.reply)? {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"));
+        }
+        self.decode_reply()
+    }
+
+    fn decode_reply(&self) -> io::Result<Wire> {
+        decode_wire(&self.reply)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed response"))
     }
 
@@ -932,15 +967,18 @@ mod tests {
 
     thread_local! {
         static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+        static ALLOCS: Cell<usize> = const { Cell::new(0) };
     }
 
-    /// Delegates to `System` and records the largest allocation each
-    /// thread requests, so a test can show that an oversized length prefix
-    /// never reaches the payload allocation.
+    /// Delegates to `System` and records, per thread, the largest
+    /// allocation requested (so a test can show that an oversized length
+    /// prefix never reaches the payload allocation) and the number of
+    /// allocations, growing reallocations included.
     struct LargestAlloc;
 
     fn note_alloc(size: usize) {
         let _ = LARGEST_ALLOC.try_with(|l| l.set(l.get().max(size)));
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
     }
 
     // SAFETY: delegates directly to `System`; the bookkeeping has no effect
@@ -962,7 +1000,9 @@ mod tests {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            note_alloc(new_size);
+            if new_size > layout.size() {
+                note_alloc(new_size);
+            }
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
@@ -975,6 +1015,13 @@ mod tests {
         LARGEST_ALLOC.with(|l| l.set(0));
         let out = f();
         (out, LARGEST_ALLOC.with(Cell::get))
+    }
+
+    /// Runs `f` and returns its result with the allocations it made.
+    fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = ALLOCS.with(Cell::get);
+        let out = f();
+        (out, ALLOCS.with(Cell::get) - before)
     }
 
     fn framed(payloads: &[&[u8]]) -> Vec<u8> {
@@ -992,8 +1039,11 @@ mod tests {
         out
     }
 
-    fn read_req(r: &mut impl Read, rx: &mut RecvBuf, cap: usize) -> Req {
-        read_request(r, rx, cap, Duration::from_secs(5), || false)
+    /// One server-side frame read, with the payload it read.
+    fn read_req(r: &mut impl Read, rx: &mut RecvBuf, cap: usize) -> (Req, Vec<u8>) {
+        let mut payload = Vec::new();
+        let req = read_request(r, rx, &mut payload, cap, Duration::from_secs(5), || false);
+        (req, payload)
     }
 
     #[test]
@@ -1012,20 +1062,23 @@ mod tests {
         // served from the buffer without another read.
         let mut r = Counting::new(Cursor::new(framed(&[b"\x05", &[9u8; 4096]])));
         let mut rx = RecvBuf::with_capacity(RECV_BUF);
-        assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), Req::Frame(p) if p == b"\x05"));
+        assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), (Req::Frame, p) if p == b"\x05"));
         assert_eq!(r.calls, 1);
-        assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), Req::Frame(p) if p == [9u8; 4096]));
+        assert!(
+            matches!(read_req(&mut r, &mut rx, MAX_FRAME), (Req::Frame, p) if p == [9u8; 4096])
+        );
         assert_eq!(r.calls, 1, "the buffered next frame costs no read");
-        assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), Req::Closed));
+        assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), (Req::Closed, _)));
 
         // Client side, the same through the blocking reader.
         let mut r = Counting::new(Cursor::new(framed(&[b"ab", b"cde"])));
         let mut rx = RecvBuf::with_capacity(RECV_BUF);
-        assert_eq!(rx.read_frame(&mut r).expect("io"), Some(b"ab".to_vec()));
-        assert_eq!(r.calls, 1);
-        assert_eq!(rx.read_frame(&mut r).expect("io"), Some(b"cde".to_vec()));
-        assert_eq!(r.calls, 1);
-        assert_eq!(rx.read_frame(&mut r).expect("io"), None, "clean EOF");
+        let mut p = Vec::new();
+        assert!(rx.read_frame(&mut r, &mut p).expect("io"));
+        assert_eq!((&p[..], r.calls), (&b"ab"[..], 1));
+        assert!(rx.read_frame(&mut r, &mut p).expect("io"));
+        assert_eq!((&p[..], r.calls), (&b"cde"[..], 1));
+        assert!(!rx.read_frame(&mut r, &mut p).expect("io"), "clean EOF");
     }
 
     #[test]
@@ -1044,9 +1097,11 @@ mod tests {
             [Box::new(Cursor::new(wire.clone())), Box::new(Dribble(Cursor::new(wire)))];
         for mut r in readers {
             let mut rx = RecvBuf::with_capacity(RECV_BUF);
-            assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), Req::Frame(p) if p == big));
-            assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), Req::Frame(p) if p == b"tail"));
-            assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), Req::Closed));
+            assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), (Req::Frame, p) if p == big));
+            assert!(
+                matches!(read_req(&mut r, &mut rx, MAX_FRAME), (Req::Frame, p) if p == b"tail")
+            );
+            assert!(matches!(read_req(&mut r, &mut rx, MAX_FRAME), (Req::Closed, _)));
         }
     }
 
@@ -1058,13 +1113,61 @@ mod tests {
         let prefix = (cap as u32 + 1).to_le_bytes();
         let mut rx = RecvBuf::with_capacity(RECV_BUF);
         let (req, largest) = largest_alloc_in(|| read_req(&mut Cursor::new(prefix), &mut rx, cap));
-        assert!(matches!(req, Req::Oversized(n) if n == cap as u64 + 1));
+        assert!(matches!(req, (Req::Oversized(n), _) if n == cap as u64 + 1));
         assert!(largest < cap, "allocated {largest} bytes for a rejected frame");
 
         let prefix = u32::MAX.to_le_bytes();
         let (res, largest) = largest_alloc_in(|| read_frame(&mut Cursor::new(prefix)));
         assert_eq!(res.expect_err("oversized").kind(), io::ErrorKind::InvalidData);
         assert!(largest < MAX_FRAME, "allocated {largest} bytes for a rejected frame");
+    }
+
+    #[test]
+    fn equal_size_frames_reuse_one_buffer() {
+        // Server side: the connection's request and reply buffers.
+        let big = vec![7u8; 4 * KEEP_FRAME];
+        let mut r = Cursor::new(framed(&[&[1u8; 100], &[2u8; 100], &big, &[3u8; 100]]));
+        let mut rx = RecvBuf::with_capacity(RECV_BUF);
+        let (mut request, mut reply) = (Vec::new(), Vec::new());
+        let mut serve = |request: &mut Vec<u8>, reply: &mut Vec<u8>| {
+            let req =
+                read_request(&mut r, &mut rx, request, MAX_FRAME, Duration::from_secs(5), || false);
+            assert!(matches!(req, Req::Frame));
+            start_frame(reply);
+            encode_response(&Response::NeedInput { hint: Hint::Bytes(request.len()) }, reply);
+        };
+        serve(&mut request, &mut reply);
+        let ((), allocs) = allocs_in(|| serve(&mut request, &mut reply));
+        assert_eq!((request.as_slice(), allocs), (&[2u8; 100][..], 0), "second frame");
+        // An unusually large frame grows the request buffer; the next
+        // frame gives the growth back.
+        serve(&mut request, &mut reply);
+        assert_eq!(request, big);
+        serve(&mut request, &mut reply);
+        assert_eq!(request, [3u8; 100]);
+        assert!(request.capacity() <= KEEP_FRAME, "kept {} bytes", request.capacity());
+
+        // Client side: the request frame and the reply payload.
+        let (client_end, mut server_end) = UnixStream::pair().expect("socket pair");
+        let server = std::thread::spawn(move || {
+            let mut rx = RecvBuf::with_capacity(RECV_BUF);
+            let mut payload = Vec::new();
+            while rx.read_frame(&mut server_end, &mut payload).expect("io") {
+                write_frame(&mut server_end, &[ST_GOAWAY]).expect("io");
+            }
+        });
+        let mut client = Client {
+            stream: client_end,
+            rx: RecvBuf::with_capacity(RECV_BUF),
+            tx: Vec::new(),
+            reply: Vec::new(),
+            retries: 0,
+        };
+        assert_eq!(client.parse("dns", &[0; 100]).expect("io"), Wire::GoAway);
+        let (wire, allocs) = allocs_in(|| client.parse("dns", &[1; 100]).expect("io"));
+        assert_eq!((wire, allocs), (Wire::GoAway, 0), "second round trip");
+        drop(client);
+        server.join().expect("server thread");
     }
 
     #[test]

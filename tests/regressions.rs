@@ -553,6 +553,70 @@ mod leaf_calls {
         assert_eq!(assert_leaf_calls_agree(spec, &[&[0, 1], &[], &[1, 2, 3, 4]]), 1);
     }
 
+    #[test]
+    fn field_runs_at_constant_offsets() {
+        // A literal-headed run in the start rule (an open root while
+        // streamed: it falls back there) and the same run in a rule
+        // below it. Truncations end the record at every byte of its
+        // reach, and the last input breaks the literal.
+        let inputs: [&[u8]; 7] = [
+            b"AB\x01\x00\x00\x00\x00\x02xyz",
+            b"AB\x01\x00\x00\x00\x00\x02",
+            b"AB\x01\x00\x00\x00\x00",
+            b"AB\x01\x00\x00",
+            b"AB\x01",
+            b"AB",
+            b"AC\x01\x00\x00\x00\x00\x02",
+        ];
+        let run = r#"
+            "AB"[0, 2] U16[2, 4] {a = U16.val} U32[4, 8] {b = U32.val} Rest[8, EOI];
+            U16 := u16le;
+            U32 := u32be;
+            Rest := bytes;
+        "#;
+        for spec in [format!("S -> {run}"), format!("S -> R[0, EOI] {{r = R.b}}; R -> {run}")] {
+            assert_fields(&spec, "fields \"AB\"[0, 2] -> s0, U16[2, 4]->a, U32[4, 8]->b");
+            assert_eq!(assert_leaf_calls_agree(&spec, &inputs), 2, "{spec}");
+        }
+    }
+
+    #[test]
+    fn field_runs_from_a_computed_base() {
+        // The run's endpoints are offsets from `Pad.end`, read once: the
+        // `U16[2]` sugar chains each field to the previous one's `end`.
+        // A negative-length pad, a pad past the input and a record cut
+        // short all fall back.
+        let spec = r#"
+            S -> Len[0, 1] Pad[1, 1 + Len.val]
+                 U16[Pad.end, Pad.end + 2] {a = U16.val} U16[2] {b = U16.val} U8[1] {c = U8.val};
+            Len := u8;
+            Pad := bytes;
+            U16 := u16be;
+            U8 := u8;
+        "#;
+        let inputs: [&[u8]; 6] = [
+            &[0, 1, 2, 3, 4, 5],
+            &[2, 9, 9, 1, 2, 3, 4, 5, 6],
+            &[2, 9, 9, 1, 2, 3, 4],
+            &[2, 9, 9, 1],
+            &[9, 1, 2],
+            &[0, 1, 2, 3, 4],
+        ];
+        let fields = "fields from s1:Pad.end: U16[0, 2]->a, U16[2, 4]->b, U8[4, 5]->c";
+        assert_fields(spec, fields);
+        assert_eq!(assert_leaf_calls_agree(spec, &inputs), 2);
+        let nested = format!("S -> T[0, EOI] {{t = T.c}}; T -> {}", &spec.trim()[5..]);
+        assert_fields(&nested, fields);
+        assert_eq!(assert_leaf_calls_agree(&nested, &inputs), 2);
+    }
+
+    /// Asserts that `spec` compiles to a listing with `fields`.
+    fn assert_fields(spec: &str, fields: &str) {
+        let g = parse_grammar(spec).unwrap();
+        let listing = VmParser::new(&g).program().disassemble(&g);
+        assert!(listing.contains(fields), "no `{fields}` in\n{listing}");
+    }
+
     /// Per-rule calls, completions and failures of every builtin rule in
     /// one profiled parse of each corpus file. Running builtins in place
     /// must not move them.
@@ -580,5 +644,25 @@ mod leaf_calls {
         }
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots");
         super::common::check_snapshot(&dir, "builtin_profile.txt", &out);
+    }
+
+    /// Instruction hits per pc of one profiled parse of the zip corpus
+    /// file, as the general instructions counted them before field runs
+    /// existed: a run fires the hooks of every instruction it covers, and
+    /// a run that falls back (the fifth `LFH` and `CDE`, on an empty
+    /// interval) fires its head's.
+    #[test]
+    fn field_runs_keep_the_zip_pc_hits() {
+        let f = super::common::format("zip");
+        let input = super::common::default_corpus_input("zip");
+        let (result, stats, report) = f.vm.parse_profiled(&input);
+        assert!(result.is_ok(), "zip corpus file rejected");
+        let expected: [u64; 41] = [
+            1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 5, 4, 2, 5, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 5,
+            4, 2, 5, 4, 4, 4, 4, 4, 4, 4, 4, 4,
+        ];
+        assert_eq!(report.instr_hits, expected);
+        assert_eq!(stats.steps, 215);
+        assert!(f.vm.program().disassemble(f.grammar).contains("  fields "), "zip has runs");
     }
 }

@@ -191,3 +191,158 @@ fn vm_agrees_on_every_truncation_of_a_dns_message() {
         assert_agreement("dns", &bytes[..cut]);
     }
 }
+
+/// The fallback edges of field runs (`fields` in a bytecode listing): a
+/// run decodes its whole record at once only when all of it is in bounds,
+/// the fuel lasts to its end, its literal matches and the frame is not an
+/// open streaming root; anything else runs the general instructions. For
+/// every corpus grammar with a run, on a small valid input, each case
+/// below must leave the interpreter, the one-shot VM and a streamed
+/// session agreeing on the tree, the steps and the deepest error:
+///
+/// * the input truncated at every byte of each record's first 64 bytes;
+/// * each of a record's first 8 bytes flipped (every literal a run starts
+///   with lies there);
+/// * the step limit set to every step count up to the whole parse's;
+/// * the session's input split at every byte of each record's first 64.
+mod field_run_edges {
+    use super::common::{self, Format, AGREE_FUEL};
+    use ipg_core::interp::vm::Outcome;
+    use ipg_core::interp::Parser;
+    use ipg_core::tree::Tree;
+    use std::rc::Rc;
+
+    /// A small valid input of each grammar with field runs.
+    fn small_input(name: &str) -> Option<Vec<u8>> {
+        use ipg_corpus::*;
+        let zip = |method| zip::Config { n_entries: 2, payload_len: 24, method, seed: 7 };
+        Some(match name {
+            "zip" => zip::generate(&zip(zip::Method::Stored)).bytes,
+            "zip_inflate" => zip::generate(&zip(zip::Method::Deflate)).bytes,
+            "dns" => {
+                let config = dns::Config { n_questions: 1, n_answers: 2, compress: true, seed: 7 };
+                dns::generate(&config).bytes
+            }
+            "elf" => {
+                let config =
+                    elf::Config { n_sections: 1, section_size: 8, n_symbols: 2, n_dyn: 2, seed: 7 };
+                elf::generate(&config).bytes
+            }
+            "gif" => {
+                let config = gif::Config {
+                    n_frames: 1,
+                    width: 4,
+                    height: 4,
+                    gct_bits: Some(1),
+                    data_per_frame: 8,
+                    seed: 7,
+                };
+                gif::generate(&config).bytes
+            }
+            "png" => {
+                let config = png::Config {
+                    n_idat: 1,
+                    idat_len: 8,
+                    width: 4,
+                    height: 4,
+                    with_text: true,
+                    seed: 7,
+                };
+                png::generate(&config).bytes
+            }
+            "pe" => pe::generate(&pe::Config { n_sections: 2, section_size: 16, seed: 7 }).bytes,
+            "ipv4udp" => ipv4udp::generate(&Default::default()).bytes,
+            _ => return None,
+        })
+    }
+
+    /// The rules of `f` whose listing has a field run.
+    fn rules_with_runs(f: &Format) -> Vec<String> {
+        let listing = f.vm.program().disassemble(f.grammar);
+        let (mut rule, mut rules) = ("", Vec::new());
+        for line in listing.lines() {
+            if let Some(header) = line.strip_prefix("rule ") {
+                rule = header.split_whitespace().nth(1).unwrap_or("").trim_end_matches(':');
+            } else if line.trim_start().contains("  fields ") && !rules.iter().any(|r| r == rule) {
+                rules.push(rule.to_owned());
+            }
+        }
+        rules
+    }
+
+    /// The absolute spans of every node of `rules` in `tree`.
+    fn records(tree: &Rc<Tree>, rules: &[String], out: &mut Vec<(usize, usize)>) {
+        match &**tree {
+            Tree::Node(n) => {
+                if rules.iter().any(|r| **r == *n.name) {
+                    out.push((n.base, n.base + n.input_len));
+                }
+                n.children.iter().for_each(|c| records(c, rules, out));
+            }
+            Tree::Array(a) => a.elems.iter().for_each(|c| records(c, rules, out)),
+            Tree::Leaf(_) | Tree::Blackbox(_) => {}
+        }
+    }
+
+    /// Interpreter ≡ one-shot VM ≡ a session fed `input` split at `split`,
+    /// each with step limit `fuel`.
+    fn assert_oracle(f: &Format, input: &[u8], fuel: u64, split: usize) {
+        let ctx = format!("{}: {} bytes, fuel {fuel}, split at {split}", f.name, input.len());
+        let parser = Parser::new(f.grammar).max_steps(fuel);
+        let (reference, ref_stats) = parser.parse_with_stats(input);
+        let (one_shot, stats) = f.vm.clone().max_steps(fuel).parse_with_stats(input);
+        assert_eq!(stats.steps, ref_stats.steps, "one-shot steps, {ctx}");
+        assert_eq!(one_shot.map(|t| t.root().to_tree()), reference, "one-shot, {ctx}");
+
+        let mut session = f.vm.streaming().max_steps(fuel);
+        let (head, tail) = input.split_at(split.min(input.len()));
+        let early = [head, tail].into_iter().find_map(|chunk| session.feed(chunk).err().cloned());
+        let streamed = match (early, session.finish()) {
+            (Some(e), _) | (None, Outcome::Error(e)) => Err(e),
+            (None, Outcome::Done(tree)) => Ok(tree.root().to_tree()),
+            (None, Outcome::NeedInput { .. }) => panic!("finish never needs input, {ctx}"),
+        };
+        assert_eq!(session.stats().steps, stats.steps, "streamed steps, {ctx}");
+        // A session words fuel exhaustion like `parse`, not like
+        // `parse_with_stats`.
+        let reference = if stats.steps > fuel { parser.parse(input) } else { reference };
+        assert_eq!(streamed, reference, "streamed, {ctx}");
+    }
+
+    #[test]
+    fn every_fallback_edge_agrees_across_engines() {
+        let mut covered = Vec::new();
+        for f in common::formats() {
+            let rules = rules_with_runs(&f);
+            let Some(input) = small_input(f.name) else {
+                assert!(rules.is_empty(), "{}: field runs but no small input", f.name);
+                continue;
+            };
+            if rules.is_empty() {
+                continue;
+            }
+            let reference = Parser::new(f.grammar).parse(&input).expect("small input parses");
+            let mut spans = Vec::new();
+            records(&reference, &rules, &mut spans);
+            assert!(!spans.is_empty(), "{}: no record of {rules:?} parsed", f.name);
+            for &(start, end) in &spans {
+                let reach = end.min(start + 64);
+                for cut in start..=reach {
+                    assert_oracle(&f, &input[..cut], AGREE_FUEL, cut / 2);
+                    assert_oracle(&f, &input, AGREE_FUEL, cut);
+                }
+                for at in start..end.min(start + 8) {
+                    let mut flipped = input.clone();
+                    flipped[at] ^= 0xff;
+                    assert_oracle(&f, &flipped, AGREE_FUEL, at);
+                }
+            }
+            let steps = f.vm.parse_with_stats(&input).1.steps;
+            for fuel in 0..=steps {
+                assert_oracle(&f, &input, fuel, input.len() / 2);
+            }
+            covered.push(f.name);
+        }
+        assert_eq!(covered.len(), 8, "grammars with field runs: {covered:?}");
+    }
+}
