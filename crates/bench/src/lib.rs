@@ -13,8 +13,12 @@
 //! | §7 termination timing             | `cargo run -p bench --bin termination_report` |
 //! | Design-choice ablations           | `cargo bench -p bench --bench ablations` |
 //! | Inflate fast-path throughput      | `cargo bench -p bench --bench inflate_throughput` |
-//! | `BENCH_inflate.json` perf record  | `cargo run --release -p bench --bin bench_inflate` |
+//! | `BENCH_inflate.json` (CI artifact) | `cargo run --release -p bench --bin bench_inflate` |
+//! | `BENCH_conform.json` (CI artifact) | `cargo run --release -p bench --bin bench_conform` |
 //! | VM ÷ interpreter ≥ 3x gate        | `cargo test --release -p bench --test vm_speedup -- --ignored` |
+//!
+//! The two JSON records are not committed: CI's bench-smoke and
+//! conform-smoke jobs generate them and upload them as artifacts.
 //!
 //! Every IPG series runs the bytecode VM behind `ipg_formats` (the
 //! paper's generator emits compiled C++ instead; this repository has no

@@ -61,14 +61,15 @@ pub fn run(args: &[String]) -> CmdResult {
             let table = report.table();
             let rendered: String = if top > 0 {
                 // Keep the header row plus the N hottest rules (the
-                // table is already sorted by self time) and the footer.
+                // table is already sorted by self time) and the two
+                // footer lines.
                 let lines: Vec<&str> = table.lines().collect();
-                let body = lines.len().saturating_sub(2); // header + TOTAL
+                let body = lines.len().saturating_sub(3); // header + footer
                 let keep = top.min(body);
-                let mut picked: Vec<&str> = Vec::with_capacity(keep + 2);
+                let mut picked: Vec<&str> = Vec::with_capacity(keep + 3);
                 picked.push(lines[0]);
                 picked.extend(&lines[1..1 + keep]);
-                picked.push(lines[lines.len() - 1]);
+                picked.extend(&lines[1 + body..]);
                 picked.join("\n") + "\n"
             } else {
                 table

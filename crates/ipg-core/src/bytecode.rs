@@ -20,7 +20,12 @@
 //!   (`B[lo, hi] {x = B.val}` pairs, optionally after a literal) whose
 //!   endpoints fold to constants, or to offsets from the run's first
 //!   endpoint, is also compiled to one [`Instr::Fields`] at its head's pc
-//!   (see [`compile`]).
+//!   (see [`compile`]);
+//! * byte scans: a self-recursive byte rule (`R -> B[0, 1] guard… R[1,
+//!   EOI] set… / "t"[lo, hi] set…`, `B` a one-byte builtin) has its
+//!   first instruction compiled to one [`Instr::Scan`] besides, which runs
+//!   every level of the recursion down to the terminator in one pass (see
+//!   [`compile`]).
 //!
 //! Attribute operands keep their [`Sym`] and carry a frame or node slot
 //! besides, which [`compile`] leaves at [`NO_SLOT`]: the slots are filled
@@ -35,6 +40,8 @@ use crate::arena::NtTable;
 use crate::check::{CAlt, CExpr, CInterval, CRuleBody, CSwitchCase, CTermKind, Grammar, NtId};
 use crate::env::wellknown;
 use crate::intern::Sym;
+use crate::interp::eval_binop;
+use crate::layout::{END_SLOT, START_SLOT};
 use crate::syntax::{BinOp, Builtin};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -192,6 +199,15 @@ pub enum Instr {
         /// Index of the run in the program's run pool.
         run: u32,
     },
+    /// A byte scan (`ByteScan`) in place of its head, the first
+    /// instruction of its rule: runs every level of the rule's recursion
+    /// down to the terminator at once when that is found in the frame's
+    /// interval, else runs the head it replaced. The rest of the first
+    /// alternative follows it unchanged, for that case.
+    Scan {
+        /// Index of the scan in the program's scan pool.
+        scan: u32,
+    },
 }
 
 /// A run of builtin fields that one [`Instr::Fields`] decodes: an optional
@@ -253,6 +269,65 @@ pub(crate) struct Field {
     /// the `layout` module, like the `Set`'s own).
     pub(crate) attr: Sym,
     pub(crate) attr_slot: u16,
+}
+
+/// In a [`ByteScan`]'s stop table: the first guard a byte fails is
+/// undefined on it, rather than zero.
+pub(crate) const GUARD_UNDEFINED: u8 = 0x80;
+
+/// The most attribute slots (`EOI`, `start`, `end` and the attributes set)
+/// a byte-scan rule has: the VM builds each level's values on the stack.
+pub(crate) const SCAN_WIDTH: usize = 8;
+
+/// A self-recursive byte rule that one [`Instr::Scan`] runs:
+///
+/// ```text
+/// R -> B[0, 1] guard… R[1, EOI] set…
+///    / "t"[lo, hi] set…;
+/// ```
+///
+/// `B` is a one-byte builtin, the self-call may also start at `B.end`,
+/// and the literal lies at constant offsets. Each level reads one byte and
+/// recurses on the rest, until a byte fails a guard: that level, the
+/// terminator, matches the literal instead. The guards read `B` only; the
+/// first alternative's sets read `B`, the nested `R` and constants, the
+/// second's constants only, with no operator that can be undefined, and
+/// both alternatives set the same attributes, once each.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ByteScan {
+    /// The general instruction the scan's head replaced: `B[0, 1]`.
+    pub(crate) head: Instr,
+    pub(crate) byte: NtId,
+    /// Result slots of `B` and of the self-call, in that order.
+    pub(crate) byte_slot: u16,
+    pub(crate) self_slot: u16,
+    /// Guards after the head, and sets after the self-call.
+    pub(crate) guards: u8,
+    pub(crate) sets: u8,
+    /// Per byte value: the index of the first guard the byte fails, with
+    /// [`GUARD_UNDEFINED`] set when that guard is undefined on it, or
+    /// `guards` when it passes them all.
+    pub(crate) stop: [u8; 256],
+    /// The terminator's literal, at its pc, and the sets after it.
+    pub(crate) lit: RunLit,
+    pub(crate) lit_pc: u32,
+    pub(crate) lit_sets: u8,
+}
+
+impl ByteScan {
+    /// The steps a level above the terminator charges: its byte's call
+    /// and the builtin's, its guards, the self-call and the nested rule's
+    /// call, and its sets.
+    pub(crate) fn level_steps(&self) -> u64 {
+        4 + u64::from(self.guards) + u64::from(self.sets)
+    }
+
+    /// The steps the terminator level charges when its byte fails guard
+    /// `failed`: the byte's call and the builtin's, the guards up to that
+    /// one, the literal and its sets.
+    pub(crate) fn terminator_steps(&self, failed: u8) -> u64 {
+        4 + u64::from(failed) + u64::from(self.lit_sets)
+    }
 }
 
 /// One case of a compiled switch.
@@ -384,6 +459,7 @@ pub struct Program {
     pub(crate) lits: Vec<u8>,
     pub(crate) runs: Vec<FieldRun>,
     pub(crate) fields: Vec<Field>,
+    pub(crate) scans: Vec<ByteScan>,
     pub(crate) nt_table: Arc<NtTable>,
     pub(crate) start: NtId,
 }
@@ -399,6 +475,10 @@ pub struct Program {
 /// folds too, which covers the `B[n]` sequential sugar. Each field's
 /// interval must hold the builtin's width, so once the run is in bounds
 /// every field decodes.
+///
+/// Last, the first instruction of a rule of the [`ByteScan`] shape becomes
+/// an [`Instr::Scan`]. The shape is matched on the compiled instructions,
+/// whatever the rule is named.
 pub fn compile(g: &Grammar) -> Program {
     let mut c = Compiler {
         g,
@@ -411,6 +491,7 @@ pub fn compile(g: &Grammar) -> Program {
             lits: Vec::new(),
             runs: Vec::new(),
             fields: Vec::new(),
+            scans: Vec::new(),
             nt_table: Arc::new(NtTable {
                 names: g.rules().iter().map(|r| r.name.clone()).collect(),
                 syms: g.rules().iter().map(|r| r.name_sym).collect(),
@@ -418,7 +499,7 @@ pub fn compile(g: &Grammar) -> Program {
             start: g.start_nt(),
         },
     };
-    for rule in g.rules() {
+    for (nt, rule) in g.rules().iter().enumerate() {
         let kind = match &rule.body {
             CRuleBody::Builtin(b) => PRuleKind::Builtin(*b),
             CRuleBody::Blackbox(idx) => PRuleKind::Blackbox(*idx as u32),
@@ -427,12 +508,36 @@ pub fn compile(g: &Grammar) -> Program {
                 for alt in alts {
                     c.compile_alt(alt);
                 }
-                PRuleKind::Alts { first, count: alts.len() as u32 }
+                let count = alts.len() as u32;
+                if let Some(scan) = c.byte_scan(NtId(nt as u32), first, count) {
+                    let id = c.out.scans.len() as u32;
+                    c.out.scans.push(scan);
+                    c.out.code[c.out.alts[first as usize].first as usize] =
+                        Instr::Scan { scan: id };
+                }
+                PRuleKind::Alts { first, count }
             }
         };
         c.out.rules.push(PRule { kind, is_local: rule.is_local });
     }
     c.out
+}
+
+/// The attributes `sets` bind, sorted, if each is a `Set` of an attribute
+/// other than `EOI`, `start` and `end`, and no two bind the same one.
+fn set_attrs(sets: &[Instr]) -> Option<Vec<Sym>> {
+    let mut attrs = Vec::with_capacity(sets.len());
+    for instr in sets {
+        let Instr::Set { attr, .. } = *instr else { return None };
+        if matches!(attr, wellknown::EOI | wellknown::START | wellknown::END)
+            || attrs.contains(&attr)
+        {
+            return None;
+        }
+        attrs.push(attr);
+    }
+    attrs.sort_by_key(|s| s.0);
+    Some(attrs)
 }
 
 struct Compiler<'g> {
@@ -629,6 +734,139 @@ impl Compiler<'_> {
         }
     }
 
+    /// The [`ByteScan`] that rule `nt`, with alternatives `first..first +
+    /// count` compiled, is an instance of, if it is one.
+    fn byte_scan(&self, nt: NtId, first: u32, count: u32) -> Option<ByteScan> {
+        if count != 2 || self.g.rule(nt).is_local {
+            return None;
+        }
+        let [body, term] = [first, first + 1].map(|a| {
+            let alt = self.out.alts[a as usize];
+            (alt.first, &self.out.code[alt.first as usize..(alt.first + alt.count) as usize])
+        });
+        let Some(&head @ Instr::Call { nt: byte, lo, hi, slot: byte_slot }) = body.1.first() else {
+            return None;
+        };
+        let CRuleBody::Builtin(builtin) = self.g.rule(byte).body else { return None };
+        let unit = ((false, 0), (false, 1));
+        if builtin.fixed_width() != Some(1)
+            || (self.fold(lo, None, &[])?, self.fold(hi, None, &[])?) != unit
+        {
+            return None;
+        }
+        let guards: Vec<ExprId> = body.1[1..]
+            .iter()
+            .map_while(|i| match *i {
+                Instr::Guard { expr } => Some(expr),
+                _ => None,
+            })
+            .collect();
+        let Some(&Instr::Call { nt: callee, lo, hi, slot: self_slot }) =
+            body.1.get(1 + guards.len())
+        else {
+            return None;
+        };
+        // The nested level starts after the byte: at `1` or `B.end`.
+        let after_byte = match self.out.exprs[lo.0 as usize] {
+            BExpr::Num(n) => n == 1,
+            BExpr::NtAttr { slot, attr, .. } => (slot, attr) == (byte_slot, wellknown::END),
+            _ => false,
+        };
+        if callee != nt
+            || !after_byte
+            || !matches!(self.out.exprs[hi.0 as usize], BExpr::Eoi)
+            || byte_slot >= self_slot
+            || guards.is_empty()
+            || guards.len() >= usize::from(GUARD_UNDEFINED)
+        {
+            return None;
+        }
+        let Some(&Instr::Match { lit, lo, hi, slot }) = term.1.first() else { return None };
+        let ((false, lo), (false, hi)) = (self.fold(lo, None, &[])?, self.fold(hi, None, &[])?)
+        else {
+            return None;
+        };
+        if lo < 0 || hi.checked_sub(lo)? < i64::from(lit.len) {
+            return None;
+        }
+        let sets = &body.1[2 + guards.len()..];
+        let attrs = set_attrs(sets)?;
+        if set_attrs(&term.1[1..])? != attrs || attrs.len() > SCAN_WIDTH - 3 {
+            return None;
+        }
+        let reads_ok = |instrs: &[Instr], byte, inner| {
+            instrs.iter().all(|i| match *i {
+                Instr::Set { expr, .. } => self.scan_expr(expr, byte, inner, true),
+                _ => false,
+            })
+        };
+        if !guards.iter().all(|&g| self.scan_expr(g, Some(byte_slot), None, false))
+            || !reads_ok(sets, Some(byte_slot), Some((self_slot, &attrs[..])))
+            || !reads_ok(&term.1[1..], None, None)
+        {
+            return None;
+        }
+        let mut scan = ByteScan {
+            head,
+            byte,
+            byte_slot,
+            self_slot,
+            guards: guards.len() as u8,
+            sets: sets.len() as u8,
+            stop: [0; 256],
+            lit: RunLit { lit, lo, hi, slot },
+            lit_pc: term.0,
+            lit_sets: (term.1.len() - 1) as u8,
+        };
+        let mut stop = [scan.guards; 256];
+        for (value, stop) in stop.iter_mut().enumerate() {
+            for (q, &g) in guards.iter().enumerate() {
+                match self.out.scan_value(&scan, g, value as i64, &[]) {
+                    Some(0) => *stop = q as u8,
+                    None => *stop = q as u8 | GUARD_UNDEFINED,
+                    Some(_) => continue,
+                }
+                break;
+            }
+        }
+        scan.stop = stop;
+        Some(scan)
+    }
+
+    /// Whether `e` is an expression a [`ByteScan`] can evaluate: numbers,
+    /// operators and conditionals over attributes of `B` (at result slot
+    /// `byte`) and of the nested rule (at the slot in `inner`, reading its
+    /// `EOI`, `start`, `end` or one of the listed attributes); `total`
+    /// rules out the operators that can be undefined (`/`, `%`, `<<`,
+    /// `>>`).
+    fn scan_expr(
+        &self,
+        e: ExprId,
+        byte: Option<u16>,
+        inner: Option<(u16, &[Sym])>,
+        total: bool,
+    ) -> bool {
+        let ok = |e| self.scan_expr(e, byte, inner, total);
+        match self.out.exprs[e.0 as usize] {
+            BExpr::Num(_) => true,
+            BExpr::Bin(op, a, b) => {
+                !(total && matches!(op, BinOp::Div | BinOp::Mod | BinOp::Shl | BinOp::Shr))
+                    && ok(a)
+                    && ok(b)
+            }
+            BExpr::Cond(c, t, f) => ok(c) && ok(t) && ok(f),
+            BExpr::NtAttr { slot, attr, .. } if Some(slot) == byte => {
+                matches!(attr, wellknown::VAL | wellknown::START | wellknown::END | wellknown::EOI)
+            }
+            BExpr::NtAttr { slot, attr, .. } => inner.is_some_and(|(s, attrs)| {
+                s == slot
+                    && (attrs.contains(&attr)
+                        || matches!(attr, wellknown::START | wellknown::END | wellknown::EOI))
+            }),
+            _ => false,
+        }
+    }
+
     fn case(&mut self, case: &CSwitchCase) -> PCase {
         let cond = case.cond.as_ref().map(|c| self.expr(c));
         let (lo, hi) = self.interval(&case.interval);
@@ -784,13 +1022,49 @@ impl Program {
         1 + depth_of(self, self.start.0 as usize, &mut memo, &mut on_path) as usize
     }
 
-    /// `instr` with a field run's head in place of the run: the term the
-    /// instruction at its pc was compiled from.
+    /// `instr` with a field run's or byte scan's head in place of it: the
+    /// term the instruction at its pc was compiled from.
     pub(crate) fn unfused(&self, instr: Instr) -> Instr {
         match instr {
             Instr::Fields { run } => self.runs[run as usize].head,
+            Instr::Scan { scan } => self.scans[scan as usize].head,
             other => other,
         }
+    }
+
+    /// The value of expression `e` of byte scan `scan` at a level whose
+    /// byte is `byte` and whose nested rule's node holds `inner` (its
+    /// values as stored; empty on the terminator level), or `None` when
+    /// undefined. `B` read one byte at offset 0 of the level, and the
+    /// nested node lies at offset 1, so its `start` and `end` read one
+    /// higher (rule T-NTSucc).
+    pub(crate) fn scan_value(
+        &self,
+        scan: &ByteScan,
+        e: ExprId,
+        byte: i64,
+        inner: &[i64],
+    ) -> Option<i64> {
+        let value = |e| self.scan_value(scan, e, byte, inner);
+        Some(match self.exprs[e.0 as usize] {
+            BExpr::Num(n) => n,
+            BExpr::Bin(op, a, b) => eval_binop(op, value(a)?, value(b)?)?,
+            BExpr::Cond(c, t, f) => value(if value(c)? != 0 { t } else { f })?,
+            BExpr::NtAttr { slot, attr, .. } if slot == scan.byte_slot => match attr {
+                wellknown::VAL => byte,
+                wellknown::START => 0,
+                _ => 1,
+            },
+            BExpr::NtAttr { attr_slot, .. } => {
+                let v = *inner.get(attr_slot as usize)?;
+                if matches!(attr_slot, START_SLOT | END_SLOT) {
+                    v + 1
+                } else {
+                    v
+                }
+            }
+            _ => return None,
+        })
     }
 
     /// The shared nonterminal name table (also carried by every
@@ -935,6 +1209,13 @@ impl Program {
                     sep = ", ";
                 }
                 s
+            }
+            Instr::Scan { scan } => {
+                let sc = &self.scans[scan as usize];
+                let l = sc.lit;
+                let lit = &self.lits[l.lit.start as usize..(l.lit.start + l.lit.len) as usize];
+                let (byte, lit) = (self.nt_name(sc.byte), crate::interp::preview(lit));
+                format!("scan {byte}[0, 1] until {lit}[{}, {}]", l.lo, l.hi)
             }
         }
     }

@@ -34,6 +34,15 @@
 //!   decodes every field after that one check and charges the steps and
 //!   profile hooks of the instructions it covers; otherwise the general
 //!   instructions, left in place after it, run unchanged.
+//! * **Byte scans**: a self-recursive byte rule (a string's `Str -> Ch[0,
+//!   1] assert(Ch.val > 0) Str[1, EOI] {len = 1 + Str.len} / x"00"[0, 1]
+//!   {len = 0}`) has its head compiled to one [`Instr::Scan`]. It finds
+//!   the terminator, the first byte of the frame's interval that fails a
+//!   guard, in one pass; when the fuel lasts, no nested level's call is
+//!   memoized yet and the terminator's literal matches, it writes every
+//!   level's records and memo entry in one go and charges the steps and
+//!   profile hooks of the levels' instructions. Otherwise, like a field
+//!   run, it runs the general instructions left in place after it.
 //! * **Slot-resolved attributes**: a frame keeps its attributes in `i64`
 //!   slots fixed per rule when the parser is built (`layout`), so
 //!   an attribute read or write is an indexed access, not a search by
@@ -79,7 +88,8 @@ use crate::analysis::{anchor_requirement, AnchorRequirement};
 use crate::arena::{AttrSlot, Entry, TreeArena, TreeId, TreeRef};
 use crate::builtin::run_builtin;
 use crate::bytecode::{
-    compile, BExpr, ExprId, Instr, LitSpan, PRuleKind, Program, SizeHints, NO_SLOT,
+    compile, BExpr, ByteScan, ExprId, Instr, LitSpan, PRuleKind, Program, SizeHints,
+    GUARD_UNDEFINED, NO_SLOT, SCAN_WIDTH,
 };
 use crate::check::{Grammar, NtId};
 use crate::error::{Error, ParseError, Result};
@@ -374,6 +384,7 @@ impl VmParser {
             suspend: None,
             suspend_count: 0,
             resume: ResumeKind::Exec,
+            scan_stop: ScanStop::NONE,
             prof,
         }
     }
@@ -436,6 +447,13 @@ struct Deepest {
 }
 
 impl Deepest {
+    /// Records a failure at `offset`, unless one was recorded deeper.
+    fn record(&mut self, offset: usize, nt: NtId, reason: Reason) {
+        if offset >= self.offset {
+            *self = Deepest { offset, nt: Some(nt), reason };
+        }
+    }
+
     /// The [`ParseError`] this failure reports.
     fn render(&self, g: &Grammar, p: &Program) -> ParseError {
         let msg = match &self.reason {
@@ -751,6 +769,8 @@ struct VmSession<I, PS: ProfSink = ()> {
     suspend_count: u64,
     /// How to re-enter after [`Abort::Suspend`].
     resume: ResumeKind,
+    /// Where the last byte scan's search stopped.
+    scan_stop: ScanStop,
     /// Profiling hooks: `()` (disabled — every call compiles away) for
     /// all plain entry points, `&mut Profiler` under
     /// [`VmParser::parse_profiled`].
@@ -789,9 +809,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     }
 
     fn record_failure(&mut self, offset: usize, nt: NtId, reason: Reason) {
-        if offset >= self.deepest.offset {
-            self.deepest = Deepest { offset, nt: Some(nt), reason };
-        }
+        self.deepest.record(offset, nt, reason);
     }
 
     /// Drives the machine from a root invocation of `nt` to completion.
@@ -917,7 +935,6 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     ) -> PResult<Option<Ret>> {
         self.tick()?;
         self.prof.call(nt);
-        self.prof.enter(nt);
         let ret = match run_builtin(b, &self.input.as_ref()[base..base + len]) {
             Some((val, consumed)) => {
                 // `{start ↦ len, end ↦ 0}` widened by `[0, consumed)` when
@@ -938,7 +955,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                 None
             }
         };
-        self.prof.exit(nt, ret.is_some());
+        self.prof.leaf(nt, ret.is_some());
         Ok(ret)
     }
 
@@ -1081,6 +1098,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                         self.exec_switch(fi, first, count, slot)?
                     }
                     Instr::Fields { run } => self.exec_fields(fi, run)?,
+                    Instr::Scan { scan } => self.exec_scan(fi, scan)?,
                 }
             };
             match flow {
@@ -1316,13 +1334,12 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             }
             let (nt, width) = (field.nt, field.width as usize);
             self.prof.call(nt);
-            self.prof.enter(nt);
             let l = base + field.lo;
             let a = frame_base + l as usize;
             let val = decode_fixed(field.builtin, &input[a..a + width]);
             let len = (field.hi - field.lo) as usize;
             let id = self.arena.alloc_builtin(nt, a, len, width, l, val);
-            self.prof.exit(nt, true);
+            self.prof.leaf(nt, true);
             let f = &mut self.frames[fi];
             upd_start_end(&mut f.slots, l, l + width as i64, true);
             f.results[field.slot as usize] = Some(id);
@@ -1334,13 +1351,121 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         Ok(Flow::Exec)
     }
 
-    /// Runs the general instruction a field run's head replaced.
+    /// Runs the general instruction a field run's or byte scan's head
+    /// replaced.
     fn exec_unfused(&mut self, fi: usize, head: Instr) -> PResult<Flow> {
         match head {
             Instr::Match { lit, lo, hi, slot } => self.exec_match(fi, lit, lo, hi, slot),
             Instr::Call { nt, lo, hi, slot } => self.dispatch_call(fi, nt, lo, hi, slot),
-            _ => unreachable!("a field run starts with a match or a call"),
+            _ => unreachable!("a field run or byte scan starts with a match or a call"),
         }
+    }
+
+    /// A byte scan (`ByteScan`), run by the frame of its rule at level 0
+    /// of the recursion: finds the terminator level `k`, whose byte is the
+    /// first of the frame's interval to fail a guard, in one pass. When
+    /// `k > 0`, the fuel lasts through level `k`, no nested level's call
+    /// (levels 1 to `k`) is in the memo table and the terminator's literal
+    /// matches, every instruction of every level would run as the shape
+    /// says, so the scan does their work in one go: each nested level's
+    /// byte record, node, memo entry and the shift record its caller
+    /// keeps, the terminator's byte record (read, then failed) and leaf,
+    /// and this frame's byte, self-call result and sets. It charges their
+    /// steps and profile hooks and records the terminator's guard failure.
+    /// Otherwise the head it replaced runs, followed by the general
+    /// instructions, so failures, fuel exhaustion and memo hits happen
+    /// exactly where they would. The open root of a streaming session
+    /// always takes that path: its length reads 0 until it is sealed.
+    fn exec_scan(&mut self, fi: usize, scan: u32) -> PResult<Flow> {
+        let p = &self.img.program;
+        let s = &p.scans[scan as usize];
+        let f = &self.frames[fi];
+        let (nt, base, len, pc, memoizable) = (f.nt, f.base, f.len, f.ip, f.memoizable);
+        let input = self.input.as_ref();
+        let Some(k) = self.scan_stop.find(scan, s, input, base, len).filter(|&k| k > 0) else {
+            return self.exec_unfused(fi, s.head);
+        };
+        let stop = s.stop[usize::from(input[base + k])];
+        let failed = stop & !GUARD_UNDEFINED;
+        // The head's step is paid.
+        let steps = k as u64 * s.level_steps() + s.terminator_steps(failed) - 1;
+        let (lit, term, term_len) = (s.lit, base + k, len - k);
+        let lit_bytes = &p.lits[lit.lit.start as usize..(lit.lit.start + lit.lit.len) as usize];
+        let at = term + lit.lo as usize;
+        if self.steps.saturating_add(steps) > self.max_steps
+            || lit.hi > term_len as i64
+            || input[at..at + lit_bytes.len()] != *lit_bytes
+            || memoizable && (1..=k).any(|i| self.memo.contains_key(&(nt, base + i, len - i)))
+        {
+            return self.exec_unfused(fi, s.head);
+        }
+        self.steps += steps;
+        let reason =
+            if stop & GUARD_UNDEFINED != 0 { Reason::PredicateEval } else { Reason::Predicate };
+        self.deepest.record(term, nt, reason);
+        let width = usize::from(self.img.layouts.rules[nt.0 as usize].width);
+        let defined = "a byte scan's sets are defined";
+        let (n, guards) = (k as u64, u32::from(s.guards));
+        self.prof.instrs(pc, n);
+        for q in 0..guards {
+            self.prof.instrs(pc + 1 + q, n + u64::from(q <= u32::from(failed)));
+        }
+        for q in 0..=u32::from(s.sets) {
+            self.prof.instrs(pc + 1 + guards + q, n);
+        }
+        for q in 0..=u32::from(s.lit_sets) {
+            self.prof.instr(s.lit_pc + q);
+        }
+
+        // The terminator level: its byte, its literal's leaf, its node.
+        self.prof.call(s.byte);
+        self.arena.alloc_builtin(s.byte, term, 1, 1, 0, i64::from(input[term]));
+        self.prof.leaf(s.byte, true);
+        let leaf = self.arena.alloc_leaf(at, at + lit_bytes.len());
+        let mut vals = [0; SCAN_WIDTH];
+        vals[..3].copy_from_slice(&[term_len as i64, term_len as i64, 0]);
+        upd_start_end(&mut vals, lit.lo, lit.hi, !lit_bytes.is_empty());
+        for set in &p.code[s.lit_pc as usize + 1..][..usize::from(s.lit_sets)] {
+            let Instr::Set { attr_slot, expr, .. } = *set else { unreachable!("{defined}") };
+            vals[usize::from(attr_slot)] = p.scan_value(s, expr, 0, &[]).expect(defined);
+        }
+        let mut node = self.arena.alloc_node(nt, 1, &vals[..width], [leaf], term);
+        // The levels above it, innermost first, down to this frame's.
+        let sets = &p.code[pc as usize + 2 + s.guards as usize..][..usize::from(s.sets)];
+        for i in (1..=k).rev() {
+            // Level `i`, whose node is `node`, returns to level `i - 1`.
+            self.prof.call(nt);
+            if memoizable {
+                self.prof.memo(nt, false);
+                self.memo.insert((nt, base + i, len - i), Some(node));
+            }
+            self.prof.leaf(nt, true);
+            let (at_i, len_i) = (base + i - 1, (len - i + 1) as i64);
+            let byte = i64::from(input[at_i]);
+            self.prof.call(s.byte);
+            let b = self.arena.alloc_builtin(s.byte, at_i, 1, 1, 0, byte);
+            self.prof.leaf(s.byte, true);
+            let shift = self.arena.adjust(node, 1);
+            let inner = vals;
+            vals[..3].copy_from_slice(&[len_i, 0, 1]);
+            let (start, end) = (inner[START_SLOT as usize], inner[END_SLOT as usize]);
+            upd_start_end(&mut vals, 1 + start, 1 + end, end != 0);
+            for set in sets {
+                let Instr::Set { attr_slot, expr, .. } = *set else { unreachable!("{defined}") };
+                vals[usize::from(attr_slot)] =
+                    p.scan_value(s, expr, byte, &inner[..width]).expect(defined);
+            }
+            if i > 1 {
+                node = self.arena.alloc_node(nt, 0, &vals[..width], [b, shift], at_i);
+            } else {
+                let f = &mut self.frames[fi];
+                f.slots[..width].copy_from_slice(&vals[..width]);
+                f.results[usize::from(s.byte_slot)] = Some(b);
+                f.results[usize::from(s.self_slot)] = Some(shift);
+                f.ip = f.ip_end;
+            }
+        }
+        Ok(Flow::Exec)
     }
 
     fn exec_set(&mut self, fi: usize, attr: Sym, attr_slot: u16, expr: ExprId) -> PResult<Flow> {
@@ -1854,6 +1979,44 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             }
             i = f.parent;
         }
+    }
+}
+
+/// Where the last byte scan's search stopped: scan `scan`, searching the
+/// interval `[from, end)`, found its first stop byte (one that fails a
+/// guard) at `stop`, or none if `stop == end`. Each nested level of a
+/// scan that fell back runs the scan again on a suffix of the interval,
+/// whose first stop byte is the same; this answers it without a second
+/// search, which would make an unterminated string quadratic.
+#[derive(Clone, Copy)]
+struct ScanStop {
+    scan: u32,
+    from: usize,
+    end: usize,
+    stop: usize,
+}
+
+impl ScanStop {
+    const NONE: ScanStop = ScanStop { scan: u32::MAX, from: 0, end: 0, stop: 0 };
+
+    /// The offset from `base` of the first byte of `[base, base + len)`
+    /// that scan `scan`, described by `s`, stops at, if there is one in
+    /// the buffered `input`.
+    fn find(
+        &mut self,
+        scan: u32,
+        s: &ByteScan,
+        input: &[u8],
+        base: usize,
+        len: usize,
+    ) -> Option<usize> {
+        let end = base + len;
+        if (self.scan, self.end) != (scan, end) || !(self.from..=self.stop).contains(&base) {
+            let window = input.get(base..end)?;
+            let stop = window.iter().position(|&b| s.stop[usize::from(b)] != s.guards);
+            *self = ScanStop { scan, from: base, end, stop: stop.map_or(end, |k| base + k) };
+        }
+        (self.stop < end).then(|| self.stop - base)
     }
 }
 

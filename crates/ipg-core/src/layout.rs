@@ -226,12 +226,17 @@ pub(crate) fn resolve(program: &mut Program, grammar: &Grammar) -> Layouts {
                     for pc in alt.first..alt.first + alt.count {
                         r.pc = pc;
                         let instr = &mut program.code[pc as usize];
-                        if let Instr::Fields { run } = *instr {
-                            // The covered instructions follow and resolve
-                            // as usual; the head's operands resolve here.
-                            r.instr(&mut program.runs[run as usize].head, &program.cases);
-                        } else {
-                            r.instr(instr, &program.cases);
+                        // A field run's or byte scan's covered
+                        // instructions follow and resolve as usual; its
+                        // head's operands resolve here.
+                        match *instr {
+                            Instr::Fields { run } => {
+                                r.instr(&mut program.runs[run as usize].head, &program.cases)
+                            }
+                            Instr::Scan { scan } => {
+                                r.instr(&mut program.scans[scan as usize].head, &program.cases)
+                            }
+                            _ => r.instr(instr, &program.cases),
                         }
                     }
                     let frame_width = slot_count(r.next);
@@ -310,7 +315,9 @@ impl OperandResolver<'_> {
                     self.expr(case.hi);
                 }
             }
-            Instr::Fields { .. } => unreachable!("field runs resolve through their head"),
+            Instr::Fields { .. } | Instr::Scan { .. } => {
+                unreachable!("field runs and byte scans resolve through their head")
+            }
         }
     }
 

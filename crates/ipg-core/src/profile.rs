@@ -16,12 +16,15 @@
 //!
 //! Wall-clock self time is attributed with a boundary-flush scheme: the
 //! profiler keeps its own nonterminal stack mirroring the VM's frame
-//! stack, and on every transition (rule enter, rule exit, leaf
-//! builtin/blackbox bracket) the time elapsed since the previous
-//! transition is charged to the rule on top of the stack. Work done
-//! between a rule's entry and its first child call is therefore *self*
-//! time of that rule; child time is charged to the child. Time before
-//! the root call (session setup) is reported as `unattributed`.
+//! stack, and on every transition (rule enter, rule exit, blackbox
+//! bracket) the time elapsed since the previous transition is charged to
+//! the rule on top of the stack. Work done between a rule's entry and its
+//! first child call is therefore *self* time of that rule; child time is
+//! charged to the child. Builtin leaves, and the levels a byte scan runs
+//! in bulk, are counted (calls, completions, failures) but not timed:
+//! reading the clock around a few-nanosecond decode would measure the
+//! clock, so their time is their caller's self time. Time before the root
+//! call (session setup) is reported as `unattributed`.
 //!
 //! Instruction and suspension counters are pc-indexed (one slot per
 //! [`crate::bytecode::Instr`] of the compiled program) and can be
@@ -47,22 +50,30 @@ use std::time::Instant;
 /// VM instrumentation hooks. Implemented by `()` (disabled: every hook
 /// is a no-op that compiles away) and by [`Profiler`] (enabled).
 pub(crate) trait ProfSink {
-    /// A rule invocation (every `begin_call`, including memo hits,
-    /// builtins and blackboxes).
+    /// A rule invocation (every call, including memo hits, builtins,
+    /// blackboxes and a byte scan's levels).
     #[inline(always)]
     fn call(&mut self, _nt: NtId) {}
     /// A memo-table query on a memoizable rule.
     #[inline(always)]
     fn memo(&mut self, _nt: NtId, _hit: bool) {}
-    /// A frame (or leaf bracket) was entered for `nt`.
+    /// A frame (or blackbox bracket) was entered for `nt`.
     #[inline(always)]
     fn enter(&mut self, _nt: NtId) {}
     /// The frame/bracket for `nt` finished, successfully or not.
     #[inline(always)]
     fn exit(&mut self, _nt: NtId, _ok: bool) {}
+    /// A builtin leaf, or a level of a byte scan, finished: counted like
+    /// a frame's exit, but not timed, so its time is its caller's self
+    /// time.
+    #[inline(always)]
+    fn leaf(&mut self, _nt: NtId, _ok: bool) {}
     /// One instruction dispatched at `pc`.
     #[inline(always)]
     fn instr(&mut self, _pc: u32) {}
+    /// `n` instructions dispatched at `pc` (a byte scan's levels).
+    #[inline(always)]
+    fn instrs(&mut self, _pc: u32, _n: u64) {}
     /// A streaming suspension taken while blocked at `pc`.
     #[inline(always)]
     fn suspend(&mut self, _pc: u32) {}
@@ -84,7 +95,8 @@ pub struct RuleCounters {
     pub completions: u64,
     /// Frames that exhausted their alternatives (or leaf failures).
     pub failures: u64,
-    /// Wall-clock nanoseconds attributed to this rule's own work.
+    /// Wall-clock nanoseconds attributed to this rule's own work (0 for a
+    /// builtin, whose time is its caller's).
     pub self_ns: u64,
 }
 
@@ -157,6 +169,11 @@ impl ProfSink for &mut Profiler {
     fn exit(&mut self, nt: NtId, ok: bool) {
         self.flush();
         self.stack.pop();
+        self.leaf(nt, ok);
+    }
+
+    #[inline]
+    fn leaf(&mut self, nt: NtId, ok: bool) {
         let c = &mut self.rules[nt.0 as usize];
         if ok {
             c.completions += 1;
@@ -168,6 +185,11 @@ impl ProfSink for &mut Profiler {
     #[inline]
     fn instr(&mut self, pc: u32) {
         self.instr_hits[pc as usize] += 1;
+    }
+
+    #[inline]
+    fn instrs(&mut self, pc: u32, n: u64) {
+        self.instr_hits[pc as usize] += n;
     }
 
     #[inline]
@@ -270,7 +292,8 @@ impl ProfileReport {
     }
 
     /// The per-rule table: one aligned text row per invoked rule, plus
-    /// a totals footer.
+    /// a footer of two lines: the totals, and a note that builtin leaves
+    /// are counted but not timed.
     pub fn table(&self) -> String {
         let name_w = self.rules.iter().map(|r| r.name.len()).max().unwrap_or(4).max("TOTAL".len());
         let mut out = String::new();
@@ -316,6 +339,9 @@ impl ProfileReport {
             } else {
                 100.0 * tot.self_ns as f64 / self.total_ns as f64
             },
+        );
+        out.push_str(
+            "(builtin leaves are counted, not timed: their time is their caller's self-us)\n",
         );
         out
     }

@@ -146,6 +146,40 @@ fn a_zip_parse_after_a_dropped_tree_allocates_no_arena_pools() {
 }
 
 #[test]
+fn an_elf_parse_after_a_dropped_tree_allocates_no_arena_pools() {
+    let g = parse_grammar(include_str!("../../ipg-formats/specs/elf.ipg")).unwrap();
+    let parser = VmParser::new(&g);
+    let file = ipg_corpus::elf::generate(&ipg_corpus::elf::Config::default()).bytes;
+    // Each `for` term with at least one element allocates its element
+    // list, and frees it once the array is built.
+    let lists = {
+        let tree = parser.parse(&file).expect("parse succeeds").root().to_tree();
+        non_empty_arrays(&tree)
+    };
+    let (fresh, _) = warm_parse_allocations(&parser, &file);
+    let (recycled, bytes) = measure(|| parser.parse(&file).expect("parse succeeds"));
+    // A parse with no arena to recycle allocates each pool an elf tree
+    // uses (all but blackboxes) at least once; one after a dropped tree
+    // allocates only the element lists, byte scans included, and holds
+    // nothing once they are freed.
+    assert!(fresh >= lists + ARENA_POOLS - 1, "fresh arena: {fresh} allocations");
+    assert_eq!((recycled, bytes), (lists, 0), "allocations and bytes after a dropped tree");
+}
+
+/// The arrays in `tree` with at least one element.
+fn non_empty_arrays(tree: &ipg_core::tree::Tree) -> usize {
+    use ipg_core::tree::Tree;
+    match tree {
+        Tree::Node(n) => n.children.iter().map(|c| non_empty_arrays(c)).sum(),
+        Tree::Array(a) => {
+            usize::from(!a.elems.is_empty())
+                + a.elems.iter().map(|c| non_empty_arrays(c)).sum::<usize>()
+        }
+        Tree::Leaf(_) | Tree::Blackbox(_) => 0,
+    }
+}
+
+#[test]
 fn a_tree_dropped_before_its_session_is_recycled_too() {
     let g = parse_grammar(include_str!("../../ipg-formats/specs/zip.ipg")).unwrap();
     let parser = VmParser::new(&g);

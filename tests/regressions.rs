@@ -665,4 +665,24 @@ mod leaf_calls {
         assert_eq!(stats.steps, 215);
         assert!(f.vm.program().disassemble(f.grammar).contains("  fields "), "zip has runs");
     }
+
+    /// Instruction hits per pc and the steps of one profiled parse of the
+    /// elf corpus file, as the general instructions counted them before
+    /// byte scans existed: a scan fires the hooks of every level's
+    /// instructions, and one that falls back (`Str` on the empty interval
+    /// after a section's last string) fires its head's.
+    #[test]
+    fn scans_keep_the_elf_pc_hits() {
+        let f = super::common::format("elf");
+        let input = super::common::default_corpus_input("elf");
+        let (result, stats, report) = f.vm.parse_profiled(&input);
+        assert!(result.is_ok(), "elf corpus file rejected");
+        let expected: [u64; 52] = [
+            1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 8, 1,
+            8, 8, 8, 8, 1, 16, 16, 16, 16, 16, 16, 2, 2, 0, 26, 24, 4, 415, 413, 389, 389, 26, 24,
+        ];
+        assert_eq!(report.instr_hits, expected);
+        assert_eq!(stats.steps, 3024);
+        assert!(f.vm.program().disassemble(f.grammar).contains("  scan "), "elf has a scan");
+    }
 }

@@ -192,6 +192,39 @@ fn vm_agrees_on_every_truncation_of_a_dns_message() {
     }
 }
 
+/// Interpreter ≡ one-shot VM ≡ a session fed `input` split at `split`,
+/// each with step limit `fuel` and memoization on or off: the same tree,
+/// steps and deepest error.
+fn assert_oracle(f: &common::Format, input: &[u8], fuel: u64, split: usize, memoize: bool) {
+    use ipg_core::interp::vm::Outcome;
+    use ipg_core::interp::Parser;
+    let ctx = format!(
+        "{}: {} bytes, fuel {fuel}, split at {split}, memoize {memoize}",
+        f.name,
+        input.len()
+    );
+    let parser = Parser::new(f.grammar).max_steps(fuel).memoize(memoize);
+    let (reference, ref_stats) = parser.parse_with_stats(input);
+    let vm = f.vm.clone().max_steps(fuel).memoize(memoize);
+    let (one_shot, stats) = vm.parse_with_stats(input);
+    assert_eq!(stats.steps, ref_stats.steps, "one-shot steps, {ctx}");
+    assert_eq!(one_shot.map(|t| t.root().to_tree()), reference, "one-shot, {ctx}");
+
+    let mut session = vm.streaming();
+    let (head, tail) = input.split_at(split.min(input.len()));
+    let early = [head, tail].into_iter().find_map(|chunk| session.feed(chunk).err().cloned());
+    let streamed = match (early, session.finish()) {
+        (Some(e), _) | (None, Outcome::Error(e)) => Err(e),
+        (None, Outcome::Done(tree)) => Ok(tree.root().to_tree()),
+        (None, Outcome::NeedInput { .. }) => panic!("finish never needs input, {ctx}"),
+    };
+    assert_eq!(session.stats().steps, stats.steps, "streamed steps, {ctx}");
+    // A session words fuel exhaustion like `parse`, not like
+    // `parse_with_stats`.
+    let reference = if stats.steps > fuel { parser.parse(input) } else { reference };
+    assert_eq!(streamed, reference, "streamed, {ctx}");
+}
+
 /// The fallback edges of field runs (`fields` in a bytecode listing): a
 /// run decodes its whole record at once only when all of it is in bounds,
 /// the fuel lasts to its end, its literal matches and the frame is not an
@@ -206,14 +239,14 @@ fn vm_agrees_on_every_truncation_of_a_dns_message() {
 /// * the step limit set to every step count up to the whole parse's;
 /// * the session's input split at every byte of each record's first 64.
 mod field_run_edges {
+    use super::assert_oracle;
     use super::common::{self, Format, AGREE_FUEL};
-    use ipg_core::interp::vm::Outcome;
     use ipg_core::interp::Parser;
     use ipg_core::tree::Tree;
     use std::rc::Rc;
 
     /// A small valid input of each grammar with field runs.
-    fn small_input(name: &str) -> Option<Vec<u8>> {
+    pub(super) fn small_input(name: &str) -> Option<Vec<u8>> {
         use ipg_corpus::*;
         let zip = |method| zip::Config { n_entries: 2, payload_len: 24, method, seed: 7 };
         Some(match name {
@@ -284,31 +317,6 @@ mod field_run_edges {
         }
     }
 
-    /// Interpreter ≡ one-shot VM ≡ a session fed `input` split at `split`,
-    /// each with step limit `fuel`.
-    fn assert_oracle(f: &Format, input: &[u8], fuel: u64, split: usize) {
-        let ctx = format!("{}: {} bytes, fuel {fuel}, split at {split}", f.name, input.len());
-        let parser = Parser::new(f.grammar).max_steps(fuel);
-        let (reference, ref_stats) = parser.parse_with_stats(input);
-        let (one_shot, stats) = f.vm.clone().max_steps(fuel).parse_with_stats(input);
-        assert_eq!(stats.steps, ref_stats.steps, "one-shot steps, {ctx}");
-        assert_eq!(one_shot.map(|t| t.root().to_tree()), reference, "one-shot, {ctx}");
-
-        let mut session = f.vm.streaming().max_steps(fuel);
-        let (head, tail) = input.split_at(split.min(input.len()));
-        let early = [head, tail].into_iter().find_map(|chunk| session.feed(chunk).err().cloned());
-        let streamed = match (early, session.finish()) {
-            (Some(e), _) | (None, Outcome::Error(e)) => Err(e),
-            (None, Outcome::Done(tree)) => Ok(tree.root().to_tree()),
-            (None, Outcome::NeedInput { .. }) => panic!("finish never needs input, {ctx}"),
-        };
-        assert_eq!(session.stats().steps, stats.steps, "streamed steps, {ctx}");
-        // A session words fuel exhaustion like `parse`, not like
-        // `parse_with_stats`.
-        let reference = if stats.steps > fuel { parser.parse(input) } else { reference };
-        assert_eq!(streamed, reference, "streamed, {ctx}");
-    }
-
     #[test]
     fn every_fallback_edge_agrees_across_engines() {
         let mut covered = Vec::new();
@@ -328,21 +336,186 @@ mod field_run_edges {
             for &(start, end) in &spans {
                 let reach = end.min(start + 64);
                 for cut in start..=reach {
-                    assert_oracle(&f, &input[..cut], AGREE_FUEL, cut / 2);
-                    assert_oracle(&f, &input, AGREE_FUEL, cut);
+                    assert_oracle(&f, &input[..cut], AGREE_FUEL, cut / 2, true);
+                    assert_oracle(&f, &input, AGREE_FUEL, cut, true);
                 }
                 for at in start..end.min(start + 8) {
                     let mut flipped = input.clone();
                     flipped[at] ^= 0xff;
-                    assert_oracle(&f, &flipped, AGREE_FUEL, at);
+                    assert_oracle(&f, &flipped, AGREE_FUEL, at, true);
                 }
             }
             let steps = f.vm.parse_with_stats(&input).1.steps;
             for fuel in 0..=steps {
-                assert_oracle(&f, &input, fuel, input.len() / 2);
+                assert_oracle(&f, &input, fuel, input.len() / 2, true);
             }
             covered.push(f.name);
         }
         assert_eq!(covered.len(), 8, "grammars with field runs: {covered:?}");
+    }
+}
+
+/// The fallback edges of byte scans (`scan` in a bytecode listing): a
+/// scan runs its rule's whole recursion at once only when the terminator
+/// lies past the frame's first byte inside its interval, the fuel lasts to
+/// it, no nested level is memoized yet and the terminator's literal
+/// matches; anything else runs the general instructions. Each case below
+/// must leave the interpreter, the one-shot VM and a session fed in two
+/// chunks agreeing on the tree, the steps and the deepest error, with
+/// memoization on and off:
+///
+/// * each string table's section ending at every byte of the table (a
+///   string with no terminator, a terminator on the section's last byte);
+/// * each byte of the table set to NUL (an empty string, a string cut
+///   short) and to a letter (two strings joined, a missing terminator);
+/// * the session's input split at every byte of the table;
+/// * the step limit set to every step count up to the whole parse's;
+/// * a grammar whose earlier calls memoize a scan's nested levels.
+///
+/// elf's `Str` is the one corpus rule of the scan shape; the section's
+/// end moves through its header's `sz` field, since cutting the file
+/// inside a table would cut off the section headers that follow it.
+mod scan_edges {
+    use super::assert_oracle;
+    use super::common::{self, AGREE_FUEL};
+    use ipg_core::frontend::parse_grammar;
+    use ipg_core::interp::vm::VmParser;
+    use ipg_core::interp::Parser;
+    use ipg_core::tree::{Node, Tree};
+
+    /// Every node named `name` in `tree`.
+    fn nodes<'t>(tree: &'t Tree, name: &str, out: &mut Vec<&'t Node>) {
+        match tree {
+            Tree::Node(n) => {
+                if *n.name == *name {
+                    out.push(n);
+                }
+                n.children.iter().for_each(|c| nodes(c, name, out));
+            }
+            Tree::Array(a) => a.elems.iter().for_each(|c| nodes(c, name, out)),
+            Tree::Leaf(_) | Tree::Blackbox(_) => {}
+        }
+    }
+
+    /// `input` with the `sz` of the section header at `sh` set to `sz`.
+    fn with_size(input: &[u8], sh: usize, sz: usize) -> Vec<u8> {
+        let mut out = input.to_vec();
+        out[sh + 32..sh + 40].copy_from_slice(&(sz as u64).to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn every_fallback_edge_agrees_across_engines() {
+        let with_scans: Vec<_> = common::formats()
+            .into_iter()
+            .filter(|f| f.vm.program().disassemble(f.grammar).contains("  scan "))
+            .collect();
+        let names: Vec<_> = with_scans.iter().map(|f| f.name).collect();
+        assert_eq!(names, ["elf"], "a new grammar with a scan needs its own edge cases here");
+        let f = &with_scans[0];
+        let input = super::field_run_edges::small_input("elf").expect("elf has a small input");
+        let reference = Parser::new(f.grammar).parse(&input).expect("small input parses");
+        let (mut tables, mut headers) = (Vec::new(), Vec::new());
+        nodes(&reference, "StrSec", &mut tables);
+        nodes(&reference, "SH", &mut headers);
+        assert_eq!(tables.len(), 2, "the small input has .strtab and .shstrtab");
+        for table in tables {
+            let (start, end) = table.span();
+            let sh = headers
+                .iter()
+                .find(|h| h.attr(f.grammar, "ofs") == Some(start as i64))
+                .expect("a string table has a section header")
+                .base;
+            for memoize in [true, false] {
+                for sz in 0..=end - start {
+                    assert_oracle(f, &with_size(&input, sh, sz), AGREE_FUEL, start + sz, memoize);
+                }
+                for at in start..end {
+                    for byte in [0, b'x'] {
+                        let mut changed = input.clone();
+                        changed[at] = byte;
+                        assert_oracle(f, &changed, AGREE_FUEL, at, memoize);
+                    }
+                    assert_oracle(f, &input, AGREE_FUEL, at, memoize);
+                }
+            }
+        }
+        let steps = f.vm.parse_with_stats(&input).1.steps;
+        for fuel in 0..=steps {
+            assert_oracle(f, &input, fuel, input.len() / 2, false);
+        }
+    }
+
+    /// Rules of the scan shape beyond elf's, on inputs that reach each
+    /// fallback edge: two guards, the second undefined on `Z`; sets that
+    /// read the byte, the nested rule's `end` and a conditional, in
+    /// another order in each alternative; a terminator at an offset, or
+    /// longer than one byte, that does not match or does not fit; a
+    /// failing parse whose deepest error is the terminator's guard; and
+    /// earlier calls that memoize a scan's nested levels, so it must fall
+    /// back and the general instructions hit the memo at level 2, or that
+    /// searched a suffix of its interval, past a terminator it has.
+    #[test]
+    fn other_scan_shapes_agree_across_engines() {
+        let cases: [(&str, &[&[u8]]); 4] = [
+            (
+                r#"
+                S -> W[0, EOI] {n = W.len};
+                W -> C[0, 1] assert(C.val >= 65) assert((C.val - 90) / (C.val - 90) = 1)
+                       W[C.end, EOI]
+                       {len = 1 + W.len} {sum = W.sum * 3 + C.val + W.end}
+                       {big = W.len > 2 ? 1 : 0}
+                   / "Z!"[0, 2] {big = 0} {sum = 7} {len = 0};
+                C := u8;
+                "#,
+                &[b"ABCZ!", b"Z!", b"AZ!xx", b"ABC.!", b"ABC", b"ABCZ", b"", b"Z", b"QRSTUVZ!"],
+            ),
+            (
+                r#"
+                S -> L[0, EOI];
+                L -> B[0, 1] assert(B.val != 0) L[1, EOI] {n = L.n + 1}
+                   / "ab"[1, 3] {n = 0};
+                B := u8;
+                "#,
+                &[b"xy\0ab", b"xy\0a", b"\0ab", b"xy\0ba", b"xy", b"xyz\0abc"],
+            ),
+            (
+                r#"
+                S -> W[0, EOI] "%"[0, 1];
+                W -> C[0, 1] assert(C.val >= 65) assert((C.val - 90) / (C.val - 90) = 1)
+                       W[1, EOI] {len = 1 + W.len}
+                   / "Z"[0, 1] {len = 0};
+                C := u8;
+                "#,
+                &[b"ABZ", b"AB.", b"%"],
+            ),
+            (
+                r#"
+                S -> Str[2, EOI] Str[0, EOI] {n = Str.len};
+                Str -> Ch[0, 1] assert(Ch.val > 0) Str[1, EOI] {len = 1 + Str.len}
+                     / x"00"[0, 1] {len = 0};
+                Ch := u8;
+                "#,
+                &[b"abcdef\0rest", b"ab\0", b"abc", b"a\0cdef\0"],
+            ),
+        ];
+        for (spec, inputs) in cases {
+            let g = parse_grammar(spec).unwrap();
+            let vm: &'static VmParser = Box::leak(Box::new(VmParser::new(&g)));
+            let listing = vm.program().disassemble(&g);
+            assert!(listing.contains("  scan "), "no scan in\n{listing}");
+            let f = common::Format { name: "scan shape", grammar: vm.grammar(), vm };
+            for input in inputs {
+                for memoize in [true, false] {
+                    for split in 0..=input.len() {
+                        assert_oracle(&f, input, AGREE_FUEL, split, memoize);
+                    }
+                    let steps = vm.clone().memoize(memoize).parse_with_stats(input).1.steps;
+                    for fuel in 0..=steps {
+                        assert_oracle(&f, input, fuel, input.len() / 2, memoize);
+                    }
+                }
+            }
+        }
     }
 }
