@@ -25,7 +25,12 @@
 //!   EOI] set… / "t"[lo, hi] set…`, `B` a one-byte builtin) has its
 //!   first instruction compiled to one [`Instr::Scan`] besides, which runs
 //!   every level of the recursion down to the terminator in one pass (see
-//!   [`compile`]).
+//!   [`compile`]);
+//! * chains: a right-recursive list rule (`X -> A[0, EOI] X[A.end, EOI] /
+//!   T`) has its head compiled to one [`Instr::Chain`] besides, which runs
+//!   the list's levels in the rule's own frame, and an element rule of one
+//!   alternative of literals, builtin fields, guards and sets is compiled
+//!   to a [`Record`] the chain decodes in place (see [`compile`]).
 //!
 //! Attribute operands keep their [`Sym`] and carry a frame or node slot
 //! besides, which [`compile`] leaves at [`NO_SLOT`]: the slots are filled
@@ -41,7 +46,7 @@ use crate::check::{CAlt, CExpr, CInterval, CRuleBody, CSwitchCase, CTermKind, Gr
 use crate::env::wellknown;
 use crate::intern::Sym;
 use crate::interp::eval_binop;
-use crate::layout::{END_SLOT, START_SLOT};
+use crate::layout::{END_SLOT, EOI_SLOT, START_SLOT};
 use crate::syntax::{BinOp, Builtin};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -208,6 +213,14 @@ pub enum Instr {
         /// Index of the scan in the program's scan pool.
         scan: u32,
     },
+    /// A chain (`ListChain`) in place of its head, the first instruction
+    /// of its list rule: runs every level of the list in the rule's frame,
+    /// a level's element through its [`Record`] when it has one. The
+    /// open root of a streaming session runs the head it replaced.
+    Chain {
+        /// Index of the chain in the program's chain pool.
+        chain: u32,
+    },
 }
 
 /// A run of builtin fields that one [`Instr::Fields`] decodes: an optional
@@ -290,9 +303,10 @@ pub(crate) const SCAN_WIDTH: usize = 8;
 /// and the literal lies at constant offsets. Each level reads one byte and
 /// recurses on the rest, until a byte fails a guard: that level, the
 /// terminator, matches the literal instead. The guards read `B` only; the
-/// first alternative's sets read `B`, the nested `R` and constants, the
-/// second's constants only, with no operator that can be undefined, and
-/// both alternatives set the same attributes, once each.
+/// first alternative's sets are [`Form`]s of `B`'s value, the nested `R`'s
+/// attributes and constants, the second's of constants only, and both
+/// alternatives set the same attributes, once each. A rule with a set of
+/// any other shape is not a scan: it runs the general instructions.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ByteScan {
     /// The general instruction the scan's head replaced: `B[0, 1]`.
@@ -312,6 +326,9 @@ pub(crate) struct ByteScan {
     pub(crate) lit: RunLit,
     pub(crate) lit_pc: u32,
     pub(crate) lit_sets: u8,
+    /// The first alternative's sets, then the terminator's:
+    /// `Program::scan_sets[first_set..first_set + sets + lit_sets]`.
+    pub(crate) first_set: u32,
 }
 
 impl ByteScan {
@@ -328,6 +345,187 @@ impl ByteScan {
     pub(crate) fn terminator_steps(&self, failed: u8) -> u64 {
         4 + u64::from(failed) + u64::from(self.lit_sets)
     }
+}
+
+/// A right-recursive list rule that one [`Instr::Chain`] runs:
+///
+/// ```text
+/// X -> A[0, EOI] X[A.end, EOI]
+///    / T;
+/// ```
+///
+/// `A` is a non-local rule other than `X`, and neither alternative sets
+/// an attribute, so a level's node holds `EOI`, `start` and `end` only.
+/// Level `i + 1` lies at `A.end` of level `i`; the level whose element
+/// fails, or whose list call fails, runs `T` (the second alternative) in
+/// a frame of its own.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ListChain {
+    /// The general instruction the chain's head replaced: `A[0, EOI]`.
+    pub(crate) head: Instr,
+    /// `X` and `A`.
+    pub(crate) list: NtId,
+    pub(crate) elem: NtId,
+    /// Result slots of the element and of the self-call.
+    pub(crate) elem_slot: u16,
+    pub(crate) next_slot: u16,
+    /// The element's [`Record`], if it has one.
+    pub(crate) record: Option<u32>,
+}
+
+/// The most result slots, and registers, a [`Record`] has: the VM keeps
+/// them on the stack while it decodes one.
+pub(crate) const REC_SLOTS: usize = 16;
+pub(crate) const REC_REGS: usize = 48;
+
+/// A rule of one alternative that a chain decodes in place: literals,
+/// calls of fixed-width or `bytes` builtins, guards and sets, one
+/// [`RecOp`] per instruction, whose endpoints, guards and sets are
+/// [`Form`]s of constants, the alternative's own attributes and the
+/// fields' attributes. Decoded in full it has the effect of the rule's
+/// frame, and it charges its steps.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Record {
+    pub(crate) nt: NtId,
+    /// The pc of the alternative's first instruction: op `i` stands for
+    /// the instruction at `pc + i`.
+    pub(crate) pc: u32,
+    /// The ops: `Program::rec_ops[first..first + count]`.
+    pub(crate) first: u32,
+    pub(crate) count: u32,
+    /// Builtin calls among the ops.
+    pub(crate) calls: u32,
+    /// Result slots of the alternative.
+    pub(crate) n_slots: u16,
+    /// Register of the frame's slot 0 (`EOI`); field `k`'s `EOI`, `start`,
+    /// `end` and `val` are registers `4k` to `4k + 3`, the frame's slots
+    /// follow them.
+    pub(crate) frame: u16,
+}
+
+impl Record {
+    /// The steps the rule's instructions charge: one per instruction,
+    /// and one more per builtin call.
+    pub(crate) fn steps(&self) -> u64 {
+        u64::from(self.count) + u64::from(self.calls)
+    }
+}
+
+/// One instruction of a [`Record`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum RecOp {
+    /// `"s"[lo, hi]`.
+    Lit { lit: LitSpan, lo: Aff, hi: Aff, slot: u16 },
+    /// `B[lo, hi]`, `B` a builtin of fixed `width` or, with none, `bytes`;
+    /// its attributes go to registers `reg` to `reg + 3`.
+    Field { nt: NtId, builtin: Builtin, width: Option<u32>, lo: Aff, hi: Aff, slot: u16, reg: u16 },
+    /// `{attr = form}` into register `reg` (resolved by `layout`).
+    Set { attr: Sym, reg: u16, form: Form },
+    /// `⟨form⟩`.
+    Guard { form: Form },
+}
+
+/// An affine form `c + Σ coef·reg` over `Program::terms[first..first +
+/// len]`, evaluated in wrapping `i64` arithmetic: that is the ring
+/// attribute arithmetic computes in (`interp::eval_binop`), so it equals
+/// the expression it was folded from for every value of its registers.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Aff {
+    pub(crate) c: i64,
+    pub(crate) first: u32,
+    pub(crate) len: u32,
+}
+
+impl Aff {
+    #[inline]
+    pub(crate) fn eval(&self, terms: &[Term], regs: &[i64]) -> i64 {
+        terms[self.first as usize..(self.first + self.len) as usize]
+            .iter()
+            .fold(self.c, |v, t| v.wrapping_add(t.coef.wrapping_mul(regs[usize::from(t.reg)])))
+    }
+}
+
+/// An expression a [`Record`] or a [`ByteScan`] evaluates without the
+/// expression pool: an affine form, a comparison of two, or a conditional
+/// choosing between two on one. None of them can be undefined.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Form {
+    Aff(Aff),
+    /// `a op b`: 1 or 0.
+    Cmp(BinOp, Aff, Aff),
+    /// `a op b ? t : f`.
+    Cond(BinOp, Aff, Aff, Aff, Aff),
+}
+
+impl Form {
+    /// The affine forms it is made of.
+    pub(crate) fn affs(&self) -> Vec<Aff> {
+        match *self {
+            Form::Aff(a) => vec![a],
+            Form::Cmp(_, a, b) => vec![a, b],
+            Form::Cond(_, a, b, t, f) => vec![a, b, t, f],
+        }
+    }
+
+    #[inline]
+    pub(crate) fn eval(&self, terms: &[Term], regs: &[i64]) -> i64 {
+        let test = |op, a: &Aff, b: &Aff| compare(op, a.eval(terms, regs), b.eval(terms, regs));
+        match self {
+            Form::Aff(a) => a.eval(terms, regs),
+            Form::Cmp(op, a, b) => i64::from(test(*op, a, b)),
+            Form::Cond(op, a, b, t, f) => if test(*op, a, b) { t } else { f }.eval(terms, regs),
+        }
+    }
+}
+
+/// `a op b` for a comparison operator, as `interp::eval_binop` has it.
+#[inline]
+fn compare(op: BinOp, a: i64, b: i64) -> bool {
+    match op {
+        BinOp::Eq => a == b,
+        BinOp::Ne => a != b,
+        BinOp::Lt => a < b,
+        BinOp::Gt => a > b,
+        BinOp::Le => a <= b,
+        _ => a >= b,
+    }
+}
+
+/// One term `coef·reg` of an [`Aff`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Term {
+    pub(crate) coef: i64,
+    /// The register it reads: set by [`compile`] for a field or a scan's
+    /// byte, by `layout` for an attribute.
+    pub(crate) reg: u16,
+    pub(crate) src: Src,
+}
+
+/// What a [`Term`] reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Src {
+    /// An attribute of the record's own frame (`EOI`, `start`, `end`, or
+    /// one it set earlier).
+    Attr(Sym),
+    /// Attribute `attr` of the builtin field at result slot `slot`.
+    Field { slot: u16, nt: NtId, attr: Sym },
+    /// A byte scan's byte's `val`.
+    Byte,
+    /// An attribute of a byte scan's nested level, as stored.
+    Inner(Sym),
+}
+
+/// Register of a byte scan's byte in the registers its sets read: the
+/// nested level's values come first.
+pub(crate) const SCAN_BYTE_REG: u16 = SCAN_WIDTH as u16;
+
+/// A set of a [`ByteScan`]: `{attr = form}` into frame slot `slot`
+/// (resolved by `layout`).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ScanSet {
+    pub(crate) attr: Sym,
+    pub(crate) slot: u16,
+    pub(crate) form: Form,
 }
 
 /// One case of a compiled switch.
@@ -460,6 +658,11 @@ pub struct Program {
     pub(crate) runs: Vec<FieldRun>,
     pub(crate) fields: Vec<Field>,
     pub(crate) scans: Vec<ByteScan>,
+    pub(crate) scan_sets: Vec<ScanSet>,
+    pub(crate) chains: Vec<ListChain>,
+    pub(crate) records: Vec<Record>,
+    pub(crate) rec_ops: Vec<RecOp>,
+    pub(crate) terms: Vec<Term>,
     pub(crate) nt_table: Arc<NtTable>,
     pub(crate) start: NtId,
 }
@@ -476,9 +679,12 @@ pub struct Program {
 /// interval must hold the builtin's width, so once the run is in bounds
 /// every field decodes.
 ///
-/// Last, the first instruction of a rule of the [`ByteScan`] shape becomes
-/// an [`Instr::Scan`]. The shape is matched on the compiled instructions,
-/// whatever the rule is named.
+/// Then the first instruction of a rule of the [`ByteScan`] shape becomes
+/// an [`Instr::Scan`]. Last, once every rule is compiled, the first
+/// instruction of a rule of the [`ListChain`] shape becomes an
+/// [`Instr::Chain`], and its element rule, if it has the [`Record`] shape,
+/// a record. Shapes are matched on the compiled instructions, whatever the
+/// rules are named.
 pub fn compile(g: &Grammar) -> Program {
     let mut c = Compiler {
         g,
@@ -492,6 +698,11 @@ pub fn compile(g: &Grammar) -> Program {
             runs: Vec::new(),
             fields: Vec::new(),
             scans: Vec::new(),
+            scan_sets: Vec::new(),
+            chains: Vec::new(),
+            records: Vec::new(),
+            rec_ops: Vec::new(),
+            terms: Vec::new(),
             nt_table: Arc::new(NtTable {
                 names: g.rules().iter().map(|r| r.name.clone()).collect(),
                 syms: g.rules().iter().map(|r| r.name_sym).collect(),
@@ -520,7 +731,68 @@ pub fn compile(g: &Grammar) -> Program {
         };
         c.out.rules.push(PRule { kind, is_local: rule.is_local });
     }
+    for nt in (0..c.out.rules.len()).map(|i| NtId(i as u32)) {
+        let Some(mut chain) = c.list_chain(nt) else { continue };
+        chain.record = c.record(chain.elem);
+        let PRuleKind::Alts { first, .. } = c.out.rules[nt.0 as usize].kind else {
+            unreachable!("a chain's rule has alternatives")
+        };
+        let id = c.out.chains.len() as u32;
+        c.out.chains.push(chain);
+        c.out.code[c.out.alts[first as usize].first as usize] = Instr::Chain { chain: id };
+    }
     c.out
+}
+
+/// Whether `e` reads the frame's `EOI`.
+fn is_eoi(e: BExpr) -> bool {
+    matches!(e, BExpr::Eoi | BExpr::Local { sym: wellknown::EOI, .. })
+}
+
+/// An affine form under construction: `c + Σ coef·src`, like terms merged.
+#[derive(Clone, Default)]
+struct Lin {
+    c: i64,
+    terms: Vec<(i64, Src, u16)>,
+}
+
+impl Lin {
+    fn constant(c: i64) -> Lin {
+        Lin { c, terms: Vec::new() }
+    }
+
+    fn term(src: Src, reg: u16) -> Lin {
+        Lin { c: 0, terms: vec![(1, src, reg)] }
+    }
+
+    /// `self + k·other`, wrapping.
+    fn add(mut self, k: i64, other: Lin) -> Lin {
+        self.c = self.c.wrapping_add(k.wrapping_mul(other.c));
+        for (coef, src, reg) in other.terms {
+            let coef = k.wrapping_mul(coef);
+            match self.terms.iter_mut().find(|t| t.1 == src) {
+                Some(t) => t.0 = t.0.wrapping_add(coef),
+                None => self.terms.push((coef, src, reg)),
+            }
+        }
+        self.terms.retain(|t| t.0 != 0);
+        self
+    }
+}
+
+/// What the expressions of a [`Record`] or of a [`ByteScan`]'s sets may
+/// read (see `Compiler::lin`).
+#[derive(Clone, Copy)]
+enum Reads<'a> {
+    /// A record: its frame's `EOI`, `start` and `end` and the attributes
+    /// in `attrs` (set earlier), and the attributes of the builtin fields
+    /// `(result slot, nonterminal)` in `fields`, field `k` at registers
+    /// `4k..4k + 4`.
+    Record { attrs: &'a [Sym], fields: &'a [(u16, NtId)] },
+    /// A scan's sets: the byte's attributes (at result slot `byte`) and,
+    /// at result slot `inner`, the nested level's `EOI`, `start`, `end`
+    /// and `attrs`.
+    Scan { byte: u16, inner: Option<(u16, &'a [Sym])> },
 }
 
 /// The attributes `sets` bind, sorted, if each is a `Set` of an attribute
@@ -736,7 +1008,7 @@ impl Compiler<'_> {
 
     /// The [`ByteScan`] that rule `nt`, with alternatives `first..first +
     /// count` compiled, is an instance of, if it is one.
-    fn byte_scan(&self, nt: NtId, first: u32, count: u32) -> Option<ByteScan> {
+    fn byte_scan(&mut self, nt: NtId, first: u32, count: u32) -> Option<ByteScan> {
         if count != 2 || self.g.rule(nt).is_local {
             return None;
         }
@@ -794,34 +1066,49 @@ impl Compiler<'_> {
         if set_attrs(&term.1[1..])? != attrs || attrs.len() > SCAN_WIDTH - 3 {
             return None;
         }
-        let reads_ok = |instrs: &[Instr], byte, inner| {
-            instrs.iter().all(|i| match *i {
-                Instr::Set { expr, .. } => self.scan_expr(expr, byte, inner, true),
-                _ => false,
-            })
-        };
-        if !guards.iter().all(|&g| self.scan_expr(g, Some(byte_slot), None, false))
-            || !reads_ok(sets, Some(byte_slot), Some((self_slot, &attrs[..])))
-            || !reads_ok(&term.1[1..], None, None)
-        {
+        if !guards.iter().all(|&g| self.guard_expr(g, byte_slot)) {
             return None;
         }
+        let (n_sets, n_lit_sets, lit_pc) = (sets.len() as u8, (term.1.len() - 1) as u8, term.0);
+        let set_exprs: Vec<(Sym, ExprId)> = (sets.iter().chain(&term.1[1..]))
+            .map(|i| match *i {
+                Instr::Set { attr, expr, .. } => (attr, expr),
+                _ => unreachable!("`set_attrs` checked they are sets"),
+            })
+            .collect();
+        // A set that is not a form leaves the pools as they were.
+        let (terms, first_set) = (self.out.terms.len(), self.out.scan_sets.len());
+        for (k, (attr, expr)) in set_exprs.into_iter().enumerate() {
+            let reads = if k < usize::from(n_sets) {
+                Reads::Scan { byte: byte_slot, inner: Some((self_slot, &attrs[..])) }
+            } else {
+                Reads::Scan { byte: NO_SLOT, inner: None }
+            };
+            let Some(form) = self.form(expr, reads) else {
+                self.out.terms.truncate(terms);
+                self.out.scan_sets.truncate(first_set);
+                return None;
+            };
+            self.out.scan_sets.push(ScanSet { attr, slot: NO_SLOT, form });
+        }
+        let first_set = first_set as u32;
         let mut scan = ByteScan {
             head,
             byte,
             byte_slot,
             self_slot,
             guards: guards.len() as u8,
-            sets: sets.len() as u8,
+            sets: n_sets,
             stop: [0; 256],
             lit: RunLit { lit, lo, hi, slot },
-            lit_pc: term.0,
-            lit_sets: (term.1.len() - 1) as u8,
+            lit_pc,
+            lit_sets: n_lit_sets,
+            first_set,
         };
         let mut stop = [scan.guards; 256];
         for (value, stop) in stop.iter_mut().enumerate() {
             for (q, &g) in guards.iter().enumerate() {
-                match self.out.scan_value(&scan, g, value as i64, &[]) {
+                match self.guard_value(g, byte_slot, value as i64) {
                     Some(0) => *stop = q as u8,
                     None => *stop = q as u8 | GUARD_UNDEFINED,
                     Some(_) => continue,
@@ -833,38 +1120,243 @@ impl Compiler<'_> {
         Some(scan)
     }
 
-    /// Whether `e` is an expression a [`ByteScan`] can evaluate: numbers,
+    /// Whether `e` is a guard a [`ByteScan`] can tabulate: numbers,
     /// operators and conditionals over attributes of `B` (at result slot
-    /// `byte`) and of the nested rule (at the slot in `inner`, reading its
-    /// `EOI`, `start`, `end` or one of the listed attributes); `total`
-    /// rules out the operators that can be undefined (`/`, `%`, `<<`,
-    /// `>>`).
-    fn scan_expr(
-        &self,
-        e: ExprId,
-        byte: Option<u16>,
-        inner: Option<(u16, &[Sym])>,
-        total: bool,
-    ) -> bool {
-        let ok = |e| self.scan_expr(e, byte, inner, total);
+    /// `byte`).
+    fn guard_expr(&self, e: ExprId, byte: u16) -> bool {
+        let ok = |e| self.guard_expr(e, byte);
         match self.out.exprs[e.0 as usize] {
             BExpr::Num(_) => true,
-            BExpr::Bin(op, a, b) => {
-                !(total && matches!(op, BinOp::Div | BinOp::Mod | BinOp::Shl | BinOp::Shr))
-                    && ok(a)
-                    && ok(b)
-            }
+            BExpr::Bin(_, a, b) => ok(a) && ok(b),
             BExpr::Cond(c, t, f) => ok(c) && ok(t) && ok(f),
-            BExpr::NtAttr { slot, attr, .. } if Some(slot) == byte => {
-                matches!(attr, wellknown::VAL | wellknown::START | wellknown::END | wellknown::EOI)
+            BExpr::NtAttr { slot, attr, .. } => {
+                slot == byte
+                    && matches!(
+                        attr,
+                        wellknown::VAL | wellknown::START | wellknown::END | wellknown::EOI
+                    )
             }
-            BExpr::NtAttr { slot, attr, .. } => inner.is_some_and(|(s, attrs)| {
-                s == slot
-                    && (attrs.contains(&attr)
-                        || matches!(attr, wellknown::START | wellknown::END | wellknown::EOI))
-            }),
             _ => false,
         }
+    }
+
+    /// The value of guard `e` of a byte scan whose byte, at result slot
+    /// `byte`, is `value`, or `None` when undefined. `B` read one byte at
+    /// offset 0 of the level.
+    fn guard_value(&self, e: ExprId, byte: u16, value: i64) -> Option<i64> {
+        let eval = |e| self.guard_value(e, byte, value);
+        Some(match self.out.exprs[e.0 as usize] {
+            BExpr::Num(n) => n,
+            BExpr::Bin(op, a, b) => eval_binop(op, eval(a)?, eval(b)?)?,
+            BExpr::Cond(c, t, f) => eval(if eval(c)? != 0 { t } else { f })?,
+            BExpr::NtAttr { slot, attr, .. } if slot == byte => match attr {
+                wellknown::VAL => value,
+                wellknown::START => 0,
+                _ => 1,
+            },
+            _ => return None,
+        })
+    }
+
+    /// `e` as an affine form over what `reads` allows, if it is one:
+    /// constants, sums, differences and products with a constant of those
+    /// reads, folded in wrapping arithmetic (see [`Aff`]).
+    fn lin(&self, e: ExprId, reads: Reads) -> Option<Lin> {
+        let lin = |e| self.lin(e, reads);
+        Some(match self.out.exprs[e.0 as usize] {
+            BExpr::Num(n) => Lin::constant(n),
+            BExpr::Bin(BinOp::Add, a, b) => lin(a)?.add(1, lin(b)?),
+            BExpr::Bin(BinOp::Sub, a, b) => lin(a)?.add(-1, lin(b)?),
+            BExpr::Bin(BinOp::Mul, a, b) => match (lin(a)?, lin(b)?) {
+                (k, x) | (x, k) if k.terms.is_empty() => Lin::default().add(k.c, x),
+                _ => return None,
+            },
+            e @ (BExpr::Eoi | BExpr::Local { .. }) => {
+                let Reads::Record { attrs, .. } = reads else { return None };
+                let sym = if let BExpr::Local { sym, .. } = e { sym } else { wellknown::EOI };
+                let own = matches!(sym, wellknown::EOI | wellknown::START | wellknown::END);
+                if !own && !attrs.contains(&sym) {
+                    return None;
+                }
+                Lin::term(Src::Attr(sym), NO_SLOT)
+            }
+            BExpr::NtAttr { slot, nt, attr, .. } => match reads {
+                Reads::Record { fields, .. } => {
+                    let k = fields.iter().position(|&f| f == (slot, nt))?;
+                    let at = match attr {
+                        wellknown::EOI => EOI_SLOT,
+                        wellknown::START => START_SLOT,
+                        wellknown::END => END_SLOT,
+                        wellknown::VAL => END_SLOT + 1,
+                        _ => return None,
+                    };
+                    Lin::term(Src::Field { slot, nt, attr }, 4 * k as u16 + at)
+                }
+                Reads::Scan { byte, .. } if slot == byte => match attr {
+                    wellknown::VAL => Lin::term(Src::Byte, SCAN_BYTE_REG),
+                    wellknown::START => Lin::constant(0),
+                    wellknown::END | wellknown::EOI => Lin::constant(1),
+                    _ => return None,
+                },
+                // The nested level lies at offset 1: its `start` and `end`
+                // read one higher (rule T-NTSucc).
+                Reads::Scan { inner: Some((inner, attrs)), .. } if slot == inner => {
+                    let shifted = matches!(attr, wellknown::START | wellknown::END);
+                    if !shifted && attr != wellknown::EOI && !attrs.contains(&attr) {
+                        return None;
+                    }
+                    Lin::constant(i64::from(shifted)).add(1, Lin::term(Src::Inner(attr), NO_SLOT))
+                }
+                Reads::Scan { .. } => return None,
+            },
+            _ => return None,
+        })
+    }
+
+    /// `e` as a [`Form`] over what `reads` allows, if it is one, its
+    /// terms pushed to the term pool.
+    fn form(&mut self, e: ExprId, reads: Reads) -> Option<Form> {
+        let lin = |e| self.lin(e, reads);
+        let cmp = |op| {
+            matches!(op, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge)
+        };
+        Some(match self.out.exprs[e.0 as usize] {
+            BExpr::Bin(op, a, b) if cmp(op) => {
+                let (a, b) = (lin(a)?, lin(b)?);
+                Form::Cmp(op, self.push_aff(a), self.push_aff(b))
+            }
+            BExpr::Cond(c, t, f) => {
+                let (op, a, b) = match self.out.exprs[c.0 as usize] {
+                    BExpr::Bin(op, a, b) if cmp(op) => (op, lin(a)?, lin(b)?),
+                    _ => (BinOp::Ne, lin(c)?, Lin::constant(0)),
+                };
+                let (t, f) = (lin(t)?, lin(f)?);
+                let (a, b) = (self.push_aff(a), self.push_aff(b));
+                Form::Cond(op, a, b, self.push_aff(t), self.push_aff(f))
+            }
+            _ => {
+                let a = lin(e)?;
+                Form::Aff(self.push_aff(a))
+            }
+        })
+    }
+
+    /// `e` as an [`Aff`] over what `reads` allows, if it is one, its terms
+    /// pushed to the term pool.
+    fn aff(&mut self, e: ExprId, reads: Reads) -> Option<Aff> {
+        let lin = self.lin(e, reads)?;
+        Some(self.push_aff(lin))
+    }
+
+    fn push_aff(&mut self, lin: Lin) -> Aff {
+        let first = self.out.terms.len() as u32;
+        let terms = lin.terms.iter().map(|&(coef, src, reg)| Term { coef, reg, src });
+        self.out.terms.extend(terms);
+        Aff { c: lin.c, first, len: lin.terms.len() as u32 }
+    }
+
+    /// The [`ListChain`] that rule `nt` is an instance of, if it is one
+    /// (its record left to the caller).
+    fn list_chain(&self, nt: NtId) -> Option<ListChain> {
+        let rule = &self.out.rules[nt.0 as usize];
+        let PRuleKind::Alts { first, count: 2 } = rule.kind else { return None };
+        let [body, tail] = [first, first + 1].map(|a| {
+            let alt = self.out.alts[a as usize];
+            &self.out.code[alt.first as usize..(alt.first + alt.count) as usize]
+        });
+        let &[head @ Instr::Call { nt: elem, lo, hi, slot: elem_slot }, Instr::Call { nt: callee, lo: next_lo, hi: next_hi, slot: next_slot }] =
+            body
+        else {
+            return None;
+        };
+        let expr = |e: ExprId| self.out.exprs[e.0 as usize];
+        let from_end = matches!(
+            expr(next_lo),
+            BExpr::NtAttr { slot, nt, attr: wellknown::END, .. } if (slot, nt) == (elem_slot, elem)
+        );
+        let shaped = matches!(expr(lo), BExpr::Num(0))
+            && is_eoi(expr(hi))
+            && from_end
+            && is_eoi(expr(next_hi))
+            && elem_slot < next_slot;
+        if !shaped
+            || rule.is_local
+            || callee != nt
+            || elem == nt
+            || self.out.rules[elem.0 as usize].is_local
+            || tail.iter().any(|i| matches!(i, Instr::Set { .. }))
+        {
+            return None;
+        }
+        Some(ListChain { head, list: nt, elem, elem_slot, next_slot, record: None })
+    }
+
+    /// The [`Record`] of rule `nt`, pushed to the record pool, if the rule
+    /// has that shape. A rule that has not leaves the term pool as it was.
+    fn record(&mut self, nt: NtId) -> Option<u32> {
+        let PRuleKind::Alts { first, count: 1 } = self.out.rules[nt.0 as usize].kind else {
+            return None;
+        };
+        let alt = self.out.alts[first as usize];
+        if usize::from(alt.n_slots) > REC_SLOTS {
+            return None;
+        }
+        let terms = self.out.terms.len();
+        let Some((ops, fields)) = self.record_ops(alt) else {
+            self.out.terms.truncate(terms);
+            return None;
+        };
+        let first_op = self.out.rec_ops.len() as u32;
+        self.out.rec_ops.extend(ops);
+        self.out.records.push(Record {
+            nt,
+            pc: alt.first,
+            first: first_op,
+            count: alt.count,
+            calls: fields as u32,
+            n_slots: alt.n_slots,
+            frame: 4 * fields as u16,
+        });
+        Some(self.out.records.len() as u32 - 1)
+    }
+
+    /// The ops of a [`Record`] of alternative `alt` and its number of
+    /// fields, if it has that shape.
+    fn record_ops(&mut self, alt: PAlt) -> Option<(Vec<RecOp>, usize)> {
+        let (mut attrs, mut fields) = (Vec::<Sym>::new(), Vec::<(u16, NtId)>::new());
+        let mut ops = Vec::with_capacity(alt.count as usize);
+        for pc in alt.first..alt.first + alt.count {
+            let reads = Reads::Record { attrs: &attrs, fields: &fields };
+            ops.push(match self.out.unfused(self.out.code[pc as usize]) {
+                Instr::Match { lit, lo, hi, slot } => {
+                    let (lo, hi) = (self.aff(lo, reads)?, self.aff(hi, reads)?);
+                    RecOp::Lit { lit, lo, hi, slot }
+                }
+                Instr::Call { nt, lo, hi, slot } => {
+                    let CRuleBody::Builtin(builtin) = self.g.rule(nt).body else { return None };
+                    let width = match builtin.fixed_width() {
+                        Some(w) => Some(w as u32),
+                        None if builtin == Builtin::Bytes => None,
+                        None => return None,
+                    };
+                    let (lo, hi) = (self.aff(lo, reads)?, self.aff(hi, reads)?);
+                    let reg = 4 * fields.len() as u16;
+                    fields.push((slot, nt));
+                    RecOp::Field { nt, builtin, width, lo, hi, slot, reg }
+                }
+                Instr::Set { attr, expr, .. } => {
+                    let form = self.form(expr, reads)?;
+                    let own = matches!(attr, wellknown::EOI | wellknown::START | wellknown::END);
+                    if !own && !attrs.contains(&attr) {
+                        attrs.push(attr);
+                    }
+                    RecOp::Set { attr, reg: NO_SLOT, form }
+                }
+                Instr::Guard { expr } => RecOp::Guard { form: self.form(expr, reads)? },
+                _ => return None,
+            });
+        }
+        (4 * fields.len() + 3 + attrs.len() <= REC_REGS).then_some((ops, fields.len()))
     }
 
     fn case(&mut self, case: &CSwitchCase) -> PCase {
@@ -1022,49 +1514,16 @@ impl Program {
         1 + depth_of(self, self.start.0 as usize, &mut memo, &mut on_path) as usize
     }
 
-    /// `instr` with a field run's or byte scan's head in place of it: the
+    /// `instr` with a field run's, byte scan's or chain's head in place of
+    /// it: the
     /// term the instruction at its pc was compiled from.
     pub(crate) fn unfused(&self, instr: Instr) -> Instr {
         match instr {
             Instr::Fields { run } => self.runs[run as usize].head,
             Instr::Scan { scan } => self.scans[scan as usize].head,
+            Instr::Chain { chain } => self.chains[chain as usize].head,
             other => other,
         }
-    }
-
-    /// The value of expression `e` of byte scan `scan` at a level whose
-    /// byte is `byte` and whose nested rule's node holds `inner` (its
-    /// values as stored; empty on the terminator level), or `None` when
-    /// undefined. `B` read one byte at offset 0 of the level, and the
-    /// nested node lies at offset 1, so its `start` and `end` read one
-    /// higher (rule T-NTSucc).
-    pub(crate) fn scan_value(
-        &self,
-        scan: &ByteScan,
-        e: ExprId,
-        byte: i64,
-        inner: &[i64],
-    ) -> Option<i64> {
-        let value = |e| self.scan_value(scan, e, byte, inner);
-        Some(match self.exprs[e.0 as usize] {
-            BExpr::Num(n) => n,
-            BExpr::Bin(op, a, b) => eval_binop(op, value(a)?, value(b)?)?,
-            BExpr::Cond(c, t, f) => value(if value(c)? != 0 { t } else { f })?,
-            BExpr::NtAttr { slot, attr, .. } if slot == scan.byte_slot => match attr {
-                wellknown::VAL => byte,
-                wellknown::START => 0,
-                _ => 1,
-            },
-            BExpr::NtAttr { attr_slot, .. } => {
-                let v = *inner.get(attr_slot as usize)?;
-                if matches!(attr_slot, START_SLOT | END_SLOT) {
-                    v + 1
-                } else {
-                    v
-                }
-            }
-            _ => return None,
-        })
     }
 
     /// The shared nonterminal name table (also carried by every
@@ -1216,6 +1675,74 @@ impl Program {
                 let lit = &self.lits[l.lit.start as usize..(l.lit.start + l.lit.len) as usize];
                 let (byte, lit) = (self.nt_name(sc.byte), crate::interp::preview(lit));
                 format!("scan {byte}[0, 1] until {lit}[{}, {}]", l.lo, l.hi)
+            }
+            Instr::Chain { chain } => {
+                let c = self.chains[chain as usize];
+                let head = self.render_instr(g, c.head);
+                let mut s = format!("chain{}", head.strip_prefix("call").unwrap_or(&head));
+                let Some(r) = c.record else { return s };
+                let r = self.records[r as usize];
+                for op in &self.rec_ops[r.first as usize..(r.first + r.count) as usize] {
+                    let aff = |a| self.render_aff(g, a);
+                    let op = match *op {
+                        RecOp::Lit { lit, lo, hi, slot } => {
+                            let bytes =
+                                &self.lits[lit.start as usize..(lit.start + lit.len) as usize];
+                            let lit = crate::interp::preview(bytes);
+                            format!("match {lit}[{}, {}] -> s{slot}", aff(lo), aff(hi))
+                        }
+                        RecOp::Field { nt, lo, hi, slot, .. } => {
+                            format!(
+                                "call {}[{}, {}] -> s{slot}",
+                                self.nt_name(nt),
+                                aff(lo),
+                                aff(hi)
+                            )
+                        }
+                        RecOp::Set { attr, form, .. } => {
+                            format!("set {} = {}", g.attr_name(attr), self.render_form(g, form))
+                        }
+                        RecOp::Guard { form } => format!("guard {}", self.render_form(g, form)),
+                    };
+                    let _ = write!(s, "\n            record {op}");
+                }
+                s
+            }
+        }
+    }
+
+    fn render_aff(&self, g: &Grammar, a: Aff) -> String {
+        let mut s = String::new();
+        if a.c != 0 || a.len == 0 {
+            s = a.c.to_string();
+        }
+        for t in &self.terms[a.first as usize..(a.first + a.len) as usize] {
+            let name = match t.src {
+                Src::Attr(sym) | Src::Inner(sym) => g.attr_name(sym).to_owned(),
+                Src::Field { slot, nt, attr } => {
+                    format!("s{slot}:{}.{}", self.nt_name(nt), g.attr_name(attr))
+                }
+                Src::Byte => "byte".to_owned(),
+            };
+            let (sign, k) =
+                if t.coef < 0 { (" - ", t.coef.unsigned_abs()) } else { (" + ", t.coef as u64) };
+            let sign = if s.is_empty() { sign.trim_start() } else { sign };
+            let sign = if sign == "+ " { "" } else { sign };
+            let _ = match k {
+                1 => write!(s, "{sign}{name}"),
+                _ => write!(s, "{sign}{k} * {name}"),
+            };
+        }
+        s
+    }
+
+    fn render_form(&self, g: &Grammar, form: Form) -> String {
+        let aff = |a| self.render_aff(g, a);
+        match form {
+            Form::Aff(a) => aff(a),
+            Form::Cmp(op, a, b) => format!("{} {op} {}", aff(a), aff(b)),
+            Form::Cond(op, a, b, t, f) => {
+                format!("{} {op} {} ? {} : {}", aff(a), aff(b), aff(t), aff(f))
             }
         }
     }

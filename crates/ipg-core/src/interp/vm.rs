@@ -43,6 +43,19 @@
 //!   level's records and memo entry in one go and charges the steps and
 //!   profile hooks of the levels' instructions. Otherwise, like a field
 //!   run, it runs the general instructions left in place after it.
+//! * **Chains**: a right-recursive list rule (`LFHs -> LFH[0, EOI]
+//!   LFHs[LFH.end, EOI] / LFH[0, EOI]`) has its head compiled to one
+//!   [`Instr::Chain`], which runs the list's levels in the rule's own frame:
+//!   a level's position, element and touched region are a [`Level`] on a
+//!   stack, not a frame. Each level still ticks, fires its profile hooks and
+//!   looks its key up in the memo table where its call would, and the
+//!   levels complete innermost first, each with its node, memo entry and
+//!   shift record. The level whose element or list call fails runs the
+//!   rule's second alternative in a frame of its own. An element whose
+//!   rule is a record (one alternative of literals, builtin fields, guards
+//!   and sets) is decoded in place, succeeding or failing op by op as its
+//!   frame would; only when the fuel might run out inside it does it run
+//!   in a frame, like any other element.
 //! * **Slot-resolved attributes**: a frame keeps its attributes in `i64`
 //!   slots fixed per rule when the parser is built (`layout`), so
 //!   an attribute read or write is an indexed access, not a search by
@@ -88,8 +101,8 @@ use crate::analysis::{anchor_requirement, AnchorRequirement};
 use crate::arena::{AttrSlot, Entry, TreeArena, TreeId, TreeRef};
 use crate::builtin::run_builtin;
 use crate::bytecode::{
-    compile, BExpr, ByteScan, ExprId, Instr, LitSpan, PRuleKind, Program, SizeHints,
-    GUARD_UNDEFINED, NO_SLOT, SCAN_WIDTH,
+    compile, Aff, BExpr, ByteScan, ExprId, Instr, LitSpan, PRuleKind, Program, RecOp, SizeHints,
+    GUARD_UNDEFINED, NO_SLOT, REC_REGS, REC_SLOTS, SCAN_BYTE_REG, SCAN_WIDTH,
 };
 use crate::check::{Grammar, NtId};
 use crate::error::{Error, ParseError, Result};
@@ -361,8 +374,9 @@ impl VmParser {
         let img = &self.img;
         let mut ws = Workspace::take();
         if self.memoize {
-            ws.memo.reserve(8 * img.grammar.nt_count());
+            ws.memo.map.reserve(8 * img.grammar.nt_count());
         }
+        ws.memo.top.resize(img.grammar.nt_count(), 0);
         ws.frames.reserve(img.hints.frames.saturating_sub(ws.frames.len()));
         let mut arena = ws.arena.take().unwrap_or_else(|| TreeArena::empty(img.layouts.clone()));
         arena.reset(img.layouts.clone(), &img.hints);
@@ -378,6 +392,7 @@ impl VmParser {
             max_steps: self.max_steps.unwrap_or(u64::MAX),
             deepest: Deepest { offset: 0, nt: None, reason: Reason::NoProgress },
             frames: ws.frames,
+            levels: ws.levels,
             depth: 0,
             complete: true,
             root_open: false,
@@ -510,10 +525,12 @@ const RETAIN_MAX: usize = 4096;
 struct Workspace {
     /// Dead frames, each keeping its attribute- and result-slot storage.
     frames: Vec<Frame>,
-    memo: FxHashMap<(NtId, usize, usize), Option<TreeId>>,
+    memo: Memo,
     builtin_failures: FxHashSet<(NtId, usize, usize)>,
     /// A cleared arena: a failed parse's, or a dropped tree's.
     arena: Option<TreeArena>,
+    /// The chain levels' stack, empty.
+    levels: Vec<Level>,
 }
 
 thread_local! {
@@ -531,10 +548,15 @@ impl Workspace {
         if self.frames.capacity() > RETAIN_MAX {
             self.frames = Vec::new();
         }
-        if self.memo.capacity() > RETAIN_MAX {
-            self.memo = FxHashMap::default();
+        if self.memo.map.capacity() > RETAIN_MAX {
+            self.memo.map = FxHashMap::default();
         }
-        self.memo.clear();
+        self.memo.map.clear();
+        self.memo.top.clear();
+        if self.levels.capacity() > RETAIN_MAX {
+            self.levels = Vec::new();
+        }
+        self.levels.clear();
         if self.builtin_failures.capacity() > RETAIN_MAX {
             self.builtin_failures = FxHashSet::default();
         }
@@ -568,6 +590,42 @@ fn retained(mut arena: TreeArena) -> Option<TreeArena> {
         arena.clear();
         arena
     })
+}
+
+/// The memo table: a rule call's result per `(rule, base, len)` key, and
+/// per rule one more than the highest base it holds a key at. Keys are
+/// only ever added during a parse, so a base at or above that mark has no
+/// key: a parse that moves left to right looks most of its calls up
+/// without probing the map, and a run of keys above a base is ruled out
+/// at once.
+#[derive(Default)]
+struct Memo {
+    map: FxHashMap<(NtId, usize, usize), Option<TreeId>>,
+    /// Indexed by rule; 0 while the rule has no key.
+    top: Vec<usize>,
+}
+
+impl Memo {
+    #[inline]
+    fn get(&self, nt: NtId, base: usize, len: usize) -> Option<Option<TreeId>> {
+        if self.top[nt.0 as usize] <= base {
+            return None;
+        }
+        self.map.get(&(nt, base, len)).copied()
+    }
+
+    #[inline]
+    fn insert(&mut self, nt: NtId, base: usize, len: usize, result: Option<TreeId>) {
+        self.map.insert((nt, base, len), result);
+        let top = &mut self.top[nt.0 as usize];
+        *top = (*top).max(base + 1);
+    }
+
+    /// Whether the table may hold a key of `nt` at a base above `base`.
+    #[inline]
+    fn may_hold_above(&self, nt: NtId, base: usize) -> bool {
+        self.top[nt.0 as usize] > base + 1
+    }
 }
 
 /// Hard abort of the whole parse (mirror of the interpreter's `Abort`),
@@ -677,6 +735,71 @@ enum Pending {
     },
     Loop(LoopSt),
     Star(StarSt),
+    Chain(ChainSt),
+}
+
+/// One level of a chain in flight (see [`VmSession::exec_chain`]): its
+/// interval and, once its element has returned, the element's result, its
+/// `end` (where the next level starts) and the level's touched region.
+#[derive(Clone, Copy)]
+struct Level {
+    base: usize,
+    len: usize,
+    elem: Option<TreeId>,
+    next: i64,
+    start: i64,
+    end: i64,
+}
+
+impl Level {
+    /// A level over `(base, len)` before its element runs (rule R-AltSucc).
+    fn new(base: usize, len: usize) -> Level {
+        Level { base, len, elem: None, next: 0, start: len as i64, end: 0 }
+    }
+}
+
+/// In-flight state of a chain.
+#[derive(Clone, Copy)]
+struct ChainSt {
+    chain: u32,
+    /// Index of the chain's level 0 in the session's level stack.
+    first: usize,
+    /// What the chain waits for while a child frame runs.
+    wait: Wait,
+}
+
+/// What a chain waits for from a child frame.
+#[derive(Clone, Copy)]
+enum Wait {
+    /// The top level's element.
+    Elem,
+    /// The top level's second alternative, run in a frame of its own.
+    Tail,
+}
+
+/// Where a chain is (see [`VmSession::chain_run`]).
+enum ChainStep {
+    /// The top level's element returned.
+    Elem(Option<Ret>),
+    /// The top level's list call returned this node, not yet re-based.
+    Next(Option<TreeId>),
+    /// The top level's first alternative failed.
+    Tail,
+    /// The top level's second alternative returned, its node and memo
+    /// entry made.
+    Done(Option<TreeId>),
+    /// A child frame runs; the chain waits for it.
+    Wait(Wait),
+}
+
+/// What [`VmSession::exec_record`] did.
+enum Decode {
+    /// The rule succeeded with this node.
+    Node(TreeId),
+    /// The rule failed.
+    Failed,
+    /// Nothing: the rule must run in a frame.
+    Declined,
 }
 
 /// One activation of a rule: the VM analogue of the interpreter's
@@ -734,7 +857,7 @@ struct VmSession<I, PS: ProfSink = ()> {
     /// growing buffer for streaming [`Session`]s.
     input: I,
     arena: TreeArena,
-    memo: FxHashMap<(NtId, usize, usize), Option<TreeId>>,
+    memo: Memo,
     /// Builtin invocations that already recorded their failure. The VM
     /// re-executes builtins instead of memoizing them; this set keeps the
     /// *deepest-failure* bookkeeping identical to the interpreter, where a
@@ -750,6 +873,9 @@ struct VmSession<I, PS: ProfSink = ()> {
     /// are dead but keep their allocations (attribute and result slots)
     /// for reuse, so pushing a frame never moves one by value.
     frames: Vec<Frame>,
+    /// The levels of the chains in flight, each chain's above those of the
+    /// chains it runs inside.
+    levels: Vec<Level>,
     depth: usize,
     /// Whether the whole input is present. One-shot parses are always
     /// complete; a streaming session flips this in `finish`. While
@@ -779,7 +905,11 @@ struct VmSession<I, PS: ProfSink = ()> {
 
 impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     fn stats(&self) -> ParseStats {
-        ParseStats { steps: self.steps, memo_hits: self.memo_hits, memo_entries: self.memo.len() }
+        ParseStats {
+            steps: self.steps,
+            memo_hits: self.memo_hits,
+            memo_entries: self.memo.map.len(),
+        }
     }
 
     /// The buffered input bytes.
@@ -842,34 +972,18 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     fn push_open_root(&mut self, nt: NtId) -> PResult<bool> {
         self.tick()?;
         let p = &self.img.program;
-        let PRuleKind::Alts { first, count } = p.rules[nt.0 as usize].kind else {
+        let PRuleKind::Alts { count, .. } = p.rules[nt.0 as usize].kind else {
             unreachable!("open roots are only pushed for alternatives rules")
         };
         if count == 0 {
             return Ok(false);
         }
-        let alt = p.alts[first as usize];
-        if self.depth == self.frames.len() {
-            self.frames.push(Frame::default());
-        }
-        let f = &mut self.frames[self.depth];
-        f.nt = nt;
-        f.base = 0;
-        f.len = 0; // placeholder until sealed; gated reads suspend instead
-        f.alts_first = first;
-        f.alts_end = first + count;
-        f.alt_cursor = first;
-        f.ip = alt.first;
-        f.ip_end = alt.first + alt.count;
-        init_slots(&mut f.slots, self.img.layouts.rules[nt.0 as usize].frame_width, OPEN_LEN);
-        f.results.clear();
-        f.results.resize(alt.n_slots as usize, None);
-        f.parent = NO_PARENT;
-        f.memoizable = self.memoize && !p.rules[nt.0 as usize].is_local;
-        f.pending = Pending::None;
-        self.depth += 1;
+        let memoizable = self.memoize && !p.rules[nt.0 as usize].is_local;
+        // Length 0 is a placeholder until sealed; gated reads suspend
+        // instead.
+        self.push_frame(nt, 0, 0, 0, NO_PARENT, memoizable);
+        self.frames[0].slots[..3].copy_from_slice(&[OPEN_LEN, OPEN_LEN, 0]);
         self.root_open = true;
-        self.prof.enter(nt);
         Ok(true)
     }
 
@@ -977,8 +1091,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         let rule = &p.rules[nt.0 as usize];
         let memoizable = self.memoize && !rule.is_local;
         if memoizable {
-            if let Some(cached) = self.memo.get(&(nt, base, len)) {
-                let cached = *cached;
+            if let Some(cached) = self.memo.get(nt, base, len) {
                 self.memo_hits += 1;
                 self.prof.memo(nt, true);
                 return Ok(CallOutcome::Done(cached.map(|id| self.rebase(id, l))));
@@ -992,44 +1105,64 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                 let r = self.blackbox_result(nt, idx as usize, base, len);
                 self.prof.exit(nt, r.is_some());
                 if memoizable {
-                    self.memo.insert((nt, base, len), r);
+                    self.memo.insert(nt, base, len, r);
                 }
                 Ok(CallOutcome::Done(r.map(|id| self.rebase(id, l))))
             }
-            PRuleKind::Alts { first, count } => {
+            PRuleKind::Alts { count, .. } => {
                 if count == 0 {
                     self.prof.enter(nt);
                     self.prof.exit(nt, false);
                     if memoizable {
-                        self.memo.insert((nt, base, len), None);
+                        self.memo.insert(nt, base, len, None);
                     }
                     return Ok(CallOutcome::Done(None));
                 }
-                let alt = p.alts[first as usize];
-                if self.depth == self.frames.len() {
-                    self.frames.push(Frame::default());
-                }
-                let width = self.img.layouts.rules[nt.0 as usize].frame_width;
-                let f = &mut self.frames[self.depth];
-                f.nt = nt;
-                f.base = base;
-                f.len = len;
-                f.alts_first = first;
-                f.alts_end = first + count;
-                f.alt_cursor = first;
-                f.ip = alt.first;
-                f.ip_end = alt.first + alt.count;
-                init_slots(&mut f.slots, width, len as i64);
-                f.results.clear();
-                f.results.resize(alt.n_slots as usize, None);
-                f.parent = parent;
-                f.memoizable = memoizable;
-                f.pending = Pending::None;
-                self.depth += 1;
-                self.prof.enter(nt);
+                self.push_frame(nt, 0, base, len, parent, memoizable);
                 Ok(CallOutcome::Pushed)
             }
         }
+    }
+
+    /// Pushes a frame running alternative `alt` (counted from the rule's
+    /// first) of rule `nt` over `(base, len)`: the end of
+    /// [`VmSession::begin_call`] once its memo look-up missed, and where a
+    /// chain hands a level or an element to the general instructions.
+    #[inline(always)]
+    fn push_frame(
+        &mut self,
+        nt: NtId,
+        alt: u32,
+        base: usize,
+        len: usize,
+        parent: u32,
+        memoizable: bool,
+    ) {
+        let PRuleKind::Alts { first, count } = self.img.program.rules[nt.0 as usize].kind else {
+            unreachable!("frames run rules with alternatives")
+        };
+        let a = self.img.program.alts[(first + alt) as usize];
+        if self.depth == self.frames.len() {
+            self.frames.push(Frame::default());
+        }
+        let width = self.img.layouts.rules[nt.0 as usize].frame_width;
+        let f = &mut self.frames[self.depth];
+        f.nt = nt;
+        f.base = base;
+        f.len = len;
+        f.alts_first = first;
+        f.alts_end = first + count;
+        f.alt_cursor = first + alt;
+        f.ip = a.first;
+        f.ip_end = a.first + a.count;
+        init_slots(&mut f.slots, width, len as i64);
+        f.results.clear();
+        f.results.resize(a.n_slots as usize, None);
+        f.parent = parent;
+        f.memoizable = memoizable;
+        f.pending = Pending::None;
+        self.depth += 1;
+        self.prof.enter(nt);
     }
 
     /// A rule's result in its caller's coordinates: its callee-relative
@@ -1099,6 +1232,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                     }
                     Instr::Fields { run } => self.exec_fields(fi, run)?,
                     Instr::Scan { scan } => self.exec_scan(fi, scan)?,
+                    Instr::Chain { chain } => self.exec_chain(fi, chain)?,
                 }
             };
             match flow {
@@ -1132,8 +1266,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             let f = &mut self.frames[self.depth];
             f.pending = Pending::None;
             if f.memoizable {
-                let key = (f.nt, f.base, f.len);
-                self.memo.insert(key, None);
+                let (nt, base, len) = (f.nt, f.base, f.len);
+                self.memo.insert(nt, base, len, None);
             }
             let failed = self.frames[self.depth].nt;
             self.prof.exit(failed, false);
@@ -1167,7 +1301,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         let children = f.results.iter().flatten().copied();
         let id = self.arena.alloc_node(nt, alt_index, &f.slots[..width], children, base);
         if memoizable {
-            self.memo.insert((nt, base, len), Some(id));
+            self.memo.insert(nt, base, len, Some(id));
         }
         if self.depth == 0 {
             Ok(Flow::Done(Some(id)))
@@ -1236,6 +1370,15 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                 }
                 None => Ok(self.finish_star(fi, st)),
             },
+            Pending::Chain(st) => {
+                let step = match st.wait {
+                    Wait::Elem => ChainStep::Elem(ret.map(|sub| self.rebase(sub, 0))),
+                    // The level's node, if any, and its memo entry are its
+                    // frame's.
+                    Wait::Tail => ChainStep::Done(ret),
+                };
+                self.chain_run(fi, st, step)
+            }
             Pending::None => unreachable!("result delivered with no pending term"),
         }
     }
@@ -1351,13 +1494,13 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         Ok(Flow::Exec)
     }
 
-    /// Runs the general instruction a field run's or byte scan's head
-    /// replaced.
+    /// Runs the general instruction a field run's, byte scan's or chain's
+    /// head replaced.
     fn exec_unfused(&mut self, fi: usize, head: Instr) -> PResult<Flow> {
         match head {
             Instr::Match { lit, lo, hi, slot } => self.exec_match(fi, lit, lo, hi, slot),
             Instr::Call { nt, lo, hi, slot } => self.dispatch_call(fi, nt, lo, hi, slot),
-            _ => unreachable!("a field run or byte scan starts with a match or a call"),
+            _ => unreachable!("a field run, byte scan or chain starts with a match or a call"),
         }
     }
 
@@ -1395,7 +1538,9 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         if self.steps.saturating_add(steps) > self.max_steps
             || lit.hi > term_len as i64
             || input[at..at + lit_bytes.len()] != *lit_bytes
-            || memoizable && (1..=k).any(|i| self.memo.contains_key(&(nt, base + i, len - i)))
+            || memoizable
+                && self.memo.may_hold_above(nt, base)
+                && (1..=k).any(|i| self.memo.get(nt, base + i, len - i).is_some())
         {
             return self.exec_unfused(fi, s.head);
         }
@@ -1404,7 +1549,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             if stop & GUARD_UNDEFINED != 0 { Reason::PredicateEval } else { Reason::Predicate };
         self.deepest.record(term, nt, reason);
         let width = usize::from(self.img.layouts.rules[nt.0 as usize].width);
-        let defined = "a byte scan's sets are defined";
+        let sets = &p.scan_sets[s.first_set as usize..][..usize::from(s.sets + s.lit_sets)];
+        let (sets, lit_sets) = sets.split_at(usize::from(s.sets));
         let (n, guards) = (k as u64, u32::from(s.guards));
         self.prof.instrs(pc, n);
         for q in 0..guards {
@@ -1425,19 +1571,19 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         let mut vals = [0; SCAN_WIDTH];
         vals[..3].copy_from_slice(&[term_len as i64, term_len as i64, 0]);
         upd_start_end(&mut vals, lit.lo, lit.hi, !lit_bytes.is_empty());
-        for set in &p.code[s.lit_pc as usize + 1..][..usize::from(s.lit_sets)] {
-            let Instr::Set { attr_slot, expr, .. } = *set else { unreachable!("{defined}") };
-            vals[usize::from(attr_slot)] = p.scan_value(s, expr, 0, &[]).expect(defined);
+        for set in lit_sets {
+            vals[usize::from(set.slot)] = set.form.eval(&p.terms, &[]);
         }
         let mut node = self.arena.alloc_node(nt, 1, &vals[..width], [leaf], term);
-        // The levels above it, innermost first, down to this frame's.
-        let sets = &p.code[pc as usize + 2 + s.guards as usize..][..usize::from(s.sets)];
+        // The levels above it, innermost first, down to this frame's. A
+        // level's sets read the nested level's values and its byte.
+        let mut regs = [0; SCAN_WIDTH + 1];
         for i in (1..=k).rev() {
             // Level `i`, whose node is `node`, returns to level `i - 1`.
             self.prof.call(nt);
             if memoizable {
                 self.prof.memo(nt, false);
-                self.memo.insert((nt, base + i, len - i), Some(node));
+                self.memo.insert(nt, base + i, len - i, Some(node));
             }
             self.prof.leaf(nt, true);
             let (at_i, len_i) = (base + i - 1, (len - i + 1) as i64);
@@ -1446,14 +1592,13 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             let b = self.arena.alloc_builtin(s.byte, at_i, 1, 1, 0, byte);
             self.prof.leaf(s.byte, true);
             let shift = self.arena.adjust(node, 1);
-            let inner = vals;
+            regs[..SCAN_WIDTH].copy_from_slice(&vals);
+            regs[usize::from(SCAN_BYTE_REG)] = byte;
             vals[..3].copy_from_slice(&[len_i, 0, 1]);
-            let (start, end) = (inner[START_SLOT as usize], inner[END_SLOT as usize]);
+            let (start, end) = (regs[START_SLOT as usize], regs[END_SLOT as usize]);
             upd_start_end(&mut vals, 1 + start, 1 + end, end != 0);
             for set in sets {
-                let Instr::Set { attr_slot, expr, .. } = *set else { unreachable!("{defined}") };
-                vals[usize::from(attr_slot)] =
-                    p.scan_value(s, expr, byte, &inner[..width]).expect(defined);
+                vals[usize::from(set.slot)] = set.form.eval(&p.terms, &regs);
             }
             if i > 1 {
                 node = self.arena.alloc_node(nt, 0, &vals[..width], [b, shift], at_i);
@@ -1466,6 +1611,294 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             }
         }
         Ok(Flow::Exec)
+    }
+
+    /// A chain (`ListChain`), run by the frame of its rule at level 0 of
+    /// the list: each level's element, then its list call, and so on down
+    /// the list, the levels kept on the session's level stack instead of
+    /// in frames (see [`VmSession::chain_run`]). The open root of a
+    /// streaming session runs the head it replaced: its length reads 0
+    /// until it is sealed.
+    #[inline(never)]
+    fn exec_chain(&mut self, fi: usize, chain: u32) -> PResult<Flow> {
+        let c = self.img.program.chains[chain as usize];
+        if fi == 0 && self.root_open && !self.complete {
+            return self.exec_unfused(fi, c.head);
+        }
+        let f = &self.frames[fi];
+        let first = self.levels.len();
+        self.levels.push(Level::new(f.base, f.len));
+        let step = self.chain_elem(c.elem, c.record)?;
+        self.chain_run(fi, ChainSt { chain, first, wait: Wait::Elem }, step)
+    }
+
+    /// Calls the top level's element `elem`, whose record is `record`, at
+    /// offset 0 of the level.
+    #[inline]
+    fn chain_elem(&mut self, elem: NtId, record: Option<u32>) -> PResult<ChainStep> {
+        let lv = self.levels[self.levels.len() - 1];
+        let out = match record {
+            Some(r) => self.record_call(elem, r, lv.base, lv.len, 0)?,
+            None => self.call(elem, lv.base, lv.len, 0, NO_PARENT)?,
+        };
+        Ok(match out {
+            CallOutcome::Pushed => ChainStep::Wait(Wait::Elem),
+            CallOutcome::Done(ret) => ChainStep::Elem(ret),
+        })
+    }
+
+    /// Runs chain `st` from `step` until it needs a child frame or its
+    /// frame's first alternative is decided. Each level does what its
+    /// frame would, in the same order:
+    ///
+    /// * once its element returns, the list call `X[A.end, EOI]`: the
+    ///   instruction's tick and hooks, the interval, the call's tick, hooks
+    ///   and memo look-up; a miss starts the next level, whose first
+    ///   instruction is this chain's head again;
+    /// * once that call returns, the level completes: it re-bases the node
+    ///   below it (a shift record), widens its touched region and
+    ///   allocates its node and memo entry, innermost level first; level 0
+    ///   leaves its results in the frame, which completes it;
+    /// * when its element or its list call fails, its second alternative
+    ///   runs in a frame of its own, which makes the level's node or
+    ///   failure and memo entry; level 0 is the frame's own, which tries
+    ///   its next alternative.
+    ///
+    /// While a child frame runs, the chain waits in its frame's pending
+    /// term.
+    #[inline(never)]
+    fn chain_run(&mut self, fi: usize, st: ChainSt, mut step: ChainStep) -> PResult<Flow> {
+        let c = self.img.program.chains[st.chain as usize];
+        let (x, pc) = (c.list, self.frames[fi].ip);
+        loop {
+            step = match step {
+                ChainStep::Wait(wait) => {
+                    self.frames[fi].pending = Pending::Chain(ChainSt { wait, ..st });
+                    return Ok(Flow::Exec);
+                }
+                ChainStep::Elem(None) | ChainStep::Next(None) => ChainStep::Tail,
+                ChainStep::Elem(Some(elem)) => {
+                    let top = self.levels.len() - 1;
+                    let lv = &mut self.levels[top];
+                    // The element lies at offset 0: its `end` is `A.end`.
+                    lv.elem = Some(elem.id);
+                    lv.next = elem.end;
+                    if elem.end != 0 {
+                        lv.start = lv.start.min(elem.start);
+                        lv.end = lv.end.max(elem.end);
+                    }
+                    let lv = *lv;
+                    self.tick()?;
+                    self.prof.instr(pc + 1);
+                    if !(0..=lv.len as i64).contains(&lv.next) {
+                        self.record_failure(lv.base, x, Reason::Interval(x));
+                        ChainStep::Tail
+                    } else {
+                        let (base, len) = (lv.base + lv.next as usize, lv.len - lv.next as usize);
+                        self.tick()?;
+                        self.prof.call(x);
+                        let cached = if self.memoize {
+                            let cached = self.memo.get(x, base, len);
+                            self.memo_hits += u64::from(cached.is_some());
+                            self.prof.memo(x, cached.is_some());
+                            cached
+                        } else {
+                            None
+                        };
+                        match cached {
+                            Some(cached) => ChainStep::Next(cached),
+                            None => {
+                                self.levels.push(Level::new(base, len));
+                                self.tick()?;
+                                self.prof.instr(pc);
+                                self.chain_elem(c.elem, c.record)?
+                            }
+                        }
+                    }
+                }
+                ChainStep::Next(Some(sub)) => {
+                    let lv = self.levels.pop().expect("a completing chain has a level");
+                    let elem = lv.elem.expect("a level calls the list after its element");
+                    let next = self.rebase(sub, lv.next);
+                    let mut region = [lv.len as i64, lv.start, lv.end];
+                    let (start, end) = (lv.next + next.start, lv.next + next.end);
+                    upd_start_end(&mut region, start, end, next.end != 0);
+                    if self.levels.len() == st.first {
+                        let f = &mut self.frames[fi];
+                        f.slots[..3].copy_from_slice(&region);
+                        f.results[usize::from(c.elem_slot)] = Some(elem);
+                        f.results[usize::from(c.next_slot)] = Some(next.id);
+                        f.ip = f.ip_end;
+                        return Ok(Flow::Exec);
+                    }
+                    self.prof.leaf(x, true);
+                    let id = self.arena.alloc_node(x, 0, &region, [elem, next.id], lv.base);
+                    if self.memoize {
+                        self.memo.insert(x, lv.base, lv.len, Some(id));
+                    }
+                    ChainStep::Next(Some(id))
+                }
+                ChainStep::Tail => {
+                    let lv = self.levels[self.levels.len() - 1];
+                    if self.levels.len() - 1 == st.first {
+                        self.levels.truncate(st.first);
+                        return Ok(self.fail_alt(fi));
+                    }
+                    // The level's frame runs its second alternative.
+                    self.push_frame(x, 1, lv.base, lv.len, NO_PARENT, self.memoize);
+                    ChainStep::Wait(Wait::Tail)
+                }
+                ChainStep::Done(ret) => {
+                    self.levels.pop();
+                    ChainStep::Next(ret)
+                }
+            };
+        }
+    }
+
+    /// [`VmSession::begin_call`] of record `r`'s rule `nt` at offset `l`:
+    /// the call's tick, hooks and memo look-up, then the record decoded in
+    /// place, or the rule's frame when the fuel might not last through it.
+    fn record_call(
+        &mut self,
+        nt: NtId,
+        r: u32,
+        base: usize,
+        len: usize,
+        l: i64,
+    ) -> PResult<CallOutcome> {
+        self.tick()?;
+        self.prof.call(nt);
+        if self.memoize {
+            if let Some(cached) = self.memo.get(nt, base, len) {
+                self.memo_hits += 1;
+                self.prof.memo(nt, true);
+                return Ok(CallOutcome::Done(cached.map(|id| self.rebase(id, l))));
+            }
+            self.prof.memo(nt, false);
+        }
+        Ok(match self.exec_record(r, base, len) {
+            Decode::Node(id) => CallOutcome::Done(Some(self.rebase(id, l))),
+            Decode::Failed => CallOutcome::Done(None),
+            Decode::Declined => {
+                self.push_frame(nt, 0, base, len, NO_PARENT, self.memoize);
+                CallOutcome::Pushed
+            }
+        })
+    }
+
+    /// Runs record `r` over `(base, len)` in one pass, as its rule's frame
+    /// would: each op in order, with its tick and hooks; each literal's
+    /// leaf and each field's builtin record; the first op that fails —
+    /// an interval out of bounds, a literal that does not match, a
+    /// fixed-width field that does not fit, a guard that does not hold —
+    /// records the failure the general instruction records and fails the
+    /// rule, leaving what it allocated, as the frame would. A rule that
+    /// succeeds gets its node. Either way the rule's memo entry follows.
+    /// When the fuel might run out inside the rule it declines, having
+    /// done nothing, and the rule runs in a frame, which runs out of fuel
+    /// exactly where it would.
+    fn exec_record(&mut self, r: u32, base: usize, len: usize) -> Decode {
+        let p = &self.img.program;
+        let rec = p.records[r as usize];
+        if self.steps.saturating_add(rec.steps()) > self.max_steps {
+            return Decode::Declined;
+        }
+        let input = self.input.as_ref();
+        let n = len as i64;
+        let mut regs = [0; REC_REGS];
+        let mut results = [None; REC_SLOTS];
+        let frame = usize::from(rec.frame);
+        regs[frame..frame + 3].copy_from_slice(&[n, n, 0]);
+        let ops = &p.rec_ops[rec.first as usize..(rec.first + rec.count) as usize];
+        let mut ok = true;
+        for (pc, op) in (rec.pc..).zip(ops) {
+            self.steps += 1;
+            self.prof.instr(pc);
+            let eval = |a: &Aff, regs: &[i64]| a.eval(&p.terms, regs);
+            match op {
+                &RecOp::Lit { lit, ref lo, ref hi, slot } => {
+                    let (l, r) = (eval(lo, &regs), eval(hi, &regs));
+                    // `at` is read only once the interval is valid.
+                    let (at, blen) = (base + l.max(0) as usize, lit.len as usize);
+                    let failure = if !(0 <= l && l <= r && r <= n) {
+                        Some((base, Reason::TerminalInterval))
+                    } else if r - l < blen as i64 {
+                        Some((at, Reason::TerminalTooShort(lit.len)))
+                    } else if input[at..at + blen] != p.lits[lit.start as usize..][..blen] {
+                        Some((at, Reason::TerminalMismatch(lit)))
+                    } else {
+                        None
+                    };
+                    if let Some((offset, reason)) = failure {
+                        self.deepest.record(offset, rec.nt, reason);
+                        ok = false;
+                        break;
+                    }
+                    results[usize::from(slot)] = Some(self.arena.alloc_leaf(at, at + blen));
+                    upd_start_end(&mut regs[frame..], l, r, blen != 0);
+                }
+                &RecOp::Field { nt, builtin, width, ref lo, ref hi, slot, reg } => {
+                    let (l, r) = (eval(lo, &regs), eval(hi, &regs));
+                    if !(0 <= l && l <= r && r <= n) {
+                        self.deepest.record(base, rec.nt, Reason::Interval(nt));
+                        ok = false;
+                        break;
+                    }
+                    self.steps += 1;
+                    self.prof.call(nt);
+                    let (at, flen) = (base + l as usize, (r - l) as usize);
+                    let decoded = match width {
+                        Some(w) if flen < w as usize => None,
+                        Some(w) => {
+                            Some((decode_fixed(builtin, &input[at..at + w as usize]), w as usize))
+                        }
+                        None => Some((flen as i64, flen)),
+                    };
+                    let Some((val, consumed)) = decoded else {
+                        // As a failing leaf call: a repeat at the same
+                        // key records nothing (the interpreter's memo hit).
+                        let memoizable = self.memoize && !p.rules[nt.0 as usize].is_local;
+                        if !memoizable || self.builtin_failures.insert((nt, at, flen)) {
+                            self.deepest.record(at, nt, Reason::Builtin(builtin));
+                        }
+                        self.prof.leaf(nt, false);
+                        ok = false;
+                        break;
+                    };
+                    self.prof.leaf(nt, true);
+                    let id = self.arena.alloc_builtin(nt, at, flen, consumed, l, val);
+                    results[usize::from(slot)] = Some(id);
+                    let end = l + consumed as i64;
+                    let reg = usize::from(reg);
+                    regs[reg..reg + 4].copy_from_slice(&[r - l, l, end, val]);
+                    upd_start_end(&mut regs[frame..], l, end, consumed > 0);
+                }
+                RecOp::Set { reg, form, .. } => {
+                    regs[usize::from(*reg)] = form.eval(&p.terms, &regs)
+                }
+                RecOp::Guard { form } => {
+                    if form.eval(&p.terms, &regs) == 0 {
+                        self.deepest.record(base, rec.nt, Reason::Predicate);
+                        ok = false;
+                        break;
+                    }
+                }
+            }
+        }
+        self.prof.leaf(rec.nt, ok);
+        let node = ok.then(|| {
+            let width = usize::from(self.img.layouts.rules[rec.nt.0 as usize].width);
+            let children = results[..usize::from(rec.n_slots)].iter().flatten().copied();
+            self.arena.alloc_node(rec.nt, 0, &regs[frame..frame + width], children, base)
+        });
+        if self.memoize {
+            self.memo.insert(rec.nt, base, len, node);
+        }
+        match node {
+            Some(id) => Decode::Node(id),
+            None => Decode::Failed,
+        }
     }
 
     fn exec_set(&mut self, fi: usize, attr: Sym, attr_slot: u16, expr: ExprId) -> PResult<Flow> {
@@ -2070,6 +2503,7 @@ impl<I, PS: ProfSink> Drop for VmSession<I, PS> {
             memo: std::mem::take(&mut self.memo),
             builtin_failures: std::mem::take(&mut self.builtin_failures),
             arena: (arena.capacity() > 0).then_some(arena),
+            levels: std::mem::take(&mut self.levels),
         }
         .give_back();
     }

@@ -29,9 +29,15 @@
 //!   bound yet keeps [`NO_SLOT`]: it is inherited, and the VM walks the
 //!   invoking alternatives' shapes for it at run time, exactly as the
 //!   interpreter falls through to its parent context.
+//! * **Registers.** The forms a byte scan or a record evaluates read
+//!   attributes by register: a scan's sets the nested level's slots, a
+//!   record's ops its own frame's slots, numbered after its fields'
+//!   registers.
 
 use crate::arena::NtTable;
-use crate::bytecode::{BExpr, ExprId, Instr, PCase, PRuleKind, Program, NO_SLOT};
+use crate::bytecode::{
+    Aff, BExpr, ExprId, Instr, PCase, PRuleKind, Program, RecOp, Src, Term, NO_SLOT,
+};
 use crate::check::{Grammar, NtId};
 use crate::env::wellknown;
 use crate::intern::Sym;
@@ -226,7 +232,7 @@ pub(crate) fn resolve(program: &mut Program, grammar: &Grammar) -> Layouts {
                     for pc in alt.first..alt.first + alt.count {
                         r.pc = pc;
                         let instr = &mut program.code[pc as usize];
-                        // A field run's or byte scan's covered
+                        // A field run's, byte scan's or chain's covered
                         // instructions follow and resolve as usual; its
                         // head's operands resolve here.
                         match *instr {
@@ -235,6 +241,9 @@ pub(crate) fn resolve(program: &mut Program, grammar: &Grammar) -> Layouts {
                             }
                             Instr::Scan { scan } => {
                                 r.instr(&mut program.scans[scan as usize].head, &program.cases)
+                            }
+                            Instr::Chain { chain } => {
+                                r.instr(&mut program.chains[chain as usize].head, &program.cases)
                             }
                             _ => r.instr(instr, &program.cases),
                         }
@@ -264,7 +273,56 @@ pub(crate) fn resolve(program: &mut Program, grammar: &Grammar) -> Layouts {
             }
         }
     }
+    // The forms of byte scans and records read attributes by
+    // register: a scan's sets read the nested level's slots and write the
+    // frame's, and a record's ops read and write its frame's slots, which
+    // follow its fields' registers.
+    for (nt, rule) in program.rules.iter().enumerate() {
+        let PRuleKind::Alts { first, count: 1.. } = rule.kind else { continue };
+        let Instr::Scan { scan } = program.code[program.alts[first as usize].first as usize] else {
+            continue;
+        };
+        let s = program.scans[scan as usize];
+        let slot = |sym| layouts.slot_of(NtId(nt as u32), sym).expect("a scan's rule stores it");
+        let sets = usize::from(s.sets + s.lit_sets);
+        for set in &mut program.scan_sets[s.first_set as usize..][..sets] {
+            set.slot = slot(set.attr);
+            for a in set.form.affs() {
+                resolve_terms(&mut program.terms, a, 0, slot);
+            }
+        }
+    }
+    for r in &program.records {
+        let slot = |sym| layouts.slot_of(r.nt, sym).expect("a record's rule stores it");
+        let resolve = |terms: &mut [Term], affs: &[Aff]| {
+            for &a in affs {
+                resolve_terms(terms, a, r.frame, slot);
+            }
+        };
+        for op in &mut program.rec_ops[r.first as usize..(r.first + r.count) as usize] {
+            match op {
+                RecOp::Lit { lo, hi, .. } | RecOp::Field { lo, hi, .. } => {
+                    resolve(&mut program.terms, &[*lo, *hi])
+                }
+                RecOp::Set { attr, reg, form } => {
+                    *reg = r.frame + slot(*attr);
+                    resolve(&mut program.terms, &form.affs());
+                }
+                RecOp::Guard { form } => resolve(&mut program.terms, &form.affs()),
+            }
+        }
+    }
     layouts
+}
+
+/// Points the attribute terms of `a` at their registers: `base` plus the
+/// slot `slot` gives each attribute.
+fn resolve_terms(terms: &mut [Term], a: Aff, base: u16, slot: impl Fn(Sym) -> u16) {
+    for t in &mut terms[a.first as usize..(a.first + a.len) as usize] {
+        if let Src::Attr(sym) | Src::Inner(sym) = t.src {
+            t.reg = base + slot(sym);
+        }
+    }
 }
 
 /// A slot count as a `u16` below [`NO_SLOT`].
@@ -315,8 +373,8 @@ impl OperandResolver<'_> {
                     self.expr(case.hi);
                 }
             }
-            Instr::Fields { .. } | Instr::Scan { .. } => {
-                unreachable!("field runs and byte scans resolve through their head")
+            Instr::Fields { .. } | Instr::Scan { .. } | Instr::Chain { .. } => {
+                unreachable!("field runs, byte scans and chains resolve through their head")
             }
         }
     }

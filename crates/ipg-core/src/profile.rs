@@ -20,11 +20,12 @@
 //! bracket) the time elapsed since the previous transition is charged to
 //! the rule on top of the stack. Work done between a rule's entry and its
 //! first child call is therefore *self* time of that rule; child time is
-//! charged to the child. Builtin leaves, and the levels a byte scan runs
-//! in bulk, are counted (calls, completions, failures) but not timed:
-//! reading the clock around a few-nanosecond decode would measure the
-//! clock, so their time is their caller's self time. Time before the root
-//! call (session setup) is reported as `unattributed`.
+//! charged to the child. Builtin leaves, the levels a byte scan runs in
+//! bulk, and a chain's levels and record elements are counted (calls,
+//! completions, failures) but not timed: reading the clock around a
+//! few-nanosecond decode would measure the clock, so their time is their
+//! caller's self time. Time before the root call (session setup) is
+//! reported as `unattributed`.
 //!
 //! Instruction and suspension counters are pc-indexed (one slot per
 //! [`crate::bytecode::Instr`] of the compiled program) and can be
@@ -51,7 +52,7 @@ use std::time::Instant;
 /// is a no-op that compiles away) and by [`Profiler`] (enabled).
 pub(crate) trait ProfSink {
     /// A rule invocation (every call, including memo hits, builtins,
-    /// blackboxes and a byte scan's levels).
+    /// blackboxes, a byte scan's levels and a chain's levels and records).
     #[inline(always)]
     fn call(&mut self, _nt: NtId) {}
     /// A memo-table query on a memoizable rule.
@@ -63,9 +64,9 @@ pub(crate) trait ProfSink {
     /// The frame/bracket for `nt` finished, successfully or not.
     #[inline(always)]
     fn exit(&mut self, _nt: NtId, _ok: bool) {}
-    /// A builtin leaf, or a level of a byte scan, finished: counted like
-    /// a frame's exit, but not timed, so its time is its caller's self
-    /// time.
+    /// A builtin leaf, a level of a byte scan or of a chain, or a record
+    /// decoded in place, finished: counted like a frame's exit, but not
+    /// timed, so its time is its caller's self time.
     #[inline(always)]
     fn leaf(&mut self, _nt: NtId, _ok: bool) {}
     /// One instruction dispatched at `pc`.

@@ -249,3 +249,25 @@ fn a_tree_dropped_on_another_thread_recycles_there() {
     // The parsing thread has no arena to recycle, and still parses.
     assert_eq!(dump(&parser.parse(&archive).expect("parse succeeds")), expected);
 }
+
+#[test]
+fn a_gif_parse_holds_no_more_than_before_chains_and_recycles_its_arena() {
+    let g = parse_grammar(include_str!("../../ipg-formats/specs/gif.ipg")).unwrap();
+    let parser = VmParser::new(&g);
+    let config = ipg_corpus::gif::Config {
+        n_frames: 8,
+        data_per_frame: 2048,
+        seed: 1,
+        ..Default::default()
+    };
+    let file = ipg_corpus::gif::generate(&config).bytes;
+    // What the parse held when every level of a sub-block list had a frame
+    // of its own: a chain keeps its levels on a stack the workspace
+    // recycles, and writes the same records.
+    let (fresh, bytes) = warm_parse_allocations(&parser, &file);
+    assert!(bytes <= 38_688, "{fresh} allocations hold {bytes} bytes (was 38,688)");
+    // The gif grammar has no `for` or `star` term: after a dropped tree a
+    // parse allocates nothing, the chains' level stack included.
+    let (recycled, bytes) = measure(|| parser.parse(&file).expect("parse succeeds"));
+    assert_eq!((recycled, bytes), (0, 0), "allocations and bytes after a dropped tree");
+}

@@ -126,3 +126,8 @@ wire_lane!(wire_dns, "dns");
 wire_lane!(wire_ipv4udp, "ipv4udp");
 wire_lane!(wire_gif, "gif");
 wire_lane!(wire_pe, "pe");
+wire_lane!(wire_zip, "zip");
+wire_lane!(wire_zip_inflate, "zip_inflate");
+wire_lane!(wire_elf, "elf");
+wire_lane!(wire_pdf, "pdf");
+wire_lane!(wire_png, "png");

@@ -241,6 +241,136 @@ fn for_loop_bounds_beyond_i64_range_hit_the_step_limit_cleanly() {
     );
 }
 
+/// Integer semantics at the edges: attribute arithmetic is wrapping `i64`
+/// (`interp::eval_binop`), and a `u64` builtin reads as the two's-complement
+/// `i64` of its bytes, so a hostile length field can wrap an interval
+/// bound. Each case aims one length or offset field at an edge of its range
+/// and requires the interpreter, the one-shot VM and a session fed in two
+/// chunks to agree on the outcome and the steps, with memoization on and
+/// off, and none of them to panic; the cases that break the first element
+/// of a list, or a header, must be rejected with a typed error. (A broken
+/// last element of a zip list is not: the level before it re-parses its
+/// own element alone, over the rest of the list.) The zip cases run
+/// through the record elements of its chains, which fold endpoints into
+/// affine forms of their own.
+mod integer_wrapping {
+    use ipg_core::interp::vm::Outcome;
+    use ipg_core::interp::Parser;
+    use ipg_core::tree::Tree;
+    use ipg_core::Error;
+
+    /// The base of every node named `name` in `tree`, in input order.
+    fn bases(tree: &Tree, name: &str, out: &mut Vec<usize>) {
+        match tree {
+            Tree::Node(n) => {
+                if *n.name == *name {
+                    out.push(n.base);
+                }
+                n.children.iter().for_each(|c| bases(c, name, out));
+            }
+            Tree::Array(a) => a.elems.iter().for_each(|c| bases(c, name, out)),
+            Tree::Leaf(_) | Tree::Blackbox(_) => {}
+        }
+    }
+
+    /// `input` with `value`'s low `width` bytes written little-endian at `at`.
+    fn with(input: &[u8], at: usize, width: usize, value: u64) -> Vec<u8> {
+        let mut out = input.to_vec();
+        out[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+        out
+    }
+
+    /// Every engine parses `input` alike; returns whether it was rejected,
+    /// with a typed error.
+    fn assert_alike(name: &str, input: &[u8]) -> bool {
+        let f = super::common::format(name);
+        for memoize in [true, false] {
+            let ctx = format!("{name}, {} bytes, memoize {memoize}", input.len());
+            let (reference, ref_stats) = Parser::new(f.grammar)
+                .memoize(memoize)
+                .max_steps(super::common::AGREE_FUEL)
+                .parse_with_stats(input);
+            let vm = f.vm.clone().memoize(memoize);
+            let (one_shot, stats) = vm.parse_with_stats(input);
+            assert_eq!(stats.steps, ref_stats.steps, "steps, {ctx}");
+            let one_shot = one_shot.map(|t| t.root().to_tree());
+            assert_eq!(one_shot, reference, "one-shot, {ctx}");
+            if reference.is_err() {
+                assert!(matches!(reference, Err(Error::Parse(_))), "a typed rejection, {ctx}");
+            }
+            let mut session = vm.streaming();
+            let (head, tail) = input.split_at(input.len() / 2);
+            let early = [head, tail].into_iter().find_map(|c| session.feed(c).err().cloned());
+            let streamed = match (early, session.finish()) {
+                (Some(e), _) | (None, Outcome::Error(e)) => Err(e),
+                (None, Outcome::Done(tree)) => Ok(tree.root().to_tree()),
+                (None, Outcome::NeedInput { .. }) => panic!("finish never needs input, {ctx}"),
+            };
+            assert_eq!(session.stats().steps, stats.steps, "streamed steps, {ctx}");
+            assert_eq!(streamed, reference, "streamed, {ctx}");
+        }
+        super::common::format(name).vm.parse(input).is_err()
+    }
+
+    #[test]
+    fn zip_length_fields_at_their_maximum() {
+        let input = super::common::default_corpus_input("zip");
+        let tree = Parser::new(super::common::format("zip").grammar).parse(&input).unwrap();
+        let (mut lfhs, mut cdes) = (Vec::new(), Vec::new());
+        bases(&tree, "LFH", &mut lfhs);
+        bases(&tree, "CDE", &mut cdes);
+        let mut cases = Vec::new();
+        for (lfh, first) in [(lfhs[0], true), (lfhs[lfhs.len() - 1], false)] {
+            // `csize` (u32) and `nlen` (u16) at the top of their range,
+            // alone and together: `30 + nlen + elen + csize` runs past EOI.
+            cases.push((with(&input, lfh + 18, 4, u64::from(u32::MAX)), first));
+            cases.push((with(&input, lfh + 26, 2, u64::from(u16::MAX)), first));
+            let both = with(&with(&input, lfh + 18, 4, u64::from(u32::MAX)), lfh + 26, 2, 0xffff);
+            cases.push((both, first));
+        }
+        for (cde, first) in [(cdes[0], true), (cdes[cdes.len() - 1], false)] {
+            cases.push((with(&input, cde + 28, 2, u64::from(u16::MAX)), first));
+            cases.push((with(&with(&input, cde + 28, 2, 0xffff), cde + 32, 2, 0xffff), first));
+        }
+        // The end record's `cdofs` at the top of its range.
+        cases.push((with(&input, input.len() - 22 + 16, 4, u64::from(u32::MAX)), true));
+        for (case, rejected) in &cases {
+            assert!(assert_alike("zip", case) || !rejected, "a broken first element is rejected");
+        }
+    }
+
+    #[test]
+    fn elf_offsets_whose_sum_wraps() {
+        let input = super::common::default_corpus_input("elf");
+        let tree = Parser::new(super::common::format("elf").grammar).parse(&input).unwrap();
+        let mut headers = Vec::new();
+        bases(&tree, "SH", &mut headers);
+        let top = 1u64 << 63;
+        let max = i64::MAX as u64;
+        let mut cases = Vec::new();
+        // `SH(1)` is the first section header whose section is parsed.
+        for &sh in &headers[1..] {
+            for (ofs, sz) in [
+                (top, 16),      // `ofs` reads as i64::MIN
+                (top + 5, top), // both negative, the sum wraps to 5
+                (max - 2, 10),  // `ofs + sz` wraps past i64::MAX
+                (16, u64::MAX), // `sz` reads as -1: the end precedes the start
+                (16, max),      // the end wraps to a negative offset
+                (u64::MAX, 1),  // `ofs` reads as -1, the sum as 0
+            ] {
+                cases.push(with(&with(&input, sh + 24, 8, ofs), sh + 32, 8, sz));
+            }
+        }
+        // The header's `shoff` at the edges: the section headers' intervals wrap.
+        for shoff in [top, max - 63, u64::MAX - 63] {
+            cases.push(with(&input, 40, 8, shoff));
+        }
+        for case in &cases {
+            assert!(assert_alike("elf", case), "a wrapped section or header is rejected");
+        }
+    }
+}
+
 /// Static attribute layouts: the VM keeps attributes in slots fixed per
 /// rule when a parser is built, not in a per-alternative environment.
 /// Each case below is an edge of that layout; on every input the VM's
@@ -684,5 +814,33 @@ mod leaf_calls {
         assert_eq!(report.instr_hits, expected);
         assert_eq!(stats.steps, 3024);
         assert!(f.vm.program().disassemble(f.grammar).contains("  scan "), "elf has a scan");
+    }
+
+    /// Instruction hits per pc and the steps of one profiled parse of the
+    /// gif benchmark file (`files`, seed 1), as the general instructions
+    /// counted them before chains existed: a chain fires the hooks of
+    /// every level's instructions and a record element those of its own.
+    /// The `SB` that ends each `SubBlocks` chain (its length byte is 0)
+    /// fails its guard in place, and the level's second alternative runs
+    /// in a frame.
+    #[test]
+    fn chains_keep_the_gif_pc_hits() {
+        let f = super::common::format("gif");
+        let config = ipg_corpus::gif::Config {
+            n_frames: 8,
+            data_per_frame: 2048,
+            seed: 1,
+            ..Default::default()
+        };
+        let input = ipg_corpus::gif::generate(&config).bytes;
+        let (result, stats, report) = f.vm.parse_profiled(&input);
+        assert!(result.is_ok(), "gif benchmark file rejected");
+        let expected: [u64; 39] = [
+            1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 21, 20, 1, 21, 9, 1, 21, 12, 12, 12, 9, 8, 8, 8,
+            8, 8, 8, 8, 8, 104, 84, 20, 104, 104, 84, 84,
+        ];
+        assert_eq!(report.instr_hits, expected);
+        assert_eq!(stats.steps, 1321);
+        assert!(f.vm.program().disassemble(f.grammar).contains("  chain "), "gif has chains");
     }
 }

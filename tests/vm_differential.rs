@@ -518,4 +518,376 @@ mod scan_edges {
             }
         }
     }
+
+    /// A scan's sets must be affine forms, comparisons of two, or
+    /// conditionals choosing between two (`bytecode::Form`): a rule of the
+    /// scan shape whose set puts a comparison inside arithmetic, in its
+    /// first alternative or only in its terminator's, is not a scan at all
+    /// and runs the general instructions with the same results.
+    #[test]
+    fn sets_that_are_not_forms_run_the_general_instructions() {
+        let specs = [
+            r#"
+            S -> Str[0, EOI] {n = Str.len};
+            Str -> Ch[0, 1] assert(Ch.val > 0) Str[1, EOI] {len = 1 + (Ch.val > 96) + Str.len}
+                 / x"00"[0, 1] {len = 0};
+            Ch := u8;
+            "#,
+            r#"
+            S -> Str[0, EOI] {n = Str.len};
+            Str -> Ch[0, 1] assert(Ch.val > 0) Str[1, EOI] {len = 1 + Str.len}
+                 / x"00"[0, 1] {len = (1 > 0) * 5};
+            Ch := u8;
+            "#,
+        ];
+        let inputs: [&[u8]; 5] = [b"abC\0rest", b"\0", b"aB", b"", b"xyz\0\0"];
+        for spec in specs {
+            let g = parse_grammar(spec).unwrap();
+            let vm: &'static VmParser = Box::leak(Box::new(VmParser::new(&g)));
+            let listing = vm.program().disassemble(&g);
+            assert!(!listing.contains("  scan "), "a scan in\n{listing}");
+            let f = common::Format { name: "non-form scan set", grammar: vm.grammar(), vm };
+            for input in inputs {
+                for memoize in [true, false] {
+                    for split in 0..=input.len() {
+                        assert_oracle(&f, input, AGREE_FUEL, split, memoize);
+                    }
+                    let steps = vm.clone().memoize(memoize).parse_with_stats(input).1.steps;
+                    for fuel in 0..=steps {
+                        assert_oracle(&f, input, fuel, input.len() / 2, memoize);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The edges of chains (`chain` in a bytecode listing): a chain runs a
+/// right-recursive list's levels in its rule's frame and decodes a record
+/// element in place, where it succeeds or fails; only an element whose
+/// steps the fuel might not cover runs in a frame of its own, as does an
+/// element that is not a record, and the level whose element or list
+/// call fails runs the rule's second alternative in one. Each case
+/// below must leave the interpreter, the one-shot VM and a session fed in
+/// two chunks agreeing on the tree, the steps and the deepest error, with
+/// memoization on and off:
+///
+/// * zip's local headers and central directory cut at every byte of each
+///   element (the region ends early, the file stays well-formed around
+///   it), and gif's file cut at every byte of each sub-block;
+/// * element lengths that point past the end of their list (zip's `csize`
+///   and `nlen`, gif's sub-block length);
+/// * a gif sub-block list without its `0x00` terminator;
+/// * a zip list whose last (or first) element has a broken signature;
+/// * grammars whose earlier calls memoize a level in mid-list, whose list
+///   is the streamed root, or whose elements are not records;
+/// * every split point and every step limit of a small input.
+mod chain_edges {
+    use super::assert_oracle;
+    use super::common::{self, Format, AGREE_FUEL};
+    use ipg_core::frontend::parse_grammar;
+    use ipg_core::interp::vm::VmParser;
+    use ipg_core::interp::Parser;
+    use ipg_core::tree::Tree;
+
+    /// The absolute spans of every node named `name` in `tree`.
+    fn spans(tree: &Tree, name: &str, out: &mut Vec<(usize, usize)>) {
+        match tree {
+            Tree::Node(n) => {
+                if *n.name == *name {
+                    out.push((n.base, n.base + n.input_len));
+                }
+                n.children.iter().for_each(|c| spans(c, name, out));
+            }
+            Tree::Array(a) => a.elems.iter().for_each(|c| spans(c, name, out)),
+            Tree::Leaf(_) | Tree::Blackbox(_) => {}
+        }
+    }
+
+    /// The nodes named `name` in a parse of `input`, as `(start, end)`
+    /// of the bytes they span (an element's node spans the rest of its
+    /// list: its end is the next element's start, or the list's end).
+    fn elements(f: &Format, input: &[u8], name: &str) -> Vec<(usize, usize)> {
+        let tree = Parser::new(f.grammar).parse(input).expect("small input parses");
+        let mut out = Vec::new();
+        spans(&tree, name, &mut out);
+        out.sort();
+        assert!(!out.is_empty(), "{}: no `{name}` parsed", f.name);
+        out
+    }
+
+    /// `input` checked with memoization on and off, split at `split`.
+    fn check(f: &Format, input: &[u8], split: usize) {
+        for memoize in [true, false] {
+            assert_oracle(f, input, AGREE_FUEL, split, memoize);
+        }
+    }
+
+    /// Every split point and every step limit of `input`.
+    fn check_all(f: &Format, input: &[u8]) {
+        for memoize in [true, false] {
+            for split in 0..=input.len() {
+                assert_oracle(f, input, AGREE_FUEL, split, memoize);
+            }
+            let steps = f.vm.clone().memoize(memoize).parse_with_stats(input).1.steps;
+            for fuel in 0..=steps {
+                assert_oracle(f, input, fuel, input.len() / 2, memoize);
+            }
+        }
+    }
+
+    fn u32_at(input: &[u8], at: usize) -> usize {
+        u32::from_le_bytes(input[at..at + 4].try_into().unwrap()) as usize
+    }
+
+    #[test]
+    fn zip_lists_agree_at_every_edge() {
+        let f = common::format("zip");
+        assert!(f.vm.program().disassemble(f.grammar).contains("  chain LFH"));
+        let input = super::field_run_edges::small_input("zip").expect("zip has a small input");
+        let eocd = input.len() - 22;
+        let cdofs = u32_at(&input, eocd + 16);
+        let lfhs: Vec<_> =
+            elements(&f, &input, "LFH").into_iter().filter(|e| e.0 < cdofs).collect();
+        let cdes = elements(&f, &input, "CDE");
+        // The local headers end at `cut`: the central directory follows,
+        // and the end record's `cdofs` points at it.
+        for &(start, _) in &lfhs {
+            let end = lfhs.iter().map(|e| e.0).find(|&s| s > start).unwrap_or(cdofs);
+            for cut in start..=end {
+                let mut cut_input = input[..cut].to_vec();
+                cut_input.extend_from_slice(&input[cdofs..]);
+                let at = cut_input.len() - 22 + 16;
+                cut_input[at..at + 4].copy_from_slice(&(cut as u32).to_le_bytes());
+                check(&f, &cut_input, cut);
+            }
+        }
+        // The central directory ends at `cut`, the end record after it.
+        for &(start, _) in &cdes {
+            let end = cdes.iter().map(|e| e.0).find(|&s| s > start).unwrap_or(eocd);
+            for cut in start..=end {
+                let mut cut_input = input[..cut].to_vec();
+                cut_input.extend_from_slice(&input[eocd..]);
+                check(&f, &cut_input, cut);
+            }
+        }
+        // Lengths past the list's end, and broken signatures.
+        let last = lfhs.last().expect("zip has local headers").0;
+        for (at, value) in [
+            (last + 18, u32::MAX),
+            (last + 18, cdofs as u32),
+            (lfhs[0].0 + 18, u32::MAX - 29),
+            (cdes[0].0 + 28, 0xffff),
+            (cdes.last().unwrap().0 + 28, 0x0100),
+        ] {
+            let mut changed = input.clone();
+            let bytes = value.to_le_bytes();
+            let width = if at == last + 18 || at == lfhs[0].0 + 18 { 4 } else { 2 };
+            changed[at..at + width].copy_from_slice(&bytes[..width]);
+            check(&f, &changed, at);
+        }
+        for at in [last, last + 3, lfhs[0].0 + 1, cdes.last().unwrap().0 + 2] {
+            let mut changed = input.clone();
+            changed[at] ^= 0xff;
+            check(&f, &changed, at);
+        }
+        check_all(&f, &input);
+    }
+
+    #[test]
+    fn gif_lists_agree_at_every_edge() {
+        let f = common::format("gif");
+        let listing = f.vm.program().disassemble(f.grammar);
+        assert!(listing.contains("  chain SB") && listing.contains("  chain Block"));
+        let config = ipg_corpus::gif::Config {
+            n_frames: 2,
+            width: 4,
+            height: 4,
+            gct_bits: Some(1),
+            data_per_frame: 300,
+            seed: 7,
+        };
+        let input = ipg_corpus::gif::generate(&config).bytes;
+        let subs = elements(&f, &input, "SubBlocks");
+        // A sub-block list's node spans to the end of the file: its
+        // elements are the length-prefixed runs from its start.
+        let mut blocks = Vec::new();
+        for &(start, _) in &subs {
+            let len = usize::from(input[start]);
+            if len > 0 {
+                blocks.push((start, start + 1 + len));
+            }
+        }
+        blocks.dedup();
+        for &(start, end) in &blocks {
+            for cut in start..=end {
+                check(&f, &input[..cut], cut / 2);
+            }
+            // The length points past the end of the file.
+            let mut changed = input.clone();
+            changed[start] = 0xff;
+            check(&f, &changed, start);
+            changed.truncate(end + 3);
+            check(&f, &changed, start);
+            // No terminator: the list runs into the next block.
+            if input.get(end) == Some(&0) {
+                let mut unterminated = input.clone();
+                unterminated.remove(end);
+                check(&f, &unterminated, end);
+            }
+        }
+        check_all(&f, &input);
+    }
+
+    /// List shapes beyond the corpus: a record element with guards, sets
+    /// and a conditional; the list as the start rule (streamed, it runs
+    /// the general instructions); an earlier call that memoizes a level
+    /// in mid-list, so the chain's look-up hits, or a later call that hits
+    /// a level in mid-list; a second alternative that re-parses the element, or
+    /// fails, or lies at offsets from the level's end that can be
+    /// negative; elements that are not records; a record's failed guard, a
+    /// fixed-width field on too short an interval (once more at the same
+    /// key, where it records nothing), and a second alternative's literal
+    /// too short for its interval, as the deepest error.
+    #[test]
+    fn other_list_shapes_agree_across_engines() {
+        let cases: [(&str, &[&[u8]]); 10] = [
+            (
+                r#"
+                S -> L[3, EOI] L[0, EOI] {n = L.end};
+                L -> I[0, EOI] L[I.end, EOI]
+                   / "."[0, 1];
+                I -> Len[0, 1] assert(Len.val > 0) assert(Len.val < 9) {n = Len.val * 2 - 1}
+                     {big = n > 5 ? n : 0 - n} Data[1, 1 + Len.val] Tag[Data.end, Data.end + 1];
+                Len := u8;
+                Data := bytes;
+                Tag := u8;
+                "#,
+                &[
+                    b"\x01a!\x02bc!\x01d!.",
+                    b"\x01a!\x02bc!\x01d!",
+                    b"\x01a!\x02bc!\x09d!.",
+                    b"\x01a!\x02bc!\x00.",
+                    b"\x01a!\x03bc!.",
+                    b"\x01a!.",
+                    b".",
+                    b"",
+                ],
+            ),
+            (
+                r#"
+                L -> I[0, EOI] L[I.end, EOI]
+                   / I[0, EOI];
+                I -> "<"[0, 1] N[1, 2] {n = N.val} Body[2, 2 + n];
+                N := u8;
+                Body := bytes;
+                "#,
+                &[b"<\x01a<\x00<\x02bc", b"<\x01a<\x00<\x02b", b"<\x01a>\x00", b"<", b""],
+            ),
+            (
+                r#"
+                S -> L[0, EOI] / B[0, EOI];
+                L -> E[0, EOI] L[E.end, EOI]
+                   / "$"[0, 1];
+                E -> A[0, EOI] / C[0, EOI];
+                A -> "a"[0, 1] N[1, 2];
+                C -> "c"[0, 1];
+                B -> N[0, 1] B[1, EOI] / N[0, EOI];
+                N := u8;
+                "#,
+                &[b"a1cca2$", b"a1cca2", b"a1cXa2$", b"$", b"ca", b""],
+            ),
+            (
+                r#"
+                S -> L[0, EOI] L[2, EOI] {n = L.end};
+                L -> I[0, EOI] L[I.end, EOI]
+                   / "."[0, 1];
+                I -> Len[0, 1] assert(Len.val > 0) Data[1, 1 + Len.val];
+                Len := u8;
+                Data := bytes;
+                "#,
+                &[b"\x01a\x02bc\x01d.", b"\x01a\x02bc\x01d", b"\x01a\x02bc."],
+            ),
+            (
+                r##"
+                S -> L[0, EOI] "#"[0, 1];
+                L -> I[0, EOI] L[I.end, EOI]
+                   / "."[0, 1];
+                I -> Len[0, 1] assert(Len.val > 0) assert(Len.val < 9) Data[1, 1 + Len.val];
+                Len := u8;
+                Data := bytes;
+                "##,
+                &[b"\x01a.", b"\x01a\x02bc.", b"\x01a", b"."],
+            ),
+            (
+                r#"
+                S -> L[0, EOI];
+                L -> I[0, EOI] L[I.end, EOI]
+                   / "xy"[1, 2];
+                I -> K[0, 1] assert(K.val = 1) P[1, 2];
+                K := u8;
+                P := u8;
+                "#,
+                &[b"\x01a\x01b\x02zz", b"\x01a\x02z", b"\x01axy", b"\x01"],
+            ),
+            (
+                r#"
+                S -> L[0, EOI];
+                L -> I[0, EOI] L[I.end, EOI]
+                   / I[0, EOI];
+                I -> N[0, 1] V[1, 1 + N.val] {v = V.val};
+                N := u8;
+                V := u16be;
+                "#,
+                &[b"\x02ab\x02cd", b"\x02ab\x01cd", b"\x01ab", b"\x02ab\x03cd", b"\x02a"],
+            ),
+            (
+                r#"
+                S -> L[0, EOI];
+                L -> I[0, EOI] L[I.end, EOI]
+                   / J[0, EOI];
+                I -> N[0, 1] V[1, 1 + N.val];
+                J -> N[0, 1] K[1, EOI]
+                   / N[0, 1] V[1, 1 + N.val] assert(N.val = 9);
+                K -> "?"[0, 1];
+                N := u8;
+                V := u16be;
+                "#,
+                &[b"\x02ab\x01c", b"\x02ab\x01?", b"\x09ab\x01c"],
+            ),
+            (
+                r#"
+                S -> L[0, EOI];
+                L -> I[0, EOI] L[I.end, EOI]
+                   / "z"[EOI - 2, EOI - 1];
+                I -> "+"[0, 1] P[1, 2];
+                P := u8;
+                "#,
+                &[b"+a+bz.", b"+a+bz", b"+a+b", b"+az", b"z"],
+            ),
+            (
+                r#"
+                S -> W[0, EOI];
+                W -> V[0, EOI] W[V.end, EOI]
+                   / V[0, EOI] {v = 1};
+                V -> U16[0, 2] {v = U16.val} U16[2] {w = U16.val + v};
+                U16 := u16be;
+                "#,
+                &[b"\x00\x01\x00\x02\x00\x03\x00\x04", b"\x00\x01\x00\x02\x00", b"\x00\x01", b""],
+            ),
+        ];
+        let mut chains = 0;
+        for (spec, inputs) in cases {
+            let g = parse_grammar(spec).unwrap();
+            let vm: &'static VmParser = Box::leak(Box::new(VmParser::new(&g)));
+            chains += vm.program().disassemble(&g).matches("  chain ").count();
+            let f = Format { name: "list shape", grammar: vm.grammar(), vm };
+            for input in inputs {
+                check_all(&f, input);
+            }
+        }
+        // The last case sets an attribute in its second alternative, so
+        // its list is not a chain.
+        assert_eq!(chains, 9, "chains in the list shapes");
+    }
 }
