@@ -16,11 +16,11 @@
 //! * terminal literals concatenated into one byte pool addressed by
 //!   `(offset, len)` spans;
 //! * switch cases in one shared case pool;
-//! * field runs: each maximal run of fixed-width builtin fields
-//!   (`B[lo, hi] {x = B.val}` pairs, optionally after a literal) whose
-//!   endpoints fold to constants, or to offsets from the run's first
-//!   endpoint, is also compiled to one [`Instr::Fields`] at its head's pc
-//!   (see [`compile`]);
+//! * records: each maximal run of literals, builtin fields, guards and
+//!   sets in an alternative that holds a builtin field and one more
+//!   instruction, and whose endpoints, guards and sets fold to affine
+//!   forms, is also compiled to one [`Instr::Record`] at its head's
+//!   pc, which decodes the run in one pass (see [`compile`]);
 //! * byte scans: a self-recursive byte rule (`R -> B[0, 1] guard… R[1,
 //!   EOI] set… / "t"[lo, hi] set…`, `B` a one-byte builtin) has its
 //!   first instruction compiled to one [`Instr::Scan`] besides, which runs
@@ -28,9 +28,9 @@
 //!   [`compile`]);
 //! * chains: a right-recursive list rule (`X -> A[0, EOI] X[A.end, EOI] /
 //!   T`) has its head compiled to one [`Instr::Chain`] besides, which runs
-//!   the list's levels in the rule's own frame, and an element rule of one
-//!   alternative of literals, builtin fields, guards and sets is compiled
-//!   to a [`Record`] the chain decodes in place (see [`compile`]).
+//!   the list's levels in the rule's own frame, and decodes an element
+//!   whose one alternative is one record with that [`Record`] in place
+//!   (see [`compile`]).
 //!
 //! Attribute operands keep their [`Sym`] and carry a frame or node slot
 //! besides, which [`compile`] leaves at [`NO_SLOT`]: the slots are filled
@@ -196,13 +196,13 @@ pub enum Instr {
         /// Result slot.
         slot: u16,
     },
-    /// A field run (`FieldRun`) in place of its head, the run's first
-    /// instruction: decodes every field of the run at once when the whole
-    /// run is in bounds, else runs the head it replaced. The instructions
-    /// the run covers follow it unchanged, for that case.
-    Fields {
-        /// Index of the run in the program's run pool.
-        run: u32,
+    /// A record (`Record`) in place of its head, the first instruction
+    /// of the run it decodes: decodes the whole run in one pass, else runs
+    /// the head it replaced. The instructions the record covers follow it
+    /// unchanged, for that case.
+    Record {
+        /// Index of the record in the program's record pool.
+        rec: u32,
     },
     /// A byte scan (`ByteScan`) in place of its head, the first
     /// instruction of its rule: runs every level of the rule's recursion
@@ -221,67 +221,6 @@ pub enum Instr {
         /// Index of the chain in the program's chain pool.
         chain: u32,
     },
-}
-
-/// A run of builtin fields that one [`Instr::Fields`] decodes: an optional
-/// literal, then fields in program order, each a call of a fixed-width
-/// builtin over a statically known interval and the `Set` that binds its
-/// `val`. Executed in full it has the effect of the instructions it
-/// covers, and it charges their steps.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct FieldRun {
-    /// The general instruction the run's head replaced.
-    pub(crate) head: Instr,
-    /// `None` when every endpoint is a constant; else endpoints are
-    /// offsets from this expression (the first field's left endpoint),
-    /// evaluated once.
-    pub(crate) base: Option<ExprId>,
-    /// A leading literal match.
-    pub(crate) lit: Option<RunLit>,
-    /// The run's fields: `Program::fields[first..first + count]`.
-    pub(crate) first: u32,
-    pub(crate) count: u32,
-    /// The largest right endpoint: the run is in bounds when `base + reach`
-    /// is at most the frame's length.
-    pub(crate) reach: i64,
-    /// Instructions the run covers, its head included.
-    pub(crate) instrs: u32,
-}
-
-impl FieldRun {
-    /// The steps the covered instructions charge: one per instruction,
-    /// and one more per field for the builtin's call.
-    pub(crate) fn steps(&self) -> u64 {
-        u64::from(self.instrs) + u64::from(self.count)
-    }
-}
-
-/// The literal at the head of a [`FieldRun`], at constant offsets.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RunLit {
-    pub(crate) lit: LitSpan,
-    pub(crate) lo: i64,
-    pub(crate) hi: i64,
-    /// Result slot.
-    pub(crate) slot: u16,
-}
-
-/// One field of a [`FieldRun`]: `nt[lo, hi] {attr = nt.val}`, the
-/// endpoints relative to the run's base.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Field {
-    pub(crate) nt: NtId,
-    pub(crate) builtin: Builtin,
-    /// Bytes the builtin reads: its fixed width.
-    pub(crate) width: u32,
-    pub(crate) lo: i64,
-    pub(crate) hi: i64,
-    /// Result slot of the call.
-    pub(crate) slot: u16,
-    /// The attribute the `Set` binds, and its frame slot (filled in by
-    /// the `layout` module, like the `Set`'s own).
-    pub(crate) attr: Sym,
-    pub(crate) attr_slot: u16,
 }
 
 /// In a [`ByteScan`]'s stop table: the first guard a byte fails is
@@ -322,8 +261,11 @@ pub(crate) struct ByteScan {
     /// [`GUARD_UNDEFINED`] set when that guard is undefined on it, or
     /// `guards` when it passes them all.
     pub(crate) stop: [u8; 256],
-    /// The terminator's literal, at its pc, and the sets after it.
-    pub(crate) lit: RunLit,
+    /// The terminator's literal and its constant endpoints, at its pc,
+    /// and the sets after it.
+    pub(crate) lit: LitSpan,
+    pub(crate) lit_lo: i64,
+    pub(crate) lit_hi: i64,
     pub(crate) lit_pc: u32,
     pub(crate) lit_sets: u8,
     /// The first alternative's sets, then the terminator's:
@@ -373,22 +315,29 @@ pub(crate) struct ListChain {
     pub(crate) record: Option<u32>,
 }
 
-/// The most result slots, and registers, a [`Record`] has: the VM keeps
-/// them on the stack while it decodes one.
+/// The most result slots and registers a chain's [`Record`] element
+/// has, which the VM keeps on the stack while it decodes one, and the
+/// most registers any record has.
 pub(crate) const REC_SLOTS: usize = 16;
 pub(crate) const REC_REGS: usize = 48;
 
-/// A rule of one alternative that a chain decodes in place: literals,
+/// A run of an alternative that one [`Instr::Record`] decodes: literals,
 /// calls of fixed-width or `bytes` builtins, guards and sets, one
 /// [`RecOp`] per instruction, whose endpoints, guards and sets are
-/// [`Form`]s of constants, the alternative's own attributes and the
-/// fields' attributes. Decoded in full it has the effect of the rule's
-/// frame, and it charges its steps.
+/// [`Form`]s of constants, the frame's own attributes, the run's fields'
+/// attributes and the attributes of siblings before the run. Decoded in
+/// full it has the effect of the instructions it covers, and it charges
+/// their steps.
+///
+/// Registers `0..width` are the frame's attribute slots; field `k`'s
+/// `EOI`, `start`, `end` and `val` follow at `width + 4k` to `width + 4k +
+/// 3`, and the siblings' attributes (its [`Load`]s) after the fields.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Record {
     pub(crate) nt: NtId,
-    /// The pc of the alternative's first instruction: op `i` stands for
-    /// the instruction at `pc + i`.
+    /// The general instruction the record's head replaced.
+    pub(crate) head: Instr,
+    /// The head's pc: op `i` stands for the instruction at `pc + i`.
     pub(crate) pc: u32,
     /// The ops: `Program::rec_ops[first..first + count]`.
     pub(crate) first: u32,
@@ -397,17 +346,37 @@ pub(crate) struct Record {
     pub(crate) calls: u32,
     /// Result slots of the alternative.
     pub(crate) n_slots: u16,
-    /// Register of the frame's slot 0 (`EOI`); field `k`'s `EOI`, `start`,
-    /// `end` and `val` are registers `4k` to `4k + 3`, the frame's slots
-    /// follow them.
-    pub(crate) frame: u16,
+    /// Attribute slots of the rule's nodes.
+    pub(crate) width: u16,
+    /// The siblings' attributes it reads: `Program::loads[first_load..
+    /// first_load + loads]`.
+    pub(crate) first_load: u32,
+    pub(crate) loads: u16,
+}
+
+/// A sibling's attribute a [`Record`] reads, loaded into register `reg`
+/// on entry: `nt`'s attribute `attr`, at slot `attr_slot` of its nodes
+/// (filled in by `layout`), of the result at slot `slot`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Load {
+    pub(crate) slot: u16,
+    pub(crate) nt: NtId,
+    pub(crate) attr: Sym,
+    pub(crate) attr_slot: u16,
+    pub(crate) reg: u16,
 }
 
 impl Record {
-    /// The steps the rule's instructions charge: one per instruction,
+    /// The steps the covered instructions charge: one per instruction,
     /// and one more per builtin call.
     pub(crate) fn steps(&self) -> u64 {
         u64::from(self.count) + u64::from(self.calls)
+    }
+
+    /// The registers it uses: the frame's slots, four per field and one
+    /// per load.
+    pub(crate) fn regs(&self) -> u16 {
+        self.width + 4 * self.calls as u16 + self.loads
     }
 }
 
@@ -419,7 +388,8 @@ pub(crate) enum RecOp {
     /// `B[lo, hi]`, `B` a builtin of fixed `width` or, with none, `bytes`;
     /// its attributes go to registers `reg` to `reg + 3`.
     Field { nt: NtId, builtin: Builtin, width: Option<u32>, lo: Aff, hi: Aff, slot: u16, reg: u16 },
-    /// `{attr = form}` into register `reg` (resolved by `layout`).
+    /// `{attr = form}` into register `reg`, the frame's slot of `attr`
+    /// (resolved by `layout`).
     Set { attr: Sym, reg: u16, form: Form },
     /// `⟨form⟩`.
     Guard { form: Form },
@@ -495,8 +465,8 @@ fn compare(op: BinOp, a: i64, b: i64) -> bool {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Term {
     pub(crate) coef: i64,
-    /// The register it reads: set by [`compile`] for a field or a scan's
-    /// byte, by `layout` for an attribute.
+    /// The register it reads: set by [`compile`] for a field, a sibling or
+    /// a scan's byte, by `layout` for an attribute.
     pub(crate) reg: u16,
     pub(crate) src: Src,
 }
@@ -505,10 +475,14 @@ pub(crate) struct Term {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Src {
     /// An attribute of the record's own frame (`EOI`, `start`, `end`, or
-    /// one it set earlier).
+    /// one the alternative set earlier).
     Attr(Sym),
-    /// Attribute `attr` of the builtin field at result slot `slot`.
+    /// Attribute `attr` of the record's builtin field at result slot
+    /// `slot`.
     Field { slot: u16, nt: NtId, attr: Sym },
+    /// Attribute `attr` of the sibling before the record at result slot
+    /// `slot`.
+    Sibling { slot: u16, nt: NtId, attr: Sym },
     /// A byte scan's byte's `val`.
     Byte,
     /// An attribute of a byte scan's nested level, as stored.
@@ -655,13 +629,12 @@ pub struct Program {
     pub(crate) exprs: Vec<BExpr>,
     pub(crate) cases: Vec<PCase>,
     pub(crate) lits: Vec<u8>,
-    pub(crate) runs: Vec<FieldRun>,
-    pub(crate) fields: Vec<Field>,
     pub(crate) scans: Vec<ByteScan>,
     pub(crate) scan_sets: Vec<ScanSet>,
     pub(crate) chains: Vec<ListChain>,
     pub(crate) records: Vec<Record>,
     pub(crate) rec_ops: Vec<RecOp>,
+    pub(crate) loads: Vec<Load>,
     pub(crate) terms: Vec<Term>,
     pub(crate) nt_table: Arc<NtTable>,
     pub(crate) start: NtId,
@@ -669,22 +642,20 @@ pub struct Program {
 
 /// Lowers a checked grammar into a flat bytecode [`Program`].
 ///
-/// Every term becomes one instruction. Then each maximal run of builtin
-/// fields in an alternative becomes an [`Instr::Fields`] as well: a run
-/// is an optional literal at constant offsets followed by at least one
-/// `B[lo, hi] {x = B.val}` pair, where `B` is a fixed-width builtin and
-/// each endpoint folds to a constant `c` or to `base + c`. `base` is the
-/// first field's left endpoint; `B.end` of an earlier field of the run
-/// folds too, which covers the `B[n]` sequential sugar. Each field's
-/// interval must hold the builtin's width, so once the run is in bounds
-/// every field decodes.
-///
-/// Then the first instruction of a rule of the [`ByteScan`] shape becomes
-/// an [`Instr::Scan`]. Last, once every rule is compiled, the first
-/// instruction of a rule of the [`ListChain`] shape becomes an
-/// [`Instr::Chain`], and its element rule, if it has the [`Record`] shape,
-/// a record. Shapes are matched on the compiled instructions, whatever the
-/// rules are named.
+/// Every term becomes one instruction. Then the first instruction of a
+/// rule of the [`ByteScan`] shape becomes an [`Instr::Scan`]. Then each
+/// maximal run of literals, builtin fields, guards and sets in an
+/// alternative becomes a [`Record`] at its head: a run's endpoints,
+/// guards and sets must fold to `Form`s over constants, the frame's
+/// `EOI`, `start`, `end` and the attributes the alternative set before,
+/// the attributes of the run's fields, and those of siblings before the
+/// run; its builtins must be of fixed width or `bytes`, and it must hold
+/// a builtin field and one more instruction. Last, once every rule is
+/// compiled, the first instruction of a rule of the [`ListChain`] shape
+/// becomes an [`Instr::Chain`], which decodes its element with the
+/// element rule's record when that covers the rule's one alternative.
+/// Shapes are matched on the compiled instructions, whatever the rules are
+/// named.
 pub fn compile(g: &Grammar) -> Program {
     let mut c = Compiler {
         g,
@@ -695,13 +666,12 @@ pub fn compile(g: &Grammar) -> Program {
             exprs: Vec::new(),
             cases: Vec::new(),
             lits: Vec::new(),
-            runs: Vec::new(),
-            fields: Vec::new(),
             scans: Vec::new(),
             scan_sets: Vec::new(),
             chains: Vec::new(),
             records: Vec::new(),
             rec_ops: Vec::new(),
+            loads: Vec::new(),
             terms: Vec::new(),
             nt_table: Arc::new(NtTable {
                 names: g.rules().iter().map(|r| r.name.clone()).collect(),
@@ -726,6 +696,10 @@ pub fn compile(g: &Grammar) -> Program {
                     c.out.code[c.out.alts[first as usize].first as usize] =
                         Instr::Scan { scan: id };
                 }
+                let width = node_width(alts);
+                for alt in (first..first + count).filter(|_| width <= REC_REGS) {
+                    c.records(NtId(nt as u32), c.out.alts[alt as usize], width as u16);
+                }
                 PRuleKind::Alts { first, count }
             }
         };
@@ -733,7 +707,7 @@ pub fn compile(g: &Grammar) -> Program {
     }
     for nt in (0..c.out.rules.len()).map(|i| NtId(i as u32)) {
         let Some(mut chain) = c.list_chain(nt) else { continue };
-        chain.record = c.record(chain.elem);
+        chain.record = c.elem_record(chain.elem);
         let PRuleKind::Alts { first, .. } = c.out.rules[nt.0 as usize].kind else {
             unreachable!("a chain's rule has alternatives")
         };
@@ -747,6 +721,21 @@ pub fn compile(g: &Grammar) -> Program {
 /// Whether `e` reads the frame's `EOI`.
 fn is_eoi(e: BExpr) -> bool {
     matches!(e, BExpr::Eoi | BExpr::Local { sym: wellknown::EOI, .. })
+}
+
+/// The attribute slots of a node of a rule with alternatives `alts`:
+/// `EOI`, `start`, `end`, then every other attribute they set (the
+/// `layout` module numbers them alike).
+fn node_width(alts: &[CAlt]) -> usize {
+    let mut attrs = vec![wellknown::EOI, wellknown::START, wellknown::END];
+    for term in alts.iter().flat_map(|alt| &alt.terms) {
+        if let CTermKind::AttrDef { attr, .. } = term.kind {
+            if !attrs.contains(&attr) {
+                attrs.push(attr);
+            }
+        }
+    }
+    attrs.len()
 }
 
 /// An affine form under construction: `c + Σ coef·src`, like terms merged.
@@ -785,10 +774,12 @@ impl Lin {
 #[derive(Clone, Copy)]
 enum Reads<'a> {
     /// A record: its frame's `EOI`, `start` and `end` and the attributes
-    /// in `attrs` (set earlier), and the attributes of the builtin fields
-    /// `(result slot, nonterminal)` in `fields`, field `k` at registers
-    /// `4k..4k + 4`.
-    Record { attrs: &'a [Sym], fields: &'a [(u16, NtId)] },
+    /// in `attrs` (set earlier in the alternative), the attributes of the
+    /// builtin fields `(result slot, nonterminal)` in `fields`, field `k`
+    /// at registers `at + 4k..at + 4k + 4`, and those of any other
+    /// sibling: a read of a term is compiled after the term, so that
+    /// sibling lies before the run.
+    Record { attrs: &'a [Sym], fields: &'a [(u16, NtId)], at: u16 },
     /// A scan's sets: the byte's attributes (at result slot `byte`) and,
     /// at result slot `inner`, the nested level's `EOI`, `start`, `end`
     /// and `attrs`.
@@ -816,10 +807,6 @@ struct Compiler<'g> {
     g: &'g Grammar,
     out: Program,
 }
-
-/// An interval endpoint folded at compile time: `(based, c)` is
-/// `base + c` when `based`, else the constant `c`.
-type Folded = (bool, i64);
 
 impl Compiler<'_> {
     fn compile_alt(&mut self, alt: &CAlt) {
@@ -864,146 +851,10 @@ impl Compiler<'_> {
             };
             instrs.push(instr);
         }
-        let mut i = 0;
-        while i < instrs.len() {
-            match self.field_run(&instrs[i..]) {
-                Some(run) => {
-                    let id = self.out.runs.len() as u32;
-                    self.out.runs.push(run);
-                    instrs[i] = Instr::Fields { run: id };
-                    i += run.instrs as usize;
-                }
-                None => i += 1,
-            }
-        }
         let first = self.out.code.len() as u32;
         let count = instrs.len() as u32;
         self.out.code.extend(instrs);
         self.out.alts.push(PAlt { first, count, n_slots: alt.n_terms as u16 });
-    }
-
-    /// The longest field run at the start of `code`, if there is one (see
-    /// [`compile`]); its fields are appended to the field pool.
-    fn field_run(&mut self, code: &[Instr]) -> Option<FieldRun> {
-        let mut at = 0;
-        let mut lit = None;
-        if let Instr::Match { lit: span, lo, hi, slot } = code[0] {
-            let ((false, lo), (false, hi)) = (self.fold(lo, None, &[])?, self.fold(hi, None, &[])?)
-            else {
-                return None;
-            };
-            if lo < 0 || hi.checked_sub(lo)? < i64::from(span.len) {
-                return None;
-            }
-            lit = Some(RunLit { lit: span, lo, hi, slot });
-            at = 1;
-        }
-        let mut base = None;
-        let mut fields: Vec<Field> = Vec::new();
-        while let Some(field) = self.field(code, at, lit.is_some(), &mut base, &fields) {
-            fields.push(field);
-            at += 2;
-        }
-        if fields.is_empty() {
-            return None;
-        }
-        let reach = fields.iter().map(|f| f.hi).chain(lit.map(|l| l.hi)).max()?;
-        let first = self.out.fields.len() as u32;
-        self.out.fields.extend_from_slice(&fields);
-        Some(FieldRun {
-            head: code[0],
-            base,
-            lit,
-            first,
-            count: fields.len() as u32,
-            reach,
-            instrs: at as u32,
-        })
-    }
-
-    /// The field at `code[at..]` that extends a run of `fields`, if the
-    /// instructions there are one. The first field of a run without a
-    /// literal fixes its `base`: none if its left endpoint is a constant,
-    /// else that endpoint.
-    fn field(
-        &self,
-        code: &[Instr],
-        at: usize,
-        has_lit: bool,
-        base: &mut Option<ExprId>,
-        fields: &[Field],
-    ) -> Option<Field> {
-        let Instr::Call { nt, lo, hi, slot } = *code.get(at)? else { return None };
-        let CRuleBody::Builtin(builtin) = self.g.rule(nt).body else { return None };
-        let width = builtin.fixed_width()? as i64;
-        let Instr::Set { attr, expr, .. } = *code.get(at + 1)? else { return None };
-        let BExpr::NtAttr { slot: read, nt: of, attr: wellknown::VAL, .. } =
-            self.out.exprs[expr.0 as usize]
-        else {
-            return None;
-        };
-        if (read, of) != (slot, nt) {
-            return None;
-        }
-        if fields.is_empty() && !has_lit && self.fold(lo, None, fields).is_none() {
-            *base = Some(lo);
-        }
-        let based = base.is_some();
-        let (lo, hi) = match (self.fold(lo, *base, fields)?, self.fold(hi, *base, fields)?) {
-            ((lb, lo), (hb, hi)) if lb == based && hb == based => (lo, hi),
-            _ => return None,
-        };
-        if lo < 0 || hi.checked_sub(lo)? < width {
-            return None;
-        }
-        let width = width as u32;
-        Some(Field { nt, builtin, width, lo, hi, slot, attr, attr_slot: NO_SLOT })
-    }
-
-    /// Folds endpoint `e` of a field run with `base` that extends
-    /// `fields` (see [`Folded`]): constants, sums, differences with a
-    /// constant, `B.end` of one of `fields` (its left endpoint plus its
-    /// width), and, in the first field, the base expression itself. Later
-    /// fields may not read the base again: a `Set` of the run may have
-    /// changed what it reads.
-    fn fold(&self, e: ExprId, base: Option<ExprId>, fields: &[Field]) -> Option<Folded> {
-        if fields.is_empty() && base.is_some_and(|b| self.same_expr(e, b)) {
-            return Some((true, 0));
-        }
-        match self.out.exprs[e.0 as usize] {
-            BExpr::Num(n) => Some((false, n)),
-            BExpr::Bin(op @ (BinOp::Add | BinOp::Sub), a, b) => {
-                let ((ab, a), (bb, b)) = (self.fold(a, base, fields)?, self.fold(b, base, fields)?);
-                match op {
-                    BinOp::Add if !(ab && bb) => Some((ab || bb, a.checked_add(b)?)),
-                    BinOp::Sub if !bb => Some((ab, a.checked_sub(b)?)),
-                    _ => None,
-                }
-            }
-            BExpr::NtAttr { slot, nt, attr: wellknown::END, .. } => {
-                let f = fields.iter().find(|f| (f.slot, f.nt) == (slot, nt))?;
-                Some((base.is_some(), f.lo + i64::from(f.width)))
-            }
-            _ => None,
-        }
-    }
-
-    /// Whether `a` and `b` are the same expression (structurally; only the
-    /// forms an endpoint repeats are compared).
-    fn same_expr(&self, a: ExprId, b: ExprId) -> bool {
-        match (self.out.exprs[a.0 as usize], self.out.exprs[b.0 as usize]) {
-            (BExpr::Num(x), BExpr::Num(y)) => x == y,
-            (BExpr::Eoi, BExpr::Eoi) => true,
-            (BExpr::Local { sym: x, .. }, BExpr::Local { sym: y, .. }) => x == y,
-            (BExpr::Bin(o1, a1, b1), BExpr::Bin(o2, a2, b2)) => {
-                o1 == o2 && self.same_expr(a1, a2) && self.same_expr(b1, b2)
-            }
-            (
-                BExpr::NtAttr { slot: s1, nt: n1, attr: a1, .. },
-                BExpr::NtAttr { slot: s2, nt: n2, attr: a2, .. },
-            ) => (s1, n1, a1) == (s2, n2, a2),
-            _ => false,
-        }
     }
 
     /// The [`ByteScan`] that rule `nt`, with alternatives `first..first +
@@ -1020,9 +871,8 @@ impl Compiler<'_> {
             return None;
         };
         let CRuleBody::Builtin(builtin) = self.g.rule(byte).body else { return None };
-        let unit = ((false, 0), (false, 1));
         if builtin.fixed_width() != Some(1)
-            || (self.fold(lo, None, &[])?, self.fold(hi, None, &[])?) != unit
+            || (self.constant(lo), self.constant(hi)) != (Some(0), Some(1))
         {
             return None;
         }
@@ -1053,11 +903,8 @@ impl Compiler<'_> {
         {
             return None;
         }
-        let Some(&Instr::Match { lit, lo, hi, slot }) = term.1.first() else { return None };
-        let ((false, lo), (false, hi)) = (self.fold(lo, None, &[])?, self.fold(hi, None, &[])?)
-        else {
-            return None;
-        };
+        let Some(&Instr::Match { lit, lo, hi, .. }) = term.1.first() else { return None };
+        let (lo, hi) = (self.constant(lo)?, self.constant(hi)?);
         if lo < 0 || hi.checked_sub(lo)? < i64::from(lit.len) {
             return None;
         }
@@ -1100,7 +947,9 @@ impl Compiler<'_> {
             guards: guards.len() as u8,
             sets: n_sets,
             stop: [0; 256],
-            lit: RunLit { lit, lo, hi, slot },
+            lit,
+            lit_lo: lo,
+            lit_hi: hi,
             lit_pc,
             lit_sets: n_lit_sets,
             first_set,
@@ -1181,16 +1030,21 @@ impl Compiler<'_> {
                 Lin::term(Src::Attr(sym), NO_SLOT)
             }
             BExpr::NtAttr { slot, nt, attr, .. } => match reads {
-                Reads::Record { fields, .. } => {
-                    let k = fields.iter().position(|&f| f == (slot, nt))?;
-                    let at = match attr {
-                        wellknown::EOI => EOI_SLOT,
-                        wellknown::START => START_SLOT,
-                        wellknown::END => END_SLOT,
-                        wellknown::VAL => END_SLOT + 1,
-                        _ => return None,
-                    };
-                    Lin::term(Src::Field { slot, nt, attr }, 4 * k as u16 + at)
+                Reads::Record { fields, at, .. } => {
+                    match fields.iter().position(|&f| f == (slot, nt)) {
+                        Some(k) => {
+                            let reg = match attr {
+                                wellknown::EOI => EOI_SLOT,
+                                wellknown::START => START_SLOT,
+                                wellknown::END => END_SLOT,
+                                wellknown::VAL => END_SLOT + 1,
+                                _ => return None,
+                            };
+                            Lin::term(Src::Field { slot, nt, attr }, at + 4 * k as u16 + reg)
+                        }
+                        // Its register follows the fields' (see `record`).
+                        None => Lin::term(Src::Sibling { slot, nt, attr }, NO_SLOT),
+                    }
                 }
                 Reads::Scan { byte, .. } if slot == byte => match attr {
                     wellknown::VAL => Lin::term(Src::Byte, SCAN_BYTE_REG),
@@ -1248,6 +1102,12 @@ impl Compiler<'_> {
         Some(self.push_aff(lin))
     }
 
+    /// `e`'s value, if it folds to a constant.
+    fn constant(&self, e: ExprId) -> Option<i64> {
+        let lin = self.lin(e, Reads::Scan { byte: NO_SLOT, inner: None })?;
+        lin.terms.is_empty().then_some(lin.c)
+    }
+
     fn push_aff(&mut self, lin: Lin) -> Aff {
         let first = self.out.terms.len() as u32;
         let terms = lin.terms.iter().map(|&(coef, src, reg)| Term { coef, reg, src });
@@ -1284,79 +1144,148 @@ impl Compiler<'_> {
             || callee != nt
             || elem == nt
             || self.out.rules[elem.0 as usize].is_local
-            || tail.iter().any(|i| matches!(i, Instr::Set { .. }))
+            || tail.iter().any(|&i| matches!(self.out.unfused(i), Instr::Set { .. }))
         {
             return None;
         }
         Some(ListChain { head, list: nt, elem, elem_slot, next_slot, record: None })
     }
 
-    /// The [`Record`] of rule `nt`, pushed to the record pool, if the rule
-    /// has that shape. A rule that has not leaves the term pool as it was.
-    fn record(&mut self, nt: NtId) -> Option<u32> {
+    /// The record that decodes rule `nt`'s one alternative whole, if it
+    /// has one that reads no sibling and whose result slots fit a chain's
+    /// stack.
+    fn elem_record(&self, nt: NtId) -> Option<u32> {
         let PRuleKind::Alts { first, count: 1 } = self.out.rules[nt.0 as usize].kind else {
             return None;
         };
         let alt = self.out.alts[first as usize];
-        if usize::from(alt.n_slots) > REC_SLOTS {
-            return None;
-        }
-        let terms = self.out.terms.len();
-        let Some((ops, fields)) = self.record_ops(alt) else {
-            self.out.terms.truncate(terms);
-            return None;
-        };
-        let first_op = self.out.rec_ops.len() as u32;
-        self.out.rec_ops.extend(ops);
-        self.out.records.push(Record {
-            nt,
-            pc: alt.first,
-            first: first_op,
-            count: alt.count,
-            calls: fields as u32,
-            n_slots: alt.n_slots,
-            frame: 4 * fields as u16,
-        });
-        Some(self.out.records.len() as u32 - 1)
+        let Instr::Record { rec } = self.out.code[alt.first as usize] else { return None };
+        let r = &self.out.records[rec as usize];
+        (r.count == alt.count && r.loads == 0 && usize::from(alt.n_slots) <= REC_SLOTS)
+            .then_some(rec)
     }
 
-    /// The ops of a [`Record`] of alternative `alt` and its number of
-    /// fields, if it has that shape.
-    fn record_ops(&mut self, alt: PAlt) -> Option<(Vec<RecOp>, usize)> {
-        let (mut attrs, mut fields) = (Vec::<Sym>::new(), Vec::<(u16, NtId)>::new());
-        let mut ops = Vec::with_capacity(alt.count as usize);
-        for pc in alt.first..alt.first + alt.count {
-            let reads = Reads::Record { attrs: &attrs, fields: &fields };
-            ops.push(match self.out.unfused(self.out.code[pc as usize]) {
-                Instr::Match { lit, lo, hi, slot } => {
-                    let (lo, hi) = (self.aff(lo, reads)?, self.aff(hi, reads)?);
-                    RecOp::Lit { lit, lo, hi, slot }
+    /// Compiles the records of alternative `alt` of rule `nt`, whose
+    /// nodes have `width` attribute slots, each in place of its head.
+    fn records(&mut self, nt: NtId, alt: PAlt, width: u16) {
+        let mut pc = alt.first;
+        while pc < alt.first + alt.count {
+            pc = match self.record(nt, alt, pc, width) {
+                Ok(rec) => {
+                    self.out.records.push(rec);
+                    let id = self.out.records.len() as u32 - 1;
+                    self.out.code[pc as usize] = Instr::Record { rec: id };
+                    pc + rec.count
                 }
-                Instr::Call { nt, lo, hi, slot } => {
-                    let CRuleBody::Builtin(builtin) = self.g.rule(nt).body else { return None };
-                    let width = match builtin.fixed_width() {
-                        Some(w) => Some(w as u32),
-                        None if builtin == Builtin::Bytes => None,
-                        None => return None,
-                    };
-                    let (lo, hi) = (self.aff(lo, reads)?, self.aff(hi, reads)?);
-                    let reg = 4 * fields.len() as u16;
-                    fields.push((slot, nt));
-                    RecOp::Field { nt, builtin, width, lo, hi, slot, reg }
-                }
-                Instr::Set { attr, expr, .. } => {
-                    let form = self.form(expr, reads)?;
-                    let own = matches!(attr, wellknown::EOI | wellknown::START | wellknown::END);
-                    if !own && !attrs.contains(&attr) {
-                        attrs.push(attr);
-                    }
-                    RecOp::Set { attr, reg: NO_SLOT, form }
-                }
-                Instr::Guard { expr } => RecOp::Guard { form: self.form(expr, reads)? },
-                _ => return None,
-            });
+                Err(end) => end.max(pc + 1),
+            };
         }
-        (4 * fields.len() + 3 + attrs.len() <= REC_REGS).then_some((ops, fields.len()))
+    }
+
+    /// The [`Record`] of the longest run of `alt` from `pc` (see
+    /// [`compile`]), its ops, loads and terms pushed to the pools, if the
+    /// run is one. A run that is not leaves the pools as they were and
+    /// gives where it ends: no run starting inside it is one either.
+    fn record(&mut self, nt: NtId, alt: PAlt, pc: u32, width: u16) -> Result<Record, u32> {
+        let (terms, first) = (self.out.terms.len(), self.out.rec_ops.len());
+        let mut attrs: Vec<Sym> = Vec::new();
+        let mut fields: Vec<(u16, NtId)> = Vec::new();
+        let mut sibs: Vec<Src> = Vec::new();
+        let set = |attrs: &mut Vec<Sym>, instr| {
+            let Instr::Set { attr, .. } = instr else { return };
+            let own = matches!(attr, wellknown::EOI | wellknown::START | wellknown::END);
+            if !own && !attrs.contains(&attr) {
+                attrs.push(attr);
+            }
+        };
+        for &instr in &self.out.code[alt.first as usize..pc as usize] {
+            set(&mut attrs, self.out.unfused(instr));
+        }
+        for at in pc..alt.first + alt.count {
+            let (instr, t) = (self.out.code[at as usize], self.out.terms.len());
+            let reads = Reads::Record { attrs: &attrs, fields: &fields, at: width };
+            let Some(op) = self.rec_op(instr, reads) else {
+                self.out.terms.truncate(t);
+                break;
+            };
+            let known = sibs.len();
+            for term in &self.out.terms[t..] {
+                if matches!(term.src, Src::Sibling { .. }) && !sibs.contains(&term.src) {
+                    sibs.push(term.src);
+                }
+            }
+            let field = matches!(op, RecOp::Field { .. });
+            if usize::from(width) + 4 * (fields.len() + usize::from(field)) + sibs.len() > REC_REGS
+            {
+                self.out.terms.truncate(t);
+                sibs.truncate(known);
+                break;
+            }
+            if let RecOp::Field { nt, slot, .. } = op {
+                fields.push((slot, nt));
+            }
+            set(&mut attrs, instr);
+            self.out.rec_ops.push(op);
+        }
+        let count = self.out.rec_ops.len() - first;
+        if fields.is_empty() || count < 2 {
+            self.out.terms.truncate(terms);
+            self.out.rec_ops.truncate(first);
+            return Err(pc + count as u32);
+        }
+        // The siblings' registers follow the fields'.
+        let loads = width + 4 * fields.len() as u16;
+        for term in &mut self.out.terms[terms..] {
+            if let Some(j) = sibs.iter().position(|&s| s == term.src) {
+                term.reg = loads + j as u16;
+            }
+        }
+        let first_load = self.out.loads.len() as u32;
+        for (j, &src) in sibs.iter().enumerate() {
+            let Src::Sibling { slot, nt, attr } = src else { unreachable!("only siblings") };
+            let reg = loads + j as u16;
+            self.out.loads.push(Load { slot, nt, attr, attr_slot: NO_SLOT, reg });
+        }
+        Ok(Record {
+            nt,
+            head: self.out.code[pc as usize],
+            pc,
+            first: first as u32,
+            count: count as u32,
+            calls: fields.len() as u32,
+            n_slots: alt.n_slots,
+            width,
+            first_load,
+            loads: sibs.len() as u16,
+        })
+    }
+
+    /// `instr` as a [`RecOp`] over what `reads` allows, if it is one, its
+    /// terms pushed to the term pool.
+    fn rec_op(&mut self, instr: Instr, reads: Reads) -> Option<RecOp> {
+        Some(match instr {
+            Instr::Match { lit, lo, hi, slot } => {
+                let (lo, hi) = (self.aff(lo, reads)?, self.aff(hi, reads)?);
+                RecOp::Lit { lit, lo, hi, slot }
+            }
+            Instr::Call { nt, lo, hi, slot } => {
+                let CRuleBody::Builtin(builtin) = self.g.rule(nt).body else { return None };
+                let width = match builtin.fixed_width() {
+                    Some(w) => Some(w as u32),
+                    None if builtin == Builtin::Bytes => None,
+                    None => return None,
+                };
+                let Reads::Record { fields, at, .. } = reads else { return None };
+                let (lo, hi) = (self.aff(lo, reads)?, self.aff(hi, reads)?);
+                let reg = at + 4 * fields.len() as u16;
+                RecOp::Field { nt, builtin, width, lo, hi, slot, reg }
+            }
+            Instr::Set { attr, expr, .. } => {
+                RecOp::Set { attr, reg: NO_SLOT, form: self.form(expr, reads)? }
+            }
+            Instr::Guard { expr } => RecOp::Guard { form: self.form(expr, reads)? },
+            _ => return None,
+        })
     }
 
     fn case(&mut self, case: &CSwitchCase) -> PCase {
@@ -1514,12 +1443,11 @@ impl Program {
         1 + depth_of(self, self.start.0 as usize, &mut memo, &mut on_path) as usize
     }
 
-    /// `instr` with a field run's, byte scan's or chain's head in place of
-    /// it: the
-    /// term the instruction at its pc was compiled from.
+    /// `instr` with a record's, byte scan's or chain's head in place of
+    /// it: the term the instruction at its pc was compiled from.
     pub(crate) fn unfused(&self, instr: Instr) -> Instr {
         match instr {
-            Instr::Fields { run } => self.runs[run as usize].head,
+            Instr::Record { rec } => self.records[rec as usize].head,
             Instr::Scan { scan } => self.scans[scan as usize].head,
             Instr::Chain { chain } => self.chains[chain as usize].head,
             other => other,
@@ -1648,66 +1576,47 @@ impl Program {
                 }
                 s
             }
-            Instr::Fields { run } => {
-                let r = self.runs[run as usize];
-                let mut s = String::from("fields");
-                if let Some(base) = r.base {
-                    let _ = write!(s, " from {}:", self.render_expr(g, base));
-                }
-                let mut sep = " ";
-                if let Some(l) = r.lit {
-                    let bytes =
-                        &self.lits[l.lit.start as usize..(l.lit.start + l.lit.len) as usize];
-                    let lit = crate::interp::preview(bytes);
-                    let _ = write!(s, " {lit}[{}, {}] -> s{}", l.lo, l.hi, l.slot);
-                    sep = ", ";
-                }
-                for f in &self.fields[r.first as usize..(r.first + r.count) as usize] {
-                    let (nt, attr) = (self.nt_name(f.nt), g.attr_name(f.attr));
-                    let _ = write!(s, "{sep}{nt}[{}, {}]->{attr}", f.lo, f.hi);
-                    sep = ", ";
+            Instr::Record { rec } => {
+                let r = self.records[rec as usize];
+                let mut s = String::from("record");
+                for op in &self.rec_ops[r.first as usize..(r.first + r.count) as usize] {
+                    let _ = write!(s, "\n            {}", self.render_op(g, *op));
                 }
                 s
             }
             Instr::Scan { scan } => {
                 let sc = &self.scans[scan as usize];
-                let l = sc.lit;
-                let lit = &self.lits[l.lit.start as usize..(l.lit.start + l.lit.len) as usize];
+                let lit = &self.lits[sc.lit.start as usize..(sc.lit.start + sc.lit.len) as usize];
                 let (byte, lit) = (self.nt_name(sc.byte), crate::interp::preview(lit));
-                format!("scan {byte}[0, 1] until {lit}[{}, {}]", l.lo, l.hi)
+                format!("scan {byte}[0, 1] until {lit}[{}, {}]", sc.lit_lo, sc.lit_hi)
             }
             Instr::Chain { chain } => {
                 let c = self.chains[chain as usize];
                 let head = self.render_instr(g, c.head);
-                let mut s = format!("chain{}", head.strip_prefix("call").unwrap_or(&head));
-                let Some(r) = c.record else { return s };
-                let r = self.records[r as usize];
-                for op in &self.rec_ops[r.first as usize..(r.first + r.count) as usize] {
-                    let aff = |a| self.render_aff(g, a);
-                    let op = match *op {
-                        RecOp::Lit { lit, lo, hi, slot } => {
-                            let bytes =
-                                &self.lits[lit.start as usize..(lit.start + lit.len) as usize];
-                            let lit = crate::interp::preview(bytes);
-                            format!("match {lit}[{}, {}] -> s{slot}", aff(lo), aff(hi))
-                        }
-                        RecOp::Field { nt, lo, hi, slot, .. } => {
-                            format!(
-                                "call {}[{}, {}] -> s{slot}",
-                                self.nt_name(nt),
-                                aff(lo),
-                                aff(hi)
-                            )
-                        }
-                        RecOp::Set { attr, form, .. } => {
-                            format!("set {} = {}", g.attr_name(attr), self.render_form(g, form))
-                        }
-                        RecOp::Guard { form } => format!("guard {}", self.render_form(g, form)),
-                    };
-                    let _ = write!(s, "\n            record {op}");
+                let s = format!("chain{}", head.strip_prefix("call").unwrap_or(&head));
+                match c.record {
+                    Some(r) => format!("{s} by record {:04}", self.records[r as usize].pc),
+                    None => s,
                 }
-                s
             }
+        }
+    }
+
+    fn render_op(&self, g: &Grammar, op: RecOp) -> String {
+        let aff = |a| self.render_aff(g, a);
+        match op {
+            RecOp::Lit { lit, lo, hi, slot } => {
+                let bytes = &self.lits[lit.start as usize..(lit.start + lit.len) as usize];
+                let lit = crate::interp::preview(bytes);
+                format!("match {lit}[{}, {}] -> s{slot}", aff(lo), aff(hi))
+            }
+            RecOp::Field { nt, lo, hi, slot, .. } => {
+                format!("call {}[{}, {}] -> s{slot}", self.nt_name(nt), aff(lo), aff(hi))
+            }
+            RecOp::Set { attr, form, .. } => {
+                format!("set {} = {}", g.attr_name(attr), self.render_form(g, form))
+            }
+            RecOp::Guard { form } => format!("guard {}", self.render_form(g, form)),
         }
     }
 
@@ -1719,7 +1628,7 @@ impl Program {
         for t in &self.terms[a.first as usize..(a.first + a.len) as usize] {
             let name = match t.src {
                 Src::Attr(sym) | Src::Inner(sym) => g.attr_name(sym).to_owned(),
-                Src::Field { slot, nt, attr } => {
+                Src::Field { slot, nt, attr } | Src::Sibling { slot, nt, attr } => {
                     format!("s{slot}:{}.{}", self.nt_name(nt), g.attr_name(attr))
                 }
                 Src::Byte => "byte".to_owned(),

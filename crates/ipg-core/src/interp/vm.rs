@@ -27,12 +27,16 @@
 //!   — no frame, no memo entry — and its result is one compact arena
 //!   record, born re-based into the caller's coordinates, so it needs no
 //!   shift record.
-//! * **Field runs**: a run of fixed-width builtin fields at statically
-//!   known offsets (a header: an optional literal, then `B[lo, hi] {x =
-//!   B.val}` pairs) is one [`Instr::Fields`] at its head's pc. When the
-//!   whole record is in bounds, the fuel lasts and the literal matches, it
-//!   decodes every field after that one check and charges the steps and
-//!   profile hooks of the instructions it covers; otherwise the general
+//! * **Records**: a run of literals, builtin fields, guards and sets whose
+//!   endpoints, guards and sets are affine in earlier values (a header:
+//!   `"PK\x03\x04"[0, 4] U16[8, 10] {method = U16.val} …`) is one
+//!   [`Instr::Record`] at its head's pc. When the fuel lasts and the frame
+//!   is not a streaming session's open root, it loads the frame's
+//!   attributes and the siblings' it reads into registers once and
+//!   decodes the run op by op, each op with the tick, profile hooks,
+//!   allocations and failure of the instruction it stands for; a run
+//!   that succeeds writes its results and attributes into the frame, one
+//!   that fails fails the alternative. Otherwise the general
 //!   instructions, left in place after it, run unchanged.
 //! * **Byte scans**: a self-recursive byte rule (a string's `Str -> Ch[0,
 //!   1] assert(Ch.val > 0) Str[1, EOI] {len = 1 + Str.len} / x"00"[0, 1]
@@ -41,8 +45,8 @@
 //!   guard, in one pass; when the fuel lasts, no nested level's call is
 //!   memoized yet and the terminator's literal matches, it writes every
 //!   level's records and memo entry in one go and charges the steps and
-//!   profile hooks of the levels' instructions. Otherwise, like a field
-//!   run, it runs the general instructions left in place after it.
+//!   profile hooks of the levels' instructions. Otherwise, like a
+//!   record, it runs the general instructions left in place after it.
 //! * **Chains**: a right-recursive list rule (`LFHs -> LFH[0, EOI]
 //!   LFHs[LFH.end, EOI] / LFH[0, EOI]`) has its head compiled to one
 //!   [`Instr::Chain`], which runs the list's levels in the rule's own frame:
@@ -52,10 +56,10 @@
 //!   levels complete innermost first, each with its node, memo entry and
 //!   shift record. The level whose element or list call fails runs the
 //!   rule's second alternative in a frame of its own. An element whose
-//!   rule is a record (one alternative of literals, builtin fields, guards
-//!   and sets) is decoded in place, succeeding or failing op by op as its
-//!   frame would; only when the fuel might run out inside it does it run
-//!   in a frame, like any other element.
+//!   rule's one alternative is one record is decoded by that record in
+//!   place, with a node and memo entry instead of a frame, succeeding or
+//!   failing op by op as its frame would; only when the fuel might run
+//!   out inside it does it run in a frame, like any other element.
 //! * **Slot-resolved attributes**: a frame keeps its attributes in `i64`
 //!   slots fixed per rule when the parser is built (`layout`), so
 //!   an attribute read or write is an indexed access, not a search by
@@ -101,8 +105,8 @@ use crate::analysis::{anchor_requirement, AnchorRequirement};
 use crate::arena::{AttrSlot, Entry, TreeArena, TreeId, TreeRef};
 use crate::builtin::run_builtin;
 use crate::bytecode::{
-    compile, Aff, BExpr, ByteScan, ExprId, Instr, LitSpan, PRuleKind, Program, RecOp, SizeHints,
-    GUARD_UNDEFINED, NO_SLOT, REC_REGS, REC_SLOTS, SCAN_BYTE_REG, SCAN_WIDTH,
+    compile, Aff, BExpr, ByteScan, ExprId, Instr, LitSpan, PRuleKind, Program, RecOp, Record,
+    SizeHints, GUARD_UNDEFINED, NO_SLOT, REC_REGS, REC_SLOTS, SCAN_BYTE_REG, SCAN_WIDTH,
 };
 use crate::check::{Grammar, NtId};
 use crate::error::{Error, ParseError, Result};
@@ -792,16 +796,6 @@ enum ChainStep {
     Wait(Wait),
 }
 
-/// What [`VmSession::exec_record`] did.
-enum Decode {
-    /// The rule succeeded with this node.
-    Node(TreeId),
-    /// The rule failed.
-    Failed,
-    /// Nothing: the rule must run in a frame.
-    Declined,
-}
-
 /// One activation of a rule: the VM analogue of the interpreter's
 /// `parse_alt` stack frame plus its `AltCtx`.
 struct Frame {
@@ -1230,7 +1224,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                     Instr::Switch { first, count, slot } => {
                         self.exec_switch(fi, first, count, slot)?
                     }
-                    Instr::Fields { run } => self.exec_fields(fi, run)?,
+                    Instr::Record { rec } => self.exec_record(fi, rec)?,
                     Instr::Scan { scan } => self.exec_scan(fi, scan)?,
                     Instr::Chain { chain } => self.exec_chain(fi, chain)?,
                 }
@@ -1422,85 +1416,54 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         Ok(Flow::Exec)
     }
 
-    /// A field run (`FieldRun`): when the whole run is in bounds, the
-    /// fuel lasts to its end and its literal matches, every covered
-    /// instruction would succeed, so the run does their work in one pass
-    /// — the literal's leaf, each field's builtin record, result slot and
-    /// attribute, the touched region widened in program order — and
-    /// charges their steps and profile hooks. Otherwise the head it
-    /// replaced runs, followed by the covered instructions, so failures,
-    /// fuel exhaustion and suspensions happen exactly where they would.
-    /// The open root of a streaming session always takes that path: its
-    /// length reads 0 until it is sealed, and a run reaches at least one
-    /// byte.
-    fn exec_fields(&mut self, fi: usize, run: u32) -> PResult<Flow> {
-        let r = self.img.program.runs[run as usize];
-        let base = match r.base {
-            None => 0,
-            Some(e) => match self.eval(e, fi) {
-                Some(base) => base,
-                None => return self.exec_unfused(fi, r.head),
-            },
-        };
-        let (frame_base, frame_len, head_pc) = {
-            let f = &self.frames[fi];
-            (f.base, f.len, f.ip)
-        };
-        // The head's step is paid.
-        let steps = r.steps() - 1;
-        if base < 0
-            || base.checked_add(r.reach).is_none_or(|reach| reach > frame_len as i64)
-            || self.steps.saturating_add(steps) > self.max_steps
+    /// A record (`Record`) in frame `fi`, its head's tick and hook paid:
+    /// the frame's slots are its registers (`layout` sizes them to hold
+    /// the fields' and the loads' registers after the attributes), so it
+    /// loads the siblings' attributes it reads, decodes it in the frame
+    /// ([`VmSession::decode`]), and goes on after it, or fails the
+    /// alternative. It runs the head it replaced instead, followed by the
+    /// covered instructions, when the fuel might run out inside it, when a
+    /// sibling's attribute is undefined, and in the open root of a
+    /// streaming session, whose length reads 0 until it is sealed; so fuel
+    /// exhaustion, suspensions and undefined reads happen exactly where
+    /// they would.
+    fn exec_record(&mut self, fi: usize, r: u32) -> PResult<Flow> {
+        let rec = self.img.program.records[r as usize];
+        if fi == 0 && self.root_open && !self.complete
+            || self.steps.saturating_add(rec.steps() - 1) > self.max_steps
         {
-            return self.exec_unfused(fi, r.head);
+            return self.exec_unfused(fi, rec.head);
         }
-        let at = frame_base + base as usize;
-        let p = &self.img.program;
-        let input = self.input.as_ref();
-        let mut pc = head_pc;
-        if let Some(lit) = r.lit {
-            let bytes = &p.lits[lit.lit.start as usize..(lit.lit.start + lit.lit.len) as usize];
-            let al = at + lit.lo as usize;
-            if input[al..al + bytes.len()] != *bytes {
-                return self.exec_unfused(fi, r.head);
-            }
-            let leaf = self.arena.alloc_leaf(al, al + bytes.len());
-            let f = &mut self.frames[fi];
-            upd_start_end(&mut f.slots, base + lit.lo, base + lit.hi, !bytes.is_empty());
-            f.results[lit.slot as usize] = Some(leaf);
-            pc += 1;
+        let f = &mut self.frames[fi];
+        let loads = &self.img.program.loads[rec.first_load as usize..][..usize::from(rec.loads)];
+        for load in loads {
+            let value = f.results[usize::from(load.slot)]
+                .and_then(|id| self.arena.node_attr(id, load.nt, load.attr_slot));
+            let Some(value) = value else { return self.exec_unfused(fi, rec.head) };
+            f.slots[usize::from(load.reg)] = value;
         }
-        self.steps += steps;
-        for field in &p.fields[r.first as usize..(r.first + r.count) as usize] {
-            if pc != head_pc {
-                self.prof.instr(pc);
-            }
-            let (nt, width) = (field.nt, field.width as usize);
-            self.prof.call(nt);
-            let l = base + field.lo;
-            let a = frame_base + l as usize;
-            let val = decode_fixed(field.builtin, &input[a..a + width]);
-            let len = (field.hi - field.lo) as usize;
-            let id = self.arena.alloc_builtin(nt, a, len, width, l, val);
-            self.prof.leaf(nt, true);
-            let f = &mut self.frames[fi];
-            upd_start_end(&mut f.slots, l, l + width as i64, true);
-            f.results[field.slot as usize] = Some(id);
-            self.prof.instr(pc + 1);
-            f.slots[field.attr_slot as usize] = val;
-            pc += 2;
+        let (base, len) = (f.base, f.len);
+        let mut slots = std::mem::take(&mut f.slots);
+        let mut results = std::mem::take(&mut f.results);
+        let ok = self.decode(&rec, base, len, &mut slots, &mut results);
+        let f = &mut self.frames[fi];
+        (f.slots, f.results) = (slots, results);
+        if !ok {
+            return Ok(self.fail_alt(fi));
         }
-        self.frames[fi].ip += r.instrs;
+        f.ip += rec.count;
         Ok(Flow::Exec)
     }
 
-    /// Runs the general instruction a field run's, byte scan's or chain's
+    /// Runs the general instruction a record's, byte scan's or chain's
     /// head replaced.
     fn exec_unfused(&mut self, fi: usize, head: Instr) -> PResult<Flow> {
         match head {
             Instr::Match { lit, lo, hi, slot } => self.exec_match(fi, lit, lo, hi, slot),
             Instr::Call { nt, lo, hi, slot } => self.dispatch_call(fi, nt, lo, hi, slot),
-            _ => unreachable!("a field run, byte scan or chain starts with a match or a call"),
+            Instr::Set { attr, attr_slot, expr } => self.exec_set(fi, attr, attr_slot, expr),
+            Instr::Guard { expr } => self.exec_guard(fi, expr),
+            _ => unreachable!("a record, byte scan or chain starts with a term it decodes"),
         }
     }
 
@@ -1532,11 +1495,11 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         let failed = stop & !GUARD_UNDEFINED;
         // The head's step is paid.
         let steps = k as u64 * s.level_steps() + s.terminator_steps(failed) - 1;
-        let (lit, term, term_len) = (s.lit, base + k, len - k);
-        let lit_bytes = &p.lits[lit.lit.start as usize..(lit.lit.start + lit.lit.len) as usize];
-        let at = term + lit.lo as usize;
+        let (term, term_len) = (base + k, len - k);
+        let lit_bytes = &p.lits[s.lit.start as usize..(s.lit.start + s.lit.len) as usize];
+        let at = term + s.lit_lo as usize;
         if self.steps.saturating_add(steps) > self.max_steps
-            || lit.hi > term_len as i64
+            || s.lit_hi > term_len as i64
             || input[at..at + lit_bytes.len()] != *lit_bytes
             || memoizable
                 && self.memo.may_hold_above(nt, base)
@@ -1570,7 +1533,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         let leaf = self.arena.alloc_leaf(at, at + lit_bytes.len());
         let mut vals = [0; SCAN_WIDTH];
         vals[..3].copy_from_slice(&[term_len as i64, term_len as i64, 0]);
-        upd_start_end(&mut vals, lit.lo, lit.hi, !lit_bytes.is_empty());
+        upd_start_end(&mut vals, s.lit_lo, s.lit_hi, !lit_bytes.is_empty());
         for set in lit_sets {
             vals[usize::from(set.slot)] = set.form.eval(&p.terms, &[]);
         }
@@ -1758,7 +1721,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
 
     /// [`VmSession::begin_call`] of record `r`'s rule `nt` at offset `l`:
     /// the call's tick, hooks and memo look-up, then the record decoded in
-    /// place, or the rule's frame when the fuel might not last through it.
+    /// place ([`VmSession::decode`]), with the rule's node and memo entry,
+    /// or the rule's frame when the fuel might not last through it.
     fn record_call(
         &mut self,
         nt: NtId,
@@ -1777,48 +1741,61 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             }
             self.prof.memo(nt, false);
         }
-        Ok(match self.exec_record(r, base, len) {
-            Decode::Node(id) => CallOutcome::Done(Some(self.rebase(id, l))),
-            Decode::Failed => CallOutcome::Done(None),
-            Decode::Declined => {
-                self.push_frame(nt, 0, base, len, NO_PARENT, self.memoize);
-                CallOutcome::Pushed
-            }
-        })
-    }
-
-    /// Runs record `r` over `(base, len)` in one pass, as its rule's frame
-    /// would: each op in order, with its tick and hooks; each literal's
-    /// leaf and each field's builtin record; the first op that fails —
-    /// an interval out of bounds, a literal that does not match, a
-    /// fixed-width field that does not fit, a guard that does not hold —
-    /// records the failure the general instruction records and fails the
-    /// rule, leaving what it allocated, as the frame would. A rule that
-    /// succeeds gets its node. Either way the rule's memo entry follows.
-    /// When the fuel might run out inside the rule it declines, having
-    /// done nothing, and the rule runs in a frame, which runs out of fuel
-    /// exactly where it would.
-    fn exec_record(&mut self, r: u32, base: usize, len: usize) -> Decode {
-        let p = &self.img.program;
-        let rec = p.records[r as usize];
+        let rec = self.img.program.records[r as usize];
         if self.steps.saturating_add(rec.steps()) > self.max_steps {
-            return Decode::Declined;
+            self.push_frame(nt, 0, base, len, NO_PARENT, self.memoize);
+            return Ok(CallOutcome::Pushed);
         }
-        let input = self.input.as_ref();
+        // The head's tick and hook, as the frame's `exec_top` pays them.
+        self.steps += 1;
+        self.prof.instr(rec.pc);
         let n = len as i64;
         let mut regs = [0; REC_REGS];
+        regs[..3].copy_from_slice(&[n, n, 0]);
         let mut results = [None; REC_SLOTS];
-        let frame = usize::from(rec.frame);
-        regs[frame..frame + 3].copy_from_slice(&[n, n, 0]);
+        let ok = self.decode(&rec, base, len, &mut regs, &mut results);
+        self.prof.leaf(nt, ok);
+        let node = ok.then(|| {
+            let (width, children) = (usize::from(rec.width), &results[..usize::from(rec.n_slots)]);
+            self.arena.alloc_node(nt, 0, &regs[..width], children.iter().flatten().copied(), base)
+        });
+        if self.memoize {
+            self.memo.insert(nt, base, len, node);
+        }
+        Ok(CallOutcome::Done(node.map(|id| self.rebase(id, l))))
+    }
+
+    /// Decodes record `rec` over `(base, len)`, its head's tick and hook
+    /// paid and its registers loaded, as the instructions it covers would
+    /// run: each op in order, with its tick and hooks; each literal's leaf
+    /// and each field's builtin record into `results`, and its attributes
+    /// into `regs`; the first op that fails — an interval out of bounds, a
+    /// literal that does not match, a fixed-width field that does not
+    /// fit, a guard that does not hold — records the failure the general
+    /// instruction records and ends the run, leaving what it allocated.
+    /// Returns whether every op succeeded. The caller has made sure the
+    /// fuel lasts.
+    fn decode(
+        &mut self,
+        rec: &Record,
+        base: usize,
+        len: usize,
+        regs: &mut [i64],
+        results: &mut [Option<TreeId>],
+    ) -> bool {
+        let p = &self.img.program;
+        let input = self.input.as_ref();
+        let n = len as i64;
         let ops = &p.rec_ops[rec.first as usize..(rec.first + rec.count) as usize];
-        let mut ok = true;
         for (pc, op) in (rec.pc..).zip(ops) {
-            self.steps += 1;
-            self.prof.instr(pc);
+            if pc != rec.pc {
+                self.steps += 1;
+                self.prof.instr(pc);
+            }
             let eval = |a: &Aff, regs: &[i64]| a.eval(&p.terms, regs);
             match op {
                 &RecOp::Lit { lit, ref lo, ref hi, slot } => {
-                    let (l, r) = (eval(lo, &regs), eval(hi, &regs));
+                    let (l, r) = (eval(lo, regs), eval(hi, regs));
                     // `at` is read only once the interval is valid.
                     let (at, blen) = (base + l.max(0) as usize, lit.len as usize);
                     let failure = if !(0 <= l && l <= r && r <= n) {
@@ -1832,18 +1809,16 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                     };
                     if let Some((offset, reason)) = failure {
                         self.deepest.record(offset, rec.nt, reason);
-                        ok = false;
-                        break;
+                        return false;
                     }
                     results[usize::from(slot)] = Some(self.arena.alloc_leaf(at, at + blen));
-                    upd_start_end(&mut regs[frame..], l, r, blen != 0);
+                    upd_start_end(regs, l, r, blen != 0);
                 }
                 &RecOp::Field { nt, builtin, width, ref lo, ref hi, slot, reg } => {
-                    let (l, r) = (eval(lo, &regs), eval(hi, &regs));
+                    let (l, r) = (eval(lo, regs), eval(hi, regs));
                     if !(0 <= l && l <= r && r <= n) {
                         self.deepest.record(base, rec.nt, Reason::Interval(nt));
-                        ok = false;
-                        break;
+                        return false;
                     }
                     self.steps += 1;
                     self.prof.call(nt);
@@ -1863,8 +1838,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                             self.deepest.record(at, nt, Reason::Builtin(builtin));
                         }
                         self.prof.leaf(nt, false);
-                        ok = false;
-                        break;
+                        return false;
                     };
                     self.prof.leaf(nt, true);
                     let id = self.arena.alloc_builtin(nt, at, flen, consumed, l, val);
@@ -1872,33 +1846,18 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                     let end = l + consumed as i64;
                     let reg = usize::from(reg);
                     regs[reg..reg + 4].copy_from_slice(&[r - l, l, end, val]);
-                    upd_start_end(&mut regs[frame..], l, end, consumed > 0);
+                    upd_start_end(regs, l, end, consumed > 0);
                 }
-                RecOp::Set { reg, form, .. } => {
-                    regs[usize::from(*reg)] = form.eval(&p.terms, &regs)
-                }
+                RecOp::Set { reg, form, .. } => regs[usize::from(*reg)] = form.eval(&p.terms, regs),
                 RecOp::Guard { form } => {
-                    if form.eval(&p.terms, &regs) == 0 {
+                    if form.eval(&p.terms, regs) == 0 {
                         self.deepest.record(base, rec.nt, Reason::Predicate);
-                        ok = false;
-                        break;
+                        return false;
                     }
                 }
             }
         }
-        self.prof.leaf(rec.nt, ok);
-        let node = ok.then(|| {
-            let width = usize::from(self.img.layouts.rules[rec.nt.0 as usize].width);
-            let children = results[..usize::from(rec.n_slots)].iter().flatten().copied();
-            self.arena.alloc_node(rec.nt, 0, &regs[frame..frame + width], children, base)
-        });
-        if self.memoize {
-            self.memo.insert(rec.nt, base, len, node);
-        }
-        match node {
-            Some(id) => Decode::Node(id),
-            None => Decode::Failed,
-        }
+        true
     }
 
     fn exec_set(&mut self, fi: usize, attr: Sym, attr_slot: u16, expr: ExprId) -> PResult<Flow> {

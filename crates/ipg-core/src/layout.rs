@@ -14,7 +14,8 @@
 //!   is one indexed load whatever alternative built the `B` node. A node
 //!   stores its rule's attribute slots in the arena's shared attribute
 //!   pool; a frame holds them plus one slot per `for` and `exists`
-//!   variable of its alternatives.
+//!   variable of its alternatives, or as many more as its records'
+//!   registers need.
 //! * **Shapes.** Every alternative, and every builtin or blackbox rule,
 //!   has a shape: its bindings in the order the interpreter's environment
 //!   lists them — `EOI`, `start`, `end`, then the alternative's own `Set`
@@ -31,8 +32,8 @@
 //!   interpreter falls through to its parent context.
 //! * **Registers.** The forms a byte scan or a record evaluates read
 //!   attributes by register: a scan's sets the nested level's slots, a
-//!   record's ops its own frame's slots, numbered after its fields'
-//!   registers.
+//!   record's ops its own frame's slots, which are its first registers,
+//!   and a record's loads read its siblings' attributes by their slots.
 
 use crate::arena::NtTable;
 use crate::bytecode::{
@@ -73,7 +74,8 @@ pub(crate) struct RuleLayout {
     syms: u32,
     /// Attribute slots a node of the rule stores.
     pub(crate) width: u16,
-    /// Slots a frame of the rule needs: `width` plus its scoped variables.
+    /// Slots a frame of the rule needs: `width` plus its scoped variables,
+    /// or its records' registers if they are more.
     pub(crate) frame_width: u16,
 }
 
@@ -138,6 +140,17 @@ pub(crate) fn resolve(program: &mut Program, grammar: &Grammar) -> Layouts {
         bindings: Vec::new(),
         slot_syms: Vec::new(),
     };
+    // Each record's, byte scan's or chain's head stands in for it until
+    // the operands are resolved, so it resolves like the term it is; the
+    // covered instructions follow it and resolve as usual.
+    let fused: Vec<(usize, Instr)> = (0..program.code.len())
+        .filter_map(|pc| {
+            let instr = program.code[pc];
+            program.code[pc] = program.unfused(instr);
+            matches!(instr, Instr::Record { .. } | Instr::Scan { .. } | Instr::Chain { .. })
+                .then_some((pc, instr))
+        })
+        .collect();
     // Rule slots first: `B.id` operands need the slots of other rules.
     for rule in &program.rules {
         let syms = layouts.slot_syms.len();
@@ -231,22 +244,7 @@ pub(crate) fn resolve(program: &mut Program, grammar: &Grammar) -> Layouts {
                     };
                     for pc in alt.first..alt.first + alt.count {
                         r.pc = pc;
-                        let instr = &mut program.code[pc as usize];
-                        // A field run's, byte scan's or chain's covered
-                        // instructions follow and resolve as usual; its
-                        // head's operands resolve here.
-                        match *instr {
-                            Instr::Fields { run } => {
-                                r.instr(&mut program.runs[run as usize].head, &program.cases)
-                            }
-                            Instr::Scan { scan } => {
-                                r.instr(&mut program.scans[scan as usize].head, &program.cases)
-                            }
-                            Instr::Chain { chain } => {
-                                r.instr(&mut program.chains[chain as usize].head, &program.cases)
-                            }
-                            _ => r.instr(instr, &program.cases),
-                        }
+                        r.instr(&mut program.code[pc as usize], &program.cases);
                     }
                     let frame_width = slot_count(r.next);
                     let rule = &mut layouts.rules[nt.0 as usize];
@@ -258,25 +256,19 @@ pub(crate) fn resolve(program: &mut Program, grammar: &Grammar) -> Layouts {
         let rule = &mut layouts.rules[nt.0 as usize];
         (rule.first_shape, rule.n_shapes) = (first_shape, n_shapes);
     }
-    // A field run writes its fields' attributes itself: each field takes
-    // the frame slot of the `Set` that follows its call.
-    for (pc, instr) in program.code.iter().enumerate() {
-        if let Instr::Fields { run } = *instr {
-            let r = program.runs[run as usize];
-            let mut set = pc + usize::from(r.lit.is_some()) + 1;
-            for field in &mut program.fields[r.first as usize..(r.first + r.count) as usize] {
-                let Instr::Set { attr_slot, .. } = program.code[set] else {
-                    unreachable!("a field's call is followed by its `Set`")
-                };
-                field.attr_slot = attr_slot;
-                set += 2;
-            }
+    for (pc, instr) in fused {
+        let head = std::mem::replace(&mut program.code[pc], instr);
+        match instr {
+            Instr::Record { rec } => program.records[rec as usize].head = head,
+            Instr::Scan { scan } => program.scans[scan as usize].head = head,
+            Instr::Chain { chain } => program.chains[chain as usize].head = head,
+            _ => unreachable!("only fused instructions were swapped"),
         }
     }
     // The forms of byte scans and records read attributes by
     // register: a scan's sets read the nested level's slots and write the
     // frame's, and a record's ops read and write its frame's slots, which
-    // follow its fields' registers.
+    // are its first registers.
     for (nt, rule) in program.rules.iter().enumerate() {
         let PRuleKind::Alts { first, count: 1.. } = rule.kind else { continue };
         let Instr::Scan { scan } = program.code[program.alts[first as usize].first as usize] else {
@@ -293,10 +285,16 @@ pub(crate) fn resolve(program: &mut Program, grammar: &Grammar) -> Layouts {
         }
     }
     for r in &program.records {
+        // A frame is a record's registers: it holds its fields' and loads'
+        // registers after its attribute slots, where its scoped variables
+        // live, which a record does not read.
+        let rule = &mut layouts.rules[r.nt.0 as usize];
+        debug_assert_eq!(r.width, rule.width, "a record's frame");
+        rule.frame_width = rule.frame_width.max(r.regs());
         let slot = |sym| layouts.slot_of(r.nt, sym).expect("a record's rule stores it");
         let resolve = |terms: &mut [Term], affs: &[Aff]| {
             for &a in affs {
-                resolve_terms(terms, a, r.frame, slot);
+                resolve_terms(terms, a, 0, slot);
             }
         };
         for op in &mut program.rec_ops[r.first as usize..(r.first + r.count) as usize] {
@@ -305,12 +303,15 @@ pub(crate) fn resolve(program: &mut Program, grammar: &Grammar) -> Layouts {
                     resolve(&mut program.terms, &[*lo, *hi])
                 }
                 RecOp::Set { attr, reg, form } => {
-                    *reg = r.frame + slot(*attr);
+                    *reg = slot(*attr);
                     resolve(&mut program.terms, &form.affs());
                 }
                 RecOp::Guard { form } => resolve(&mut program.terms, &form.affs()),
             }
         }
+    }
+    for load in &mut program.loads {
+        load.attr_slot = layouts.slot_of(load.nt, load.attr).unwrap_or(NO_SLOT);
     }
     layouts
 }
@@ -373,8 +374,8 @@ impl OperandResolver<'_> {
                     self.expr(case.hi);
                 }
             }
-            Instr::Fields { .. } | Instr::Scan { .. } | Instr::Chain { .. } => {
-                unreachable!("field runs, byte scans and chains resolve through their head")
+            Instr::Record { .. } | Instr::Scan { .. } | Instr::Chain { .. } => {
+                unreachable!("records, byte scans and chains resolve as their head")
             }
         }
     }

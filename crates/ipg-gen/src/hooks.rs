@@ -78,7 +78,7 @@ impl std::fmt::Debug for GenHooks {
 /// *grammar-valid* generated archive also passes the semantic CRC check of
 /// `ipg_formats::zip::extract` and the `unzip` baselines. The grammar never
 /// constrains the CRC (it is free fuzz content there); this fix-up supplies
-/// the dependent-field semantics via [`ipg_flate::crc32`].
+/// the dependent-field semantics via [`ipg_flate::crc32()`].
 ///
 /// Walks the local-file-header chain structurally (magic, length fields,
 /// method dispatch) and leaves anything malformed untouched.

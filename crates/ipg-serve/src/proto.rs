@@ -11,7 +11,6 @@
 //! | `0x02 OPEN`   | `name_len:u8, name`          | `OPENED` / `ERROR` / `GOAWAY` |
 //! | `0x03 FEED`   | `id:u64le, chunk…`           | `NEED_INPUT` / `ERROR` / `GOAWAY` |
 //! | `0x04 FINISH` | `id:u64le`                   | `DONE` / `ERROR` / `GOAWAY` |
-//! | `0x05 STATS`  | —                            | `STATS` |
 //! | `0x06 METRICS` | —                           | `METRICS` |
 //!
 //! | status | response payload |
@@ -20,7 +19,6 @@
 //! | `0x01 NEED_INPUT` | `kind:u8 (0 = bytes, 1 = until_end), n:u64le` |
 //! | `0x02 ERROR`      | UTF-8 message |
 //! | `0x03 OPENED`     | `id:u64le` |
-//! | `0x04 STATS`      | UTF-8 JSON ([`crate::stats::StatsSnapshot::to_json`]) |
 //! | `0x05 BUSY`       | `retry_after_ms:u64le` — shed at admission, retry later |
 //! | `0x06 GOAWAY`     | — server draining; session (if any) sealed |
 //! | `0x07 METRICS`    | UTF-8 Prometheus text ([`crate::metrics::Registry::gather`]) |
@@ -77,8 +75,6 @@ pub const OP_OPEN: u8 = 0x02;
 pub const OP_FEED: u8 = 0x03;
 /// Finish a session.
 pub const OP_FINISH: u8 = 0x04;
-/// Stats snapshot.
-pub const OP_STATS: u8 = 0x05;
 /// Prometheus metrics scrape.
 pub const OP_METRICS: u8 = 0x06;
 
@@ -90,8 +86,6 @@ pub const ST_NEED_INPUT: u8 = 0x01;
 pub const ST_ERROR: u8 = 0x02;
 /// Session opened (payload is the id).
 pub const ST_OPENED: u8 = 0x03;
-/// Stats JSON.
-pub const ST_STATS: u8 = 0x04;
 /// Shed at admission (payload is `retry_after_ms:u64le`).
 pub const ST_BUSY: u8 = 0x05;
 /// Server draining; no new work, sessions sealed.
@@ -356,10 +350,6 @@ fn handle_request(server: &Server, conn: &mut ConnState<'_>, payload: &[u8], out
                 return bad_request(out, &foreign_session(id));
             };
             encode_response(&conn.shared.session_request(id, &mut slot, None), out);
-        }
-        OP_STATS => {
-            out.push(ST_STATS);
-            out.extend_from_slice(server.stats().to_json().as_bytes());
         }
         OP_METRICS => {
             out.push(ST_METRICS);
@@ -645,8 +635,6 @@ pub enum Wire {
     },
     /// `ST_ERROR`.
     Error(String),
-    /// `ST_STATS` (JSON).
-    Stats(String),
     /// `ST_METRICS` (Prometheus text format).
     Metrics(String),
     /// `ST_BUSY` — shed at admission; retry after the hinted delay.
@@ -869,15 +857,6 @@ impl Client {
         self.round_trip(&[&[OP_FINISH], &id.to_le_bytes()])
     }
 
-    /// Fetches a stats snapshot (JSON).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors only.
-    pub fn stats(&mut self) -> io::Result<Wire> {
-        self.round_trip(&[&[OP_STATS]])
-    }
-
     /// Fetches a Prometheus metrics scrape over the framed protocol (the
     /// same text `--metrics-addr` serves over HTTP).
     ///
@@ -915,7 +894,6 @@ pub fn decode_wire(payload: &[u8]) -> Option<Wire> {
             Wire::NeedInput { kind: body[0], n: u64::from_le_bytes(body[1..9].try_into().ok()?) }
         }
         ST_ERROR => Wire::Error(String::from_utf8_lossy(body).into_owned()),
-        ST_STATS => Wire::Stats(String::from_utf8_lossy(body).into_owned()),
         ST_METRICS => Wire::Metrics(String::from_utf8_lossy(body).into_owned()),
         ST_BUSY => Wire::Busy { retry_after_ms: u64::from_le_bytes(body.try_into().ok()?) },
         ST_GOAWAY => {

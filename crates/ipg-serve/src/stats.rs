@@ -74,8 +74,8 @@ impl Counters {
     }
 }
 
-/// A point-in-time view of the service (the `STATS` protocol op returns
-/// this as JSON; see the README for the field meanings).
+/// A point-in-time view of the service, from [`crate::Server::stats`]
+/// (see the README for the field meanings).
 #[derive(Clone, Debug)]
 pub struct StatsSnapshot {
     /// Completed parses (one-shot parses plus finished sessions).
@@ -205,42 +205,6 @@ impl StatsSnapshot {
     pub fn reconciles_reloads(&self, expected_ok: u64, expected_rejected: u64) -> bool {
         self.reloads_ok == expected_ok && self.reloads_rejected == expected_rejected
     }
-
-    /// Renders the snapshot as a single JSON object (the wire format of
-    /// the `STATS` op).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"parses_ok\": {}, \"parses_err\": {}, \"sessions_opened\": {}, \
-             \"sessions_closed\": {}, \"sessions_evicted\": {}, \"sessions_sealed\": {}, \
-             \"live_sessions\": {}, \"bytes_in\": {}, \"steps\": {}, \"suspends\": {}, \
-             \"submitted\": {}, \"completed\": {}, \"shed\": {}, \"failed\": {}, \
-             \"panics_recovered\": {}, \"reloads_ok\": {}, \"reloads_rejected\": {}, \
-             \"latency_p50_us\": {}, \"latency_p99_us\": {}, \"elapsed_s\": {:.3}, \
-             \"parses_per_s\": {:.1}, \"bytes_per_s\": {:.0}}}",
-            self.parses_ok,
-            self.parses_err,
-            self.sessions_opened,
-            self.sessions_closed,
-            self.sessions_evicted,
-            self.sessions_sealed,
-            self.live_sessions,
-            self.bytes_in,
-            self.steps,
-            self.suspends,
-            self.submitted,
-            self.completed,
-            self.shed,
-            self.failed,
-            self.panics_recovered,
-            self.reloads_ok,
-            self.reloads_rejected,
-            self.latency_p50_us,
-            self.latency_p99_us,
-            self.elapsed_s,
-            self.parses_per_s,
-            self.bytes_per_s,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -277,13 +241,5 @@ mod tests {
         // silently ignored.
         assert!(!s.reconciles_reloads(3, 1));
         assert!(!s.reconciles_reloads(2, 0));
-    }
-
-    #[test]
-    fn json_snapshot_names_every_reconciled_counter() {
-        let j = snapshot().to_json();
-        for key in ["submitted", "completed", "shed", "failed", "reloads_ok", "reloads_rejected"] {
-            assert!(j.contains(&format!("\"{key}\"")), "missing {key} in {j}");
-        }
     }
 }

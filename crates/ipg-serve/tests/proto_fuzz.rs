@@ -8,7 +8,7 @@
 
 use ipg_serve::proto::{
     self, decode_wire, read_frame, write_frame, Wire, OP_FEED, OP_FINISH, OP_OPEN, OP_PARSE,
-    OP_STATS, ST_ERROR,
+    ST_ERROR,
 };
 use ipg_serve::{Config, Server};
 use std::io::Write as _;
@@ -62,10 +62,17 @@ fn mutated_request_frames_get_typed_replies_and_never_kill_the_server() {
     let mut finish = vec![OP_FINISH];
     finish.extend_from_slice(&0u64.to_le_bytes());
     seeds.push(finish);
-    seeds.push(vec![OP_STATS]);
+    // `0x05` was the dropped `STATS` op: it is an unknown op now.
+    seeds.push(vec![0x05]);
     seeds.push(Vec::new());
 
     let mut stream = connect(&path);
+    write_frame(&mut stream, &[0x05]).expect("write");
+    let reply = read_frame(&mut stream).expect("io").expect("typed reply, not a hangup");
+    match decode_wire(&reply) {
+        Some(Wire::Error(msg)) => assert!(msg.contains("unknown op 0x05"), "{msg}"),
+        other => panic!("expected a typed unknown-op error, got {other:?}"),
+    }
     let mut replies = 0u64;
     for index in 0..200u64 {
         let mut payload = seeds[index as usize % seeds.len()].clone();

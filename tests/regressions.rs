@@ -705,17 +705,18 @@ mod leaf_calls {
             Rest := bytes;
         "#;
         for spec in [format!("S -> {run}"), format!("S -> R[0, EOI] {{r = R.b}}; R -> {run}")] {
-            assert_fields(&spec, "fields \"AB\"[0, 2] -> s0, U16[2, 4]->a, U32[4, 8]->b");
+            assert_record(&spec, &["match \"AB\"[0, 2] -> s0", "call U32[4, 8] -> s3"]);
             assert_eq!(assert_leaf_calls_agree(&spec, &inputs), 2, "{spec}");
         }
     }
 
     #[test]
     fn field_runs_from_a_computed_base() {
-        // The run's endpoints are offsets from `Pad.end`, read once: the
-        // `U16[2]` sugar chains each field to the previous one's `end`.
-        // A negative-length pad, a pad past the input and a record cut
-        // short all fall back.
+        // The record's endpoints are offsets from `Pad.end`, a `bytes`
+        // field of the same record: the `U16[2]` sugar chains each field
+        // to the previous one's `end`. A negative-length pad, a pad past
+        // the input and a record cut short all fail where the general
+        // instructions fail.
         let spec = r#"
             S -> Len[0, 1] Pad[1, 1 + Len.val]
                  U16[Pad.end, Pad.end + 2] {a = U16.val} U16[2] {b = U16.val} U8[1] {c = U8.val};
@@ -732,19 +733,24 @@ mod leaf_calls {
             &[9, 1, 2],
             &[0, 1, 2, 3, 4],
         ];
-        let fields = "fields from s1:Pad.end: U16[0, 2]->a, U16[2, 4]->b, U8[4, 5]->c";
-        assert_fields(spec, fields);
+        let ops =
+            ["call U16[s1:Pad.end, 2 + s1:Pad.end] -> s2", "call U8[s4:U16.end, 1 + s4:U16.end]"];
+        assert_record(spec, &ops);
         assert_eq!(assert_leaf_calls_agree(spec, &inputs), 2);
         let nested = format!("S -> T[0, EOI] {{t = T.c}}; T -> {}", &spec.trim()[5..]);
-        assert_fields(&nested, fields);
+        assert_record(&nested, &ops);
         assert_eq!(assert_leaf_calls_agree(&nested, &inputs), 2);
     }
 
-    /// Asserts that `spec` compiles to a listing with `fields`.
-    fn assert_fields(spec: &str, fields: &str) {
+    /// Asserts that `spec` compiles to a listing with a record that has
+    /// each of `ops`.
+    fn assert_record(spec: &str, ops: &[&str]) {
         let g = parse_grammar(spec).unwrap();
         let listing = VmParser::new(&g).program().disassemble(&g);
-        assert!(listing.contains(fields), "no `{fields}` in\n{listing}");
+        assert!(listing.contains("  record\n"), "no record in\n{listing}");
+        for op in ops {
+            assert!(listing.contains(&format!("            {op}")), "no `{op}` in\n{listing}");
+        }
     }
 
     /// Per-rule calls, completions and failures of every builtin rule in
@@ -778,9 +784,9 @@ mod leaf_calls {
 
     /// Instruction hits per pc of one profiled parse of the zip corpus
     /// file, as the general instructions counted them before field runs
-    /// existed: a run fires the hooks of every instruction it covers, and
-    /// a run that falls back (the fifth `LFH` and `CDE`, on an empty
-    /// interval) fires its head's.
+    /// existed: a record fires the hooks of every instruction it covers,
+    /// and one that fails (the fifth `LFH` and `CDE`, on an empty
+    /// interval) those of the instructions up to the one that fails.
     #[test]
     fn field_runs_keep_the_zip_pc_hits() {
         let f = super::common::format("zip");
@@ -793,7 +799,29 @@ mod leaf_calls {
         ];
         assert_eq!(report.instr_hits, expected);
         assert_eq!(stats.steps, 215);
-        assert!(f.vm.program().disassemble(f.grammar).contains("  fields "), "zip has runs");
+        assert!(f.vm.program().disassemble(f.grammar).contains("  record\n"), "zip has records");
+    }
+
+    /// Instruction hits per pc and the steps of one profiled parse of the
+    /// dns corpus file, as the general instructions counted them before
+    /// records existed: `Q` and `A` run records that read `Name.end`, a
+    /// sibling before them, and `Ptr` and `Label` records whose guards
+    /// fail in place (four of the eight `Ptr` calls meet a label, and one
+    /// `Label` call meets a pointer).
+    #[test]
+    fn records_keep_the_dns_pc_hits() {
+        let f = super::common::format("dns");
+        let input = super::common::default_corpus_input("dns");
+        let (result, stats, report) = f.vm.parse_profiled(&input);
+        assert!(result.is_ok(), "dns corpus file rejected");
+        let expected: [u64; 57] = [
+            1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 5,
+            5, 4, 4, 1, 1, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 8, 4, 3, 1, 8, 8, 8, 4, 4, 4, 3, 3, 3,
+        ];
+        assert_eq!(report.instr_hits, expected);
+        assert_eq!(stats.steps, 228);
+        let listing = f.vm.program().disassemble(f.grammar);
+        assert!(listing.contains("call U16[s0:Name.end, 2 + s0:Name.end]"), "{listing}");
     }
 
     /// Instruction hits per pc and the steps of one profiled parse of the

@@ -225,27 +225,31 @@ fn assert_oracle(f: &common::Format, input: &[u8], fuel: u64, split: usize, memo
     assert_eq!(streamed, reference, "streamed, {ctx}");
 }
 
-/// The fallback edges of field runs (`fields` in a bytecode listing): a
-/// run decodes its whole record at once only when all of it is in bounds,
-/// the fuel lasts to its end, its literal matches and the frame is not an
-/// open streaming root; anything else runs the general instructions. For
-/// every corpus grammar with a run, on a small valid input, each case
-/// below must leave the interpreter, the one-shot VM and a streamed
-/// session agreeing on the tree, the steps and the deepest error:
+/// The edges of records (`record` in a bytecode listing): a record
+/// decodes its run in one pass where the run succeeds or fails, and runs
+/// the general instructions only when the fuel might run out inside it,
+/// a sibling's attribute it reads is undefined, or its frame is an open
+/// streaming root. For every corpus grammar with a record, on a small
+/// valid input, each case below must leave the interpreter, the one-shot
+/// VM and a streamed session agreeing on the tree, the steps and the
+/// deepest error:
 ///
 /// * the input truncated at every byte of each record's first 64 bytes;
-/// * each of a record's first 8 bytes flipped (every literal a run starts
-///   with lies there);
+/// * each of a record's first 8 bytes flipped (every literal a record
+///   starts with lies there, and elf's `Cls` and `Enc` bytes, whose
+///   guards then fail in place);
 /// * the step limit set to every step count up to the whole parse's;
 /// * the session's input split at every byte of each record's first 64.
-mod field_run_edges {
+mod record_edges {
     use super::assert_oracle;
     use super::common::{self, Format, AGREE_FUEL};
+    use ipg_core::frontend::parse_grammar;
+    use ipg_core::interp::vm::VmParser;
     use ipg_core::interp::Parser;
     use ipg_core::tree::Tree;
     use std::rc::Rc;
 
-    /// A small valid input of each grammar with field runs.
+    /// A small valid input of each grammar with records.
     pub(super) fn small_input(name: &str) -> Option<Vec<u8>> {
         use ipg_corpus::*;
         let zip = |method| zip::Config { n_entries: 2, payload_len: 24, method, seed: 7 };
@@ -284,19 +288,20 @@ mod field_run_edges {
                 png::generate(&config).bytes
             }
             "pe" => pe::generate(&pe::Config { n_sections: 2, section_size: 16, seed: 7 }).bytes,
+            "pdf" => pdf::generate(&pdf::Config { n_objects: 2, stream_len: 8, seed: 7 }).bytes,
             "ipv4udp" => ipv4udp::generate(&Default::default()).bytes,
             _ => return None,
         })
     }
 
-    /// The rules of `f` whose listing has a field run.
-    fn rules_with_runs(f: &Format) -> Vec<String> {
+    /// The rules of `f` whose listing has a record.
+    fn rules_with_records(f: &Format) -> Vec<String> {
         let listing = f.vm.program().disassemble(f.grammar);
         let (mut rule, mut rules) = ("", Vec::new());
         for line in listing.lines() {
             if let Some(header) = line.strip_prefix("rule ") {
                 rule = header.split_whitespace().nth(1).unwrap_or("").trim_end_matches(':');
-            } else if line.trim_start().contains("  fields ") && !rules.iter().any(|r| r == rule) {
+            } else if line.ends_with("  record") && !rules.iter().any(|r| r == rule) {
                 rules.push(rule.to_owned());
             }
         }
@@ -321,9 +326,9 @@ mod field_run_edges {
     fn every_fallback_edge_agrees_across_engines() {
         let mut covered = Vec::new();
         for f in common::formats() {
-            let rules = rules_with_runs(&f);
+            let rules = rules_with_records(&f);
             let Some(input) = small_input(f.name) else {
-                assert!(rules.is_empty(), "{}: field runs but no small input", f.name);
+                assert!(rules.is_empty(), "{}: records but no small input", f.name);
                 continue;
             };
             if rules.is_empty() {
@@ -351,7 +356,97 @@ mod field_run_edges {
             }
             covered.push(f.name);
         }
-        assert_eq!(covered.len(), 8, "grammars with field runs: {covered:?}");
+        assert_eq!(covered.len(), 9, "grammars with records: {covered:?}");
+    }
+
+    /// elf's header is one record from its magic to `shstrndx`, guards
+    /// included: each class and encoding byte its guards reject fails the
+    /// record in place, at the guard, with memoization on and off.
+    #[test]
+    fn elf_header_guards_fail_in_place() {
+        let f = common::format("elf");
+        let listing = f.vm.program().disassemble(f.grammar);
+        assert!(listing.contains("    0003  record\n"), "{listing}");
+        assert!(listing.contains("            guard s1:Cls.val = 2\n"), "{listing}");
+        let input = small_input("elf").expect("elf has a small input");
+        for (at, byte) in [(4, 1), (4, 3), (4, 0xfd), (5, 0), (5, 2), (5, 0xfe)] {
+            let mut changed = input.clone();
+            changed[at] = byte;
+            assert!(Parser::new(f.grammar).parse(&changed).is_err(), "byte {at} = {byte}");
+            for memoize in [true, false] {
+                for split in [0, at, at + 1, 64] {
+                    assert_oracle(&f, &changed, AGREE_FUEL, split, memoize);
+                }
+                let steps = f.vm.clone().memoize(memoize).parse_with_stats(&changed).1.steps;
+                for fuel in 0..=steps {
+                    assert_oracle(&f, &changed, fuel, 32, memoize);
+                }
+            }
+        }
+    }
+
+    /// A record's endpoints must be affine: a field whose left endpoint is
+    /// `Len.val * Len.val` ends every run at it, so the first grammar
+    /// below compiles to no record at all and runs the general
+    /// instructions.
+    /// In the second, the same product is a `bytes` field's endpoint, and
+    /// the run after it is a record that loads that sibling's `end`. Both
+    /// agree across engines at every split and step limit, with
+    /// memoization on and off.
+    #[test]
+    fn runs_whose_base_is_not_affine() {
+        let cases = [
+            (
+                r#"
+                S -> Len[0, 1] U16[Len.val * Len.val, Len.val * Len.val + 2] {a = U16.val}
+                     U8[Len.val * Len.val + 2, Len.val * Len.val + 3] {c = U8.val};
+                Len := u8;
+                U16 := u16be;
+                U8 := u8;
+                "#,
+                None,
+            ),
+            (
+                r#"
+                S -> Len[0, 1] Pad[1, 1 + Len.val * Len.val]
+                     U16[Pad.end, Pad.end + 2] {a = U16.val} U16[2] {b = U16.val};
+                Len := u8;
+                Pad := bytes;
+                U16 := u16be;
+                "#,
+                Some("call U16[s1:Pad.end, 2 + s1:Pad.end] -> s2"),
+            ),
+        ];
+        let inputs: [&[u8]; 7] = [
+            &[0, 1, 2, 3],
+            &[1, 9, 1, 2, 3, 4, 5],
+            &[2, 1, 2, 3, 4, 5, 6, 7, 8],
+            &[2, 1, 2, 3, 4, 5],
+            &[3, 1, 2],
+            &[0x80, 1, 2, 3, 4, 5],
+            &[],
+        ];
+        for (spec, op) in cases {
+            let g = parse_grammar(spec).unwrap();
+            let vm: &'static VmParser = Box::leak(Box::new(VmParser::new(&g)));
+            let listing = vm.program().disassemble(&g);
+            match op {
+                None => assert!(!listing.contains("  record"), "a record in\n{listing}"),
+                Some(op) => assert!(listing.contains(op), "no `{op}` in\n{listing}"),
+            }
+            let f = Format { name: "non-affine base", grammar: vm.grammar(), vm };
+            for input in inputs {
+                for memoize in [true, false] {
+                    for split in 0..=input.len() {
+                        assert_oracle(&f, input, AGREE_FUEL, split, memoize);
+                    }
+                    let steps = vm.clone().memoize(memoize).parse_with_stats(input).1.steps;
+                    for fuel in 0..=steps {
+                        assert_oracle(&f, input, fuel, input.len() / 2, memoize);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -413,7 +508,7 @@ mod scan_edges {
         let names: Vec<_> = with_scans.iter().map(|f| f.name).collect();
         assert_eq!(names, ["elf"], "a new grammar with a scan needs its own edge cases here");
         let f = &with_scans[0];
-        let input = super::field_run_edges::small_input("elf").expect("elf has a small input");
+        let input = super::record_edges::small_input("elf").expect("elf has a small input");
         let reference = Parser::new(f.grammar).parse(&input).expect("small input parses");
         let (mut tables, mut headers) = (Vec::new(), Vec::new());
         nodes(&reference, "StrSec", &mut tables);
@@ -644,7 +739,7 @@ mod chain_edges {
     fn zip_lists_agree_at_every_edge() {
         let f = common::format("zip");
         assert!(f.vm.program().disassemble(f.grammar).contains("  chain LFH"));
-        let input = super::field_run_edges::small_input("zip").expect("zip has a small input");
+        let input = super::record_edges::small_input("zip").expect("zip has a small input");
         let eocd = input.len() - 22;
         let cdofs = u32_at(&input, eocd + 16);
         let lfhs: Vec<_> =
