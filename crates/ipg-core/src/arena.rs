@@ -240,8 +240,9 @@ pub(crate) struct ABlackbox {
 /// the pool counts towards [`TreeArena::capacity`].
 const ATTRS_PER_NODE: usize = 4;
 
-/// All parse-tree records of one VM parse, stored per kind.
-#[derive(Debug)]
+/// All parse-tree records of one VM parse, stored per kind. The default
+/// arena is empty, allocates nothing and belongs to no program yet.
+#[derive(Debug, Default)]
 pub struct TreeArena {
     nodes: Vec<ANode>,
     builtins: Vec<ABuiltin>,
@@ -253,33 +254,22 @@ pub struct TreeArena {
     children: Vec<TreeId>,
     /// The attribute pool: every node's and blackbox's values.
     attrs: Vec<i64>,
-    layouts: Arc<Layouts>,
+    /// The layouts of the program whose parse the arena last served.
+    layouts: Option<Arc<Layouts>>,
 }
 
 impl TreeArena {
-    /// An allocation-free placeholder (what a finished streaming session
-    /// swaps in when handing its arena over).
-    pub(crate) fn empty(layouts: Arc<Layouts>) -> Self {
-        TreeArena {
-            nodes: Vec::new(),
-            builtins: Vec::new(),
-            arrays: Vec::new(),
-            leaves: Vec::new(),
-            blackboxes: Vec::new(),
-            shifts: Vec::new(),
-            children: Vec::new(),
-            attrs: Vec::new(),
-            layouts,
-        }
-    }
-
     /// Readies an empty (or [`TreeArena::clear`]ed) arena for a parse of
     /// the program with `layouts`: the pools keep their allocations and
     /// grow to at least the capacities pre-sized from compile-time
-    /// program statistics ([`crate::bytecode::Program::size_hints`]).
-    pub(crate) fn reset(&mut self, layouts: Arc<Layouts>, hints: &crate::bytecode::SizeHints) {
+    /// program statistics ([`crate::bytecode::Program::size_hints`]). An
+    /// arena recycled from a parse of the same program keeps its handle
+    /// on the layouts.
+    pub(crate) fn reset(&mut self, layouts: &Arc<Layouts>, hints: &crate::bytecode::SizeHints) {
         debug_assert!(self.is_empty(), "reset of an arena still holding records");
-        self.layouts = layouts;
+        if !self.layouts.as_ref().is_some_and(|own| Arc::ptr_eq(own, layouts)) {
+            self.layouts = Some(Arc::clone(layouts));
+        }
         self.nodes.reserve(hints.nodes);
         self.builtins.reserve(hints.builtins);
         self.leaves.reserve(hints.leaves);
@@ -288,13 +278,7 @@ impl TreeArena {
         self.attrs.reserve(hints.nodes * ATTRS_PER_NODE);
     }
 
-    /// Moves the records out, leaving an empty arena of the same program.
-    pub(crate) fn take(&mut self) -> TreeArena {
-        let empty = TreeArena::empty(self.layouts.clone());
-        std::mem::replace(self, empty)
-    }
-
-    /// Drops every record, keeping the pools' allocations.
+    /// Drops every record, keeping the pools' allocations and the layouts.
     pub(crate) fn clear(&mut self) {
         self.nodes.clear();
         self.builtins.clear();
@@ -304,6 +288,11 @@ impl TreeArena {
         self.shifts.clear();
         self.children.clear();
         self.attrs.clear();
+    }
+
+    /// The layouts of the program this arena's records belong to.
+    fn layouts(&self) -> &Layouts {
+        self.layouts.as_deref().expect("an arena holding records belongs to a program")
     }
 
     /// The largest capacity of any pool, in records (the attribute pool
@@ -528,7 +517,7 @@ impl TreeArena {
 
     /// The name of nonterminal `nt`.
     pub fn nt_name(&self, nt: NtId) -> &str {
-        &self.layouts.table.names[nt.0 as usize]
+        &self.layouts().table.names[nt.0 as usize]
     }
 
     /// Tree `id` as a nonterminal node, if it is one.
@@ -684,7 +673,7 @@ impl<'a> TreeRef<'a> {
     /// duplicated by value). The differential tests compare the result
     /// against the reference interpreter's output with `==`.
     pub fn to_tree(&self) -> Rc<Tree> {
-        let layouts = &self.arena.layouts;
+        let layouts = self.arena.layouts();
         let table = &layouts.table;
         let (id, delta) = self.arena.resolve(self.id);
         match self.arena.entry(id) {
@@ -791,7 +780,7 @@ impl<'a> NodeRef<'a> {
     /// Looks up an attribute by pre-resolved symbol (a search of the
     /// node's shape; [`NodeRef::get`] reads a resolved slot directly).
     pub fn attr_by_sym(&self, sym: Sym) -> Option<i64> {
-        let shape = self.arena.layouts.node_shape(self.nt(), self.alt_index() as u32);
+        let shape = self.arena.layouts().node_shape(self.nt(), self.alt_index() as u32);
         shape.iter().find(|b| b.sym == sym).map(|b| self.value(b.slot))
     }
 
@@ -930,7 +919,7 @@ impl<'a> BlackboxRef<'a> {
     /// Looks up a declared attribute by name.
     pub fn attr(&self, grammar: &crate::check::Grammar, name: &str) -> Option<i64> {
         let sym = grammar.attr_sym(name)?;
-        let shape = self.arena.layouts.node_shape(self.bb.nt, 0);
+        let shape = self.arena.layouts().node_shape(self.bb.nt, 0);
         self.arena.attr_by_sym(shape, self.bb.attrs, self.delta, sym)
     }
 

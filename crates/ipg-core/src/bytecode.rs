@@ -738,34 +738,58 @@ fn node_width(alts: &[CAlt]) -> usize {
     attrs.len()
 }
 
-/// An affine form under construction: `c + Σ coef·src`, like terms merged.
-#[derive(Clone, Default)]
+/// Most distinct reads an affine form under construction holds; an
+/// expression that needs more is not folded.
+const LIN_TERMS: usize = 8;
+
+/// An affine form under construction: `c + Σ coef·src`, like terms merged,
+/// held inline so that folding an expression allocates nothing.
+#[derive(Clone, Copy)]
 struct Lin {
     c: i64,
-    terms: Vec<(i64, Src, u16)>,
+    len: usize,
+    terms: [(i64, Src, u16); LIN_TERMS],
 }
 
 impl Lin {
     fn constant(c: i64) -> Lin {
-        Lin { c, terms: Vec::new() }
+        Lin { c, len: 0, terms: [(0, Src::Byte, NO_SLOT); LIN_TERMS] }
     }
 
     fn term(src: Src, reg: u16) -> Lin {
-        Lin { c: 0, terms: vec![(1, src, reg)] }
+        let mut lin = Lin::constant(0);
+        lin.terms[0] = (1, src, reg);
+        lin.len = 1;
+        lin
     }
 
-    /// `self + k·other`, wrapping.
-    fn add(mut self, k: i64, other: Lin) -> Lin {
+    fn terms(&self) -> &[(i64, Src, u16)] {
+        &self.terms[..self.len]
+    }
+
+    /// `self + k·other`, wrapping; `None` if it has more than
+    /// [`LIN_TERMS`] terms.
+    fn add(mut self, k: i64, other: Lin) -> Option<Lin> {
         self.c = self.c.wrapping_add(k.wrapping_mul(other.c));
-        for (coef, src, reg) in other.terms {
+        for &(coef, src, reg) in other.terms() {
             let coef = k.wrapping_mul(coef);
-            match self.terms.iter_mut().find(|t| t.1 == src) {
+            match self.terms[..self.len].iter_mut().find(|t| t.1 == src) {
                 Some(t) => t.0 = t.0.wrapping_add(coef),
-                None => self.terms.push((coef, src, reg)),
+                None => {
+                    *self.terms.get_mut(self.len)? = (coef, src, reg);
+                    self.len += 1;
+                }
             }
         }
-        self.terms.retain(|t| t.0 != 0);
-        self
+        let mut kept = 0;
+        for i in 0..self.len {
+            if self.terms[i].0 != 0 {
+                self.terms[kept] = self.terms[i];
+                kept += 1;
+            }
+        }
+        self.len = kept;
+        Some(self)
     }
 }
 
@@ -1014,10 +1038,10 @@ impl Compiler<'_> {
         let lin = |e| self.lin(e, reads);
         Some(match self.out.exprs[e.0 as usize] {
             BExpr::Num(n) => Lin::constant(n),
-            BExpr::Bin(BinOp::Add, a, b) => lin(a)?.add(1, lin(b)?),
-            BExpr::Bin(BinOp::Sub, a, b) => lin(a)?.add(-1, lin(b)?),
+            BExpr::Bin(BinOp::Add, a, b) => lin(a)?.add(1, lin(b)?)?,
+            BExpr::Bin(BinOp::Sub, a, b) => lin(a)?.add(-1, lin(b)?)?,
             BExpr::Bin(BinOp::Mul, a, b) => match (lin(a)?, lin(b)?) {
-                (k, x) | (x, k) if k.terms.is_empty() => Lin::default().add(k.c, x),
+                (k, x) | (x, k) if k.len == 0 => Lin::constant(0).add(k.c, x)?,
                 _ => return None,
             },
             e @ (BExpr::Eoi | BExpr::Local { .. }) => {
@@ -1059,7 +1083,8 @@ impl Compiler<'_> {
                     if !shifted && attr != wellknown::EOI && !attrs.contains(&attr) {
                         return None;
                     }
-                    Lin::constant(i64::from(shifted)).add(1, Lin::term(Src::Inner(attr), NO_SLOT))
+                    Lin::constant(i64::from(shifted))
+                        .add(1, Lin::term(Src::Inner(attr), NO_SLOT))?
                 }
                 Reads::Scan { .. } => return None,
             },
@@ -1105,14 +1130,14 @@ impl Compiler<'_> {
     /// `e`'s value, if it folds to a constant.
     fn constant(&self, e: ExprId) -> Option<i64> {
         let lin = self.lin(e, Reads::Scan { byte: NO_SLOT, inner: None })?;
-        lin.terms.is_empty().then_some(lin.c)
+        (lin.len == 0).then_some(lin.c)
     }
 
     fn push_aff(&mut self, lin: Lin) -> Aff {
         let first = self.out.terms.len() as u32;
-        let terms = lin.terms.iter().map(|&(coef, src, reg)| Term { coef, reg, src });
+        let terms = lin.terms().iter().map(|&(coef, src, reg)| Term { coef, reg, src });
         self.out.terms.extend(terms);
-        Aff { c: lin.c, first, len: lin.terms.len() as u32 }
+        Aff { c: lin.c, first, len: lin.len as u32 }
     }
 
     /// The [`ListChain`] that rule `nt` is an instance of, if it is one

@@ -15,14 +15,16 @@
 //!   `Vec` instead of recursing, so deeply nested inputs cannot overflow
 //!   the native stack and frame storage (attribute and result slots) is
 //!   recycled across calls — and across parses: the frame stack, memo
-//!   tables and an arena live in a per-thread `Workspace` that each parse
-//!   borrows and hands back cleared. A successful parse's arena leaves
-//!   with its [`ParseTree`] and comes back when the tree drops. The
-//!   deepest failure is kept as an unrendered `Reason` and becomes a
-//!   [`ParseError`] only when a parse returns it. A failing parse thus
-//!   allocates only its error and the element lists of the `for`/`star`
-//!   terms it runs, and so does a successful one that follows a dropped
-//!   tree.
+//!   tables and an arena live in one boxed per-thread `Workspace`, which
+//!   a parse takes from the thread's slot and puts back with one pointer
+//!   swap each way, works in in place, and clears only where it was used.
+//!   A successful parse's arena leaves with its [`ParseTree`] and comes
+//!   back when the tree drops. The deepest failure is kept as an
+//!   unrendered `Reason` and becomes a [`ParseError`] only when a parse
+//!   returns it, its nonterminal and message rendered into one
+//!   exactly-sized `String` each. A failing parse thus allocates those
+//!   two strings and the element lists of the `for`/`star` terms it runs,
+//!   and a successful one that follows a dropped tree only the lists.
 //! * **Leaf calls**: a builtin callee runs inside the calling instruction
 //!   — no frame, no memo entry — and its result is one compact arena
 //!   record, born re-based into the caller's coordinates, so it needs no
@@ -113,9 +115,10 @@ use crate::error::{Error, ParseError, Result};
 use crate::intern::Sym;
 use crate::layout::{self, Layouts, END_SLOT, EOI_SLOT, START_SLOT};
 use crate::profile::{ProfSink, ProfileReport, Profiler};
-use crate::syntax::Builtin;
+use crate::syntax::{format_bytes_len, push_bytes, Builtin};
 use fxhash::{FxHashMap, FxHashSet};
 use std::cell::Cell;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A configured bytecode parser for one grammar. The API mirrors
@@ -181,7 +184,7 @@ impl Drop for ParseTree {
     /// [`Workspace`], so that thread's next parse refills it instead of
     /// regrowing its pools.
     fn drop(&mut self) {
-        Workspace::give_back_arena(self.arena.take());
+        Workspace::give_back_arena(std::mem::take(&mut self.arena));
     }
 }
 
@@ -324,7 +327,7 @@ impl VmParser {
     pub fn parse_profiled(&self, input: &[u8]) -> (Result<ParseTree>, ParseStats, ProfileReport) {
         let p = &self.img.program;
         let mut prof = Profiler::new(p.rule_count(), p.instr_count());
-        let sess = self.fresh_session_with(input, &mut prof);
+        let sess = self.fresh_session_with(&*self.img, input, &mut prof);
         let (result, stats) = self.run_one_shot(sess, p.start_nt(), FuelMsg::Verbose);
         let report = ProfileReport::build(&self.img.grammar, p, prof);
         (result, stats, report)
@@ -337,15 +340,12 @@ impl VmParser {
     /// point (the differential tests compare errors per entry point).
     fn run_one_shot<I: AsRef<[u8]>, PS: ProfSink>(
         &self,
-        mut sess: VmSession<I, PS>,
+        mut sess: VmSession<&Image, I, PS>,
         nt: NtId,
         fuel_msg: FuelMsg,
     ) -> (Result<ParseTree>, ParseStats) {
         let result = match sess.run_root(nt) {
-            Ok(Some(root)) => {
-                let stats = sess.stats();
-                return (Ok(ParseTree { arena: sess.arena.take(), root }), stats);
-            }
+            Ok(Some(root)) => Ok(ParseTree { arena: std::mem::take(&mut sess.ws.arena), root }),
             Ok(None) => {
                 Err(Error::Parse(sess.deepest.render(&sess.img.grammar, &sess.img.program)))
             }
@@ -356,47 +356,46 @@ impl VmParser {
             Err(Abort::Suspend) => unreachable!("one-shot sessions never suspend"),
         };
         let stats = sess.stats();
+        sess.close();
         (result, stats)
     }
 
-    fn fresh_session<I: AsRef<[u8]>>(&self, input: I) -> VmSession<I> {
-        self.fresh_session_with(input, ())
+    /// A one-shot session over `input`, borrowing the parser's image.
+    fn fresh_session<'a>(&'a self, input: &'a [u8]) -> VmSession<&'a Image, &'a [u8]> {
+        self.fresh_session_with(&*self.img, input, ())
     }
 
-    fn fresh_session_with<I: AsRef<[u8]>, PS: ProfSink>(
+    /// A session of this parser's settings over `input`, reading the
+    /// image through `img`.
+    fn fresh_session_with<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink>(
         &self,
+        img: G,
         input: I,
         prof: PS,
-    ) -> VmSession<I, PS> {
+    ) -> VmSession<G, I, PS> {
         // The working storage comes from this thread's previous parse.
         // Memo mirror of the interpreter's pre-sizing heuristic; arena and
         // frame stack are pre-sized from compile-time program statistics
         // (instruction counts, static call-graph nesting). Buffers
         // recycled from a parse of the same grammar are already that
-        // large. The frame stack keeps its dead slots, hence its reserve
-        // counts from its length.
-        let img = &self.img;
+        // large, and its arena already holds the layouts. The frame stack
+        // keeps its dead slots, hence its reserve counts from its length.
         let mut ws = Workspace::take();
         if self.memoize {
             ws.memo.map.reserve(8 * img.grammar.nt_count());
         }
         ws.memo.top.resize(img.grammar.nt_count(), 0);
         ws.frames.reserve(img.hints.frames.saturating_sub(ws.frames.len()));
-        let mut arena = ws.arena.take().unwrap_or_else(|| TreeArena::empty(img.layouts.clone()));
-        arena.reset(img.layouts.clone(), &img.hints);
+        ws.arena.reset(&img.layouts, &img.hints);
         VmSession {
-            img: Arc::clone(img),
+            img,
             input,
-            arena,
-            memo: ws.memo,
-            builtin_failures: ws.builtin_failures,
+            ws,
             memoize: self.memoize,
             steps: 0,
             memo_hits: 0,
             max_steps: self.max_steps.unwrap_or(u64::MAX),
             deepest: Deepest { offset: 0, nt: None, reason: Reason::NoProgress },
-            frames: ws.frames,
-            levels: ws.levels,
             depth: 0,
             complete: true,
             root_open: false,
@@ -422,12 +421,37 @@ enum FuelMsg {
 impl FuelMsg {
     fn render(self, max_steps: u64) -> String {
         match self {
-            FuelMsg::Verbose => {
-                format!("step limit of {max_steps} exhausted (possible non-terminating grammar)")
-            }
+            FuelMsg::Verbose => joined(&[
+                "step limit of ",
+                decimal(max_steps, &mut [0; 20]),
+                " exhausted (possible non-terminating grammar)",
+            ]),
             FuelMsg::Short => "step limit exhausted".into(),
         }
     }
+}
+
+/// `pieces` joined in one exactly-sized `String`.
+fn joined(pieces: &[&str]) -> String {
+    let mut out = String::with_capacity(pieces.iter().map(|p| p.len()).sum());
+    for piece in pieces {
+        out.push_str(piece);
+    }
+    out
+}
+
+/// `n` in decimal, written into the tail of `buf`.
+fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII")
 }
 
 /// Why the deepest failure so far failed, kept unrendered: its message
@@ -473,27 +497,39 @@ impl Deepest {
         }
     }
 
-    /// The [`ParseError`] this failure reports.
+    /// The [`ParseError`] this failure reports. Its message is the
+    /// interpreter's wording, written into one exactly-sized `String`.
     fn render(&self, g: &Grammar, p: &Program) -> ParseError {
+        let mut digits = [0; 20];
         let msg = match &self.reason {
             Reason::NoProgress => "no progress".into(),
-            Reason::Builtin(b) => format!("builtin `{b}` failed"),
-            Reason::Blackbox(msg) => format!("blackbox failed: {msg}"),
+            Reason::Builtin(b) => joined(&["builtin `", b.name(), "` failed"]),
+            Reason::Blackbox(msg) => joined(&["blackbox failed: ", msg]),
             Reason::TerminalInterval => "invalid terminal interval".into(),
-            Reason::TerminalTooShort(blen) => {
-                format!("interval too short for terminal of length {blen}")
-            }
+            Reason::TerminalTooShort(blen) => joined(&[
+                "interval too short for terminal of length ",
+                decimal(u64::from(*blen), &mut digits),
+            ]),
             Reason::TerminalMismatch(lit) => {
+                const EXPECTED: &str = "terminal mismatch (expected ";
                 let bytes = &p.lits[lit.start as usize..lit.start as usize + lit.len as usize];
-                format!("terminal mismatch (expected {})", super::preview(bytes))
+                let mut msg = String::with_capacity(EXPECTED.len() + format_bytes_len(bytes) + 1);
+                msg.push_str(EXPECTED);
+                push_bytes(&mut msg, bytes);
+                msg.push(')');
+                msg
             }
-            Reason::Attr(attr) => format!("attribute `{}` evaluation failed", g.attr_name(*attr)),
+            Reason::Attr(attr) => {
+                joined(&["attribute `", g.attr_name(*attr), "` evaluation failed"])
+            }
             Reason::Predicate => "predicate failed".into(),
             Reason::PredicateEval => "predicate evaluation failed".into(),
-            Reason::Interval(callee) => format!("invalid interval for `{}`", g.nt_name(*callee)),
+            Reason::Interval(callee) => {
+                joined(&["invalid interval for `", g.nt_name(*callee), "`"])
+            }
             Reason::ArrayBounds => "array bounds evaluation failed".into(),
             Reason::StarInterval => "invalid star interval".into(),
-            Reason::StarEmpty(nt) => format!("star needs at least one `{}`", g.nt_name(*nt)),
+            Reason::StarEmpty(nt) => joined(&["star needs at least one `", g.nt_name(*nt), "`"]),
             Reason::SwitchGuard => "switch guard evaluation failed".into(),
         };
         self.render_with(g, msg)
@@ -516,84 +552,121 @@ impl Deepest {
 /// pay for its capacity.
 const RETAIN_MAX: usize = 4096;
 
-/// The working storage of a VM parse, recycled per thread.
-/// [`VmParser::fresh_session_with`] takes it and a [`VmSession`]'s drop
-/// hands it back cleared, so a parse reuses the allocations of the
+/// The working storage of a VM parse, recycled per thread. Between parses
+/// it sits boxed in the thread's slot: [`VmParser::fresh_session_with`]
+/// takes the box out with one pointer-sized swap, the session works in it
+/// in place, and [`VmSession::close`] clears what the parse used and puts
+/// the box back the same way, so a parse reuses the allocations of the
 /// thread's previous parse instead of making its own. The arena of a
-/// successful parse leaves with its [`ParseTree`] and comes back when the
-/// tree drops, on whichever thread drops it. A parse that finds the
-/// workspace taken (a session still open on the same thread) starts from
-/// an empty one; whichever is handed back last is kept, except that a
-/// session without an arena keeps the one parked meanwhile.
+/// successful parse leaves with its [`ParseTree`]; when the tree drops,
+/// on whichever thread drops it, the arena waits in that thread's
+/// `TREE_ARENA` for the next workspace without one. A parse that finds
+/// the slot empty (the thread's first parse, or a session still open on
+/// the same thread) starts from a new workspace; whichever is handed back
+/// last is kept, with the other's arena if it has none. A parse that
+/// unwinds frees its workspace instead.
 #[derive(Default)]
 struct Workspace {
-    /// Dead frames, each keeping its attribute- and result-slot storage.
+    /// The frame stack: the session's `frames[..depth]` are live. Slots
+    /// above `depth` are dead but keep their allocations (attribute and
+    /// result slots) for reuse, so pushing a frame never moves one by
+    /// value.
     frames: Vec<Frame>,
     memo: Memo,
+    /// Builtin invocations that already recorded their failure. The VM
+    /// re-executes builtins instead of memoizing them; this set keeps the
+    /// *deepest-failure* bookkeeping identical to the interpreter, where a
+    /// repeated failing builtin is a silent memo hit. Touched only on the
+    /// (rare) builtin failure path.
     builtin_failures: FxHashSet<(NtId, usize, usize)>,
-    /// A cleared arena: a failed parse's, or a dropped tree's.
-    arena: Option<TreeArena>,
-    /// The chain levels' stack, empty.
+    /// The levels of the chains in flight, each chain's above those of the
+    /// chains it runs inside.
     levels: Vec<Level>,
+    /// The parse's arena; between parses a failed parse's, cleared, or
+    /// the empty default when a tree took it.
+    arena: TreeArena,
 }
 
 thread_local! {
-    static WORKSPACE: Cell<Workspace> = Cell::default();
+    static WORKSPACE: Cell<Option<Box<Workspace>>> = const { Cell::new(None) };
+    /// The arena of the tree the thread dropped last, cleared: it waits
+    /// here, and not in the workspace, so that a tree dropped while a
+    /// session holds the workspace parks it without a new box.
+    static TREE_ARENA: Cell<TreeArena> = Cell::default();
 }
 
 impl Workspace {
-    fn take() -> Workspace {
-        WORKSPACE.try_with(Cell::take).unwrap_or_default()
+    /// This thread's parked workspace, or a new one if there is none,
+    /// with the last dropped tree's arena if its own left with a tree.
+    fn take() -> Box<Workspace> {
+        let mut ws = WORKSPACE.try_with(Cell::take).ok().flatten().unwrap_or_default();
+        if ws.arena.capacity() == 0 {
+            ws.arena = TREE_ARENA.try_with(Cell::take).unwrap_or_default();
+        }
+        ws
     }
 
-    /// Clears every buffer, drops those over [`RETAIN_MAX`], and parks the
-    /// rest for the thread's next parse.
-    fn give_back(mut self) {
+    /// Clears what a parse that left `depth` frames live used, drops
+    /// buffers over [`RETAIN_MAX`], and parks the workspace for the
+    /// thread's next parse.
+    fn give_back(mut self: Box<Self>, depth: usize) {
+        // Frames still live (an abort or an abandoned streaming session)
+        // may hold in-flight loop or star state.
+        for f in &mut self.frames[..depth] {
+            f.pending = Pending::None;
+        }
         if self.frames.capacity() > RETAIN_MAX {
             self.frames = Vec::new();
         }
-        if self.memo.map.capacity() > RETAIN_MAX {
-            self.memo.map = FxHashMap::default();
+        // Only a parse that inserted a key raised a rule's mark.
+        if !self.memo.map.is_empty() {
+            if self.memo.map.capacity() > RETAIN_MAX {
+                self.memo.map = FxHashMap::default();
+            }
+            self.memo.map.clear();
+            self.memo.top.fill(0);
         }
-        self.memo.map.clear();
-        self.memo.top.clear();
+        if !self.builtin_failures.is_empty() {
+            if self.builtin_failures.capacity() > RETAIN_MAX {
+                self.builtin_failures = FxHashSet::default();
+            }
+            self.builtin_failures.clear();
+        }
         if self.levels.capacity() > RETAIN_MAX {
             self.levels = Vec::new();
         }
         self.levels.clear();
-        if self.builtin_failures.capacity() > RETAIN_MAX {
-            self.builtin_failures = FxHashSet::default();
-        }
-        self.builtin_failures.clear();
-        self.arena = self.arena.and_then(retained);
+        retain(&mut self.arena);
         // Unavailable only while the thread's locals are being torn down.
-        let _ = WORKSPACE.try_with(|w| {
-            if self.arena.is_none() {
-                // Keep the arena a tree dropped while this parse ran.
-                self.arena = w.take().arena;
+        let _ = WORKSPACE.try_with(|slot| {
+            if let Some(parked) = slot.take() {
+                if self.arena.capacity() == 0 {
+                    // Keep the arena of a parse that ran meanwhile.
+                    self.arena = parked.arena;
+                }
             }
-            w.set(self);
+            slot.set(Some(self));
         });
     }
 
     /// Parks a dropped tree's arena, cleared, for the thread's next parse,
     /// unless it is over [`RETAIN_MAX`].
-    fn give_back_arena(arena: TreeArena) {
-        let Some(arena) = retained(arena) else { return };
-        let _ = WORKSPACE.try_with(|w| {
-            let mut ws = w.take();
-            ws.arena = Some(arena);
-            w.set(ws);
-        });
+    fn give_back_arena(mut arena: TreeArena) {
+        retain(&mut arena);
+        if arena.capacity() > 0 {
+            let _ = TREE_ARENA.try_with(|slot| slot.set(arena));
+        }
     }
 }
 
-/// `arena`, cleared, if it is small enough to keep (see [`RETAIN_MAX`]).
-fn retained(mut arena: TreeArena) -> Option<TreeArena> {
-    (arena.capacity() <= RETAIN_MAX).then(|| {
+/// Clears `arena` if it is small enough to keep (see [`RETAIN_MAX`]), and
+/// frees its pools otherwise.
+fn retain(arena: &mut TreeArena) {
+    if arena.capacity() > RETAIN_MAX {
+        *arena = TreeArena::default();
+    } else {
         arena.clear();
-        arena
-    })
+    }
 }
 
 /// The memo table: a rule call's result per `(rule, base, len)` key, and
@@ -844,32 +917,22 @@ impl Default for Frame {
     }
 }
 
-struct VmSession<I, PS: ProfSink = ()> {
-    /// The parser's image, held for the session's lifetime.
-    img: Arc<Image>,
+struct VmSession<G, I, PS: ProfSink = ()> {
+    /// The parser's image: borrowed by a one-shot parse, shared through
+    /// its `Arc` by a streaming [`Session`], which may outlive the parser.
+    img: G,
     /// The input bytes: a borrowed slice for one-shot parses, an owned
     /// growing buffer for streaming [`Session`]s.
     input: I,
-    arena: TreeArena,
-    memo: Memo,
-    /// Builtin invocations that already recorded their failure. The VM
-    /// re-executes builtins instead of memoizing them; this set keeps the
-    /// *deepest-failure* bookkeeping identical to the interpreter, where a
-    /// repeated failing builtin is a silent memo hit. Touched only on the
-    /// (rare) builtin failure path.
-    builtin_failures: FxHashSet<(NtId, usize, usize)>,
+    /// The working storage, used in place: the frame stack
+    /// (`frames[..depth]` live), the memo table, the chain levels, the
+    /// builtin-failure set and the arena.
+    ws: Box<Workspace>,
     memoize: bool,
     steps: u64,
     memo_hits: u64,
     max_steps: u64,
     deepest: Deepest,
-    /// The frame stack: `frames[..depth]` are live. Slots above `depth`
-    /// are dead but keep their allocations (attribute and result slots)
-    /// for reuse, so pushing a frame never moves one by value.
-    frames: Vec<Frame>,
-    /// The levels of the chains in flight, each chain's above those of the
-    /// chains it runs inside.
-    levels: Vec<Level>,
     depth: usize,
     /// Whether the whole input is present. One-shot parses are always
     /// complete; a streaming session flips this in `finish`. While
@@ -897,12 +960,12 @@ struct VmSession<I, PS: ProfSink = ()> {
     prof: PS,
 }
 
-impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
+impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS> {
     fn stats(&self) -> ParseStats {
         ParseStats {
             steps: self.steps,
             memo_hits: self.memo_hits,
-            memo_entries: self.memo.map.len(),
+            memo_entries: self.ws.memo.map.len(),
         }
     }
 
@@ -976,7 +1039,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         // Length 0 is a placeholder until sealed; gated reads suspend
         // instead.
         self.push_frame(nt, 0, 0, 0, NO_PARENT, memoizable);
-        self.frames[0].slots[..3].copy_from_slice(&[OPEN_LEN, OPEN_LEN, 0]);
+        self.ws.frames[0].slots[..3].copy_from_slice(&[OPEN_LEN, OPEN_LEN, 0]);
         self.root_open = true;
         Ok(true)
     }
@@ -989,7 +1052,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             return;
         }
         let len = self.bytes().len();
-        let f = &mut self.frames[0];
+        let f = &mut self.ws.frames[0];
         f.len = len;
         // `start` only ever shrinks via `min`, so taking the `min` with the
         // real length now commutes with every update made while open.
@@ -1049,7 +1112,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                 // the builtin consumed anything.
                 let (start, end) =
                     if consumed > 0 { (0, consumed as i64) } else { (len as i64, 0) };
-                let id = self.arena.alloc_builtin(nt, base, len, consumed, l, val);
+                let id = self.ws.arena.alloc_builtin(nt, base, len, consumed, l, val);
                 Some(Ret { id, start, end })
             }
             None => {
@@ -1057,7 +1120,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                 // failure a silent hit, suppress the duplicate recording
                 // so the deepest-failure error stays identical.
                 let memoizable = self.memoize && !self.img.program.rules[nt.0 as usize].is_local;
-                if !memoizable || self.builtin_failures.insert((nt, base, len)) {
+                if !memoizable || self.ws.builtin_failures.insert((nt, base, len)) {
                     self.record_failure(base, nt, Reason::Builtin(b));
                 }
                 None
@@ -1085,7 +1148,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         let rule = &p.rules[nt.0 as usize];
         let memoizable = self.memoize && !rule.is_local;
         if memoizable {
-            if let Some(cached) = self.memo.get(nt, base, len) {
+            if let Some(cached) = self.ws.memo.get(nt, base, len) {
                 self.memo_hits += 1;
                 self.prof.memo(nt, true);
                 return Ok(CallOutcome::Done(cached.map(|id| self.rebase(id, l))));
@@ -1099,7 +1162,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                 let r = self.blackbox_result(nt, idx as usize, base, len);
                 self.prof.exit(nt, r.is_some());
                 if memoizable {
-                    self.memo.insert(nt, base, len, r);
+                    self.ws.memo.insert(nt, base, len, r);
                 }
                 Ok(CallOutcome::Done(r.map(|id| self.rebase(id, l))))
             }
@@ -1108,7 +1171,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                     self.prof.enter(nt);
                     self.prof.exit(nt, false);
                     if memoizable {
-                        self.memo.insert(nt, base, len, None);
+                        self.ws.memo.insert(nt, base, len, None);
                     }
                     return Ok(CallOutcome::Done(None));
                 }
@@ -1136,11 +1199,11 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             unreachable!("frames run rules with alternatives")
         };
         let a = self.img.program.alts[(first + alt) as usize];
-        if self.depth == self.frames.len() {
-            self.frames.push(Frame::default());
+        if self.depth == self.ws.frames.len() {
+            self.ws.frames.push(Frame::default());
         }
         let width = self.img.layouts.rules[nt.0 as usize].frame_width;
-        let f = &mut self.frames[self.depth];
+        let f = &mut self.ws.frames[self.depth];
         f.nt = nt;
         f.base = base;
         f.len = len;
@@ -1163,8 +1226,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     /// `start`/`end`, read back from the record, and the record re-based
     /// by `l` — a shift record, since a memoized result may be shared.
     fn rebase(&mut self, id: TreeId, l: i64) -> Ret {
-        let (start, end) = self.arena.start_end(id);
-        Ret { id: self.arena.adjust(id, l), start, end }
+        let (start, end) = self.ws.arena.start_end(id);
+        Ret { id: self.ws.arena.adjust(id, l), start, end }
     }
 
     fn blackbox_result(&mut self, nt: NtId, idx: usize, base: usize, len: usize) -> Option<TreeId> {
@@ -1187,7 +1250,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                         }
                     }
                 };
-                Some(self.arena.alloc_blackbox(nt, shape.len(), fill, res.data.into(), base))
+                Some(self.ws.arena.alloc_blackbox(nt, shape.len(), fill, res.data.into(), base))
             }
             Err(msg) => {
                 self.record_failure(base, nt, Reason::Blackbox(msg));
@@ -1202,7 +1265,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         loop {
             let fi = self.depth - 1;
             let (ip, ip_end) = {
-                let f = &self.frames[fi];
+                let f = &self.ws.frames[fi];
                 (f.ip, f.ip_end)
             };
             let flow = if ip == ip_end {
@@ -1243,7 +1306,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     fn fail_alt(&mut self, fi: usize) -> Flow {
         let p = &self.img.program;
         let open = fi == 0 && self.root_open && !self.complete;
-        let f = &mut self.frames[fi];
+        let f = &mut self.ws.frames[fi];
         f.alt_cursor += 1;
         if f.alt_cursor < f.alts_end {
             let alt = p.alts[f.alt_cursor as usize];
@@ -1257,13 +1320,13 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             Flow::Exec
         } else {
             self.depth -= 1;
-            let f = &mut self.frames[self.depth];
+            let f = &mut self.ws.frames[self.depth];
             f.pending = Pending::None;
             if f.memoizable {
                 let (nt, base, len) = (f.nt, f.base, f.len);
-                self.memo.insert(nt, base, len, None);
+                self.ws.memo.insert(nt, base, len, None);
             }
-            let failed = self.frames[self.depth].nt;
+            let failed = self.ws.frames[self.depth].nt;
             self.prof.exit(failed, false);
             if self.depth == 0 {
                 Flow::Done(None)
@@ -1284,18 +1347,18 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             return self.suspended(Hint::UntilEnd, 0, ResumeKind::Exec);
         }
         self.depth -= 1;
-        let f = &mut self.frames[self.depth];
+        let f = &mut self.ws.frames[self.depth];
         let (nt, base, len) = (f.nt, f.base, f.len);
         let alt_index = f.alt_cursor - f.alts_first;
         let memoizable = f.memoizable;
         f.pending = Pending::None;
         self.prof.exit(nt, true);
-        let f = &self.frames[self.depth];
+        let f = &self.ws.frames[self.depth];
         let width = self.img.layouts.rules[nt.0 as usize].width as usize;
         let children = f.results.iter().flatten().copied();
-        let id = self.arena.alloc_node(nt, alt_index, &f.slots[..width], children, base);
+        let id = self.ws.arena.alloc_node(nt, alt_index, &f.slots[..width], children, base);
         if memoizable {
-            self.memo.insert(nt, base, len, Some(id));
+            self.ws.memo.insert(nt, base, len, Some(id));
         }
         if self.depth == 0 {
             Ok(Flow::Done(Some(id)))
@@ -1314,7 +1377,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         self.steps -= rewind;
         self.suspend_count += 1;
         if self.depth > 0 {
-            let pc = self.frames[self.depth - 1].ip;
+            let pc = self.ws.frames[self.depth - 1].ip;
             self.prof.suspend(pc);
         }
         self.resume = resume;
@@ -1340,7 +1403,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     /// A child call finished; resume the pending term of the top frame.
     fn resolve_top(&mut self, ret: Option<TreeId>) -> PResult<Flow> {
         let fi = self.depth - 1;
-        match std::mem::replace(&mut self.frames[fi].pending, Pending::None) {
+        match std::mem::replace(&mut self.ws.frames[fi].pending, Pending::None) {
             Pending::Call { slot, l } => {
                 let ret = ret.map(|sub| self.rebase(sub, l));
                 Ok(self.finish_call(fi, slot, l, ret))
@@ -1386,7 +1449,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         slot: u16,
     ) -> PResult<Flow> {
         let (base, nt) = {
-            let f = &self.frames[fi];
+            let f = &self.ws.frames[fi];
             (f.base, f.nt)
         };
         let Some((l, r)) = self.eval_interval(lo, hi, fi) else {
@@ -1408,8 +1471,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             self.record_failure(al, nt, Reason::TerminalMismatch(lit));
             return Ok(self.fail_alt(fi));
         }
-        let leaf = self.arena.alloc_leaf(al, al + blen);
-        let f = &mut self.frames[fi];
+        let leaf = self.ws.arena.alloc_leaf(al, al + blen);
+        let f = &mut self.ws.frames[fi];
         upd_start_end(&mut f.slots, l, r, blen != 0);
         f.results[slot as usize] = Some(leaf);
         f.ip += 1;
@@ -1434,11 +1497,11 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         {
             return self.exec_unfused(fi, rec.head);
         }
-        let f = &mut self.frames[fi];
+        let f = &mut self.ws.frames[fi];
         let loads = &self.img.program.loads[rec.first_load as usize..][..usize::from(rec.loads)];
         for load in loads {
             let value = f.results[usize::from(load.slot)]
-                .and_then(|id| self.arena.node_attr(id, load.nt, load.attr_slot));
+                .and_then(|id| self.ws.arena.node_attr(id, load.nt, load.attr_slot));
             let Some(value) = value else { return self.exec_unfused(fi, rec.head) };
             f.slots[usize::from(load.reg)] = value;
         }
@@ -1446,7 +1509,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         let mut slots = std::mem::take(&mut f.slots);
         let mut results = std::mem::take(&mut f.results);
         let ok = self.decode(&rec, base, len, &mut slots, &mut results);
-        let f = &mut self.frames[fi];
+        let f = &mut self.ws.frames[fi];
         (f.slots, f.results) = (slots, results);
         if !ok {
             return Ok(self.fail_alt(fi));
@@ -1485,7 +1548,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     fn exec_scan(&mut self, fi: usize, scan: u32) -> PResult<Flow> {
         let p = &self.img.program;
         let s = &p.scans[scan as usize];
-        let f = &self.frames[fi];
+        let f = &self.ws.frames[fi];
         let (nt, base, len, pc, memoizable) = (f.nt, f.base, f.len, f.ip, f.memoizable);
         let input = self.input.as_ref();
         let Some(k) = self.scan_stop.find(scan, s, input, base, len).filter(|&k| k > 0) else {
@@ -1502,8 +1565,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             || s.lit_hi > term_len as i64
             || input[at..at + lit_bytes.len()] != *lit_bytes
             || memoizable
-                && self.memo.may_hold_above(nt, base)
-                && (1..=k).any(|i| self.memo.get(nt, base + i, len - i).is_some())
+                && self.ws.memo.may_hold_above(nt, base)
+                && (1..=k).any(|i| self.ws.memo.get(nt, base + i, len - i).is_some())
         {
             return self.exec_unfused(fi, s.head);
         }
@@ -1528,16 +1591,16 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
 
         // The terminator level: its byte, its literal's leaf, its node.
         self.prof.call(s.byte);
-        self.arena.alloc_builtin(s.byte, term, 1, 1, 0, i64::from(input[term]));
+        self.ws.arena.alloc_builtin(s.byte, term, 1, 1, 0, i64::from(input[term]));
         self.prof.leaf(s.byte, true);
-        let leaf = self.arena.alloc_leaf(at, at + lit_bytes.len());
+        let leaf = self.ws.arena.alloc_leaf(at, at + lit_bytes.len());
         let mut vals = [0; SCAN_WIDTH];
         vals[..3].copy_from_slice(&[term_len as i64, term_len as i64, 0]);
         upd_start_end(&mut vals, s.lit_lo, s.lit_hi, !lit_bytes.is_empty());
         for set in lit_sets {
             vals[usize::from(set.slot)] = set.form.eval(&p.terms, &[]);
         }
-        let mut node = self.arena.alloc_node(nt, 1, &vals[..width], [leaf], term);
+        let mut node = self.ws.arena.alloc_node(nt, 1, &vals[..width], [leaf], term);
         // The levels above it, innermost first, down to this frame's. A
         // level's sets read the nested level's values and its byte.
         let mut regs = [0; SCAN_WIDTH + 1];
@@ -1546,15 +1609,15 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             self.prof.call(nt);
             if memoizable {
                 self.prof.memo(nt, false);
-                self.memo.insert(nt, base + i, len - i, Some(node));
+                self.ws.memo.insert(nt, base + i, len - i, Some(node));
             }
             self.prof.leaf(nt, true);
             let (at_i, len_i) = (base + i - 1, (len - i + 1) as i64);
             let byte = i64::from(input[at_i]);
             self.prof.call(s.byte);
-            let b = self.arena.alloc_builtin(s.byte, at_i, 1, 1, 0, byte);
+            let b = self.ws.arena.alloc_builtin(s.byte, at_i, 1, 1, 0, byte);
             self.prof.leaf(s.byte, true);
-            let shift = self.arena.adjust(node, 1);
+            let shift = self.ws.arena.adjust(node, 1);
             regs[..SCAN_WIDTH].copy_from_slice(&vals);
             regs[usize::from(SCAN_BYTE_REG)] = byte;
             vals[..3].copy_from_slice(&[len_i, 0, 1]);
@@ -1564,9 +1627,9 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                 vals[usize::from(set.slot)] = set.form.eval(&p.terms, &regs);
             }
             if i > 1 {
-                node = self.arena.alloc_node(nt, 0, &vals[..width], [b, shift], at_i);
+                node = self.ws.arena.alloc_node(nt, 0, &vals[..width], [b, shift], at_i);
             } else {
-                let f = &mut self.frames[fi];
+                let f = &mut self.ws.frames[fi];
                 f.slots[..width].copy_from_slice(&vals[..width]);
                 f.results[usize::from(s.byte_slot)] = Some(b);
                 f.results[usize::from(s.self_slot)] = Some(shift);
@@ -1588,9 +1651,9 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         if fi == 0 && self.root_open && !self.complete {
             return self.exec_unfused(fi, c.head);
         }
-        let f = &self.frames[fi];
-        let first = self.levels.len();
-        self.levels.push(Level::new(f.base, f.len));
+        let f = &self.ws.frames[fi];
+        let first = self.ws.levels.len();
+        self.ws.levels.push(Level::new(f.base, f.len));
         let step = self.chain_elem(c.elem, c.record)?;
         self.chain_run(fi, ChainSt { chain, first, wait: Wait::Elem }, step)
     }
@@ -1599,7 +1662,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     /// offset 0 of the level.
     #[inline]
     fn chain_elem(&mut self, elem: NtId, record: Option<u32>) -> PResult<ChainStep> {
-        let lv = self.levels[self.levels.len() - 1];
+        let lv = self.ws.levels[self.ws.levels.len() - 1];
         let out = match record {
             Some(r) => self.record_call(elem, r, lv.base, lv.len, 0)?,
             None => self.call(elem, lv.base, lv.len, 0, NO_PARENT)?,
@@ -1632,17 +1695,17 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     #[inline(never)]
     fn chain_run(&mut self, fi: usize, st: ChainSt, mut step: ChainStep) -> PResult<Flow> {
         let c = self.img.program.chains[st.chain as usize];
-        let (x, pc) = (c.list, self.frames[fi].ip);
+        let (x, pc) = (c.list, self.ws.frames[fi].ip);
         loop {
             step = match step {
                 ChainStep::Wait(wait) => {
-                    self.frames[fi].pending = Pending::Chain(ChainSt { wait, ..st });
+                    self.ws.frames[fi].pending = Pending::Chain(ChainSt { wait, ..st });
                     return Ok(Flow::Exec);
                 }
                 ChainStep::Elem(None) | ChainStep::Next(None) => ChainStep::Tail,
                 ChainStep::Elem(Some(elem)) => {
-                    let top = self.levels.len() - 1;
-                    let lv = &mut self.levels[top];
+                    let top = self.ws.levels.len() - 1;
+                    let lv = &mut self.ws.levels[top];
                     // The element lies at offset 0: its `end` is `A.end`.
                     lv.elem = Some(elem.id);
                     lv.next = elem.end;
@@ -1661,7 +1724,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                         self.tick()?;
                         self.prof.call(x);
                         let cached = if self.memoize {
-                            let cached = self.memo.get(x, base, len);
+                            let cached = self.ws.memo.get(x, base, len);
                             self.memo_hits += u64::from(cached.is_some());
                             self.prof.memo(x, cached.is_some());
                             cached
@@ -1671,7 +1734,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                         match cached {
                             Some(cached) => ChainStep::Next(cached),
                             None => {
-                                self.levels.push(Level::new(base, len));
+                                self.ws.levels.push(Level::new(base, len));
                                 self.tick()?;
                                 self.prof.instr(pc);
                                 self.chain_elem(c.elem, c.record)?
@@ -1680,14 +1743,14 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                     }
                 }
                 ChainStep::Next(Some(sub)) => {
-                    let lv = self.levels.pop().expect("a completing chain has a level");
+                    let lv = self.ws.levels.pop().expect("a completing chain has a level");
                     let elem = lv.elem.expect("a level calls the list after its element");
                     let next = self.rebase(sub, lv.next);
                     let mut region = [lv.len as i64, lv.start, lv.end];
                     let (start, end) = (lv.next + next.start, lv.next + next.end);
                     upd_start_end(&mut region, start, end, next.end != 0);
-                    if self.levels.len() == st.first {
-                        let f = &mut self.frames[fi];
+                    if self.ws.levels.len() == st.first {
+                        let f = &mut self.ws.frames[fi];
                         f.slots[..3].copy_from_slice(&region);
                         f.results[usize::from(c.elem_slot)] = Some(elem);
                         f.results[usize::from(c.next_slot)] = Some(next.id);
@@ -1695,16 +1758,16 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                         return Ok(Flow::Exec);
                     }
                     self.prof.leaf(x, true);
-                    let id = self.arena.alloc_node(x, 0, &region, [elem, next.id], lv.base);
+                    let id = self.ws.arena.alloc_node(x, 0, &region, [elem, next.id], lv.base);
                     if self.memoize {
-                        self.memo.insert(x, lv.base, lv.len, Some(id));
+                        self.ws.memo.insert(x, lv.base, lv.len, Some(id));
                     }
                     ChainStep::Next(Some(id))
                 }
                 ChainStep::Tail => {
-                    let lv = self.levels[self.levels.len() - 1];
-                    if self.levels.len() - 1 == st.first {
-                        self.levels.truncate(st.first);
+                    let lv = self.ws.levels[self.ws.levels.len() - 1];
+                    if self.ws.levels.len() - 1 == st.first {
+                        self.ws.levels.truncate(st.first);
                         return Ok(self.fail_alt(fi));
                     }
                     // The level's frame runs its second alternative.
@@ -1712,7 +1775,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                     ChainStep::Wait(Wait::Tail)
                 }
                 ChainStep::Done(ret) => {
-                    self.levels.pop();
+                    self.ws.levels.pop();
                     ChainStep::Next(ret)
                 }
             };
@@ -1734,7 +1797,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         self.tick()?;
         self.prof.call(nt);
         if self.memoize {
-            if let Some(cached) = self.memo.get(nt, base, len) {
+            if let Some(cached) = self.ws.memo.get(nt, base, len) {
                 self.memo_hits += 1;
                 self.prof.memo(nt, true);
                 return Ok(CallOutcome::Done(cached.map(|id| self.rebase(id, l))));
@@ -1757,10 +1820,16 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         self.prof.leaf(nt, ok);
         let node = ok.then(|| {
             let (width, children) = (usize::from(rec.width), &results[..usize::from(rec.n_slots)]);
-            self.arena.alloc_node(nt, 0, &regs[..width], children.iter().flatten().copied(), base)
+            self.ws.arena.alloc_node(
+                nt,
+                0,
+                &regs[..width],
+                children.iter().flatten().copied(),
+                base,
+            )
         });
         if self.memoize {
-            self.memo.insert(nt, base, len, node);
+            self.ws.memo.insert(nt, base, len, node);
         }
         Ok(CallOutcome::Done(node.map(|id| self.rebase(id, l))))
     }
@@ -1811,7 +1880,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                         self.deepest.record(offset, rec.nt, reason);
                         return false;
                     }
-                    results[usize::from(slot)] = Some(self.arena.alloc_leaf(at, at + blen));
+                    results[usize::from(slot)] = Some(self.ws.arena.alloc_leaf(at, at + blen));
                     upd_start_end(regs, l, r, blen != 0);
                 }
                 &RecOp::Field { nt, builtin, width, ref lo, ref hi, slot, reg } => {
@@ -1834,14 +1903,14 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                         // As a failing leaf call: a repeat at the same
                         // key records nothing (the interpreter's memo hit).
                         let memoizable = self.memoize && !p.rules[nt.0 as usize].is_local;
-                        if !memoizable || self.builtin_failures.insert((nt, at, flen)) {
+                        if !memoizable || self.ws.builtin_failures.insert((nt, at, flen)) {
                             self.deepest.record(at, nt, Reason::Builtin(builtin));
                         }
                         self.prof.leaf(nt, false);
                         return false;
                     };
                     self.prof.leaf(nt, true);
-                    let id = self.arena.alloc_builtin(nt, at, flen, consumed, l, val);
+                    let id = self.ws.arena.alloc_builtin(nt, at, flen, consumed, l, val);
                     results[usize::from(slot)] = Some(id);
                     let end = l + consumed as i64;
                     let reg = usize::from(reg);
@@ -1863,7 +1932,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     fn exec_set(&mut self, fi: usize, attr: Sym, attr_slot: u16, expr: ExprId) -> PResult<Flow> {
         match self.eval(expr, fi) {
             Some(v) => {
-                let f = &mut self.frames[fi];
+                let f = &mut self.ws.frames[fi];
                 f.slots[attr_slot as usize] = v;
                 f.ip += 1;
                 Ok(Flow::Exec)
@@ -1873,7 +1942,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                     return self.suspend_instr();
                 }
                 let (base, nt) = {
-                    let f = &self.frames[fi];
+                    let f = &self.ws.frames[fi];
                     (f.base, f.nt)
                 };
                 self.record_failure(base, nt, Reason::Attr(attr));
@@ -1884,12 +1953,12 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
 
     fn exec_guard(&mut self, fi: usize, expr: ExprId) -> PResult<Flow> {
         let (base, nt) = {
-            let f = &self.frames[fi];
+            let f = &self.ws.frames[fi];
             (f.base, f.nt)
         };
         match self.eval(expr, fi) {
             Some(v) if v != 0 => {
-                self.frames[fi].ip += 1;
+                self.ws.frames[fi].ip += 1;
                 Ok(Flow::Exec)
             }
             Some(_) => {
@@ -1917,7 +1986,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         slot: u16,
     ) -> PResult<Flow> {
         let (base, nt) = {
-            let f = &self.frames[fi];
+            let f = &self.ws.frames[fi];
             (f.base, f.nt)
         };
         let Some((l, r)) = self.eval_interval(lo, hi, fi) else {
@@ -1930,7 +1999,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         let parent = self.parent_for(callee, fi);
         match self.call(callee, base + l as usize, (r - l) as usize, l, parent)? {
             CallOutcome::Pushed => {
-                self.frames[fi].pending = Pending::Call { slot, l };
+                self.ws.frames[fi].pending = Pending::Call { slot, l };
                 Ok(Flow::Exec)
             }
             CallOutcome::Done(ret) => Ok(self.finish_call(fi, slot, l, ret)),
@@ -1942,7 +2011,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     fn finish_call(&mut self, fi: usize, slot: u16, l: i64, ret: Option<Ret>) -> Flow {
         match ret {
             Some(ret) => {
-                let f = &mut self.frames[fi];
+                let f = &mut self.ws.frames[fi];
                 upd_start_end(&mut f.slots, l + ret.start, l + ret.end, ret.end != 0);
                 f.results[slot as usize] = Some(ret.id);
                 f.ip += 1;
@@ -1965,7 +2034,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         slot: u16,
     ) -> PResult<Flow> {
         let (base, len, caller) = {
-            let f = &self.frames[fi];
+            let f = &self.ws.frames[fi];
             (f.base, f.len, f.nt)
         };
         let (i, j) = match (self.eval(from, fi), self.eval(to, fi)) {
@@ -1983,7 +2052,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             // `abs_diff`: the bounds may be more than `i64::MAX` apart.
             elems.reserve(j.abs_diff(i).min(len as u64 + 1) as usize);
         }
-        self.frames[fi].slots[var_slot as usize] = i;
+        self.ws.frames[fi].slots[var_slot as usize] = i;
         self.loop_next(fi, LoopSt { slot, var_slot, k: i, j, nt, lo, hi, l: 0, elems })
     }
 
@@ -1992,16 +2061,16 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     fn loop_next(&mut self, fi: usize, mut st: LoopSt) -> PResult<Flow> {
         loop {
             if st.k >= st.j {
-                let id = self.arena.alloc_array(st.nt, st.elems.iter().copied());
-                let f = &mut self.frames[fi];
+                let id = self.ws.arena.alloc_array(st.nt, st.elems.iter().copied());
+                let f = &mut self.ws.frames[fi];
                 f.results[st.slot as usize] = Some(id);
                 f.ip += 1;
                 return Ok(Flow::Exec);
             }
             self.tick()?;
-            self.frames[fi].slots[st.var_slot as usize] = st.k;
+            self.ws.frames[fi].slots[st.var_slot as usize] = st.k;
             let (base, caller) = {
-                let f = &self.frames[fi];
+                let f = &self.ws.frames[fi];
                 (f.base, f.nt)
             };
             let Some((l, r)) = self.eval_interval(st.lo, st.hi, fi) else {
@@ -2009,7 +2078,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                     // Stash the iteration state; resume re-enters this
                     // loop step (re-paying the iteration tick rewound
                     // here). The loop variable keeps its slot.
-                    self.frames[fi].pending = Pending::Loop(st);
+                    self.ws.frames[fi].pending = Pending::Loop(st);
                     return Err(self.suspend_here(1, ResumeKind::LoopIter));
                 }
                 self.record_failure(base, caller, Reason::Interval(st.nt));
@@ -2019,7 +2088,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             let parent = self.parent_for(st.nt, fi);
             match self.call(st.nt, base + l as usize, (r - l) as usize, l, parent)? {
                 CallOutcome::Pushed => {
-                    self.frames[fi].pending = Pending::Loop(st);
+                    self.ws.frames[fi].pending = Pending::Loop(st);
                     return Ok(Flow::Exec);
                 }
                 CallOutcome::Done(Some(ret)) => self.loop_push(fi, &mut st, ret),
@@ -2031,7 +2100,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     /// Accept one delivered loop element (mirror of the interpreter's
     /// per-iteration `call_nt_on_interval` tail).
     fn loop_push(&mut self, fi: usize, st: &mut LoopSt, ret: Ret) {
-        let f = &mut self.frames[fi];
+        let f = &mut self.ws.frames[fi];
         upd_start_end(&mut f.slots, st.l + ret.start, st.l + ret.end, ret.end != 0);
         st.elems.push(ret.id);
         st.k += 1;
@@ -2046,7 +2115,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
         slot: u16,
     ) -> PResult<Flow> {
         let (base, caller) = {
-            let f = &self.frames[fi];
+            let f = &self.ws.frames[fi];
             (f.base, f.nt)
         };
         let Some((l, r)) = self.eval_interval(lo, hi, fi) else {
@@ -2081,7 +2150,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                 (st.star_base + st.pos, st.star_len - st.pos, st.l + st.pos as i64);
             match self.call(st.nt, base, len, l, parent)? {
                 CallOutcome::Pushed => {
-                    self.frames[fi].pending = Pending::Star(st);
+                    self.ws.frames[fi].pending = Pending::Star(st);
                     return Ok(Flow::Exec);
                 }
                 CallOutcome::Done(Some(ret)) => {
@@ -2095,13 +2164,13 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     }
 
     fn finish_star(&mut self, fi: usize, st: StarSt) -> Flow {
-        let caller = self.frames[fi].nt;
+        let caller = self.ws.frames[fi].nt;
         if st.elems.is_empty() {
             self.record_failure(st.star_base, caller, Reason::StarEmpty(st.nt));
             return self.fail_alt(fi);
         }
-        let id = self.arena.alloc_array(st.nt, st.elems.iter().copied());
-        let f = &mut self.frames[fi];
+        let id = self.ws.arena.alloc_array(st.nt, st.elems.iter().copied());
+        let f = &mut self.ws.frames[fi];
         upd_start_end(&mut f.slots, st.l, st.l + st.pos as i64, st.pos > 0);
         f.results[st.slot as usize] = Some(id);
         f.ip += 1;
@@ -2110,7 +2179,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
 
     fn exec_switch(&mut self, fi: usize, first: u32, count: u16, slot: u16) -> PResult<Flow> {
         let (base, nt) = {
-            let f = &self.frames[fi];
+            let f = &self.ws.frames[fi];
             (f.base, f.nt)
         };
         let mut selected = None;
@@ -2165,7 +2234,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             }
             return Some((l, r));
         }
-        let len = self.frames[fi].len;
+        let len = self.ws.frames[fi].len;
         if 0 <= l && l <= r && r <= len as i64 {
             Some((l, r))
         } else {
@@ -2183,8 +2252,8 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             BExpr::Eoi => self.eval_eoi(fi),
             BExpr::Local { sym, slot } => self.read_local(fi, sym, slot),
             BExpr::NtAttr { slot, nt, attr_slot, .. } => {
-                let id = self.frames[fi].results[slot as usize]?;
-                self.arena.node_attr(id, nt, attr_slot)
+                let id = self.ws.frames[fi].results[slot as usize]?;
+                self.ws.arena.node_attr(id, nt, attr_slot)
             }
             _ => self.eval_complex(e, fi),
         }
@@ -2209,22 +2278,22 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                 }
             }
             BExpr::NtAttr { slot, nt, attr_slot, .. } => {
-                let id = self.frames[fi].results[slot as usize]?;
-                self.arena.node_attr(id, nt, attr_slot)
+                let id = self.ws.frames[fi].results[slot as usize]?;
+                self.ws.arena.node_attr(id, nt, attr_slot)
             }
             BExpr::ElemAttr { slot, nt, index, attr_slot, .. } => {
                 let k = self.eval(index, fi)?;
-                let id = self.frames[fi].results[slot as usize]?;
-                let Entry::Array(a) = self.arena.entry(id) else { return None };
+                let id = self.ws.frames[fi].results[slot as usize]?;
+                let Entry::Array(a) = self.ws.arena.entry(id) else { return None };
                 if a.nt != nt || k < 0 {
                     return None;
                 }
-                let elem = *self.arena.child_ids(a.elems).get(k as usize)?;
-                self.arena.node_attr(elem, nt, attr_slot)
+                let elem = *self.ws.arena.child_ids(a.elems).get(k as usize)?;
+                self.ws.arena.node_attr(elem, nt, attr_slot)
             }
             BExpr::OuterAttr { nt, attr_slot, .. } => {
                 let id = self.lookup_outer_node(fi, nt)?;
-                self.arena.node_attr(id, nt, attr_slot)
+                self.ws.arena.node_attr(id, nt, attr_slot)
             }
             BExpr::OuterElem { nt, index, attr_slot, .. } => {
                 let k = self.eval(index, fi)?;
@@ -2232,24 +2301,24 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                     return None;
                 }
                 let arr = self.lookup_outer_array(fi, nt)?;
-                let Entry::Array(a) = self.arena.entry(arr) else { return None };
-                let elem = *self.arena.child_ids(a.elems).get(k as usize)?;
-                self.arena.node_attr(elem, nt, attr_slot)
+                let Entry::Array(a) = self.ws.arena.entry(arr) else { return None };
+                let elem = *self.ws.arena.child_ids(a.elems).get(k as usize)?;
+                self.ws.arena.node_attr(elem, nt, attr_slot)
             }
             BExpr::Exists { var_slot, slot, nt, cond, then, els, .. } => {
                 // Only the element *count* is needed up front, as in the
                 // interpreter.
                 let n = match slot {
                     Some(sl) => {
-                        let id = self.frames[fi].results[sl as usize]?;
-                        match self.arena.entry(id) {
+                        let id = self.ws.frames[fi].results[sl as usize]?;
+                        match self.ws.arena.entry(id) {
                             Entry::Array(a) if a.nt == nt => a.elems.len as usize,
                             _ => return None,
                         }
                     }
                     None => {
                         let id = self.lookup_outer_array(fi, nt)?;
-                        match self.arena.entry(id) {
+                        match self.ws.arena.entry(id) {
                             Entry::Array(a) => a.elems.len as usize,
                             _ => return None,
                         }
@@ -2259,7 +2328,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                 // only; `els` cannot read it.
                 let mut found: Option<i64> = None;
                 for k in 0..n {
-                    self.frames[fi].slots[var_slot as usize] = k as i64;
+                    self.ws.frames[fi].slots[var_slot as usize] = k as i64;
                     match self.eval(cond, fi)? {
                         0 => continue,
                         _ => {
@@ -2270,7 +2339,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
                 }
                 match found {
                     Some(k) => {
-                        self.frames[fi].slots[var_slot as usize] = k;
+                        self.ws.frames[fi].slots[var_slot as usize] = k;
                         self.eval(then, fi)
                     }
                     None => self.eval(els, fi),
@@ -2288,7 +2357,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             self.suspend = Some(Hint::UntilEnd);
             return None;
         }
-        Some(self.frames[fi].slots[EOI_SLOT as usize])
+        Some(self.ws.frames[fi].slots[EOI_SLOT as usize])
     }
 
     /// A plain attribute or variable read (mirror of
@@ -2308,7 +2377,7 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
             self.suspend = Some(Hint::UntilEnd);
             return None;
         }
-        Some(self.frames[fi].slots[slot as usize])
+        Some(self.ws.frames[fi].slots[slot as usize])
     }
 
     /// `sym` as bound in the invoking alternatives of frame `fi`, nearest
@@ -2316,9 +2385,9 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     /// the chain: a `for` variable is in scope while that instruction is
     /// its loop, and an attribute once its first `Set` lies before it.
     fn lookup_inherited(&self, fi: usize, sym: Sym) -> Option<i64> {
-        let mut i = self.frames[fi].parent;
+        let mut i = self.ws.frames[fi].parent;
         while i != NO_PARENT {
-            let f = &self.frames[i as usize];
+            let f = &self.ws.frames[i as usize];
             if let Instr::Loop { var, var_slot, .. } = self.img.program.code[f.ip as usize] {
                 if var == sym {
                     return Some(f.slots[var_slot as usize]);
@@ -2338,9 +2407,9 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     fn lookup_outer_node(&self, fi: usize, nt: NtId) -> Option<TreeId> {
         let mut i = fi as u32;
         loop {
-            let f = &self.frames[i as usize];
+            let f = &self.ws.frames[i as usize];
             for id in f.results.iter().rev().flatten() {
-                match self.arena.entry(*id) {
+                match self.ws.arena.entry(*id) {
                     Entry::Node(n) if n.nt == nt => return Some(*id),
                     Entry::Builtin(b) if b.nt == nt => return Some(*id),
                     Entry::Blackbox(b) if b.nt == nt => return Some(*id),
@@ -2358,9 +2427,9 @@ impl<I: AsRef<[u8]>, PS: ProfSink> VmSession<I, PS> {
     fn lookup_outer_array(&self, fi: usize, nt: NtId) -> Option<TreeId> {
         let mut i = fi as u32;
         loop {
-            let f = &self.frames[i as usize];
+            let f = &self.ws.frames[i as usize];
             for id in f.results.iter().rev().flatten() {
-                if let Entry::Array(a) = self.arena.entry(*id) {
+                if let Entry::Array(a) = self.ws.arena.entry(*id) {
                     if a.nt == nt {
                         return Some(*id);
                     }
@@ -2448,23 +2517,11 @@ fn upd_start_end(slots: &mut [i64], l: i64, r: i64, b: bool) {
     }
 }
 
-impl<I, PS: ProfSink> Drop for VmSession<I, PS> {
-    fn drop(&mut self) {
-        // Frames still live (an abort or an abandoned streaming session)
-        // may hold in-flight loop or star state.
-        for f in &mut self.frames[..self.depth] {
-            f.pending = Pending::None;
-        }
-        // A successful parse's arena left with its tree.
-        let arena = self.arena.take();
-        Workspace {
-            frames: std::mem::take(&mut self.frames),
-            memo: std::mem::take(&mut self.memo),
-            builtin_failures: std::mem::take(&mut self.builtin_failures),
-            arena: (arena.capacity() > 0).then_some(arena),
-            levels: std::mem::take(&mut self.levels),
-        }
-        .give_back();
+impl<G, I, PS: ProfSink> VmSession<G, I, PS> {
+    /// Ends the session, handing its working storage back to the thread
+    /// (see [`Workspace`]).
+    fn close(self) {
+        self.ws.give_back(self.depth);
     }
 }
 
@@ -2559,7 +2616,9 @@ enum Phase {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct Session {
-    vm: VmSession<Vec<u8>>,
+    /// The machine; `None` only once the session has dropped and handed
+    /// its working storage back.
+    machine: Option<VmSession<Arc<Image>, Vec<u8>>>,
     phase: Phase,
     start_nt: NtId,
     /// Whether the machine has a live frame stack to resume.
@@ -2574,7 +2633,7 @@ impl Session {
     /// The session shares the parser's compiled image and may outlive
     /// the parser itself.
     pub fn new(parser: &VmParser) -> Self {
-        let mut vm = parser.fresh_session(Vec::new());
+        let mut vm = parser.fresh_session_with(Arc::clone(&parser.img), Vec::new(), ());
         vm.complete = false;
         let start_nt = parser.img.program.start_nt();
         let phase = match parser.img.program.rules[start_nt.0 as usize].kind {
@@ -2583,7 +2642,7 @@ impl Session {
             // input — so nothing can run early.
             _ => Phase::Deferred,
         };
-        Session { vm, phase, start_nt, started: false, max_bytes: None, err: None }
+        Session { machine: Some(vm), phase, start_nt, started: false, max_bytes: None, err: None }
     }
 
     /// Caps the total buffered bytes; exceeding the cap poisons the
@@ -2595,29 +2654,29 @@ impl Session {
 
     /// Overrides the parser's step fuel for this session only.
     pub fn max_steps(mut self, steps: u64) -> Self {
-        self.vm.max_steps = steps;
+        self.vm_mut().max_steps = steps;
         self
     }
 
     /// The grammar's anchor requirement (copied from [`VmParser::anchor`]).
     pub fn anchor(&self) -> AnchorRequirement {
-        self.vm.img.anchor
+        self.vm().img.anchor
     }
 
     /// Bytes buffered so far.
     pub fn buffered(&self) -> usize {
-        self.vm.bytes().len()
+        self.vm().bytes().len()
     }
 
     /// Number of suspensions taken so far (service telemetry).
     pub fn suspends(&self) -> u64 {
-        self.vm.suspend_count
+        self.vm().suspend_count
     }
 
     /// Engine statistics so far (steps are comparable with the one-shot
     /// engines at completion).
     pub fn stats(&self) -> ParseStats {
-        self.vm.stats()
+        self.vm().stats()
     }
 
     /// Whether the session has delivered its result (or was poisoned).
@@ -2635,13 +2694,13 @@ impl Session {
             return Outcome::Error(self.closed_error());
         }
         if let Some(cap) = self.max_bytes {
-            if self.vm.bytes().len().saturating_add(chunk.len()) > cap {
+            if self.vm().bytes().len().saturating_add(chunk.len()) > cap {
                 return self.poison(Error::Session(format!(
                     "input exceeds the session byte budget of {cap}"
                 )));
             }
         }
-        self.vm.input.extend_from_slice(chunk);
+        self.vm_mut().input.extend_from_slice(chunk);
         match self.phase {
             Phase::Deferred => Outcome::NeedInput { hint: Hint::UntilEnd },
             Phase::Fresh => self.pump(),
@@ -2651,8 +2710,10 @@ impl Session {
                 // the hint against the *current* buffer so partial feeds
                 // see the remaining shortfall, not the original one.
                 match need {
-                    Some(n) if self.vm.bytes().len() >= n => self.pump(),
-                    Some(n) => Outcome::NeedInput { hint: Hint::Bytes(n - self.vm.bytes().len()) },
+                    Some(n) if self.vm().bytes().len() >= n => self.pump(),
+                    Some(n) => {
+                        Outcome::NeedInput { hint: Hint::Bytes(n - self.vm().bytes().len()) }
+                    }
                     None => Outcome::NeedInput { hint },
                 }
             }
@@ -2668,9 +2729,9 @@ impl Session {
         if let Phase::Closed = self.phase {
             return Outcome::Error(self.closed_error());
         }
-        self.vm.complete = true;
+        self.vm_mut().complete = true;
         if self.started {
-            self.vm.seal_root();
+            self.vm_mut().seal_root();
         }
         self.pump()
     }
@@ -2680,27 +2741,28 @@ impl Session {
         let step = self.step_machine();
         match step {
             Ok(Some(root)) => {
-                let arena = self.vm.arena.take();
+                let arena = std::mem::take(&mut self.vm_mut().ws.arena);
                 // `err` stays `None`: the misuse error for feeding a
                 // delivered session is built lazily in `closed_error`.
                 self.phase = Phase::Closed;
                 Outcome::Done(ParseTree { arena, root })
             }
             Ok(None) => {
-                let img = &self.vm.img;
-                let e = Error::Parse(self.vm.deepest.render(&img.grammar, &img.program));
+                let vm = self.vm();
+                let e = Error::Parse(vm.deepest.render(&vm.img.grammar, &vm.img.program));
                 self.poison(e)
             }
             Err(Abort::FuelExhausted) => {
-                let msg = FuelMsg::Verbose.render(self.vm.max_steps);
-                let e = Error::Parse(self.vm.deepest.render_with(&self.vm.img.grammar, msg));
+                let vm = self.vm();
+                let msg = FuelMsg::Verbose.render(vm.max_steps);
+                let e = Error::Parse(vm.deepest.render_with(&vm.img.grammar, msg));
                 self.poison(e)
             }
             Err(Abort::Suspend) => {
-                debug_assert!(!self.vm.complete, "no suspension can fire after end-of-input");
-                let hint = self.vm.suspend.take().expect("suspension parks a hint");
+                debug_assert!(!self.vm().complete, "no suspension can fire after end-of-input");
+                let hint = self.vm_mut().suspend.take().expect("suspension parks a hint");
                 let need = match hint {
-                    Hint::Bytes(n) => Some(self.vm.bytes().len() + n),
+                    Hint::Bytes(n) => Some(self.vm().bytes().len() + n),
                     Hint::UntilEnd => None,
                 };
                 self.phase = Phase::Suspended { need, hint };
@@ -2714,28 +2776,39 @@ impl Session {
     fn step_machine(&mut self) -> PResult<Option<TreeId>> {
         if !self.started {
             self.started = true;
-            if self.vm.complete {
+            let nt = self.start_nt;
+            let vm = self.vm_mut();
+            if vm.complete {
                 // Nothing ran before end-of-input: plain one-shot parse
                 // over the whole buffer (also the builtin/blackbox-root
                 // path).
-                return self.vm.run_root(self.start_nt);
+                return vm.run_root(nt);
             }
-            return match self.vm.push_open_root(self.start_nt)? {
-                true => self.vm.drive(Flow::Exec),
+            return match vm.push_open_root(nt)? {
+                true => vm.drive(Flow::Exec),
                 false => Ok(None), // zero-alternative root: immediate failure
             };
         }
-        let flow = match self.vm.resume {
+        let vm = self.vm_mut();
+        let flow = match vm.resume {
             ResumeKind::Exec => Flow::Exec,
             ResumeKind::LoopIter => {
-                let fi = self.vm.depth - 1;
-                match std::mem::replace(&mut self.vm.frames[fi].pending, Pending::None) {
-                    Pending::Loop(st) => self.vm.loop_next(fi, st)?,
+                let fi = vm.depth - 1;
+                match std::mem::replace(&mut vm.ws.frames[fi].pending, Pending::None) {
+                    Pending::Loop(st) => vm.loop_next(fi, st)?,
                     _ => unreachable!("LoopIter resume requires a stashed loop"),
                 }
             }
         };
-        self.vm.drive(flow)
+        vm.drive(flow)
+    }
+
+    fn vm(&self) -> &VmSession<Arc<Image>, Vec<u8>> {
+        self.machine.as_ref().expect("a live session has its machine")
+    }
+
+    fn vm_mut(&mut self) -> &mut VmSession<Arc<Image>, Vec<u8>> {
+        self.machine.as_mut().expect("a live session has its machine")
     }
 
     fn poison(&mut self, e: Error) -> Outcome {
@@ -2748,6 +2821,15 @@ impl Session {
         self.err
             .clone()
             .unwrap_or_else(|| Error::Session("session already delivered its result".into()))
+    }
+}
+
+impl Drop for Session {
+    /// Hands the session's working storage back to the thread.
+    fn drop(&mut self) {
+        if let Some(vm) = self.machine.take() {
+            vm.close();
+        }
     }
 }
 

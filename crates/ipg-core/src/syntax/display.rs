@@ -7,15 +7,41 @@ use super::{Alternative, Grammar, Interval, Rule, RuleBody, SwitchCase, Term};
 use std::fmt;
 
 /// Renders literal bytes either as a quoted string (when all printable
-/// ASCII) or as a hex string `x"…"`.
+/// ASCII) or as a hex string `x"…"`, in one allocation.
 pub(crate) fn format_bytes(bytes: &[u8]) -> String {
-    let printable = bytes.iter().all(|&b| (0x20..0x7f).contains(&b) && b != b'"' && b != b'\\');
-    if printable {
-        format!("\"{}\"", std::str::from_utf8(bytes).expect("checked printable ASCII"))
+    let mut out = String::with_capacity(format_bytes_len(bytes));
+    push_bytes(&mut out, bytes);
+    out
+}
+
+/// Whether [`format_bytes`] renders `bytes` as a quoted string.
+fn printable(bytes: &[u8]) -> bool {
+    bytes.iter().all(|&b| (0x20..0x7f).contains(&b) && b != b'"' && b != b'\\')
+}
+
+/// The length of [`format_bytes`]'s rendering of `bytes`.
+pub(crate) fn format_bytes_len(bytes: &[u8]) -> usize {
+    if printable(bytes) {
+        bytes.len() + 2
     } else {
-        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-        format!("x\"{hex}\"")
+        2 * bytes.len() + 3
     }
+}
+
+/// Appends [`format_bytes`]'s rendering of `bytes` to `out`.
+pub(crate) fn push_bytes(out: &mut String, bytes: &[u8]) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    if printable(bytes) {
+        out.push('"');
+        out.push_str(std::str::from_utf8(bytes).expect("checked printable ASCII"));
+    } else {
+        out.push_str("x\"");
+        for &b in bytes {
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+    }
+    out.push('"');
 }
 
 impl fmt::Display for Interval {
@@ -112,10 +138,24 @@ mod tests {
     use crate::syntax::{AltBuilder, Builtin, Expr, GrammarBuilder};
 
     #[test]
-    fn bytes_render_as_string_or_hex() {
-        assert_eq!(super::format_bytes(b"PK"), "\"PK\"");
-        assert_eq!(super::format_bytes(&[0x7f, 0x45, 0x4c, 0x46]), "x\"7f454c46\"");
-        assert_eq!(super::format_bytes(b""), "\"\"");
+    fn bytes_render_as_string_or_hex_in_one_exact_allocation() {
+        let cases: [(&[u8], &str); 9] = [
+            (b"PK", "\"PK\""),
+            (&[0x50, 0x4b, 0x05, 0x06], "x\"504b0506\""),
+            (b"%%EOF", "\"%%EOF\""),
+            (b"", "\"\""),
+            (b"say \"hi\"", "x\"7361792022686922\""),
+            (b"a\\b", "x\"615c62\""),
+            (&[0x7f, 0x45, 0x4c, 0x46], "x\"7f454c46\""),
+            (&[0x80, 0xff, 0x00, 0x1f], "x\"80ff001f\""),
+            (b" ~", "\" ~\""),
+        ];
+        for (bytes, rendered) in cases {
+            let out = super::format_bytes(bytes);
+            assert_eq!(out, rendered, "rendering of {bytes:?}");
+            assert_eq!(out.capacity(), rendered.len(), "pre-sized capacity for {bytes:?}");
+            assert_eq!(super::format_bytes_len(bytes), rendered.len());
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ mod expr;
 pub use builder::{AltBuilder, GrammarBuilder};
 pub use expr::{BinOp, Expr, Reference};
 
-pub(crate) use display::format_bytes;
+pub(crate) use display::{format_bytes, format_bytes_len, push_bytes};
 
 use crate::blackbox::Blackbox;
 use std::fmt;
