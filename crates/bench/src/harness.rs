@@ -1,8 +1,8 @@
-//! Shared plumbing for the `bench_*` report binaries: the
-//! `--quick`/`--out` command line, the warmup-then-batch timing loop, and
-//! the `BENCH_*.json` report envelope. Every report binary
-//! (`bench_inflate`, `bench_conform`)
-//! parses the same flags and emits the same envelope shape:
+//! Shared plumbing for the bench crate: the warmup-then-batch timing loop
+//! of the `#[ignore]`d release timing gates (`tests/vm_speedup.rs`,
+//! `tests/inflate_speedup.rs`, `tests/streaming_overhead.rs`), and the
+//! `--quick`/`--out` command line and `BENCH_*.json` report envelope of
+//! the `bench_conform` report binary:
 //!
 //! ```json
 //! {
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 /// `--out PATH` flags plus any binary-specific `--flag VALUE` extras
 /// declared by the caller.
 pub struct Cli {
-    /// CI-smoke mode: smaller budgets, gates warn instead of failing.
+    /// CI-smoke mode: the binary runs a smaller sweep.
     pub quick: bool,
     /// Report path (each binary supplies its default).
     pub out: String,
@@ -61,17 +61,11 @@ impl Cli {
     pub fn value(&self, flag: &str) -> Option<&str> {
         self.values.iter().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
     }
-
-    /// A measurement budget: `quick_ms` in quick mode, `full_ms`
-    /// otherwise.
-    pub fn budget(&self, quick_ms: u64, full_ms: u64) -> Duration {
-        Duration::from_millis(if self.quick { quick_ms } else { full_ms })
-    }
 }
 
 /// Mean seconds per call: warm up for a quarter of the budget, then batch
 /// calls until the budget elapses.
-pub fn measure<F: FnMut()>(budget: Duration, mut f: F) -> f64 {
+fn measure<F: FnMut()>(budget: Duration, mut f: F) -> f64 {
     let warm_start = Instant::now();
     let mut warm_iters = 0u64;
     while warm_start.elapsed() < budget / 4 || warm_iters == 0 {
@@ -87,7 +81,7 @@ pub fn measure<F: FnMut()>(budget: Duration, mut f: F) -> f64 {
     start.elapsed().as_secs_f64() / iters as f64
 }
 
-/// [`measure`], repeated `rounds` times, keeping the fastest mean — the
+/// `measure`, repeated `rounds` times, keeping the fastest mean — the
 /// robust statistic on noisy shared machines (delays only ever add time,
 /// so the minimum is the closest estimate of the true cost).
 pub fn measure_best<F: FnMut()>(rounds: u32, budget: Duration, mut f: F) -> f64 {
@@ -97,7 +91,7 @@ pub fn measure_best<F: FnMut()>(rounds: u32, budget: Duration, mut f: F) -> f64 
 /// Guards the report's unescaped string interpolations: the row builders
 /// write names into JSON literally, which is only sound for this
 /// character set.
-pub fn assert_json_literal(s: &str) {
+fn assert_json_literal(s: &str) {
     assert!(
         s.chars().all(|c| c.is_ascii_alphanumeric() || "/_.-".contains(c)),
         "`{s}` is not JSON-literal-safe (escaping is deliberately unimplemented)"
@@ -133,27 +127,17 @@ impl Report {
     }
 
     /// Appends the conventional `results` array; each row must be a
-    /// complete JSON object (the binaries format rows with their own
+    /// complete JSON object (the caller formats rows with its own
     /// precision).
     pub fn results<I>(&mut self, rows: I)
     where
         I: IntoIterator,
         I::Item: Display,
     {
-        self.array("results", rows);
-    }
-
-    /// Appends a named array of pre-rendered JSON values.
-    pub fn array<I>(&mut self, key: &str, rows: I)
-    where
-        I: IntoIterator,
-        I::Item: Display,
-    {
-        assert_json_literal(key);
         if self.has_fields {
             self.json.push_str(",\n");
         }
-        self.json.push_str(&format!("  \"{key}\": [\n"));
+        self.json.push_str("  \"results\": [\n");
         let rows: Vec<String> = rows.into_iter().map(|r| r.to_string()).collect();
         for (i, row) in rows.iter().enumerate() {
             self.json.push_str("    ");

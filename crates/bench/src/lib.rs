@@ -6,24 +6,25 @@
 //! |---|---|
 //! | Table 1 (spec line counts)        | `cargo run -p bench --bin table1` |
 //! | Table 2 (implicit intervals)      | `cargo run -p bench --bin table2` |
-//! | Fig. 12a/b (`unzip`)              | `cargo bench -p bench --bench fig12_unzip` |
-//! | Fig. 12c/d (`readelf`)            | `cargo bench -p bench --bench fig12_readelf` |
-//! | Fig. 13a–f (per-format timing)    | `cargo bench -p bench --bench fig13_formats` |
+//! | Fig. 12/13 (IPG vs the baselines) | `python3 perfbench/run.py --workload files` |
+//! | Fig. 13 size axis, memo bound     | `cargo test -p bench --test paper_counts` |
 //! | Fig. 14a/b (heap consumption)     | `cargo run -p bench --bin fig14_memory --release` |
 //! | §7 termination timing             | `cargo run -p bench --bin termination_report` |
-//! | Design-choice ablations           | `cargo bench -p bench --bench ablations` |
-//! | Inflate fast-path throughput      | `cargo bench -p bench --bench inflate_throughput` |
-//! | `BENCH_inflate.json` (CI artifact) | `cargo run --release -p bench --bin bench_inflate` |
+//! | Session allocations vs one-shot   | `cargo test -p bench --test session_allocations` |
 //! | `BENCH_conform.json` (CI artifact) | `cargo run --release -p bench --bin bench_conform` |
 //! | VM ÷ interpreter ≥ 3x gate        | `cargo test --release -p bench --test vm_speedup -- --ignored` |
+//! | Fast ÷ seed inflate ≥ 3x gate     | `cargo test --release -p bench --test inflate_speedup -- --ignored` |
 //!
-//! The two JSON records are not committed: CI's bench-smoke and
-//! conform-smoke jobs generate them and upload them as artifacts.
+//! `paper_counts` pins exact VM step counts, which do not vary between
+//! runs; the timed side of the paper's comparison is perfbench's. The
+//! JSON record is not committed: CI's conform-smoke job generates it and
+//! uploads it as an artifact.
 //!
 //! Every IPG series runs the bytecode VM behind `ipg_formats` (the
 //! paper's generator emits compiled C++ instead; this repository has no
 //! generated-code engine).
 
+use ipg_core::interp::vm::{Outcome, ParseTree, VmParser};
 use ipg_corpus::{dns, elf, gif, ipv4udp, pdf, pe, zip};
 
 pub mod harness;
@@ -81,8 +82,8 @@ pub fn udp_with_payload(n: usize) -> Vec<u8> {
     ipv4udp::generate(&ipv4udp::Config { payload_len: n, options_words: 0, seed: 7 }).bytes
 }
 
-/// A PDF with `n` objects (for the memoization ablation: its two-pass
-/// pattern re-reads object headers).
+/// A PDF with `n` objects. Its grammar reads each object once: a parse
+/// makes no memo hits, so it cannot show what memoization buys.
 pub fn pdf_with_objects(n: usize) -> Vec<u8> {
     pdf::generate(&pdf::Config { n_objects: n, stream_len: 1024, seed: 7 }).bytes
 }
@@ -103,8 +104,9 @@ pub fn zip_many_small_entries(n: usize) -> Vec<u8> {
 /// One engine-bound workload per corpus grammar, keyed by the
 /// `ipg_formats::Registry::corpus` entry names. Sized so grammar
 /// evaluation (not fixture setup) dominates; shared by the engine gate
-/// (`tests/vm_speedup.rs`) and the streaming-overhead test
-/// (`tests/streaming_overhead.rs`) so their numbers describe the same
+/// (`tests/vm_speedup.rs`), the streaming-overhead test
+/// (`tests/streaming_overhead.rs`) and the session allocation pins
+/// (`tests/session_allocations.rs`) so their numbers describe the same
 /// work.
 pub fn grammar_workloads() -> Vec<(&'static str, Vec<u8>)> {
     vec![
@@ -120,49 +122,29 @@ pub fn grammar_workloads() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
-/// Names of the zlib-produced golden DEFLATE fixtures shipped with
-/// `ipg-flate` (the dynamic-Huffman cross-implementation vectors).
-pub const GOLDEN_FIXTURES: [&str; 5] =
-    ["golden_0.bin", "golden_23.bin", "golden_1800.bin", "golden_2048.bin", "golden_100000.bin"];
+/// FEED chunk size of the session tests (wire-realistic).
+pub const CHUNK: usize = 4096;
 
-/// Loads one of `ipg-flate`'s golden DEFLATE fixtures by name.
+/// `input` streamed through a fresh VM session in [`CHUNK`]-byte pieces:
+/// the tree, and the suspensions the session took.
 ///
 /// # Panics
 ///
-/// If the fixture is missing (the repo checkout is incomplete).
-pub fn golden_fixture(name: &str) -> Vec<u8> {
-    let path = format!("{}/../ipg-flate/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read(&path).unwrap_or_else(|e| panic!("missing golden fixture {path}: {e}"))
-}
-
-/// A stored-block DEFLATE stream over `len` incompressible bytes.
-pub fn deflate_stored_stream(len: usize) -> Vec<u8> {
-    let data: Vec<u8> = (0..len as u32).map(|i| (i.wrapping_mul(2_654_435_761)) as u8).collect();
-    ipg_flate::compress_stored(&data)
-}
-
-/// A fixed-Huffman DEFLATE stream over `len` bytes of English-like text
-/// (our own encoder only emits fixed-Huffman blocks).
-pub fn deflate_fixed_stream(len: usize) -> Vec<u8> {
-    let data: Vec<u8> = b"The quick brown fox jumps over the lazy dog. "
-        .iter()
-        .copied()
-        .cycle()
-        .take(len)
-        .collect();
-    ipg_flate::compress(&data)
-}
-
-/// A ZIP archive of `n` large *stored* entries — the workload where the
-/// zero-copy property dominates (archived data is skipped, not copied).
-pub fn zip_with_large_stored_entries(n: usize) -> Vec<u8> {
-    ipg_corpus::zip::generate(&ipg_corpus::zip::Config {
-        n_entries: n,
-        payload_len: 64 * 1024,
-        method: ipg_corpus::zip::Method::Stored,
-        seed: 7,
-    })
-    .bytes
+/// If the session rejects the input.
+pub fn parse_chunked(vm: &VmParser, input: &[u8]) -> (ParseTree, u64) {
+    let mut session = vm.streaming();
+    for piece in input.chunks(CHUNK) {
+        match session.feed(piece) {
+            Outcome::NeedInput { .. } => {}
+            Outcome::Error(e) => panic!("input rejected mid-stream: {e}"),
+            Outcome::Done(_) => unreachable!("feed never completes"),
+        }
+    }
+    match session.finish() {
+        Outcome::Done(tree) => (tree, session.suspends()),
+        Outcome::Error(e) => panic!("input rejected: {e}"),
+        Outcome::NeedInput { .. } => unreachable!("finish never needs input"),
+    }
 }
 
 #[cfg(test)]

@@ -14,32 +14,7 @@
 //! ```
 
 use bench::harness::measure_best;
-use ipg_core::interp::vm::{Outcome, VmParser};
 use std::time::Duration;
-
-/// FEED chunk size (wire-realistic).
-const CHUNK: usize = 4096;
-
-/// Streams `input` through a fresh session in `CHUNK`-byte pieces and
-/// returns the suspensions it took.
-fn parse_chunked(vm: &VmParser, input: &[u8]) -> u64 {
-    let mut session = vm.streaming();
-    for piece in input.chunks(CHUNK) {
-        match session.feed(piece) {
-            Outcome::NeedInput { .. } => {}
-            Outcome::Error(e) => panic!("input rejected mid-stream: {e}"),
-            Outcome::Done(_) => unreachable!("feed never completes"),
-        }
-    }
-    match session.finish() {
-        Outcome::Done(tree) => {
-            std::hint::black_box(&tree);
-            session.suspends()
-        }
-        Outcome::Error(e) => panic!("input rejected: {e}"),
-        Outcome::NeedInput { .. } => unreachable!("finish never needs input"),
-    }
-}
 
 #[test]
 #[ignore = "timing gate: run in release on a quiet machine"]
@@ -63,7 +38,10 @@ fn aggregate_streaming_overhead_is_within_25_percent() {
         });
         let mut suspends = 0u64;
         let t_chunked = measure_best(3, budget, || {
-            suspends = inputs.iter().map(|input| parse_chunked(vm, input)).sum();
+            suspends = inputs
+                .iter()
+                .map(|input| std::hint::black_box(bench::parse_chunked(vm, input)).1)
+                .sum();
         });
         println!(
             "{name:<12} overhead {:>7.2}%  suspends/parse {:>5.1}",

@@ -5,12 +5,12 @@
 //! It is deliberately **not** shared with the fast path's plumbing: an
 //! independent bit reader and decoder mean the differential and parity
 //! suites compare two genuinely separate implementations, and the
-//! `inflate_throughput` benchmark measures the fast path against the real
-//! seed rather than against a seed that silently inherits the new 64-bit
-//! refill. The only deviations from the seed source are the satellite
-//! fixes that apply to both paths: output is pre-reserved via
-//! [`crate::inflate`]'s capacity heuristic and back-references copy in
-//! chunks instead of byte-at-a-time pushes.
+//! bench crate's `inflate_speedup` timing gate measures the fast path
+//! against the real seed rather than against a seed that silently
+//! inherits the new 64-bit refill. The only deviations from the seed
+//! source are two fixes that apply to both paths: output is pre-reserved
+//! via [`crate::inflate`]'s capacity heuristic, and back-references copy
+//! in chunks instead of byte-at-a-time pushes.
 //!
 //! Observable behaviour (outputs, consumed counts, error values) is
 //! identical to the fast path; `tests/parity.rs` pins this.
