@@ -4,7 +4,11 @@
 //! scrape reconciles the admission ledger, the `METRICS` protocol frame
 //! and the HTTP endpoint agree with the in-process gather, a scrape taken
 //! while other threads parse reconciles too, and the trace log captures
-//! admit → done spans for real traffic.
+//! admit → done spans for real traffic. A fresh server's whole scrape is
+//! pinned as an expect file (`tests/expect/`).
+
+#[path = "../../../tests/common/mod.rs"]
+mod common;
 
 use ipg_serve::proto::Wire;
 use ipg_serve::trace::TraceLog;
@@ -27,7 +31,6 @@ struct Sample {
 /// A strictly parsed exposition: families (`# TYPE`) and samples.
 struct Exposition {
     types: BTreeMap<String, String>,
-    helps: BTreeMap<String, String>,
     samples: Vec<Sample>,
 }
 
@@ -114,7 +117,7 @@ fn parse_exposition(text: &str) -> Exposition {
         }
     }
     assert_eq!(types.len(), helps.len(), "every family needs both HELP and TYPE");
-    Exposition { types, helps, samples }
+    Exposition { types, samples }
 }
 
 impl Exposition {
@@ -148,29 +151,25 @@ impl Exposition {
     }
 }
 
-/// Every stats counter must surface in the scrape under its metric name
-/// — the exhaustive list that keeps the exposition honest as counters
-/// are added.
-const EXPECTED: &[&str] = &[
-    "ipg_parses_ok_total",
-    "ipg_parses_err_total",
-    "ipg_sessions_opened_total",
-    "ipg_sessions_closed_total",
-    "ipg_sessions_evicted_total",
-    "ipg_sessions_sealed_total",
-    "ipg_live_sessions",
-    "ipg_bytes_in_total",
-    "ipg_vm_steps_total",
-    "ipg_suspends_total",
-    "ipg_requests_submitted_total",
-    "ipg_requests_completed_total",
-    "ipg_requests_shed_total",
-    "ipg_requests_failed_total",
-    "ipg_requests_in_flight",
-    "ipg_panics_recovered_total",
-    "ipg_reloads_ok_total",
-    "ipg_reloads_rejected_total",
-];
+fn expect_dir() -> std::path::PathBuf {
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/expect")
+}
+
+/// A fresh server's scrape, with tracing off and on, pinned byte for
+/// byte: every family's presence, order, `HELP` text and `TYPE`, and the
+/// all-zero samples of an untouched server. The expect files are the one
+/// list of exported families; bless with `UPDATE_SNAPSHOTS=1`.
+#[test]
+fn fresh_scrapes_are_pinned() {
+    let plain = Server::start(Config::default()).metrics_text();
+    parse_exposition(&plain);
+    common::check_snapshot(&expect_dir(), "metrics_fresh.txt", &plain);
+    let traced =
+        Server::start(Config { trace: Some(Arc::new(TraceLog::new(64))), ..Config::default() })
+            .metrics_text();
+    parse_exposition(&traced);
+    common::check_snapshot(&expect_dir(), "metrics_fresh_trace.txt", &traced);
+}
 
 #[test]
 fn scrape_round_trips_every_metric_and_reconciles() {
@@ -182,14 +181,6 @@ fn scrape_round_trips_every_metric_and_reconciles() {
     server.parse("zip", b"junk").expect_err("junk fails");
 
     let exp = parse_exposition(&server.metrics_text());
-    for name in EXPECTED {
-        assert!(
-            exp.types.contains_key(*name),
-            "metric `{name}` missing from the scrape (families: {:?})",
-            exp.types.keys().collect::<Vec<_>>()
-        );
-        assert!(exp.helps.contains_key(*name), "metric `{name}` has no HELP text");
-    }
     exp.check_histogram("ipg_request_latency_us");
     assert_ledger_reconciles(&exp);
     assert_eq!(exp.value("ipg_parses_ok_total"), 10.0);
