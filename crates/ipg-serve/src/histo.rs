@@ -1,7 +1,6 @@
-//! The shared log₂ latency histogram: one bucketing scheme used by the
-//! service counters ([`crate::stats`]), the Prometheus exposition
-//! ([`crate::metrics`]), and the bench harness, so percentiles computed
-//! anywhere in the tree agree bucket-for-bucket.
+//! The shared log₂ latency histogram: one bucketing scheme behind the
+//! stats snapshot's percentiles ([`crate::stats`]) and the Prometheus
+//! exposition's buckets, so the two agree bucket-for-bucket.
 //!
 //! Bucket `i` counts observations whose value in microseconds fell in
 //! `[2^i, 2^(i+1))`; values of 0 are clamped into bucket 0, and the last
@@ -23,12 +22,6 @@ pub const BUCKET_COUNT: usize = 40;
 #[inline]
 pub fn bucket_index(us: u64) -> usize {
     (63 - us.max(1).leading_zeros() as usize).min(BUCKET_COUNT - 1)
-}
-
-/// The inclusive lower bound of bucket `i` in microseconds (0 clamps
-/// into bucket 0, so its effective lower bound is 0).
-pub fn bucket_lo(i: usize) -> u64 {
-    1u64 << i
 }
 
 /// The exclusive upper bound of bucket `i` in microseconds (the last
@@ -97,11 +90,6 @@ impl LogHistogram {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.counts().iter().sum()
-    }
-
     /// Sum of all recorded values, microseconds.
     pub fn sum_us(&self) -> u64 {
         self.sum_us.load(Ordering::Relaxed)
@@ -137,10 +125,10 @@ mod tests {
     #[test]
     fn bounds_and_midpoints_are_consistent() {
         for i in 0..BUCKET_COUNT - 1 {
-            assert!(bucket_lo(i) <= bucket_mid(i) && bucket_mid(i) < bucket_hi(i), "bucket {i}");
-            assert_eq!(bucket_hi(i), bucket_lo(i + 1));
+            let lo = 1u64 << i;
+            assert!(lo <= bucket_mid(i) && bucket_mid(i) < bucket_hi(i), "bucket {i}");
             // Every in-range value maps back into its own bucket.
-            assert_eq!(bucket_index(bucket_lo(i)), i);
+            assert_eq!(bucket_index(lo), i);
             assert_eq!(bucket_index(bucket_hi(i) - 1), i);
         }
     }
@@ -163,7 +151,7 @@ mod tests {
         assert_eq!(h.percentile(1.0), bucket_mid(bucket_index(5000)));
         // Sum backs the Prometheus `_sum` series.
         assert_eq!(h.sum_us(), 1 + 2 + 3 + 400 + 5000);
-        assert_eq!(h.total(), 8);
+        assert_eq!(h.counts().iter().sum::<u64>(), 8);
     }
 
     #[test]
@@ -171,7 +159,7 @@ mod tests {
         let h = LogHistogram::default();
         assert_eq!(h.percentile(0.5), 0);
         assert_eq!(h.percentile(0.99), 0);
-        assert_eq!(h.total(), 0);
+        assert_eq!(h.counts().iter().sum::<u64>(), 0);
         assert_eq!(h.sum_us(), 0);
     }
 
@@ -183,6 +171,6 @@ mod tests {
         let counts = h.counts();
         assert_eq!(counts[0], 1);
         assert_eq!(counts[BUCKET_COUNT - 1], 1);
-        assert_eq!(h.total(), 2);
+        assert_eq!(counts.iter().sum::<u64>(), 2);
     }
 }

@@ -59,7 +59,7 @@
 
 pub mod fault;
 pub mod histo;
-pub mod metrics;
+mod metrics;
 mod pool;
 pub mod proto;
 mod session;
@@ -74,9 +74,9 @@ use pool::Shared;
 use session::Active;
 use stats::{Counters, StatsSnapshot};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Service configuration. The defaults are production-lean: 50M-step
 /// fuel (the repo's standard "pathological loop" bound), 64 MiB
@@ -181,91 +181,7 @@ pub enum Response {
 pub struct Server {
     shared: Arc<Shared>,
     registry: Registry,
-    metrics: Arc<metrics::Registry>,
     watcher: Mutex<Option<watch::Watcher>>,
-    started: Instant,
-}
-
-/// One registration row: metric name, help text, and the accessor
-/// picking the backing cell out of [`stats::Counters`].
-type CounterSpec = (&'static str, &'static str, fn(&stats::Counters) -> &AtomicU64);
-
-/// Builds the server's metrics registry: every stats counter, the
-/// admission ledger read as one group (so its in-flight gap reconciles
-/// on every scrape), the reload counters, the shared-bucket latency
-/// histogram, and — when tracing is on — the trace ring's emit/drop
-/// counters. This is the single exposition point: a counter that exists
-/// but is not registered here is invisible to every scraper, so the
-/// registration list is deliberately exhaustive over
-/// [`stats::Counters`].
-fn build_metrics(shared: &Arc<Shared>) -> Arc<metrics::Registry> {
-    let reg = metrics::Registry::new();
-    let counters: [CounterSpec; 12] = [
-        ("ipg_parses_ok_total", "Completed parses.", |c| &c.parses_ok),
-        ("ipg_parses_err_total", "Failed parses.", |c| &c.parses_err),
-        ("ipg_sessions_opened_total", "Streaming sessions opened.", |c| &c.sessions_opened),
-        ("ipg_sessions_closed_total", "Streaming sessions closed.", |c| &c.sessions_closed),
-        ("ipg_sessions_evicted_total", "Sessions dropped by deadline eviction.", |c| {
-            &c.sessions_evicted
-        }),
-        ("ipg_sessions_sealed_total", "Sessions sealed with GOAWAY during drain.", |c| {
-            &c.sessions_sealed
-        }),
-        ("ipg_bytes_in_total", "Input bytes accepted.", |c| &c.bytes_in),
-        ("ipg_vm_steps_total", "VM steps executed by completed work.", |c| &c.steps),
-        ("ipg_suspends_total", "Suspensions taken by streaming sessions.", |c| &c.suspends),
-        ("ipg_panics_recovered_total", "Request panics converted to typed replies.", |c| {
-            &c.panics_recovered
-        }),
-        ("ipg_reloads_ok_total", "Hot reloads that swapped a generation in.", |c| &c.reloads_ok),
-        ("ipg_reloads_rejected_total", "Hot reloads refused (previous generation kept).", |c| {
-            &c.reloads_rejected
-        }),
-    ];
-    for (name, help, read) in counters {
-        let s = Arc::clone(shared);
-        reg.counter_fn(name, help, move || read(&s.counters).load(Ordering::Relaxed));
-    }
-    let s = Arc::clone(shared);
-    reg.group_fn(
-        [
-            ("ipg_requests_submitted_total", "Requests submitted (the ledger domain).", "counter"),
-            ("ipg_requests_completed_total", "Requests answered successfully.", "counter"),
-            ("ipg_requests_shed_total", "Requests shed with BUSY/GOAWAY.", "counter"),
-            ("ipg_requests_failed_total", "Requests answered with a typed error.", "counter"),
-            (
-                "ipg_requests_in_flight",
-                "Submitted requests not yet classified (the live reconciliation gap).",
-                "gauge",
-            ),
-        ],
-        move || s.counters.ledger(),
-    );
-    let s = Arc::clone(shared);
-    reg.gauge_fn("ipg_live_sessions", "Sessions currently live.", move || {
-        s.counters.live_sessions.load(Ordering::Relaxed)
-    });
-    let s = Arc::clone(shared);
-    reg.histogram_fn(
-        "ipg_request_latency_us",
-        "Admission-to-reply latency, microseconds (shared log2 buckets).",
-        move || (s.counters.latency.counts(), s.counters.latency.sum_us()),
-    );
-    if let Some(t) = &shared.trace {
-        let tl = Arc::clone(t);
-        reg.counter_fn(
-            "ipg_trace_events_total",
-            "Trace events accepted into the ring.",
-            move || tl.emitted(),
-        );
-        let tl = Arc::clone(t);
-        reg.counter_fn(
-            "ipg_trace_dropped_total",
-            "Trace events lost to ring overflow or contention.",
-            move || tl.dropped(),
-        );
-    }
-    Arc::new(reg)
 }
 
 impl Server {
@@ -277,14 +193,7 @@ impl Server {
     /// Starts a server over an explicit registry.
     pub fn with_registry(cfg: Config, registry: Registry) -> Server {
         pool::install_quiet_request_panics();
-        let shared = Arc::new(Shared::new(cfg));
-        Server {
-            metrics: build_metrics(&shared),
-            shared,
-            registry,
-            watcher: Mutex::new(None),
-            started: Instant::now(),
-        }
+        Server { shared: Arc::new(Shared::new(cfg)), registry, watcher: Mutex::new(None) }
     }
 
     /// Starts hot reloading: scans `dir` synchronously (every `.ipg`
@@ -400,21 +309,16 @@ impl Server {
         }
     }
 
-    /// A point-in-time stats snapshot (parses/s, bytes/s, suspend counts,
-    /// shed/panic counters, latency percentiles).
+    /// A point-in-time stats snapshot: every counter (the ledger, parse,
+    /// session, panic and reload counts) and the latency percentiles.
     pub fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot::collect(&self.shared.counters, self.started)
-    }
-
-    /// The metrics registry backing this server's Prometheus exposition.
-    pub fn metrics(&self) -> Arc<metrics::Registry> {
-        Arc::clone(&self.metrics)
+        StatsSnapshot::collect(&self.shared.counters)
     }
 
     /// One Prometheus text-format scrape (what `--metrics-addr` and the
     /// `METRICS` protocol op both return).
     pub fn metrics_text(&self) -> String {
-        self.metrics.gather()
+        metrics::gather(&self.shared)
     }
 
     /// Starts the Prometheus exposition endpoint: a minimal HTTP/1.0
@@ -430,7 +334,6 @@ impl Server {
         let listener = std::net::TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let metrics = Arc::clone(&self.metrics);
         let shared = Arc::clone(&self.shared);
         std::thread::Builder::new().name("ipg-serve-metrics".into()).spawn(move || {
             while !shared.shutdown.load(Ordering::Acquire) {
@@ -459,7 +362,7 @@ impl Server {
                         }
                     }
                 }
-                let body = metrics.gather();
+                let body = metrics::gather(&shared);
                 let response = format!(
                     "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4; \
                      charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",

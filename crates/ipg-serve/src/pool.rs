@@ -132,7 +132,7 @@ impl Shared {
             t.admit(span, op);
             span
         });
-        Counters::add(&self.counters.requests_submitted, 1);
+        Counters::add(&self.counters.submitted, 1);
         let ahead = self.in_flight.fetch_add(1, Ordering::SeqCst);
         let resp = if self.is_draining() {
             Response::GoAway
@@ -190,10 +190,10 @@ impl Shared {
         let c = &self.counters;
         let bucket = match resp {
             Response::Done(_) | Response::Opened { .. } | Response::NeedInput { .. } => {
-                &c.requests_completed
+                &c.completed
             }
-            Response::Busy { .. } | Response::GoAway => &c.requests_shed,
-            Response::Error(_) => &c.requests_failed,
+            Response::Busy { .. } | Response::GoAway => &c.shed,
+            Response::Error(_) => &c.failed,
         };
         bucket.fetch_add(1, Ordering::Release);
         c.latency.record(accepted.elapsed());

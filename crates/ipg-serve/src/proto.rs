@@ -21,7 +21,7 @@
 //! | `0x03 OPENED`     | `id:u64le` |
 //! | `0x05 BUSY`       | `retry_after_ms:u64le` — shed at admission, retry later |
 //! | `0x06 GOAWAY`     | — server draining; session (if any) sealed |
-//! | `0x07 METRICS`    | UTF-8 Prometheus text ([`crate::metrics::Registry::gather`]) |
+//! | `0x07 METRICS`    | UTF-8 Prometheus text ([`crate::Server::metrics_text`]) |
 //!
 //! Robustness contract: every malformed, truncated, oversized, or
 //! out-of-order frame is answered with a *typed* `ERROR` frame — never a

@@ -676,6 +676,7 @@ mod scan_edges {
 /// * a zip list whose last (or first) element has a broken signature;
 /// * grammars whose earlier calls memoize a level in mid-list, whose list
 ///   is the streamed root, or whose elements are not records;
+/// * a list 512 records deep, whole and cut mid-record;
 /// * every split point and every step limit of a small input.
 mod chain_edges {
     use super::assert_oracle;
@@ -832,6 +833,40 @@ mod chain_edges {
             }
         }
         check_all(&f, &input);
+    }
+
+    /// A right-recursive list 512 records deep, whole and cut mid-record.
+    /// The VM runs the list in one frame, but the interpreter recurses
+    /// once per level and overflows a default 2 MiB test thread, so the
+    /// case runs on one thread with its own stack. On x86-64 Linux a
+    /// debug build needed between 2.25 and 2.5 MiB for it, and a release
+    /// build between 512 KiB and 1 MiB; 8 MiB leaves over 3x headroom.
+    #[test]
+    fn deep_recursive_lists_agree_across_engines() {
+        const STACK: usize = 8 << 20;
+        let spec = r#"
+            S -> Items[0, EOI];
+            Items -> Item[0, EOI] Items[Item.end, EOI] / Item[0, EOI];
+            Item -> "R"[0, 1] Payload[1, 8];
+            Payload := bytes;
+        "#;
+        let records: Vec<u8> = (0..512u32)
+            .flat_map(|i| [[b'R'].as_slice(), &i.to_le_bytes(), &[0, 0, 0]].concat())
+            .collect();
+        std::thread::Builder::new()
+            .stack_size(STACK)
+            .spawn(move || {
+                let g = parse_grammar(spec).unwrap();
+                let vm: &'static VmParser = Box::leak(Box::new(VmParser::new(&g)));
+                assert!(vm.program().disassemble(&g).contains("  chain Item["));
+                let f = Format { name: "deep list", grammar: vm.grammar(), vm };
+                for input in [&records[..], &records[..records.len() - 4]] {
+                    check(&f, input, input.len() / 2);
+                }
+            })
+            .expect("spawn the deep-list thread")
+            .join()
+            .expect("the engines agree on a deep list");
     }
 
     /// List shapes beyond the corpus: a record element with guards, sets
