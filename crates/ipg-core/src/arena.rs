@@ -30,7 +30,7 @@
 //! has the same shape: the builtin layout's `EOI`, `start`, `end` and
 //! `val`, and one leaf child over the bytes it read. So a builtin result
 //! is one 40-byte `ABuiltin` record in a vector of its own
-//! ([`TreeArena::alloc_builtin`]), holding the interval (absolute base,
+//! (`TreeArena::alloc_builtin`), holding the interval (absolute base,
 //! length, offset in the caller's interval), the bytes consumed and the
 //! value; `EOI`, `start`, `end` and the leaf's span are derived from them.
 //! Two [`TreeId`] tags index the same record: one is the node, the other
@@ -42,7 +42,7 @@
 //! The memoizing semantics reuse a cached result at several call sites
 //! (the O(n²) bound of §3.3 of the paper relies on it). Arena nodes are
 //! therefore immutable once allocated: the caller-side `start`/`end`
-//! re-basing of rule T-NTSucc ([`TreeArena::adjust`]) allocates a 16-byte
+//! re-basing of rule T-NTSucc (`TreeArena::adjust`) allocates a 16-byte
 //! shift record that *shares* the original record, observably like the
 //! interpreter's `Rc`-sharing `adjust_tree`. Shift records come only from
 //! the results of rules with alternatives and of blackboxes, which the VM

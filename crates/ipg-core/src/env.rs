@@ -6,7 +6,7 @@
 //! `(symbol, value)` bindings with linear lookup, in which the most recent
 //! binding of a symbol wins. The tree-walking interpreter
 //! ([`crate::interp`]) builds one per alternative it tries and stores it in
-//! every [`crate::tree::Node`]; the first [`INLINE`] bindings live inline
+//! every [`crate::tree::Node`]; the first `INLINE` bindings live inline
 //! so that `EOI`/`start`/`end` plus a few attributes stay off the heap,
 //! and the rest spill to a `Vec`.
 //!

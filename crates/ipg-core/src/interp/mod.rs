@@ -108,24 +108,30 @@ impl<'g> Parser<'g> {
     ///
     /// As [`Parser::parse`].
     pub fn parse_with_stats(&self, input: &[u8]) -> (Result<Rc<Tree>>, ParseStats) {
-        self.parse_from_with_stats(self.grammar.start_nt(), input)
+        self.run(self.grammar.start_nt(), input)
     }
 
-    fn parse_from_with_stats(&self, nt: NtId, input: &[u8]) -> (Result<Rc<Tree>>, ParseStats) {
+    /// Parses `input` from nonterminal `nt` and packages the result with
+    /// the statistics.
+    fn run(&self, nt: NtId, input: &[u8]) -> (Result<Rc<Tree>>, ParseStats) {
         let mut sess = self.session(input);
-        let result = match sess.parse_nt(nt, 0, input.len(), None) {
-            Ok(Some(tree)) => Ok(tree),
-            Ok(None) => Err(Error::Parse(sess.deepest.clone())),
-            Err(Abort::FuelExhausted) => Err(Error::Parse(ParseError {
-                offset: sess.deepest.offset,
-                nonterminal: sess.deepest.nonterminal.clone(),
-                msg: "step limit exhausted".into(),
-            })),
-        };
+        let stop = sess.parse_nt(nt, 0, input.len(), None);
         let stats = ParseStats {
             steps: sess.steps,
             memo_hits: sess.memo_hits,
             memo_entries: sess.memo.len(),
+        };
+        let result = match stop {
+            Ok(Some(tree)) => Ok(tree),
+            Ok(None) => Err(Error::Parse(sess.deepest)),
+            Err(Abort::FuelExhausted) => Err(Error::Parse(ParseError {
+                offset: sess.deepest.offset,
+                nonterminal: sess.deepest.nonterminal,
+                msg: format!(
+                    "step limit of {} exhausted (possible non-terminating grammar)",
+                    self.max_steps.unwrap_or(u64::MAX)
+                ),
+            })),
         };
         (result, stats)
     }
@@ -156,19 +162,7 @@ impl<'g> Parser<'g> {
     ///
     /// As [`Parser::parse`].
     pub fn parse_from(&self, nt: NtId, input: &[u8]) -> Result<Rc<Tree>> {
-        let mut sess = self.session(input);
-        match sess.parse_nt(nt, 0, input.len(), None) {
-            Ok(Some(tree)) => Ok(tree),
-            Ok(None) => Err(Error::Parse(sess.deepest)),
-            Err(Abort::FuelExhausted) => Err(Error::Parse(ParseError {
-                offset: sess.deepest.offset,
-                nonterminal: sess.deepest.nonterminal,
-                msg: format!(
-                    "step limit of {} exhausted (possible non-terminating grammar)",
-                    self.max_steps.unwrap_or(u64::MAX)
-                ),
-            })),
-        }
+        self.run(nt, input).0
     }
 }
 

@@ -1,19 +1,17 @@
 //! In-memory grammar compilation.
 //!
-//! Everything downstream of [`crate::bytecode::compile`] — the flat
-//! [`Program`] pools, the [`AnchorRequirement`] streaming classification,
-//! the [`SizeHints`] pre-sizing — is a pure function of the grammar
-//! source and the blackbox declarations it was checked against.
-//! [`CachedProgram::compile`] computes it from source in memory; every
+//! The checked grammar and its flat [`Program`] pools are a pure function
+//! of the grammar source and the blackbox declarations it was checked
+//! against.
+//! [`CachedProgram::compile`] computes them from source in memory; every
 //! registry load goes through it, and nothing is persisted. The `.ipg`
 //! source is the only deploy unit.
 //!
 //! [`source_hash`] names that function's input: two loads with the same
 //! hash produce the same program.
 
-use crate::analysis::{anchor_requirement, AnchorRequirement};
 use crate::blackbox::Blackbox;
-use crate::bytecode::{compile, Program, SizeHints};
+use crate::bytecode::{compile, Program};
 use crate::check::Grammar;
 use crate::error::Result;
 
@@ -80,8 +78,7 @@ pub fn source_hash(spec: &str, blackboxes: &[Blackbox]) -> u64 {
 // In-memory compilation
 // ---------------------------------------------------------------------------
 
-/// A compiled grammar: the checked grammar plus the program and
-/// precomputed analyses, ready for
+/// A compiled grammar: the checked grammar plus the program, ready for
 /// [`VmParser::from_compiled`](crate::interp::vm::VmParser::from_compiled).
 #[derive(Debug)]
 pub struct CachedProgram {
@@ -89,10 +86,6 @@ pub struct CachedProgram {
     pub grammar: Grammar,
     /// The bytecode program.
     pub program: Program,
-    /// Streaming classification.
-    pub anchor: AnchorRequirement,
-    /// VM pre-sizing hints.
-    pub hints: SizeHints,
     /// The [`source_hash`] of the spec and blackboxes compiled.
     pub source_hash: u64,
 }
@@ -102,10 +95,8 @@ impl CachedProgram {
     pub fn compile(spec: &str, blackboxes: Vec<Blackbox>) -> Result<CachedProgram> {
         let grammar = crate::frontend::parse_grammar_with(spec, blackboxes)?;
         let program = compile(&grammar);
-        let hints = program.size_hints();
-        let anchor = anchor_requirement(&grammar);
         let source_hash = source_hash(spec, grammar.blackboxes());
-        Ok(CachedProgram { grammar, program, anchor, hints, source_hash })
+        Ok(CachedProgram { grammar, program, source_hash })
     }
 }
 

@@ -134,7 +134,7 @@ impl Layouts {
 /// If one rule needs more than 65534 slots.
 pub(crate) fn resolve(program: &mut Program, grammar: &Grammar) -> Layouts {
     let mut layouts = Layouts {
-        table: program.nt_table(),
+        table: program.nt_table.clone(),
         rules: Vec::with_capacity(program.rules.len()),
         shapes: vec![(0, 0); program.alts.len()],
         bindings: Vec::new(),
@@ -173,8 +173,7 @@ pub(crate) fn resolve(program: &mut Program, grammar: &Grammar) -> Layouts {
             }
             PRuleKind::Alts { first, count } => {
                 for alt in &program.alts[first as usize..(first + count) as usize] {
-                    for instr in &program.code[alt.first as usize..(alt.first + alt.count) as usize]
-                    {
+                    for instr in program.alt_code(*alt) {
                         if let Instr::Set { attr, .. } = *instr {
                             add(attr);
                         }

@@ -27,12 +27,18 @@
 //!   executable *reference* semantics.
 //! * [`bytecode`] — the production pipeline's next stage: [`bytecode::compile`]
 //!   lowers a checked grammar into a flat, `NtId`-indexed program (dense
-//!   instruction/expression pools, pre-resolved result slots) with a
-//!   disassembler for snapshot-pinned listings.
+//!   instruction/expression pools, pre-resolved result slots). Its
+//!   `shapes` module matches the record, byte-scan and chain shapes the
+//!   bulk instructions run, and `disasm` renders the snapshot-pinned
+//!   listings.
 //! * [`interp::vm`] — the bytecode execution engine: an explicit work stack
 //!   instead of recursion, parse trees bump-allocated into an
 //!   [`arena::TreeArena`], observably identical to [`interp`] (same trees,
-//!   step counts, and errors — enforced by differential tests).
+//!   step counts, and errors — enforced by differential tests). Its
+//!   modules: `machine` (frames, calls, the instruction loop), `bulk`
+//!   (records, scans, chains), `workspace` (per-thread storage, the memo
+//!   table), `failure` (the deepest error) and `session` (streaming
+//!   [`interp::vm::Session`]s).
 //! * `layout` — static attribute layouts: every attribute resolved to a
 //!   fixed per-rule slot when a VM parser is built, so VM frames and arena
 //!   nodes hold `i64` slots instead of an [`env::Env`].
@@ -40,8 +46,8 @@
 //!   shared attribute pool) with zero-copy views mirroring the [`tree`]
 //!   accessors.
 //! * [`ipgc`] — [`ipgc::CachedProgram::compile`], the in-memory compile
-//!   every registry load uses (grammar, program, anchor classification,
-//!   size hints), and the [`ipgc::source_hash`] that identifies its input.
+//!   every registry load uses (grammar and program), and the
+//!   [`ipgc::source_hash`] that identifies its input.
 //! * [`profile`] — grammar-level VM profiling: per-rule cycle
 //!   attribution, memo hit/miss counts, pc-indexed instruction hits,
 //!   and a folded-stack export keyed by the static call graph. Disabled

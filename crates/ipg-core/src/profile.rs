@@ -2,7 +2,7 @@
 //! hit/miss counts, pc-indexed instruction hit counters, and a
 //! folded-stack export keyed by the grammar's static call graph.
 //!
-//! The VM is instrumented through the [`ProfSink`] trait, a set of
+//! The VM is instrumented through the `ProfSink` trait, a set of
 //! inline hooks threaded through [`crate::interp::vm`] as a type
 //! parameter. The unit type `()` is the *disabled* sink: every hook is
 //! an empty `#[inline(always)]` function, so the uninstrumented parse
@@ -101,7 +101,7 @@ pub struct RuleCounters {
     pub self_ns: u64,
 }
 
-/// The enabled [`ProfSink`]: accumulates counters during one parse.
+/// The enabled `ProfSink`: accumulates counters during one parse.
 /// Create per parse via [`crate::interp::vm::VmParser::parse_profiled`].
 #[derive(Debug)]
 pub struct Profiler {
@@ -380,7 +380,7 @@ fn static_paths(p: &Program) -> Vec<Option<Vec<NtId>>> {
         };
         if let PRuleKind::Alts { first, count } = p.rules[nt].kind {
             for alt in &p.alts[first as usize..(first + count) as usize] {
-                for instr in &p.code[alt.first as usize..(alt.first + alt.count) as usize] {
+                for instr in p.alt_code(*alt) {
                     match p.unfused(*instr) {
                         Instr::Call { nt: c, .. }
                         | Instr::Loop { nt: c, .. }

@@ -64,19 +64,12 @@ fn run_vm(parser: &VmParser, case: &Case) -> Observed {
 fn run_interp(case: &Case) -> (Result<String, Error>, u64) {
     let g = parse_grammar(GRAMMARS[case.grammar]).unwrap();
     let parser = Parser::new(&g).memoize(case.memoize);
-    match case.max_steps {
-        // `parse_bounded` words fuel exhaustion like `parse`, while
-        // `parse_with_stats` supplies the step count.
-        Some(n) => {
-            let parser = parser.max_steps(n);
-            let result = parser.parse(&case.input).map(|t| format!("{t:?}"));
-            (result, parser.parse_with_stats(&case.input).1.steps)
-        }
-        None => {
-            let (result, stats) = parser.parse_with_stats(&case.input);
-            (result.map(|t| format!("{t:?}")), stats.steps)
-        }
-    }
+    let parser = match case.max_steps {
+        Some(n) => parser.max_steps(n),
+        None => parser,
+    };
+    let (result, stats) = parser.parse_with_stats(&case.input);
+    (result.map(|t| format!("{t:?}")), stats.steps)
 }
 
 fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {

@@ -154,7 +154,7 @@ pub fn inflate_with_limit(data: &[u8], limit: usize) -> Result<(Vec<u8>, usize),
 }
 
 /// Slow-path counterpart of [`inflate`]: the frozen seed decoder (see
-/// [`crate::seed`]), kept as the validation baseline and the benchmark
+/// `src/seed.rs`), kept as the validation baseline and the benchmark
 /// reference.
 ///
 /// # Errors

@@ -50,8 +50,8 @@ pub struct Compiled {
 impl Compiled {
     /// Packages a compiled program as one refcounted generation.
     pub fn from_cached(cached: CachedProgram) -> Arc<Compiled> {
-        let CachedProgram { grammar, program, anchor, hints, source_hash } = cached;
-        let vm = VmParser::from_compiled(grammar, program, anchor, hints);
+        let CachedProgram { grammar, program, source_hash } = cached;
+        let vm = VmParser::from_compiled(grammar, program);
         Arc::new(Compiled { vm, source_hash })
     }
 

@@ -11,7 +11,7 @@
 //!
 //! ## How it works
 //!
-//! The walker ([`walk`]) mirrors the interpreter's big-step semantics, but
+//! The walker (the `walk` module) mirrors the interpreter's big-step semantics, but
 //! each *read* becomes a *choice or constraint*:
 //!
 //! 1. builtins allocate unknowns and write back-patchable field segments;

@@ -40,7 +40,7 @@
 //! Each connection runs on its own thread, and every request it reads
 //! runs to completion there: a PARSE is parsed straight out of the frame
 //! payload, and the connection owns the sessions it opened. The
-//! connection's idle wake-up (every [`POLL`]) evicts those sessions once
+//! connection's idle wake-up (every `POLL`) evicts those sessions once
 //! they pass their deadline and, when the server drains, seals them and
 //! answers `GOAWAY`.
 
@@ -149,7 +149,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Reads one length-framed payload; `Ok(None)` on clean EOF before the
 /// length prefix. This is the blocking, unbuffered client-side reader (it
 /// never reads past the frame, so it keeps no state between calls); the
-/// server uses [`read_request`]'s polled, deadline-guarded variant and
+/// server uses `read_request`'s polled, deadline-guarded variant and
 /// [`Client`] a buffered one.
 ///
 /// # Errors

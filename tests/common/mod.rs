@@ -18,7 +18,7 @@ use std::sync::OnceLock;
 /// Step fuel for every engine run in the test suites: orders of magnitude
 /// above any real parse of these grammars, so a pathological loop (e.g. a
 /// termination-checker regression surfaced by a mutant) fails cleanly with
-/// both engines reporting the identical "step limit exhausted" error
+/// both engines reporting the identical "step limit of N exhausted" error
 /// instead of hanging the test binary.
 pub const AGREE_FUEL: u64 = 50_000_000;
 

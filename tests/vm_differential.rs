@@ -219,10 +219,44 @@ fn assert_oracle(f: &common::Format, input: &[u8], fuel: u64, split: usize, memo
         (None, Outcome::NeedInput { .. }) => panic!("finish never needs input, {ctx}"),
     };
     assert_eq!(session.stats().steps, stats.steps, "streamed steps, {ctx}");
-    // A session words fuel exhaustion like `parse`, not like
-    // `parse_with_stats`.
-    let reference = if stats.steps > fuel { parser.parse(input) } else { reference };
     assert_eq!(streamed, reference, "streamed, {ctx}");
+}
+
+/// Fuel exhaustion reads alike on every entry point: at a step limit
+/// below a parse's steps, the VM's `parse`, `parse_with_stats`,
+/// `parse_bounded` and a streamed session, and the interpreter's `parse`
+/// and `parse_with_stats`, return the identical error.
+#[test]
+fn fuel_exhaustion_reads_alike_on_every_entry_point() {
+    use ipg_core::interp::Parser;
+    for f in common::formats() {
+        let input = common::default_corpus_input(f.name);
+        let steps = f.vm.parse_with_stats(&input).1.steps;
+        for fuel in [1, steps / 2, steps - 1] {
+            let ctx = format!("{}: fuel {fuel} of {steps} steps", f.name);
+            let parser = Parser::new(f.grammar).max_steps(fuel);
+            let want = parser.parse(&input).expect_err(&ctx);
+            let limit =
+                format!("step limit of {fuel} exhausted (possible non-terminating grammar)");
+            assert!(
+                matches!(&want, ipg_core::Error::Parse(pe) if pe.msg == limit),
+                "{ctx}: {want}"
+            );
+            let vm = f.vm.clone().max_steps(fuel);
+            let mut session = vm.streaming();
+            session.feed(&input);
+            let got = [
+                ("interpreter parse_with_stats", parser.parse_with_stats(&input).0.err()),
+                ("parse", vm.parse(&input).err()),
+                ("parse_with_stats", vm.parse_with_stats(&input).0.err()),
+                ("parse_bounded", f.vm.parse_bounded(&input, fuel).0.err()),
+                ("session", session.finish().err().cloned()),
+            ];
+            for (entry, err) in got {
+                assert_eq!(err.as_ref(), Some(&want), "{entry}, {ctx}");
+            }
+        }
+    }
 }
 
 /// The edges of records (`record` in a bytecode listing): a record
