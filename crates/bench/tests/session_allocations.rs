@@ -67,18 +67,19 @@ fn count(parse: impl FnOnce() -> ParseTree) -> Counts {
 }
 
 /// Per grammar: the counts of the one-shot parse, then of the chunked
-/// session. A session copies its input into a buffer of its own,
-/// which grows by doubling; a one-shot parse borrows the input.
+/// session. A session copies its input into a buffer of its own, which
+/// it takes over from the thread's previous session, so on a warm thread
+/// the copy allocates nothing; a one-shot parse borrows the input.
 const PINNED: [(&str, Counts, Counts); 9] = [
-    ("zip", (0, 0), (3, 16_384)),
-    ("dns", (0, 0), (1, 284)),
-    ("png", (4, 128), (9, 65_664)),
-    ("gif", (0, 0), (4, 32_768)),
-    ("elf", (4, 292), (10, 8512)),
-    ("ipv4udp", (0, 0), (1, 1052)),
-    ("pe", (2, 64), (8, 32_832)),
-    ("pdf", (2, 68), (5, 16_452)),
-    ("zip_inflate", (128, 25_600), (131, 41_984)),
+    ("zip", (0, 0), (0, 0)),
+    ("dns", (0, 0), (0, 0)),
+    ("png", (4, 128), (4, 128)),
+    ("gif", (0, 0), (0, 0)),
+    ("elf", (4, 292), (8, 320)),
+    ("ipv4udp", (0, 0), (0, 0)),
+    ("pe", (2, 64), (4, 64)),
+    ("pdf", (2, 68), (2, 68)),
+    ("zip_inflate", (64, 16_384), (64, 16_384)),
 ];
 
 #[test]

@@ -232,7 +232,9 @@ pub(crate) struct ABlackbox {
     pub(crate) nt: NtId,
     /// Offset of the record's values in the attribute pool.
     pub(crate) attrs: u32,
-    pub(crate) data: Arc<[u8]>,
+    /// The blackbox's output, as it returned it: the tree's owner can move
+    /// it out ([`TreeArena::take_blackbox_data`]).
+    pub(crate) data: Vec<u8>,
     pub(crate) base: usize,
 }
 
@@ -424,7 +426,7 @@ impl TreeArena {
         nt: NtId,
         width: usize,
         fill: impl FnOnce(&mut [i64]),
-        data: Arc<[u8]>,
+        data: Vec<u8>,
         base: usize,
     ) -> TreeId {
         let start = self.attrs.len();
@@ -434,6 +436,13 @@ impl TreeArena {
         let id = TreeId::new(TAG_BLACKBOX, self.blackboxes.len());
         self.blackboxes.push(ABlackbox { nt, attrs, data, base });
         id
+    }
+
+    /// Moves the output of blackbox record `id` (possibly shifted) out of
+    /// the arena, leaving it empty; `None` if `id` is not a blackbox's.
+    pub(crate) fn take_blackbox_data(&mut self, id: TreeId) -> Option<Vec<u8>> {
+        let (id, _) = self.resolve(id);
+        (id.tag() == TAG_BLACKBOX).then(|| std::mem::take(&mut self.blackboxes[id.index()].data))
     }
 
     /// The callee-relative `(start, end)` of a returned tree (mirror of the
@@ -727,7 +736,7 @@ impl<'a> TreeRef<'a> {
                 name: table.names[b.nt.0 as usize].clone(),
                 name_sym: table.syms[b.nt.0 as usize],
                 env: self.arena.bindings(layouts.node_shape(b.nt, 0), b.attrs, delta).collect(),
-                data: b.data.clone(),
+                data: b.data.as_slice().into(),
                 base: b.base,
                 input_len: self.arena.attr(b.attrs, EOI_SLOT) as usize,
             })),
@@ -836,6 +845,30 @@ impl<'a> NodeRef<'a> {
             NodeRec::Builtin(_) => (&[][..], Some(TreeId::new(TAG_BUILTIN_LEAF, self.id.index()))),
         };
         ids.iter().copied().chain(leaf).map(move |id| arena.view(id))
+    }
+
+    /// The child at `index` in written term order (a builtin's one child,
+    /// at 0, is its leaf).
+    #[inline]
+    pub fn child(&self, index: usize) -> Option<TreeRef<'a>> {
+        let arena = self.arena;
+        match self.rec() {
+            NodeRec::Rule(n) => arena.child_ids(n.children).get(index).map(|&id| arena.view(id)),
+            NodeRec::Builtin(_) => {
+                (index == 0).then(|| arena.view(TreeId::new(TAG_BUILTIN_LEAF, self.id.index())))
+            }
+        }
+    }
+
+    /// The child at `index` if it is a node parsed with nonterminal `nt`:
+    /// the read of a child whose position the rule fixes (see
+    /// [`crate::bytecode::Program::child_index`]), where
+    /// [`NodeRef::child_node_nt`] searches.
+    #[inline]
+    pub fn child_at(&self, index: usize, nt: NtId) -> Option<NodeRef<'a>> {
+        let NodeRec::Rule(n) = self.rec() else { return None };
+        let &id = self.arena.child_ids(n.children).get(index)?;
+        self.arena.node_ref(id).filter(|c| c.nt() == nt)
     }
 
     /// The first direct child node parsed with nonterminal `nt` (the

@@ -594,44 +594,91 @@ impl Program {
     /// Longest acyclic call chain from the start rule (recursive cycles
     /// contribute one traversal; their true depth is input-dependent).
     fn static_nesting(&self) -> usize {
-        fn depth_of(p: &Program, nt: usize, memo: &mut [u32], on_path: &mut [bool]) -> u32 {
-            if memo[nt] != u32::MAX {
-                return memo[nt];
+        fn depth_of(p: &Program, nt: NtId, memo: &mut [u32], on_path: &mut [bool]) -> u32 {
+            let i = nt.0 as usize;
+            if memo[i] != u32::MAX {
+                return memo[i];
             }
-            if on_path[nt] {
+            if on_path[i] {
                 return 0;
             }
-            on_path[nt] = true;
-            let mut best = 0;
-            if let PRuleKind::Alts { first, count } = p.rules[nt].kind {
-                for alt in &p.alts[first as usize..(first + count) as usize] {
-                    for instr in p.alt_code(*alt) {
-                        match p.unfused(*instr) {
-                            Instr::Call { nt: c, .. }
-                            | Instr::Loop { nt: c, .. }
-                            | Instr::Star { nt: c, .. } => {
-                                best = best.max(1 + depth_of(p, c.0 as usize, memo, on_path));
-                            }
-                            Instr::Switch { first, count, .. } => {
-                                for case in
-                                    &p.cases[first as usize..(first + count as u32) as usize]
-                                {
-                                    best = best
-                                        .max(1 + depth_of(p, case.nt.0 as usize, memo, on_path));
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            on_path[nt] = false;
-            memo[nt] = best;
+            on_path[i] = true;
+            let best = p.callees(nt).map(|c| 1 + depth_of(p, c, memo, on_path)).max().unwrap_or(0);
+            on_path[i] = false;
+            memo[i] = best;
             best
         }
         let mut memo = vec![u32::MAX; self.rules.len()];
         let mut on_path = vec![false; self.rules.len()];
-        1 + depth_of(self, self.start.0 as usize, &mut memo, &mut on_path) as usize
+        1 + depth_of(self, self.start, &mut memo, &mut on_path) as usize
+    }
+
+    /// The rules `nt` calls, once per call site in written order: each
+    /// call's, loop's and star's callee, and each case of a switch. A
+    /// builtin or blackbox rule calls none.
+    pub(crate) fn callees(&self, nt: NtId) -> impl Iterator<Item = NtId> + '_ {
+        self.rule_alts(nt)
+            .iter()
+            .flat_map(|alt| self.alt_code(*alt))
+            .flat_map(|instr| self.term_callees(*instr))
+    }
+
+    /// The rules the term at an instruction calls: one, or a switch's
+    /// cases', or none.
+    fn term_callees(&self, instr: Instr) -> impl Iterator<Item = NtId> + '_ {
+        let (callee, cases) = match self.unfused(instr) {
+            Instr::Call { nt, .. } | Instr::Loop { nt, .. } | Instr::Star { nt, .. } => {
+                (Some(nt), &[][..])
+            }
+            Instr::Switch { first, count, .. } => {
+                (None, &self.cases[first as usize..][..usize::from(count)])
+            }
+            _ => (None, &[][..]),
+        };
+        callee.into_iter().chain(cases.iter().map(|case| case.nt))
+    }
+
+    /// The alternatives of rule `nt`: none for a builtin or blackbox rule.
+    fn rule_alts(&self, nt: NtId) -> &[PAlt] {
+        match self.rules[nt.0 as usize].kind {
+            PRuleKind::Alts { first, count } => &self.alts[first as usize..][..count as usize],
+            _ => &[],
+        }
+    }
+
+    /// Where the child of nonterminal `nt` sits among the children of a
+    /// node of `parent`, when that is fixed: every alternative of `parent`
+    /// has at most one term whose result can be of `nt` (a call, loop or
+    /// star of `nt`, or a switch with a case of `nt`), and every
+    /// alternative with one has it at the same index among its children.
+    /// A node's children are the results of its alternative's matches,
+    /// calls, loops, stars and switches, in written order, so an extractor
+    /// can read the child at that index, check its nonterminal, and know
+    /// that no other child is of `nt`.
+    pub fn child_index(&self, parent: NtId, nt: NtId) -> Option<usize> {
+        let mut index = None;
+        for alt in self.rule_alts(parent) {
+            let children = self.alt_code(*alt).iter().filter(|instr| {
+                matches!(
+                    self.unfused(**instr),
+                    Instr::Match { .. }
+                        | Instr::Call { .. }
+                        | Instr::Loop { .. }
+                        | Instr::Star { .. }
+                        | Instr::Switch { .. }
+                )
+            });
+            let mut of_nt = children
+                .enumerate()
+                .filter(|(_, instr)| self.term_callees(**instr).any(|callee| callee == nt))
+                .map(|(at, _)| at);
+            let Some(at) = of_nt.next() else { continue };
+            if of_nt.next().is_some() || index.is_some_and(|index| index != at) {
+                return None;
+            }
+            index = Some(at);
+        }
+        index
     }
 
     /// The bytes of literal `lit`.

@@ -600,7 +600,7 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
                         }
                     }
                 };
-                Some(self.ws.arena.alloc_blackbox(nt, shape.len(), fill, res.data.into(), base))
+                Some(self.ws.arena.alloc_blackbox(nt, shape.len(), fill, res.data, base))
             }
             Err(msg) => {
                 self.deepest.record(base, nt, Reason::Blackbox(msg));

@@ -189,6 +189,13 @@ impl ParseTree {
     pub fn arena(&self) -> &TreeArena {
         &self.arena
     }
+
+    /// Moves the output of the blackbox result `id` (a [`TreeRef::id`])
+    /// out of the tree, leaving it empty for every later read; `None` if
+    /// `id` is not a blackbox's result.
+    pub fn take_blackbox_data(&mut self, id: TreeId) -> Option<Vec<u8>> {
+        self.arena.take_blackbox_data(id)
+    }
 }
 
 impl Drop for ParseTree {

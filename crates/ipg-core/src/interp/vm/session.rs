@@ -116,7 +116,9 @@ impl Session {
     /// The session shares the parser's compiled image and may outlive
     /// the parser itself.
     pub fn new(parser: &VmParser) -> Self {
-        let vm = parser.fresh_session_with(Arc::clone(&parser.img), Vec::new(), ());
+        let mut vm = parser.fresh_session_with(Arc::clone(&parser.img), Vec::new(), ());
+        // The buffer of the thread's last session, with its capacity.
+        vm.input = std::mem::take(&mut vm.ws.input);
         let phase = match vm.img.program.rules[vm.img.program.start_nt().0 as usize].kind {
             PRuleKind::Alts { .. } => Phase::Fresh,
             // A builtin/blackbox root consumes "its interval" — the whole
@@ -274,9 +276,11 @@ impl Session {
 }
 
 impl Drop for Session {
-    /// Hands the session's working storage back to the thread.
+    /// Hands the session's working storage and input buffer back to the
+    /// thread.
     fn drop(&mut self) {
-        if let Some(vm) = self.machine.take() {
+        if let Some(mut vm) = self.machine.take() {
+            vm.ws.input = std::mem::take(&mut vm.input);
             vm.close();
         }
     }

@@ -14,6 +14,11 @@ use std::cell::Cell;
 /// pay for its capacity.
 const RETAIN_MAX: usize = 4096;
 
+/// Largest streaming session input buffer, in bytes, that a [`Workspace`]
+/// keeps for the thread's next session: whole files of a few hundred KiB
+/// stream without regrowing it.
+const RETAIN_MAX_INPUT: usize = 1 << 18;
+
 /// The working storage of a VM parse, recycled per thread. Between parses
 /// it sits boxed in the thread's slot: [`Workspace::take`]
 /// takes the box out with one pointer-sized swap, the session works in it
@@ -50,6 +55,12 @@ pub(super) struct Workspace {
     /// The parse's arena; between parses a failed parse's, cleared, or
     /// the empty default when a tree took it.
     pub(super) arena: TreeArena,
+    /// The input buffer of the thread's last streaming [`Session`],
+    /// cleared, which the next session takes over instead of growing one
+    /// of its own.
+    ///
+    /// [`Session`]: super::Session
+    pub(super) input: Vec<u8>,
 }
 
 thread_local! {
@@ -105,6 +116,10 @@ impl Workspace {
             self.levels = Vec::new();
         }
         self.levels.clear();
+        if self.input.capacity() > RETAIN_MAX_INPUT {
+            self.input = Vec::new();
+        }
+        self.input.clear();
         retain(&mut self.arena);
         // Unavailable only while the thread's locals are being torn down.
         let _ = WORKSPACE.try_with(|slot| {

@@ -43,7 +43,7 @@
 //! with the dominant dynamic stack; for recursive rules it picks the
 //! shortest entry path. Values are nanoseconds of self time.
 
-use crate::bytecode::{Instr, PRuleKind, Program};
+use crate::bytecode::Program;
 use crate::check::{Grammar, NtId};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -370,29 +370,12 @@ fn static_paths(p: &Program) -> Vec<Option<Vec<NtId>>> {
     seen[start] = true;
     let mut queue = std::collections::VecDeque::from([start]);
     while let Some(nt) = queue.pop_front() {
-        let mut visit = |callee: NtId, queue: &mut std::collections::VecDeque<usize>| {
+        for callee in p.callees(NtId(nt as u32)) {
             let c = callee.0 as usize;
             if !seen[c] {
                 seen[c] = true;
                 parent[c] = nt as u32;
                 queue.push_back(c);
-            }
-        };
-        if let PRuleKind::Alts { first, count } = p.rules[nt].kind {
-            for alt in &p.alts[first as usize..(first + count) as usize] {
-                for instr in p.alt_code(*alt) {
-                    match p.unfused(*instr) {
-                        Instr::Call { nt: c, .. }
-                        | Instr::Loop { nt: c, .. }
-                        | Instr::Star { nt: c, .. } => visit(c, &mut queue),
-                        Instr::Switch { first, count, .. } => {
-                            for case in &p.cases[first as usize..(first + count as u32) as usize] {
-                                visit(case.nt, &mut queue);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
             }
         }
     }

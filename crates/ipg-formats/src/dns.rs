@@ -2,9 +2,9 @@
 //! *recognized* by the grammar and *resolved* here — name decompression is
 //! a semantic property, like the paper's post-parse validation passes.
 
-use crate::{field_table, flatten_chain, need, Names};
+use crate::{field_table, flatten_chain, need, Chain, Child, Names};
 use ipg_core::arena::{AttrSlot, NodeRef};
-use ipg_core::check::{Grammar, NtId};
+use ipg_core::check::Grammar;
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
 use std::sync::OnceLock;
@@ -61,16 +61,18 @@ pub struct DnsRecord {
 
 /// What the extractor reads of the grammar's trees.
 struct Fields {
-    hdr: NtId,
-    qs: NtId,
-    q: NtId,
-    answers: NtId,
-    answer: NtId,
-    rdata: NtId,
-    ptr: NtId,
-    label: NtId,
-    text: NtId,
-    name: NtId,
+    hdr: Child,
+    qs: Child,
+    questions: Chain,
+    answers: Child,
+    records: Chain,
+    q_name: Child,
+    a_name: Child,
+    rdata: Child,
+    ptr: Child,
+    label: Child,
+    text: Child,
+    name: Child,
     id: AttrSlot,
     flags: AttrSlot,
     qtype: AttrSlot,
@@ -85,16 +87,18 @@ impl Fields {
         static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
         field_table(&TABLE, "dns", |r: &Names<'_>| {
             Ok(Fields {
-                hdr: r.nt("Hdr")?,
-                qs: r.nt("Qs")?,
-                q: r.nt("Q")?,
-                answers: r.nt("As")?,
-                answer: r.nt("A")?,
-                rdata: r.nt("RData")?,
-                ptr: r.nt("Ptr")?,
-                label: r.nt("Label")?,
-                text: r.nt("Text")?,
-                name: r.nt("Name")?,
+                hdr: r.child("DNS", "Hdr")?,
+                qs: r.child("DNS", "Qs")?,
+                questions: r.chain("Qs", "Q")?,
+                answers: r.child("DNS", "As")?,
+                records: r.chain("As", "A")?,
+                q_name: r.child("Q", "Name")?,
+                a_name: r.child("A", "Name")?,
+                rdata: r.child("A", "RData")?,
+                ptr: r.child("Name", "Ptr")?,
+                label: r.child("Name", "Label")?,
+                text: r.child("Label", "Text")?,
+                name: r.child("Name", "Name")?,
                 id: r.attr("Hdr", "id")?,
                 flags: r.attr("Hdr", "flags")?,
                 qtype: r.attr("Q", "qtype")?,
@@ -116,16 +120,15 @@ impl Fields {
 pub fn parse(input: &[u8]) -> Result<DnsMessage> {
     let f = Fields::get()?;
     let tree = vm().parse(input)?;
-    let root = tree.root();
-    let hdr = root
-        .child_node_nt(f.hdr)
-        .ok_or_else(|| Error::Grammar("extractor: missing header".into()))?;
+    let root = tree.root().as_node().expect("root is a node");
+    let hdr = f.hdr.node(root).ok_or_else(|| Error::Grammar("extractor: missing header".into()))?;
 
     let mut questions = Vec::new();
-    if let Some(qs) = root.child_node_nt(f.qs) {
-        for q in flatten_chain(qs, f.qs, f.q) {
-            let name_node = q
-                .child_node_nt(f.name)
+    if let Some(qs) = f.qs.node(root) {
+        for q in flatten_chain(qs, f.questions) {
+            let name_node = f
+                .q_name
+                .node(q)
                 .ok_or_else(|| Error::Grammar("extractor: question without name".into()))?;
             questions.push(DnsQuestion {
                 name: resolve_name(f, input, name_node)?,
@@ -136,13 +139,15 @@ pub fn parse(input: &[u8]) -> Result<DnsMessage> {
     }
 
     let mut answers = Vec::new();
-    if let Some(asx) = root.child_node_nt(f.answers) {
-        for a in flatten_chain(asx, f.answers, f.answer) {
-            let name_node = a
-                .child_node_nt(f.name)
+    if let Some(asx) = f.answers.node(root) {
+        for a in flatten_chain(asx, f.records) {
+            let name_node = f
+                .a_name
+                .node(a)
                 .ok_or_else(|| Error::Grammar("extractor: answer without name".into()))?;
-            let rdata = a
-                .child_node_nt(f.rdata)
+            let rdata = f
+                .rdata
+                .node(a)
                 .ok_or_else(|| Error::Grammar("extractor: answer without rdata".into()))?;
             answers.push(DnsRecord {
                 name: resolve_name(f, input, name_node)?,
@@ -169,16 +174,17 @@ fn resolve_name(f: &Fields, input: &[u8], name: NodeRef<'_>) -> Result<String> {
     // Walk the in-tree part: Label children chain until NUL or pointer.
     let mut cur = name;
     let pointer_target: Option<usize> = loop {
-        if let Some(ptr) = cur.child_node_nt(f.ptr) {
+        if let Some(ptr) = f.ptr.node(cur) {
             break Some(need(ptr, f.target)? as usize);
         }
-        if let Some(label) = cur.child_node_nt(f.label) {
-            let text = label
-                .child_node_nt(f.text)
+        if let Some(label) = f.label.node(cur) {
+            let text = f
+                .text
+                .node(label)
                 .ok_or_else(|| Error::Grammar("extractor: label without text".into()))?;
             let (lo, hi) = text.span();
             labels.push(String::from_utf8_lossy(&input[lo..hi]).into_owned());
-            match cur.child_node_nt(f.name) {
+            match f.name.node(cur) {
                 Some(next) => cur = next,
                 None => break None,
             }

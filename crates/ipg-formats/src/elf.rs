@@ -1,8 +1,8 @@
 //! ELF: grammar access and typed extraction (§4.1 case study).
 
-use crate::{cstr_at, field_table, flatten_chain, need, Names};
+use crate::{cstr_at, field_table, flatten_chain, need, Chain, Child, Names};
 use ipg_core::arena::{ArrayRef, AttrSlot, NodeRef};
-use ipg_core::check::{Grammar, NtId};
+use ipg_core::check::Grammar;
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
 use std::sync::OnceLock;
@@ -81,16 +81,16 @@ pub struct ElfSymbol {
 
 /// What the extractor reads of the grammar's trees.
 struct Fields {
-    h: NtId,
-    sh: NtId,
-    sec: NtId,
-    dyn_sec: NtId,
-    dyn_entry: NtId,
-    sym_sec: NtId,
-    sym: NtId,
-    str_sec: NtId,
-    strings: NtId,
-    str_: NtId,
+    h: Child,
+    sh: Child,
+    sec: Child,
+    dyn_sec: Child,
+    dyn_entry: Child,
+    sym_sec: Child,
+    sym: Child,
+    str_sec: Child,
+    strings: Child,
+    chain: Chain,
     shoff: AttrSlot,
     shnum: AttrSlot,
     shstrndx: AttrSlot,
@@ -112,16 +112,16 @@ impl Fields {
         static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
         field_table(&TABLE, "elf", |r: &Names<'_>| {
             Ok(Fields {
-                h: r.nt("H")?,
-                sh: r.nt("SH")?,
-                sec: r.nt("Sec")?,
-                dyn_sec: r.nt("DynSec")?,
-                dyn_entry: r.nt("DynEntry")?,
-                sym_sec: r.nt("SymSec")?,
-                sym: r.nt("Sym")?,
-                str_sec: r.nt("StrSec")?,
-                strings: r.nt("Strings")?,
-                str_: r.nt("Str")?,
+                h: r.child("ELF", "H")?,
+                sh: r.child("ELF", "SH")?,
+                sec: r.child("ELF", "Sec")?,
+                dyn_sec: r.child("Sec", "DynSec")?,
+                dyn_entry: r.child("DynSec", "DynEntry")?,
+                sym_sec: r.child("Sec", "SymSec")?,
+                sym: r.child("SymSec", "Sym")?,
+                str_sec: r.child("Sec", "StrSec")?,
+                strings: r.child("StrSec", "Strings")?,
+                chain: r.chain("Strings", "Str")?,
                 shoff: r.attr("H", "shoff")?,
                 shnum: r.attr("H", "shnum")?,
                 shstrndx: r.attr("H", "shstrndx")?,
@@ -153,19 +153,16 @@ pub fn parse(input: &[u8]) -> Result<ElfFile> {
 }
 
 fn extract(f: &Fields, input: &[u8], root: NodeRef<'_>) -> Result<ElfFile> {
-    let h = root
-        .child_node_nt(f.h)
-        .ok_or_else(|| Error::Grammar("extractor: missing ELF header".into()))?;
+    let h = f.h.node(root).ok_or_else(|| Error::Grammar("extractor: missing ELF header".into()))?;
     let shoff = need(h, f.shoff)? as u64;
     let shnum = need(h, f.shnum)? as u64;
     let shstrndx = need(h, f.shstrndx)? as u64;
 
-    let sh = root
-        .child_array_nt(f.sh)
-        .ok_or_else(|| Error::Grammar("extractor: missing section header table".into()))?;
-    let secs = root
-        .child_array_nt(f.sec)
-        .ok_or_else(|| Error::Grammar("extractor: missing sections".into()))?;
+    let sh =
+        f.sh.array(root)
+            .ok_or_else(|| Error::Grammar("extractor: missing section header table".into()))?;
+    let secs =
+        f.sec.array(root).ok_or_else(|| Error::Grammar("extractor: missing sections".into()))?;
 
     // Locate .shstrtab to resolve section names.
     let shstr = sh.node(shstrndx as usize).map(|n| table_span(f, n));
@@ -217,9 +214,10 @@ fn extract_section_kind(
     offset: u64,
     size: u64,
 ) -> Result<SectionKind> {
-    if let Some(dyn_sec) = sec.child_node_nt(f.dyn_sec) {
-        let entries = dyn_sec
-            .child_array_nt(f.dyn_entry)
+    if let Some(dyn_sec) = f.dyn_sec.node(sec) {
+        let entries = f
+            .dyn_entry
+            .array(dyn_sec)
             .map(|arr| {
                 arr.nodes()
                     .map(|e| {
@@ -233,11 +231,12 @@ fn extract_section_kind(
             .unwrap_or_default();
         return Ok(SectionKind::Dynamic(entries));
     }
-    if let Some(sym_sec) = sec.child_node_nt(f.sym_sec) {
+    if let Some(sym_sec) = f.sym_sec.node(sec) {
         // The linked string table resolves symbol names.
         let strtab = sh.node(link as usize).map(|n| table_span(f, n));
-        let symbols = sym_sec
-            .child_array_nt(f.sym)
+        let symbols = f
+            .sym
+            .array(sym_sec)
             .map(|arr| {
                 arr.nodes()
                     .map(|s| {
@@ -261,11 +260,11 @@ fn extract_section_kind(
             .unwrap_or_default();
         return Ok(SectionKind::Symbols(symbols));
     }
-    if let Some(str_sec) = sec.child_node_nt(f.str_sec) {
+    if let Some(str_sec) = f.str_sec.node(sec) {
         // Collect Str nodes from the recursive Strings chain.
         let mut strings = Vec::new();
-        if let Some(top) = str_sec.child_node_nt(f.strings) {
-            for s in flatten_chain(top, f.strings, f.str_) {
+        if let Some(top) = f.strings.node(str_sec) {
+            for s in flatten_chain(top, f.chain) {
                 let (lo, _) = s.span();
                 let len = need(s, f.str_len)? as usize;
                 strings.push(String::from_utf8_lossy(&input[lo..lo + len]).into_owned());

@@ -1,8 +1,8 @@
 //! GIF: grammar access and typed extraction (§4.2 case study).
 
-use crate::{field_table, flatten_chain, need, Names};
+use crate::{field_table, flatten_chain, need, Chain, Child, Names};
 use ipg_core::arena::{AttrSlot, NodeRef};
-use ipg_core::check::{Grammar, NtId};
+use ipg_core::check::Grammar;
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
 use std::sync::OnceLock;
@@ -65,13 +65,14 @@ pub enum GifBlock {
 
 /// What the extractor reads of the grammar's trees.
 struct Fields {
-    lsd: NtId,
-    blocks: NtId,
-    block: NtId,
-    ext: NtId,
-    image: NtId,
-    sub_blocks: NtId,
-    sb: NtId,
+    lsd: Child,
+    blocks: Child,
+    chain: Chain,
+    ext: Child,
+    image: Child,
+    ext_sub_blocks: Child,
+    image_sub_blocks: Child,
+    sub_blocks: Chain,
     w: AttrSlot,
     h: AttrSlot,
     gctflag: AttrSlot,
@@ -87,13 +88,14 @@ impl Fields {
         static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
         field_table(&TABLE, "gif", |r: &Names<'_>| {
             Ok(Fields {
-                lsd: r.nt("LSD")?,
-                blocks: r.nt("Blocks")?,
-                block: r.nt("Block")?,
-                ext: r.nt("Ext")?,
-                image: r.nt("Image")?,
-                sub_blocks: r.nt("SubBlocks")?,
-                sb: r.nt("SB")?,
+                lsd: r.child("GIF", "LSD")?,
+                blocks: r.child("GIF", "Blocks")?,
+                chain: r.chain("Blocks", "Block")?,
+                ext: r.child("Block", "Ext")?,
+                image: r.child("Block", "Image")?,
+                ext_sub_blocks: r.child("Ext", "SubBlocks")?,
+                image_sub_blocks: r.child("Image", "SubBlocks")?,
+                sub_blocks: r.chain("SubBlocks", "SB")?,
                 w: r.attr("LSD", "w")?,
                 h: r.attr("LSD", "h")?,
                 gctflag: r.attr("LSD", "gctflag")?,
@@ -115,27 +117,26 @@ impl Fields {
 pub fn parse(input: &[u8]) -> Result<GifImage> {
     let f = Fields::get()?;
     let tree = vm().parse(input)?;
-    let root = tree.root();
-    let lsd =
-        root.child_node_nt(f.lsd).ok_or_else(|| Error::Grammar("extractor: missing LSD".into()))?;
+    let root = tree.root().as_node().expect("root is a node");
+    let lsd = f.lsd.node(root).ok_or_else(|| Error::Grammar("extractor: missing LSD".into()))?;
     let width = need(lsd, f.w)? as u16;
     let height = need(lsd, f.h)? as u16;
     let has_gct = need(lsd, f.gctflag)? == 1;
     let gct_len = if has_gct { need(lsd, f.gctsize)? as usize } else { 0 };
 
     let mut blocks = Vec::new();
-    if let Some(chain) = root.child_node_nt(f.blocks) {
-        for block in flatten_chain(chain, f.blocks, f.block) {
-            if let Some(ext) = block.child_node_nt(f.ext) {
+    if let Some(chain) = f.blocks.node(root) {
+        for block in flatten_chain(chain, f.chain) {
+            if let Some(ext) = f.ext.node(block) {
                 blocks.push(GifBlock::Extension {
                     label: need(ext, f.label)? as u8,
-                    data_len: sub_blocks_len(f, ext)?,
+                    data_len: sub_blocks_len(f, f.ext_sub_blocks.node(ext))?,
                 });
-            } else if let Some(img) = block.child_node_nt(f.image) {
+            } else if let Some(img) = f.image.node(block) {
                 blocks.push(GifBlock::Image {
                     width: need(img, f.image_w)? as u16,
                     height: need(img, f.image_h)? as u16,
-                    data_len: sub_blocks_len(f, img)?,
+                    data_len: sub_blocks_len(f, f.image_sub_blocks.node(img))?,
                 });
             }
         }
@@ -143,11 +144,11 @@ pub fn parse(input: &[u8]) -> Result<GifImage> {
     Ok(GifImage { width, height, has_gct, gct_len, blocks })
 }
 
-/// Sums the data lengths over a `SubBlocks` chain.
-fn sub_blocks_len(f: &Fields, parent: NodeRef<'_>) -> Result<usize> {
+/// Sums the data lengths over a `SubBlocks` chain; 0 without one.
+fn sub_blocks_len(f: &Fields, sub_blocks: Option<NodeRef<'_>>) -> Result<usize> {
     let mut total = 0;
-    if let Some(top) = parent.child_node_nt(f.sub_blocks) {
-        for sb in flatten_chain(top, f.sub_blocks, f.sb) {
+    if let Some(top) = sub_blocks {
+        for sb in flatten_chain(top, f.sub_blocks) {
             total += need(sb, f.sb_len)? as usize;
         }
     }

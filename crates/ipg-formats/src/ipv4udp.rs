@@ -1,8 +1,8 @@
 //! IPv4+UDP: grammar access and typed extraction.
 
-use crate::{field_table, need, Names};
+use crate::{field_table, need, Child, Names};
 use ipg_core::arena::AttrSlot;
-use ipg_core::check::{Grammar, NtId};
+use ipg_core::check::Grammar;
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
 use std::sync::OnceLock;
@@ -43,10 +43,10 @@ pub struct Ipv4UdpPacket {
 
 /// What the extractor reads of the grammar's trees.
 struct Fields {
-    udp: NtId,
-    payload: NtId,
-    src: NtId,
-    dst: NtId,
+    udp: Child,
+    payload: Child,
+    src: Child,
+    dst: Child,
     ihl: AttrSlot,
     tot: AttrSlot,
     sport: AttrSlot,
@@ -59,10 +59,10 @@ impl Fields {
         static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
         field_table(&TABLE, "ipv4udp", |r: &Names<'_>| {
             Ok(Fields {
-                udp: r.nt("UDP")?,
-                payload: r.nt("Payload")?,
-                src: r.nt("Src")?,
-                dst: r.nt("Dst")?,
+                udp: r.child("Pkt", "UDP")?,
+                payload: r.child("UDP", "Payload")?,
+                src: r.child("Pkt", "Src")?,
+                dst: r.child("Pkt", "Dst")?,
                 ihl: r.attr("Pkt", "ihl")?,
                 tot: r.attr("Pkt", "tot")?,
                 sport: r.attr("UDP", "sport")?,
@@ -83,17 +83,17 @@ pub fn parse(input: &[u8]) -> Result<Ipv4UdpPacket> {
     let f = Fields::get()?;
     let tree = vm().parse(input)?;
     let root = tree.root().as_node().expect("root is a node");
-    let udp = root
-        .child_node_nt(f.udp)
-        .ok_or_else(|| Error::Grammar("extractor: missing UDP header".into()))?;
-    let payload = udp
-        .child_node_nt(f.payload)
-        .ok_or_else(|| Error::Grammar("extractor: missing payload".into()))?;
-    let src_node = root
-        .child_node_nt(f.src)
+    let udp =
+        f.udp.node(root).ok_or_else(|| Error::Grammar("extractor: missing UDP header".into()))?;
+    let payload =
+        f.payload.node(udp).ok_or_else(|| Error::Grammar("extractor: missing payload".into()))?;
+    let src_node = f
+        .src
+        .node(root)
         .ok_or_else(|| Error::Grammar("extractor: missing source address".into()))?;
-    let dst_node = root
-        .child_node_nt(f.dst)
+    let dst_node = f
+        .dst
+        .node(root)
         .ok_or_else(|| Error::Grammar("extractor: missing destination address".into()))?;
     let src: [u8; 4] = input[src_node.span().0..src_node.span().1].try_into().expect("4 bytes");
     let dst: [u8; 4] = input[dst_node.span().0..dst_node.span().1].try_into().expect("4 bytes");

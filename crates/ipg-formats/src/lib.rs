@@ -10,9 +10,13 @@
 //! Extraction runs on the bytecode VM ([`ipg_core::interp::vm`]): each
 //! module also exposes its compiled parser as a `vm()` static, and the
 //! extractors read arena-backed [`NodeRef`] views through a *field
-//! table*: the nonterminal ids and attribute slots ([`AttrSlot`]) they
-//! read, resolved once per corpus entry on first use. A parse then does
-//! no name lookup and no string hashing. The tree-walking interpreter
+//! table*: the children and attribute slots ([`AttrSlot`]) they read,
+//! resolved once per corpus entry on first use. A child is read by its
+//! position among its parent's children, which the grammar fixes
+//! ([`Program::child_index`]), with its nonterminal checked. A parse then
+//! does no name lookup, no string hashing and no search among children.
+//!
+//! [`Program::child_index`]: ipg_core::bytecode::Program::child_index The tree-walking interpreter
 //! remains available through the `grammar()` statics and is held to
 //! byte-identical behavior by the repository's differential tests.
 //!
@@ -46,7 +50,7 @@ pub use registry::{
     corpus_descriptors, corpus_entry, pinned_corpus, Compiled, Entry, FormatDescriptor, Registry,
 };
 
-use ipg_core::arena::{AttrSlot, NodeRef};
+use ipg_core::arena::{ArrayRef, AttrSlot, NodeRef, TreeRef};
 use ipg_core::check::NtId;
 use ipg_core::error::{Error, Result};
 use std::sync::OnceLock;
@@ -69,15 +73,10 @@ pub fn all_specs() -> Vec<(&'static str, &'static str)> {
 }
 
 /// Iterates the chunk-style recursion `List -> Item List / Item` as its
-/// item nodes, in order. `list` is the outermost list node; `item_nt` is
-/// the item nonterminal and `list_nt` the list's own.
-pub(crate) fn flatten_chain(
-    list: NodeRef<'_>,
-    list_nt: NtId,
-    item_nt: NtId,
-) -> impl Iterator<Item = NodeRef<'_>> {
-    std::iter::successors(Some(list), move |cur| cur.child_node_nt(list_nt))
-        .filter_map(move |cur| cur.child_node_nt(item_nt))
+/// item nodes, in order. `list` is the outermost list node.
+pub(crate) fn flatten_chain(list: NodeRef<'_>, chain: Chain) -> impl Iterator<Item = NodeRef<'_>> {
+    std::iter::successors(Some(list), move |cur| chain.next.node(*cur))
+        .filter_map(move |cur| chain.item.node(cur))
 }
 
 /// Reads a NUL-terminated string out of `bytes` starting at `offset`.
@@ -112,6 +111,26 @@ impl Names<'_> {
             .ok_or_else(|| Error::Grammar(format!("extractor: grammar lacks nonterminal `{name}`")))
     }
 
+    /// The child of nonterminal `nt` in nodes of `parent`, whose position
+    /// among their children the grammar must fix
+    /// ([`Program::child_index`]).
+    ///
+    /// [`Program::child_index`]: ipg_core::bytecode::Program::child_index
+    pub(crate) fn child(&self, parent: &str, nt: &str) -> Result<Child> {
+        let (parent_id, nt_id) = (self.nt(parent)?, self.nt(nt)?);
+        let index = self.entry.vm().program().child_index(parent_id, nt_id).ok_or_else(|| {
+            Error::Grammar(format!(
+                "extractor: `{nt}` has no fixed place among `{parent}`'s children"
+            ))
+        })?;
+        Ok(Child { nt: nt_id, index })
+    }
+
+    /// The list `list -> item list / …` (see [`flatten_chain`]).
+    pub(crate) fn chain(&self, list: &str, item: &str) -> Result<Chain> {
+        Ok(Chain { item: self.child(list, item)?, next: self.child(list, list)? })
+    }
+
     /// Attribute `attr` of nonterminal `nt`, which every `nt` node must
     /// carry.
     pub(crate) fn attr(&self, nt: &str, attr: &str) -> Result<AttrSlot> {
@@ -119,6 +138,40 @@ impl Names<'_> {
             Error::Grammar(format!("extractor: not every `{nt}` node carries attribute `{attr}`"))
         })
     }
+}
+
+/// A child of a fixed position ([`Names::child`]): read by index, with its
+/// nonterminal checked.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Child {
+    nt: NtId,
+    index: usize,
+}
+
+impl Child {
+    /// The child node of `parent`, if it has one of this nonterminal.
+    #[inline]
+    pub(crate) fn node<'a>(self, parent: NodeRef<'a>) -> Option<NodeRef<'a>> {
+        parent.child_at(self.index, self.nt)
+    }
+
+    /// The array of this nonterminal's elements among `parent`'s children.
+    pub(crate) fn array<'a>(self, parent: NodeRef<'a>) -> Option<ArrayRef<'a>> {
+        parent.child(self.index)?.as_array().filter(|a| a.nt() == self.nt)
+    }
+
+    /// The blackbox result of this nonterminal among `parent`'s children.
+    pub(crate) fn blackbox<'a>(self, parent: NodeRef<'a>) -> Option<TreeRef<'a>> {
+        parent.child(self.index).filter(|c| c.as_blackbox().is_some_and(|b| b.nt() == self.nt))
+    }
+}
+
+/// A list `List -> Item List / Item` read by [`flatten_chain`]: each
+/// level's item and the level below it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Chain {
+    item: Child,
+    next: Child,
 }
 
 /// A format module's field table: resolved by `resolve` against the

@@ -1,9 +1,9 @@
 //! PDF subset: grammar access and typed extraction (§4.3 case study:
 //! backward parsing + xref random access + /Length-driven streams).
 
-use crate::{field_table, need, Names};
+use crate::{field_table, need, Child, Names};
 use ipg_core::arena::AttrSlot;
-use ipg_core::check::{Grammar, NtId};
+use ipg_core::check::Grammar;
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
 use std::sync::OnceLock;
@@ -47,8 +47,8 @@ pub struct PdfObject {
 
 /// What the extractor reads of the grammar's trees.
 struct Fields {
-    obj: NtId,
-    stream: NtId,
+    obj: Child,
+    stream: Child,
     xref: AttrSlot,
     n: AttrSlot,
     id: AttrSlot,
@@ -60,8 +60,8 @@ impl Fields {
         static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
         field_table(&TABLE, "pdf", |r: &Names<'_>| {
             Ok(Fields {
-                obj: r.nt("Obj")?,
-                stream: r.nt("Stream")?,
+                obj: r.child("PDF", "Obj")?,
+                stream: r.child("Obj", "Stream")?,
                 xref: r.attr("PDF", "xref")?,
                 n: r.attr("PDF", "n")?,
                 id: r.attr("Obj", "id")?,
@@ -82,14 +82,14 @@ pub fn parse(input: &[u8]) -> Result<PdfDocument> {
     let root = tree.root().as_node().expect("root is a node");
     let xref_offset = need(root, f.xref)? as usize;
     let xref_count = need(root, f.n)? as usize;
-    let objs = root
-        .child_array_nt(f.obj)
-        .ok_or_else(|| Error::Grammar("extractor: missing objects".into()))?;
+    let objs =
+        f.obj.array(root).ok_or_else(|| Error::Grammar("extractor: missing objects".into()))?;
     let objects = objs
         .nodes()
         .map(|o| {
-            let stream = o
-                .child_node_nt(f.stream)
+            let stream = f
+                .stream
+                .node(o)
                 .ok_or_else(|| Error::Grammar("extractor: object without stream".into()))?;
             Ok(PdfObject {
                 id: need(o, f.id)? as usize,

@@ -1,8 +1,8 @@
 //! PE: grammar access and typed extraction.
 
-use crate::{field_table, need, Names};
+use crate::{field_table, need, Child, Names};
 use ipg_core::arena::AttrSlot;
-use ipg_core::check::{Grammar, NtId};
+use ipg_core::check::Grammar;
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
 use std::sync::OnceLock;
@@ -35,10 +35,10 @@ pub struct PeFile {
 
 /// What the extractor reads of the grammar's trees.
 struct Fields {
-    dos: NtId,
-    coff: NtId,
-    opt: NtId,
-    sec_hdr: NtId,
+    dos: Child,
+    coff: Child,
+    opt: Child,
+    sec_hdr: Child,
     lfanew: AttrSlot,
     machine: AttrSlot,
     magic: AttrSlot,
@@ -52,10 +52,10 @@ impl Fields {
         static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
         field_table(&TABLE, "pe", |r: &Names<'_>| {
             Ok(Fields {
-                dos: r.nt("DOS")?,
-                coff: r.nt("COFF")?,
-                opt: r.nt("OPT")?,
-                sec_hdr: r.nt("SecHdr")?,
+                dos: r.child("PE", "DOS")?,
+                coff: r.child("PE", "COFF")?,
+                opt: r.child("PE", "OPT")?,
+                sec_hdr: r.child("PE", "SecHdr")?,
                 lfanew: r.attr("DOS", "lfanew")?,
                 machine: r.attr("COFF", "machine")?,
                 magic: r.attr("OPT", "magic")?,
@@ -75,18 +75,18 @@ impl Fields {
 pub fn parse(input: &[u8]) -> Result<PeFile> {
     let f = Fields::get()?;
     let tree = vm().parse(input)?;
-    let root = tree.root();
-    let dos = root
-        .child_node_nt(f.dos)
-        .ok_or_else(|| Error::Grammar("extractor: missing DOS header".into()))?;
-    let coff = root
-        .child_node_nt(f.coff)
-        .ok_or_else(|| Error::Grammar("extractor: missing COFF header".into()))?;
-    let opt = root
-        .child_node_nt(f.opt)
+    let root = tree.root().as_node().expect("root is a node");
+    let dos =
+        f.dos.node(root).ok_or_else(|| Error::Grammar("extractor: missing DOS header".into()))?;
+    let coff =
+        f.coff.node(root).ok_or_else(|| Error::Grammar("extractor: missing COFF header".into()))?;
+    let opt = f
+        .opt
+        .node(root)
         .ok_or_else(|| Error::Grammar("extractor: missing optional header".into()))?;
-    let hdrs = root
-        .child_array_nt(f.sec_hdr)
+    let hdrs = f
+        .sec_hdr
+        .array(root)
         .ok_or_else(|| Error::Grammar("extractor: missing section table".into()))?;
     let sections = hdrs
         .nodes()

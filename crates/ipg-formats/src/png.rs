@@ -2,9 +2,9 @@
 //! study (the paper names PNG alongside GIF in §4) whose chunk list uses
 //! the `star` repetition extension instead of the recursive list idiom.
 
-use crate::{field_table, need, Names};
+use crate::{field_table, need, Child, Names};
 use ipg_core::arena::AttrSlot;
-use ipg_core::check::{Grammar, NtId};
+use ipg_core::check::Grammar;
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
 use std::sync::OnceLock;
@@ -37,10 +37,10 @@ pub struct PngImage {
 
 /// What the extractor reads of the grammar's trees.
 struct Fields {
-    ihdr: NtId,
-    chunk: NtId,
-    ty: NtId,
-    data: NtId,
+    ihdr: Child,
+    chunk: Child,
+    ty: Child,
+    data: Child,
     w: AttrSlot,
     h: AttrSlot,
     depth: AttrSlot,
@@ -51,10 +51,10 @@ impl Fields {
         static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
         field_table(&TABLE, "png", |r: &Names<'_>| {
             Ok(Fields {
-                ihdr: r.nt("IHDR")?,
-                chunk: r.nt("Chunk")?,
-                ty: r.nt("Type")?,
-                data: r.nt("Data")?,
+                ihdr: r.child("PNG", "IHDR")?,
+                chunk: r.child("PNG", "Chunk")?,
+                ty: r.child("Chunk", "Type")?,
+                data: r.child("Chunk", "Data")?,
                 w: r.attr("IHDR", "w")?,
                 h: r.attr("IHDR", "h")?,
                 depth: r.attr("IHDR", "depth")?,
@@ -71,20 +71,19 @@ impl Fields {
 pub fn parse(input: &[u8]) -> Result<PngImage> {
     let f = Fields::get()?;
     let tree = vm().parse(input)?;
-    let root = tree.root();
-    let ihdr = root
-        .child_node_nt(f.ihdr)
-        .ok_or_else(|| Error::Grammar("extractor: missing IHDR".into()))?;
+    let root = tree.root().as_node().expect("root is a node");
+    let ihdr = f.ihdr.node(root).ok_or_else(|| Error::Grammar("extractor: missing IHDR".into()))?;
 
     let mut chunks = Vec::new();
-    if let Some(arr) = root.child_array_nt(f.chunk) {
+    if let Some(arr) = f.chunk.array(root) {
         for chunk in arr.nodes() {
-            let ty = chunk
-                .child_node_nt(f.ty)
-                .ok_or_else(|| Error::Grammar("extractor: chunk without type".into()))?;
+            let ty =
+                f.ty.node(chunk)
+                    .ok_or_else(|| Error::Grammar("extractor: chunk without type".into()))?;
             let fourcc = String::from_utf8_lossy(&input[ty.span().0..ty.span().1]).into_owned();
-            let data = chunk
-                .child_node_nt(f.data)
+            let data = f
+                .data
+                .node(chunk)
                 .ok_or_else(|| Error::Grammar("extractor: chunk without data".into()))?;
             chunks.push((fourcc, data.span()));
         }

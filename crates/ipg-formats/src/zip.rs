@@ -1,10 +1,10 @@
 //! ZIP: grammar access, typed extraction, and blackbox-driven extraction
 //! (the paper's zlib-as-blackbox pattern, §3.4/§7).
 
-use crate::{field_table, flatten_chain, need, Names};
-use ipg_core::arena::AttrSlot;
+use crate::{field_table, flatten_chain, need, Chain, Child, Names};
+use ipg_core::arena::{AttrSlot, NodeRef, TreeId};
 use ipg_core::blackbox::{Blackbox, BlackboxResult};
-use ipg_core::check::{Grammar, NtId};
+use ipg_core::check::Grammar;
 use ipg_core::error::{Error, Result};
 use ipg_core::interp::vm::VmParser;
 use std::sync::OnceLock;
@@ -78,11 +78,11 @@ pub struct ZipEntry {
 
 /// What [`parse`] reads of the zero-copy grammar's trees.
 struct Fields {
-    eocd: NtId,
-    lfhs: NtId,
-    lfh: NtId,
-    name: NtId,
-    body: NtId,
+    eocd: Child,
+    lfhs: Child,
+    chain: Chain,
+    name: Child,
+    body: Child,
     cdofs: AttrSlot,
     n: AttrSlot,
     method: AttrSlot,
@@ -96,11 +96,11 @@ impl Fields {
         static TABLE: OnceLock<Result<Fields>> = OnceLock::new();
         field_table(&TABLE, "zip", |r: &Names<'_>| {
             Ok(Fields {
-                eocd: r.nt("EOCD")?,
-                lfhs: r.nt("LFHs")?,
-                lfh: r.nt("LFH")?,
-                name: r.nt("Name")?,
-                body: r.nt("Body")?,
+                eocd: r.child("ZIP", "EOCD")?,
+                lfhs: r.child("ZIP", "LFHs")?,
+                chain: r.chain("LFHs", "LFH")?,
+                name: r.child("LFH", "Name")?,
+                body: r.child("LFH", "Body")?,
                 cdofs: r.attr("EOCD", "cdofs")?,
                 n: r.attr("EOCD", "n")?,
                 method: r.attr("LFH", "method")?,
@@ -114,11 +114,11 @@ impl Fields {
 
 /// What [`extract`] reads of the decompressing grammar's trees.
 struct InflateFields {
-    lfhs: NtId,
-    lfh: NtId,
-    name: NtId,
-    deflated: NtId,
-    stored: NtId,
+    lfhs: Child,
+    chain: Chain,
+    name: Child,
+    deflated: Child,
+    stored: Child,
     crc: AttrSlot,
 }
 
@@ -127,15 +127,24 @@ impl InflateFields {
         static TABLE: OnceLock<Result<InflateFields>> = OnceLock::new();
         field_table(&TABLE, "zip_inflate", |r: &Names<'_>| {
             Ok(InflateFields {
-                lfhs: r.nt("LFHs")?,
-                lfh: r.nt("LFH")?,
-                name: r.nt("Name")?,
-                deflated: r.nt("Deflated")?,
-                stored: r.nt("Stored")?,
+                lfhs: r.child("ZIP", "LFHs")?,
+                chain: r.chain("LFHs", "LFH")?,
+                name: r.child("LFH", "Name")?,
+                deflated: r.child("LFH", "Deflated")?,
+                stored: r.child("LFH", "Stored")?,
                 crc: r.attr("LFH", "crc")?,
             })
         })
     }
+}
+
+/// The stored name of the entry whose header is `lfh`.
+fn entry_name(input: &[u8], name: Child, lfh: NodeRef<'_>) -> Result<String> {
+    let (lo, hi) = name
+        .node(lfh)
+        .ok_or_else(|| Error::Grammar("extractor: missing entry name".into()))?
+        .span();
+    Ok(String::from_utf8_lossy(&input[lo..hi]).into_owned())
 }
 
 /// Parses an archive zero-copy.
@@ -146,26 +155,21 @@ impl InflateFields {
 pub fn parse(input: &[u8]) -> Result<ZipArchive> {
     let f = Fields::get()?;
     let tree = vm().parse(input)?;
-    let root = tree.root();
-    let eocd = root
-        .child_node_nt(f.eocd)
-        .ok_or_else(|| Error::Grammar("extractor: missing end record".into()))?;
+    let root = tree.root().as_node().expect("root is a node");
+    let eocd =
+        f.eocd.node(root).ok_or_else(|| Error::Grammar("extractor: missing end record".into()))?;
     let cd_offset = need(eocd, f.cdofs)? as u32;
     let entry_count = need(eocd, f.n)? as u16;
 
     let mut entries = Vec::with_capacity(usize::from(entry_count));
-    if let Some(lfhs) = root.child_node_nt(f.lfhs) {
-        for lfh in flatten_chain(lfhs, f.lfhs, f.lfh) {
-            let name_node = lfh
-                .child_node_nt(f.name)
-                .ok_or_else(|| Error::Grammar("extractor: missing entry name".into()))?;
-            let name = String::from_utf8_lossy(&input[name_node.span().0..name_node.span().1])
-                .into_owned();
-            let body = lfh
-                .child_node_nt(f.body)
+    if let Some(lfhs) = f.lfhs.node(root) {
+        for lfh in flatten_chain(lfhs, f.chain) {
+            let body = f
+                .body
+                .node(lfh)
                 .ok_or_else(|| Error::Grammar("extractor: missing entry body".into()))?;
             entries.push(ZipEntry {
-                name,
+                name: entry_name(input, f.name, lfh)?,
                 method: need(lfh, f.method)? as u16,
                 crc32: need(lfh, f.crc)? as u32,
                 compressed_size: need(lfh, f.csize)? as u32,
@@ -177,6 +181,14 @@ pub fn parse(input: &[u8]) -> Result<ZipArchive> {
     Ok(ZipArchive { entries, cd_offset, entry_count })
 }
 
+/// Where an entry's uncompressed bytes are.
+enum Body {
+    /// Inflated: the blackbox result's output, moved out of the tree.
+    Inflated(TreeId),
+    /// Stored: a span of the input.
+    Stored(usize, usize),
+}
+
 /// Extracts all entries, decompressing DEFLATE bodies through the
 /// blackbox grammar — the `unzip` replacement of Fig. 12a/b.
 ///
@@ -186,30 +198,35 @@ pub fn parse(input: &[u8]) -> Result<ZipArchive> {
 /// body fails to decompress; [`Error::Grammar`] on CRC mismatch.
 pub fn extract(input: &[u8]) -> Result<Vec<(String, Vec<u8>)>> {
     let f = InflateFields::get()?;
-    let tree = vm_inflate().parse(input)?;
-    let root = tree.root();
-    let mut out = Vec::new();
-    if let Some(lfhs) = root.child_node_nt(f.lfhs) {
-        for lfh in flatten_chain(lfhs, f.lfhs, f.lfh) {
-            let name_node = lfh
-                .child_node_nt(f.name)
-                .ok_or_else(|| Error::Grammar("extractor: missing entry name".into()))?;
-            let name = String::from_utf8_lossy(&input[name_node.span().0..name_node.span().1])
-                .into_owned();
-            let data: Vec<u8> = if let Some(bb) = lfh.child_blackbox_nt(f.deflated) {
-                bb.data().to_vec()
-            } else if let Some(stored) = lfh.child_node_nt(f.stored) {
+    let mut tree = vm_inflate().parse(input)?;
+    // Read every entry, then move each inflated body out of the tree: no
+    // two entries share a body, since each header starts at or past the
+    // previous entry's body.
+    let mut entries = Vec::new();
+    let root = tree.root().as_node().expect("root is a node");
+    if let Some(lfhs) = f.lfhs.node(root) {
+        for lfh in flatten_chain(lfhs, f.chain) {
+            let body = if let Some(bb) = f.deflated.blackbox(lfh) {
+                Body::Inflated(bb.id())
+            } else if let Some(stored) = f.stored.node(lfh) {
                 let (lo, hi) = stored.span();
-                input[lo..hi].to_vec()
+                Body::Stored(lo, hi)
             } else {
                 return Err(Error::Grammar("extractor: entry has no body".into()));
             };
-            let expected = need(lfh, f.crc)? as u32;
-            if ipg_flate::crc32(&data) != expected {
-                return Err(Error::Grammar(format!("crc mismatch for `{name}`")));
-            }
-            out.push((name, data));
+            entries.push((entry_name(input, f.name, lfh)?, body, need(lfh, f.crc)? as u32));
         }
+    }
+    let mut out = Vec::with_capacity(entries.len());
+    for (name, body, expected) in entries {
+        let data = match body {
+            Body::Inflated(id) => tree.take_blackbox_data(id).expect("a blackbox result"),
+            Body::Stored(lo, hi) => input[lo..hi].to_vec(),
+        };
+        if ipg_flate::crc32(&data) != expected {
+            return Err(Error::Grammar(format!("crc mismatch for `{name}`")));
+        }
+        out.push((name, data));
     }
     Ok(out)
 }
