@@ -355,7 +355,10 @@ impl TreeArena {
         &self.children[range.start as usize..(range.start + range.len) as usize]
     }
 
-    fn push_children(&mut self, ids: impl IntoIterator<Item = TreeId>) -> ChildRange {
+    /// Appends a record's children. Every caller knows how many there are
+    /// (an alternative's child slots, a level's fixed pair, a loop's
+    /// elements), so the pool reserves once and copies them in.
+    fn push_children(&mut self, ids: impl ExactSizeIterator<Item = TreeId>) -> ChildRange {
         let start = self.children.len();
         self.children.extend(ids);
         ChildRange { start: start as u32, len: (self.children.len() - start) as u32 }
@@ -374,10 +377,10 @@ impl TreeArena {
         nt: NtId,
         alt_index: u32,
         attrs: &[i64],
-        children: impl IntoIterator<Item = TreeId>,
+        children: impl IntoIterator<Item = TreeId, IntoIter: ExactSizeIterator>,
         base: usize,
     ) -> TreeId {
-        let children = self.push_children(children);
+        let children = self.push_children(children.into_iter());
         let attrs = self.push_attrs(attrs);
         let id = TreeId::new(TAG_NODE, self.nodes.len());
         self.nodes.push(ANode { nt, alt_index, attrs, children, base });
@@ -411,7 +414,7 @@ impl TreeArena {
     pub(crate) fn alloc_array(
         &mut self,
         nt: NtId,
-        elems: impl IntoIterator<Item = TreeId>,
+        elems: impl ExactSizeIterator<Item = TreeId>,
     ) -> TreeId {
         let elems = self.push_children(elems);
         let id = TreeId::new(TAG_ARRAY, self.arrays.len());

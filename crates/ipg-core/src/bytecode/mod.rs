@@ -105,6 +105,11 @@ pub struct PAlt {
     pub count: u32,
     /// Number of result slots (`== n_terms` of the checked alternative).
     pub n_slots: u16,
+    /// The slots whose results are a node's children, in order:
+    /// `Program::child_slots[first_child..first_child + n_children]`.
+    pub first_child: u32,
+    /// Number of children of a node the alternative builds.
+    pub n_children: u16,
 }
 
 /// One bytecode instruction — a checked term with pre-resolved operands.
@@ -349,8 +354,26 @@ pub struct Program {
     pub(crate) rec_ops: Vec<RecOp>,
     pub(crate) loads: Vec<Load>,
     pub(crate) terms: Vec<Term>,
+    /// Per alternative, its children's result slots ([`PAlt::first_child`]).
+    pub(crate) child_slots: Vec<u16>,
     pub(crate) nt_table: Arc<NtTable>,
     pub(crate) start: NtId,
+}
+
+impl Instr {
+    /// The result slot of the term this instruction was compiled from, if
+    /// its result is a child of the node (a match, call, loop, star or
+    /// switch).
+    pub(crate) fn result_slot(self) -> Option<u16> {
+        match self {
+            Instr::Match { slot, .. }
+            | Instr::Call { slot, .. }
+            | Instr::Loop { slot, .. }
+            | Instr::Star { slot, .. }
+            | Instr::Switch { slot, .. } => Some(slot),
+            _ => None,
+        }
+    }
 }
 
 /// Lowers a checked grammar into a flat bytecode [`Program`].
@@ -386,6 +409,7 @@ pub fn compile(g: &Grammar) -> Program {
             rec_ops: Vec::new(),
             loads: Vec::new(),
             terms: Vec::new(),
+            child_slots: Vec::new(),
             nt_table: Arc::new(NtTable {
                 names: g.rules().iter().map(|r| r.name.clone()).collect(),
                 syms: g.rules().iter().map(|r| r.name_sym).collect(),
@@ -479,10 +503,17 @@ impl Compiler<'_> {
             };
             instrs.push(instr);
         }
+        // A node's children are its terms' results in written order.
+        let first_child = self.out.child_slots.len();
+        self.out.child_slots.extend(instrs.iter().filter_map(|instr| instr.result_slot()));
+        self.out.child_slots[first_child..].sort_unstable();
+        let n_children = (self.out.child_slots.len() - first_child) as u16;
+        let first_child = first_child as u32;
         let first = self.out.code.len() as u32;
         let count = instrs.len() as u32;
         self.out.code.extend(instrs);
-        self.out.alts.push(PAlt { first, count, n_slots: alt.n_terms as u16 });
+        let n_slots = alt.n_terms as u16;
+        self.out.alts.push(PAlt { first, count, n_slots, first_child, n_children });
     }
     fn case(&mut self, case: &CSwitchCase) -> PCase {
         let cond = case.cond.as_ref().map(|c| self.expr(c));
@@ -646,6 +677,12 @@ impl Program {
         }
     }
 
+    /// The result slots of alternative `alt`'s children, in order.
+    #[inline]
+    pub(crate) fn child_slots(&self, first_child: u32, n_children: u16) -> &[u16] {
+        &self.child_slots[first_child as usize..][..usize::from(n_children)]
+    }
+
     /// Where the child of nonterminal `nt` sits among the children of a
     /// node of `parent`, when that is fixed: every alternative of `parent`
     /// has at most one term whose result can be of `nt` (a call, loop or
@@ -658,19 +695,18 @@ impl Program {
     pub fn child_index(&self, parent: NtId, nt: NtId) -> Option<usize> {
         let mut index = None;
         for alt in self.rule_alts(parent) {
-            let children = self.alt_code(*alt).iter().filter(|instr| {
-                matches!(
-                    self.unfused(**instr),
-                    Instr::Match { .. }
-                        | Instr::Call { .. }
-                        | Instr::Loop { .. }
-                        | Instr::Star { .. }
-                        | Instr::Switch { .. }
-                )
-            });
-            let mut of_nt = children
+            let code = self.alt_code(*alt);
+            let term = |slot| {
+                code.iter()
+                    .map(|instr| self.unfused(*instr))
+                    .find(|instr| instr.result_slot() == Some(slot))
+                    .expect("a child slot is a term's")
+            };
+            let mut of_nt = self
+                .child_slots(alt.first_child, alt.n_children)
+                .iter()
                 .enumerate()
-                .filter(|(_, instr)| self.term_callees(**instr).any(|callee| callee == nt))
+                .filter(|(_, slot)| self.term_callees(term(**slot)).any(|callee| callee == nt))
                 .map(|(at, _)| at);
             let Some(at) = of_nt.next() else { continue };
             if of_nt.next().is_some() || index.is_some_and(|index| index != at) {

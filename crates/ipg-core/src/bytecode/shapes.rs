@@ -132,8 +132,10 @@ pub(crate) struct Record {
     pub(crate) count: u32,
     /// Builtin calls among the ops.
     pub(crate) calls: u32,
-    /// Result slots of the alternative.
-    pub(crate) n_slots: u16,
+    /// The alternative's children's result slots
+    /// ([`PAlt::first_child`]).
+    pub(crate) first_child: u32,
+    pub(crate) n_children: u16,
     /// Attribute slots of the rule's nodes.
     pub(crate) width: u16,
     /// The siblings' attributes it reads: `Program::loads[first_load..
@@ -785,7 +787,8 @@ impl Compiler<'_> {
             first: first as u32,
             count: count as u32,
             calls: fields.len() as u32,
-            n_slots: alt.n_slots,
+            first_child: alt.first_child,
+            n_children: alt.n_children,
             width,
             first_load,
             loads: sibs.len() as u16,

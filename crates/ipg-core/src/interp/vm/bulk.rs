@@ -4,7 +4,7 @@
 
 use super::failure::Reason;
 use super::machine::{
-    upd_start_end, CallOutcome, Flow, PResult, Pending, Ret, VmSession, NO_PARENT,
+    child, upd_start_end, CallOutcome, Flow, PResult, Pending, Ret, VmSession, NO_PARENT,
 };
 use super::Image;
 use crate::arena::TreeId;
@@ -403,14 +403,9 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
         let ok = self.decode(&rec, base, len, &mut regs, &mut results);
         self.prof.leaf(nt, ok);
         let node = ok.then(|| {
-            let (width, children) = (usize::from(rec.width), &results[..usize::from(rec.n_slots)]);
-            self.ws.arena.alloc_node(
-                nt,
-                0,
-                &regs[..width],
-                children.iter().flatten().copied(),
-                base,
-            )
+            let slots = self.img.program.child_slots(rec.first_child, rec.n_children);
+            let children = slots.iter().map(|&slot| child(&results, slot));
+            self.ws.arena.alloc_node(nt, 0, &regs[..usize::from(rec.width)], children, base)
         });
         if self.memoize {
             self.ws.memo.insert(nt, base, len, node);

@@ -706,7 +706,9 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
         self.prof.exit(nt, true);
         let f = &self.ws.frames[self.depth];
         let width = self.img.layouts.rules[nt.0 as usize].width as usize;
-        let children = f.results.iter().flatten().copied();
+        let alt = self.img.program.alts[f.alt_cursor as usize];
+        let slots = self.img.program.child_slots(alt.first_child, alt.n_children);
+        let children = slots.iter().map(|&slot| child(&f.results, slot));
         let id = self.ws.arena.alloc_node(nt, alt_index, &f.slots[..width], children, base);
         if memoizable {
             self.ws.memo.insert(nt, base, len, Some(id));
@@ -1280,6 +1282,16 @@ fn init_slots(slots: &mut Vec<i64>, frame_width: u16, len: i64) {
         slots.resize(frame_width as usize, 0);
     }
     slots[..3].copy_from_slice(&[len, len, 0]);
+}
+
+/// The child a completed alternative left in result slot `slot`: every
+/// child slot ([`Program::child_slots`]) holds its term's result once the
+/// alternative's terms all succeeded.
+///
+/// [`Program::child_slots`]: crate::bytecode::Program::child_slots
+#[inline]
+pub(super) fn child(results: &[Option<TreeId>], slot: u16) -> TreeId {
+    results[usize::from(slot)].expect("a completed alternative filled its child slots")
 }
 
 /// `updStartEnd(E, l, r, b)` on slots: when `b` holds, widen the touched

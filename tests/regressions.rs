@@ -872,3 +872,61 @@ mod leaf_calls {
         assert!(f.vm.program().disassemble(f.grammar).contains("  chain "), "gif has chains");
     }
 }
+
+/// Memoization across overlapping instances: two elf symbol tables whose
+/// bytes overlap call `Sym` at the same absolute intervals, and the
+/// second table's calls are memo hits of the first's. A static argument
+/// that a rule with one call site never repeats a key would skip those
+/// entries; the memo must serve them, on both engines, with and without
+/// memoization alike.
+#[test]
+fn elf_symbol_tables_over_overlapping_bytes_share_sym_results() {
+    use ipg_core::interp::Parser;
+    let f = common::format("elf");
+    let mut input = common::default_corpus_input("elf");
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let (shoff, shnum) = (u64_at(&input, 40) as usize, usize::from(input[60]));
+    let header = |j: usize| shoff + 64 * j;
+    let sym_type = |b: &[u8], j: usize| b[header(j) + 4];
+    let symtab = (1..shnum).find(|&j| sym_type(&input, j) == 2).expect("a symbol table");
+    let other = (1..shnum).find(|&j| j != symtab && sym_type(&input, j) == 3).expect("a strtab");
+    // The other section becomes a symbol table over the first's bytes from
+    // its second symbol on.
+    let (ofs, sz) = (u64_at(&input, header(symtab) + 24), u64_at(&input, header(symtab) + 32));
+    let shared = sz / 24 - 1;
+    input[header(other) + 4] = 2;
+    input[header(other) + 24..][..8].copy_from_slice(&(ofs + 24).to_le_bytes());
+    input[header(other) + 32..][..8].copy_from_slice(&(sz - 24).to_le_bytes());
+
+    assert!(common::assert_engines_agree("elf", f.grammar, f.vm, &input), "still an elf");
+    let sym = f.grammar.nt_id("Sym").unwrap();
+    let sym_hits = |vm: &ipg_core::interp::vm::VmParser| {
+        let (tree, _, report) = vm.parse_profiled(&input);
+        let tree = tree.expect("parses").root().to_tree();
+        let hits = report.rules.iter().find(|r| r.nt == sym).map_or(0, |r| r.counters.memo_hits);
+        (tree, hits)
+    };
+    let (tree, hits) = sym_hits(f.vm);
+    assert_eq!(hits, shared, "every symbol of the second table is a hit");
+    let (unshared, no_hits) = sym_hits(&f.vm.clone().memoize(false));
+    assert_eq!((unshared, no_hits), (tree.clone(), 0));
+    for memoize in [true, false] {
+        let (reference, ref_stats) =
+            Parser::new(f.grammar).memoize(memoize).parse_with_stats(&input);
+        let (vm_tree, vm_stats) = f.vm.clone().memoize(memoize).parse_with_stats(&input);
+        assert_eq!(vm_tree.unwrap().root().to_tree(), reference.unwrap());
+        assert_eq!(vm_stats.steps, ref_stats.steps, "memoize {memoize}");
+    }
+    // The overlap moves both engines' hits alike: the shared `Sym`s come,
+    // the retyped string table's list repeats go. (The interpreter also
+    // memoizes builtin leaves, so the totals themselves may differ.)
+    let original = common::default_corpus_input("elf");
+    let hits = |input: &[u8]| {
+        let (_, reference) = Parser::new(f.grammar).parse_with_stats(input);
+        let (_, vm) = f.vm.parse_with_stats(input);
+        (reference.memo_hits, vm.memo_hits)
+    };
+    let ((ref_before, vm_before), (ref_after, vm_after)) = (hits(&original), hits(&input));
+    assert!(vm_after > vm_before, "the overlap adds hits");
+    assert_eq!(ref_after - ref_before, vm_after - vm_before);
+}
