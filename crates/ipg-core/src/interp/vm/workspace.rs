@@ -237,10 +237,13 @@ impl Memo {
             self.log = Vec::new();
         }
         self.log.clear();
-        if self.map.capacity() > RETAIN_MAX {
-            self.map = FxHashMap::default();
+        // Only a lookup that missed the recent entries indexed a rule.
+        if !self.map.is_empty() {
+            if self.map.capacity() > RETAIN_MAX {
+                self.map = FxHashMap::default();
+            }
+            self.map.clear();
         }
-        self.map.clear();
         self.rules.fill(RuleMemo::default());
     }
 

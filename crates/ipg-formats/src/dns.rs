@@ -2,7 +2,7 @@
 //! *recognized* by the grammar and *resolved* here — name decompression is
 //! a semantic property, like the paper's post-parse validation passes.
 
-use crate::{field_table, flatten_chain, need, Chain, Child, Names};
+use crate::{field_table, flatten_chain, lossy, need, Chain, Child, Names};
 use ipg_core::arena::{AttrSlot, NodeRef};
 use ipg_core::check::Grammar;
 use ipg_core::error::{Error, Result};
@@ -183,7 +183,7 @@ fn resolve_name(f: &Fields, input: &[u8], name: NodeRef<'_>) -> Result<String> {
                 .node(label)
                 .ok_or_else(|| Error::Grammar("extractor: label without text".into()))?;
             let (lo, hi) = text.span();
-            labels.push(String::from_utf8_lossy(&input[lo..hi]).into_owned());
+            labels.push(lossy(&input[lo..hi]));
             match f.name.node(cur) {
                 Some(next) => cur = next,
                 None => break None,
@@ -218,7 +218,7 @@ fn resolve_name(f: &Fields, input: &[u8], name: NodeRef<'_>) -> Result<String> {
             let bytes = input
                 .get(offset + 1..end)
                 .ok_or_else(|| Error::Grammar("label past end of message".into()))?;
-            labels.push(String::from_utf8_lossy(bytes).into_owned());
+            labels.push(lossy(bytes));
             offset = end;
         }
     }

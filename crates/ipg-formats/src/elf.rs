@@ -1,6 +1,6 @@
 //! ELF: grammar access and typed extraction (§4.1 case study).
 
-use crate::{cstr_at, field_table, flatten_chain, need, Chain, Child, Names};
+use crate::{cstr_at, field_table, flatten_chain, lossy, need, Chain, Child, Names};
 use ipg_core::arena::{ArrayRef, AttrSlot, NodeRef};
 use ipg_core::check::Grammar;
 use ipg_core::error::{Error, Result};
@@ -267,7 +267,7 @@ fn extract_section_kind(
             for s in flatten_chain(top, f.chain) {
                 let (lo, _) = s.span();
                 let len = need(s, f.str_len)? as usize;
-                strings.push(String::from_utf8_lossy(&input[lo..lo + len]).into_owned());
+                strings.push(lossy(&input[lo..lo + len]));
             }
         }
         return Ok(SectionKind::Strings(strings));

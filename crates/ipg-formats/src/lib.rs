@@ -83,12 +83,24 @@ pub(crate) fn flatten_chain(list: NodeRef<'_>, chain: Chain) -> impl Iterator<It
 pub(crate) fn cstr_at(bytes: &[u8], offset: usize) -> Option<String> {
     let rest = bytes.get(offset..)?;
     let len = rest.iter().position(|&b| b == 0)?;
-    Some(String::from_utf8_lossy(&rest[..len]).into_owned())
+    Some(lossy(&rest[..len]))
+}
+
+/// `bytes` as an owned string, invalid UTF-8 replaced as by
+/// [`String::from_utf8_lossy`]; valid bytes, the usual case, take the
+/// faster check of [`std::str::from_utf8`].
+#[inline]
+pub(crate) fn lossy(bytes: &[u8]) -> String {
+    match std::str::from_utf8(bytes) {
+        Ok(s) => s.to_owned(),
+        Err(_) => String::from_utf8_lossy(bytes).into_owned(),
+    }
 }
 
 /// Fetches a field-table attribute from a node, reporting a structured
 /// error when the node is not of the attribute's nonterminal (which would
 /// be a bug in the extractor, not in user input).
+#[inline]
 pub(crate) fn need(node: NodeRef<'_>, attr: AttrSlot) -> Result<i64> {
     node.get(attr).ok_or_else(|| {
         Error::Grammar(format!("extractor: node `{}` lacks attribute {attr:?}", node.name()))

@@ -2,7 +2,7 @@
 //! study (the paper names PNG alongside GIF in §4) whose chunk list uses
 //! the `star` repetition extension instead of the recursive list idiom.
 
-use crate::{field_table, need, Child, Names};
+use crate::{field_table, lossy, need, Child, Names};
 use ipg_core::arena::AttrSlot;
 use ipg_core::check::Grammar;
 use ipg_core::error::{Error, Result};
@@ -80,7 +80,7 @@ pub fn parse(input: &[u8]) -> Result<PngImage> {
             let ty =
                 f.ty.node(chunk)
                     .ok_or_else(|| Error::Grammar("extractor: chunk without type".into()))?;
-            let fourcc = String::from_utf8_lossy(&input[ty.span().0..ty.span().1]).into_owned();
+            let fourcc = lossy(&input[ty.span().0..ty.span().1]);
             let data = f
                 .data
                 .node(chunk)

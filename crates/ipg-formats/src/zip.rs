@@ -1,7 +1,7 @@
 //! ZIP: grammar access, typed extraction, and blackbox-driven extraction
 //! (the paper's zlib-as-blackbox pattern, §3.4/§7).
 
-use crate::{field_table, flatten_chain, need, Chain, Child, Names};
+use crate::{field_table, flatten_chain, lossy, need, Chain, Child, Names};
 use ipg_core::arena::{AttrSlot, NodeRef, TreeId};
 use ipg_core::blackbox::{Blackbox, BlackboxResult};
 use ipg_core::check::Grammar;
@@ -144,7 +144,7 @@ fn entry_name(input: &[u8], name: Child, lfh: NodeRef<'_>) -> Result<String> {
         .node(lfh)
         .ok_or_else(|| Error::Grammar("extractor: missing entry name".into()))?
         .span();
-    Ok(String::from_utf8_lossy(&input[lo..hi]).into_owned())
+    Ok(lossy(&input[lo..hi]))
 }
 
 /// Parses an archive zero-copy.
