@@ -677,7 +677,9 @@ impl Program {
         }
     }
 
-    /// The result slots of alternative `alt`'s children, in order.
+    /// The result slots `first_child..first_child + n_children` of the
+    /// children's table: an alternative's ([`PAlt::first_child`]) or a
+    /// record's children, in order.
     #[inline]
     pub(crate) fn child_slots(&self, first_child: u32, n_children: u16) -> &[u16] {
         &self.child_slots[first_child as usize..][..usize::from(n_children)]
@@ -784,5 +786,35 @@ mod tests {
         assert!(d1.contains("call H[0, 8] -> s0"), "got:\n{d1}");
         assert!(d1.contains("set offset = s0:Int.val"), "got:\n{d1}");
         assert!(d1.contains(":= builtin u32le"), "got:\n{d1}");
+    }
+
+    #[test]
+    fn a_child_index_is_fixed_only_where_every_alternative_agrees() {
+        let g = parse_grammar(
+            r#"
+            S -> "x"[0, 1] B[A.end, EOI] A[1, 2] {n = A.val}
+               / A[0, 1] C[1, 2] C[2, 3]
+               / switch(EOI = 3 : A[0, 1] / D[0, 1]);
+            A := u8;
+            B := bytes;
+            C := u8;
+            D := u8;
+            "#,
+        )
+        .unwrap();
+        let p = compile(&g);
+        let nt = |name| g.nt_id(name).unwrap();
+        let at = |name| p.child_index(nt("S"), nt(name));
+        // `A` comes before `B` in the compiled code, which needs `A.end`,
+        // but children stay in written order: `A` is child 2 there and 0
+        // in the other alternatives.
+        assert_eq!(at("A"), None);
+        assert_eq!(at("B"), Some(1), "only the first alternative has one");
+        assert_eq!(at("C"), None, "two terms of one alternative");
+        assert_eq!(at("D"), Some(0), "a switch's case");
+        let g =
+            parse_grammar("S -> \"x\"[0, 1] B[A.end, EOI] A[1, 2]; A := u8; B := bytes;").unwrap();
+        let p = compile(&g);
+        assert_eq!(p.child_index(g.nt_id("S").unwrap(), g.nt_id("A").unwrap()), Some(2));
     }
 }

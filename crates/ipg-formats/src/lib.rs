@@ -15,10 +15,11 @@
 //! position among its parent's children, which the grammar fixes
 //! ([`Program::child_index`]), with its nonterminal checked. A parse then
 //! does no name lookup, no string hashing and no search among children.
+//! The tree-walking interpreter remains available through the `grammar()`
+//! statics and is held to byte-identical behavior by the repository's
+//! differential tests.
 //!
-//! [`Program::child_index`]: ipg_core::bytecode::Program::child_index The tree-walking interpreter
-//! remains available through the `grammar()` statics and is held to
-//! byte-identical behavior by the repository's differential tests.
+//! [`Program::child_index`]: ipg_core::bytecode::Program::child_index
 //!
 //! All grammar resolution goes through [`registry::Registry`]: the
 //! per-module `grammar()`/`vm()` statics are views of the shared corpus
