@@ -364,8 +364,9 @@ mod tests {
             }
             assert!(memo.indexed <= memo.len(), "round {round}");
         }
-        // A miss below the mark past the recent entries indexes what is
-        // left of each rule: then every entry was indexed exactly once.
+        // Indexing what is left of each rule, as a lookup that misses
+        // its recent entries does, leaves every entry indexed exactly
+        // once.
         for nt in (0..RULES).map(NtId) {
             assert!(memo.rules[nt.0 as usize].top > 0);
             memo.index(nt);
