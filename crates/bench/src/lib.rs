@@ -11,14 +11,14 @@
 //! | Fig. 14a/b (heap consumption)     | `cargo run -p bench --bin fig14_memory --release` |
 //! | §7 termination timing             | `cargo run -p bench --bin termination_report` |
 //! | Session allocations vs one-shot   | `cargo test -p bench --test session_allocations` |
-//! | `BENCH_conform.json` (CI artifact) | `cargo run --release -p bench --bin bench_conform` |
 //! | VM ÷ interpreter ≥ 3x gate        | `cargo test --release -p bench --test vm_speedup -- --ignored` |
 //! | Fast ÷ seed inflate ≥ 3x gate     | `cargo test --release -p bench --test inflate_speedup -- --ignored` |
 //!
 //! `paper_counts` pins exact VM step counts, which do not vary between
-//! runs; the timed side of the paper's comparison is perfbench's. The
-//! JSON record is not committed: CI's conform-smoke job generates it and
-//! uploads it as an artifact.
+//! runs; the timed side of the paper's comparison is perfbench's, whose
+//! JSON record is the repository's one benchmark record. Nothing in this
+//! crate writes a report file: the binaries print to stdout, and the
+//! conformance sweep is the umbrella crate's `tests/conformance.rs`.
 //!
 //! Every IPG series runs the bytecode VM behind `ipg_formats` (the
 //! paper's generator emits compiled C++ instead; this repository has no

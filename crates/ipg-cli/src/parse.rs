@@ -3,11 +3,10 @@
 //! the typed extractor view for corpus formats.
 
 use crate::{extract, resolve, CmdResult, Failure};
+use ipg_core::arena::TreeRef;
 use ipg_core::check::Grammar;
-use ipg_core::interp::vm::{Outcome, VmParser};
-use ipg_core::tree::Tree;
+use ipg_core::interp::vm::{Outcome, ParseTree, VmParser};
 use std::io::{Read, Write as _};
-use std::rc::Rc;
 
 const USAGE: &str = "usage: ipg parse <grammar> [FILE | -] [--depth N] [--extract [DIR]]";
 
@@ -45,7 +44,7 @@ pub fn run(args: &[String]) -> CmdResult {
 
     // The typed lane: corpus extractors over a fully materialized input.
     if let Some(dir) = extract_to {
-        let input = read_input(&entry.name, input_arg.as_deref())?;
+        let input = resolve::read_input(&entry.name, input_arg.as_deref())?;
         return extract::dump(&entry.name, &input, dir.as_deref());
     }
 
@@ -54,26 +53,12 @@ pub fn run(args: &[String]) -> CmdResult {
     let (tree, suspends, bytes, source) = match input_arg.as_deref() {
         Some("-") => {
             let (tree, suspends, bytes) = parse_stdin(entry.vm())?;
-            (tree, suspends, bytes, "stdin (streamed)".to_owned())
+            (tree, suspends, bytes, "stdin (streamed)")
         }
-        Some(path) => {
-            let input = std::fs::read(path)
-                .map_err(|e| Failure::runtime(format!("cannot read {path}: {e}")))?;
-            (one_shot(entry.vm(), &input)?, 0, input.len(), path.to_owned())
-        }
-        None => {
-            let input = resolve::default_input(&entry.name).ok_or_else(|| {
-                Failure::usage(format!(
-                    "`{}` has no self-generated sample; pass FILE or -",
-                    entry.name
-                ))
-            })?;
-            (
-                one_shot(entry.vm(), &input)?,
-                0,
-                input.len(),
-                "self-generated corpus input".to_owned(),
-            )
+        arg => {
+            let input = resolve::read_input(&entry.name, arg)?;
+            let tree = one_shot(entry.vm(), &input)?;
+            (tree, 0, input.len(), arg.unwrap_or("self-generated corpus input"))
         }
     };
 
@@ -87,7 +72,7 @@ pub fn run(args: &[String]) -> CmdResult {
         entry.name,
         entry.vm().anchor()
     )
-    .and_then(|()| print_tree(&mut out, &tree, entry.grammar(), 0, depth))
+    .and_then(|()| print_tree(&mut out, tree.root(), entry.grammar(), depth))
     .and_then(|()| out.flush());
     match dump {
         Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
@@ -97,37 +82,13 @@ pub fn run(args: &[String]) -> CmdResult {
     }
 }
 
-/// Materializes the input for the typed-extractor lane (which needs the
-/// full byte slice): file, buffered stdin, or the self-generated sample.
-fn read_input(name: &str, input_arg: Option<&str>) -> Result<Vec<u8>, Failure> {
-    match input_arg {
-        Some("-") => {
-            let mut buf = Vec::new();
-            std::io::stdin()
-                .lock()
-                .read_to_end(&mut buf)
-                .map_err(|e| Failure::runtime(format!("cannot read stdin: {e}")))?;
-            Ok(buf)
-        }
-        Some(path) => {
-            std::fs::read(path).map_err(|e| Failure::runtime(format!("cannot read {path}: {e}")))
-        }
-        None => resolve::default_input(name).ok_or_else(|| {
-            Failure::usage(format!("`{name}` has no self-generated sample; pass FILE or -"))
-        }),
-    }
-}
-
-fn one_shot(vm: &VmParser, input: &[u8]) -> Result<Rc<Tree>, Failure> {
-    match vm.parse(input) {
-        Ok(tree) => Ok(tree.root().to_tree()),
-        Err(e) => Err(Failure::runtime(format!("parse failed: {e}"))),
-    }
+fn one_shot(vm: &VmParser, input: &[u8]) -> Result<ParseTree, Failure> {
+    vm.parse(input).map_err(|e| Failure::runtime(format!("parse failed: {e}")))
 }
 
 /// Streams stdin through a [`ipg_core::interp::vm::Session`] in 4 KiB
 /// chunks, reporting the suspension count the parse accumulated.
-fn parse_stdin(vm: &VmParser) -> Result<(Rc<Tree>, u64, usize), Failure> {
+fn parse_stdin(vm: &VmParser) -> Result<(ParseTree, u64, usize), Failure> {
     let mut session = vm.streaming();
     let mut stdin = std::io::stdin().lock();
     let mut buf = [0u8; 4096];
@@ -143,71 +104,78 @@ fn parse_stdin(vm: &VmParser) -> Result<(Rc<Tree>, u64, usize), Failure> {
     let buffered = session.buffered();
     let suspends = session.suspends();
     match session.finish() {
-        Outcome::Done(tree) => Ok((tree.root().to_tree(), suspends, buffered)),
+        Outcome::Done(tree) => Ok((tree, suspends, buffered)),
         Outcome::Error(e) => Err(Failure::runtime(format!("parse failed: {e}"))),
         Outcome::NeedInput { .. } => unreachable!("finish never needs input"),
     }
 }
 
-/// Depth- and width-limited tree dump: nonterminals with their user
-/// attributes and spans, arrays summarized, leaves as byte spans.
+/// A line of the dump still to be written.
+enum Pending<'a> {
+    /// A subtree, at its indent.
+    Tree(TreeRef<'a>, usize),
+    /// The count of a node's children (or an array's elements) beyond
+    /// the ones printed, at the node's indent.
+    More(usize, usize, &'static str),
+}
+
+/// Depth- and width-limited tree dump, read straight from the parse's
+/// arena: nonterminals with their user attributes and spans, arrays
+/// summarized, leaves as byte spans. An explicit stack walks the tree, so
+/// a right-recursive list as deep as its input prints in constant stack.
 fn print_tree(
     out: &mut impl std::io::Write,
-    tree: &Tree,
+    root: TreeRef<'_>,
     g: &Grammar,
-    indent: usize,
     max_depth: usize,
 ) -> std::io::Result<()> {
     const MAX_CHILDREN: usize = 8;
-    let pad = "  ".repeat(indent);
-    if indent >= max_depth {
-        return writeln!(out, "{pad}…");
-    }
-    match tree {
-        Tree::Node(n) => {
+    let mut stack = vec![Pending::Tree(root, 0)];
+    while let Some(pending) = stack.pop() {
+        let (tree, indent) = match pending {
+            Pending::Tree(tree, indent) => (tree, indent),
+            Pending::More(indent, n, what) => {
+                writeln!(out, "{}  … {n} more {what}", "  ".repeat(indent))?;
+                continue;
+            }
+        };
+        let pad = "  ".repeat(indent);
+        if indent >= max_depth {
+            writeln!(out, "{pad}…")?;
+            continue;
+        }
+        let (kids, n_kids, what): (Vec<TreeRef<'_>>, usize, _) = if let Some(n) = tree.as_node() {
             let attrs: Vec<String> = n
-                .env
-                .iter()
-                .filter(|(sym, _)| g.attr_name(*sym) != "EOI")
+                .bindings()
+                .filter(|&(sym, _)| g.attr_name(sym) != "EOI")
                 .map(|(sym, v)| format!("{}={v}", g.attr_name(sym)))
                 .collect();
+            let (start, end) = n.span();
+            writeln!(out, "{pad}{} [{start}..{end}] {{{}}}", n.name(), attrs.join(", "))?;
+            (n.children().take(MAX_CHILDREN).collect(), n.children().count(), "children")
+        } else if let Some(a) = tree.as_array() {
+            writeln!(out, "{pad}{}[] ({} elements)", a.name(), a.len())?;
+            (a.elems().take(MAX_CHILDREN).collect(), a.len(), "elements")
+        } else if let Some(b) = tree.as_blackbox() {
+            let (start, end) = b.span();
+            let decoded = b.data().len();
             writeln!(
                 out,
-                "{pad}{} [{}..{}] {{{}}}",
-                n.name,
-                n.base,
-                n.base + n.input_len,
-                attrs.join(", ")
+                "{pad}{} (blackbox, {decoded} bytes decoded) [{start}..{end}]",
+                b.name()
             )?;
-            for child in n.children.iter().take(MAX_CHILDREN) {
-                print_tree(out, child, g, indent + 1, max_depth)?;
-            }
-            if n.children.len() > MAX_CHILDREN {
-                writeln!(out, "{pad}  … {} more children", n.children.len() - MAX_CHILDREN)?;
-            }
-        }
-        Tree::Array(a) => {
-            writeln!(out, "{pad}{}[] ({} elements)", a.name, a.elems.len())?;
-            for elem in a.elems.iter().take(MAX_CHILDREN) {
-                print_tree(out, elem, g, indent + 1, max_depth)?;
-            }
-            if a.elems.len() > MAX_CHILDREN {
-                writeln!(out, "{pad}  … {} more elements", a.elems.len() - MAX_CHILDREN)?;
-            }
-        }
-        Tree::Leaf(l) => {
+            continue;
+        } else {
+            let l = tree.as_leaf().expect("a tree is a node, an array, a blackbox or a leaf");
             writeln!(out, "{pad}\"…\" [{}..{}]", l.start, l.end)?;
+            continue;
+        };
+        // Last pushed, first printed: the children in order, then the
+        // count of those cut.
+        if n_kids > MAX_CHILDREN {
+            stack.push(Pending::More(indent, n_kids - MAX_CHILDREN, what));
         }
-        Tree::Blackbox(b) => {
-            writeln!(
-                out,
-                "{pad}{} (blackbox, {} bytes decoded) [{}..{}]",
-                b.name,
-                b.data.len(),
-                b.base,
-                b.base + b.input_len
-            )?;
-        }
+        stack.extend(kids.into_iter().rev().map(|kid| Pending::Tree(kid, indent + 1)));
     }
     Ok(())
 }

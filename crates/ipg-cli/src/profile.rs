@@ -36,7 +36,7 @@ pub fn run(args: &[String]) -> CmdResult {
         return Err(Failure::usage(USAGE));
     };
     let entry = resolve::entry(&grammar_arg)?;
-    let input = read_input(&entry.name, input_arg.as_deref())?;
+    let input = resolve::read_input(&entry.name, input_arg.as_deref())?;
 
     let (result, stats, report) = entry.vm().parse_profiled(&input);
     // A failed parse still profiles — where time went before the error
@@ -86,27 +86,5 @@ pub fn run(args: &[String]) -> CmdResult {
     match failure {
         Some(f) => Err(f),
         None => Ok(()),
-    }
-}
-
-/// Materializes the profiled input: file, buffered stdin, or the
-/// format's self-generated corpus sample.
-fn read_input(name: &str, input_arg: Option<&str>) -> Result<Vec<u8>, Failure> {
-    use std::io::Read as _;
-    match input_arg {
-        Some("-") => {
-            let mut buf = Vec::new();
-            std::io::stdin()
-                .lock()
-                .read_to_end(&mut buf)
-                .map_err(|e| Failure::runtime(format!("cannot read stdin: {e}")))?;
-            Ok(buf)
-        }
-        Some(path) => {
-            std::fs::read(path).map_err(|e| Failure::runtime(format!("cannot read {path}: {e}")))
-        }
-        None => resolve::default_input(name).ok_or_else(|| {
-            Failure::usage(format!("`{name}` has no self-generated sample; pass FILE or -"))
-        }),
     }
 }

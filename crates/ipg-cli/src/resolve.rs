@@ -7,6 +7,7 @@
 
 use crate::Failure;
 use ipg_formats::{corpus_descriptors, Entry, Registry};
+use std::io::Read as _;
 use std::path::Path;
 
 /// Resolves `arg` to a registry entry: a known corpus name is served from
@@ -47,4 +48,26 @@ pub fn default_input(name: &str) -> Option<Vec<u8>> {
         "pdf" => ipg_corpus::pdf::generate(&Default::default()).bytes,
         _ => return None,
     })
+}
+
+/// Materializes a command's input whole: the file `input_arg` names,
+/// stdin read to its end for `-`, or, with no operand, the format's
+/// self-generated sample ([`default_input`]).
+pub fn read_input(name: &str, input_arg: Option<&str>) -> Result<Vec<u8>, Failure> {
+    match input_arg {
+        Some("-") => {
+            let mut buf = Vec::new();
+            std::io::stdin()
+                .lock()
+                .read_to_end(&mut buf)
+                .map_err(|e| Failure::runtime(format!("cannot read stdin: {e}")))?;
+            Ok(buf)
+        }
+        Some(path) => {
+            std::fs::read(path).map_err(|e| Failure::runtime(format!("cannot read {path}: {e}")))
+        }
+        None => default_input(name).ok_or_else(|| {
+            Failure::usage(format!("`{name}` has no self-generated sample; pass FILE or -"))
+        }),
+    }
 }

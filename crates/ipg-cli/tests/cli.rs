@@ -226,6 +226,56 @@ fn parse_streams_stdin_through_a_session() {
     assert!(stdout.contains("stdin (streamed)"), "{stdout}");
 }
 
+/// A valid 100,194-byte ELF whose string table holds one string of
+/// 100,000 characters: `Str`'s right recursion makes its tree 100,000
+/// levels deep.
+fn deep_elf() -> Vec<u8> {
+    const CHARS: usize = 100_000;
+    let strtab_len = CHARS as u64 + 2;
+    let mut elf = vec![0u8; 64];
+    elf[..4].copy_from_slice(b"\x7fELF");
+    elf[4] = 2; // 64-bit
+    elf[5] = 1; // little-endian
+    elf[40..48].copy_from_slice(&(64 + strtab_len).to_le_bytes()); // shoff
+    elf[58..60].copy_from_slice(&64u16.to_le_bytes()); // shentsize
+    elf[60..62].copy_from_slice(&2u16.to_le_bytes()); // shnum
+    elf[62..64].copy_from_slice(&1u16.to_le_bytes()); // shstrndx
+    elf.push(0);
+    elf.resize(elf.len() + CHARS, b'a');
+    elf.push(0);
+    elf.resize(elf.len() + 64, 0); // the null section header
+    let mut strtab = [0u8; 64];
+    strtab[4..8].copy_from_slice(&3u32.to_le_bytes()); // SHT_STRTAB
+    strtab[24..32].copy_from_slice(&64u64.to_le_bytes());
+    strtab[32..40].copy_from_slice(&strtab_len.to_le_bytes());
+    elf.extend(strtab);
+    assert_eq!(elf.len(), 100_194);
+    elf
+}
+
+#[test]
+fn parse_prints_a_tree_as_deep_as_its_input() {
+    let scratch = Scratch::new("deepelf");
+    let file = scratch.path().join("deep.elf");
+    let elf = deep_elf();
+    std::fs::write(&file, &elf).expect("write input");
+    let file = file.to_str().unwrap();
+    for args in [&["parse", "elf", file][..], &["parse", "elf", file, "--depth", "2"]] {
+        let stdout = ok_stdout(args, &[]);
+        assert!(stdout.starts_with("elf: parsed 100194 bytes"), "{stdout}");
+    }
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ipg"))
+        .args(["parse", "elf", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ipg");
+    cmd.stdin.take().expect("piped stdin").write_all(&elf).expect("write stdin");
+    let out = cmd.wait_with_output().expect("wait for ipg");
+    assert!(out.status.success(), "stderr:\n{}", String::from_utf8_lossy(&out.stderr));
+}
+
 #[test]
 fn parse_loads_user_grammars_from_ipg_sources() {
     let scratch = Scratch::new("usergrammar");

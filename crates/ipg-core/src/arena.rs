@@ -19,10 +19,11 @@
 //! then the rule's own attributes. A node stores values only; the names
 //! and the order in which the interpreter's environment lists them come
 //! from the `(nonterminal, alternative)` shape in the program's
-//! `Layouts`, which every arena shares. [`TreeRef::to_tree`],
-//! [`NodeRef::attr`] and [`NodeRef::attr_by_sym`] map slots back to names
-//! through it; [`NodeRef::get`] reads a pre-resolved [`AttrSlot`] with one
-//! indexed load. Blackbox records store their attributes the same way.
+//! `Layouts`, which every arena shares. [`NodeRef::bindings`] (and so
+//! [`TreeRef::to_tree`]), [`NodeRef::attr`] and [`NodeRef::attr_by_sym`]
+//! map slots back to names through it; [`NodeRef::get`] reads a
+//! pre-resolved [`AttrSlot`] with one indexed load. Blackbox records
+//! store their attributes the same way.
 //!
 //! ## Builtin records
 //!
@@ -704,7 +705,7 @@ impl<'a> TreeRef<'a> {
                 nt: b.nt,
                 name: table.names[b.nt.0 as usize].clone(),
                 name_sym: table.syms[b.nt.0 as usize],
-                env: layouts.node_shape(b.nt, 0).iter().map(|s| (s.sym, b.attr(s.slot))).collect(),
+                env: NodeRef { arena: self.arena, id, delta }.bindings().collect(),
                 children: vec![Rc::new(Tree::Leaf(b.leaf()))],
                 base: b.base,
                 input_len: b.len,
@@ -721,9 +722,7 @@ impl<'a> TreeRef<'a> {
                     nt: n.nt,
                     name: table.names[n.nt.0 as usize].clone(),
                     name_sym: table.syms[n.nt.0 as usize],
-                    env: (self.arena)
-                        .bindings(layouts.node_shape(n.nt, n.alt_index), n.attrs, delta)
-                        .collect(),
+                    env: NodeRef { arena: self.arena, id, delta }.bindings().collect(),
                     children,
                     base: n.base,
                     input_len: self.arena.attr(n.attrs, EOI_SLOT) as usize,
@@ -804,6 +803,16 @@ impl<'a> NodeRef<'a> {
     pub fn attr_by_sym(&self, sym: Sym) -> Option<i64> {
         let shape = self.arena.layouts().node_shape(self.nt(), self.alt_index() as u32);
         shape.iter().find(|b| b.sym == sym).map(|b| self.value(b.slot))
+    }
+
+    /// Every binding of the node, `EOI`, `start` and `end` included, in
+    /// the order the interpreter's environment lists them (the node's
+    /// shape), `start`/`end` shifted by the reference's delta. This is the
+    /// environment [`TreeRef::to_tree`] builds.
+    pub fn bindings(&self) -> impl Iterator<Item = (Sym, i64)> + use<'a> {
+        let node = *self;
+        let shape = self.arena.layouts().node_shape(self.nt(), self.alt_index() as u32);
+        shape.iter().map(move |b| (b.sym, node.value(b.slot)))
     }
 
     /// Reads a pre-resolved attribute; `None` if this node is not of the

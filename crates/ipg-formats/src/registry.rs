@@ -374,12 +374,12 @@ impl Registry {
         out
     }
 
-    /// The cross-engine agreement contract, shared by the assert-style
-    /// test helper and the report-style `bench_conform` gate: identical
-    /// step counts, identical trees on acceptance (via `TreeRef::to_tree`,
-    /// which covers shape, attribute environments including
-    /// `start`/`end`, spans, chosen alternatives, and blackbox payloads),
-    /// identical deepest errors on rejection. Returns `Ok(accepted)` or a
+    /// The cross-engine agreement contract behind the test suites'
+    /// `assert_engines_agree` helper: identical step counts, identical
+    /// trees on acceptance (via `TreeRef::to_tree`, which covers shape,
+    /// attribute environments including `start`/`end`, spans, chosen
+    /// alternatives, and blackbox payloads), identical deepest errors on
+    /// rejection. Returns `Ok(accepted)` or a
     /// divergence description.
     ///
     /// # Errors

@@ -107,12 +107,14 @@ pub fn mutate(bytes: &mut Vec<u8>, kind: u8, pos: usize, value: u8) {
 /// * **errors** — rejected inputs must produce the identical deepest
 ///   failure (offset, nonterminal, message).
 ///
-/// Returns whether the input was accepted.
-pub fn assert_engines_agree(name: &str, g: &Grammar, vm: &VmParser, input: &[u8]) -> bool {
+/// Returns whether the input was accepted. `label` names the input in
+/// the panic message only: a grammar name, or, in the conformance lanes,
+/// the grammar, seed and mutant that rebuild it.
+pub fn assert_engines_agree(label: &str, g: &Grammar, vm: &VmParser, input: &[u8]) -> bool {
     let parser = Parser::new(g).max_steps(AGREE_FUEL);
     match Registry::compare_engines(&parser, vm, input) {
         Ok(accepted) => accepted,
-        Err(msg) => panic!("{name}: {msg}"),
+        Err(msg) => panic!("{label}: {msg}"),
     }
 }
 

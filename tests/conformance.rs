@@ -19,7 +19,13 @@
 //!   `ipg-gen` CRC fix-up, must survive full extraction (DEFLATE blackbox +
 //!   CRC-32 check) and still keep the engines in agreement.
 //!
-//! Set `IPG_CONFORM_QUICK=1` (the CI smoke job does) for a reduced sweep.
+//! Set `IPG_CONFORM_QUICK=1` for a reduced sweep: CI's conform-smoke job
+//! runs it so in release, and its test job runs the full sweep in debug.
+//!
+//! Every lane is deterministic per seed, so a divergence names the input
+//! that caused it — `zip seed 7 mutant 2 (LengthSkew)` is
+//! `generate_valid(7)` then `mutate(&mut bytes, 7, 2)` — and needs no
+//! saved corpus to reproduce.
 
 mod common;
 
@@ -47,9 +53,10 @@ fn conformance_for(name: &str) {
             .generate_valid(seed)
             .unwrap_or_else(|| panic!("{name}: generation failed for seed {seed}"));
         // Generation lane: both engines accept with identical trees/steps.
+        let label = format!("{name} seed {seed}");
         assert!(
-            common::assert_engines_agree(name, f.grammar, f.vm, &bytes),
-            "{name}: seed {seed}: generated input was rejected"
+            common::assert_engines_agree(&label, f.grammar, f.vm, &bytes),
+            "{label}: generated input was rejected"
         );
         gen_accepted += 1;
         // Baseline lane: probes terminate; record the accept matrix.
@@ -58,8 +65,9 @@ fn conformance_for(name: &str) {
         // Mutation lane: engines react identically to every corruption.
         for m in 0..n_mutants {
             let mut mutant = bytes.clone();
-            gen_mutate(&mut mutant, seed, m);
-            common::assert_engines_agree(name, f.grammar, f.vm, &mutant);
+            let kind = gen_mutate(&mut mutant, seed, m);
+            let label = format!("{name} seed {seed} mutant {m} ({kind:?})");
+            common::assert_engines_agree(&label, f.grammar, f.vm, &mutant);
             for o in ipg_baselines::probe::run(name, &mutant) {
                 let _ = o.accepted; // termination without panic is the assertion
             }
@@ -105,9 +113,10 @@ fn conform_zip_inflate_extracts_after_crc_fixup() {
             .generate_valid(seed)
             .unwrap_or_else(|| panic!("zip_inflate: generation failed for seed {seed}"));
         ipg_gen::hooks::zip_fixup_crcs(&mut bytes);
+        let label = format!("zip_inflate seed {seed} (CRC fix-up)");
         assert!(
-            common::assert_engines_agree("zip_inflate", f.grammar, f.vm, &bytes),
-            "seed {seed}: archive rejected after CRC fix-up"
+            common::assert_engines_agree(&label, f.grammar, f.vm, &bytes),
+            "{label}: archive rejected"
         );
         let files = ipg_formats::zip::extract(&bytes)
             .unwrap_or_else(|e| panic!("seed {seed}: extraction failed: {e}"));
