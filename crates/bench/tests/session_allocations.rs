@@ -5,50 +5,12 @@
 //! `streaming_overhead` gate cannot resolve a change this small, but these
 //! counts do not vary between runs.
 //!
-//! The counting allocator below counts per thread, so the test harness's
-//! own threads cannot disturb the counts.
+//! `ipg_baselines::alloc_meter` counts per thread, so the test harness's
+//! own threads cannot disturb the counts. A growing reallocation counts
+//! as an allocation of the bytes it adds.
 
+use ipg_baselines::alloc_meter::{measure, CountingAllocator};
 use ipg_core::interp::vm::ParseTree;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAllocator;
-
-thread_local! {
-    /// `(allocations, bytes requested)` on this thread. A growing
-    /// reallocation counts as an allocation of the bytes it adds, as in
-    /// `ipg_baselines::alloc_meter`.
-    static ALLOCATED: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-}
-
-fn note(bytes: usize) {
-    // `try_with`: the allocator may run while the thread's locals are torn
-    // down.
-    let _ = ALLOCATED.try_with(|c| {
-        let (n, b) = c.get();
-        c.set((n + 1, b + bytes));
-    });
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
-// touches only a const-initialized thread-local counter.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > layout.size() {
-            note(new_size - layout.size());
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -59,11 +21,9 @@ type Counts = (usize, usize);
 /// What `parse` asks of the allocator on this thread. The tree drops after
 /// counting, so the next parse recycles its arena as the last one did.
 fn count(parse: impl FnOnce() -> ParseTree) -> Counts {
-    let (n0, b0) = ALLOCATED.with(Cell::get);
-    let tree = parse();
-    let (n1, b1) = ALLOCATED.with(Cell::get);
+    let (tree, stats) = measure(parse);
     drop(tree);
-    (n1 - n0, b1 - b0)
+    (stats.allocations as usize, stats.bytes_allocated as usize)
 }
 
 /// Per grammar: the counts of the one-shot parse, then of the chunked

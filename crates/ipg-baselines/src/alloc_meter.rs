@@ -1,7 +1,8 @@
-//! A counting global allocator — the offline substitute for the paper's
-//! Valgrind heap measurements (Fig. 14).
+//! The counting global allocator — the offline substitute for the paper's
+//! Valgrind heap measurements (Fig. 14), and the one allocation meter of
+//! every allocation gate in the workspace.
 //!
-//! Binaries that want heap numbers install it:
+//! A binary or test binary that wants heap numbers installs it:
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -9,76 +10,129 @@
 //!     ipg_baselines::alloc_meter::CountingAllocator;
 //! ```
 //!
-//! and then wrap the code under measurement in [`measure`]. Counters are
-//! process-global; measurements of concurrent allocations interleave, so
-//! keep measured sections single-threaded (as the benchmarks do).
+//! and then wraps the code under measurement in [`measure`]. Counters are
+//! kept per thread, so a test harness's other threads cannot disturb a
+//! measurement; a measured section counts only what its own thread asks
+//! of the allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
-
-/// A `#[global_allocator]` that counts allocations and bytes.
+/// A `#[global_allocator]` that counts, per thread, allocations, bytes
+/// requested, live bytes and the largest request.
 pub struct CountingAllocator;
 
-// SAFETY: delegates directly to `System`; the bookkeeping has no effect on
-// the returned memory.
+/// One thread's running totals.
+#[derive(Clone, Copy)]
+struct Counters {
+    allocations: u64,
+    bytes: u64,
+    live: i64,
+    peak: i64,
+    largest: usize,
+}
+
+thread_local! {
+    static COUNTERS: Cell<Counters> = const {
+        Cell::new(Counters { allocations: 0, bytes: 0, live: 0, peak: 0, largest: 0 })
+    };
+}
+
+fn note(update: impl FnOnce(&mut Counters)) {
+    // `try_with`: the allocator may run while the thread's locals are torn
+    // down.
+    let _ = COUNTERS.try_with(|c| {
+        let mut counters = c.get();
+        update(&mut counters);
+        c.set(counters);
+    });
+}
+
+/// One allocation call that asks for a block of `requested` bytes, of
+/// which `added` are new (all of them, except for a growing realloc).
+fn note_alloc(requested: usize, added: usize) {
+    note(|c| {
+        c.allocations += 1;
+        c.bytes += added as u64;
+        c.live += added as i64;
+        c.peak = c.peak.max(c.live);
+        c.largest = c.largest.max(requested);
+    });
+}
+
+fn note_free(freed: usize) {
+    note(|c| c.live -= freed as i64);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
+// touches only a const-initialized thread-local counter and has no effect
+// on the returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record_alloc(layout.size());
+        note_alloc(layout.size(), layout.size());
         unsafe { System.alloc(layout) }
     }
 
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size(), layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        note_free(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if new_size > layout.size() {
-            record_alloc(new_size - layout.size());
+            note_alloc(new_size, new_size - layout.size());
         } else {
-            LIVE_BYTES.fetch_sub((layout.size() - new_size) as i64, Ordering::Relaxed);
+            note_free(layout.size() - new_size);
         }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
-fn record_alloc(size: usize) {
-    ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-    ALLOC_BYTES.fetch_add(size as u64, Ordering::Relaxed);
-    let live = LIVE_BYTES.fetch_add(size as i64, Ordering::Relaxed) + size as i64;
-    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-}
-
-/// Heap statistics over a measured region.
+/// Heap statistics over a measured region, on the measuring thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AllocStats {
-    /// Number of allocation calls (allocs + growing reallocs).
+    /// Number of allocation calls (allocs and growing reallocs).
     pub allocations: u64,
-    /// Total bytes requested.
+    /// Total bytes requested: an allocation's size, and the bytes a
+    /// growing realloc adds.
     pub bytes_allocated: u64,
     /// Peak live bytes *above* the level at the start of the measurement.
     pub peak_bytes: u64,
+    /// Live bytes at the end less those at the start: what the region
+    /// left allocated (negative when it freed more than it allocated).
+    pub live_bytes: i64,
+    /// The largest single request: an allocation's size or a growing
+    /// realloc's new size.
+    pub largest: usize,
 }
 
-/// Runs `f` and reports the allocation activity it caused.
+/// Runs `f` and reports the allocation activity it caused on this thread.
+/// Measurements do not nest: an inner one restarts the outer one's peak
+/// and largest request.
 ///
 /// Only meaningful when [`CountingAllocator`] is installed as the global
 /// allocator; otherwise all counters read zero.
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, AllocStats) {
-    let count0 = ALLOC_COUNT.load(Ordering::Relaxed);
-    let bytes0 = ALLOC_BYTES.load(Ordering::Relaxed);
-    let live0 = LIVE_BYTES.load(Ordering::Relaxed);
-    PEAK_BYTES.store(live0, Ordering::Relaxed);
+    let start = COUNTERS.with(|c| {
+        let mut counters = c.get();
+        counters.peak = counters.live;
+        counters.largest = 0;
+        c.set(counters);
+        counters
+    });
     let r = f();
+    let end = COUNTERS.with(Cell::get);
     let stats = AllocStats {
-        allocations: ALLOC_COUNT.load(Ordering::Relaxed) - count0,
-        bytes_allocated: ALLOC_BYTES.load(Ordering::Relaxed) - bytes0,
-        peak_bytes: (PEAK_BYTES.load(Ordering::Relaxed) - live0).max(0) as u64,
+        allocations: end.allocations - start.allocations,
+        bytes_allocated: end.bytes - start.bytes,
+        peak_bytes: (end.peak - start.live).max(0) as u64,
+        live_bytes: end.live - start.live,
+        largest: end.largest,
     };
     (r, stats)
 }
@@ -89,34 +143,30 @@ mod tests {
 
     // Note: the test binary does not install the allocator, so only the
     // bookkeeping arithmetic is testable here; end-to-end behaviour is
-    // exercised by the fig14 binary.
-
-    /// Serializes the tests that touch the process-global counters: a
-    /// `fetch_sub` landing inside `measure`'s window would show up as a
-    /// spurious count (or underflow its `u64` subtraction).
-    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn lock_counters() -> std::sync::MutexGuard<'static, ()> {
-        COUNTERS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    // exercised by the fig14 binary and the allocation gates.
 
     #[test]
     fn measure_without_installed_allocator_reads_zero() {
-        let _guard = lock_counters();
         let (v, stats) = measure(|| vec![0u8; 1024].len());
         assert_eq!(v, 1024);
-        assert_eq!(stats.allocations, 0);
+        assert_eq!(stats, AllocStats::default());
     }
 
     #[test]
-    fn record_alloc_updates_peak() {
-        let _guard = lock_counters();
-        let live0 = LIVE_BYTES.load(Ordering::Relaxed);
-        PEAK_BYTES.store(live0, Ordering::Relaxed);
-        record_alloc(100);
-        assert!(PEAK_BYTES.load(Ordering::Relaxed) >= live0 + 100);
-        LIVE_BYTES.fetch_sub(100, Ordering::Relaxed);
-        ALLOC_COUNT.fetch_sub(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_sub(100, Ordering::Relaxed);
+    fn bookkeeping_counts_a_growing_realloc_by_the_bytes_it_adds() {
+        let ((), stats) = measure(|| {
+            note_alloc(100, 100);
+            note_alloc(160, 60); // a realloc from 100 to 160 bytes
+            note_free(40); // a shrink to 120
+            note_free(120);
+        });
+        let want = AllocStats {
+            allocations: 2,
+            bytes_allocated: 160,
+            peak_bytes: 160,
+            live_bytes: 0,
+            largest: 160,
+        };
+        assert_eq!(stats, want);
     }
 }

@@ -135,7 +135,6 @@ pub(crate) struct ChildRange {
 #[derive(Debug)]
 pub(crate) struct NtTable {
     pub(crate) names: Vec<Arc<str>>,
-    pub(crate) syms: Vec<Sym>,
 }
 
 /// An attribute that every node of one nonterminal stores, resolved to its
@@ -667,91 +666,90 @@ impl<'a> TreeRef<'a> {
         self.as_node()?.child_blackbox_nt(nt)
     }
 
-    /// Total number of tree records reachable from this tree (counts
-    /// shared subtrees once per reference, like [`Tree::size`]).
-    pub fn size(&self) -> usize {
-        match self.arena.entry(self.id) {
-            Entry::Node(n) => {
-                1 + self
-                    .arena
-                    .child_ids(n.children)
-                    .iter()
-                    .map(|c| self.arena.view(*c).size())
-                    .sum::<usize>()
+    /// Deep conversion to the `Rc`-based [`Tree`] (shared subtrees are
+    /// duplicated by value). The differential tests compare the result
+    /// against the reference interpreter's output with `==`. The build is
+    /// a post-order walk with an explicit stack, so a tree as deep as its
+    /// input converts on any thread.
+    pub fn to_tree(&self) -> Rc<Tree> {
+        // Nodes and arrays whose subtrees are still being built, innermost
+        // last, with the subtrees built so far.
+        let mut open: Vec<(TreeRef<'a>, Vec<Rc<Tree>>)> = Vec::new();
+        let mut view = *self;
+        loop {
+            let ids = view.subtree_ids();
+            let mut built = if ids.is_empty() {
+                Some(Rc::new(view.with_subtrees(Vec::new())))
+            } else {
+                open.push((view, Vec::with_capacity(ids.len())));
+                None
+            };
+            // Hand each finished subtree to its parent until one has a
+            // subtree left to build.
+            loop {
+                let Some((parent, subtrees)) = open.last_mut() else {
+                    return built.expect("the root is built last");
+                };
+                subtrees.extend(built.take());
+                if let Some(&next) = parent.subtree_ids().get(subtrees.len()) {
+                    view = self.arena.view(next);
+                    break;
+                }
+                let (done, subtrees) = open.pop().expect("a tree is open");
+                built = Some(Rc::new(done.with_subtrees(subtrees)));
             }
-            Entry::Array(a) => {
-                1 + self
-                    .arena
-                    .child_ids(a.elems)
-                    .iter()
-                    .map(|c| self.arena.view(*c).size())
-                    .sum::<usize>()
-            }
-            Entry::Builtin(_) => 2,
-            Entry::Leaf(_) | Entry::Blackbox(_) => 1,
         }
     }
 
-    /// Deep conversion to the `Rc`-based [`Tree`] (shared subtrees are
-    /// duplicated by value). The differential tests compare the result
-    /// against the reference interpreter's output with `==`.
-    pub fn to_tree(&self) -> Rc<Tree> {
-        let layouts = self.arena.layouts();
-        let table = &layouts.table;
-        let (id, delta) = self.arena.resolve(self.id);
-        match self.arena.entry(id) {
-            Entry::Leaf(l) => Rc::new(Tree::Leaf(l)),
-            Entry::Builtin(b) => Rc::new(Tree::Node(Node {
+    /// The ids of a node's children or an array's elements; none for the
+    /// other records.
+    fn subtree_ids(&self) -> &'a [TreeId] {
+        match self.arena.entry(self.arena.resolve(self.id).0) {
+            Entry::Node(n) => self.arena.child_ids(n.children),
+            Entry::Array(a) => self.arena.child_ids(a.elems),
+            Entry::Leaf(_) | Entry::Builtin(_) | Entry::Blackbox(_) => &[],
+        }
+    }
+
+    /// This tree's own record as a [`Tree`] over `subtrees`, the
+    /// conversions of its [`TreeRef::subtree_ids`] (a builtin result's
+    /// leaf is its own).
+    fn with_subtrees(&self, subtrees: Vec<Rc<Tree>>) -> Tree {
+        let arena = self.arena;
+        let layouts = arena.layouts();
+        let name = |nt: NtId| layouts.table.names[nt.0 as usize].clone();
+        let (id, delta) = arena.resolve(self.id);
+        match arena.entry(id) {
+            Entry::Leaf(l) => Tree::Leaf(l),
+            Entry::Builtin(b) => Tree::Node(Node {
                 nt: b.nt,
-                name: table.names[b.nt.0 as usize].clone(),
-                name_sym: table.syms[b.nt.0 as usize],
-                env: NodeRef { arena: self.arena, id, delta }.bindings().collect(),
+                name: name(b.nt),
+                env: NodeRef { arena, id, delta }.bindings().collect(),
                 children: vec![Rc::new(Tree::Leaf(b.leaf()))],
                 base: b.base,
                 input_len: b.len,
                 alt_index: 0,
-            })),
-            Entry::Node(n) => {
-                let children = self
-                    .arena
-                    .child_ids(n.children)
-                    .iter()
-                    .map(|c| self.arena.view(*c).to_tree())
-                    .collect();
-                Rc::new(Tree::Node(Node {
-                    nt: n.nt,
-                    name: table.names[n.nt.0 as usize].clone(),
-                    name_sym: table.syms[n.nt.0 as usize],
-                    env: NodeRef { arena: self.arena, id, delta }.bindings().collect(),
-                    children,
-                    base: n.base,
-                    input_len: self.arena.attr(n.attrs, EOI_SLOT) as usize,
-                    alt_index: n.alt_index as usize,
-                }))
-            }
+            }),
+            Entry::Node(n) => Tree::Node(Node {
+                nt: n.nt,
+                name: name(n.nt),
+                env: NodeRef { arena, id, delta }.bindings().collect(),
+                children: subtrees,
+                base: n.base,
+                input_len: arena.attr(n.attrs, EOI_SLOT) as usize,
+                alt_index: n.alt_index as usize,
+            }),
             Entry::Array(a) => {
-                let elems = self
-                    .arena
-                    .child_ids(a.elems)
-                    .iter()
-                    .map(|c| self.arena.view(*c).to_tree())
-                    .collect();
-                Rc::new(Tree::Array(ArrayNode {
-                    nt: a.nt,
-                    name: table.names[a.nt.0 as usize].clone(),
-                    name_sym: table.syms[a.nt.0 as usize],
-                    elems,
-                }))
+                Tree::Array(ArrayNode { nt: a.nt, name: name(a.nt), elems: subtrees })
             }
-            Entry::Blackbox(b) => Rc::new(Tree::Blackbox(BlackboxNode {
+            Entry::Blackbox(b) => Tree::Blackbox(BlackboxNode {
                 nt: b.nt,
-                name: table.names[b.nt.0 as usize].clone(),
-                name_sym: table.syms[b.nt.0 as usize],
-                env: self.arena.bindings(layouts.node_shape(b.nt, 0), b.attrs, delta).collect(),
+                name: name(b.nt),
+                env: arena.bindings(layouts.node_shape(b.nt, 0), b.attrs, delta).collect(),
                 data: b.data.as_slice().into(),
                 base: b.base,
-                input_len: self.arena.attr(b.attrs, EOI_SLOT) as usize,
-            })),
+                input_len: arena.attr(b.attrs, EOI_SLOT) as usize,
+            }),
         }
     }
 }

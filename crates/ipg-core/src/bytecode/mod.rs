@@ -412,7 +412,6 @@ pub fn compile(g: &Grammar) -> Program {
             child_slots: Vec::new(),
             nt_table: Arc::new(NtTable {
                 names: g.rules().iter().map(|r| r.name.clone()).collect(),
-                syms: g.rules().iter().map(|r| r.name_sym).collect(),
             }),
             start: g.start_nt(),
         },

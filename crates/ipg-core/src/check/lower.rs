@@ -200,7 +200,6 @@ impl Checker {
         };
         Ok(CRule {
             name: Arc::from(rule.name.as_str()),
-            name_sym: self.interner.intern(&rule.name),
             body,
             is_local: rule.is_local,
             def_attrs,
@@ -820,14 +819,6 @@ mod tests {
             .build_unchecked();
         let err = check(g).unwrap_err();
         assert!(err.to_string().contains("reserved"), "got: {err}");
-    }
-
-    #[test]
-    fn nt_names_are_interned() {
-        let g = check(fig2_grammar()).unwrap();
-        let h = g.nt_id("H").unwrap();
-        assert_eq!(g.nt_sym("H"), Some(g.nt_name_sym(h)));
-        assert!(g.nt_sym("Nope").is_none());
     }
 
     #[test]

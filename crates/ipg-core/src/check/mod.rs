@@ -60,10 +60,6 @@ pub struct Grammar {
 pub struct CRule {
     /// Nonterminal name.
     pub name: Arc<str>,
-    /// The nonterminal name interned in the grammar's interner. Parse-tree
-    /// nodes carry this symbol so child lookups compare two `u32`s instead
-    /// of strings (see [`crate::tree::Node::child_node_sym`]).
-    pub name_sym: Sym,
     /// Right-hand side.
     pub body: CRuleBody,
     /// Whether this is a local (`where`) rule that inherits the invoking
@@ -297,18 +293,6 @@ impl Grammar {
     /// the grammar.
     pub fn attr_sym(&self, name: &str) -> Option<Sym> {
         self.interner.get(name)
-    }
-
-    /// The interned symbol of nonterminal `nt`'s name — the key compared by
-    /// the `child_*_sym` tree accessors. Resolve a name once with
-    /// [`Grammar::nt_sym`] and reuse the symbol in extraction loops.
-    pub fn nt_name_sym(&self, nt: NtId) -> Sym {
-        self.rules[nt.0 as usize].name_sym
-    }
-
-    /// Resolves a nonterminal *name* to its interned symbol.
-    pub fn nt_sym(&self, name: &str) -> Option<Sym> {
-        self.nt_id(name).map(|nt| self.nt_name_sym(nt))
     }
 
     /// The name of an attribute symbol.

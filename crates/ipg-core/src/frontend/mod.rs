@@ -89,7 +89,7 @@ mod tests {
         input.extend_from_slice(&4u32.to_le_bytes());
         input.extend_from_slice(b"DATA");
         let tree = Parser::new(&g).parse(&input).unwrap();
-        assert_eq!(tree.child_node_sym(g.nt_sym("Data").unwrap()).unwrap().span(), (8, 12));
+        assert_eq!(tree.child_node_nt(g.nt_id("Data").unwrap()).unwrap().span(), (8, 12));
     }
 
     #[test]
@@ -146,7 +146,7 @@ mod tests {
         )
         .unwrap();
         let tree = Parser::new(&g).parse(b"h:abc").unwrap();
-        assert_eq!(&tree.child_blackbox_sym(g.nt_sym("Body").unwrap()).unwrap().data[..], b"ABC");
+        assert_eq!(&tree.child_blackbox_nt(g.nt_id("Body").unwrap()).unwrap().data[..], b"ABC");
     }
 
     #[test]

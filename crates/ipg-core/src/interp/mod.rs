@@ -305,7 +305,6 @@ impl Session<'_, '_> {
                 Some(Rc::new(Tree::Node(Node {
                     nt,
                     name: rc_name(self.g, nt),
-                    name_sym: self.g.nt_name_sym(nt),
                     env,
                     children: vec![Rc::new(Tree::Leaf(Leaf { start: base, end: base + consumed }))],
                     base,
@@ -342,7 +341,6 @@ impl Session<'_, '_> {
                 Ok(Some(Rc::new(Tree::Blackbox(BlackboxNode {
                     nt,
                     name: rc_name(self.g, nt),
-                    name_sym: self.g.nt_name_sym(nt),
                     env,
                     data: res.data.into(),
                     base,
@@ -397,7 +395,6 @@ impl Session<'_, '_> {
         Ok(Some(Rc::new(Tree::Node(Node {
             nt,
             name: rc_name(self.g, nt),
-            name_sym: self.g.nt_name_sym(nt),
             env: ctx.env,
             children,
             base,
@@ -506,7 +503,6 @@ impl Session<'_, '_> {
                 ctx.results[orig_index] = Some(Rc::new(Tree::Array(ArrayNode {
                     nt: *elem_nt,
                     name: rc_name(self.g, *elem_nt),
-                    name_sym: self.g.nt_name_sym(*elem_nt),
                     elems,
                 })));
                 Ok(true)
@@ -552,7 +548,6 @@ impl Session<'_, '_> {
                 ctx.results[orig_index] = Some(Rc::new(Tree::Array(ArrayNode {
                     nt: *elem_nt,
                     name: rc_name(self.g, *elem_nt),
-                    name_sym: self.g.nt_name_sym(*elem_nt),
                     elems,
                 })));
                 Ok(true)

@@ -86,10 +86,10 @@ fn fig2_random_access_follows_header_offsets() {
     input.extend_from_slice(&4u32.to_le_bytes()); // length = 4
     input.extend_from_slice(b"..DATAxx"); // data at 10..14 = "DATA"
     let tree = Parser::new(&g).parse(&input).unwrap();
-    let h = tree.child_node_sym(g.nt_sym("H").unwrap()).unwrap();
+    let h = tree.child_node_nt(g.nt_id("H").unwrap()).unwrap();
     assert_eq!(h.attr(&g, "offset"), Some(10));
     assert_eq!(h.attr(&g, "length"), Some(4));
-    let data = tree.child_node_sym(g.nt_sym("Data").unwrap()).unwrap();
+    let data = tree.child_node_nt(g.nt_id("Data").unwrap()).unwrap();
     assert_eq!(data.span(), (10, 14));
 }
 
@@ -193,7 +193,7 @@ fn fig4_end_attribute_positions_the_stop_marker() {
     assert!(p.parse(b"1stop").is_err(), "O must consume at least one 0");
     assert!(p.parse(b"100stip").is_err());
     let tree = p.parse(b"1000stop").unwrap();
-    let o = tree.child_node_sym(g.nt_sym("O").unwrap()).unwrap();
+    let o = tree.child_node_nt(g.nt_id("O").unwrap()).unwrap();
     // O touched offsets 1..4 of S's input.
     assert_eq!(o.touched_start(), 1);
     assert_eq!(o.touched_end(), 4);
@@ -252,7 +252,7 @@ fn fig6_array_parses_each_element() {
     let g = fig6();
     let p = Parser::new(&g);
     let tree = p.parse(&fig6_input(&[5, 7, 9])).unwrap();
-    let arr = tree.child_array_sym(g.nt_sym("A").unwrap()).unwrap();
+    let arr = tree.child_array_nt(g.nt_id("A").unwrap()).unwrap();
     assert_eq!(arr.len(), 3);
     let vals: Vec<i64> = arr.nodes().map(|n| n.attr(&g, "val").unwrap()).collect();
     assert_eq!(vals, vec![5, 7, 9]);
@@ -369,14 +369,14 @@ fn switch_selects_by_guard_with_default() {
     let p = Parser::new(&g);
 
     let t1 = p.parse(&[1, 0xaa, 0, 0, 0]).unwrap();
-    assert!(t1.child_node_sym(g.nt_sym("Ints").unwrap()).is_some());
+    assert!(t1.child_node_nt(g.nt_id("Ints").unwrap()).is_some());
 
     let t2 = p.parse(&[2, b'h', b'i']).unwrap();
-    assert!(t2.child_node_sym(g.nt_sym("Text").unwrap()).is_some());
+    assert!(t2.child_node_nt(g.nt_id("Text").unwrap()).is_some());
     assert!(p.parse(&[2, b'h', b'o']).is_err(), "selected case must parse");
 
     let t3 = p.parse(&[9, 1, 2, 3]).unwrap();
-    assert!(t3.child_node_sym(g.nt_sym("Raw").unwrap()).is_some(), "default case");
+    assert!(t3.child_node_nt(g.nt_id("Raw").unwrap()).is_some(), "default case");
 }
 
 #[test]
@@ -538,7 +538,7 @@ fn two_pass_parsing_with_existential() {
     input.resize(42, 0xee);
 
     let tree = Parser::new(&g).parse(&input).unwrap();
-    let objs = tree.child_array_sym(g.nt_sym("Obj").unwrap()).unwrap();
+    let objs = tree.child_array_nt(g.nt_id("Obj").unwrap()).unwrap();
     assert_eq!(objs.len(), 2);
     // Obj(0): exists j with OH(j).link = 0 → j = 1, len = 8 → span 24..32.
     assert_eq!(objs.node(0).unwrap().span(), (24, 32));
@@ -568,7 +568,7 @@ fn blackbox_parser_gets_the_confined_slice() {
         .build()
         .unwrap();
     let tree = Parser::new(&g).parse(b"hdr\x01\x02\x03").unwrap();
-    let body = tree.child_blackbox_sym(g.nt_sym("Body").unwrap()).unwrap();
+    let body = tree.child_blackbox_nt(g.nt_id("Body").unwrap()).unwrap();
     assert_eq!(&body.data[..], &[1, 2, 3]);
     assert_eq!(body.env.get(g.attr_sym("total").unwrap()), Some(6));
     assert_eq!(body.base, 3);
@@ -709,7 +709,7 @@ fn counted_list_via_shadowing_local_rule() {
     let p = Parser::new(&g);
     // Count 3: exactly three 'x's are consumed; the rest is Rest.
     let tree = p.parse(b"\x03xxxrest").unwrap();
-    let items = tree.child_node_sym(g.nt_sym("Items").unwrap()).unwrap();
+    let items = tree.child_node_nt(g.nt_id("Items").unwrap()).unwrap();
     assert_eq!(items.touched_end(), 4, "three items end at offset 4");
     // Too few items: the counter cannot reach zero.
     assert!(p.parse(b"\x03xxyz").is_err());
@@ -806,14 +806,14 @@ fn all_builtin_kinds_parse_through_grammars() {
     let tree = Parser::new(&g).parse(&input).unwrap();
     let node = tree.as_node().unwrap();
     assert_eq!(node.attr(&g, "n"), Some(451));
-    assert_eq!(tree.child_node_sym(g.nt_sym("A").unwrap()).unwrap().attr(&g, "val"), Some(1));
-    assert_eq!(tree.child_node_sym(g.nt_sym("B").unwrap()).unwrap().attr(&g, "val"), Some(0x0203));
+    assert_eq!(tree.child_node_nt(g.nt_id("A").unwrap()).unwrap().attr(&g, "val"), Some(1));
+    assert_eq!(tree.child_node_nt(g.nt_id("B").unwrap()).unwrap().attr(&g, "val"), Some(0x0203));
     assert_eq!(
-        tree.child_node_sym(g.nt_sym("C").unwrap()).unwrap().attr(&g, "val"),
+        tree.child_node_nt(g.nt_id("C").unwrap()).unwrap().attr(&g, "val"),
         Some(0x0607_0809)
     );
     assert_eq!(
-        tree.child_node_sym(g.nt_sym("D").unwrap()).unwrap().attr(&g, "val"),
+        tree.child_node_nt(g.nt_id("D").unwrap()).unwrap().attr(&g, "val"),
         Some(0x1122_3344_5566_7788)
     );
 }
@@ -850,7 +850,7 @@ fn star_term_parses_one_or_more_iteratively() {
     // Two items: R <len=2> ab, R <len=0>, then the 0x3b trailer.
     let input = b"R\x02abR\x00;";
     let tree = p.parse(input).unwrap();
-    let items = tree.child_array_sym(g.nt_sym("Item").unwrap()).unwrap();
+    let items = tree.child_array_nt(g.nt_id("Item").unwrap()).unwrap();
     assert_eq!(items.len(), 2);
     assert_eq!(items.node(0).unwrap().attr(&g, "len"), Some(2));
     assert_eq!(items.node(1).unwrap().attr(&g, "len"), Some(0));
@@ -896,7 +896,7 @@ fn star_agrees_with_recursive_chunk_idiom() {
     // Element count agreement on a valid input.
     let input = b"x\x01ax\x02bcx\x00";
     let s_items = ps.parse(input).unwrap();
-    let s_count = s_items.child_array_sym(star.nt_sym("Item").unwrap()).unwrap().len();
+    let s_count = s_items.child_array_nt(star.nt_id("Item").unwrap()).unwrap().len();
     assert_eq!(s_count, 3);
 }
 
@@ -912,7 +912,7 @@ fn star_does_not_spin_on_empty_matches() {
     .unwrap();
     let tree = Parser::new(&g).max_steps(10_000).parse(b"abc").unwrap();
     assert_eq!(
-        tree.child_array_sym(g.nt_sym("E").unwrap()).unwrap().len(),
+        tree.child_array_nt(g.nt_id("E").unwrap()).unwrap().len(),
         1,
         "stopped after one empty match"
     );

@@ -81,7 +81,7 @@
 //! let mut input = vec![8u8, 0, 0, 0, 4, 0, 0, 0]; // offset = 8, length = 4
 //! input.extend_from_slice(b"DATA");
 //! let tree = Parser::new(&g).parse(&input)?;
-//! let h = tree.child_node_sym(g.nt_sym("H").expect("H is a rule")).expect("header parsed");
+//! let h = tree.child_node_nt(g.nt_id("H").expect("H is a rule")).expect("header parsed");
 //! assert_eq!(h.attr(&g, "offset"), Some(8));
 //! assert_eq!(h.attr(&g, "length"), Some(4));
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -5,64 +5,17 @@
 //! the message. The tests build both in release too, where the optimizer
 //! could drop an allocation that a debug build keeps.
 //!
-//! The counting allocator below counts per thread, so the test harness's
+//! `ipg_baselines::alloc_meter` counts per thread, so the test harness's
 //! own threads cannot disturb the counts.
 
+use ipg_baselines::alloc_meter::{measure, CountingAllocator};
 use ipg_core::error::{Error, ParseError};
 use ipg_core::frontend::parse_grammar;
 use ipg_core::interp::vm::VmParser;
 use ipg_core::interp::Parser;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAllocator;
-
-thread_local! {
-    /// `(allocations, bytes requested)` on this thread; growing
-    /// reallocations count as allocations.
-    static ALLOCATED: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-}
-
-fn note(bytes: usize) {
-    // `try_with`: the allocator may run while the thread's locals are torn
-    // down.
-    let _ = ALLOCATED.try_with(|c| {
-        let (n, b) = c.get();
-        c.set((n + 1, b + bytes));
-    });
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
-// touches only a const-initialized thread-local counter.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > layout.size() {
-            note(new_size);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
-
-/// Runs `f`, returning its result and the `(allocations, bytes)` it made on
-/// this thread.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, (usize, usize)) {
-    let (n0, b0) = ALLOCATED.with(Cell::get);
-    let r = f();
-    let (n1, b1) = ALLOCATED.with(Cell::get);
-    (r, (n1 - n0, b1 - b0))
-}
 
 /// Parses `input` once to warm the thread's workspace, then again counting
 /// allocations, and checks that the second parse allocated exactly its
@@ -72,14 +25,14 @@ fn assert_fails_with_only_its_error(src: &str, input: &[u8], expected: (&str, &s
     let g = parse_grammar(src).unwrap();
     let parser = VmParser::new(&g);
     parser.parse(input).unwrap_err(); // warm-up: fills the thread's workspace
-    let (result, (allocations, bytes)) = counted(|| parser.parse(input));
+    let (result, stats) = measure(|| parser.parse(input));
     let Err(Error::Parse(ParseError { nonterminal: Some(nt), msg, .. })) = result else {
         panic!("expected a parse error, got {result:?}")
     };
     assert_eq!((nt.as_str(), msg.as_str()), expected, "error of {input:?}");
     assert_eq!(
-        (allocations, bytes),
-        (2, nt.capacity() + msg.capacity()),
+        (stats.allocations, stats.bytes_allocated),
+        (2, (nt.capacity() + msg.capacity()) as u64),
         "a failing parse of {input:?} allocated more than its error ({nt}: {msg})"
     );
     let Err(Error::Parse(reference)) = Parser::new(&g).parse(input) else {

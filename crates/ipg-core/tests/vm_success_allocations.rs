@@ -5,50 +5,12 @@
 //! drops, its arena goes back to the dropping thread too, so a parse that
 //! follows a dropped tree does not allocate arena pools either.
 //!
-//! The counting allocator below counts per thread, so the test harness's
+//! `ipg_baselines::alloc_meter` counts per thread, so the test harness's
 //! own threads cannot disturb the counts.
 
+use ipg_baselines::alloc_meter::{self, CountingAllocator};
 use ipg_core::frontend::parse_grammar;
 use ipg_core::interp::vm::{Outcome, VmParser};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAllocator;
-
-thread_local! {
-    /// `(allocations, live bytes)` on this thread: growing reallocations
-    /// count as allocations, and live bytes follow every allocation,
-    /// reallocation and deallocation.
-    static ALLOCATED: Cell<(usize, isize)> = const { Cell::new((0, 0)) };
-}
-
-fn note(allocations: usize, bytes: isize) {
-    // `try_with`: the allocator may run while the thread's locals are torn
-    // down.
-    let _ = ALLOCATED.try_with(|c| {
-        let (n, b) = c.get();
-        c.set((n + allocations, b + bytes));
-    });
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
-// touches only a const-initialized thread-local counter.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(1, layout.size() as isize);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(0, -(layout.size() as isize));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(usize::from(new_size > layout.size()), new_size as isize - layout.size() as isize);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -68,11 +30,9 @@ fn warm_parse_allocations(parser: &VmParser, input: &[u8]) -> (usize, isize) {
 /// The allocations `f` makes on this thread, and the bytes it leaves
 /// allocated while what it returns is alive.
 fn measure<T>(f: impl FnOnce() -> T) -> (usize, isize) {
-    let (n0, b0) = ALLOCATED.with(Cell::get);
-    let kept = f();
-    let (n1, b1) = ALLOCATED.with(Cell::get);
+    let (kept, stats) = alloc_meter::measure(f);
     drop(kept);
-    (n1 - n0, b1 - b0)
+    (stats.allocations as usize, stats.live_bytes as isize)
 }
 
 fn zip_archive(n_entries: usize) -> Vec<u8> {
@@ -154,7 +114,7 @@ fn an_elf_parse_after_a_dropped_tree_allocates_no_arena_pools() {
     // list, and frees it once the array is built.
     let lists = {
         let tree = parser.parse(&file).expect("parse succeeds").root().to_tree();
-        non_empty_arrays(&tree)
+        tree.preorder().filter_map(|t| t.as_array()).filter(|a| !a.is_empty()).count()
     };
     let (fresh, _) = warm_parse_allocations(&parser, &file);
     let (recycled, bytes) = measure(|| parser.parse(&file).expect("parse succeeds"));
@@ -164,19 +124,6 @@ fn an_elf_parse_after_a_dropped_tree_allocates_no_arena_pools() {
     // nothing once they are freed.
     assert!(fresh >= lists + ARENA_POOLS - 1, "fresh arena: {fresh} allocations");
     assert_eq!((recycled, bytes), (lists, 0), "allocations and bytes after a dropped tree");
-}
-
-/// The arrays in `tree` with at least one element.
-fn non_empty_arrays(tree: &ipg_core::tree::Tree) -> usize {
-    use ipg_core::tree::Tree;
-    match tree {
-        Tree::Node(n) => n.children.iter().map(|c| non_empty_arrays(c)).sum(),
-        Tree::Array(a) => {
-            usize::from(!a.elems.is_empty())
-                + a.elems.iter().map(|c| non_empty_arrays(c)).sum::<usize>()
-        }
-        Tree::Leaf(_) | Tree::Blackbox(_) => 0,
-    }
 }
 
 #[test]
@@ -204,22 +151,15 @@ fn an_arena_over_the_retention_bound_is_freed_on_drop() {
     let huge = vec![7u8; 64 * 1024];
     drop(parser.parse(&small).expect("warm-up parse succeeds"));
     // A tree under the bound parks its arena: the bytes stay allocated.
-    let parked = {
-        let (_, before) = ALLOCATED.with(Cell::get);
-        drop(parser.parse(&vec![7u8; 512]).expect("parse succeeds"));
-        let (_, after) = ALLOCATED.with(Cell::get);
-        after - before
-    };
+    let (_, parked) = measure(|| drop(parser.parse(&vec![7u8; 512]).expect("parse succeeds")));
     assert!(parked > 0, "a small tree's arena was not kept");
     // 64 Ki nodes are far over the bound: dropping the tree frees its
     // arena rather than parking megabytes on the thread.
-    let (_, before) = ALLOCATED.with(Cell::get);
-    let tree = parser.parse(&huge).expect("parse succeeds");
-    let (_, held) = ALLOCATED.with(Cell::get);
-    drop(tree);
-    let (_, after) = ALLOCATED.with(Cell::get);
-    assert!(held - before > 1024 * 1024, "the huge tree holds only {} B", held - before);
-    assert!(after - before <= 0, "{} B stayed allocated after the drop", after - before);
+    let (tree, held) = alloc_meter::measure(|| parser.parse(&huge).expect("parse succeeds"));
+    let ((), dropped) = alloc_meter::measure(|| drop(tree));
+    let (held, left) = (held.live_bytes, held.live_bytes + dropped.live_bytes);
+    assert!(held > 1024 * 1024, "the huge tree holds only {held} B");
+    assert!(left <= 0, "{left} B stayed allocated after the drop");
     assert!(parser.parse(&small).is_ok());
 }
 

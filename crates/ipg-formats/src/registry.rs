@@ -32,7 +32,7 @@
 use ipg_core::blackbox::Blackbox;
 use ipg_core::check::Grammar;
 use ipg_core::error::{Error, Result};
-use ipg_core::interp::vm::VmParser;
+use ipg_core::interp::vm::{Outcome, ParseTree, VmParser};
 use ipg_core::interp::Parser;
 use ipg_core::ipgc::CachedProgram;
 use std::path::{Path, PathBuf};
@@ -374,46 +374,139 @@ impl Registry {
         out
     }
 
-    /// The cross-engine agreement contract behind the test suites'
-    /// `assert_engines_agree` helper: identical step counts, identical
-    /// trees on acceptance (via `TreeRef::to_tree`, which covers shape,
-    /// attribute environments including `start`/`end`, spans, chosen
-    /// alternatives, and blackbox payloads), identical deepest errors on
-    /// rejection. Returns `Ok(accepted)` or a
-    /// divergence description.
+    /// The oracle: the cross-engine agreement contract every differential
+    /// lane checks. It parses `input` with the reference interpreter
+    /// `parser`, with the one-shot VM `vm`, and with a fresh session of
+    /// `vm` fed `input` cut at each offset in `cuts` (ascending; an offset
+    /// past the input is cut at its end, and empty pieces are fed too),
+    /// then finished. Step limits and memoization are the ones the two
+    /// parsers carry. All three must agree on:
+    ///
+    /// * **steps** — every engine ticks at the same evaluation points;
+    /// * **trees**, on acceptance — `TreeRef::to_tree` of each VM result
+    ///   must equal the interpreter's tree node for node (shape, chosen
+    ///   alternatives, attribute environments including `start`/`end`,
+    ///   spans, blackbox payloads);
+    /// * **deepest errors**, on rejection (offset, nonterminal, message).
+    ///
+    /// The session must also keep its own contract: a feed that rejects
+    /// early is the error `finish` replays, and a closed session takes no
+    /// more steps, neither at `finish` after an early rejection nor when
+    /// fed again after `finish`.
+    ///
+    /// Trees convert and compare with explicit stacks, but the interpreter
+    /// recurses once per level of right recursion. The 512-record list of
+    /// `deep_recursive_lists_agree_across_engines` (`tests/vm_differential.rs`)
+    /// needed 2.25–2.5 MiB of stack in a debug build and 0.5–1 MiB in
+    /// release on x86-64 Linux, so a default 2 MiB test thread checks
+    /// about 400 levels in debug and 1,000 in release; deeper lanes run on
+    /// a thread with a larger stack.
+    ///
+    /// Returns `Ok(accepted)`.
     ///
     /// # Errors
     ///
-    /// A human-readable description of the first divergence found.
+    /// A description of the first divergence: which engine, and what
+    /// differs — the step counts, the outcome, the errors, or, for trees,
+    /// the first differing node by its nonterminal path, base and field.
     pub fn compare_engines(
         parser: &Parser<'_>,
         vm: &VmParser,
         input: &[u8],
+        cuts: &[usize],
     ) -> std::result::Result<bool, String> {
-        let (ri, si) = parser.parse_with_stats(input);
-        let (rv, sv) = vm.parse_with_stats(input);
-        if si.steps != sv.steps {
-            return Err(format!("step counts differ: {} vs {}", si.steps, sv.steps));
+        let (reference, ref_stats) = parser.parse_with_stats(input);
+        let (one_shot, stats) = vm.parse_with_stats(input);
+        let session = format!("session cut at {}", show_cuts(cuts));
+        let (streamed, streamed_steps) =
+            run_session(vm, input, cuts).map_err(|e| format!("{session}: {e}"))?;
+        for (engine, outcome, steps) in
+            [("one-shot VM", one_shot, stats.steps), (session.as_str(), streamed, streamed_steps)]
+        {
+            if steps != ref_stats.steps {
+                return Err(format!(
+                    "{engine} takes {steps} steps, the interpreter {}",
+                    ref_stats.steps
+                ));
+            }
+            match (&reference, outcome) {
+                (Ok(want), Ok(tree)) => {
+                    if let Some(diff) = want.first_difference(&tree.root().to_tree()) {
+                        return Err(format!(
+                            "{engine} builds a different tree than the interpreter; \
+                             first difference (interpreter vs {engine}) at {diff}"
+                        ));
+                    }
+                }
+                (Err(want), Err(e)) if *want == e => {}
+                (Err(want), Err(e)) => {
+                    return Err(format!(
+                        "{engine} rejects with a different error: interpreter {want:?}, \
+                         {engine} {e:?}"
+                    ))
+                }
+                (Ok(_), Err(e)) => {
+                    return Err(format!("interpreter accepts, {engine} rejects: {e}"))
+                }
+                (Err(e), Ok(_)) => {
+                    return Err(format!("{engine} accepts, interpreter rejects: {e}"))
+                }
+            }
         }
-        match (ri, rv) {
-            (Ok(reference), Ok(tree)) => {
-                if tree.root().to_tree() != reference {
-                    Err("engines accept but build different trees".into())
-                } else {
-                    Ok(true)
-                }
-            }
-            (Err(ei), Err(ev)) => {
-                if ei != ev {
-                    Err(format!("engines reject with different errors: {ei:?} vs {ev:?}"))
-                } else {
-                    Ok(false)
-                }
-            }
-            (Ok(_), Err(e)) => Err(format!("interpreter accepts, VM rejects: {e}")),
-            (Err(e), Ok(_)) => Err(format!("VM accepts, interpreter rejects: {e}")),
+        Ok(reference.is_ok())
+    }
+}
+
+/// A fresh session of `vm` fed `input` cut at `cuts`, then finished: its
+/// outcome and steps, or how it broke the session contract.
+fn run_session(
+    vm: &VmParser,
+    input: &[u8],
+    cuts: &[usize],
+) -> std::result::Result<(Result<ParseTree>, u64), String> {
+    let mut session = vm.streaming();
+    let mut from = 0;
+    let mut early = None;
+    for &cut in cuts.iter().chain([&input.len()]) {
+        let to = cut.clamp(from, input.len());
+        if let Outcome::Error(e) = session.feed(&input[from..to]) {
+            early = Some((e, session.stats().steps));
+            break;
+        }
+        from = to;
+    }
+    let outcome = match session.finish() {
+        Outcome::Done(tree) => Ok(tree),
+        Outcome::Error(e) => Err(e),
+        Outcome::NeedInput { hint } => {
+            return Err(format!("finish asks for more input ({hint:?})"))
+        }
+    };
+    let steps = session.stats().steps;
+    if let Some((e, at)) = early {
+        if outcome.as_ref().err() != Some(&e) {
+            return Err(format!(
+                "feed rejected with {e:?} at offset {from}, finish then returns {outcome:?}"
+            ));
+        }
+        if steps != at {
+            return Err(format!("rejected after {at} steps, finish took {} more", steps - at));
         }
     }
+    if session.feed(&[]).err().is_none() || session.stats().steps != steps {
+        return Err("a finished session takes more input or steps".into());
+    }
+    Ok((outcome, steps))
+}
+
+/// `cuts` for a divergence message, elided past the first few.
+fn show_cuts(cuts: &[usize]) -> String {
+    const SHOWN: usize = 6;
+    if cuts.len() <= SHOWN + 1 {
+        return format!("{cuts:?}");
+    }
+    let head: Vec<String> = cuts[..SHOWN].iter().map(usize::to_string).collect();
+    format!("[{}, … {} more, {}]", head.join(", "), cuts.len() - SHOWN - 1, cuts[cuts.len() - 1])
 }
 
 fn stem_of(path: &Path) -> Result<String> {

@@ -6,49 +6,11 @@
 //! itself allocates: the output's vectors and owned names, and, for
 //! `zip::extract`, the inflated bodies.
 //!
-//! The counting allocator below counts per thread, so the test harness's
-//! own threads cannot disturb the counts.
+//! `ipg_baselines::alloc_meter` counts per thread, so the test harness's
+//! own threads cannot disturb the counts. A growing reallocation counts
+//! as an allocation of the bytes it adds.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct CountingAllocator;
-
-thread_local! {
-    /// `(allocations, bytes requested)` on this thread. A growing
-    /// reallocation counts as an allocation of the bytes it adds, as in
-    /// `ipg_baselines::alloc_meter`.
-    static ALLOCATED: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
-}
-
-fn note(bytes: usize) {
-    // `try_with`: the allocator may run while the thread's locals are torn
-    // down.
-    let _ = ALLOCATED.try_with(|c| {
-        let (n, b) = c.get();
-        c.set((n + 1, b + bytes));
-    });
-}
-
-// SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
-// touches only a const-initialized thread-local counter.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > layout.size() {
-            note(new_size - layout.size());
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use ipg_baselines::alloc_meter::{measure, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -61,11 +23,9 @@ type Counts = (usize, usize);
 /// counting.
 fn count<T>(extract: impl Fn() -> T) -> Counts {
     drop(extract());
-    let (n0, b0) = ALLOCATED.with(Cell::get);
-    let out = extract();
-    let (n1, b1) = ALLOCATED.with(Cell::get);
+    let (out, stats) = measure(&extract);
     drop(out);
-    (n1 - n0, b1 - b0)
+    (stats.allocations as usize, stats.bytes_allocated as usize)
 }
 
 /// Per format, the counts of its extractor over the input below.

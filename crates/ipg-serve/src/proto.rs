@@ -909,8 +909,6 @@ pub fn decode_wire(payload: &[u8]) -> Option<Wire> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
     use std::io::Cursor;
 
     /// Counts `read` and `write` calls on the wrapped stream.
@@ -943,63 +941,23 @@ mod tests {
         }
     }
 
-    thread_local! {
-        static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
-        static ALLOCS: Cell<usize> = const { Cell::new(0) };
-    }
-
-    /// Delegates to `System` and records, per thread, the largest
-    /// allocation requested (so a test can show that an oversized length
-    /// prefix never reaches the payload allocation) and the number of
-    /// allocations, growing reallocations included.
-    struct LargestAlloc;
-
-    fn note_alloc(size: usize) {
-        let _ = LARGEST_ALLOC.try_with(|l| l.set(l.get().max(size)));
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-    }
-
-    // SAFETY: delegates directly to `System`; the bookkeeping has no effect
-    // on the returned memory.
-    #[allow(unsafe_code)]
-    unsafe impl GlobalAlloc for LargestAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            note_alloc(layout.size());
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            note_alloc(layout.size());
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            if new_size > layout.size() {
-                note_alloc(new_size);
-            }
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
-
     #[global_allocator]
-    static ALLOC: LargestAlloc = LargestAlloc;
+    static ALLOC: ipg_baselines::alloc_meter::CountingAllocator =
+        ipg_baselines::alloc_meter::CountingAllocator;
 
-    /// Runs `f` and returns its result with the largest allocation it made.
+    /// Runs `f` and returns its result with the largest allocation it
+    /// requested on this thread (so a test can show that an oversized
+    /// length prefix never reaches the payload allocation).
     fn largest_alloc_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
-        LARGEST_ALLOC.with(|l| l.set(0));
-        let out = f();
-        (out, LARGEST_ALLOC.with(Cell::get))
+        let (out, stats) = ipg_baselines::alloc_meter::measure(f);
+        (out, stats.largest)
     }
 
-    /// Runs `f` and returns its result with the allocations it made.
+    /// Runs `f` and returns its result with the allocations it made on
+    /// this thread, growing reallocations included.
     fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, usize) {
-        let before = ALLOCS.with(Cell::get);
-        let out = f();
-        (out, ALLOCS.with(Cell::get) - before)
+        let (out, stats) = ipg_baselines::alloc_meter::measure(f);
+        (out, stats.allocations as usize)
     }
 
     fn framed(payloads: &[&[u8]]) -> Vec<u8> {

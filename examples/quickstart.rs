@@ -27,12 +27,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     input.extend_from_slice(b"..DATA++");
 
     let tree = Parser::new(&grammar).parse(&input)?;
-    // Child lookups go through interned symbols: resolve the name once,
-    // then compare symbols (the only lookup API the tree exposes).
-    let h_sym = grammar.nt_sym("H").expect("H is a rule");
-    let data_sym = grammar.nt_sym("Data").expect("Data is a rule");
-    let header = tree.child_node_sym(h_sym).expect("header parsed");
-    let data = tree.child_node_sym(data_sym).expect("data parsed");
+    // Child lookups go by nonterminal id: resolve the name once, then
+    // compare ids (the only lookup API the tree exposes).
+    let h = grammar.nt_id("H").expect("H is a rule");
+    let data = grammar.nt_id("Data").expect("Data is a rule");
+    let header = tree.child_node_nt(h).expect("header parsed");
+    let data = tree.child_node_nt(data).expect("data parsed");
     println!("H.offset = {:?}", header.attr(&grammar, "offset"));
     println!("H.length = {:?}", header.attr(&grammar, "length"));
     println!("Data spans input[{}..{}]", data.span().0, data.span().1);

@@ -2,15 +2,17 @@
 //! suites (`agreement.rs`, `vm_differential.rs`, `properties.rs`,
 //! `conformance.rs`, `regressions.rs`) and the CLI expect-tests: the
 //! nine-grammar format table, default corpus inputs, the seeded input
-//! mutator, the interpreter-vs-VM agreement assertion (trees, step
-//! counts, errors), and the one `UPDATE_SNAPSHOTS=1` expect-file helper
-//! every snapshot suite blesses through.
+//! mutator, the one oracle assertion (interpreter, one-shot VM and a
+//! session agree on trees, step counts and errors), and the one
+//! `UPDATE_SNAPSHOTS=1` expect-file helper every snapshot suite blesses
+//! through.
 
 #![allow(dead_code)] // each integration-test binary uses a subset
 
 use ipg_core::check::Grammar;
 use ipg_core::interp::vm::VmParser;
 use ipg_core::interp::Parser;
+use ipg_core::tree::{Node, Tree};
 use ipg_formats::Registry;
 use std::path::Path;
 use std::sync::OnceLock;
@@ -72,6 +74,11 @@ pub fn default_corpus_input(name: &str) -> Vec<u8> {
     }
 }
 
+/// The nodes of `tree` parsed with the rule `name`, in input order.
+pub fn nodes_named<'t>(tree: &'t Tree, name: &'t str) -> impl Iterator<Item = &'t Node> {
+    tree.preorder().filter_map(Tree::as_node).filter(move |n| *n.name == *name)
+}
+
 /// A deterministic input mutation, driven by externally chosen parameters
 /// (proptest strategies or seeded loops).
 pub fn mutate(bytes: &mut Vec<u8>, kind: u8, pos: usize, value: u8) {
@@ -96,26 +103,45 @@ pub fn mutate(bytes: &mut Vec<u8>, kind: u8, pos: usize, value: u8) {
     }
 }
 
-/// Asserts that the tree-walking interpreter and the bytecode VM agree on
-/// `input` in every observable way:
-///
-/// * **step counts** — both engines tick at the same evaluation points;
-/// * **trees** — `TreeRef::to_tree` of the VM result must equal the
-///   interpreter's `Rc<Tree>` node for node (shape, every attribute
-///   environment including `start`/`end`, spans, chosen alternatives,
-///   blackbox payloads);
-/// * **errors** — rejected inputs must produce the identical deepest
-///   failure (offset, nonterminal, message).
-///
-/// Returns whether the input was accepted. `label` names the input in
-/// the panic message only: a grammar name, or, in the conformance lanes,
-/// the grammar, seed and mutant that rebuild it.
+/// Runs the oracle, [`Registry::compare_engines`]: the interpreter
+/// `parser`, the one-shot VM `vm` and a session of `vm` fed `input` cut at
+/// `cuts` must agree on steps, trees and deepest errors, and the session
+/// must keep its early-rejection contract. Returns whether the input was
+/// accepted. `label` names the input in the panic message: a grammar
+/// name, or, in the conformance lanes, the grammar, seed and mutant that
+/// rebuild it, plus whatever settings the lane varies.
+pub fn assert_oracle(
+    label: &str,
+    parser: &Parser<'_>,
+    vm: &VmParser,
+    input: &[u8],
+    cuts: &[usize],
+) -> bool {
+    match Registry::compare_engines(parser, vm, input, cuts) {
+        Ok(accepted) => accepted,
+        Err(msg) => panic!("{label} ({} bytes): {msg}", input.len()),
+    }
+}
+
+/// The oracle at the suites' defaults: step limit [`AGREE_FUEL`] on the
+/// interpreter (`vm` carries its own), memoization on, and the session's
+/// input cut at its midpoint.
 pub fn assert_engines_agree(label: &str, g: &Grammar, vm: &VmParser, input: &[u8]) -> bool {
     let parser = Parser::new(g).max_steps(AGREE_FUEL);
-    match Registry::compare_engines(&parser, vm, input) {
-        Ok(accepted) => accepted,
-        Err(msg) => panic!("{label}: {msg}"),
-    }
+    assert_oracle(label, &parser, vm, input, &[input.len() / 2])
+}
+
+/// The oracle on `f`'s engines at step limit `fuel`, memoizing or not.
+pub fn assert_oracle_with(
+    f: &Format,
+    input: &[u8],
+    fuel: u64,
+    memoize: bool,
+    cuts: &[usize],
+) -> bool {
+    let label = format!("{}, fuel {fuel}, memoize {memoize}", f.name);
+    let parser = Parser::new(f.grammar).max_steps(fuel).memoize(memoize);
+    assert_oracle(&label, &parser, &f.vm.clone().max_steps(fuel).memoize(memoize), input, cuts)
 }
 
 /// The one expect-file helper every snapshot suite shares: compares

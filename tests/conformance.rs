@@ -5,8 +5,9 @@
 //! the oracle matrix on the synthesized inputs:
 //!
 //! * **generation lane** — per grammar, ≥ 64 seeded generations must parse
-//!   on both engines with identical trees, step counts and spans
-//!   ([`common::assert_engines_agree`]);
+//!   with identical trees, step counts and spans on the interpreter, the
+//!   one-shot VM and a session fed the input in two halves (the oracle,
+//!   [`common::assert_engines_agree`]);
 //! * **mutation lane** — per grammar, ≥ 256 seeded mutants (bit flips,
 //!   byte sets, truncations, extensions, length-field skew) must produce
 //!   identical accept/reject outcomes and identical deepest errors across

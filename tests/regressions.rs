@@ -50,6 +50,7 @@ fn regression_seed_aliasing_produces_distinct_inputs() {
 /// [`ipg_core::Error`], never a panic and never a wedged session.
 mod session_abuse {
     use ipg_core::interp::vm::Outcome;
+    use ipg_core::interp::Parser;
     use ipg_core::Error;
 
     /// Fuel exhaustion mid-stream and at finish reports the same "step
@@ -134,51 +135,20 @@ mod session_abuse {
     }
 
     /// Truncation at *every* boundary of real `dns` and `zip` corpus
-    /// inputs: each prefix must finish with exactly the one-shot VM's
-    /// verdict on that prefix — no panics, no divergence, no wedged
-    /// state. (This is the streaming analogue of the truncation orbit in
-    /// the conformance sweep.)
+    /// inputs: on each prefix, a session fed the whole prefix and then
+    /// finished must agree with the one-shot VM and the interpreter
+    /// (the oracle) — no panics, no divergence, no wedged state. (This is
+    /// the streaming analogue of the truncation orbit in the conformance
+    /// sweep.)
     #[test]
     fn truncation_at_every_boundary_is_clean() {
         for name in ["dns", "zip"] {
             let f = super::common::format(name);
+            let parser = Parser::new(f.grammar).max_steps(super::common::AGREE_FUEL);
             let input = super::common::default_corpus_input(name);
             for cut in 0..=input.len() {
-                let prefix = &input[..cut];
-                let one_shot = f.vm.parse(prefix);
-                let mut session = f.vm.streaming();
-                let mut early = None;
-                if let Outcome::Error(e) = session.feed(prefix) {
-                    early = Some(e);
-                }
-                let streamed = match session.finish() {
-                    Outcome::Done(tree) => Ok(tree),
-                    Outcome::Error(e) => Err(e),
-                    Outcome::NeedInput { .. } => {
-                        panic!("{name}: finish returned NeedInput at cut {cut}")
-                    }
-                };
-                match (one_shot, streamed) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(
-                            a.root().to_tree(),
-                            b.root().to_tree(),
-                            "{name}: tree mismatch at cut {cut}"
-                        );
-                        assert!(early.is_none());
-                    }
-                    (Err(a), Err(b)) => {
-                        assert_eq!(a, b, "{name}: error mismatch at cut {cut}");
-                        if let Some(e) = early {
-                            assert_eq!(e, b, "{name}: early error differs at cut {cut}");
-                        }
-                    }
-                    (a, b) => panic!(
-                        "{name}: acceptance mismatch at cut {cut}: one-shot {} vs streamed {}",
-                        a.is_ok(),
-                        b.is_ok()
-                    ),
-                }
+                let label = format!("{name} cut at {cut}");
+                super::common::assert_oracle(&label, &parser, f.vm, &input[..cut], &[]);
             }
         }
     }
@@ -254,24 +224,8 @@ fn for_loop_bounds_beyond_i64_range_hit_the_step_limit_cleanly() {
 /// through the record elements of its chains, which fold endpoints into
 /// affine forms of their own.
 mod integer_wrapping {
-    use ipg_core::interp::vm::Outcome;
     use ipg_core::interp::Parser;
-    use ipg_core::tree::Tree;
     use ipg_core::Error;
-
-    /// The base of every node named `name` in `tree`, in input order.
-    fn bases(tree: &Tree, name: &str, out: &mut Vec<usize>) {
-        match tree {
-            Tree::Node(n) => {
-                if *n.name == *name {
-                    out.push(n.base);
-                }
-                n.children.iter().for_each(|c| bases(c, name, out));
-            }
-            Tree::Array(a) => a.elems.iter().for_each(|c| bases(c, name, out)),
-            Tree::Leaf(_) | Tree::Blackbox(_) => {}
-        }
-    }
 
     /// `input` with `value`'s low `width` bytes written little-endian at `at`.
     fn with(input: &[u8], at: usize, width: usize, value: u64) -> Vec<u8> {
@@ -280,45 +234,28 @@ mod integer_wrapping {
         out
     }
 
-    /// Every engine parses `input` alike; returns whether it was rejected,
-    /// with a typed error.
+    /// Every engine parses `input` alike (the oracle, memoizing and not,
+    /// the session fed two halves); returns whether it was rejected, with
+    /// a typed error.
     fn assert_alike(name: &str, input: &[u8]) -> bool {
         let f = super::common::format(name);
         for memoize in [true, false] {
-            let ctx = format!("{name}, {} bytes, memoize {memoize}", input.len());
-            let (reference, ref_stats) = Parser::new(f.grammar)
-                .memoize(memoize)
-                .max_steps(super::common::AGREE_FUEL)
-                .parse_with_stats(input);
-            let vm = f.vm.clone().memoize(memoize);
-            let (one_shot, stats) = vm.parse_with_stats(input);
-            assert_eq!(stats.steps, ref_stats.steps, "steps, {ctx}");
-            let one_shot = one_shot.map(|t| t.root().to_tree());
-            assert_eq!(one_shot, reference, "one-shot, {ctx}");
-            if reference.is_err() {
-                assert!(matches!(reference, Err(Error::Parse(_))), "a typed rejection, {ctx}");
-            }
-            let mut session = vm.streaming();
-            let (head, tail) = input.split_at(input.len() / 2);
-            let early = [head, tail].into_iter().find_map(|c| session.feed(c).err().cloned());
-            let streamed = match (early, session.finish()) {
-                (Some(e), _) | (None, Outcome::Error(e)) => Err(e),
-                (None, Outcome::Done(tree)) => Ok(tree.root().to_tree()),
-                (None, Outcome::NeedInput { .. }) => panic!("finish never needs input, {ctx}"),
-            };
-            assert_eq!(session.stats().steps, stats.steps, "streamed steps, {ctx}");
-            assert_eq!(streamed, reference, "streamed, {ctx}");
+            let cuts = [input.len() / 2];
+            super::common::assert_oracle_with(&f, input, super::common::AGREE_FUEL, memoize, &cuts);
         }
-        super::common::format(name).vm.parse(input).is_err()
+        let rejection = f.vm.parse(input).err();
+        if let Some(e) = &rejection {
+            assert!(matches!(e, Error::Parse(_)), "a typed rejection, {name}: {e}");
+        }
+        rejection.is_some()
     }
 
     #[test]
     fn zip_length_fields_at_their_maximum() {
         let input = super::common::default_corpus_input("zip");
         let tree = Parser::new(super::common::format("zip").grammar).parse(&input).unwrap();
-        let (mut lfhs, mut cdes) = (Vec::new(), Vec::new());
-        bases(&tree, "LFH", &mut lfhs);
-        bases(&tree, "CDE", &mut cdes);
+        let bases = |name| super::common::nodes_named(&tree, name).map(|n| n.base).collect();
+        let (lfhs, cdes): (Vec<usize>, Vec<usize>) = (bases("LFH"), bases("CDE"));
         let mut cases = Vec::new();
         for (lfh, first) in [(lfhs[0], true), (lfhs[lfhs.len() - 1], false)] {
             // `csize` (u32) and `nlen` (u16) at the top of their range,
@@ -343,8 +280,7 @@ mod integer_wrapping {
     fn elf_offsets_whose_sum_wraps() {
         let input = super::common::default_corpus_input("elf");
         let tree = Parser::new(super::common::format("elf").grammar).parse(&input).unwrap();
-        let mut headers = Vec::new();
-        bases(&tree, "SH", &mut headers);
+        let headers: Vec<usize> = super::common::nodes_named(&tree, "SH").map(|n| n.base).collect();
         let top = 1u64 << 63;
         let max = i64::MAX as u64;
         let mut cases = Vec::new();
@@ -379,51 +315,32 @@ mod integer_wrapping {
 /// in 1-byte and whole-input chunks.
 mod attribute_layouts {
     use ipg_core::frontend::parse_grammar;
-    use ipg_core::interp::vm::{Outcome, VmParser};
+    use ipg_core::interp::vm::VmParser;
+    use ipg_core::interp::Parser;
     use ipg_core::tree::Tree;
 
-    /// Checks `spec` on `inputs`; returns how many inputs it accepted.
+    /// Checks `spec` on `inputs` through the oracle, the session fed
+    /// 1-byte chunks and then the whole input; returns how many inputs it
+    /// accepted.
     fn assert_layout_agrees(spec: &str, inputs: &[&[u8]]) -> usize {
         let g = parse_grammar(spec).unwrap();
+        let parser = Parser::new(&g).max_steps(super::common::AGREE_FUEL);
         let vm = VmParser::new(&g);
         let mut accepted = 0;
         for &input in inputs {
-            if super::common::assert_engines_agree("layout", &g, &vm, input) {
-                accepted += 1;
-            }
-            let (one_shot, stats) = vm.parse_with_stats(input);
-            let one_shot = one_shot.map(|t| t.root().to_tree());
-            for chunk in [1, input.len().max(1)] {
-                let mut session = vm.streaming();
-                let mut early = None;
-                for piece in input.chunks(chunk) {
-                    if let Outcome::Error(e) = session.feed(piece) {
-                        early = Some(e);
-                        break;
-                    }
-                }
-                let streamed = match (early, session.finish()) {
-                    (Some(e), _) | (None, Outcome::Error(e)) => Err(e),
-                    (None, Outcome::Done(tree)) => Ok(tree.root().to_tree()),
-                    (None, Outcome::NeedInput { .. }) => panic!("finish never needs input"),
-                };
-                assert_eq!(session.stats().steps, stats.steps, "steps, {chunk}-byte chunks");
-                assert_eq!(streamed, one_shot, "{input:?} streamed in {chunk}-byte chunks");
-            }
+            let label = format!("layout, {input:?}");
+            let bytes: Vec<usize> = (1..input.len()).collect();
+            accepted +=
+                usize::from(super::common::assert_oracle(&label, &parser, &vm, input, &bytes));
+            super::common::assert_oracle(&label, &parser, &vm, input, &[]);
         }
         accepted
     }
 
     /// The attribute names of `tree`'s first node of `nt`, in env order.
     fn env_order(g: &ipg_core::check::Grammar, tree: &Tree, nt: &str) -> Option<Vec<String>> {
-        match tree {
-            Tree::Node(n) if &*n.name == nt => {
-                Some(n.env.iter().map(|(s, _)| g.attr_name(s).to_owned()).collect())
-            }
-            Tree::Node(n) => n.children.iter().find_map(|c| env_order(g, c, nt)),
-            Tree::Array(a) => a.elems.iter().find_map(|c| env_order(g, c, nt)),
-            _ => None,
-        }
+        let node = super::common::nodes_named(tree, nt).next()?;
+        Some(node.env.iter().map(|(s, _)| g.attr_name(s).to_owned()).collect())
     }
 
     #[test]
@@ -539,11 +456,12 @@ mod attribute_layouts {
 mod leaf_calls {
     use ipg_core::check::CRuleBody;
     use ipg_core::frontend::parse_grammar;
-    use ipg_core::interp::vm::{Outcome, VmParser};
+    use ipg_core::interp::vm::VmParser;
     use ipg_core::interp::Parser;
     use std::path::Path;
 
-    /// Checks `spec` on `inputs`; returns how many inputs it accepted.
+    /// Checks `spec` on `inputs` through the oracle, memoizing and not,
+    /// the session fed 1-byte chunks; returns how many inputs it accepted.
     fn assert_leaf_calls_agree(spec: &str, inputs: &[&[u8]]) -> usize {
         let g = parse_grammar(spec).unwrap();
         let mut accepted = 0;
@@ -552,29 +470,10 @@ mod leaf_calls {
             let vm = VmParser::new(&g).memoize(memoize);
             accepted = 0;
             for &input in inputs {
-                let (reference, ref_stats) = parser.parse_with_stats(input);
-                let (one_shot, stats) = vm.parse_with_stats(input);
-                let one_shot = one_shot.map(|t| t.root().to_tree());
-                let ctx = format!("{input:?}, memoize {memoize}");
-                assert_eq!(stats.steps, ref_stats.steps, "steps, {ctx}");
-                assert_eq!(one_shot, reference, "one-shot, {ctx}");
-                accepted += usize::from(reference.is_ok());
-
-                let mut session = vm.streaming();
-                let mut early = None;
-                for piece in input.chunks(1) {
-                    if let Outcome::Error(e) = session.feed(piece) {
-                        early = Some(e);
-                        break;
-                    }
-                }
-                let streamed = match (early, session.finish()) {
-                    (Some(e), _) | (None, Outcome::Error(e)) => Err(e),
-                    (None, Outcome::Done(tree)) => Ok(tree.root().to_tree()),
-                    (None, Outcome::NeedInput { .. }) => panic!("finish never needs input"),
-                };
-                assert_eq!(session.stats().steps, stats.steps, "streamed steps, {ctx}");
-                assert_eq!(streamed, reference, "streamed in 1-byte chunks, {ctx}");
+                let label = format!("{input:?}, memoize {memoize}");
+                let bytes: Vec<usize> = (1..input.len()).collect();
+                accepted +=
+                    usize::from(super::common::assert_oracle(&label, &parser, &vm, input, &bytes));
             }
         }
         accepted

@@ -1,29 +1,29 @@
 //! Chunk-size invariance of streaming VM sessions.
 //!
 //! The contract: for every corpus grammar and every chunking of the input
-//! — 1-byte, 7-byte, and seeded random splits — a [`Session`] fed the
-//! chunks and then finished yields *exactly* the one-shot result: the
-//! same tree (node for node, attribute for attribute, via `to_tree`), the
-//! same step count, and the same deepest error on rejection, on both the
-//! VM and (through the one-shot cross-engine contract) the reference
-//! interpreter.
+//! — one chunk, 1-byte, 7-byte, and seeded random splits — a `Session`
+//! fed the chunks and then finished yields *exactly* the interpreter's and
+//! the one-shot VM's result: the same tree (node for node, attribute for
+//! attribute, via `to_tree`), the same step count, and the same deepest
+//! error on rejection; an early rejection is the error `finish` replays,
+//! and a closed session takes no more steps. Each chunking is a list of
+//! cut offsets handed to the one oracle,
+//! `ipg_formats::Registry::compare_engines` ([`common::assert_oracle`]),
+//! which runs all three engines and checks all of this.
 //!
 //! Inputs come from the grammar-driven generator (`ipg-gen`) plus the
 //! deterministic corpus lane and truncated/corrupted mutants, so both the
 //! accept and reject paths are exercised.
 //!
-//! Set `IPG_STREAM_QUICK=1` to reduce the sweep for CI smoke jobs.
+//! Set `IPG_CONFORM_QUICK=1` to reduce the sweep for CI smoke jobs.
 
 mod common;
 
-use common::{default_corpus_input, formats, mutate, Format};
-use ipg_core::interp::vm::{Outcome, VmParser};
-use ipg_core::tree::Tree;
-use ipg_core::Error;
-use std::rc::Rc;
+use common::{default_corpus_input, formats, mutate, Format, AGREE_FUEL};
+use ipg_core::interp::Parser;
 
 fn quick() -> bool {
-    std::env::var("IPG_STREAM_QUICK").is_ok_and(|v| v != "0")
+    std::env::var_os("IPG_CONFORM_QUICK").is_some()
 }
 
 /// SplitMix64, the repo's standard seeded generator for test sweeps.
@@ -34,87 +34,35 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Feeds `input` to a fresh session in the given chunk pattern and
-/// finishes. Returns the final outcome plus the session's step count.
-fn run_chunked(vm: &VmParser, input: &[u8], chunks: &[usize]) -> (Result<Rc<Tree>, Error>, u64) {
-    let mut session = vm.streaming();
-    let mut off = 0;
-    let mut early: Option<Error> = None;
-    for &sz in chunks {
-        let end = (off + sz).min(input.len());
-        if off >= end {
-            break;
-        }
-        if let Outcome::Error(e) = session.feed(&input[off..end]) {
-            // A determined rejection mid-stream: it must equal the
-            // one-shot error, and finish must replay it cleanly.
-            early = Some(e);
-            break;
-        }
-        off = end;
-    }
-    let steps_at_rejection = early.is_some().then(|| session.stats().steps);
-    match session.finish() {
-        Outcome::Done(tree) => (Ok(tree.root().to_tree()), session.stats().steps),
-        Outcome::Error(e) => {
-            if let Some(early) = early {
-                assert_eq!(early, e, "finish after an early rejection must replay the error");
-                // A closed session does no further work.
-                assert_eq!(Some(session.stats().steps), steps_at_rejection);
-            }
-            (Err(e), session.stats().steps)
-        }
-        Outcome::NeedInput { .. } => panic!("finish never returns NeedInput"),
-    }
-}
-
-/// Chunk patterns for an input of length `len`: one-shot-as-one-chunk,
-/// 1-byte, 7-byte, and three seeded random splits.
-fn chunkings(len: usize, seed: u64) -> Vec<Vec<usize>> {
-    let mut out = vec![vec![len.max(1)], vec![1; len.max(1)], vec![7; len / 7 + 1]];
+/// Where a session's feeds are cut, for an input of length `len`: nowhere
+/// (one chunk), after every byte, after every 7th, and three seeded random
+/// splits into chunks of 1 to 41 bytes.
+fn cut_patterns(len: usize, seed: u64) -> Vec<Vec<usize>> {
+    let mut out = vec![vec![], (1..len).collect(), (7..len).step_by(7).collect()];
     for round in 0..3u64 {
-        let mut sizes = Vec::new();
-        let mut covered = 0;
+        let mut cuts = Vec::new();
+        let mut at = 0;
         let mut x = mix(seed ^ mix(round + 1));
-        while covered < len {
+        loop {
             x = mix(x);
-            let sz = (x % 41 + 1) as usize;
-            sizes.push(sz);
-            covered += sz;
+            at += (x % 41 + 1) as usize;
+            if at >= len {
+                break;
+            }
+            cuts.push(at);
         }
-        if sizes.is_empty() {
-            sizes.push(1);
-        }
-        out.push(sizes);
+        out.push(cuts);
     }
     out
 }
 
-/// The invariance assertion for one (grammar, input) pair.
+/// The invariance assertion for one (grammar, input) pair: the oracle
+/// under every cut pattern.
 fn assert_chunk_invariant(f: &Format, input: &[u8], seed: u64) {
-    let (one_shot, stats) = f.vm.parse_with_stats(input);
-    let one_shot = one_shot.map(|t| t.root().to_tree());
-    for (i, chunks) in chunkings(input.len(), seed).into_iter().enumerate() {
-        let (streamed, steps) = run_chunked(f.vm, input, &chunks);
-        assert_eq!(
-            steps,
-            stats.steps,
-            "{}: chunking #{i} diverges from one-shot step count ({} bytes)",
-            f.name,
-            input.len()
-        );
-        match (&one_shot, &streamed) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "{}: chunking #{i} built a different tree", f.name),
-            (Err(a), Err(b)) => {
-                assert_eq!(a, b, "{}: chunking #{i} reported a different error", f.name)
-            }
-            (a, b) => panic!(
-                "{}: chunking #{i} disagrees on acceptance: one-shot {:?} vs streamed {:?}",
-                f.name,
-                a.is_ok(),
-                b.is_ok()
-            ),
-        }
+    let parser = Parser::new(f.grammar).max_steps(AGREE_FUEL);
+    for (i, cuts) in cut_patterns(input.len(), seed).iter().enumerate() {
+        let label = format!("{}, chunking #{i} of seed {seed}", f.name);
+        common::assert_oracle(&label, &parser, f.vm, input, cuts);
     }
 }
 

@@ -2,9 +2,18 @@
 //! interpreter, over corpus-generated inputs for every format grammar —
 //! including truncated and corrupted mutants.
 //!
-//! The agreement contract (step counts, trees, deepest errors) is
-//! implemented by [`common::assert_engines_agree`]; this file contributes
-//! the proptest-driven corpus configurations and mutation sweeps.
+//! Every case goes through the one oracle,
+//! `ipg_formats::Registry::compare_engines` (via [`common::assert_oracle`]
+//! and its wrappers): the interpreter, the one-shot VM and a fresh session
+//! fed the input cut at the lane's offsets must take the same steps and
+//! build the same tree or report the same deepest error, and the session
+//! must replay an early rejection at `finish` without taking more steps.
+//! The cut points are the lane's input to the oracle: the proptest
+//! corpus configurations and fixed sweeps cut at the midpoint
+//! ([`common::assert_engines_agree`]); the edge lanes below cut where
+//! their edge lies (each record's and list element's bytes, a section's
+//! end) as well as at the midpoint, under step limits up to the whole
+//! parse's and with memoization on and off.
 
 mod common;
 
@@ -192,40 +201,11 @@ fn vm_agrees_on_every_truncation_of_a_dns_message() {
     }
 }
 
-/// Interpreter ≡ one-shot VM ≡ a session fed `input` split at `split`,
-/// each with step limit `fuel` and memoization on or off: the same tree,
-/// steps and deepest error.
-fn assert_oracle(f: &common::Format, input: &[u8], fuel: u64, split: usize, memoize: bool) {
-    use ipg_core::interp::vm::Outcome;
-    use ipg_core::interp::Parser;
-    let ctx = format!(
-        "{}: {} bytes, fuel {fuel}, split at {split}, memoize {memoize}",
-        f.name,
-        input.len()
-    );
-    let parser = Parser::new(f.grammar).max_steps(fuel).memoize(memoize);
-    let (reference, ref_stats) = parser.parse_with_stats(input);
-    let vm = f.vm.clone().max_steps(fuel).memoize(memoize);
-    let (one_shot, stats) = vm.parse_with_stats(input);
-    assert_eq!(stats.steps, ref_stats.steps, "one-shot steps, {ctx}");
-    assert_eq!(one_shot.map(|t| t.root().to_tree()), reference, "one-shot, {ctx}");
-
-    let mut session = vm.streaming();
-    let (head, tail) = input.split_at(split.min(input.len()));
-    let early = [head, tail].into_iter().find_map(|chunk| session.feed(chunk).err().cloned());
-    let streamed = match (early, session.finish()) {
-        (Some(e), _) | (None, Outcome::Error(e)) => Err(e),
-        (None, Outcome::Done(tree)) => Ok(tree.root().to_tree()),
-        (None, Outcome::NeedInput { .. }) => panic!("finish never needs input, {ctx}"),
-    };
-    assert_eq!(session.stats().steps, stats.steps, "streamed steps, {ctx}");
-    assert_eq!(streamed, reference, "streamed, {ctx}");
-}
-
 /// Fuel exhaustion reads alike on every entry point: at a step limit
-/// below a parse's steps, the VM's `parse`, `parse_with_stats`,
-/// `parse_bounded` and a streamed session, and the interpreter's `parse`
-/// and `parse_with_stats`, return the identical error.
+/// below a parse's steps, the interpreter's `parse` and, through the
+/// oracle, its `parse_with_stats`, the VM's `parse_with_stats` and a
+/// session fed the whole input, and the VM's `parse` and `parse_bounded`
+/// return the identical error.
 #[test]
 fn fuel_exhaustion_reads_alike_on_every_entry_point() {
     use ipg_core::interp::Parser;
@@ -243,14 +223,10 @@ fn fuel_exhaustion_reads_alike_on_every_entry_point() {
                 "{ctx}: {want}"
             );
             let vm = f.vm.clone().max_steps(fuel);
-            let mut session = vm.streaming();
-            session.feed(&input);
+            assert!(!common::assert_oracle(&ctx, &parser, &vm, &input, &[]));
             let got = [
-                ("interpreter parse_with_stats", parser.parse_with_stats(&input).0.err()),
                 ("parse", vm.parse(&input).err()),
-                ("parse_with_stats", vm.parse_with_stats(&input).0.err()),
                 ("parse_bounded", f.vm.parse_bounded(&input, fuel).0.err()),
-                ("session", session.finish().err().cloned()),
             ];
             for (entry, err) in got {
                 assert_eq!(err.as_ref(), Some(&want), "{entry}, {ctx}");
@@ -275,13 +251,11 @@ fn fuel_exhaustion_reads_alike_on_every_entry_point() {
 /// * the step limit set to every step count up to the whole parse's;
 /// * the session's input split at every byte of each record's first 64.
 mod record_edges {
-    use super::assert_oracle;
     use super::common::{self, Format, AGREE_FUEL};
     use ipg_core::frontend::parse_grammar;
     use ipg_core::interp::vm::VmParser;
     use ipg_core::interp::Parser;
     use ipg_core::tree::Tree;
-    use std::rc::Rc;
 
     /// A small valid input of each grammar with records.
     pub(super) fn small_input(name: &str) -> Option<Vec<u8>> {
@@ -342,20 +316,6 @@ mod record_edges {
         rules
     }
 
-    /// The absolute spans of every node of `rules` in `tree`.
-    fn records(tree: &Rc<Tree>, rules: &[String], out: &mut Vec<(usize, usize)>) {
-        match &**tree {
-            Tree::Node(n) => {
-                if rules.iter().any(|r| **r == *n.name) {
-                    out.push((n.base, n.base + n.input_len));
-                }
-                n.children.iter().for_each(|c| records(c, rules, out));
-            }
-            Tree::Array(a) => a.elems.iter().for_each(|c| records(c, rules, out)),
-            Tree::Leaf(_) | Tree::Blackbox(_) => {}
-        }
-    }
-
     #[test]
     fn every_fallback_edge_agrees_across_engines() {
         let mut covered = Vec::new();
@@ -369,24 +329,28 @@ mod record_edges {
                 continue;
             }
             let reference = Parser::new(f.grammar).parse(&input).expect("small input parses");
-            let mut spans = Vec::new();
-            records(&reference, &rules, &mut spans);
+            let spans: Vec<_> = reference
+                .preorder()
+                .filter_map(Tree::as_node)
+                .filter(|n| rules.iter().any(|r| **r == *n.name))
+                .map(|n| (n.base, n.base + n.input_len))
+                .collect();
             assert!(!spans.is_empty(), "{}: no record of {rules:?} parsed", f.name);
             for &(start, end) in &spans {
                 let reach = end.min(start + 64);
                 for cut in start..=reach {
-                    assert_oracle(&f, &input[..cut], AGREE_FUEL, cut / 2, true);
-                    assert_oracle(&f, &input, AGREE_FUEL, cut, true);
+                    common::assert_oracle_with(&f, &input[..cut], AGREE_FUEL, true, &[cut / 2]);
+                    common::assert_oracle_with(&f, &input, AGREE_FUEL, true, &[cut]);
                 }
                 for at in start..end.min(start + 8) {
                     let mut flipped = input.clone();
                     flipped[at] ^= 0xff;
-                    assert_oracle(&f, &flipped, AGREE_FUEL, at, true);
+                    common::assert_oracle_with(&f, &flipped, AGREE_FUEL, true, &[at]);
                 }
             }
             let steps = f.vm.parse_with_stats(&input).1.steps;
             for fuel in 0..=steps {
-                assert_oracle(&f, &input, fuel, input.len() / 2, true);
+                common::assert_oracle_with(&f, &input, fuel, true, &[input.len() / 2]);
             }
             covered.push(f.name);
         }
@@ -409,11 +373,11 @@ mod record_edges {
             assert!(Parser::new(f.grammar).parse(&changed).is_err(), "byte {at} = {byte}");
             for memoize in [true, false] {
                 for split in [0, at, at + 1, 64] {
-                    assert_oracle(&f, &changed, AGREE_FUEL, split, memoize);
+                    common::assert_oracle_with(&f, &changed, AGREE_FUEL, memoize, &[split]);
                 }
                 let steps = f.vm.clone().memoize(memoize).parse_with_stats(&changed).1.steps;
                 for fuel in 0..=steps {
-                    assert_oracle(&f, &changed, fuel, 32, memoize);
+                    common::assert_oracle_with(&f, &changed, fuel, memoize, &[32]);
                 }
             }
         }
@@ -472,11 +436,11 @@ mod record_edges {
             for input in inputs {
                 for memoize in [true, false] {
                     for split in 0..=input.len() {
-                        assert_oracle(&f, input, AGREE_FUEL, split, memoize);
+                        common::assert_oracle_with(&f, input, AGREE_FUEL, memoize, &[split]);
                     }
                     let steps = vm.clone().memoize(memoize).parse_with_stats(input).1.steps;
                     for fuel in 0..=steps {
-                        assert_oracle(&f, input, fuel, input.len() / 2, memoize);
+                        common::assert_oracle_with(&f, input, fuel, memoize, &[input.len() / 2]);
                     }
                 }
             }
@@ -505,26 +469,10 @@ mod record_edges {
 /// end moves through its header's `sz` field, since cutting the file
 /// inside a table would cut off the section headers that follow it.
 mod scan_edges {
-    use super::assert_oracle;
     use super::common::{self, AGREE_FUEL};
     use ipg_core::frontend::parse_grammar;
     use ipg_core::interp::vm::VmParser;
     use ipg_core::interp::Parser;
-    use ipg_core::tree::{Node, Tree};
-
-    /// Every node named `name` in `tree`.
-    fn nodes<'t>(tree: &'t Tree, name: &str, out: &mut Vec<&'t Node>) {
-        match tree {
-            Tree::Node(n) => {
-                if *n.name == *name {
-                    out.push(n);
-                }
-                n.children.iter().for_each(|c| nodes(c, name, out));
-            }
-            Tree::Array(a) => a.elems.iter().for_each(|c| nodes(c, name, out)),
-            Tree::Leaf(_) | Tree::Blackbox(_) => {}
-        }
-    }
 
     /// `input` with the `sz` of the section header at `sh` set to `sz`.
     fn with_size(input: &[u8], sh: usize, sz: usize) -> Vec<u8> {
@@ -544,9 +492,8 @@ mod scan_edges {
         let f = &with_scans[0];
         let input = super::record_edges::small_input("elf").expect("elf has a small input");
         let reference = Parser::new(f.grammar).parse(&input).expect("small input parses");
-        let (mut tables, mut headers) = (Vec::new(), Vec::new());
-        nodes(&reference, "StrSec", &mut tables);
-        nodes(&reference, "SH", &mut headers);
+        let tables: Vec<_> = common::nodes_named(&reference, "StrSec").collect();
+        let headers: Vec<_> = common::nodes_named(&reference, "SH").collect();
         assert_eq!(tables.len(), 2, "the small input has .strtab and .shstrtab");
         for table in tables {
             let (start, end) = table.span();
@@ -557,21 +504,27 @@ mod scan_edges {
                 .base;
             for memoize in [true, false] {
                 for sz in 0..=end - start {
-                    assert_oracle(f, &with_size(&input, sh, sz), AGREE_FUEL, start + sz, memoize);
+                    common::assert_oracle_with(
+                        f,
+                        &with_size(&input, sh, sz),
+                        AGREE_FUEL,
+                        memoize,
+                        &[start + sz],
+                    );
                 }
                 for at in start..end {
                     for byte in [0, b'x'] {
                         let mut changed = input.clone();
                         changed[at] = byte;
-                        assert_oracle(f, &changed, AGREE_FUEL, at, memoize);
+                        common::assert_oracle_with(f, &changed, AGREE_FUEL, memoize, &[at]);
                     }
-                    assert_oracle(f, &input, AGREE_FUEL, at, memoize);
+                    common::assert_oracle_with(f, &input, AGREE_FUEL, memoize, &[at]);
                 }
             }
         }
         let steps = f.vm.parse_with_stats(&input).1.steps;
         for fuel in 0..=steps {
-            assert_oracle(f, &input, fuel, input.len() / 2, false);
+            common::assert_oracle_with(f, &input, fuel, false, &[input.len() / 2]);
         }
     }
 
@@ -637,11 +590,11 @@ mod scan_edges {
             for input in inputs {
                 for memoize in [true, false] {
                     for split in 0..=input.len() {
-                        assert_oracle(&f, input, AGREE_FUEL, split, memoize);
+                        common::assert_oracle_with(&f, input, AGREE_FUEL, memoize, &[split]);
                     }
                     let steps = vm.clone().memoize(memoize).parse_with_stats(input).1.steps;
                     for fuel in 0..=steps {
-                        assert_oracle(&f, input, fuel, input.len() / 2, memoize);
+                        common::assert_oracle_with(&f, input, fuel, memoize, &[input.len() / 2]);
                     }
                 }
             }
@@ -679,11 +632,11 @@ mod scan_edges {
             for input in inputs {
                 for memoize in [true, false] {
                     for split in 0..=input.len() {
-                        assert_oracle(&f, input, AGREE_FUEL, split, memoize);
+                        common::assert_oracle_with(&f, input, AGREE_FUEL, memoize, &[split]);
                     }
                     let steps = vm.clone().memoize(memoize).parse_with_stats(input).1.steps;
                     for fuel in 0..=steps {
-                        assert_oracle(&f, input, fuel, input.len() / 2, memoize);
+                        common::assert_oracle_with(&f, input, fuel, memoize, &[input.len() / 2]);
                     }
                 }
             }
@@ -713,34 +666,17 @@ mod scan_edges {
 /// * a list 512 records deep, whole and cut mid-record;
 /// * every split point and every step limit of a small input.
 mod chain_edges {
-    use super::assert_oracle;
     use super::common::{self, Format, AGREE_FUEL};
     use ipg_core::frontend::parse_grammar;
     use ipg_core::interp::vm::VmParser;
     use ipg_core::interp::Parser;
-    use ipg_core::tree::Tree;
-
-    /// The absolute spans of every node named `name` in `tree`.
-    fn spans(tree: &Tree, name: &str, out: &mut Vec<(usize, usize)>) {
-        match tree {
-            Tree::Node(n) => {
-                if *n.name == *name {
-                    out.push((n.base, n.base + n.input_len));
-                }
-                n.children.iter().for_each(|c| spans(c, name, out));
-            }
-            Tree::Array(a) => a.elems.iter().for_each(|c| spans(c, name, out)),
-            Tree::Leaf(_) | Tree::Blackbox(_) => {}
-        }
-    }
 
     /// The nodes named `name` in a parse of `input`, as `(start, end)`
     /// of the bytes they span (an element's node spans the rest of its
     /// list: its end is the next element's start, or the list's end).
     fn elements(f: &Format, input: &[u8], name: &str) -> Vec<(usize, usize)> {
         let tree = Parser::new(f.grammar).parse(input).expect("small input parses");
-        let mut out = Vec::new();
-        spans(&tree, name, &mut out);
+        let mut out: Vec<_> = common::nodes_named(&tree, name).map(|n| n.span()).collect();
         out.sort();
         assert!(!out.is_empty(), "{}: no `{name}` parsed", f.name);
         out
@@ -749,7 +685,7 @@ mod chain_edges {
     /// `input` checked with memoization on and off, split at `split`.
     fn check(f: &Format, input: &[u8], split: usize) {
         for memoize in [true, false] {
-            assert_oracle(f, input, AGREE_FUEL, split, memoize);
+            common::assert_oracle_with(f, input, AGREE_FUEL, memoize, &[split]);
         }
     }
 
@@ -757,11 +693,11 @@ mod chain_edges {
     fn check_all(f: &Format, input: &[u8]) {
         for memoize in [true, false] {
             for split in 0..=input.len() {
-                assert_oracle(f, input, AGREE_FUEL, split, memoize);
+                common::assert_oracle_with(f, input, AGREE_FUEL, memoize, &[split]);
             }
             let steps = f.vm.clone().memoize(memoize).parse_with_stats(input).1.steps;
             for fuel in 0..=steps {
-                assert_oracle(f, input, fuel, input.len() / 2, memoize);
+                common::assert_oracle_with(f, input, fuel, memoize, &[input.len() / 2]);
             }
         }
     }
@@ -901,6 +837,40 @@ mod chain_edges {
             .expect("spawn the deep-list thread")
             .join()
             .expect("the engines agree on a deep list");
+    }
+
+    /// A right-recursive string 1,000,000 levels deep, on a default test
+    /// thread: the VM parses it in its own frame stack, and `to_tree`,
+    /// `==` and drop walk the tree with explicit stacks, so none of them
+    /// recurses once per level. (The interpreter does, so it is not run
+    /// here.) Each level is one node, which holds each tree to about
+    /// 215 MB in a release build on x86-64; a level with a leaf of its
+    /// own would double that.
+    #[test]
+    fn a_million_level_tree_converts_compares_and_drops_on_a_default_thread() {
+        const LEVELS: usize = 1_000_000;
+        let g = parse_grammar(
+            r#"
+            S -> L[0, EOI];
+            L -> L[1, EOI] / "."[0, 1];
+            "#,
+        )
+        .unwrap();
+        let vm = VmParser::new(&g).memoize(false);
+        let mut input = vec![b'a'; LEVELS];
+        input.push(b'.');
+        let parsed = vm.parse(&input).expect("the string parses");
+        let (a, b) = (parsed.root().to_tree(), parsed.root().to_tree());
+        assert!(a == b, "two conversions of one parse differ");
+        let l = g.nt_id("L").unwrap();
+        let mut depth = 0;
+        let mut level = a.child_node_nt(l);
+        while let Some(node) = level {
+            depth += 1;
+            level = node.child_node_nt(l);
+        }
+        assert_eq!(depth, LEVELS + 1);
+        drop((a, b));
     }
 
     /// List shapes beyond the corpus: a record element with guards, sets
