@@ -3,6 +3,7 @@
 //! are built around.
 
 use crate::{CmdResult, Failure};
+use ipg_core::analysis::anchor_requirement;
 use ipg_formats::Registry;
 
 pub fn run(args: &[String]) -> CmdResult {
@@ -18,7 +19,7 @@ pub fn run(args: &[String]) -> CmdResult {
             e.name,
             e.grammar().rules().len(),
             listing.lines().count(),
-            e.vm().anchor()
+            anchor_requirement(e.grammar())
         );
     }
     Ok(())

@@ -3,6 +3,7 @@
 //! source is the deploy unit.
 
 use crate::{resolve, CmdResult, Failure};
+use ipg_core::analysis::anchor_requirement;
 
 pub fn run(args: &[String]) -> CmdResult {
     let [grammar_arg] = args else {
@@ -13,7 +14,7 @@ pub fn run(args: &[String]) -> CmdResult {
         "{}: compiled (source hash {:016x}, anchor {}, start `{}`)",
         entry.name,
         entry.handle().source_hash(),
-        entry.vm().anchor(),
+        anchor_requirement(entry.grammar()),
         entry.grammar().start_nt_name()
     );
     Ok(())

@@ -52,9 +52,10 @@ commands:
       --extract prints the typed extractor view for corpus formats
       (for zip, an extraction directory may follow).
   profile <grammar> [FILE | -] [--top N] [--folded]
-      Run one instrumented parse and report per-rule time attribution
-      (calls, memo hit/miss, self time); --folded emits flamegraph-ready
-      stacks keyed by the grammar's static call graph.
+      Run one instrumented parse and report per-rule counts (calls,
+      memo hit/miss, ok/fail, self instructions), nothing timed; --top N
+      keeps the N rules with the most self instructions; --folded emits
+      flamegraph-ready stacks keyed by the grammar's static call graph.
   gen <grammar> [--seed N] [--count N] [--out DIR]
       Generate grammar-valid inputs (VM-verified); --out writes them.
   serve --socket PATH [--max-queue N] [--watch DIR] [--metrics-addr HOST:PORT]

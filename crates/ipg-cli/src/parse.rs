@@ -3,6 +3,7 @@
 //! the typed extractor view for corpus formats.
 
 use crate::{extract, resolve, CmdResult, Failure};
+use ipg_core::analysis::anchor_requirement;
 use ipg_core::arena::TreeRef;
 use ipg_core::check::Grammar;
 use ipg_core::interp::vm::{Outcome, ParseTree, VmParser};
@@ -70,7 +71,7 @@ pub fn run(args: &[String]) -> CmdResult {
         out,
         "{}: parsed {bytes} bytes from {source} ({}, {suspends} suspensions)",
         entry.name,
-        entry.vm().anchor()
+        anchor_requirement(entry.grammar())
     )
     .and_then(|()| print_tree(&mut out, tree.root(), entry.grammar(), depth))
     .and_then(|()| out.flush());

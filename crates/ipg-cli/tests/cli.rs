@@ -180,19 +180,15 @@ fn disasm_matches_the_pinned_bytecode_snapshot() {
 }
 
 #[test]
-fn profile_top_keeps_the_totals_and_the_untimed_builtins_note() {
-    // A title, the column header, the hottest rule, and the two footer
-    // lines, whatever the timings.
-    let stdout = ok_stdout(&["profile", "elf", "--top", "1"], &[]);
-    let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 5, "{stdout}");
-    assert!(lines[1].starts_with("rule "), "{stdout}");
-    assert!(lines[3].starts_with("TOTAL "), "{stdout}");
-    assert!(lines[4].contains("builtin leaves are counted, not timed"), "{stdout}");
-    // Builtins are in the full table, with no self time of their own.
-    let full = ok_stdout(&["profile", "elf"], &[]);
-    let ch = full.lines().find(|l| l.starts_with("Ch ")).expect("a `Ch` row");
-    assert!(ch.split_whitespace().nth(6) == Some("0.0"), "{full}");
+fn profile_table_and_folded_stacks_are_pinned() {
+    // The profiler counts and never times, so both views of a profiled
+    // parse of a self-generated sample are expect-files. `--top` keeps
+    // the header, the rules with the most self instructions and the
+    // totals over every rule.
+    let stdout = ok_stdout(&["profile", "elf", "--top", "3"], &[]);
+    common::check_snapshot(&expect_dir(), "profile_elf_top3.txt", &stdout);
+    let stdout = ok_stdout(&["profile", "dns", "--folded"], &[]);
+    common::check_snapshot(&expect_dir(), "profile_dns.folded", &stdout);
 }
 
 #[test]

@@ -185,7 +185,7 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
         // The terminator level: its byte, its literal's leaf, its node.
         self.prof.call(s.byte);
         self.ws.arena.alloc_builtin(s.byte, term, 1, 1, 0, i64::from(input[term]));
-        self.prof.leaf(s.byte, true);
+        self.prof.done(s.byte, true);
         let leaf = self.ws.arena.alloc_leaf(at, at + lit_bytes.len());
         let mut vals = [0; SCAN_WIDTH];
         vals[..3].copy_from_slice(&[term_len as i64, term_len as i64, 0]);
@@ -204,12 +204,12 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
                 self.prof.memo(nt, false);
                 self.ws.memo.insert(nt, base + i, len - i, Some(node));
             }
-            self.prof.leaf(nt, true);
+            self.prof.done(nt, true);
             let (at_i, len_i) = (base + i - 1, (len - i + 1) as i64);
             let byte = i64::from(input[at_i]);
             self.prof.call(s.byte);
             let b = self.ws.arena.alloc_builtin(s.byte, at_i, 1, 1, 0, byte);
-            self.prof.leaf(s.byte, true);
+            self.prof.done(s.byte, true);
             let shift = self.ws.arena.adjust(node, 1);
             regs[..SCAN_WIDTH].copy_from_slice(&vals);
             regs[usize::from(SCAN_BYTE_REG)] = byte;
@@ -347,7 +347,7 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
                         f.ip = f.ip_end;
                         return Ok(Flow::Exec);
                     }
-                    self.prof.leaf(x, true);
+                    self.prof.done(x, true);
                     let id = self.ws.arena.alloc_node(x, 0, &region, [elem, next.id], lv.base);
                     if self.memoize {
                         self.ws.memo.insert(x, lv.base, lv.len, Some(id));
@@ -401,7 +401,7 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
         regs[..3].copy_from_slice(&[n, n, 0]);
         let mut results = [None; REC_SLOTS];
         let ok = self.decode(&rec, base, len, &mut regs, &mut results);
-        self.prof.leaf(nt, ok);
+        self.prof.done(nt, ok);
         let node = ok.then(|| {
             let slots = self.img.program.child_slots(rec.first_child, rec.n_children);
             let children = slots.iter().map(|&slot| child(&results, slot));
@@ -481,10 +481,10 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
                     let Some((val, consumed)) = decoded else {
                         // As a failing leaf call.
                         self.builtin_failed(nt, builtin, at, flen);
-                        self.prof.leaf(nt, false);
+                        self.prof.done(nt, false);
                         return false;
                     };
-                    self.prof.leaf(nt, true);
+                    self.prof.done(nt, true);
                     let id = self.ws.arena.alloc_builtin(nt, at, flen, consumed, l, val);
                     results[usize::from(slot)] = Some(id);
                     let end = l + consumed as i64;

@@ -453,7 +453,7 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
                 None
             }
         };
-        self.prof.leaf(nt, ret.is_some());
+        self.prof.done(nt, ret.is_some());
         Ok(ret)
     }
 
@@ -486,9 +486,8 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
         match self.img.program.rules[nt.0 as usize].kind {
             PRuleKind::Builtin(_) => unreachable!("builtins run in place (`leaf_call`)"),
             PRuleKind::Blackbox(idx) => {
-                self.prof.enter(nt);
                 let r = self.blackbox_result(nt, idx as usize, base, len);
-                self.prof.exit(nt, r.is_some());
+                self.prof.done(nt, r.is_some());
                 if memoizable {
                     self.ws.memo.insert(nt, base, len, r);
                 }
@@ -496,8 +495,7 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
             }
             PRuleKind::Alts { count, .. } => {
                 if count == 0 {
-                    self.prof.enter(nt);
-                    self.prof.exit(nt, false);
+                    self.prof.done(nt, false);
                     if memoizable {
                         self.ws.memo.insert(nt, base, len, None);
                     }
@@ -569,7 +567,6 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
         f.memoizable = memoizable;
         f.pending = Pending::None;
         self.depth += 1;
-        self.prof.enter(nt);
     }
 
     /// A rule's result in its caller's coordinates: its callee-relative
@@ -677,7 +674,7 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
                 self.ws.memo.insert(nt, base, len, None);
             }
             let failed = self.ws.frames[self.depth].nt;
-            self.prof.exit(failed, false);
+            self.prof.done(failed, false);
             if self.depth == 0 {
                 Flow::Done(None)
             } else {
@@ -703,7 +700,7 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
         let alt_index = f.alt_cursor - f.alts_first;
         let memoizable = f.memoizable;
         f.pending = Pending::None;
-        self.prof.exit(nt, true);
+        self.prof.done(nt, true);
         let f = &self.ws.frames[self.depth];
         let width = self.img.layouts.rules[nt.0 as usize].width as usize;
         let alt = self.img.program.alts[f.alt_cursor as usize];
@@ -729,10 +726,6 @@ impl<G: Deref<Target = Image>, I: AsRef<[u8]>, PS: ProfSink> VmSession<G, I, PS>
         debug_assert!(self.suspend.is_some());
         self.steps -= rewind;
         self.suspend_count += 1;
-        if self.depth > 0 {
-            let pc = self.ws.frames[self.depth - 1].ip;
-            self.prof.suspend(pc);
-        }
         self.resume = resume;
         Abort::Suspend
     }

@@ -126,7 +126,6 @@ mod workspace;
 pub use session::{Hint, Outcome, Session};
 
 use super::ParseStats;
-use crate::analysis::{anchor_requirement, AnchorRequirement};
 use crate::arena::{AttrSlot, TreeArena, TreeId, TreeRef};
 use crate::bytecode::{compile, Program, SizeHints};
 use crate::check::{Grammar, NtId};
@@ -164,9 +163,6 @@ struct Image {
     /// Pre-sizing hints derived from the program (frame nesting, pool
     /// sizes), computed once at compile time.
     hints: SizeHints,
-    /// What a streaming [`Session`] must hold back (see
-    /// [`crate::analysis::anchor_requirement`]).
-    anchor: AnchorRequirement,
 }
 
 /// The result of a successful VM parse: the arena plus the root id.
@@ -218,12 +214,11 @@ impl VmParser {
     /// [`crate::ipgc::CachedProgram`]'s, skipping the compile step.
     /// `grammar` must be the grammar the program was compiled from. What
     /// a parse needs beyond the program is derived here: the attribute
-    /// layouts (`layout`), the [`AnchorRequirement`] and the size hints.
+    /// layouts (`layout`) and the size hints.
     pub fn from_compiled(grammar: Grammar, mut program: Program) -> Self {
         let layouts = Arc::new(layout::resolve(&mut program, &grammar));
         let hints = program.size_hints();
-        let anchor = anchor_requirement(&grammar);
-        let img = Image { grammar, program, layouts, hints, anchor };
+        let img = Image { grammar, program, layouts, hints };
         VmParser { img: Arc::new(img), memoize: true, max_steps: None }
     }
 
@@ -246,12 +241,6 @@ impl VmParser {
     /// The compiled program (e.g. for [`Program::disassemble`]).
     pub fn program(&self) -> &Program {
         &self.img.program
-    }
-
-    /// The grammar's [`AnchorRequirement`]: what a [`Session`] must hold
-    /// back before the parse can run to completion.
-    pub fn anchor(&self) -> AnchorRequirement {
-        self.img.anchor
     }
 
     /// Enables or disables memoization (mirror of
@@ -308,8 +297,8 @@ impl VmParser {
 
     /// Like [`VmParser::parse`], but runs with the [`crate::profile`]
     /// instrumentation enabled and additionally returns the aggregated
-    /// [`ProfileReport`] (per-rule cycle attribution, memo hit/miss,
-    /// pc-indexed instruction hits, folded stacks).
+    /// [`ProfileReport`] (per-rule calls, memo hits and misses and self
+    /// instructions, pc-indexed instruction hits, folded stacks).
     ///
     /// Only this entry point pays the instrumentation cost: the plain
     /// `parse*` family monomorphizes with the no-op sink and is

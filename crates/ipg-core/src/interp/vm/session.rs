@@ -3,7 +3,6 @@
 
 use super::machine::{Abort, PResult, VmSession};
 use super::{Image, ParseTree, VmParser};
-use crate::analysis::AnchorRequirement;
 use crate::arena::TreeId;
 use crate::bytecode::PRuleKind;
 use crate::error::Error;
@@ -16,7 +15,7 @@ pub enum Hint {
     /// At least this many more bytes beyond the current buffer.
     Bytes(usize),
     /// Only end-of-input unlocks progress — the parse is consulting `EOI`
-    /// (see [`AnchorRequirement`]); call [`Session::finish`].
+    /// (see [`crate::analysis::AnchorRequirement`]); call [`Session::finish`].
     UntilEnd,
 }
 
@@ -72,10 +71,10 @@ enum Phase {
 /// from the exact blocked operation.
 ///
 /// How much can run before `finish` is grammar-dependent; see
-/// [`VmParser::anchor`] and [`crate::analysis::anchor_requirement`]. An
-/// EOI-anchored grammar (e.g. ZIP's end-of-central-directory) suspends
-/// with [`Hint::UntilEnd`] almost immediately and does its work at
-/// `finish`; a grammar with computed intervals streams record by record.
+/// [`crate::analysis::anchor_requirement`]. An EOI-anchored grammar (e.g.
+/// ZIP's end-of-central-directory) suspends with [`Hint::UntilEnd`] almost
+/// immediately and does its work at `finish`; a grammar with computed
+/// intervals streams record by record.
 ///
 /// ```
 /// use ipg_core::frontend::parse_grammar;
@@ -139,11 +138,6 @@ impl Session {
     pub fn max_steps(mut self, steps: u64) -> Self {
         self.vm_mut().max_steps = steps;
         self
-    }
-
-    /// The grammar's anchor requirement (copied from [`VmParser::anchor`]).
-    pub fn anchor(&self) -> AnchorRequirement {
-        self.vm().img.anchor
     }
 
     /// Bytes buffered so far.

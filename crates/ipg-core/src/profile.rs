@@ -1,6 +1,8 @@
-//! Grammar-level VM profiling: per-rule cycle attribution, memo
-//! hit/miss counts, pc-indexed instruction hit counters, and a
-//! folded-stack export keyed by the grammar's static call graph.
+//! Grammar-level VM profiling: per-rule calls, memo hits and misses,
+//! completions and failures, pc-indexed instruction hit counts, each
+//! rule's self cost in instructions, and a folded-stack export keyed by
+//! the grammar's static call graph. Everything is counted, nothing is
+//! timed, so two profiles of one parse are byte-identical.
 //!
 //! The VM is instrumented through the `ProfSink` trait, a set of
 //! inline hooks threaded through [`crate::interp::vm`] as a type
@@ -14,39 +16,39 @@
 //!
 //! ## Attribution model
 //!
-//! Wall-clock self time is attributed with a boundary-flush scheme: the
-//! profiler keeps its own nonterminal stack mirroring the VM's frame
-//! stack, and on every transition (rule enter, rule exit, blackbox
-//! bracket) the time elapsed since the previous transition is charged to
-//! the rule on top of the stack. Work done between a rule's entry and its
-//! first child call is therefore *self* time of that rule; child time is
-//! charged to the child. Builtin leaves, the levels a byte scan runs in
-//! bulk, and a chain's levels and record elements are counted (calls,
-//! completions, failures) but not timed: reading the clock around a
-//! few-nanosecond decode would measure the clock, so their time is their
-//! caller's self time. Time before the root call (session setup) is
-//! reported as `unattributed`.
+//! A rule's *self cost* is the number of instructions executed at its
+//! own pcs: the hits of every pc in its alternatives' code ranges. A
+//! call instruction belongs to the caller, so the call is the caller's
+//! cost and the callee's work is the callee's. Builtins and blackboxes
+//! own no pcs, so their self cost is 0; they show up in the counts
+//! (calls, completions, failures) only. The levels a byte scan or a
+//! chain runs in bulk, and the records decoded in place, fire the same
+//! hooks the general instructions would, so every count, the pc hits
+//! included, is the same whichever way the VM ran the rule.
 //!
-//! Instruction and suspension counters are pc-indexed (one slot per
-//! [`crate::bytecode::Instr`] of the compiled program) and can be
-//! correlated with `Program::disassemble` listings.
+//! Wall time is not measured here: a clock read per rule call costs
+//! more than most rules and varies run to run. The benchmark's traced
+//! layers (`vm.busy_us`, `flate.busy_us`, `extract.self_us`) time warm,
+//! repeated parses instead.
+//!
+//! The pc-indexed counters correlate with `Program::disassemble`
+//! listings.
 //!
 //! ## Folded stacks
 //!
 //! [`ProfileReport::folded`] emits the classic `a;b;c value` folded
 //! format consumed by flamegraph tooling. The parse's true dynamic call
 //! stacks are not recorded (that would mean per-call allocation on the
-//! hot path); instead each rule's self time is keyed by the *shortest
+//! hot path); instead each rule's self cost is keyed by the *shortest
 //! static call path* from the start rule, computed by BFS over the
 //! compiled program's call graph (`Call`/`Loop`/`Star` instructions and
 //! `Switch` cases). For recursion-free format grammars this coincides
 //! with the dominant dynamic stack; for recursive rules it picks the
-//! shortest entry path. Values are nanoseconds of self time.
+//! shortest entry path. Values are self instructions.
 
-use crate::bytecode::Program;
+use crate::bytecode::{PRuleKind, Program};
 use crate::check::{Grammar, NtId};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// VM instrumentation hooks. Implemented by `()` (disabled: every hook
 /// is a no-op that compiles away) and by [`Profiler`] (enabled).
@@ -58,26 +60,17 @@ pub(crate) trait ProfSink {
     /// A memo-table query on a memoizable rule.
     #[inline(always)]
     fn memo(&mut self, _nt: NtId, _hit: bool) {}
-    /// A frame (or blackbox bracket) was entered for `nt`.
+    /// A call of `nt` that the memo did not answer finished, successfully
+    /// or not: a frame, a blackbox, a builtin leaf, a level of a byte
+    /// scan or of a chain, or a record decoded in place.
     #[inline(always)]
-    fn enter(&mut self, _nt: NtId) {}
-    /// The frame/bracket for `nt` finished, successfully or not.
-    #[inline(always)]
-    fn exit(&mut self, _nt: NtId, _ok: bool) {}
-    /// A builtin leaf, a level of a byte scan or of a chain, or a record
-    /// decoded in place, finished: counted like a frame's exit, but not
-    /// timed, so its time is its caller's self time.
-    #[inline(always)]
-    fn leaf(&mut self, _nt: NtId, _ok: bool) {}
+    fn done(&mut self, _nt: NtId, _ok: bool) {}
     /// One instruction dispatched at `pc`.
     #[inline(always)]
     fn instr(&mut self, _pc: u32) {}
     /// `n` instructions dispatched at `pc` (a byte scan's levels).
     #[inline(always)]
     fn instrs(&mut self, _pc: u32, _n: u64) {}
-    /// A streaming suspension taken while blocked at `pc`.
-    #[inline(always)]
-    fn suspend(&mut self, _pc: u32) {}
 }
 
 /// The disabled sink: all hooks are empty and inline to nothing.
@@ -92,55 +85,26 @@ pub struct RuleCounters {
     pub memo_hits: u64,
     /// Memo-table misses (memoizable rules only).
     pub memo_misses: u64,
-    /// Frames that completed with a parse tree.
+    /// Calls that completed with a parse tree.
     pub completions: u64,
-    /// Frames that exhausted their alternatives (or leaf failures).
+    /// Calls that failed (frames that exhausted their alternatives,
+    /// failed builtins, blackboxes and records).
     pub failures: u64,
-    /// Wall-clock nanoseconds attributed to this rule's own work (0 for a
-    /// builtin, whose time is its caller's).
-    pub self_ns: u64,
 }
 
 /// The enabled `ProfSink`: accumulates counters during one parse.
 /// Create per parse via [`crate::interp::vm::VmParser::parse_profiled`].
 #[derive(Debug)]
 pub struct Profiler {
-    started: Instant,
-    last: Instant,
-    stack: Vec<NtId>,
     rules: Vec<RuleCounters>,
     instr_hits: Vec<u64>,
-    suspend_hits: Vec<u64>,
-    unattributed_ns: u64,
 }
 
 impl Profiler {
     /// A fresh profiler sized for a program with `rules` rules and
     /// `instrs` instructions.
     pub fn new(rules: usize, instrs: usize) -> Profiler {
-        let now = Instant::now();
-        Profiler {
-            started: now,
-            last: now,
-            stack: Vec::with_capacity(32),
-            rules: vec![RuleCounters::default(); rules],
-            instr_hits: vec![0; instrs],
-            suspend_hits: vec![0; instrs],
-            unattributed_ns: 0,
-        }
-    }
-
-    /// Charges the time since the previous boundary to the rule on top
-    /// of the profiler stack (or to the unattributed bucket).
-    #[inline]
-    fn flush(&mut self) {
-        let now = Instant::now();
-        let dt = now.duration_since(self.last).as_nanos() as u64;
-        self.last = now;
-        match self.stack.last() {
-            Some(nt) => self.rules[nt.0 as usize].self_ns += dt,
-            None => self.unattributed_ns += dt,
-        }
+        Profiler { rules: vec![RuleCounters::default(); rules], instr_hits: vec![0; instrs] }
     }
 }
 
@@ -161,20 +125,7 @@ impl ProfSink for &mut Profiler {
     }
 
     #[inline]
-    fn enter(&mut self, nt: NtId) {
-        self.flush();
-        self.stack.push(nt);
-    }
-
-    #[inline]
-    fn exit(&mut self, nt: NtId, ok: bool) {
-        self.flush();
-        self.stack.pop();
-        self.leaf(nt, ok);
-    }
-
-    #[inline]
-    fn leaf(&mut self, nt: NtId, ok: bool) {
+    fn done(&mut self, nt: NtId, ok: bool) {
         let c = &mut self.rules[nt.0 as usize];
         if ok {
             c.completions += 1;
@@ -192,11 +143,6 @@ impl ProfSink for &mut Profiler {
     fn instrs(&mut self, pc: u32, n: u64) {
         self.instr_hits[pc as usize] += n;
     }
-
-    #[inline]
-    fn suspend(&mut self, pc: u32) {
-        self.suspend_hits[pc as usize] += 1;
-    }
 }
 
 /// One rule's aggregated profile.
@@ -208,34 +154,33 @@ pub struct RuleProfile {
     pub name: String,
     /// Raw counters.
     pub counters: RuleCounters,
-    /// Self time as a fraction of total attributed time, in percent.
-    pub self_pct: f64,
+    /// Instructions executed at the rule's own pcs (0 for a builtin or a
+    /// blackbox, which own none).
+    pub self_instrs: u64,
 }
 
 /// The aggregated result of one profiled parse.
 #[derive(Clone, Debug)]
 pub struct ProfileReport {
-    /// Per-rule profiles, sorted by self time, hottest first. Rules
-    /// that were never invoked are omitted.
+    /// Per-rule profiles, sorted by self instructions, most first, ties
+    /// in rule order. Rules that were never invoked are omitted.
     pub rules: Vec<RuleProfile>,
-    /// Total wall-clock nanoseconds of the profiled parse.
-    pub total_ns: u64,
-    /// Nanoseconds spent outside any rule (session setup/teardown).
-    pub unattributed_ns: u64,
     /// Instruction hit counts, indexed by pc.
     pub instr_hits: Vec<u64>,
-    /// Streaming suspension counts, indexed by the blocked pc.
-    pub suspend_hits: Vec<u64>,
-    /// Folded stacks: (`root;...;rule`, self nanoseconds).
+    /// Folded stacks: (`root;...;rule`, self instructions).
     folded: Vec<(String, u64)>,
 }
 
 impl ProfileReport {
     /// Aggregates a finished [`Profiler`] against the program it ran.
-    pub(crate) fn build(g: &Grammar, p: &Program, mut prof: Profiler) -> ProfileReport {
-        prof.flush(); // charge the tail (root exit → now)
-        let total_ns = prof.started.elapsed().as_nanos() as u64;
-        let paths = static_paths(p);
+    pub(crate) fn build(g: &Grammar, p: &Program, prof: Profiler) -> ProfileReport {
+        let self_instrs = |nt: usize| match p.rules[nt].kind {
+            PRuleKind::Alts { first, count } => p.alts[first as usize..(first + count) as usize]
+                .iter()
+                .flat_map(|a| &prof.instr_hits[a.first as usize..(a.first + a.count) as usize])
+                .sum(),
+            PRuleKind::Builtin(_) | PRuleKind::Blackbox(_) => 0,
+        };
         let mut rules: Vec<RuleProfile> = prof
             .rules
             .iter()
@@ -243,21 +188,12 @@ impl ProfileReport {
             .filter(|(_, c)| c.calls > 0)
             .map(|(i, c)| {
                 let nt = NtId(i as u32);
-                RuleProfile {
-                    nt,
-                    name: g.nt_name(nt).to_owned(),
-                    counters: *c,
-                    self_pct: if total_ns == 0 {
-                        0.0
-                    } else {
-                        100.0 * c.self_ns as f64 / total_ns as f64
-                    },
-                }
+                let name = g.nt_name(nt).to_owned();
+                RuleProfile { nt, name, counters: *c, self_instrs: self_instrs(i) }
             })
             .collect();
-        rules.sort_by(|a, b| {
-            b.counters.self_ns.cmp(&a.counters.self_ns).then_with(|| a.nt.0.cmp(&b.nt.0))
-        });
+        rules.sort_by(|a, b| b.self_instrs.cmp(&a.self_instrs).then_with(|| a.nt.0.cmp(&b.nt.0)));
+        let paths = static_paths(p);
         let mut folded: Vec<(String, u64)> = rules
             .iter()
             .map(|r| {
@@ -268,92 +204,65 @@ impl ProfileReport {
                     }
                     None => r.name.clone(),
                 };
-                (path, r.counters.self_ns)
+                (path, r.self_instrs)
             })
             .collect();
         folded.sort();
-        ProfileReport {
-            rules,
-            total_ns,
-            unattributed_ns: prof.unattributed_ns,
-            instr_hits: prof.instr_hits,
-            suspend_hits: prof.suspend_hits,
-            folded,
-        }
+        ProfileReport { rules, instr_hits: prof.instr_hits, folded }
     }
 
-    /// The `n` hottest rules by self time.
-    pub fn top(&self, n: usize) -> &[RuleProfile] {
-        &self.rules[..n.min(self.rules.len())]
-    }
-
-    /// Total suspensions recorded across all instructions.
-    pub fn suspends(&self) -> u64 {
-        self.suspend_hits.iter().sum()
-    }
-
-    /// The per-rule table: one aligned text row per invoked rule, plus
-    /// a footer of two lines: the totals, and a note that builtin leaves
-    /// are counted but not timed.
-    pub fn table(&self) -> String {
+    /// The per-rule table: a header, one aligned row per invoked rule
+    /// (the first `top` only, when given) and a `TOTAL` row over every
+    /// rule. `self%` is a rule's share of all instructions executed.
+    pub fn table(&self, top: Option<usize>) -> String {
         let name_w = self.rules.iter().map(|r| r.name.len()).max().unwrap_or(4).max("TOTAL".len());
         let mut out = String::new();
         let _ = writeln!(
             out,
             "{:name_w$}  {:>10}  {:>10}  {:>10}  {:>10}  {:>10}  {:>12}  {:>6}",
-            "rule", "calls", "memo-hit", "memo-miss", "ok", "fail", "self-us", "self%"
+            "rule", "calls", "memo-hit", "memo-miss", "ok", "fail", "self-instr", "self%"
         );
-        let mut tot = RuleCounters::default();
-        for r in &self.rules {
-            let c = r.counters;
+        let total: u64 = self.instr_hits.iter().sum();
+        let pct = |n: u64| if total == 0 { 0.0 } else { 100.0 * n as f64 / total as f64 };
+        let mut row = |name: &str, c: RuleCounters, instrs: u64| {
             let _ = writeln!(
                 out,
-                "{:name_w$}  {:>10}  {:>10}  {:>10}  {:>10}  {:>10}  {:>12.1}  {:>5.1}%",
-                r.name,
+                "{:name_w$}  {:>10}  {:>10}  {:>10}  {:>10}  {:>10}  {:>12}  {:>5.1}%",
+                name,
                 c.calls,
                 c.memo_hits,
                 c.memo_misses,
                 c.completions,
                 c.failures,
-                c.self_ns as f64 / 1000.0,
-                r.self_pct,
+                instrs,
+                pct(instrs),
             );
+        };
+        for r in self.rules.iter().take(top.unwrap_or(usize::MAX)) {
+            row(&r.name, r.counters, r.self_instrs);
+        }
+        let mut tot = RuleCounters::default();
+        let mut tot_instrs = 0;
+        for r in &self.rules {
+            let c = r.counters;
             tot.calls += c.calls;
             tot.memo_hits += c.memo_hits;
             tot.memo_misses += c.memo_misses;
             tot.completions += c.completions;
             tot.failures += c.failures;
-            tot.self_ns += c.self_ns;
+            tot_instrs += r.self_instrs;
         }
-        let _ = writeln!(
-            out,
-            "{:name_w$}  {:>10}  {:>10}  {:>10}  {:>10}  {:>10}  {:>12.1}  {:>5.1}%",
-            "TOTAL",
-            tot.calls,
-            tot.memo_hits,
-            tot.memo_misses,
-            tot.completions,
-            tot.failures,
-            tot.self_ns as f64 / 1000.0,
-            if self.total_ns == 0 {
-                0.0
-            } else {
-                100.0 * tot.self_ns as f64 / self.total_ns as f64
-            },
-        );
-        out.push_str(
-            "(builtin leaves are counted, not timed: their time is their caller's self-us)\n",
-        );
+        row("TOTAL", tot, tot_instrs);
         out
     }
 
-    /// Folded-stack text (`root;...;rule <self-ns>` per line), suitable
-    /// for `flamegraph.pl` / speedscope. Paths follow the grammar's
-    /// static call graph (see the module docs).
+    /// Folded-stack text (`root;...;rule <self-instructions>` per line),
+    /// suitable for `flamegraph.pl` / speedscope. Paths follow the
+    /// grammar's static call graph (see the module docs).
     pub fn folded(&self) -> String {
         let mut out = String::new();
-        for (path, ns) in &self.folded {
-            let _ = writeln!(out, "{path} {ns}");
+        for (path, n) in &self.folded {
+            let _ = writeln!(out, "{path} {n}");
         }
         out
     }
@@ -447,10 +356,17 @@ mod tests {
         let (tree, _, report) = vm.parse_profiled(&fig2_input());
         tree.unwrap();
 
-        let table = report.table();
+        let table = report.table(None);
         assert!(table.contains("rule"), "{table}");
         assert!(table.contains("TOTAL"), "{table}");
         assert!(table.contains('S'), "{table}");
+        // A header, one row per invoked rule and the totals; `top` keeps
+        // the header and the totals.
+        assert_eq!(table.lines().count(), 2 + report.rules.len(), "{table}");
+        let top = report.table(Some(1));
+        let lines: Vec<&str> = top.lines().collect();
+        assert_eq!(lines.len(), 3, "{top}");
+        assert_eq!(lines[2], table.lines().last().unwrap(), "{top}");
 
         // Folded paths follow the static call graph from the start rule.
         let folded = report.folded();
@@ -460,6 +376,46 @@ mod tests {
         for line in folded.lines() {
             let (_, v) = line.rsplit_once(' ').unwrap();
             v.parse::<u64>().unwrap();
+        }
+    }
+
+    /// Every pc lies in exactly one rule's alternatives, so the self
+    /// instructions account for every instruction executed, whether the
+    /// VM ran it one at a time, in a record, a scan or a chain.
+    #[test]
+    fn self_instructions_sum_to_the_instruction_hits() {
+        // A byte scan (`Str`) in a chain (`Strs`), as in elf's string tables.
+        let strings = r#"
+            S -> Strs[0, EOI];
+            Strs -> Str[0, EOI] Strs[Str.end, EOI] / Str[0, EOI];
+            Str -> Ch[0, 1] assert(Ch.val > 0) Str[1, EOI] {len = 1 + Str.len}
+                 / x"00"[0, 1] {len = 0};
+            Ch := u8;
+        "#;
+        let cases: [(&str, &[u8]); 3] = [
+            (FIG2, &fig2_input()),
+            (strings, b"ab\0cde\0\0"),
+            (r#"S -> A[0, EOI] B[0, EOI] / A[0, EOI]; A -> "ab"[0, 2]; B -> "zz"[0, 2];"#, b"ab"),
+        ];
+        let mut listings = String::new();
+        for (spec, input) in cases {
+            let g = parse_grammar(spec).unwrap();
+            let vm = VmParser::new(&g);
+            let (tree, stats, report) = vm.parse_profiled(input);
+            tree.unwrap();
+            listings.push_str(&vm.program().disassemble(&g));
+            let hits: u64 = report.instr_hits.iter().sum();
+            assert!(hits > 0 && hits <= stats.steps, "{spec}");
+            assert_eq!(report.rules.iter().map(|r| r.self_instrs).sum::<u64>(), hits, "{spec}");
+            let folded: u64 = report
+                .folded()
+                .lines()
+                .map(|l| l.rsplit_once(' ').unwrap().1.parse::<u64>().unwrap())
+                .sum();
+            assert_eq!(folded, hits, "{spec}");
+        }
+        for op in ["  record\n", "  scan ", "  chain "] {
+            assert!(listings.contains(op), "no `{op}` in\n{listings}");
         }
     }
 

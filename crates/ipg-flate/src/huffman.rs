@@ -1,12 +1,13 @@
 //! Canonical Huffman codes as used by DEFLATE (RFC 1951 §3.2.2).
 //!
-//! Two decoders are provided: [`Decoder`], the per-bit canonical walk kept
-//! as the slow/validation path, and [`TableDecoder`], a libdeflate-style
-//! table decoder (a root table sized to the profile's longest code, capped
-//! at 11 bits, plus overflow subtables for deeper codes) used by the fast
-//! inflate path. Both are built from the same validated length profiles
-//! and must agree symbol-for-symbol; `tests/differential.rs` checks this
-//! on randomized profiles.
+//! Two decoders are provided: [`TableDecoder`], a libdeflate-style table
+//! decoder (a root table sized to the profile's longest code, capped at 11
+//! bits, plus overflow subtables for deeper codes) used by the fast
+//! inflate path, and [`Decoder`], the per-bit canonical walk, which no
+//! inflate path uses: it is the tests' reference (the seed decoder behind
+//! `inflate_slow` has its own). Both are built from the same validated
+//! length profiles and must agree symbol-for-symbol;
+//! `tests/differential.rs` checks this on randomized profiles.
 
 use crate::bits::BitReader;
 

@@ -1,15 +1,18 @@
 //! DEFLATE decoding (RFC 1951).
 //!
-//! Two implementations share the block/stored/header logic:
+//! Two separate implementations:
 //!
 //! * the **fast path** ([`inflate`], [`inflate_with_limit`]) decodes via
 //!   [`TableDecoder`] — two-level tables over a 64-bit refill, packed
 //!   extra-bits, pre-reserved output, and chunked back-reference copies;
-//! * the **slow path** ([`inflate_slow`], [`inflate_with_limit_slow`])
-//!   keeps the original per-bit canonical walk as the validation baseline
-//!   (`tests/parity.rs` pins the two to byte-identical outputs, consumed
-//!   counts, and errors; the bench crate's `inflate_speedup` test gates the
-//!   gap at 3x).
+//! * the **slow path** ([`inflate_slow`], [`inflate_with_limit_slow`]) runs
+//!   the frozen seed decoder (`src/seed.rs`), with its own bit reader,
+//!   per-bit canonical Huffman walk and block, stored and header logic.
+//!   It shares only the RFC's tables, the back-reference copy and the
+//!   output capacity heuristic with this module, and is kept as the
+//!   validation baseline (`tests/parity.rs` pins the two to byte-identical
+//!   outputs, consumed counts, and errors; the bench crate's
+//!   `inflate_speedup` test gates the gap at 3x).
 
 use crate::bits::BitReader;
 use crate::huffman::{

@@ -454,7 +454,6 @@ mod attribute_layouts {
 /// steps and deepest error, with memoization on and off, one-shot and
 /// streamed in 1-byte chunks.
 mod leaf_calls {
-    use ipg_core::check::CRuleBody;
     use ipg_core::frontend::parse_grammar;
     use ipg_core::interp::vm::VmParser;
     use ipg_core::interp::Parser;
@@ -652,25 +651,35 @@ mod leaf_calls {
         }
     }
 
-    /// Per-rule calls, completions and failures of every builtin rule in
-    /// one profiled parse of each corpus file. Running builtins in place
-    /// must not move them.
+    /// Per-rule calls, memo hits and misses, completions, failures and
+    /// self instructions of every rule invoked in one profiled parse of
+    /// each corpus file. Running builtins in place, and records, scans and
+    /// chains in bulk, must not move them; the self instructions account
+    /// for every instruction hit.
     #[test]
-    fn builtin_profile_counts_on_the_corpus_are_pinned() {
+    fn profile_counts_on_the_corpus_are_pinned() {
         let mut out = String::new();
         for f in super::common::formats() {
             let input = super::common::default_corpus_input(f.name);
             let (result, _, report) = f.vm.parse_profiled(&input);
             assert!(result.is_ok(), "{}: corpus file rejected", f.name);
+            let self_instrs: u64 = report.rules.iter().map(|r| r.self_instrs).sum();
+            assert_eq!(self_instrs, report.instr_hits.iter().sum::<u64>(), "{}", f.name);
             let mut rows: Vec<_> = report
                 .rules
                 .iter()
-                .filter(|r| matches!(f.grammar.rule(r.nt).body, CRuleBody::Builtin(_)))
                 .map(|r| {
                     let c = r.counters;
                     format!(
-                        "{} {}: calls {} ok {} fail {}\n",
-                        f.name, r.name, c.calls, c.completions, c.failures
+                        "{} {}: calls {} memo-hit {} memo-miss {} ok {} fail {} self-instr {}\n",
+                        f.name,
+                        r.name,
+                        c.calls,
+                        c.memo_hits,
+                        c.memo_misses,
+                        c.completions,
+                        c.failures,
+                        r.self_instrs
                     )
                 })
                 .collect();
@@ -678,7 +687,7 @@ mod leaf_calls {
             out.extend(rows);
         }
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots");
-        super::common::check_snapshot(&dir, "builtin_profile.txt", &out);
+        super::common::check_snapshot(&dir, "profile_counts.txt", &out);
     }
 
     /// Instruction hits per pc of one profiled parse of the zip corpus
